@@ -18,6 +18,7 @@ from .model import PddlDomain, PddlProblem, parse_domain, parse_problem, parse_t
 from .planner import PlannerConfig, PlanResult, run_planner
 from .scaffold import ProjectTemplate, create_project
 from .sexpr import (
+    Document,
     MyPddlError,
     NodeKind,
     ParseDiagnostic,
@@ -34,7 +35,7 @@ from .typegraph import TypeGraph, build_type_graph, emit_dot, render_diagram
 __version__ = "0.1.0"
 
 __all__ = [
-    "MyPddlError", "NodeKind", "ParseDiagnostic", "SExprNode", "Severity",
+    "Document", "MyPddlError", "NodeKind", "ParseDiagnostic", "SExprNode", "Severity",
     "Span", "parse_sexpr", "serialize", "find_blocks",
     "PddlDomain", "PddlProblem", "parse_domain", "parse_problem",
     "parse_typed_list",

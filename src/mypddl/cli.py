@@ -17,37 +17,43 @@ import click
 
 from . import construct, distance, highlight, planner, scaffold, snippets, typegraph
 from .sexpr import (
+    Document,
     MyPddlError,
     ParseDiagnostic,
     Severity,
-    offset_to_line_col,
-    parse_sexpr,
+    Span,
+    serialize_node,
 )
 
 
-def _print_diagnostics(path: Path, text: str,
+def _print_diagnostics(path: Path, doc: Document,
                        diagnostics: Sequence[ParseDiagnostic],
                        quiet: bool) -> None:
     if quiet:
         return
-    data = text.encode("utf-8")
     for diag in sorted(diagnostics, key=lambda d: (d.span.start, d.span.end)):
-        line, col = offset_to_line_col(data, diag.span.start)
+        line, col = doc.line_col(diag.span.start)
         click.echo(f"{path}:{line}:{col}: {diag.severity.value}: "
                    f"{diag.message} [{diag.code}]", err=True)
 
 
-def _diagnostics_json(text: str,
+def _diagnostics_json(doc: Document,
                       diagnostics: Sequence[ParseDiagnostic]) -> list[dict]:
-    data = text.encode("utf-8")
     out = []
     for diag in sorted(diagnostics, key=lambda d: (d.span.start, d.span.end)):
-        line, col = offset_to_line_col(data, diag.span.start)
+        line, col = doc.line_col(diag.span.start)
         out.append({"start": diag.span.start, "end": diag.span.end,
                     "line": line, "col": col,
                     "severity": diag.severity.value,
                     "message": diag.message, "code": diag.code})
     return out
+
+
+def _region_json(doc: Document, region: Span) -> dict:
+    line, col = doc.line_col(region.start)
+    return {"start": region.start, "end": region.end, "line": line,
+            "col": col, "text": doc.data[region.start:region.end].decode(
+                "utf-8", errors="replace")}
 
 
 class _Cli(click.Group):
@@ -125,13 +131,14 @@ def snippet(ctx: click.Context, trigger: Optional[str], list_all: bool,
               help="Exit 1 when any invalid region is present.")
 def tokens(file: Path, output_format: str, fail_on_invalid: bool) -> None:
     """Print the scoped token stream of FILE."""
-    text = file.read_text(encoding="utf-8")
-    token_stream = highlight.tokenize(text)
+    doc = Document.read(file)
+    token_stream = highlight.tokenize(doc)
     if output_format == "html":
-        click.echo(highlight.render_html(token_stream, text, title=file.name),
-                   nl=False)
+        click.echo(highlight.render_html(token_stream, doc.text,
+                                         title=file.name), nl=False)
     else:
-        sys.stdout.buffer.write(highlight.emit_tokens_json(token_stream, text))
+        sys.stdout.buffer.write(highlight.emit_tokens_json(token_stream,
+                                                           doc.text))
         sys.stdout.buffer.write(b"\n")
         sys.stdout.buffer.flush()
     if fail_on_invalid and highlight.invalid_regions(token_stream):
@@ -155,10 +162,10 @@ def diagram(ctx: click.Context, domain_file: Path, output_root: Path,
         renderer = None
     elif renderer is None and shutil.which("dot"):
         renderer = "dot"
+    doc = Document.read(domain_file)
     artifacts, diagnostics = typegraph.render_diagram(
-        domain_file, output_root, renderer=renderer)
-    text = domain_file.read_text(encoding="utf-8")
-    _print_diagnostics(domain_file, text, diagnostics, ctx.obj["quiet"])
+        doc, output_root, renderer=renderer)
+    _print_diagnostics(domain_file, doc, diagnostics, ctx.obj["quiet"])
     if not ctx.obj["quiet"]:
         click.echo(f"revision {artifacts.revision}:")
         click.echo(f"  {artifacts.copied_domain_path}")
@@ -172,8 +179,6 @@ def diagram(ctx: click.Context, domain_file: Path, output_root: Path,
 @click.argument("keyword")
 def extract(file: Path, keyword: str) -> None:
     """Print every block of FILE headed by KEYWORD."""
-    from .sexpr import serialize_node
-
     for block in construct.read_construct(keyword, file):
         click.echo(serialize_node(block))
 
@@ -189,8 +194,8 @@ def insert(file: Path, keyword: str, construct_text: str,
     """Append CONSTRUCT to the first KEYWORD block of FILE."""
     nodes = construct.parse_constructs(construct_text)
     if to_stdout:
-        text = file.read_text(encoding="utf-8")
-        click.echo(construct.insert_construct(text, keyword, nodes), nl=False)
+        click.echo(construct.insert_construct(Document.read(file), keyword,
+                                              nodes), nl=False)
     else:
         construct.add_construct(file, keyword, nodes)
 
@@ -211,10 +216,10 @@ def distance_cmd(ctx: click.Context, problem_file: Path, predicate: str,
         raise click.UsageError("--in-place and --out are mutually exclusive")
     if in_place:
         output_file = problem_file
+    doc = Document.read(problem_file)
     out_path, diagnostics = distance.augment_file(
-        problem_file, output_file, predicate_name=predicate)
-    text = problem_file.read_text(encoding="utf-8")
-    _print_diagnostics(problem_file, text, diagnostics, ctx.obj["quiet"])
+        doc, output_file, predicate_name=predicate)
+    _print_diagnostics(problem_file, doc, diagnostics, ctx.obj["quiet"])
     if not ctx.obj["quiet"]:
         click.echo(str(out_path))
 
@@ -257,32 +262,25 @@ def check(ctx: click.Context, files: tuple[Path, ...]) -> None:
     any_bad = False
     reports = []
     for path in files:
-        text = path.read_text(encoding="utf-8")
-        data = text.encode("utf-8")
-        _, diagnostics = parse_sexpr(text)
+        doc = Document.read(path)
+        diagnostics = doc.diagnostics
         errors = [d for d in diagnostics if d.severity is Severity.ERROR]
-        token_stream = highlight.tokenize(text)
+        token_stream = highlight.tokenize(doc)
         regions = highlight.invalid_regions(token_stream)
         bad = bool(errors or regions)
         any_bad = any_bad or bad
         if ctx.obj["json"]:
             reports.append({
                 "file": str(path),
-                "diagnostics": _diagnostics_json(text, diagnostics),
-                "invalid_regions": [
-                    {"start": r.start, "end": r.end,
-                     "line": offset_to_line_col(data, r.start)[0],
-                     "col": offset_to_line_col(data, r.start)[1],
-                     "text": data[r.start:r.end].decode("utf-8",
-                                                        errors="replace")}
-                    for r in regions],
+                "diagnostics": _diagnostics_json(doc, diagnostics),
+                "invalid_regions": [_region_json(doc, r) for r in regions],
             })
             continue
-        _print_diagnostics(path, text, diagnostics, ctx.obj["quiet"])
+        _print_diagnostics(path, doc, diagnostics, ctx.obj["quiet"])
         if not ctx.obj["quiet"]:
             for region in regions:
-                line, col = offset_to_line_col(data, region.start)
-                excerpt = data[region.start:region.end].decode(
+                line, col = doc.line_col(region.start)
+                excerpt = doc.data[region.start:region.end].decode(
                     "utf-8", errors="replace")
                 if len(excerpt) > 40:
                     excerpt = excerpt[:37] + "..."

@@ -11,13 +11,14 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, Union
 
 from .sexpr import (
+    Document,
     MyPddlError,
     SExprNode,
+    as_document,
     find_blocks,
-    parse_sexpr,
     serialize,
 )
 
@@ -28,9 +29,7 @@ class ConstructError(MyPddlError):
 
 def read_construct(keyword: str, file: Path) -> list[SExprNode]:
     """All blocks headed by ``keyword`` in the file, in document order."""
-    text = Path(file).read_text(encoding="utf-8")
-    forest, _ = parse_sexpr(text)
-    return find_blocks(forest, keyword)
+    return find_blocks(Document.read(file).forest, keyword)
 
 
 def parse_constructs(text: str) -> list[SExprNode]:
@@ -39,24 +38,23 @@ def parse_constructs(text: str) -> list[SExprNode]:
     Malformed text is rejected outright: splicing unbalanced parentheses
     into a file must never be possible through this path.
     """
-    forest, diagnostics = parse_sexpr(text)
-    if diagnostics:
+    doc = as_document(text)
+    if doc.diagnostics:
         raise ConstructError(
-            f"construct text is not well formed: {diagnostics[0].message}")
-    nodes = [n for n in forest if not n.is_trivia]
+            f"construct text is not well formed: {doc.diagnostics[0].message}")
+    nodes = [n for n in doc.forest if not n.is_trivia]
     if not nodes:
         raise ConstructError(f"no construct found in {text!r}")
     return nodes
 
 
-def _insertion_state(text: str, block: SExprNode) -> tuple[int, str]:
+def _insertion_state(data: bytes, block: SExprNode) -> tuple[int, str]:
     """Where to splice inside ``block`` and the line prefix to use.
 
     New entries go on their own line, indented to the column of the block's
     last existing entry; a block with no entries gets a single space instead.
     """
     assert block.span is not None
-    data = text.encode("utf-8")
     insert_at = block.span.end - 1 if block.closed else block.span.end
 
     values = block.values()
@@ -69,39 +67,41 @@ def _insertion_state(text: str, block: SExprNode) -> tuple[int, str]:
     return insert_at, " "
 
 
-def append_to_block(text: str, block: SExprNode,
+def append_to_block(doc: Document, block: SExprNode,
                     constructs: Sequence[SExprNode | str]) -> str:
-    """Splice constructs into ``block``; pure, no file I/O. Each construct is
-    either a node (serialized verbatim) or an already-rendered string."""
+    """Splice constructs into ``block`` of ``doc``; pure, no file I/O. Each
+    construct is either a node (serialized verbatim) or an already-rendered
+    string. Every byte outside the splice is kept, CR bytes included."""
     if not constructs:
-        return text
-    insert_at, prefix = _insertion_state(text, block)
+        return doc.text
+    data = doc.data
+    insert_at, prefix = _insertion_state(data, block)
     pieces = "".join(
         prefix + (item if isinstance(item, str) else serialize([item]))
         for item in constructs)
-    data = text.encode("utf-8")
     return (data[:insert_at] + pieces.encode("utf-8") + data[insert_at:]) \
         .decode("utf-8")
 
 
-def insert_construct(text: str, keyword: str,
+def insert_construct(source: Union[str, Document], keyword: str,
                      constructs: Sequence[SExprNode]) -> str:
     """Append constructs to the first block headed by ``keyword``."""
-    forest, _ = parse_sexpr(text)
-    if not [n for n in forest if not n.is_trivia]:
+    doc = as_document(source)
+    if not [n for n in doc.forest if not n.is_trivia]:
         raise ConstructError("file contains no s-expressions")
-    blocks = find_blocks(forest, keyword)
+    blocks = find_blocks(doc.forest, keyword)
     if not blocks:
         raise ConstructError(f"no block headed by {keyword!r} found")
-    return append_to_block(text, blocks[0], constructs)
+    return append_to_block(doc, blocks[0], constructs)
 
 
 def write_atomically(path: Path, text: str) -> None:
-    """Write via a temp file in the same directory plus rename."""
+    """Write via a temp file in the same directory plus rename. Newlines
+    are written as they are, never translated."""
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp_name, path)
     except BaseException:
@@ -114,9 +114,8 @@ def add_construct(file: Path, keyword: str,
                   constructs: Sequence[SExprNode]) -> str:
     """Append constructs to the first matching block and rewrite the file
     atomically. Returns the updated text."""
-    path = Path(file)
-    text = path.read_text(encoding="utf-8")
-    updated = insert_construct(text, keyword, constructs)
-    if updated != text:
-        write_atomically(path, updated)
+    doc = Document.read(file)
+    updated = insert_construct(doc, keyword, constructs)
+    if updated != doc.text:
+        write_atomically(Path(file), updated)
     return updated

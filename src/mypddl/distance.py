@@ -14,17 +14,18 @@ import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .construct import append_to_block, write_atomically
 from .sexpr import (
+    Document,
     MyPddlError,
     NodeKind,
     ParseDiagnostic,
     Severity,
     Span,
+    as_document,
     find_blocks,
-    parse_sexpr,
 )
 
 DEFAULT_PREDICATE = "location"
@@ -54,7 +55,7 @@ class DistanceFact:
     value: float
 
 
-def extract_locations(problem_text: str,
+def extract_locations(problem: Union[str, Document],
                       predicate_name: str = DEFAULT_PREDICATE,
                       ) -> tuple[list[LocationFact], list[ParseDiagnostic]]:
     """Collect coordinate facts from the first (:init ...) block.
@@ -64,8 +65,7 @@ def extract_locations(problem_text: str,
     """
     diagnostics: list[ParseDiagnostic] = []
     facts: list[LocationFact] = []
-    forest, _ = parse_sexpr(problem_text)
-    init_blocks = find_blocks(forest, ":init")
+    init_blocks = find_blocks(as_document(problem).forest, ":init")
     if not init_blocks:
         diagnostics.append(ParseDiagnostic(
             Span(0, 0), Severity.WARNING,
@@ -158,7 +158,7 @@ def distance_facts(facts: Sequence[LocationFact]) -> list[DistanceFact]:
             for a in facts for b in facts]
 
 
-def augment_with_distances(problem_text: str,
+def augment_with_distances(problem: Union[str, Document],
                            predicate_name: str = DEFAULT_PREDICATE,
                            ) -> tuple[str, list[ParseDiagnostic]]:
     """Append the n*n distance facts to the first (:init ...) block.
@@ -167,7 +167,8 @@ def augment_with_distances(problem_text: str,
     extraction abort with a DistanceError; zero locations is a warning
     no-op.
     """
-    facts, diagnostics = extract_locations(problem_text, predicate_name)
+    doc = as_document(problem)
+    facts, diagnostics = extract_locations(doc, predicate_name)
     errors = [d for d in diagnostics if d.severity is Severity.ERROR]
     if errors:
         raise DistanceError(
@@ -177,26 +178,27 @@ def augment_with_distances(problem_text: str,
             Span(0, 0), Severity.WARNING,
             f"no {predicate_name!r} facts found; nothing to do",
             "no-locations"))
-        return problem_text, diagnostics
+        return doc.text, diagnostics
 
-    forest, _ = parse_sexpr(problem_text)
-    init_block = find_blocks(forest, ":init")[0]
+    init_block = find_blocks(doc.forest, ":init")[0]
     rendered = [
         f"({DISTANCE_PREDICATE} {d.from_object} {d.to_object} "
         f"{format_distance(d.value)})"
         for d in distance_facts(facts)
     ]
-    return append_to_block(problem_text, init_block, rendered), diagnostics
+    return append_to_block(doc, init_block, rendered), diagnostics
 
 
-def augment_file(problem_file: Path, output_file: Optional[Path] = None,
+def augment_file(problem: Union[Path, Document],
+                 output_file: Optional[Path] = None,
                  predicate_name: str = DEFAULT_PREDICATE,
                  ) -> tuple[Path, list[ParseDiagnostic]]:
-    """Write the extended copy; defaults to ``<name>_dist.pddl`` beside the
-    input. Pass the input path itself to rewrite in place."""
-    problem_file = Path(problem_file)
-    text = problem_file.read_text(encoding="utf-8")
-    updated, diagnostics = augment_with_distances(text, predicate_name)
+    """Write the extended copy of a problem file, or of a document read
+    from one; defaults to ``<name>_dist.pddl`` beside the input. Pass the
+    input path itself to rewrite in place."""
+    doc = problem if isinstance(problem, Document) else Document.read(problem)
+    problem_file = doc.path
+    updated, diagnostics = augment_with_distances(doc, predicate_name)
     if output_file is None:
         output_file = problem_file.with_name(
             problem_file.stem + "_dist" + problem_file.suffix)

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import enum
 import html
-import json
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from json.encoder import encode_basestring
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .model import REQUIREMENT_KEYS, is_name, is_number, is_variable
-from .sexpr import NodeKind, SExprNode, Span, parse_sexpr
+from .sexpr import Document, NodeKind, SExprNode, Span, as_document
 
 
 class Scope(enum.Enum):
@@ -32,8 +31,7 @@ class Scope(enum.Enum):
     UNSCOPED = "Unscoped"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     span: Span
     scope: Scope
     text: str
@@ -62,8 +60,8 @@ _MAX_GRAMMAR_DEPTH = 100
 
 
 class _Walk:
-    def __init__(self, text: str) -> None:
-        self.forest, self.diagnostics = parse_sexpr(text)
+    def __init__(self, forest: Sequence[SExprNode]) -> None:
+        self.forest = forest
         self.tokens: list[Token] = []
         self.depth = 0
 
@@ -693,9 +691,10 @@ class _Walk:
         return self.tokens
 
 
-def tokenize(text: str) -> list[Token]:
-    """Assign a scope to every byte of ``text``; never fails."""
-    return _Walk(text).run()
+def tokenize(source: Union[str, Document]) -> list[Token]:
+    """Assign a scope to every byte of a document's forest; never fails.
+    Given text, parse it first."""
+    return _Walk(as_document(source).forest).run()
 
 
 def invalid_regions(tokens: Sequence[Token]) -> list[Span]:
@@ -718,11 +717,24 @@ def invalid_regions(tokens: Sequence[Token]) -> list[Span]:
     return regions
 
 
+_SCOPE_JSON = {scope: encode_basestring(scope.value) for scope in Scope}
+
+
 def emit_tokens_json(tokens: Sequence[Token], text: str) -> bytes:
-    """Stable JSON rendering of the token stream, sorted by start offset."""
-    records = [{"start": t.span.start, "end": t.span.end,
-                "scope": t.scope.value, "text": t.text} for t in tokens]
-    return json.dumps(records, ensure_ascii=False, indent=1).encode("utf-8")
+    """Stable JSON rendering of the token stream, sorted by start offset.
+
+    The bytes are those of ``json.dumps(records, ensure_ascii=False,
+    indent=1)``, written out directly because ``indent`` makes ``json``
+    fall back to its pure-Python encoder.
+    """
+    if not tokens:
+        return b"[]"
+    records = ",\n".join(
+        f' {{\n  "start": {t.span.start},\n  "end": {t.span.end},\n'
+        f'  "scope": {_SCOPE_JSON[t.scope]},\n'
+        f'  "text": {encode_basestring(t.text)}\n }}'
+        for t in tokens)
+    return f"[\n{records}\n]".encode("utf-8")
 
 
 _CSS = """\

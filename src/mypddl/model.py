@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .sexpr import (
+    Document,
     NodeKind,
     ParseDiagnostic,
     SExprNode,
     Severity,
     Span,
-    parse_sexpr,
+    as_document,
     serialize_node,
 )
 
@@ -324,8 +325,12 @@ def _parse_functions(nodes: Sequence[SExprNode],
     return decls
 
 
-def parse_domain(text: str) -> tuple[PddlDomain, list[ParseDiagnostic]]:
-    forest, diagnostics = parse_sexpr(text)
+def parse_domain(source: Union[str, Document],
+                 ) -> tuple[PddlDomain, list[ParseDiagnostic]]:
+    """The typed domain of a document (or of text, parsed first), with the
+    parse diagnostics followed by the model's own."""
+    doc = as_document(source)
+    forest, diagnostics = doc.forest, list(doc.diagnostics)
     domain = PddlDomain()
     define = _find_define(forest)
     if define is None:
@@ -397,8 +402,12 @@ def parse_domain(text: str) -> tuple[PddlDomain, list[ParseDiagnostic]]:
     return domain, diagnostics
 
 
-def parse_problem(text: str) -> tuple[PddlProblem, list[ParseDiagnostic]]:
-    forest, diagnostics = parse_sexpr(text)
+def parse_problem(source: Union[str, Document],
+                  ) -> tuple[PddlProblem, list[ParseDiagnostic]]:
+    """The typed problem of a document (or of text, parsed first), with the
+    parse diagnostics followed by the model's own."""
+    doc = as_document(source)
+    forest, diagnostics = doc.forest, list(doc.diagnostics)
     problem = PddlProblem()
     define = _find_define(forest)
     if define is None:

@@ -5,35 +5,49 @@ become nodes with exact byte spans, so that serializing a parsed forest
 reproduces the source text byte for byte. This holds for broken input too --
 unbalanced parentheses never abort the parse, they only produce diagnostics.
 All offsets are byte offsets into the UTF-8 encoding of the source.
+
+A `Document` is one file read as bytes, decoded strictly and parsed once;
+every other layer works from its forest and its line index.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
+import re
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from pathlib import Path
+from typing import Iterator, Optional, Sequence, Union
 
 
 class MyPddlError(Exception):
     """Base class for errors raised by this package."""
 
 
-@dataclass(frozen=True)
-class Span:
-    """Half-open byte range [start, end) into the source text."""
+class Span(namedtuple("Span", "start end")):
+    """Half-open byte range [start, end) into the source text.
 
-    start: int
-    end: int
+    An immutable pair: equal spans compare and hash alike.
+    """
 
-    def __post_init__(self) -> None:
-        if self.start > self.end or self.start < 0:
-            raise ValueError(f"invalid span {self.start}..{self.end}")
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int) -> "Span":
+        if start > end or start < 0:
+            raise ValueError(f"invalid span {start}..{end}")
+        return tuple.__new__(cls, (start, end))
 
     def __len__(self) -> int:
         return self.end - self.start
 
     def overlaps(self, other: "Span") -> bool:
         return self.start < other.end and other.start < self.end
+
+
+def _span(start: int, end: int) -> Span:
+    """A span whose bounds the caller has already ensured are valid."""
+    return tuple.__new__(Span, (start, end))
 
 
 class Severity(enum.Enum):
@@ -56,7 +70,6 @@ class NodeKind(enum.Enum):
     WHITESPACE = "whitespace"
 
 
-@dataclass(frozen=True)
 class SExprNode:
     """One node of the lossless concrete-syntax tree.
 
@@ -64,18 +77,21 @@ class SExprNode:
     lists carry their elements (including trivia) in ``children``. ``closed``
     is False for a list that was recovered at end of input, so serialization
     does not invent the missing parenthesis. Nodes built programmatically
-    (for insertion) have ``span`` set to None.
+    (for insertion) have ``span`` set to None. Nodes are treated as
+    immutable; ``is_trivia`` is fixed when the node is made.
     """
 
-    kind: NodeKind
-    text: str = ""
-    children: tuple["SExprNode", ...] = ()
-    span: Optional[Span] = None
-    closed: bool = True
+    __slots__ = ("kind", "text", "children", "span", "closed", "is_trivia")
 
-    @property
-    def is_trivia(self) -> bool:
-        return self.kind in (NodeKind.COMMENT, NodeKind.WHITESPACE)
+    def __init__(self, kind: NodeKind, text: str = "",
+                 children: tuple["SExprNode", ...] = (),
+                 span: Optional[Span] = None, closed: bool = True) -> None:
+        self.kind = kind
+        self.text = text
+        self.children = children
+        self.span = span
+        self.closed = closed
+        self.is_trivia = kind is NodeKind.COMMENT or kind is NodeKind.WHITESPACE
 
     def walk(self) -> Iterator["SExprNode"]:
         """Yield this node and all descendants in document order.
@@ -100,8 +116,16 @@ class SExprNode:
         return [c for c in self.children if not c.is_trivia]
 
 
-_WHITESPACE = frozenset(b" \t\r\n\f\v")
-_DELIMITERS = frozenset(b"();") | _WHITESPACE
+# One alternative per lexeme, numbered as the parser dispatches on them.
+# Whitespace and delimiters are the ASCII bytes below, so token boundaries
+# always fall between whole UTF-8 sequences.
+_LEXEME = re.compile(rb"""
+    ([ \t\r\n\f\v]+)      # 1 whitespace
+  | (;[^\n]*)             # 2 comment, up to the end of the line
+  | (\()                  # 3 open
+  | (\))                  # 4 close
+  | ([^ \t\r\n\f\v();]+)  # 5 atom
+""", re.VERBOSE)
 
 
 def parse_sexpr(text: str) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
@@ -111,63 +135,100 @@ def parse_sexpr(text: str) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
     input and a stray ')' becomes an atom, each with an Error diagnostic.
     """
     data = text.encode("utf-8")
-    n = len(data)
+    # Byte offsets equal character offsets in ASCII text, which can then be
+    # sliced directly instead of decoding each byte slice.
+    ascii_only = len(data) == len(text)
     diagnostics: list[ParseDiagnostic] = []
-    # Stack of (open-paren offset, children collected so far); the bottom
-    # entry is the top-level forest.
-    stack: list[tuple[int, list[SExprNode]]] = [(-1, [])]
-
-    def emit(node: SExprNode) -> None:
-        stack[-1][1].append(node)
-
-    i = 0
-    while i < n:
-        b = data[i]
-        if b in _WHITESPACE:
-            j = i + 1
-            while j < n and data[j] in _WHITESPACE:
-                j += 1
-            emit(SExprNode(NodeKind.WHITESPACE, text=data[i:j].decode("utf-8"),
-                           span=Span(i, j)))
-            i = j
-        elif b == 0x3B:  # ';'
-            j = i + 1
-            while j < n and data[j] != 0x0A:
-                j += 1
-            emit(SExprNode(NodeKind.COMMENT, text=data[i:j].decode("utf-8"),
-                           span=Span(i, j)))
-            i = j
-        elif b == 0x28:  # '('
-            stack.append((i, []))
-            i += 1
-        elif b == 0x29:  # ')'
-            if len(stack) > 1:
-                start, children = stack.pop()
-                emit(SExprNode(NodeKind.LIST, children=tuple(children),
-                               span=Span(start, i + 1)))
+    # Open-paren offsets and the children collected so far for each open
+    # list; ``level`` is the innermost, and the bottom entry is the forest.
+    opens: list[int] = []
+    levels: list[list[SExprNode]] = [[]]
+    level = levels[0]
+    whitespace, comment, atom, lst = (NodeKind.WHITESPACE, NodeKind.COMMENT,
+                                      NodeKind.ATOM, NodeKind.LIST)
+    for match in _LEXEME.finditer(data):
+        group = match.lastindex
+        i, j = match.span()
+        if group == 3:
+            opens.append(i)
+            level = []
+            levels.append(level)
+        elif group == 4:
+            if opens:
+                node = SExprNode(lst, "", tuple(level), _span(opens.pop(), j))
+                levels.pop()
+                level = levels[-1]
+                level.append(node)
             else:
                 diagnostics.append(ParseDiagnostic(
-                    Span(i, i + 1), Severity.ERROR,
-                    "unmatched ')'", "stray-closer"))
-                emit(SExprNode(NodeKind.ATOM, text=")", span=Span(i, i + 1)))
-            i += 1
+                    _span(i, j), Severity.ERROR, "unmatched ')'",
+                    "stray-closer"))
+                level.append(SExprNode(atom, ")", (), _span(i, j)))
         else:
-            j = i + 1
-            while j < n and data[j] not in _DELIMITERS:
-                j += 1
-            emit(SExprNode(NodeKind.ATOM, text=data[i:j].decode("utf-8"),
-                           span=Span(i, j)))
-            i = j
+            piece = text[i:j] if ascii_only else data[i:j].decode("utf-8")
+            kind = atom if group == 5 else whitespace if group == 1 else comment
+            level.append(SExprNode(kind, piece, (), _span(i, j)))
 
     # Close recovered lists innermost first, without inventing parentheses.
-    while len(stack) > 1:
-        start, children = stack.pop()
+    n = len(data)
+    while opens:
+        start = opens.pop()
         diagnostics.append(ParseDiagnostic(
-            Span(start, start + 1), Severity.ERROR,
+            _span(start, start + 1), Severity.ERROR,
             "'(' is never closed", "unclosed-list"))
-        emit(SExprNode(NodeKind.LIST, children=tuple(children),
-                       span=Span(start, n), closed=False))
-    return stack[0][1], diagnostics
+        node = SExprNode(lst, "", tuple(levels.pop()), _span(start, n),
+                         closed=False)
+        levels[-1].append(node)
+    return levels[0], diagnostics
+
+
+class Document:
+    """One source file, read, decoded and parsed exactly once.
+
+    Holds the raw bytes, the strictly decoded text, the lossless forest, the
+    parse diagnostics, and a line index that turns byte offsets into
+    positions. ``path`` is the file the bytes came from, or None. Every
+    layer that needs the file works from the same document, so no command
+    reads or parses a file twice.
+    """
+
+    __slots__ = ("path", "data", "text", "forest", "diagnostics",
+                 "_line_starts")
+
+    def __init__(self, data: bytes, path: Optional[Path] = None,
+                 text: Optional[str] = None) -> None:
+        if text is None:
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MyPddlError(f"{path or '<text>'}: not valid UTF-8 at "
+                                  f"byte {exc.start}") from None
+        self.path = path
+        self.data = data
+        self.text = text
+        self.forest, self.diagnostics = parse_sexpr(text)
+        self._line_starts: Optional[list[int]] = None
+
+    @classmethod
+    def read(cls, path: Union[str, Path]) -> "Document":
+        """Read a file as bytes; invalid UTF-8 raises a ``MyPddlError``
+        naming the file and the first bad byte."""
+        path = Path(path)
+        return cls(path.read_bytes(), path)
+
+    def line_col(self, offset: int) -> tuple[int, int]:
+        """1-based (line, column) of a byte offset; columns count bytes.
+        The line index is built on first use and kept."""
+        if self._line_starts is None:
+            self._line_starts = line_starts(self.data)
+        return _line_col(self._line_starts, offset)
+
+
+def as_document(source: Union[str, Document]) -> Document:
+    """``source`` itself if it is already a document, else its parse."""
+    if isinstance(source, Document):
+        return source
+    return Document(source.encode("utf-8"), text=source)
 
 
 _CLOSE = object()
@@ -215,16 +276,18 @@ def find_blocks(forest: Sequence[SExprNode], keyword: str) -> list[SExprNode]:
 def line_starts(data: bytes) -> list[int]:
     """Byte offsets at which each line begins (line 1 starts at 0)."""
     starts = [0]
-    for i, b in enumerate(data):
-        if b == 0x0A:
-            starts.append(i + 1)
+    i = data.find(b"\n")
+    while i >= 0:
+        starts.append(i + 1)
+        i = data.find(b"\n", i + 1)
     return starts
+
+
+def _line_col(starts: list[int], offset: int) -> tuple[int, int]:
+    line = bisect.bisect_right(starts, offset)
+    return line, offset - starts[line - 1] + 1
 
 
 def offset_to_line_col(data: bytes, offset: int) -> tuple[int, int]:
     """1-based (line, column); columns count bytes within the line."""
-    import bisect
-
-    starts = line_starts(data)
-    line = bisect.bisect_right(starts, offset)
-    return line, offset - starts[line - 1] + 1
+    return _line_col(line_starts(data), offset)

@@ -10,14 +10,13 @@ three tagged with the same ascending revision number.
 from __future__ import annotations
 
 import re
-import shutil
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 from .model import DEFAULT_TYPE, PddlDomain, parse_domain
-from .sexpr import MyPddlError, ParseDiagnostic, Severity, Span
+from .sexpr import Document, MyPddlError, ParseDiagnostic, Severity, Span
 
 # Built-in numeric type: lives outside the object hierarchy, never drawn.
 _NUMBER = "number"
@@ -218,19 +217,21 @@ def _next_revision(base: str, *dirs: Path) -> int:
     return highest + 1
 
 
-def render_diagram(domain_file: Path, output_root: Path,
+def render_diagram(domain_file: Union[Path, Document], output_root: Path,
                    renderer: Optional[str] = None,
                    ) -> tuple[DiagramArtifacts, list[ParseDiagnostic]]:
     """Copy the domain, write DOT, and (with a renderer) produce an image.
 
+    ``domain_file`` is a domain file or a document read from one.
     ``renderer`` is an external command such as "dot"; when None, image
     generation is skipped with a warning. All three outputs share one
     revision number, one higher than anything already present.
     """
-    domain_file = Path(domain_file)
+    doc = domain_file if isinstance(domain_file, Document) \
+        else Document.read(domain_file)
+    domain_file = doc.path
     output_root = Path(output_root)
-    text = domain_file.read_text(encoding="utf-8")
-    domain, diagnostics = parse_domain(text)
+    domain, diagnostics = parse_domain(doc)
     graph, graph_diags = build_type_graph(domain)
     diagnostics = list(diagnostics) + graph_diags
 
@@ -244,7 +245,7 @@ def render_diagram(domain_file: Path, output_root: Path,
     revision = _next_revision(base, domains_dir, dot_dir, diagrams_dir)
 
     copied = domains_dir / f"{base}_{revision}.pddl"
-    shutil.copyfile(domain_file, copied)
+    copied.write_bytes(doc.data)
     dot_path = dot_dir / f"{base}_{revision}.dot"
     dot_path.write_text(emit_dot(graph), encoding="utf-8")
 

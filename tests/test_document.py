@@ -1,0 +1,275 @@
+"""One `Document` per file: byte-exact reads and writes, strict decoding,
+one line index per file, and exactly one parse per input file for every
+command."""
+
+import json
+import sys
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mypddl import sexpr
+from mypddl.cli import main
+from mypddl.sexpr import (
+    Document,
+    MyPddlError,
+    NodeKind,
+    SExprNode,
+    Span,
+    as_document,
+    offset_to_line_col,
+)
+
+from conftest import CORPUS
+
+CRLF_PROBLEM = (b"; a problem with CRLF line endings\r\n"
+                b"(define (problem p)\r\n"
+                b"  (:domain d)\r\n"
+                b"  (:init\r\n"
+                b"    (location a 0 0)\r\n"
+                b"    (location b 3 4))\r\n"
+                b"  (:goal (g)))\r\n")
+CRLF_INIT_CLOSE = CRLF_PROBLEM.index(b"(location b 3 4))") \
+    + len(b"(location b 3 4)")
+
+LATIN1_DOMAIN = (b"; caf\xe9 -- this comment is Latin-1, not UTF-8\n"
+                 b"(define (domain latin)\n"
+                 b"  (:requirements :strips))\n")
+
+
+@pytest.fixture
+def runner():
+    return CliRunner()
+
+
+def line_col(data: bytes, offset: int) -> tuple[int, int]:
+    """Reference position: newlines counted in the raw bytes."""
+    return (data.count(b"\n", 0, offset) + 1,
+            offset - (data.rfind(b"\n", 0, offset) + 1) + 1)
+
+
+def added_at(before: bytes, after: bytes, at: int) -> bytes:
+    """The bytes ``after`` adds at offset ``at``; all others must be equal."""
+    tail = len(before) - at
+    assert after[:at] == before[:at]
+    assert after[len(after) - tail:] == before[at:]
+    return after[at:len(after) - tail]
+
+
+# -- nodes and spans ----------------------------------------------------------
+
+def test_span_keeps_its_contract():
+    span = Span(2, 5)
+    assert (span.start, span.end, len(span)) == (2, 5, 3)
+    assert span == Span(2, 5) and hash(span) == hash(Span(2, 5))
+    assert span != Span(2, 6)
+    assert span.overlaps(Span(4, 9)) and not span.overlaps(Span(5, 9))
+    with pytest.raises(ValueError):
+        Span(5, 2)
+    with pytest.raises(ValueError):
+        Span(-1, 2)
+    with pytest.raises(AttributeError):
+        span.start = 0
+
+
+def test_node_trivia_is_fixed_at_construction():
+    assert SExprNode(NodeKind.COMMENT, "; c").is_trivia
+    assert SExprNode(NodeKind.WHITESPACE, " ").is_trivia
+    assert not SExprNode(NodeKind.ATOM, "a").is_trivia
+    assert not SExprNode(NodeKind.LIST).is_trivia
+
+
+# -- the document ---------------------------------------------------------------
+
+def test_document_keeps_bytes_text_forest_and_diagnostics(tmp_path):
+    path = tmp_path / "p.pddl"
+    path.write_bytes(CRLF_PROBLEM + b")")
+    doc = Document.read(path)
+    assert doc.path == path
+    assert doc.data == CRLF_PROBLEM + b")"
+    assert doc.text.encode("utf-8") == doc.data
+    assert sexpr.serialize(doc.forest) == doc.text
+    assert [d.code for d in doc.diagnostics] == ["stray-closer"]
+
+
+def test_invalid_utf8_names_file_and_byte(tmp_path):
+    path = tmp_path / "latin.pddl"
+    path.write_bytes(LATIN1_DOMAIN)
+    with pytest.raises(MyPddlError, match=r"latin\.pddl: .* at byte 5\b"):
+        Document.read(path)
+
+
+@given(st.binary(max_size=300))
+@settings(max_examples=200)
+def test_line_index_matches_newline_count(data):
+    text = data.decode("utf-8", errors="replace")
+    doc = as_document(text)
+    for offset in range(0, len(doc.data) + 1, 7):
+        expected = line_col(doc.data, offset)
+        assert doc.line_col(offset) == expected
+        assert offset_to_line_col(doc.data, offset) == expected
+
+
+# -- byte-exact I/O -----------------------------------------------------------------
+
+def test_insert_keeps_crlf_bytes(runner, tmp_path):
+    path = tmp_path / "p.pddl"
+    path.write_bytes(CRLF_PROBLEM)
+    result = runner.invoke(main, ["insert", str(path), ":init", "(hungry a)"])
+    assert result.exit_code == 0, result.output
+    added = added_at(CRLF_PROBLEM, path.read_bytes(), CRLF_INIT_CLOSE)
+    assert added.strip() == b"(hungry a)" and added[:1].isspace()
+
+
+def test_insert_stdout_keeps_crlf_bytes(runner, tmp_path):
+    path = tmp_path / "p.pddl"
+    path.write_bytes(CRLF_PROBLEM)
+    result = runner.invoke(main, ["insert", str(path), ":init", "(hungry a)",
+                                  "--stdout"])
+    assert result.exit_code == 0, result.output
+    added = added_at(CRLF_PROBLEM, result.stdout_bytes, CRLF_INIT_CLOSE)
+    assert added.strip() == b"(hungry a)"
+    assert path.read_bytes() == CRLF_PROBLEM
+
+
+def test_distance_keeps_crlf_bytes(runner, tmp_path):
+    path, out = tmp_path / "p.pddl", tmp_path / "out.pddl"
+    path.write_bytes(CRLF_PROBLEM)
+    result = runner.invoke(main, ["distance", str(path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    added = added_at(CRLF_PROBLEM, out.read_bytes(), CRLF_INIT_CLOSE)
+    assert added.split() == [b"(distance", b"a", b"a", b"0.0)",
+                             b"(distance", b"a", b"b", b"5.0)",
+                             b"(distance", b"b", b"a", b"5.0)",
+                             b"(distance", b"b", b"b", b"0.0)"]
+    assert path.read_bytes() == CRLF_PROBLEM
+
+
+def test_check_json_positions_are_file_bytes(runner, tmp_path):
+    data = CRLF_PROBLEM.replace(b"(:domain d)", b"(:domian d)") \
+        .replace(b"(:goal (g))", b"(:goal (g)) ?stray")
+    path = tmp_path / "p.pddl"
+    path.write_bytes(data)
+    result = runner.invoke(main, ["--json", "check", str(path)])
+    assert result.exit_code == 1
+    regions = json.loads(result.stdout)[0]["invalid_regions"]
+    assert [r["text"] for r in regions] == [":domian", "?stray"]
+    for region in regions:
+        start, end = region["start"], region["end"]
+        assert data[start:end].decode("utf-8") == region["text"]
+        assert (region["line"], region["col"]) == line_col(data, start)
+
+
+def test_check_json_positions_of_many_regions(runner, tmp_path):
+    actions = "".join(
+        f"  (:action a{k}\r\n    :parameters (?x)\r\n"
+        f"    :precondtion (p ?x)\r\n    :effect (q ?x))\r\n"
+        for k in range(120))
+    data = ("(define (domain many)\r\n" + actions + ")\r\n").encode("utf-8")
+    path = tmp_path / "many.pddl"
+    path.write_bytes(data)
+    result = runner.invoke(main, ["--json", "check", str(path)])
+    assert result.exit_code == 1
+    regions = json.loads(result.stdout)[0]["invalid_regions"]
+    assert len(regions) >= 120
+    for region in regions:
+        assert (region["line"], region["col"]) == \
+            line_col(data, region["start"])
+
+
+# -- strict decoding ----------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{f}"],
+    ["--json", "check", "{f}"],
+    ["tokens", "{f}"],
+    ["tokens", "{f}", "--format", "html"],
+    ["extract", "{f}", ":requirements"],
+    ["insert", "{f}", ":requirements", ":typing"],
+    ["insert", "{f}", ":requirements", ":typing", "--stdout"],
+    ["distance", "{f}"],
+    ["diagram", "{f}", "--out", "{out}", "--no-render"],
+])
+def test_latin1_input_is_one_line_exit_1(runner, tmp_path, argv):
+    path = tmp_path / "latin.pddl"
+    path.write_bytes(LATIN1_DOMAIN)
+    argv = [a.format(f=path, out=tmp_path / "out") for a in argv]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert str(path) in lines[0] and "byte 5" in lines[0]
+    assert path.read_bytes() == LATIN1_DOMAIN
+
+
+_PDDL_BYTES = st.lists(st.sampled_from([
+    b"(", b")", b" ", b"\n", b"\r\n", b";", b"a", b"?x", b"-", b"1.5",
+    b":init", b":goal", b"define", b"problem", b"\xc3\xa9", b"\xe9", b"\xff",
+    b"\xef\xbb\xbf", b"\x00",
+]), max_size=40).map(b"".join)
+
+
+@given(data=st.one_of(st.binary(max_size=200), _PDDL_BYTES))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_bytes_exit_cleanly(tmp_path, data):
+    path = tmp_path / "fuzz.pddl"
+    runner = CliRunner()
+    for argv in (["check", str(path)], ["--json", "check", str(path)],
+                 ["tokens", str(path)],
+                 ["insert", str(path), ":init", "(a)"]):
+        path.write_bytes(data)
+        result = runner.invoke(main, argv)
+        assert result.exit_code in (0, 1, 2), (argv, result.output)
+        assert result.exception is None \
+            or isinstance(result.exception, SystemExit), \
+            (argv, repr(result.exception))
+
+
+# -- one parse per file -------------------------------------------------------------
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Texts passed to ``parse_sexpr``, under every name it is bound to."""
+    calls: list[str] = []
+    real = sexpr.parse_sexpr
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    for name, module in list(sys.modules.items()):
+        if name == "mypddl" or name.startswith("mypddl."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv, files, constructs", [
+    (["check", "{dom}", "{prob}"], 2, 0),
+    (["--json", "check", "{dom}", "{prob}"], 2, 0),
+    (["tokens", "{prob}"], 1, 0),
+    (["tokens", "{prob}", "--format", "html"], 1, 0),
+    (["extract", "{prob}", ":goal"], 1, 0),
+    (["insert", "{prob}", ":init", "(hungry gisela)"], 1, 1),
+    (["insert", "{prob}", ":init", "(hungry gisela)", "--stdout"], 1, 1),
+    (["distance", "{prob}"], 1, 0),
+    (["diagram", "{dom}", "--out", "{out}", "--no-render"], 1, 0),
+])
+def test_each_command_parses_each_file_once(runner, tmp_path, parse_calls,
+                                            argv, files, constructs):
+    dom, prob = tmp_path / "store.pddl", tmp_path / "pizza.pddl"
+    dom.write_bytes((CORPUS / "store.pddl").read_bytes())
+    prob.write_bytes((CORPUS / "gary_pizza_problem.pddl").read_bytes())
+    argv = [a.format(dom=dom, prob=prob, out=tmp_path / "out") for a in argv]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    file_texts = {dom.read_text(encoding="utf-8"),
+                  (CORPUS / "gary_pizza_problem.pddl").read_text(
+                      encoding="utf-8")}
+    assert len([t for t in parse_calls if t in file_texts]) == files
+    assert len(parse_calls) == files + constructs

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mypddl.highlight import (
     Scope,
+    Token,
     emit_tokens_json,
     invalid_regions,
     render_html,
@@ -196,6 +197,39 @@ def test_emit_tokens_json_minimal_domain():
     assert len(records) == 9
     assert records == sorted(records, key=lambda r: r["start"])
     assert "".join(r["text"] for r in records) == text
+
+
+def reference_tokens_json(tokens):
+    records = [{"start": t.span.start, "end": t.span.end,
+                "scope": t.scope.value, "text": t.text} for t in tokens]
+    return json.dumps(records, ensure_ascii=False, indent=1).encode("utf-8")
+
+
+@pytest.mark.parametrize("name", [
+    "splisus.pddl", "store.pddl", "logistics.pddl", "coffee.pddl",
+    "garys_huge_problem.pddl", "gary_pizza_problem.pddl",
+])
+def test_emit_tokens_json_matches_json_dumps_on_corpus(name):
+    text = corpus_text(name)
+    tokens = tokenize(text)
+    assert emit_tokens_json(tokens, text) == reference_tokens_json(tokens)
+
+
+_AWKWARD = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x01\x1f\x7f\x85\u2028\u2029\ufeff\n\r\t\b\f é中😀'),
+    st.characters(blacklist_categories=("Cs",))))
+
+
+@given(st.lists(st.tuples(_AWKWARD, st.sampled_from(list(Scope))), max_size=8))
+@settings(max_examples=300)
+def test_emit_tokens_json_matches_json_dumps_on_awkward_text(pieces):
+    tokens, pos = [], 0
+    for text, scope in pieces:
+        end = pos + len(text.encode("utf-8"))
+        tokens.append(Token(Span(pos, end), scope, text))
+        pos = end
+    text = "".join(t.text for t in tokens)
+    assert emit_tokens_json(tokens, text) == reference_tokens_json(tokens)
 
 
 def test_render_html_empty():
