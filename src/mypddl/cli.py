@@ -56,6 +56,10 @@ def _region_json(doc: Document, region: Span) -> dict:
                 "utf-8", errors="replace")}
 
 
+# An input file that must exist; a directory is a usage error.
+_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
+
+
 class _Cli(click.Group):
     """Maps domain errors to exit code 1 with a one-line message."""
 
@@ -123,7 +127,7 @@ def snippet(ctx: click.Context, trigger: Optional[str], list_all: bool,
 
 
 @main.command()
-@click.argument("file", type=click.Path(exists=True, path_type=Path))
+@click.argument("file", type=_FILE)
 @click.option("--format", "output_format",
               type=click.Choice(["json", "html"]), default="json",
               help="Output format.")
@@ -146,8 +150,7 @@ def tokens(file: Path, output_format: str, fail_on_invalid: bool) -> None:
 
 
 @main.command()
-@click.argument("domain_file", metavar="DOMAIN",
-                type=click.Path(exists=True, path_type=Path))
+@click.argument("domain_file", metavar="DOMAIN", type=_FILE)
 @click.option("--out", "output_root", type=click.Path(path_type=Path),
               default=Path("."), help="Directory receiving domains/, dot/ "
               "and diagrams/.")
@@ -175,7 +178,7 @@ def diagram(ctx: click.Context, domain_file: Path, output_root: Path,
 
 
 @main.command()
-@click.argument("file", type=click.Path(exists=True, path_type=Path))
+@click.argument("file", type=_FILE)
 @click.argument("keyword")
 def extract(file: Path, keyword: str) -> None:
     """Print every block of FILE headed by KEYWORD."""
@@ -184,7 +187,7 @@ def extract(file: Path, keyword: str) -> None:
 
 
 @main.command()
-@click.argument("file", type=click.Path(exists=True, path_type=Path))
+@click.argument("file", type=_FILE)
 @click.argument("keyword")
 @click.argument("construct_text", metavar="CONSTRUCT")
 @click.option("--stdout", "to_stdout", is_flag=True,
@@ -201,13 +204,13 @@ def insert(file: Path, keyword: str, construct_text: str,
 
 
 @main.command(name="distance")
-@click.argument("problem_file", metavar="PROBLEM",
-                type=click.Path(exists=True, path_type=Path))
+@click.argument("problem_file", metavar="PROBLEM", type=_FILE)
 @click.option("--predicate", default=distance.DEFAULT_PREDICATE,
               show_default=True, help="Location predicate to harvest.")
 @click.option("--in-place", is_flag=True, help="Rewrite PROBLEM itself.")
-@click.option("--out", "output_file", type=click.Path(path_type=Path),
-              default=None, help="Output file (default: <name>_dist.pddl).")
+@click.option("--out", "output_file",
+              type=click.Path(dir_okay=False, path_type=Path), default=None,
+              help="Output file (default: <name>_dist.pddl).")
 @click.pass_context
 def distance_cmd(ctx: click.Context, problem_file: Path, predicate: str,
                  in_place: bool, output_file: Optional[Path]) -> None:
@@ -254,8 +257,7 @@ def plan(ctx: click.Context, domain_file: Path, problem_file: Path,
 
 
 @main.command()
-@click.argument("files", nargs=-1, required=True,
-                type=click.Path(exists=True, path_type=Path))
+@click.argument("files", nargs=-1, required=True, type=_FILE)
 @click.pass_context
 def check(ctx: click.Context, files: tuple[Path, ...]) -> None:
     """Parse and scope FILES, reporting errors and invalid regions."""

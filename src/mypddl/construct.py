@@ -76,9 +76,9 @@ def append_to_block(doc: Document, block: SExprNode,
         return doc.text
     data = doc.data
     insert_at, prefix = _insertion_state(data, block)
-    pieces = "".join(
-        prefix + (item if isinstance(item, str) else serialize([item]))
-        for item in constructs)
+    pieces = prefix + prefix.join([
+        item if isinstance(item, str) else serialize([item])
+        for item in constructs])
     return (data[:insert_at] + pieces.encode("utf-8") + data[insert_at:]) \
         .decode("utf-8")
 

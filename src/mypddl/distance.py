@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .construct import append_to_block, write_atomically
 from .sexpr import (
@@ -32,6 +32,7 @@ DEFAULT_PREDICATE = "location"
 DISTANCE_PREDICATE = "distance"
 
 _DECIMAL_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
+_STEP = Decimal("0.0001")
 
 
 class DistanceError(MyPddlError):
@@ -142,20 +143,74 @@ def euclidean(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def format_distance(value: float) -> str:
-    """Round half-up to 4 decimals, strip trailing zeros, keep >= 1 digit
-    after the point: 2.2360679... -> "2.2361", 0 -> "0.0", 2.5 -> "2.5"."""
-    quantized = Decimal(value).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP)
-    text = f"{quantized:f}"
-    whole, dot, frac = text.partition(".")
-    frac = frac.rstrip("0") or "0"
-    return f"{whole}.{frac}"
+    """The exact binary value rounded half-up to 4 decimals, trailing zeros
+    stripped, >= 1 digit kept after the point: 2.2360679... -> "2.2361",
+    0 -> "0.0", 2.5 -> "2.5", 0.03125 -> "0.0313". Accepts every finite
+    double; infinity and NaN raise ``ValueError``.
+
+    ``f"{value:.4f}"`` rounds the exact value correctly, but half-to-even.
+    The two rules differ only at an exact tie, where value * 10**4 ends in
+    exactly .5; for a double that happens iff value is an odd multiple of
+    1/32. Only ties take the ``Decimal`` path, and they are all below 2**48,
+    well inside its 28 digits.
+    """
+    if (value * 32.0) % 2.0 == 1.0:
+        text = f"{Decimal(value).quantize(_STEP, rounding=ROUND_HALF_UP):f}"
+    elif math.isfinite(value):
+        text = f"{value:.4f}"
+    else:
+        raise ValueError(f"distance {value!r} is not finite")
+    text = text.rstrip("0")
+    return text + "0" if text[-1] == "." else text
+
+
+def _distance_rows(facts: Sequence[LocationFact]) -> Iterator[list[float]]:
+    """For each fact in order, its distances to the facts after it.
+
+    Each unordered pair is computed once: ``(x-y)**2 == (y-x)**2`` exactly
+    in IEEE arithmetic, so d(b, a) is bitwise equal to d(a, b). A distance
+    too large for a double raises a ``DistanceError`` naming both objects.
+    """
+    points = [f.coords for f in facts]
+    for i, a in enumerate(points):
+        try:
+            row = [euclidean(a, b) for b in points[i + 1:]]
+        except OverflowError:
+            row = [math.inf]
+        if math.inf in row:
+            raise _overflow(facts[i], facts[i + 1:])
+        yield row
+
+
+def _overflow(a: LocationFact, rest: Sequence[LocationFact]) -> DistanceError:
+    """The error naming ``a`` and the first fact in ``rest`` whose distance
+    from it is not a finite double."""
+    for b in rest:
+        try:
+            if euclidean(a.coords, b.coords) == math.inf:
+                break
+        except OverflowError:
+            break
+    return DistanceError(
+        f"distance between {a.object_name!r} and {b.object_name!r} "
+        f"is too large for a double")
+
+
+def _full_rows(upper: list[list], diagonal) -> Iterator[list]:
+    """Row i of the symmetric n*n table whose rows above the diagonal are
+    ``upper``: column i of ``upper``, then ``diagonal``, then ``upper[i]``."""
+    for i, row in enumerate(upper):
+        full = [upper[j][i - j - 1] for j in range(i)]
+        full.append(diagonal)
+        full += row
+        yield full
 
 
 def distance_facts(facts: Sequence[LocationFact]) -> list[DistanceFact]:
     """All n*n pairs in (source index, target index) order."""
-    return [DistanceFact(a.object_name, b.object_name,
-                         euclidean(a.coords, b.coords))
-            for a in facts for b in facts]
+    rows = _full_rows(list(_distance_rows(facts)), 0.0)
+    return [DistanceFact(a.object_name, b.object_name, value)
+            for a, row in zip(facts, rows) for b, value in zip(facts, row)]
 
 
 def augment_with_distances(problem: Union[str, Document],
@@ -181,11 +236,13 @@ def augment_with_distances(problem: Union[str, Document],
         return doc.text, diagnostics
 
     init_block = find_blocks(doc.forest, ":init")[0]
-    rendered = [
-        f"({DISTANCE_PREDICATE} {d.from_object} {d.to_object} "
-        f"{format_distance(d.value)})"
-        for d in distance_facts(facts)
-    ]
+    # Render straight from the formatted upper triangle: no record per fact.
+    names = [f.object_name for f in facts]
+    upper = [list(map(format_distance, row)) for row in _distance_rows(facts)]
+    rendered: list[str] = []
+    for a, values in zip(names, _full_rows(upper, "0.0")):
+        head = f"({DISTANCE_PREDICATE} {a} "
+        rendered += [f"{head}{b} {v})" for b, v in zip(names, values)]
     return append_to_block(doc, init_block, rendered), diagnostics
 
 

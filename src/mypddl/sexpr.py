@@ -118,9 +118,11 @@ class SExprNode:
 
 # One alternative per lexeme, numbered as the parser dispatches on them.
 # Whitespace and delimiters are the ASCII bytes below, so token boundaries
-# always fall between whole UTF-8 sequences.
+# always fall between whole UTF-8 sequences. A byte order mark (U+FEFF) at
+# offset 0 is whitespace too.
 _LEXEME = re.compile(rb"""
-    ([ \t\r\n\f\v]+)      # 1 whitespace
+    ([ \t\r\n\f\v]+       # 1 whitespace,
+     |\A\xef\xbb\xbf)     #   or a leading byte order mark
   | (;[^\n]*)             # 2 comment, up to the end of the line
   | (\()                  # 3 open
   | (\))                  # 4 close

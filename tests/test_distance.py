@@ -1,10 +1,15 @@
 """Distance preprocessing: extraction, arithmetic, formatting, augmentation."""
 
+import math
 import random
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from mypddl.cli import main
 
 from mypddl.distance import (
     DistanceError,
@@ -96,6 +101,8 @@ def test_euclidean_dimension_mismatch():
     # 0.03125 is exactly 2^-5, so this really exercises the half-UP tie rule
     (0.03125, "0.0313"),
     (10.12346, "10.1235"),
+    # the exact binary value of 1e30, beyond Decimal's default 28 digits
+    (1e30, "1000000000000000019884624838656.0"),
 ])
 def test_format_distance(value, expected):
     assert format_distance(value) == expected
@@ -185,3 +192,126 @@ def test_triangle_inequality(data):
                            min_size=len(a), max_size=len(a)))
     slack = 1e-7 * (1 + euclidean(a, b) + euclidean(b, c))
     assert euclidean(a, c) <= euclidean(a, b) + euclidean(b, c) + slack
+
+
+# -- distances too large for a double ----------------------------------------
+
+@pytest.mark.parametrize("facts, first, second", [
+    # (x-y)**2 overflows
+    ("(location a 0 0) (location b 1e200 0)", "a", "b"),
+    # the sum of two finite squares overflows
+    ("(location a 0 0) (location b 1e154 1e154)", "a", "b"),
+    ("(location a 0 0 0) (location b 1e200 0 0)", "a", "b"),
+    ("(location a 1) (location b -1e200)", "a", "b"),
+    # the first pair in row order is named
+    ("(location c 1 1) (location a 0 0) (location b 1e200 0)", "c", "b"),
+])
+def test_augment_overflow_names_both_objects(facts, first, second):
+    with pytest.raises(DistanceError) as info:
+        augment_with_distances(problem_with_init(facts))
+    assert str(info.value) == (f"distance between {first!r} and "
+                               f"{second!r} is too large for a double")
+
+
+def run_distance(tmp_path, facts):
+    path, out = tmp_path / "p.pddl", tmp_path / "out.pddl"
+    path.write_text(problem_with_init(facts), encoding="utf-8")
+    result = CliRunner().invoke(main, ["distance", str(path),
+                                       "--out", str(out)])
+    return result, out
+
+
+def test_cli_overflow_is_one_line_exit_1(tmp_path):
+    result, out = run_distance(tmp_path,
+                               "(location a 0 0) (location b 1e200 0)")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert len(result.stderr.splitlines()) == 1
+    assert "'a'" in result.stderr and "'b'" in result.stderr
+    assert not out.exists()
+
+
+def test_cli_huge_distance_is_written_exactly(tmp_path):
+    result, out = run_distance(tmp_path,
+                               "(location a 0 0) (location b 1e30 0)")
+    assert result.exit_code == 0, result.output
+    assert "(distance a b 1000000000000000019884624838656.0)" \
+        in out.read_text(encoding="utf-8")
+
+
+# -- the fast formatter and the pairs-once table against naive references -----
+
+def reference_format(value):
+    """Half-up to 4 decimals on the exact binary value, in a context wide
+    enough for any double."""
+    quantized = Decimal(value).quantize(Decimal("0.0001"), ROUND_HALF_UP,
+                                        Context(prec=400))
+    whole, _, frac = f"{quantized:f}".partition(".")
+    return f"{whole}.{frac.rstrip('0') or '0'}"
+
+
+finite = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+ties = st.integers(min_value=0, max_value=2 ** 40).map(
+    lambda k: (2 * k + 1) / 32)
+huge = st.floats(min_value=1e24, allow_nan=False, allow_infinity=False)
+
+
+@given(st.one_of(finite, ties, huge))
+@settings(max_examples=2000)
+def test_format_distance_matches_decimal_half_up(value):
+    assert format_distance(value) == reference_format(value)
+
+
+@pytest.mark.parametrize("value", [0.03125, 0.09375, 1.96875, 2 ** 47 + 1 / 32,
+                                   1 / 64, 3 / 64, 5e-5, 1.5e-4, 2.0 ** -1074,
+                                   1.7976931348623157e308])
+def test_format_distance_edges(value):
+    assert format_distance(value) == reference_format(value)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_format_distance_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        format_distance(value)
+
+
+def naive_augmented(points):
+    """The problem text with all n*n facts spliced in: each pair computed
+    on its own, the self-distances included."""
+    facts = "\n    ".join(f"(location {name} {' '.join(coords)})"
+                          for name, coords in points)
+    head = f"(define (problem p)\n  (:domain d)\n  (:init\n    {facts}"
+    tail = ")\n  (:goal (g)))\n"
+    values = {name: [float(c) for c in coords] for name, coords in points}
+
+    def distance(a, b):
+        return math.sqrt(sum((x - y) ** 2
+                             for x, y in zip(values[a], values[b])))
+
+    added = "".join(
+        f"\n    (distance {a} {b} {reference_format(distance(a, b))})"
+        for a, _ in points for b, _ in points)
+    return head + tail, head + added + tail
+
+
+coordinate = st.one_of(
+    st.integers(min_value=-1000, max_value=1000).map(str),
+    st.floats(min_value=-1e4, max_value=1e4, allow_nan=False).map(repr),
+    st.sampled_from(["0.03125", "-2.5", ".5", "3.", "-0.0", "1e-3"]))
+
+
+@st.composite
+def point_sets(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    pool = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim),
+                         min_size=1, max_size=4))
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
+    return [(f"p{k}", coords) for k, coords in enumerate(chosen)]
+
+
+@given(point_sets())
+@settings(max_examples=300, deadline=None)
+def test_augment_matches_naive_n_squared(points):
+    text, expected = naive_augmented(points)
+    updated, _ = augment_with_distances(text)
+    assert updated == expected

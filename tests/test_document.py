@@ -205,6 +205,85 @@ def test_latin1_input_is_one_line_exit_1(runner, tmp_path, argv):
     assert path.read_bytes() == LATIN1_DOMAIN
 
 
+# -- a leading byte order mark ----------------------------------------------------
+
+BOM = b"\xef\xbb\xbf"
+BOM_DOMAIN = BOM + b"(define (domain d))"
+BOM_PROBLEM = BOM + CRLF_PROBLEM
+
+
+def test_check_accepts_leading_bom(runner, tmp_path):
+    path = tmp_path / "d.pddl"
+    path.write_bytes(BOM_DOMAIN)
+    result = runner.invoke(main, ["check", str(path)])
+    assert result.exit_code == 0, result.output
+    assert f"{path}: 0 errors, 0 invalid regions" in result.stdout
+
+
+def test_tokens_scope_leading_bom_as_whitespace(runner, tmp_path):
+    path = tmp_path / "d.pddl"
+    path.write_bytes(BOM_DOMAIN)
+    result = runner.invoke(main, ["tokens", str(path), "--fail-on-invalid"])
+    assert result.exit_code == 0, result.output
+    records = json.loads(result.stdout)
+    assert records[0]["text"] == "\ufeff"
+    assert records[0]["scope"] == "Punctuation"
+    pos = 0
+    for record in records:
+        assert record["start"] == pos
+        pos = record["end"]
+    assert pos == len(BOM_DOMAIN)
+
+
+def test_bom_is_whitespace_only_at_offset_0():
+    forest = as_document("(a)\ufeff").forest
+    assert [n.kind for n in forest] == [NodeKind.LIST, NodeKind.ATOM]
+    assert as_document("\ufeff\ufeff(a)").forest[0].kind \
+        is NodeKind.WHITESPACE
+
+
+def test_insert_keeps_bom_bytes(runner, tmp_path):
+    path = tmp_path / "p.pddl"
+    path.write_bytes(BOM_PROBLEM)
+    result = runner.invoke(main, ["insert", str(path), ":init", "(hungry a)"])
+    assert result.exit_code == 0, result.output
+    added = added_at(BOM_PROBLEM, path.read_bytes(),
+                     len(BOM) + CRLF_INIT_CLOSE)
+    assert added.strip() == b"(hungry a)"
+
+
+def test_distance_keeps_bom_bytes(runner, tmp_path):
+    path, out = tmp_path / "p.pddl", tmp_path / "out.pddl"
+    path.write_bytes(BOM_PROBLEM)
+    result = runner.invoke(main, ["distance", str(path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    added = added_at(BOM_PROBLEM, out.read_bytes(), len(BOM) + CRLF_INIT_CLOSE)
+    assert b"(distance a b 5.0)" in added
+
+
+# -- a directory as FILE ------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{d}"],
+    ["tokens", "{d}"],
+    ["extract", "{d}", ":init"],
+    ["insert", "{d}", ":init", "(a)"],
+    ["distance", "{d}"],
+    ["distance", "{f}", "--out", "{d}"],
+    ["diagram", "{d}", "--out", "{out}", "--no-render"],
+])
+def test_directory_as_file_is_usage_error(runner, tmp_path, argv):
+    problem = tmp_path / "p.pddl"
+    problem.write_bytes(CRLF_PROBLEM)
+    argv = [a.format(d=tmp_path, f=problem, out=tmp_path / "out")
+            for a in argv]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "is a directory" in result.stderr
+    assert "Traceback" not in result.output
+
+
 _PDDL_BYTES = st.lists(st.sampled_from([
     b"(", b")", b" ", b"\n", b"\r\n", b";", b"a", b"?x", b"-", b"1.5",
     b":init", b":goal", b"define", b"problem", b"\xc3\xa9", b"\xe9", b"\xff",
