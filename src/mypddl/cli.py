@@ -58,6 +58,8 @@ def _region_json(doc: Document, region: Span) -> dict:
 
 # An input file that must exist; a directory is a usage error.
 _FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
+# An output directory, created if missing; an existing file is a usage error.
+_DIR = click.Path(file_okay=False, path_type=Path)
 
 
 class _Cli(click.Group):
@@ -84,7 +86,7 @@ def main(ctx: click.Context, quiet: bool, as_json: bool) -> None:
 
 @main.command()
 @click.argument("name")
-@click.option("--dir", "parent_dir", type=click.Path(path_type=Path),
+@click.option("--dir", "parent_dir", type=_DIR,
               default=Path("."), help="Parent directory for the project.")
 @click.option("--templates", "template_dir", type=click.Path(path_type=Path),
               default=None, help="Directory of template files overriding the "
@@ -151,7 +153,7 @@ def tokens(file: Path, output_format: str, fail_on_invalid: bool) -> None:
 
 @main.command()
 @click.argument("domain_file", metavar="DOMAIN", type=_FILE)
-@click.option("--out", "output_root", type=click.Path(path_type=Path),
+@click.option("--out", "output_root", type=_DIR,
               default=Path("."), help="Directory receiving domains/, dot/ "
               "and diagrams/.")
 @click.option("--no-render", is_flag=True, help="Write DOT only; skip the image.")

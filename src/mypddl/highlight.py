@@ -13,10 +13,12 @@ from __future__ import annotations
 import enum
 import html
 from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .model import REQUIREMENT_KEYS, is_name, is_number, is_variable
-from .sexpr import Document, NodeKind, SExprNode, Span, as_document
+from .sexpr import (Document, NodeKind, SExprNode, Span, _span, as_document,
+                    gc_paused)
 
 
 class Scope(enum.Enum):
@@ -64,12 +66,15 @@ class _Walk:
         self.forest = forest
         self.tokens: list[Token] = []
         self.depth = 0
+        # Scope of each distinct atom text seen in term position (before
+        # ``ground`` is applied); lives as long as this walk.
+        self.term_scopes: dict[str, Scope] = {}
 
     # -- emission ---------------------------------------------------------
 
     def tok(self, span: Optional[Span], scope: Scope, text: str) -> None:
         if span is not None:
-            self.tokens.append(Token(span, scope, text))
+            self.tokens.append(tuple.__new__(Token, (span, scope, text)))
 
     def trivia(self, node: SExprNode) -> bool:
         if node.kind is NodeKind.WHITESPACE:
@@ -83,12 +88,12 @@ class _Walk:
     def open_paren(self, node: SExprNode) -> None:
         assert node.span is not None
         scope = Scope.PUNCTUATION if node.closed else Scope.UNSCOPED
-        self.tok(Span(node.span.start, node.span.start + 1), scope, "(")
+        self.tok(_span(node.span.start, node.span.start + 1), scope, "(")
 
     def close_paren(self, node: SExprNode) -> None:
         assert node.span is not None
         if node.closed:
-            self.tok(Span(node.span.end - 1, node.span.end),
+            self.tok(_span(node.span.end - 1, node.span.end),
                      Scope.PUNCTUATION, ")")
 
     def single(self, node: SExprNode, scope: Scope) -> None:
@@ -109,7 +114,7 @@ class _Walk:
             if isinstance(item, tuple):
                 closing = item[1]
                 if closing.closed:
-                    self.tok(Span(closing.span.end - 1, closing.span.end),
+                    self.tok(_span(closing.span.end - 1, closing.span.end),
                              scope or Scope.PUNCTUATION, ")")
                 continue
             if self.trivia(item):
@@ -123,7 +128,7 @@ class _Walk:
                 if scope is None:
                     self.open_paren(item)
                 else:
-                    self.tok(Span(item.span.start, item.span.start + 1),
+                    self.tok(_span(item.span.start, item.span.start + 1),
                              scope, "(")
                 todo.append(("close", item))
                 todo.extend(reversed(item.children))
@@ -149,11 +154,16 @@ class _Walk:
         self.depth += 1
         try:
             self.open_paren(node)
+            tokens = self.tokens
             seen_head = False
             k = 0
             for child in node.children:
                 if child.is_trivia:
-                    self.trivia(child)
+                    if child.span is not None:
+                        scope = Scope.COMMENT if child.kind is NodeKind.COMMENT \
+                            else Scope.PUNCTUATION
+                        tokens.append(tuple.__new__(
+                            Token, (child.span, scope, child.text)))
                 elif not seen_head and child is head:
                     seen_head = True
                     if head_scope is None:
@@ -263,18 +273,24 @@ class _Walk:
     # -- terms and numeric expressions ---------------------------------------
 
     def term(self, node: SExprNode, ground: bool = False) -> None:
-        if node.kind is NodeKind.ATOM:
-            text = node.text
-            if is_variable(text):
-                self.single(node, Scope.UNSCOPED if ground else Scope.VARIABLE)
-            elif is_number(text):
-                self.single(node, Scope.NUMBER)
-            elif is_name(text):
-                self.single(node, Scope.NAME)
-            else:
-                self.single(node, Scope.UNSCOPED)
-        else:
+        if node.kind is not NodeKind.ATOM:
             self.unscoped_tree(node)
+            return
+        text = node.text
+        scope = self.term_scopes.get(text)
+        if scope is None:
+            if is_variable(text):
+                scope = Scope.VARIABLE
+            elif is_number(text):
+                scope = Scope.NUMBER
+            elif is_name(text):
+                scope = Scope.NAME
+            else:
+                scope = Scope.UNSCOPED
+            self.term_scopes[text] = scope
+        if ground and scope is Scope.VARIABLE:
+            scope = Scope.UNSCOPED
+        self.single(node, scope)
 
     def fexp(self, node: SExprNode) -> None:
         if node.kind is NodeKind.ATOM:
@@ -693,12 +709,17 @@ class _Walk:
 
 def tokenize(source: Union[str, Document]) -> list[Token]:
     """Assign a scope to every byte of a document's forest; never fails.
-    Given text, parse it first."""
-    return _Walk(as_document(source).forest).run()
+    Given text, parse it first. The cyclic garbage collector is paused
+    while the tokens are built."""
+    forest = as_document(source).forest
+    with gc_paused():
+        return _Walk(forest).run()
 
 
 def invalid_regions(tokens: Sequence[Token]) -> list[Span]:
     """Maximal runs of unscoped tokens, merged across pure whitespace."""
+    if Scope.UNSCOPED not in map(itemgetter(1), tokens):
+        return []
     regions: list[Span] = []
     start: Optional[int] = None
     end = 0

@@ -9,7 +9,9 @@ which keeps paths with spaces intact.
 
 from __future__ import annotations
 
+import os
 import shlex
+import signal
 import subprocess
 import time
 from dataclasses import dataclass
@@ -119,8 +121,9 @@ def run_planner(config: PlannerConfig, domain: Path, problem: Path,
 
     After the run, the newest file that appeared (or changed) under the
     solution directory is reported as the solution. A missing executable
-    raises PlannerError; exceeding the timeout returns a result with the
-    ``timed_out`` flag instead.
+    raises PlannerError; exceeding the timeout kills the planner's process
+    group and returns a result with the ``timed_out`` flag instead. Output
+    that is not UTF-8 is decoded with replacement characters.
     """
     domain = Path(domain)
     problem = Path(problem)
@@ -139,27 +142,42 @@ def run_planner(config: PlannerConfig, domain: Path, problem: Path,
     before = _snapshot(solution_dir)
     start = time.monotonic()
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True,
-                              timeout=config.timeout_seconds)
+        # A session of its own puts the planner and everything it starts
+        # in one process group, which a timeout kills as a whole.
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, encoding="utf-8",
+                                errors="replace", start_new_session=True)
     except FileNotFoundError as exc:
         raise PlannerError(f"planner executable not found: {argv[0]!r}") from exc
     except OSError as exc:
         raise PlannerError(f"cannot run planner {argv[0]!r}: {exc}") from exc
-    except subprocess.TimeoutExpired as exc:
-        elapsed = time.monotonic() - start
-        return PlanResult(
-            exit_code=None,
-            stdout=exc.stdout.decode() if isinstance(exc.stdout, bytes)
-            else (exc.stdout or ""),
-            stderr=exc.stderr.decode() if isinstance(exc.stderr, bytes)
-            else (exc.stderr or ""),
-            elapsed=elapsed, solution_path=None, timed_out=True)
+    with proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=config.timeout_seconds)
+        except subprocess.TimeoutExpired:
+            _kill_group(proc)
+            stdout, stderr = proc.communicate()
+            return PlanResult(
+                exit_code=None, stdout=stdout, stderr=stderr,
+                elapsed=time.monotonic() - start, solution_path=None,
+                timed_out=True)
+        except BaseException:
+            _kill_group(proc)
+            raise
     elapsed = time.monotonic() - start
 
     after = _snapshot(solution_dir)
     new_files = [p for p, mtime in after.items()
                  if p not in before or mtime > before[p]]
     solution_path = max(new_files, key=lambda p: after[p], default=None)
-    return PlanResult(exit_code=proc.returncode, stdout=proc.stdout,
-                      stderr=proc.stderr, elapsed=elapsed,
+    return PlanResult(exit_code=proc.returncode, stdout=stdout,
+                      stderr=stderr, elapsed=elapsed,
                       solution_path=solution_path)
+
+
+def _kill_group(proc: subprocess.Popen) -> None:
+    """Kill the planner's whole process group, grandchildren included."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass

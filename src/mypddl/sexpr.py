@@ -13,7 +13,9 @@ every other layer works from its forest and its line index.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import enum
+import gc
 import re
 from collections import namedtuple
 from dataclasses import dataclass
@@ -116,18 +118,38 @@ class SExprNode:
         return [c for c in self.children if not c.is_trivia]
 
 
-# One alternative per lexeme, numbered as the parser dispatches on them.
-# Whitespace and delimiters are the ASCII bytes below, so token boundaries
-# always fall between whole UTF-8 sequences. A byte order mark (U+FEFF) at
-# offset 0 is whitespace too.
-_LEXEME = re.compile(rb"""
-    ([ \t\r\n\f\v]+       # 1 whitespace,
-     |\A\xef\xbb\xbf)     #   or a leading byte order mark
-  | (;[^\n]*)             # 2 comment, up to the end of the line
-  | (\()                  # 3 open
-  | (\))                  # 4 close
-  | ([^ \t\r\n\f\v();]+)  # 5 atom
+# One alternative per lexeme; the first character of a lexeme tells its kind.
+# Whitespace and delimiters are ASCII, so token boundaries always fall
+# between whole UTF-8 sequences. A byte order mark (U+FEFF) at offset 0 is
+# whitespace too.
+_LEXEME = re.compile(r"""
+    [ \t\r\n\f\v]+ | \A\ufeff  # whitespace, or a leading byte order mark
+  | ;[^\n]*                    # comment, up to the end of the line
+  | [()]                       # open or close
+  | [^ \t\r\n\f\v();]+         # atom
 """, re.VERBOSE)
+
+_BOM = "\ufeff"
+_LEAF_KINDS = dict.fromkeys(" \t\r\n\f\v", NodeKind.WHITESPACE)
+_LEAF_KINDS[";"] = NodeKind.COMMENT
+
+
+@contextlib.contextmanager
+def gc_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off for the body, then restore the
+    state it had before.
+
+    Trees and token lists hold no cycles, so reference counting alone frees
+    them; without the pause every 700 allocations start a collection that
+    rescans the growing structure.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def parse_sexpr(text: str) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
@@ -135,53 +157,57 @@ def parse_sexpr(text: str) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
 
     Never raises on malformed input: an unclosed list is closed at end of
     input and a stray ')' becomes an atom, each with an Error diagnostic.
+    The cyclic garbage collector is paused while the forest is built.
     """
-    data = text.encode("utf-8")
-    # Byte offsets equal character offsets in ASCII text, which can then be
-    # sliced directly instead of decoding each byte slice.
-    ascii_only = len(data) == len(text)
-    diagnostics: list[ParseDiagnostic] = []
-    # Open-paren offsets and the children collected so far for each open
-    # list; ``level`` is the innermost, and the bottom entry is the forest.
-    opens: list[int] = []
-    levels: list[list[SExprNode]] = [[]]
-    level = levels[0]
-    whitespace, comment, atom, lst = (NodeKind.WHITESPACE, NodeKind.COMMENT,
-                                      NodeKind.ATOM, NodeKind.LIST)
-    for match in _LEXEME.finditer(data):
-        group = match.lastindex
-        i, j = match.span()
-        if group == 3:
-            opens.append(i)
-            level = []
-            levels.append(level)
-        elif group == 4:
-            if opens:
-                node = SExprNode(lst, "", tuple(level), _span(opens.pop(), j))
-                levels.pop()
-                level = levels[-1]
-                level.append(node)
+    with gc_paused():
+        diagnostics: list[ParseDiagnostic] = []
+        # Open-paren offsets and the children collected so far for each open
+        # list; ``level`` is the innermost, and the bottom entry is the forest.
+        opens: list[int] = []
+        levels: list[list[SExprNode]] = [[]]
+        level = levels[0]
+        atom, lst = NodeKind.ATOM, NodeKind.LIST
+        leaf_kind = _LEAF_KINDS.get
+        new = tuple.__new__
+        # Byte offsets equal character offsets in ASCII text.
+        ascii_only = text.isascii()
+        i = 0
+        for piece in _LEXEME.findall(text):
+            j = i + (len(piece) if ascii_only else len(piece.encode("utf-8")))
+            first = piece[0]
+            if first == "(":
+                opens.append(i)
+                level = []
+                levels.append(level)
+            elif first == ")":
+                if opens:
+                    node = SExprNode(lst, "", tuple(level),
+                                     new(Span, (opens.pop(), j)))
+                    levels.pop()
+                    level = levels[-1]
+                    level.append(node)
+                else:
+                    diagnostics.append(ParseDiagnostic(
+                        _span(i, j), Severity.ERROR, "unmatched ')'",
+                        "stray-closer"))
+                    level.append(SExprNode(atom, ")", (), new(Span, (i, j))))
             else:
-                diagnostics.append(ParseDiagnostic(
-                    _span(i, j), Severity.ERROR, "unmatched ')'",
-                    "stray-closer"))
-                level.append(SExprNode(atom, ")", (), _span(i, j)))
-        else:
-            piece = text[i:j] if ascii_only else data[i:j].decode("utf-8")
-            kind = atom if group == 5 else whitespace if group == 1 else comment
-            level.append(SExprNode(kind, piece, (), _span(i, j)))
+                kind = leaf_kind(first, atom)
+                if i == 0 and piece == _BOM:
+                    kind = NodeKind.WHITESPACE
+                level.append(SExprNode(kind, piece, (), new(Span, (i, j))))
+            i = j
 
-    # Close recovered lists innermost first, without inventing parentheses.
-    n = len(data)
-    while opens:
-        start = opens.pop()
-        diagnostics.append(ParseDiagnostic(
-            _span(start, start + 1), Severity.ERROR,
-            "'(' is never closed", "unclosed-list"))
-        node = SExprNode(lst, "", tuple(levels.pop()), _span(start, n),
-                         closed=False)
-        levels[-1].append(node)
-    return levels[0], diagnostics
+        # Close recovered lists innermost first, without inventing parentheses.
+        while opens:
+            start = opens.pop()
+            diagnostics.append(ParseDiagnostic(
+                _span(start, start + 1), Severity.ERROR,
+                "'(' is never closed", "unclosed-list"))
+            node = SExprNode(lst, "", tuple(levels.pop()), _span(start, i),
+                             closed=False)
+            levels[-1].append(node)
+        return levels[0], diagnostics
 
 
 class Document:

@@ -117,35 +117,45 @@ def _mark_cycles(graph: TypeGraph, diagnostics: list[ParseDiagnostic]) -> None:
     for child, parent in sorted(graph.edges):
         adjacency[child].append(parent)
 
-    def visit(node: str, stack: list[str]) -> None:
-        color[node] = GRAY
-        stack.append(node)
-        for parent in adjacency[node]:
-            if color[parent] == GRAY:
-                graph.cycle_edges.add((node, parent))
-                cycle = stack[stack.index(parent):] + [parent]
-                diagnostics.append(ParseDiagnostic(
-                    Span(0, 0), Severity.ERROR,
-                    "type hierarchy contains a cycle: " + " -> ".join(cycle),
-                    "type-cycle"))
-            elif color[parent] == WHITE:
-                visit(parent, stack)
-        stack.pop()
-        color[node] = BLACK
-
-    for node in sorted(graph.nodes):
-        if color[node] == WHITE:
-            visit(node, [])
+    # Depth-first along parent edges with an explicit stack, so hierarchies
+    # of any depth fit: ``path`` holds the gray nodes, ``pending`` the
+    # parents each of them has left to visit.
+    for root in sorted(graph.nodes):
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        path = [root]
+        pending = [iter(adjacency[root])]
+        while pending:
+            node = path[-1]
+            for parent in pending[-1]:
+                if color[parent] == GRAY:
+                    graph.cycle_edges.add((node, parent))
+                    cycle = path[path.index(parent):] + [parent]
+                    diagnostics.append(ParseDiagnostic(
+                        Span(0, 0), Severity.ERROR,
+                        "type hierarchy contains a cycle: " + " -> ".join(cycle),
+                        "type-cycle"))
+                elif color[parent] == WHITE:
+                    color[parent] = GRAY
+                    path.append(parent)
+                    pending.append(iter(adjacency[parent]))
+                    break
+            else:
+                pending.pop()
+                color[path.pop()] = BLACK
 
     # Upward reachability check: every node should end at object.
+    subtypes: dict[str, list[str]] = {}
+    for child, parent in graph.edges:
+        subtypes.setdefault(parent, []).append(child)
     reaches_object = {DEFAULT_TYPE}
-    changed = True
-    while changed:
-        changed = False
-        for child, parent in graph.edges:
-            if parent in reaches_object and child not in reaches_object:
+    todo = [DEFAULT_TYPE]
+    while todo:
+        for child in subtypes.get(todo.pop(), ()):
+            if child not in reaches_object:
                 reaches_object.add(child)
-                changed = True
+                todo.append(child)
     for node in sorted(graph.nodes - reaches_object):
         diagnostics.append(ParseDiagnostic(
             Span(0, 0), Severity.WARNING,
@@ -163,17 +173,23 @@ def hierarchy_depth(graph: TypeGraph) -> int:
             continue
         children.setdefault(parent, []).append(child)
 
-    seen: set[str] = set()
-
-    def depth(node: str) -> int:
-        if node in seen:
-            return 0
-        seen.add(node)
-        best = 1 + max((depth(c) for c in children.get(node, [])), default=0)
-        seen.discard(node)
-        return best
-
-    return depth(DEFAULT_TYPE)
+    # Post-order walk with one memoized depth per node. A node met again
+    # while still on the current path closes a cycle that no back-edge
+    # marks, and counts as depth 0 there, so the walk ends on any graph.
+    depth: dict[str, int] = {}
+    on_path: set[str] = set()
+    todo: list[tuple[str, bool]] = [(DEFAULT_TYPE, False)]
+    while todo:
+        node, finished = todo.pop()
+        if finished:
+            on_path.discard(node)
+            depth[node] = 1 + max((depth.get(c, 0)
+                                   for c in children.get(node, ())), default=0)
+        elif node not in depth and node not in on_path:
+            on_path.add(node)
+            todo.append((node, True))
+            todo.extend((c, False) for c in children.get(node, ()))
+    return depth[DEFAULT_TYPE]
 
 
 _RECORD_ESCAPES = str.maketrans({c: f"\\{c}" for c in "{}|<>\"\\"})

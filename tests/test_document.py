@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from mypddl import sexpr
 from mypddl.cli import main
+from mypddl.highlight import tokenize
 from mypddl.sexpr import (
     Document,
     MyPddlError,
@@ -284,6 +285,23 @@ def test_directory_as_file_is_usage_error(runner, tmp_path, argv):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("argv", [
+    ["diagram", "{domain}", "--out", "{plain}", "--no-render"],
+    ["new", "proj", "--dir", "{plain}"],
+])
+def test_plain_file_as_output_directory_is_usage_error(runner, tmp_path, argv):
+    domain = tmp_path / "d.pddl"
+    domain.write_bytes(BOM_DOMAIN)
+    plain = tmp_path / "plainfile"
+    plain.write_bytes(b"")
+    argv = [a.format(domain=domain, plain=plain) for a in argv]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "is a file" in result.stderr
+    assert plain.read_bytes() == b""
+
+
 _PDDL_BYTES = st.lists(st.sampled_from([
     b"(", b")", b" ", b"\n", b"\r\n", b";", b"a", b"?x", b"-", b"1.5",
     b":init", b":goal", b"define", b"problem", b"\xc3\xa9", b"\xe9", b"\xff",
@@ -306,6 +324,36 @@ def test_any_bytes_exit_cleanly(tmp_path, data):
         assert result.exception is None \
             or isinstance(result.exception, SystemExit), \
             (argv, repr(result.exception))
+
+
+# -- leaves and tokens against the bytes ---------------------------------------------
+
+_LEXEMES = st.lists(st.one_of(
+    st.sampled_from(["(", ")", " ", "\t", "\n", "\r\n", "; caf\u00e9 \u20ac\n",
+                     ";\r\n", "?x", ":init", "-", "1.5", "\ufeff"]),
+    st.text(st.characters(blacklist_characters=" \t\r\n\f\v();",
+                          blacklist_categories=("Cs",)),
+            min_size=1, max_size=6),
+), max_size=40).map("".join)
+
+
+@given(text=_LEXEMES, bom=st.booleans())
+@settings(max_examples=300)
+def test_leaves_and_tokens_match_the_bytes(text, bom):
+    if bom:
+        text = "\ufeff" + text
+    doc = as_document(text)
+    for top in doc.forest:
+        for node in top.walk():
+            if node.kind is not NodeKind.LIST:
+                assert doc.data[node.span.start:node.span.end].decode() \
+                    == node.text
+    pos = 0
+    for token in tokenize(doc):
+        assert token.span.start == pos
+        assert doc.data[pos:token.span.end].decode() == token.text
+        pos = token.span.end
+    assert pos == len(doc.data)
 
 
 # -- one parse per file -------------------------------------------------------------

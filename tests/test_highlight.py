@@ -174,6 +174,38 @@ def test_golden_annotations(name, golden_name):
                 entry["excerpt"]
 
 
+# The regions of the two broken corpus domains, pinned as (start, end).
+_GOLDEN_REGIONS = {
+    "logistics.pddl": [
+        (39, 49), (73, 79), (86, 93), (437, 443), (511, 516), (917, 930),
+        (1024, 1031), (1211, 1222), (1269, 1282), (1289, 1291), (1438, 1439),
+        (1526, 1531), (1537, 1545), (1593, 1594)],
+    "coffee.pddl": [
+        (8, 14), (19, 31), (101, 102), (143, 161), (186, 193), (298, 301),
+        (392, 398), (495, 497), (523, 537), (641, 651), (824, 836), (907, 911),
+        (1511, 1521), (1614, 1621), (1623, 1626), (1679, 1680)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_REGIONS))
+def test_invalid_regions_of_the_broken_domains_are_pinned(name):
+    regions = invalid_regions(tokenize(corpus_text(name)))
+    assert [tuple(r) for r in regions] == _GOLDEN_REGIONS[name]
+    assert all(type(r) is Span for r in regions)
+
+
+def test_variable_scope_depends_on_its_block_not_its_text():
+    text = ("(define (problem p) (:domain d)\n"
+            "  (:init (at ?x a) (at a b))\n"
+            "  (:goal (and (at ?x a) (at a ?x))))")
+    data = text.encode("utf-8")
+    goal = data.index(b"(:goal")
+    scopes = [(t.span.start < goal, t.scope) for t in tokenize(text)
+              if t.text == "?x"]
+    assert scopes == [(True, Scope.UNSCOPED), (False, Scope.VARIABLE),
+                      (False, Scope.VARIABLE)]
+
+
 def test_deleting_a_closer_creates_an_invalid_region():
     text = corpus_text("splisus.pddl")
     positions = [i for i, c in enumerate(text) if c == ")"]

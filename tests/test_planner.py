@@ -1,6 +1,8 @@
 """Planner harness tests: config parsing, substitution, subprocess runs."""
 
+import os
 import sys
+import time
 
 import pytest
 
@@ -124,6 +126,61 @@ def test_timeout_sets_flag(pair, tmp_path):
     assert result.timed_out
     assert result.exit_code is None
     assert result.elapsed < 5
+
+
+def test_output_that_is_not_utf8_is_replaced(pair, tmp_path):
+    domain, problem = pair
+    config = PlannerConfig(command_template=(
+        f"{PY} -c 'import sys; sys.stdout.buffer.write(b\"ok \\xff\\n\"); "
+        f"sys.stderr.buffer.write(b\"\\xfe\")' {{domain}} {{problem}}"))
+    result = run_planner(config, domain, problem,
+                         solution_dir=tmp_path / "solutions")
+    assert result.exit_code == 0
+    assert result.stdout == "ok \ufffd\n"
+    assert result.stderr == "\ufffd"
+
+
+def test_timeout_output_that_is_not_utf8_is_replaced(pair, tmp_path):
+    domain, problem = pair
+    config = PlannerConfig(command_template=(
+        f"{PY} -c 'import sys,time; sys.stdout.buffer.write(b\"\\xff\"); "
+        f"sys.stdout.flush(); time.sleep(30)' {{domain}} {{problem}}"),
+        timeout_seconds=1)
+    result = run_planner(config, domain, problem,
+                         solution_dir=tmp_path / "solutions")
+    assert result.timed_out
+    assert result.stdout == "\ufffd"
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_timeout_kills_the_planners_grandchildren(pair, tmp_path):
+    domain, problem = pair
+    pid_file = tmp_path / "grandchild.pid"
+    stub = tmp_path / "spawning_planner.py"
+    stub.write_text(
+        "import subprocess, sys, time\n"
+        "child = subprocess.Popen([sys.executable, '-c',\n"
+        "                          'import time; time.sleep(60)'])\n"
+        f"open({str(pid_file)!r}, 'w').write(str(child.pid))\n"
+        "time.sleep(60)\n", encoding="utf-8")
+    config = PlannerConfig(
+        command_template=f"{PY} {stub} {{domain}} {{problem}}",
+        timeout_seconds=2)
+    result = run_planner(config, domain, problem,
+                         solution_dir=tmp_path / "solutions")
+    assert result.timed_out
+    grandchild = int(pid_file.read_text())
+    deadline = time.monotonic() + 5
+    while _alive(grandchild) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _alive(grandchild)
 
 
 def test_missing_inputs_rejected(tmp_path):

@@ -1,5 +1,7 @@
 """Lossless reader/writer tests: round-trips, recovery, block lookup."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from mypddl.sexpr import (
     NodeKind,
     Severity,
     find_blocks,
+    gc_paused,
     offset_to_line_col,
     parse_sexpr,
     serialize,
@@ -164,3 +167,23 @@ def test_offset_to_line_col_counts_bytes():
     assert offset_to_line_col(data, 3) == (2, 1)
     # ä is two bytes, so 'd' sits at byte column 4
     assert offset_to_line_col(data, 6) == (2, 4)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_paused_restores_the_previous_state(enabled):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        with gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_gc_paused_restores_the_state_when_the_body_raises():
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError):
+        with gc_paused():
+            raise RuntimeError("body failed")
+    assert gc.isenabled()

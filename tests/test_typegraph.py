@@ -1,15 +1,19 @@
 """Type-graph construction, DOT emission, and revisioned rendering."""
 
 import stat
+import time
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mypddl.cli import main
 from mypddl.model import parse_domain
 from mypddl.sexpr import Severity
 from mypddl.typegraph import (
     RenderError,
+    TypeGraph,
     build_type_graph,
     emit_dot,
     hierarchy_depth,
@@ -77,6 +81,44 @@ def test_cycle_reported_and_marked():
     assert graph.cycle_edges
     # depth still terminates
     assert hierarchy_depth(graph) >= 1
+
+
+def test_deep_type_chain_fits_the_stack(tmp_path):
+    types = " ".join(f"t{i + 1} - t{i}" for i in range(5000))
+    domain = tmp_path / "chain.pddl"
+    domain.write_text(f"(define (domain d) (:types {types}))", encoding="utf-8")
+    result = CliRunner().invoke(main, ["diagram", str(domain), "--out",
+                                       str(tmp_path / "out"), "--no-render"])
+    assert result.exit_code == 0, result.output
+    graph, _ = graph_for(domain.read_text(encoding="utf-8"))
+    assert hierarchy_depth(graph) == 5002
+    assert not graph.cycle_edges
+
+
+def test_depth_of_a_wide_dag_is_linear():
+    # Two types per layer, each under both types of the layer above: the
+    # number of root-to-leaf paths doubles with every layer.
+    graph = TypeGraph()
+    above = ["object"]
+    for layer in range(22):
+        names = [f"a{layer}", f"b{layer}"]
+        for name in names:
+            graph.nodes.add(name)
+            graph.edges.update((name, parent) for parent in above)
+        above = names
+    start = time.perf_counter()
+    assert hierarchy_depth(graph) == 23
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cycle_diagnostics_keep_their_text_and_order():
+    graph, diagnostics = graph_for(
+        "(define (domain d) (:types a - b b - c c - a x - y y - x))")
+    assert [d.message for d in diagnostics if d.code == "type-cycle"] == [
+        "type hierarchy contains a cycle: a -> b -> c -> a",
+        "type hierarchy contains a cycle: x -> y -> x",
+    ]
+    assert graph.cycle_edges == {("c", "a"), ("y", "x")}
 
 
 def test_predicates_attach_to_each_parameter_type_once():
