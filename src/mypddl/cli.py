@@ -22,6 +22,7 @@ from .sexpr import (
     ParseDiagnostic,
     Severity,
     Span,
+    gc_paused,
     serialize_node,
 )
 
@@ -63,11 +64,18 @@ _DIR = click.Path(file_okay=False, path_type=Path)
 
 
 class _Cli(click.Group):
-    """Maps domain errors to exit code 1 with a one-line message."""
+    """Runs each command with the cyclic garbage collector paused, and maps
+    domain errors to exit code 1 with a one-line message.
+
+    A command builds trees and token lists that hold no cycles; with the
+    collector running, each of its young-generation collections would
+    rescan what the previous layer built.
+    """
 
     def invoke(self, ctx: click.Context):
         try:
-            return super().invoke(ctx)
+            with gc_paused():
+                return super().invoke(ctx)
         except MyPddlError as exc:
             raise click.ClickException(str(exc)) from exc
 

@@ -19,6 +19,7 @@ from .sexpr import (
     SExprNode,
     as_document,
     find_blocks,
+    iter_blocks,
     serialize,
 )
 
@@ -89,17 +90,21 @@ def insert_construct(source: Union[str, Document], keyword: str,
     doc = as_document(source)
     if not [n for n in doc.forest if not n.is_trivia]:
         raise ConstructError("file contains no s-expressions")
-    blocks = find_blocks(doc.forest, keyword)
-    if not blocks:
+    block = next(iter_blocks(doc.forest, keyword), None)
+    if block is None:
         raise ConstructError(f"no block headed by {keyword!r} found")
-    return append_to_block(doc, blocks[0], constructs)
+    return append_to_block(doc, block, constructs)
 
 
 def write_atomically(path: Path, text: str) -> None:
     """Write via a temp file in the same directory plus rename. Newlines
     are written as they are, never translated."""
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent,
+                                        prefix=path.name + ".")
+    except OSError as exc:
+        raise ConstructError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

@@ -23,9 +23,10 @@ from .sexpr import (
     NodeKind,
     ParseDiagnostic,
     Severity,
+    SExprNode,
     Span,
     as_document,
-    find_blocks,
+    iter_blocks,
 )
 
 DEFAULT_PREDICATE = "location"
@@ -64,10 +65,16 @@ def extract_locations(problem: Union[str, Document],
     Every fact must name a distinct object and all facts must share one
     dimension; violations become Error diagnostics.
     """
+    return _locations(next(iter_blocks(as_document(problem).forest, ":init"),
+                           None), predicate_name)
+
+
+def _locations(init_block: Optional[SExprNode], predicate_name: str,
+               ) -> tuple[list[LocationFact], list[ParseDiagnostic]]:
+    """`extract_locations` on an already found (:init ...) block, or None."""
     diagnostics: list[ParseDiagnostic] = []
     facts: list[LocationFact] = []
-    init_blocks = find_blocks(as_document(problem).forest, ":init")
-    if not init_blocks:
+    if init_block is None:
         diagnostics.append(ParseDiagnostic(
             Span(0, 0), Severity.WARNING,
             "problem has no (:init ...) block", "missing-init"))
@@ -76,7 +83,7 @@ def extract_locations(problem: Union[str, Document],
     wanted = predicate_name.lower()
     seen: dict[str, LocationFact] = {}
     first_dim: Optional[tuple[str, int]] = None
-    for fact_node in init_blocks[0].values()[1:]:
+    for fact_node in init_block.values()[1:]:
         if fact_node.kind is not NodeKind.LIST:
             continue
         head = fact_node.head()
@@ -223,7 +230,8 @@ def augment_with_distances(problem: Union[str, Document],
     no-op.
     """
     doc = as_document(problem)
-    facts, diagnostics = extract_locations(doc, predicate_name)
+    init_block = next(iter_blocks(doc.forest, ":init"), None)
+    facts, diagnostics = _locations(init_block, predicate_name)
     errors = [d for d in diagnostics if d.severity is Severity.ERROR]
     if errors:
         raise DistanceError(
@@ -235,7 +243,6 @@ def augment_with_distances(problem: Union[str, Document],
             "no-locations"))
         return doc.text, diagnostics
 
-    init_block = find_blocks(doc.forest, ":init")[0]
     # Render straight from the formatted upper triangle: no record per fact.
     names = [f.object_name for f in facts]
     upper = [list(map(format_distance, row)) for row in _distance_rows(facts)]

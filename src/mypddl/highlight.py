@@ -32,6 +32,11 @@ class Scope(enum.Enum):
     PUNCTUATION = "Punctuation"
     UNSCOPED = "Unscoped"
 
+    # Members are singletons that compare by identity, so hashing by
+    # identity keeps dict and set semantics; it runs in C, where
+    # ``Enum.__hash__`` is a Python call per lookup.
+    __hash__ = object.__hash__
+
 
 class Token(NamedTuple):
     span: Span
@@ -718,24 +723,26 @@ def tokenize(source: Union[str, Document]) -> list[Token]:
 
 def invalid_regions(tokens: Sequence[Token]) -> list[Span]:
     """Maximal runs of unscoped tokens, merged across pure whitespace."""
-    if Scope.UNSCOPED not in map(itemgetter(1), tokens):
-        return []
+    scopes = list(map(itemgetter(1), tokens))
+    unscoped, punctuation = Scope.UNSCOPED, Scope.PUNCTUATION
     regions: list[Span] = []
-    start: Optional[int] = None
-    end = 0
-    for token in tokens:
-        if token.scope is Scope.UNSCOPED:
-            if start is None:
-                start = token.span.start
-            end = token.span.end
-        elif token.scope is Scope.PUNCTUATION and token.text.isspace():
-            continue
-        elif start is not None:
-            regions.append(Span(start, end))
-            start = None
-    if start is not None:
+    i = 0
+    while True:
+        try:
+            # Skip to the next unscoped token at C speed.
+            i = scopes.index(unscoped, i)
+        except ValueError:
+            return regions
+        start, end = tokens[i].span
+        i += 1
+        while i < len(scopes):
+            scope = scopes[i]
+            if scope is unscoped:
+                end = tokens[i].span.end
+            elif scope is not punctuation or not tokens[i].text.isspace():
+                break
+            i += 1
         regions.append(Span(start, end))
-    return regions
 
 
 _SCOPE_JSON = {scope: encode_basestring(scope.value) for scope in Scope}
@@ -773,24 +780,46 @@ pre { font-family: monospace; font-size: 14px; }
 """
 
 
+# The opening tag of each scope's span; unscoped text gets no span.
+_SCOPE_OPEN = {scope: f'<span class="scope-{scope.value.lower()}">'
+               for scope in Scope if scope is not Scope.UNSCOPED}
+
+
+class _Fragments(dict):
+    """(scope, text) -> the token's finished HTML, rendered on first use."""
+
+    def __missing__(self, key: tuple[Scope, str]) -> str:
+        scope, text = key
+        if scope is Scope.UNSCOPED:
+            value = html.escape(text)
+        else:
+            value = f"{_SCOPE_OPEN[scope]}{html.escape(text)}</span>"
+        self[key] = value
+        return value
+
+
 def render_html(tokens: Sequence[Token], text: str, title: str = "PDDL") -> str:
     """Standalone HTML document; each invalid region gets one wrapper span so
-    broken spots stay visually distinct from every scoped construct."""
-    regions = invalid_regions(tokens)
-    opens = {r.start for r in regions}
-    closes = {r.end for r in regions}
+    broken spots stay visually distinct from every scoped construct.
+
+    Each distinct (scope, text) pair is escaped and rendered once per call.
+    """
+    fragments = map(_Fragments().__getitem__, map(itemgetter(1, 2), tokens))
     out = [f"<!DOCTYPE html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n"
            f"<title>{html.escape(title)}</title>\n<style>\n{_CSS}</style>\n"
            f"</head>\n<body>\n<pre>"]
-    for token in tokens:
-        if token.span.start in opens:
-            out.append('<span class="invalid-region">')
-        if token.scope is Scope.UNSCOPED:
-            out.append(html.escape(token.text))
-        else:
-            cls = f"scope-{token.scope.value.lower()}"
-            out.append(f'<span class="{cls}">{html.escape(token.text)}</span>')
-        if token.span.end in closes:
-            out.append("</span>")
+    regions = invalid_regions(tokens)
+    if not regions:
+        out += fragments
+    else:
+        opens = {r.start for r in regions}
+        closes = {r.end for r in regions}
+        for (start, end), fragment in zip(map(itemgetter(0), tokens),
+                                          fragments):
+            if start in opens:
+                out.append('<span class="invalid-region">')
+            out.append(fragment)
+            if end in closes:
+                out.append("</span>")
     out.append("</pre>\n</body>\n</html>\n")
     return "".join(out)

@@ -168,7 +168,11 @@ def create_project(name: str, parent_dir: Path,
                 f"template path {template.relative_path!r} escapes the project")
 
     created: list[Path] = []
-    root.mkdir(parents=True)
+    try:
+        root.mkdir(parents=True)
+    except OSError as exc:
+        raise ScaffoldError(
+            f"cannot create directory {root}: {exc.strerror}") from exc
     created.append(root)
     for directory in TREE_DIRS:
         path = root / directory

@@ -285,11 +285,12 @@ def serialize_node(node: SExprNode) -> str:
     return serialize([node])
 
 
-def find_blocks(forest: Sequence[SExprNode], keyword: str) -> list[SExprNode]:
-    """All list nodes whose head atom equals ``keyword`` (case-insensitive),
-    in document order, nested matches included."""
+def iter_blocks(forest: Sequence[SExprNode],
+                keyword: str) -> Iterator[SExprNode]:
+    """Each list node whose head atom equals ``keyword`` (case-insensitive),
+    in document order, nested matches included. Lazy, so a caller that
+    needs only the first match walks no further than it."""
     wanted = keyword.lower()
-    found: list[SExprNode] = []
     for top in forest:
         for node in top.walk():
             if node.kind is not NodeKind.LIST:
@@ -297,8 +298,13 @@ def find_blocks(forest: Sequence[SExprNode], keyword: str) -> list[SExprNode]:
             head = node.head()
             if head is not None and head.kind is NodeKind.ATOM \
                     and head.text.lower() == wanted:
-                found.append(node)
-    return found
+                yield node
+
+
+def find_blocks(forest: Sequence[SExprNode], keyword: str) -> list[SExprNode]:
+    """All list nodes whose head atom equals ``keyword`` (case-insensitive),
+    in document order, nested matches included."""
+    return list(iter_blocks(forest, keyword))
 
 
 def line_starts(data: bytes) -> list[int]:

@@ -255,7 +255,11 @@ def render_diagram(domain_file: Union[Path, Document], output_root: Path,
     dot_dir = output_root / "dot"
     diagrams_dir = output_root / "diagrams"
     for directory in (domains_dir, dot_dir, diagrams_dir):
-        directory.mkdir(parents=True, exist_ok=True)
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise RenderError(
+                f"cannot create directory {directory}: {exc.strerror}") from exc
 
     base = domain_file.stem
     revision = _next_revision(base, domains_dir, dot_dir, diagrams_dir)

@@ -1,11 +1,13 @@
 """End-to-end CLI tests through click's runner."""
 
+import gc
 import json
 import sys
 
 import pytest
 from click.testing import CliRunner
 
+from mypddl import highlight
 from mypddl.cli import main
 
 from conftest import CORPUS, FIXTURES, corpus_text
@@ -253,3 +255,44 @@ def test_plan_missing_config_fails(runner, tmp_path):
     result = runner.invoke(main, [
         "plan", "--config", str(tmp_path / "absent.toml")])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("data,exit_code", [
+    (b"(define (domain d))", 0),
+    (b"; caf\xe9 is Latin-1\n(define (domain d))", 1),  # a MyPddlError
+])
+def test_a_command_restores_the_gc_state(runner, tmp_path, enabled, data,
+                                         exit_code):
+    path = tmp_path / "d.pddl"
+    path.write_bytes(data)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        result = runner.invoke(main, ["check", str(path)])
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert result.exit_code == exit_code, result.output
+    assert after is enabled
+
+
+def test_a_command_runs_with_the_gc_paused(runner, monkeypatch):
+    seen = []
+    tokenize = highlight.tokenize
+
+    def spy(source):
+        seen.append(gc.isenabled())
+        return tokenize(source)
+
+    monkeypatch.setattr(highlight, "tokenize", spy)
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        result = runner.invoke(main, ["check", str(CORPUS / "splisus.pddl")])
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert result.exit_code == 0, result.output
+    assert seen == [False]
+    assert after is True

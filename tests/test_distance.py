@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mypddl import distance
 from mypddl.cli import main
 
 from mypddl.distance import (
@@ -315,3 +316,18 @@ def test_augment_matches_naive_n_squared(points):
     text, expected = naive_augmented(points)
     updated, _ = augment_with_distances(text)
     assert updated == expected
+
+
+def test_augment_looks_up_the_init_block_once(monkeypatch):
+    looked_up = []
+    iter_blocks = distance.iter_blocks
+
+    def spy(forest, keyword):
+        looked_up.append(keyword)
+        return iter_blocks(forest, keyword)
+
+    monkeypatch.setattr(distance, "iter_blocks", spy)
+    text = problem_with_init("(location a 0 0) (location b 3 4)")
+    updated, _ = augment_with_distances(text)
+    assert "(distance a b 5.0)" in updated
+    assert looked_up == [":init"]

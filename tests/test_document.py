@@ -302,6 +302,40 @@ def test_plain_file_as_output_directory_is_usage_error(runner, tmp_path, argv):
     assert plain.read_bytes() == b""
 
 
+@pytest.mark.parametrize("argv", [
+    ["diagram", "{domain}", "--out", "{below}", "--no-render"],
+    ["new", "proj", "--dir", "{below}"],
+])
+def test_output_directory_below_a_plain_file_is_one_line_exit_1(
+        runner, tmp_path, argv):
+    domain = tmp_path / "d.pddl"
+    domain.write_bytes(BOM_DOMAIN)
+    plain = tmp_path / "plainfile"
+    plain.write_bytes(b"")
+    below = plain / "x"
+    argv = [a.format(domain=domain, below=below) for a in argv]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"Error: cannot create directory {below}")
+    assert result.stderr.count("\n") == 1
+    assert plain.read_bytes() == b""
+
+
+@pytest.mark.parametrize("parent", ["plainfile", "missing"])
+def test_distance_out_below_a_plain_file_or_missing_directory_is_exit_1(
+        runner, tmp_path, parent):
+    problem = tmp_path / "p.pddl"
+    problem.write_bytes(CRLF_PROBLEM)
+    (tmp_path / "plainfile").write_bytes(b"")
+    out = tmp_path / parent / "out.pddl"
+    result = runner.invoke(main, ["distance", str(problem), "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"Error: cannot write {out}: ")
+    assert result.stderr.count("\n") == 1
+
+
 _PDDL_BYTES = st.lists(st.sampled_from([
     b"(", b")", b" ", b"\n", b"\r\n", b";", b"a", b"?x", b"-", b"1.5",
     b":init", b":goal", b"define", b"problem", b"\xc3\xa9", b"\xe9", b"\xff",

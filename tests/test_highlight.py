@@ -1,13 +1,17 @@
 """Context-aware highlighting tests, including the pre-registered golden
 annotations for the two deliberately erroneous corpus domains."""
 
+import copy
+import html
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mypddl.highlight import (
+    _CSS,
     Scope,
     Token,
     emit_tokens_json,
@@ -281,3 +285,92 @@ def test_render_html_valid_domain_has_no_invalid_class(splisus_text):
     tokens = tokenize(splisus_text)
     doc = render_html(tokens, splisus_text)
     assert 'class="invalid-region"' not in doc
+
+
+def reference_regions(tokens):
+    """The per-token region scan `invalid_regions` replaced."""
+    regions, start, end = [], None, 0
+    for token in tokens:
+        if token.scope is Scope.UNSCOPED:
+            if start is None:
+                start = token.span.start
+            end = token.span.end
+        elif token.scope is Scope.PUNCTUATION and token.text.isspace():
+            continue
+        elif start is not None:
+            regions.append(Span(start, end))
+            start = None
+    if start is not None:
+        regions.append(Span(start, end))
+    return regions
+
+
+def reference_html(tokens, title="PDDL"):
+    """The per-token renderer `render_html` replaced: one `html.escape` per
+    token, wrapper spans opened and closed at region starts and ends."""
+    regions = reference_regions(tokens)
+    opens = {r.start for r in regions}
+    closes = {r.end for r in regions}
+    out = [f"<!DOCTYPE html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n"
+           f"<title>{html.escape(title)}</title>\n<style>\n{_CSS}</style>\n"
+           f"</head>\n<body>\n<pre>"]
+    for token in tokens:
+        if token.span.start in opens:
+            out.append('<span class="invalid-region">')
+        if token.scope is Scope.UNSCOPED:
+            out.append(html.escape(token.text))
+        else:
+            cls = f"scope-{token.scope.value.lower()}"
+            out.append(f'<span class="{cls}">{html.escape(token.text)}</span>')
+        if token.span.end in closes:
+            out.append("</span>")
+    out.append("</pre>\n</body>\n</html>\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_REGIONS))
+def test_render_html_of_the_broken_domains_matches_the_reference(name):
+    tokens = tokenize(corpus_text(name))
+    assert render_html(tokens, "", title=name) == reference_html(tokens, name)
+
+
+_HTML_PIECES = st.lists(st.sampled_from([
+    "(", ")", " ", "\n", "\r\n", "\t", "; a&b <c> \"d\" 'e'\n", ";é\r\n",
+    "&", "<", ">", '"', "'", "a&b", "<x>", "é", "中", "😀", "?x", "?", "-",
+    "1.5", "define", "domain", "problem", ":requirements", ":strips",
+    ":types", ":predicates", ":action", ":parameters", ":init", ":goal",
+    "(define (domain d&<>)", "(define (problem p) (:domain d)",
+    "(:predicates (at ?x - obj))", "(:init (at a) (= (f a) 2))",
+]), max_size=40).map("".join)
+
+
+@given(_HTML_PIECES, st.sampled_from(["", "\ufeff"]))
+@settings(max_examples=300)
+def test_render_html_matches_the_reference_on_random_text(text, bom):
+    tokens = tokenize(bom + text)
+    assert invalid_regions(tokens) == reference_regions(tokens)
+    assert render_html(tokens, bom + text, title=text[:9]) \
+        == reference_html(tokens, text[:9])
+
+
+@given(st.lists(st.tuples(st.sampled_from(["(", ")", " ", "\r\n", "a&b", "<é>"]),
+                          st.sampled_from(list(Scope))), max_size=30))
+@settings(max_examples=300)
+def test_render_html_matches_the_reference_on_any_scopes(pieces):
+    tokens, pos = [], 0
+    for text, scope in pieces:
+        end = pos + len(text.encode("utf-8"))
+        tokens.append(Token(Span(pos, end), scope, text))
+        pos = end
+    assert invalid_regions(tokens) == reference_regions(tokens)
+    assert render_html(tokens, "") == reference_html(tokens)
+
+
+def test_scope_members_keep_their_enum_semantics():
+    assert Scope("Keyword") is Scope.KEYWORD
+    assert Scope["NAME"] is Scope.NAME
+    for scope in Scope:
+        assert pickle.loads(pickle.dumps(scope)) is scope
+        assert copy.deepcopy(scope) is scope
+    assert len(set(Scope)) == 9
+    assert {Scope.KEYWORD: 1}.get(Scope("Keyword")) == 1

@@ -11,6 +11,7 @@ from mypddl.sexpr import (
     Severity,
     find_blocks,
     gc_paused,
+    iter_blocks,
     offset_to_line_col,
     parse_sexpr,
     serialize,
@@ -148,6 +149,20 @@ def test_find_blocks_document_order_with_nesting():
     starts = [b.span.start for b in blocks]
     assert starts == sorted(starts)
     assert len(blocks) == 3
+
+
+@pytest.mark.parametrize("name", [
+    "splisus.pddl", "store.pddl", "logistics.pddl", "coffee.pddl",
+    "garys_huge_problem.pddl", "gary_pizza_problem.pddl",
+])
+@pytest.mark.parametrize("keyword", [":init", ":goal", ":action", ":INIT",
+                                     "and", ":nonexistent"])
+def test_first_of_iter_blocks_is_first_of_find_blocks(name, keyword):
+    forest, _ = parse_sexpr(corpus_text(name))
+    blocks = find_blocks(forest, keyword)
+    first = next(iter_blocks(forest, keyword), None)
+    assert first is (blocks[0] if blocks else None)
+    assert list(iter_blocks(forest, keyword)) == blocks
 
 
 @pytest.mark.parametrize("text", [
