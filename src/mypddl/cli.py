@@ -69,15 +69,21 @@ class _Cli(click.Group):
 
     A command builds trees and token lists that hold no cycles; with the
     collector running, each of its young-generation collections would
-    rescan what the previous layer built.
+    rescan what the previous layer built. A command that exits through
+    ``sys.exit`` or a domain error leaves its frames, and so its trees, on
+    the traceback; they are dropped before the collector is back on, since
+    its first young collection would otherwise scan them all.
     """
 
     def invoke(self, ctx: click.Context):
-        try:
-            with gc_paused():
+        with gc_paused():
+            try:
                 return super().invoke(ctx)
-        except MyPddlError as exc:
-            raise click.ClickException(str(exc)) from exc
+            except SystemExit as exc:
+                raise exc.with_traceback(None)
+            except MyPddlError as exc:
+                raise click.ClickException(str(exc)) \
+                    from exc.with_traceback(None)
 
 
 @click.group(cls=_Cli)

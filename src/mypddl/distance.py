@@ -10,13 +10,13 @@ tractable for ordinary planners.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
 from .construct import append_to_block, write_atomically
+from .model import is_number
 from .sexpr import (
     Document,
     MyPddlError,
@@ -32,7 +32,6 @@ from .sexpr import (
 DEFAULT_PREDICATE = "location"
 DISTANCE_PREDICATE = "distance"
 
-_DECIMAL_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 _STEP = Decimal("0.0001")
 
 
@@ -102,7 +101,7 @@ def _locations(init_block: Optional[SExprNode], predicate_name: str,
         bad = False
         for arg in args[1:]:
             if arg.kind is not NodeKind.ATOM \
-                    or not _DECIMAL_RE.match(arg.text) \
+                    or not is_number(arg.text) \
                     or not math.isfinite(float(arg.text)):
                 arg_span = arg.span if arg.span is not None else span
                 shown = arg.text if arg.kind is NodeKind.ATOM else "(...)"

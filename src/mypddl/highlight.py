@@ -17,8 +17,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .model import REQUIREMENT_KEYS, is_name, is_number, is_variable
-from .sexpr import (Document, NodeKind, SExprNode, Span, _span, as_document,
-                    gc_paused)
+from .sexpr import Document, NodeKind, SExprNode, Span, as_document, gc_paused
 
 
 class Scope(enum.Enum):
@@ -65,8 +64,17 @@ _ACTION_KEY_HINTS = {
 # flat lexical emission, so paren bombs cannot exhaust the Python stack.
 _MAX_GRAMMAR_DEPTH = 100
 
+_TRIVIA_SCOPES = {NodeKind.WHITESPACE: Scope.PUNCTUATION,
+                  NodeKind.COMMENT: Scope.COMMENT}
+
+# Marks, in ``flat_emit``'s stack, that the list popped next is complete.
+_CLOSE = object()
+
 
 class _Walk:
+    """One grammar walk over a parsed forest, in which every node has a
+    span."""
+
     def __init__(self, forest: Sequence[SExprNode]) -> None:
         self.forest = forest
         self.tokens: list[Token] = []
@@ -77,32 +85,34 @@ class _Walk:
 
     # -- emission ---------------------------------------------------------
 
-    def tok(self, span: Optional[Span], scope: Scope, text: str) -> None:
-        if span is not None:
-            self.tokens.append(tuple.__new__(Token, (span, scope, text)))
-
     def trivia(self, node: SExprNode) -> bool:
-        if node.kind is NodeKind.WHITESPACE:
-            self.tok(node.span, Scope.PUNCTUATION, node.text)
-            return True
-        if node.kind is NodeKind.COMMENT:
-            self.tok(node.span, Scope.COMMENT, node.text)
-            return True
-        return False
+        kind, text, _, span, _, trivia = node
+        if trivia:
+            self.tokens.append(tuple.__new__(
+                Token, (span, _TRIVIA_SCOPES[kind], text)))
+        return trivia
 
-    def open_paren(self, node: SExprNode) -> None:
-        assert node.span is not None
-        scope = Scope.PUNCTUATION if node.closed else Scope.UNSCOPED
-        self.tok(_span(node.span.start, node.span.start + 1), scope, "(")
+    def open_paren(self, node: SExprNode,
+                   scope: Optional[Scope] = None) -> None:
+        """The list's '(' with ``scope``; by default Punctuation, or
+        Unscoped if the list is never closed."""
+        _, _, _, (start, _), closed, _ = node
+        if scope is None:
+            scope = Scope.PUNCTUATION if closed else Scope.UNSCOPED
+        new = tuple.__new__
+        self.tokens.append(new(Token, (new(Span, (start, start + 1)),
+                                       scope, "(")))
 
-    def close_paren(self, node: SExprNode) -> None:
-        assert node.span is not None
-        if node.closed:
-            self.tok(_span(node.span.end - 1, node.span.end),
-                     Scope.PUNCTUATION, ")")
+    def close_paren(self, node: SExprNode,
+                    scope: Scope = Scope.PUNCTUATION) -> None:
+        _, _, _, (_, end), closed, _ = node
+        if closed:
+            new = tuple.__new__
+            self.tokens.append(new(Token, (new(Span, (end - 1, end)),
+                                           scope, ")")))
 
     def single(self, node: SExprNode, scope: Scope) -> None:
-        self.tok(node.span, scope, node.text)
+        self.tokens.append(tuple.__new__(Token, (node.span, scope, node.text)))
 
     def atom_or_tree(self, node: SExprNode, scope: Scope) -> None:
         if node.kind is NodeKind.ATOM:
@@ -116,11 +126,8 @@ class _Walk:
         todo: list = [node]
         while todo:
             item = todo.pop()
-            if isinstance(item, tuple):
-                closing = item[1]
-                if closing.closed:
-                    self.tok(_span(closing.span.end - 1, closing.span.end),
-                             scope or Scope.PUNCTUATION, ")")
+            if item is _CLOSE:
+                self.close_paren(todo.pop(), scope or Scope.PUNCTUATION)
                 continue
             if self.trivia(item):
                 continue
@@ -130,12 +137,8 @@ class _Walk:
                 else:
                     self.single(item, scope)
             else:
-                if scope is None:
-                    self.open_paren(item)
-                else:
-                    self.tok(_span(item.span.start, item.span.start + 1),
-                             scope, "(")
-                todo.append(("close", item))
+                self.open_paren(item, scope)
+                todo += (item, _CLOSE)
                 todo.extend(reversed(item.children))
 
     def unscoped_tree(self, node: SExprNode) -> None:
@@ -159,16 +162,14 @@ class _Walk:
         self.depth += 1
         try:
             self.open_paren(node)
-            tokens = self.tokens
+            append = self.tokens.append
             seen_head = False
             k = 0
             for child in node.children:
-                if child.is_trivia:
-                    if child.span is not None:
-                        scope = Scope.COMMENT if child.kind is NodeKind.COMMENT \
-                            else Scope.PUNCTUATION
-                        tokens.append(tuple.__new__(
-                            Token, (child.span, scope, child.text)))
+                kind, text, _, span, _, trivia = child
+                if trivia:
+                    append(tuple.__new__(
+                        Token, (span, _TRIVIA_SCOPES[kind], text)))
                 elif not seen_head and child is head:
                     seen_head = True
                     if head_scope is None:
@@ -230,25 +231,27 @@ class _Walk:
     # -- typed lists --------------------------------------------------------
 
     def typed_list(self, children: Sequence[SExprNode], variables: bool) -> None:
+        append = self.tokens.append
+        new = tuple.__new__
         expect_type = False
         for child in children:
-            if self.trivia(child):
-                continue
-            if expect_type:
+            kind, text, _, span, _, trivia = child
+            if trivia:
+                append(new(Token, (span, _TRIVIA_SCOPES[kind], text)))
+            elif expect_type:
                 self.type_position(child)
                 expect_type = False
-            elif child.kind is NodeKind.ATOM and child.text == "-":
-                self.single(child, Scope.PUNCTUATION)
-                expect_type = True
-            elif child.kind is NodeKind.ATOM:
-                if variables:
-                    ok = is_variable(child.text)
-                    self.single(child, Scope.VARIABLE if ok else Scope.UNSCOPED)
-                else:
-                    ok = is_name(child.text)
-                    self.single(child, Scope.NAME if ok else Scope.UNSCOPED)
-            else:
+            elif kind is not NodeKind.ATOM:
                 self.unscoped_tree(child)
+            elif text == "-":
+                append(new(Token, (span, Scope.PUNCTUATION, text)))
+                expect_type = True
+            elif variables:
+                append(new(Token, (span, Scope.VARIABLE if is_variable(text)
+                                   else Scope.UNSCOPED, text)))
+            else:
+                append(new(Token, (span, Scope.NAME if is_name(text)
+                                   else Scope.UNSCOPED, text)))
 
     def type_position(self, node: SExprNode) -> None:
         if node.kind is NodeKind.ATOM:
@@ -277,11 +280,9 @@ class _Walk:
 
     # -- terms and numeric expressions ---------------------------------------
 
-    def term(self, node: SExprNode, ground: bool = False) -> None:
-        if node.kind is not NodeKind.ATOM:
-            self.unscoped_tree(node)
-            return
-        text = node.text
+    def term_scope(self, text: str) -> Scope:
+        """Scope of an atom in term position, before ``ground`` is applied;
+        each distinct text is classified once per walk."""
         scope = self.term_scopes.get(text)
         if scope is None:
             if is_variable(text):
@@ -293,13 +294,11 @@ class _Walk:
             else:
                 scope = Scope.UNSCOPED
             self.term_scopes[text] = scope
-        if ground and scope is Scope.VARIABLE:
-            scope = Scope.UNSCOPED
-        self.single(node, scope)
+        return scope
 
     def fexp(self, node: SExprNode) -> None:
         if node.kind is NodeKind.ATOM:
-            self.term(node)
+            self.single(node, self.term_scope(node.text))
             return
         head = node.head()
         if head is not None and head.kind is NodeKind.ATOM:
@@ -387,12 +386,11 @@ class _Walk:
             self.unscoped_tree(node)
             return
         key = head.text.lower()
-        values = node.values()
         if key == "=":
             self.each(node, head, Scope.KEYWORD, lambda c, k: self.fexp(c))
         elif key == "not":
             self.each(node, head, Scope.KEYWORD, lambda c, k: self.init_fact(c))
-        elif key == "at" and len(values) > 1 \
+        elif key == "at" and len(values := node.values()) > 1 \
                 and values[1].kind is NodeKind.ATOM and is_number(values[1].text):
             # timed initial literal
             def value(child: SExprNode, k: int) -> None:
@@ -407,8 +405,39 @@ class _Walk:
             self.each(node, head, Scope.UNSCOPED, lambda c, k: self.lenient(c))
 
     def application(self, node: SExprNode, head: SExprNode, ground: bool) -> None:
-        self.each(node, head, Scope.NAME,
-                  lambda c, k: self.term(c, ground=ground))
+        """An atomic formula (name term...): the head atom is a Name and
+        every argument a term. Every ``:init`` fact, goal, precondition and
+        effect comes through here, so this is ``each`` with its value
+        function inlined: each child is unpacked once and every token is
+        appended in place. No argument re-enters the grammar walk (a
+        misplaced list is emitted flat), so the depth is left as it is."""
+        if self.depth >= _MAX_GRAMMAR_DEPTH:
+            self.flat_emit(node)
+            return
+        append = self.tokens.append
+        new = tuple.__new__
+        punctuation, unscoped = Scope.PUNCTUATION, Scope.UNSCOPED
+        scopes = self.term_scopes
+        _, _, children, (start, end), closed, _ = node
+        append(new(Token, (new(Span, (start, start + 1)),
+                           punctuation if closed else unscoped, "(")))
+        seen_head = False
+        for child in children:
+            kind, text, _, span, _, trivia = child
+            if trivia:
+                append(new(Token, (span, _TRIVIA_SCOPES[kind], text)))
+            elif kind is not NodeKind.ATOM:
+                self.unscoped_tree(child)
+            elif not seen_head and child is head:
+                seen_head = True
+                append(new(Token, (span, Scope.NAME, text)))
+            else:
+                scope = scopes.get(text) or self.term_scope(text)
+                if ground and scope is Scope.VARIABLE:
+                    scope = unscoped
+                append(new(Token, (span, scope, text)))
+        if closed:
+            append(new(Token, (new(Span, (end - 1, end)), punctuation, ")")))
 
     def quantified(self, node: SExprNode, head: SExprNode,
                    body_fn: Callable[[SExprNode], None]) -> None:

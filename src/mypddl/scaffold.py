@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .model import is_name
 from .sexpr import MyPddlError
-
-NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 
 # Empty folders that are part of the standard tree.
 TREE_DIRS = ("domains", "problems", "solutions")
@@ -138,7 +137,7 @@ def merge_templates(defaults: Sequence[ProjectTemplate],
 def _check_name(name: str) -> None:
     if not name:
         raise ScaffoldError("project name must not be empty")
-    if not NAME_RE.match(name):
+    if not is_name(name):
         offending = next((c for c in name if not re.match(r"[A-Za-z0-9_-]", c)),
                          name[0])
         raise ScaffoldError(

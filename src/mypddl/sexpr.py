@@ -71,29 +71,41 @@ class NodeKind(enum.Enum):
     COMMENT = "comment"
     WHITESPACE = "whitespace"
 
+    # Members are singletons that compare by identity; hashing by identity
+    # runs in C, where ``Enum.__hash__`` is a Python call.
+    __hash__ = object.__hash__
 
-class SExprNode:
+
+class SExprNode(namedtuple("SExprNode",
+                           "kind text children span closed is_trivia")):
     """One node of the lossless concrete-syntax tree.
 
     ``text`` is the verbatim source slice for atoms, comments and whitespace;
     lists carry their elements (including trivia) in ``children``. ``closed``
     is False for a list that was recovered at end of input, so serialization
     does not invent the missing parenthesis. Nodes built programmatically
-    (for insertion) have ``span`` set to None. Nodes are treated as
-    immutable; ``is_trivia`` is fixed when the node is made.
+    (for insertion) have ``span`` set to None. ``is_trivia`` is derived from
+    ``kind`` when the node is made.
+
+    An immutable tuple record that compares and hashes by identity, as two
+    nodes with the same text and span are still two places in a tree. Hot
+    loops unpack it rather than read its fields one by one.
     """
 
-    __slots__ = ("kind", "text", "children", "span", "closed", "is_trivia")
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
-    def __init__(self, kind: NodeKind, text: str = "",
-                 children: tuple["SExprNode", ...] = (),
-                 span: Optional[Span] = None, closed: bool = True) -> None:
-        self.kind = kind
-        self.text = text
-        self.children = children
-        self.span = span
-        self.closed = closed
-        self.is_trivia = kind is NodeKind.COMMENT or kind is NodeKind.WHITESPACE
+    def __new__(cls, kind: NodeKind, text: str = "",
+                children: tuple["SExprNode", ...] = (),
+                span: Optional[Span] = None,
+                closed: bool = True) -> "SExprNode":
+        trivia = kind is NodeKind.COMMENT or kind is NodeKind.WHITESPACE
+        return tuple.__new__(cls, (kind, text, children, span, closed, trivia))
+
+    def __getnewargs__(self) -> tuple:
+        return self[:5]
 
     def walk(self) -> Iterator["SExprNode"]:
         """Yield this node and all descendants in document order.
@@ -168,6 +180,8 @@ def parse_sexpr(text: str) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
         level = levels[0]
         atom, lst = NodeKind.ATOM, NodeKind.LIST
         leaf_kind = _LEAF_KINDS.get
+        # Nodes and spans are built at C speed, each node's fields in
+        # ``SExprNode`` order with ``is_trivia`` last.
         new = tuple.__new__
         # Byte offsets equal character offsets in ASCII text.
         ascii_only = text.isascii()
@@ -181,8 +195,9 @@ def parse_sexpr(text: str) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
                 levels.append(level)
             elif first == ")":
                 if opens:
-                    node = SExprNode(lst, "", tuple(level),
-                                     new(Span, (opens.pop(), j)))
+                    node = new(SExprNode, (lst, "", tuple(level),
+                                           new(Span, (opens.pop(), j)),
+                                           True, False))
                     levels.pop()
                     level = levels[-1]
                     level.append(node)
@@ -190,12 +205,15 @@ def parse_sexpr(text: str) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
                     diagnostics.append(ParseDiagnostic(
                         _span(i, j), Severity.ERROR, "unmatched ')'",
                         "stray-closer"))
-                    level.append(SExprNode(atom, ")", (), new(Span, (i, j))))
+                    level.append(new(SExprNode, (atom, ")", (),
+                                                 new(Span, (i, j)), True,
+                                                 False)))
             else:
                 kind = leaf_kind(first, atom)
                 if i == 0 and piece == _BOM:
                     kind = NodeKind.WHITESPACE
-                level.append(SExprNode(kind, piece, (), new(Span, (i, j))))
+                level.append(new(SExprNode, (kind, piece, (), new(Span, (i, j)),
+                                             True, kind is not atom)))
             i = j
 
         # Close recovered lists innermost first, without inventing parentheses.
@@ -204,8 +222,8 @@ def parse_sexpr(text: str) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
             diagnostics.append(ParseDiagnostic(
                 _span(start, start + 1), Severity.ERROR,
                 "'(' is never closed", "unclosed-list"))
-            node = SExprNode(lst, "", tuple(levels.pop()), _span(start, i),
-                             closed=False)
+            node = new(SExprNode, (lst, "", tuple(levels.pop()),
+                                   _span(start, i), False, False))
             levels[-1].append(node)
         return levels[0], diagnostics
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from .model import DEFAULT_TYPE, PddlDomain, parse_domain
+from .model import DEFAULT_TYPE, PddlDomain, is_name, parse_domain
 from .sexpr import Document, MyPddlError, ParseDiagnostic, Severity, Span
 
 # Built-in numeric type: lives outside the object hierarchy, never drawn.
@@ -55,6 +55,7 @@ def build_type_graph(domain: PddlDomain) -> tuple[TypeGraph, list[ParseDiagnosti
     parameters) are materialized and implicitly rooted at "object". A type
     declared under several distinct parents keeps all its edges, plus a
     warning. Cycles are reported as errors and their back-edges marked.
+    Each diagnostic carries the span of the declaration that caused it.
     """
     graph = TypeGraph()
     diagnostics: list[ParseDiagnostic] = []
@@ -64,10 +65,12 @@ def build_type_graph(domain: PddlDomain) -> tuple[TypeGraph, list[ParseDiagnosti
         diagnostics.append(ParseDiagnostic(span or Span(0, 0), severity,
                                            message, code))
 
-    declared_parent: dict[str, set[str]] = {}
+    # Each declared type's parents, in declaration order, each with the span
+    # of the first declaration that names it.
+    declared_parent: dict[str, dict[str, Optional[Span]]] = {}
     for entry in domain.types.entries:
         parent = entry.type_name
-        if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_-]*", parent):
+        if not is_name(parent):
             warn(f"cannot place {entry.name!r} under compound type {parent!r}",
                  "either-type", span=entry.type_span)
             graph.nodes.add(entry.name)
@@ -75,12 +78,14 @@ def build_type_graph(domain: PddlDomain) -> tuple[TypeGraph, list[ParseDiagnosti
         graph.nodes.add(entry.name)
         graph.nodes.add(parent)
         graph.edges.add((entry.name, parent))
-        declared_parent.setdefault(entry.name, set()).add(parent)
+        declared_parent.setdefault(entry.name, {}).setdefault(
+            parent, entry.name_span)
 
     for name, parents in declared_parent.items():
         if len(parents) > 1:
             warn(f"type {name!r} is declared under several parents: "
-                 f"{', '.join(sorted(parents))}", "multi-parent")
+                 f"{', '.join(sorted(parents))}", "multi-parent",
+                 span=list(parents.values())[1])
 
     # Predicate signatures attach to every parameter type, once per box.
     for pred in domain.predicates:
@@ -91,11 +96,11 @@ def build_type_graph(domain: PddlDomain) -> tuple[TypeGraph, list[ParseDiagnosti
         for type_name in param_types:
             if type_name == _NUMBER:
                 continue
-            if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_-]*", type_name):
+            if not is_name(type_name):
                 continue
             if type_name not in graph.nodes:
                 warn(f"type {type_name!r} is used by {pred.name!r} but never "
-                     f"declared", "undeclared-type")
+                     f"declared", "undeclared-type", span=pred.span)
                 graph.nodes.add(type_name)
             box = graph.predicates_by_type.setdefault(type_name, [])
             if pred.signature_text not in box:
@@ -106,11 +111,16 @@ def build_type_graph(domain: PddlDomain) -> tuple[TypeGraph, list[ParseDiagnosti
         if node != DEFAULT_TYPE and node not in declared_parent:
             graph.edges.add((node, DEFAULT_TYPE))
 
-    _mark_cycles(graph, diagnostics)
+    _mark_cycles(graph, diagnostics, declared_parent)
     return graph, diagnostics
 
 
-def _mark_cycles(graph: TypeGraph, diagnostics: list[ParseDiagnostic]) -> None:
+def _mark_cycles(graph: TypeGraph, diagnostics: list[ParseDiagnostic],
+                 declared_parent: dict[str, dict[str, Optional[Span]]]) -> None:
+    """Mark back-edges. Report each cycle at the declaration of its
+    back-edge, or of its first declared edge if the back-edge is an implicit
+    one to object, and each type not rooted at object at its first
+    declaration (undeclared types hang off object, so they are rooted)."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {node: WHITE for node in graph.nodes}
     adjacency: dict[str, list[str]] = {node: [] for node in graph.nodes}
@@ -132,8 +142,12 @@ def _mark_cycles(graph: TypeGraph, diagnostics: list[ParseDiagnostic]) -> None:
                 if color[parent] == GRAY:
                     graph.cycle_edges.add((node, parent))
                     cycle = path[path.index(parent):] + [parent]
+                    span = next(
+                        (declared_parent[c][p] for c, p
+                         in [(node, parent), *zip(cycle, cycle[1:])]
+                         if p in declared_parent.get(c, ())), None)
                     diagnostics.append(ParseDiagnostic(
-                        Span(0, 0), Severity.ERROR,
+                        span or Span(0, 0), Severity.ERROR,
                         "type hierarchy contains a cycle: " + " -> ".join(cycle),
                         "type-cycle"))
                 elif color[parent] == WHITE:
@@ -158,7 +172,8 @@ def _mark_cycles(graph: TypeGraph, diagnostics: list[ParseDiagnostic]) -> None:
                 todo.append(child)
     for node in sorted(graph.nodes - reaches_object):
         diagnostics.append(ParseDiagnostic(
-            Span(0, 0), Severity.WARNING,
+            next(iter(declared_parent[node].values())) or Span(0, 0),
+            Severity.WARNING,
             f"type {node!r} is not rooted at {DEFAULT_TYPE!r}", "orphan-type"))
 
 

@@ -1,0 +1,124 @@
+"""Stdlib-only check that the front end behaves alike on every supported
+Python (3.10 to 3.13).
+
+Run it from the repository root with the interpreter under test:
+
+    python tests/check_interpreters.py
+
+It needs neither click nor pytest. For each corpus file and each seed-1
+input of the three benchmark workloads it hashes the input bytes and
+``repr(tokenize(...))`` and compares both with the digests recorded below,
+which Python 3.11.7 produced. It also checks that a parsed forest survives
+a pickle round trip. It prints one line per mismatch and exits 1 if there
+is any, else 0. ``--record`` prints the digests of the running interpreter
+in the form of ``EXPECTED``.
+"""
+
+import hashlib
+import pickle
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+
+import gen  # noqa: E402  (benchmarks/gen.py: the seeded input generator)
+from mypddl.highlight import tokenize  # noqa: E402
+from mypddl.sexpr import Document, serialize  # noqa: E402
+
+WORKLOADS = ("large-problem", "distance-grid", "broken-domain")
+
+# name -> (sha256 of the input bytes, sha256 of repr(tokenize(input)))
+EXPECTED = {
+    "corpus/coffee.pddl": (
+        "88bb2b7202f4fb7df22ad0bd6efd019b68efd20bd08376825d90a8efe90557be",
+        "829c11f9d0d46f5722f37f123256f523ad1b8ad7f0a4b09e7df4e981016f5833"),
+    "corpus/gary_pizza_problem.pddl": (
+        "39ef20bdb916e98b0aa6310910b75c728d2b783dba8529c3216ab50c0bf82d81",
+        "34ca851799b70ea1f1c3939b4467564912f50c8cf656f3737285c605c0473f5a"),
+    "corpus/garys_huge_problem.pddl": (
+        "5f53eecf50fad7d00dcabade1dacb6f96be80fcc86072ca4bd54be5da3ff696c",
+        "44eded840235e6f26c8561352d460c08123915469351a4a030c9fb6a54225aa0"),
+    "corpus/logistics.pddl": (
+        "d37fff1f7c1ec9f760247b1a12d35134efce2872fbff70402c7f97fbfc2a28be",
+        "2290f532b35d2d486b974d501e34c8b71339671402e17a7184aa34ed150b13f7"),
+    "corpus/splisus.pddl": (
+        "b36ccb2fa1bb564dca9a0fca07394e0471334dd77ebaac462680ab36e8c6afd1",
+        "4a1a6565c03824c46449534d66e4430297b336123d1b03f50bb135f47f1ced8d"),
+    "corpus/store.pddl": (
+        "da38aef5c337d5689910377d02b5ccd16ad64ebc09fe7984c8e5f295fc8478ca",
+        "684f0bec938d9dce4e29ce238d7939683c231e224928b620254d4dfa3c3139a0"),
+    "large-problem/domain": (
+        "db48b71c205bed5c33f8546cb1e28aecb9c05b61995deed03e39c56153dcf94d",
+        "895b4f1384325384dc65c42659cda7a2e7f57c4cf3839f3d81c0f99fa3f722fb"),
+    "large-problem/problem": (
+        "f258067bbe25b36c04ff4a467ddc03ea09f8a415265b0ff8c7198318ebd6edbf",
+        "00f0c627d28868420bc3caff09a487c0acc7c9e320ccfc8c086e47bf97375824"),
+    "distance-grid/domain": (
+        "cae37e0a29c9f2c18146c92bcc69f42966c35b2ef1d846b00483ac619b500661",
+        "8484f83d7d6ea642bee961030f5d71c6d3e38cbd480352a5134b497a8c4a5ed4"),
+    "distance-grid/problem": (
+        "ee96ef8c7748534390834069fcc11f1da37440a9d2d6cfd188b02cd35875022e",
+        "7abe9daf1876349a20a01f6ee36966f261e54c95212a7dd168b44d351459e284"),
+    "broken-domain/domain": (
+        "c472b490bef72c21048c5bf259056f1a17a65376a587edd7d4fe69f6678fb6fe",
+        "ef14547aa5ef374aacb2119a6903bf76311ceffe325564a47bef72bfc9fe5bb3"),
+    "broken-domain/problem": (
+        "b09d2a173696001ef3b2682cfaaae0a148c6c8b5d803ce9a776d38d68767597b",
+        "46abb17c8f0087eb4d09b48e7d3564f5a9c8b142c9a1e452443b860c68afaf41"),
+    "crlf": (
+        "190cda4434038994a4bea7b2d900417890ea92e6b56267934ae3be4b30706314",
+        "8c1e96c55f0077d063d280c36140e59843ac75416eca437a34408ec9aa732c9d"),
+}
+
+
+def inputs() -> dict[str, bytes]:
+    """Every UTF-8 input, by a name that says where it came from."""
+    found = {f"corpus/{path.name}": path.read_bytes()
+             for path in sorted((ROOT / "tests" / "corpus").glob("*.pddl"))}
+    for workload in WORKLOADS:
+        generated = gen.generate(workload, 1)
+        found[f"{workload}/domain"] = generated.domain.text
+        found[f"{workload}/problem"] = generated.problem.text
+    found["crlf"] = gen.crlf_problem().text
+    return found
+
+
+def digests(data: bytes) -> tuple[str, str]:
+    tokens = tokenize(Document(data))
+    return (hashlib.sha256(data).hexdigest(),
+            hashlib.sha256(repr(tokens).encode("utf-8")).hexdigest())
+
+
+def main(argv: list[str]) -> int:
+    found = {name: digests(data) for name, data in inputs().items()}
+    if "--record" in argv:
+        for name, pair in found.items():
+            print(f'    "{name}": (\n        "{pair[0]}",\n'
+                  f'        "{pair[1]}"),')
+        return 0
+    failures = []
+    for name in sorted(found.keys() | EXPECTED.keys()):
+        got, want = found.get(name), EXPECTED.get(name)
+        if got is None or want is None:
+            failures.append(f"{name}: recorded {want is not None}, "
+                            f"found {got is not None}")
+        elif got[0] != want[0]:
+            failures.append(f"{name}: the input bytes differ")
+        elif got[1] != want[1]:
+            failures.append(f"{name}: the tokens differ")
+    data = inputs()["corpus/coffee.pddl"] + b"\n(unclosed (list"
+    forest = Document(data).forest
+    if serialize(pickle.loads(pickle.dumps(forest))).encode("utf-8") != data:
+        failures.append("a pickled forest does not serialize to its input")
+    version = ".".join(map(str, sys.version_info[:3]))
+    for line in failures:
+        print(f"python {version}: {line}")
+    if not failures:
+        print(f"python {version}: {len(found)} inputs match, "
+              "and a forest pickles")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from mypddl import highlight
 from mypddl.cli import main
+from mypddl.sexpr import Document
 
 from conftest import CORPUS, FIXTURES, corpus_text
 
@@ -296,3 +297,34 @@ def test_a_command_runs_with_the_gc_paused(runner, monkeypatch):
     assert result.exit_code == 0, result.output
     assert seen == [False]
     assert after is True
+
+
+@pytest.mark.parametrize("args", [
+    ["check"],  # exits through sys.exit
+    ["insert", "--stdout", ":init", "(p a)"],  # a MyPddlError: no :init
+], ids=["check", "insert"])
+def test_a_failing_command_frees_its_trees_before_the_gc_resumes(
+        runner, tmp_path, monkeypatch, args):
+    # Were the document alive when the collector comes back on, its first
+    # young collection would scan the whole tree.
+    path = tmp_path / "bad.pddl"
+    path.write_text("(define (domain d) (:requirements :strips)) ?stray",
+                    encoding="utf-8")
+    alive = []
+    enable = gc.enable
+
+    def spy():
+        alive.append(sum(type(o) is Document
+                         and getattr(o, "path", None) == path
+                         for o in gc.get_objects()))
+        enable()
+
+    monkeypatch.setattr(gc, "enable", spy)
+    was_enabled = gc.isenabled()
+    enable()
+    try:
+        result = runner.invoke(main, args[:1] + [str(path)] + args[1:])
+    finally:
+        (enable if was_enabled else gc.disable)()
+    assert result.exit_code == 1, result.output
+    assert alive == [0], (result.output, result.exception)

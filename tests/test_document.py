@@ -2,7 +2,9 @@
 one line index per file, and exactly one parse per input file for every
 command."""
 
+import copy
 import json
+import pickle
 import sys
 
 import pytest
@@ -21,6 +23,7 @@ from mypddl.sexpr import (
     Span,
     as_document,
     offset_to_line_col,
+    serialize,
 )
 
 from conftest import CORPUS
@@ -80,6 +83,61 @@ def test_node_trivia_is_fixed_at_construction():
     assert SExprNode(NodeKind.WHITESPACE, " ").is_trivia
     assert not SExprNode(NodeKind.ATOM, "a").is_trivia
     assert not SExprNode(NodeKind.LIST).is_trivia
+
+
+_FOREST_TEXT = ("; header\n(define (problem p) (:init (at a b)\n"
+                "  (= (cost) 2.5)) ; trailing\n(:goal (and (p ?x")
+
+
+def _node_fields(nodes):
+    """Every node's fields, children replaced by their own fields."""
+    return [(n.kind, n.text, _node_fields(n.children), n.span, n.closed,
+             n.is_trivia) for n in nodes]
+
+
+@pytest.mark.parametrize("round_trip", [
+    lambda forest: pickle.loads(pickle.dumps(forest)),
+    copy.deepcopy,
+], ids=["pickle", "deepcopy"])
+def test_a_parsed_forest_survives_pickle_and_deepcopy(round_trip):
+    forest = as_document(_FOREST_TEXT).forest
+    assert any(not n.closed for n in forest[-1].walk())
+    copied = round_trip(forest)
+    assert serialize(copied) == serialize(forest) == _FOREST_TEXT
+    assert _node_fields(copied) == _node_fields(forest)
+    assert all(type(n) is SExprNode for top in copied for n in top.walk())
+
+
+def test_nodes_compare_and_hash_by_identity():
+    a = SExprNode(NodeKind.ATOM, "x", (), Span(0, 1))
+    b = SExprNode(NodeKind.ATOM, "x", (), Span(0, 1))
+    assert a != b and not a == b
+    assert a == a and not a != a
+    assert hash(a) != hash(b)
+    assert len({a, b}) == 2
+
+
+def test_nodes_are_immutable():
+    node = SExprNode(NodeKind.ATOM, "x", (), Span(0, 1))
+    with pytest.raises(AttributeError):
+        node.text = "y"
+
+
+def test_parsed_nodes_match_the_constructor():
+    for top in as_document(_FOREST_TEXT).forest:
+        for node in top.walk():
+            made = SExprNode(node.kind, node.text, node.children, node.span,
+                             node.closed)
+            assert tuple(made) == tuple(node)
+
+
+def test_node_kinds_keep_their_enum_semantics():
+    assert len(set(NodeKind)) == 4
+    assert NodeKind("atom") is NodeKind.ATOM
+    for kind in NodeKind:
+        assert pickle.loads(pickle.dumps(kind)) is kind
+        assert copy.deepcopy(kind) is kind
+    assert {NodeKind.LIST: 1}.get(NodeKind("list")) == 1
 
 
 # -- the document ---------------------------------------------------------------

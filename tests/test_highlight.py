@@ -152,6 +152,20 @@ def test_pathological_nesting_still_tiles(text):
     assert pos == len(text.encode("utf-8"))
 
 
+def test_lists_beyond_the_depth_limit_keep_their_parens():
+    text = ("(define (domain d) (:constraints " + "(and ; c\n " * 120
+            + "(p a ?x 3 -) x" + ")" * 120 + "))" + "(a (b" * 150)
+    tokens = tokenize(text)
+    closers = [t for t in tokens if t.text == ")"]
+    assert len(closers) == text.count(")")
+    assert {t.scope for t in closers} == {Scope.PUNCTUATION}
+    openers = [t.scope for t in tokens if t.text == "("]
+    assert openers == [Scope.PUNCTUATION] * 124 + [Scope.UNSCOPED] * 300
+    deep = [t for t in tokens if t.text in ("p", "?x", "3", "-")]
+    assert [t.scope for t in deep] == [
+        Scope.NAME, Scope.VARIABLE, Scope.NUMBER, Scope.PUNCTUATION]
+
+
 @pytest.mark.parametrize("name,golden_name", [
     ("logistics.pddl", "logistics_errors.json"),
     ("coffee.pddl", "coffee_errors.json"),

@@ -121,6 +121,59 @@ def test_cycle_diagnostics_keep_their_text_and_order():
     assert graph.cycle_edges == {("c", "a"), ("y", "x")}
 
 
+def test_type_graph_diagnostics_point_at_their_declarations(tmp_path):
+    domain = tmp_path / "cycle.pddl"
+    domain.write_text("(define (domain d)\n"
+                      "  (:types a - b b - a c - x c - y))\n",
+                      encoding="utf-8")
+    result = CliRunner().invoke(main, ["diagram", str(domain), "--out",
+                                       str(tmp_path / "out"), "--no-render"])
+    assert result.exit_code == 0, result.output
+    assert result.stderr.splitlines() == [
+        f"{domain}:1:1: warning: no renderer configured; image generation "
+        "skipped [no-renderer]",
+        f"{domain}:2:11: warning: type 'a' is not rooted at 'object' "
+        "[orphan-type]",
+        f"{domain}:2:17: error: type hierarchy contains a cycle: a -> b -> a "
+        "[type-cycle]",
+        f"{domain}:2:17: warning: type 'b' is not rooted at 'object' "
+        "[orphan-type]",
+        f"{domain}:2:29: warning: type 'c' is declared under several "
+        "parents: x, y [multi-parent]",
+    ]
+
+
+def test_undeclared_types_point_at_their_predicate():
+    text = corpus_text("logistics.pddl")
+    domain, _ = parse_domain(text)
+    _, diagnostics = build_type_graph(domain)
+    undeclared = [d for d in diagnostics if d.code == "undeclared-type"]
+    assert len(undeclared) == 5
+    for diag in undeclared:
+        name = diag.message.split("'")[3]
+        spanned = text.encode("utf-8")[diag.span.start:diag.span.end]
+        assert spanned.decode("utf-8").startswith(f"({name} ")
+
+
+_TYPE_NAMES = st.sampled_from(["a", "b", "c", "object", "Object", "number"])
+
+
+@given(st.lists(st.tuples(_TYPE_NAMES, _TYPE_NAMES), max_size=8),
+       st.lists(_TYPE_NAMES, max_size=3))
+@settings(max_examples=300)
+def test_type_graph_diagnostics_lie_on_declarations(declarations, used):
+    types = " ".join(f"{child} - {parent}" for child, parent in declarations)
+    params = " ".join(f"?v{i} - {t}" for i, t in enumerate(used))
+    text = f"(define (domain d) (:types {types}) (:predicates (p {params})))"
+    _, diagnostics = graph_for(text)
+    for diag in diagnostics:
+        spanned = text[diag.span.start:diag.span.end]
+        if diag.code == "undeclared-type":
+            assert spanned.startswith("(p ")
+        else:
+            assert spanned in ("a", "b", "c", "object", "Object", "number")
+
+
 def test_predicates_attach_to_each_parameter_type_once():
     text = ("(define (domain d) (:types t u - object)\n"
             "  (:predicates (twice ?a - t ?b - t) (mixed ?a - t ?b - u)))")
