@@ -16,7 +16,16 @@ from json.encoder import encode_basestring
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .model import REQUIREMENT_KEYS, is_name, is_number, is_variable
+from .model import (
+    ACTION_KEYS,
+    REQUIREMENT_KEYS,
+    define_kind,
+    head_key,
+    is_define,
+    is_name,
+    is_number,
+    is_variable,
+)
 from .sexpr import Document, NodeKind, SExprNode, Span, as_document, gc_paused
 
 
@@ -49,8 +58,9 @@ _EFFECT_OPS = frozenset({"assign", "increase", "decrease", "scale-up",
                          "scale-down"})
 _ARITHMETIC = frozenset({"+", "-", "*", "/"})
 
-# Misspelled action keys still hint at what their value was meant to be;
-# tokenizing the value in the hinted context keeps the error local to the key.
+# Misspelled action keys still hint at what their value was meant to be: the
+# value is read as that of the hinted key, or in the hinted context where the
+# action has no such key, which keeps the error local to the key.
 _ACTION_KEY_HINTS = {
     "parameters": "parameters", "parameter": "parameters",
     "precondition": "condition", "preconditions": "condition",
@@ -155,7 +165,8 @@ class _Walk:
              value_fn: Callable[[SExprNode, int], None]) -> None:
         """One in-order pass over a list's children: trivia emitted as-is,
         the head atom with ``head_scope``, the k-th following value through
-        ``value_fn``. Parens are emitted here too."""
+        ``value_fn(value, k)``. Parens are emitted here too. The grammar
+        methods take ``k`` too, so that they serve as value functions."""
         if self.depth >= _MAX_GRAMMAR_DEPTH:
             self.flat_emit(node)
             return
@@ -200,7 +211,7 @@ class _Walk:
         else:
             self.single(node, Scope.UNSCOPED)
 
-    def lenient(self, node: SExprNode) -> None:
+    def lenient(self, node: SExprNode, k: int = 0) -> None:
         if self.trivia(node):
             return
         if node.kind is NodeKind.ATOM:
@@ -257,16 +268,13 @@ class _Walk:
         if node.kind is NodeKind.ATOM:
             ok = is_name(node.text)
             self.single(node, Scope.TYPE_NAME if ok else Scope.UNSCOPED)
-            return
-        head = node.head()
-        if head is not None and head.kind is NodeKind.ATOM \
-                and head.text.lower() == "either":
+        elif head_key(node) == "either":
             def member(child: SExprNode, k: int) -> None:
                 if child.kind is NodeKind.ATOM and is_name(child.text):
                     self.single(child, Scope.TYPE_NAME)
                 else:
                     self.unscoped_tree(child)
-            self.each(node, head, Scope.KEYWORD, member)
+            self.each(node, node.head(), Scope.KEYWORD, member)
         else:
             self.unscoped_tree(node)
 
@@ -277,6 +285,30 @@ class _Walk:
             self.close_paren(node)
         else:
             self.atom_or_tree(node, Scope.UNSCOPED)
+
+    def headed(self, node: SExprNode, head: Optional[SExprNode],
+               emit_head: Callable[[SExprNode], None],
+               emit_tail: Callable[[list[SExprNode]], None]) -> None:
+        """(head tail...): the head through ``emit_head``, then everything
+        after it, trivia included, through ``emit_tail``."""
+        self.open_paren(node)
+        tail: list[SExprNode] = []
+        seen_head = False
+        for child in node.children:
+            if seen_head:
+                tail.append(child)
+            elif child is head:
+                emit_head(child)
+                seen_head = True
+            else:
+                self.trivia(child)
+        emit_tail(tail)
+        self.close_paren(node)
+
+    def name_value(self, node: SExprNode, k: int = 0) -> None:
+        """A name position: a Name if the atom is one, else Unscoped."""
+        ok = node.kind is NodeKind.ATOM and is_name(node.text)
+        self.atom_or_tree(node, Scope.NAME if ok else Scope.UNSCOPED)
 
     # -- terms and numeric expressions ---------------------------------------
 
@@ -296,68 +328,72 @@ class _Walk:
             self.term_scopes[text] = scope
         return scope
 
-    def fexp(self, node: SExprNode) -> None:
+    def fexp(self, node: SExprNode, k: int = 0) -> None:
         if node.kind is NodeKind.ATOM:
             self.single(node, self.term_scope(node.text))
             return
         head = node.head()
         if head is not None and head.kind is NodeKind.ATOM:
             if head.text in _ARITHMETIC:
-                self.each(node, head, Scope.KEYWORD,
-                          lambda c, k: self.fexp(c))
+                self.each(node, head, Scope.KEYWORD, self.fexp)
                 return
             if is_name(head.text):
-                self.each(node, head, Scope.NAME, lambda c, k: self.fexp(c))
+                self.each(node, head, Scope.NAME, self.fexp)
                 return
         self.unscoped_tree(node)
 
     # -- conditions and effects ------------------------------------------------
 
-    def condition(self, node: SExprNode) -> None:
+    def formula_head(self, node: SExprNode) -> Optional[SExprNode]:
+        """The head atom of a formula. Anything else (an atom, an empty list
+        or a list headed by a list) is emitted here, and None returned."""
         if node.kind is NodeKind.ATOM:
             self.single(node, Scope.UNSCOPED)
-            return
+            return None
         head = node.head()
         if head is None:
             self.each(node, None, None, lambda c, k: None)
-            return
-        if head.kind is not NodeKind.ATOM:
+        elif head.kind is not NodeKind.ATOM:
             self.unscoped_tree(node)
+        else:
+            return head
+        return None
+
+    def atomic(self, node: SExprNode, head: SExprNode, ground: bool) -> None:
+        """An atomic formula if its head is a name, else lenient content."""
+        if is_name(head.text):
+            self.application(node, head, ground)
+        else:
+            self.unknown_block(node)
+
+    def condition(self, node: SExprNode, k: int = 0) -> None:
+        head = self.formula_head(node)
+        if head is None:
             return
         key = head.text.lower()
         if key in _CONDITION_CONNECTIVES:
-            self.each(node, head, Scope.KEYWORD, lambda c, k: self.condition(c))
+            self.each(node, head, Scope.KEYWORD, self.condition)
         elif key in ("forall", "exists"):
             self.quantified(node, head, self.condition)
         elif key == "preference":
             def value(child: SExprNode, k: int) -> None:
                 if k == 0 and child.kind is NodeKind.ATOM:
-                    ok = is_name(child.text)
-                    self.single(child, Scope.NAME if ok else Scope.UNSCOPED)
+                    self.name_value(child)
                 else:
                     self.condition(child)
             self.each(node, head, Scope.KEYWORD, value)
         elif key in _COMPARISONS:
-            self.each(node, head, Scope.KEYWORD, lambda c, k: self.fexp(c))
-        elif is_name(head.text):
-            self.application(node, head, ground=False)
+            self.each(node, head, Scope.KEYWORD, self.fexp)
         else:
-            self.each(node, head, Scope.UNSCOPED, lambda c, k: self.lenient(c))
+            self.atomic(node, head, ground=False)
 
-    def effect(self, node: SExprNode) -> None:
-        if node.kind is NodeKind.ATOM:
-            self.single(node, Scope.UNSCOPED)
-            return
-        head = node.head()
+    def effect(self, node: SExprNode, k: int = 0) -> None:
+        head = self.formula_head(node)
         if head is None:
-            self.each(node, None, None, lambda c, k: None)
-            return
-        if head.kind is not NodeKind.ATOM:
-            self.unscoped_tree(node)
             return
         key = head.text.lower()
         if key in ("and", "not"):
-            self.each(node, head, Scope.KEYWORD, lambda c, k: self.effect(c))
+            self.each(node, head, Scope.KEYWORD, self.effect)
         elif key == "when":
             def value(child: SExprNode, k: int) -> None:
                 if k == 0:
@@ -368,28 +404,19 @@ class _Walk:
         elif key == "forall":
             self.quantified(node, head, self.effect)
         elif key in _EFFECT_OPS:
-            self.each(node, head, Scope.KEYWORD, lambda c, k: self.fexp(c))
-        elif is_name(head.text):
-            self.application(node, head, ground=False)
+            self.each(node, head, Scope.KEYWORD, self.fexp)
         else:
-            self.each(node, head, Scope.UNSCOPED, lambda c, k: self.lenient(c))
+            self.atomic(node, head, ground=False)
 
-    def init_fact(self, node: SExprNode) -> None:
-        if node.kind is NodeKind.ATOM:
-            self.single(node, Scope.UNSCOPED)
-            return
-        head = node.head()
+    def init_fact(self, node: SExprNode, k: int = 0) -> None:
+        head = self.formula_head(node)
         if head is None:
-            self.each(node, None, None, lambda c, k: None)
-            return
-        if head.kind is not NodeKind.ATOM:
-            self.unscoped_tree(node)
             return
         key = head.text.lower()
         if key == "=":
-            self.each(node, head, Scope.KEYWORD, lambda c, k: self.fexp(c))
+            self.each(node, head, Scope.KEYWORD, self.fexp)
         elif key == "not":
-            self.each(node, head, Scope.KEYWORD, lambda c, k: self.init_fact(c))
+            self.each(node, head, Scope.KEYWORD, self.init_fact)
         elif key == "at" and len(values := node.values()) > 1 \
                 and values[1].kind is NodeKind.ATOM and is_number(values[1].text):
             # timed initial literal
@@ -399,10 +426,8 @@ class _Walk:
                 else:
                     self.init_fact(child)
             self.each(node, head, Scope.KEYWORD, value)
-        elif is_name(head.text):
-            self.application(node, head, ground=True)
         else:
-            self.each(node, head, Scope.UNSCOPED, lambda c, k: self.lenient(c))
+            self.atomic(node, head, ground=True)
 
     def application(self, node: SExprNode, head: SExprNode, ground: bool) -> None:
         """An atomic formula (name term...): the head atom is a Name and
@@ -460,40 +485,13 @@ class _Walk:
         self.each(node, head, Scope.KEYWORD, value)
 
     def typed_list_block(self, node: SExprNode, head: SExprNode) -> None:
-        self.open_paren(node)
-        tail: list[SExprNode] = []
-        seen_head = False
-        for child in node.children:
-            if seen_head:
-                tail.append(child)
-            elif child is head:
-                self.single(child, Scope.KEYWORD)
-                seen_head = True
-            else:
-                self.trivia(child)
-        self.typed_list(tail, variables=False)
-        self.close_paren(node)
+        self.headed(node, head, lambda h: self.single(h, Scope.KEYWORD),
+                    lambda tail: self.typed_list(tail, variables=False))
 
     def declaration(self, node: SExprNode) -> None:
         """A predicate or function declaration: (name typed-variables...)."""
-        head = node.head()
-        self.open_paren(node)
-        tail: list[SExprNode] = []
-        seen_head = False
-        for child in node.children:
-            if seen_head:
-                tail.append(child)
-            elif child is head and head is not None:
-                if child.kind is NodeKind.ATOM:
-                    ok = is_name(child.text)
-                    self.single(child, Scope.NAME if ok else Scope.UNSCOPED)
-                else:
-                    self.unscoped_tree(child)
-                seen_head = True
-            else:
-                self.trivia(child)
-        self.typed_list(tail, variables=True)
-        self.close_paren(node)
+        self.headed(node, node.head(), self.name_value,
+                    lambda tail: self.typed_list(tail, variables=True))
 
     def predicates_block(self, node: SExprNode, head: SExprNode) -> None:
         def value(child: SExprNode, k: int) -> None:
@@ -504,17 +502,13 @@ class _Walk:
         self.each(node, head, Scope.KEYWORD, value)
 
     def functions_block(self, node: SExprNode, head: SExprNode) -> None:
-        self.open_paren(node)
-        seen_head = False
+        self.headed(node, head, lambda h: self.single(h, Scope.KEYWORD),
+                    self.function_list)
+
+    def function_list(self, children: Sequence[SExprNode]) -> None:
+        """Function declarations, each group typed by ``- type``."""
         expect_type = False
-        for child in node.children:
-            if not seen_head:
-                if child is head:
-                    self.single(child, Scope.KEYWORD)
-                    seen_head = True
-                else:
-                    self.trivia(child)
-                continue
+        for child in children:
             if self.trivia(child):
                 continue
             if expect_type:
@@ -522,59 +516,37 @@ class _Walk:
                 expect_type = False
             elif child.kind is NodeKind.LIST:
                 self.declaration(child)
-            elif child.kind is NodeKind.ATOM and child.text == "-":
+            elif child.text == "-":
                 self.single(child, Scope.PUNCTUATION)
                 expect_type = True
             else:
                 self.single(child, Scope.UNSCOPED)
-        self.close_paren(node)
 
-    def action_block(self, node: SExprNode, head: SExprNode,
-                     durative: bool) -> None:
-        if durative:
-            known = {":parameters": "parameters", ":duration": "condition",
-                     ":condition": "durative-condition",
-                     ":effect": "durative-effect"}
-        else:
-            known = {":parameters": "parameters", ":precondition": "condition",
-                     ":effect": "effect"}
-        mode: Optional[str] = None
+    def action_block(self, node: SExprNode, head: SExprNode) -> None:
+        """(:action NAME key value...) or (:durative-action ...), keyed by
+        ``ACTION_KEYS``."""
+        keys = ACTION_KEYS[head.text.lower()]
+        context: Optional[str] = None
 
         def value(child: SExprNode, k: int) -> None:
-            nonlocal mode
+            nonlocal context
             if k == 0:
-                # action name position
-                ok = child.kind is NodeKind.ATOM and is_name(child.text)
-                self.atom_or_tree(child, Scope.NAME if ok else Scope.UNSCOPED)
-                return
-            if mode is None:
-                if child.kind is NodeKind.ATOM:
-                    key = child.text.lower()
-                    if key in known:
-                        self.single(child, Scope.KEYWORD)
-                        mode = known[key]
-                    else:
-                        self.single(child, Scope.UNSCOPED)
-                        hint = _ACTION_KEY_HINTS.get(key.strip(":"))
-                        if durative and hint in ("condition", "effect"):
-                            hint = f"durative-{hint}"
-                        mode = hint or "lenient"
-                else:
-                    self.unscoped_tree(child)
-                return
-            if mode == "parameters":
-                self.params_value(child)
-            elif mode == "condition":
-                self.condition(child)
-            elif mode == "effect":
-                self.effect(child)
-            elif mode == "durative-condition":
-                self.timed(child, self.condition)
-            elif mode == "durative-effect":
-                self.timed(child, self.effect)
+                self.name_value(child)
+            elif context is not None:
+                self.ACTION_VALUES.get(context, _Walk.lenient)(self, child)
+                context = None
+            elif child.kind is not NodeKind.ATOM:
+                self.unscoped_tree(child)
+            elif (key := child.text.lower()) in keys:
+                self.single(child, Scope.KEYWORD)
+                context = keys[key][1]
             else:
-                self.lenient(child)
-            mode = None
+                self.single(child, Scope.UNSCOPED)
+                # Read the value as that of the hinted key if this kind of
+                # action has it, so a durative one gets the timed context.
+                hint = _ACTION_KEY_HINTS.get(key.strip(":"))
+                context = keys[f":{hint}"][1] if f":{hint}" in keys \
+                    else hint or "lenient"
 
         self.each(node, head, Scope.KEYWORD, value)
 
@@ -613,13 +585,13 @@ class _Walk:
                 self.condition(child)
         self.each(node, head, Scope.KEYWORD, value)
 
+    def conditions_block(self, node: SExprNode, head: SExprNode) -> None:
+        self.each(node, head, Scope.KEYWORD, self.condition)
+
     # -- problem blocks ------------------------------------------------------------
 
-    def simple_ref_block(self, node: SExprNode, head: SExprNode) -> None:
-        def value(child: SExprNode, k: int) -> None:
-            ok = child.kind is NodeKind.ATOM and is_name(child.text)
-            self.atom_or_tree(child, Scope.NAME if ok else Scope.UNSCOPED)
-        self.each(node, head, Scope.KEYWORD, value)
+    def init_block(self, node: SExprNode, head: SExprNode) -> None:
+        self.each(node, head, Scope.KEYWORD, self.init_fact)
 
     def metric_block(self, node: SExprNode, head: SExprNode) -> None:
         def value(child: SExprNode, k: int) -> None:
@@ -637,93 +609,41 @@ class _Walk:
         if head is None:
             self.each(node, None, None, lambda c, k: None)
         elif head.kind is NodeKind.ATOM:
-            self.each(node, head, Scope.UNSCOPED, lambda c, k: self.lenient(c))
+            self.each(node, head, Scope.UNSCOPED, self.lenient)
         else:
-            self.each(node, head, None, lambda c, k: self.lenient(c))
-
-    def domain_block(self, node: SExprNode) -> None:
-        if node.kind is not NodeKind.LIST:
-            self.single(node, Scope.UNSCOPED)
-            return
-        head = node.head()
-        key = head.text.lower() if head is not None \
-            and head.kind is NodeKind.ATOM else None
-        if key == ":requirements":
-            self.requirements_block(node, head)
-        elif key in (":types", ":constants"):
-            self.typed_list_block(node, head)
-        elif key == ":predicates":
-            self.predicates_block(node, head)
-        elif key == ":functions":
-            self.functions_block(node, head)
-        elif key == ":action":
-            self.action_block(node, head, durative=False)
-        elif key == ":durative-action":
-            self.action_block(node, head, durative=True)
-        elif key == ":derived":
-            self.derived_block(node, head)
-        elif key == ":constraints":
-            self.each(node, head, Scope.KEYWORD, lambda c, k: self.condition(c))
-        else:
-            self.unknown_block(node)
-
-    def problem_block(self, node: SExprNode) -> None:
-        if node.kind is not NodeKind.LIST:
-            self.single(node, Scope.UNSCOPED)
-            return
-        head = node.head()
-        key = head.text.lower() if head is not None \
-            and head.kind is NodeKind.ATOM else None
-        if key == ":domain":
-            self.simple_ref_block(node, head)
-        elif key == ":requirements":
-            self.requirements_block(node, head)
-        elif key == ":objects":
-            self.typed_list_block(node, head)
-        elif key == ":init":
-            self.each(node, head, Scope.KEYWORD, lambda c, k: self.init_fact(c))
-        elif key in (":goal", ":constraints"):
-            self.each(node, head, Scope.KEYWORD, lambda c, k: self.condition(c))
-        elif key == ":metric":
-            self.metric_block(node, head)
-        else:
-            self.unknown_block(node)
+            self.each(node, head, None, self.lenient)
 
     # -- whole files --------------------------------------------------------------
 
+    def block(self, node: SExprNode, handlers: dict) -> None:
+        """A block of a define form, through the handler of its key."""
+        if node.kind is not NodeKind.LIST:
+            self.single(node, Scope.UNSCOPED)
+            return
+        handler = handlers.get(head_key(node))
+        if handler is None:
+            self.unknown_block(node)
+        else:
+            handler(self, node, node.head())
+
     def define_form(self, node: SExprNode) -> None:
         values = node.values()
-        head = values[0]
         decl = values[1] if len(values) > 1 else None
-        mode = "domain"
-        decl_ok = False
-        if decl is not None and decl.kind is NodeKind.LIST:
-            dv = decl.values()
-            if len(dv) == 2 and dv[0].kind is NodeKind.ATOM \
-                    and dv[0].text.lower() in ("domain", "problem") \
-                    and dv[1].kind is NodeKind.ATOM:
-                mode = dv[0].text.lower()
-                decl_ok = True
+        kind = define_kind(decl)
+        handlers = self.PROBLEM_BLOCKS if kind == "problem" \
+            else self.DOMAIN_BLOCKS
 
         def value(child: SExprNode, k: int) -> None:
-            if k == 0 and child is decl:
-                if decl_ok:
-                    dv = decl.values()
-
-                    def name_pos(sub: SExprNode, j: int) -> None:
-                        ok = sub.kind is NodeKind.ATOM and is_name(sub.text)
-                        self.atom_or_tree(sub, Scope.NAME if ok else Scope.UNSCOPED)
-                    self.each(decl, dv[0], Scope.KEYWORD, name_pos)
-                elif decl.kind is NodeKind.ATOM:
-                    self.single(decl, Scope.UNSCOPED)
-                else:
-                    self.unknown_block(decl)
-            elif mode == "problem":
-                self.problem_block(child)
+            if k > 0:
+                self.block(child, handlers)
+            elif kind is not None:
+                self.each(child, child.head(), Scope.KEYWORD, self.name_value)
+            elif child.kind is NodeKind.ATOM:
+                self.single(child, Scope.UNSCOPED)
             else:
-                self.domain_block(child)
+                self.unknown_block(child)
 
-        self.each(node, head, Scope.KEYWORD, value)
+        self.each(node, values[0], Scope.KEYWORD, value)
 
     def run(self) -> list[Token]:
         for node in self.forest:
@@ -731,14 +651,43 @@ class _Walk:
                 continue
             if node.kind is NodeKind.ATOM:
                 self.single(node, Scope.UNSCOPED)
-                continue
-            head = node.head()
-            if head is not None and head.kind is NodeKind.ATOM \
-                    and head.text.lower() == "define":
+            elif is_define(node):
                 self.define_form(node)
             else:
                 self.unknown_block(node)
         return self.tokens
+
+    # Handlers by block key (the keys of ``DOMAIN_BLOCK_KEYS`` and
+    # ``PROBLEM_BLOCK_KEYS``), and by the context ``ACTION_KEYS`` gives an
+    # action key's value.
+    DOMAIN_BLOCKS = {
+        ":requirements": requirements_block,
+        ":types": typed_list_block,
+        ":constants": typed_list_block,
+        ":predicates": predicates_block,
+        ":functions": functions_block,
+        ":action": action_block,
+        ":durative-action": action_block,
+        ":derived": derived_block,
+        ":constraints": conditions_block,
+    }
+    PROBLEM_BLOCKS = {
+        ":domain": lambda self, node, head: self.each(
+            node, head, Scope.KEYWORD, self.name_value),
+        ":requirements": requirements_block,
+        ":objects": typed_list_block,
+        ":init": init_block,
+        ":goal": conditions_block,
+        ":metric": metric_block,
+        ":constraints": conditions_block,
+    }
+    ACTION_VALUES = {
+        "parameters": params_value,
+        "condition": condition,
+        "effect": effect,
+        "timed-condition": lambda self, node: self.timed(node, self.condition),
+        "timed-effect": lambda self, node: self.timed(node, self.effect),
+    }
 
 
 def tokenize(source: Union[str, Document]) -> list[Token]:

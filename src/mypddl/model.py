@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .sexpr import (
     Document,
@@ -27,6 +27,10 @@ NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 VARIABLE_RE = re.compile(r"\?[A-Za-z][A-Za-z0-9_-]*\Z")
 NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 
+# The PDDL 3.1 block grammar (Kovacs, 2011), written down once: the block
+# keys of a domain and of a problem and, for each kind of action, what each
+# key's value fills in the model and the context the scope walk
+# (``highlight._Walk``) reads it in. A new block or action key goes here.
 DOMAIN_BLOCK_KEYS = frozenset({
     ":requirements", ":types", ":constants", ":predicates", ":functions",
     ":action", ":durative-action", ":derived", ":constraints",
@@ -35,6 +39,21 @@ PROBLEM_BLOCK_KEYS = frozenset({
     ":domain", ":requirements", ":objects", ":init", ":goal", ":metric",
     ":constraints",
 })
+# Blocks a domain may hold more than once; a repeat of any other is reported.
+_REPEATABLE_BLOCKS = frozenset({":action", ":durative-action", ":derived"})
+ACTION_KEYS = {
+    ":action": {
+        ":parameters": ("parameters", "parameters"),
+        ":precondition": ("precondition", "condition"),
+        ":effect": ("effect", "effect"),
+    },
+    ":durative-action": {
+        ":parameters": ("parameters", "parameters"),
+        ":duration": ("duration", "condition"),
+        ":condition": ("condition", "timed-condition"),
+        ":effect": ("effect", "timed-effect"),
+    },
+}
 REQUIREMENT_KEYS = frozenset({
     ":strips", ":typing", ":negative-preconditions",
     ":disjunctive-preconditions", ":equality", ":existential-preconditions",
@@ -163,10 +182,8 @@ def parse_typed_list(nodes: Sequence[SExprNode]) -> tuple[TypedList, list[ParseD
                 else:
                     # "(either a b)" and friends: keep the raw text as the
                     # type so nothing is lost, but flag it.
-                    head = tn.head()
-                    code = "either-type" if head is not None \
-                        and head.kind is NodeKind.ATOM \
-                        and head.text.lower() == "either" else "bad-type"
+                    code = "either-type" if head_key(tn) == "either" \
+                        else "bad-type"
                     if tn.span is not None:
                         diagnostics.append(ParseDiagnostic(
                             tn.span, Severity.WARNING,
@@ -201,13 +218,31 @@ def _warn(diags: list[ParseDiagnostic], node: SExprNode, message: str,
     diags.append(ParseDiagnostic(span, severity, message, code))
 
 
-def _find_define(forest: Sequence[SExprNode]) -> Optional[SExprNode]:
-    for node in forest:
-        if node.kind is NodeKind.LIST:
-            head = node.head()
-            if head is not None and head.kind is NodeKind.ATOM \
-                    and head.text.lower() == "define":
-                return node
+def head_key(node: SExprNode) -> Optional[str]:
+    """The lowercased text of a list's head atom, or None."""
+    head = node.head() if node.kind is NodeKind.LIST else None
+    return head.text.lower() if head is not None \
+        and head.kind is NodeKind.ATOM else None
+
+
+def is_define(node: SExprNode) -> bool:
+    return head_key(node) == "define"
+
+
+def find_define(forest: Sequence[SExprNode]) -> Optional[SExprNode]:
+    """The first top-level ``(define ...)`` form, or None."""
+    return next(filter(is_define, forest), None)
+
+
+def define_kind(decl: Optional[SExprNode]) -> Optional[str]:
+    """"domain" or "problem" if ``decl`` is a well-formed ``(domain NAME)``
+    or ``(problem NAME)`` declaration, else None."""
+    if decl is not None and decl.kind is NodeKind.LIST:
+        values = decl.values()
+        if len(values) == 2 and values[0].kind is NodeKind.ATOM \
+                and values[1].kind is NodeKind.ATOM \
+                and values[0].text.lower() in ("domain", "problem"):
+            return values[0].text.lower()
     return None
 
 
@@ -223,69 +258,41 @@ def _parse_predicate_decl(node: SExprNode,
                          span=node.span)
 
 
-def _parse_action(node: SExprNode, diags: list[ParseDiagnostic]) -> ActionDecl:
-    values = node.values()
-    action = ActionDecl(name=None, parameters=TypedList(), span=node.span)
-    rest = values[1:]
+def _parse_action(node: SExprNode, key: str, diags: list[ParseDiagnostic],
+                  ) -> Union[ActionDecl, DurativeActionDecl]:
+    """An ``:action`` or ``:durative-action`` block, read by ``ACTION_KEYS``.
+
+    An unknown key is reported and skipped together with its value; a list
+    in key position is reported and skipped on its own.
+    """
+    what = key[1:].replace("-", " ")
+    keys = ACTION_KEYS[key]
+    decl = ActionDecl if key == ":action" else DurativeActionDecl
+    action = decl(name=None, parameters=TypedList(), span=node.span)
+    rest = node.values()[1:]
     if rest and rest[0].kind is NodeKind.ATOM and not rest[0].text.startswith(":"):
         action.name = rest[0].text
         rest = rest[1:]
     else:
-        _warn(diags, node, "action has no name", "missing-action-name")
+        _warn(diags, node, f"{what} has no name", "missing-action-name")
     i = 0
     while i < len(rest):
-        key = rest[i]
-        value = rest[i + 1] if i + 1 < len(rest) else None
-        if key.kind is NodeKind.ATOM and key.text.lower() == ":parameters":
-            if value is not None and value.kind is NodeKind.LIST:
-                params, d = parse_typed_list(value.children)
-                action.parameters = params
-                diags.extend(d)
-            i += 2
-        elif key.kind is NodeKind.ATOM and key.text.lower() == ":precondition":
-            action.precondition = value
-            i += 2
-        elif key.kind is NodeKind.ATOM and key.text.lower() == ":effect":
-            action.effect = value
-            i += 2
-        else:
-            _warn(diags, key, f"unrecognized entry {key.text!r} in action",
+        entry, value = rest[i], rest[i + 1] if i + 1 < len(rest) else None
+        if entry.kind is not NodeKind.ATOM:
+            _warn(diags, entry, f"unrecognized entry '(...)' in {what}",
                   "unknown-action-key")
             i += 1
-    return action
-
-
-def _parse_durative_action(node: SExprNode,
-                           diags: list[ParseDiagnostic]) -> DurativeActionDecl:
-    values = node.values()
-    action = DurativeActionDecl(name=None, parameters=TypedList(), span=node.span)
-    rest = values[1:]
-    if rest and rest[0].kind is NodeKind.ATOM and not rest[0].text.startswith(":"):
-        action.name = rest[0].text
-        rest = rest[1:]
-    else:
-        _warn(diags, node, "durative action has no name", "missing-action-name")
-    keys = {":parameters": "parameters", ":duration": "duration",
-            ":condition": "condition", ":effect": "effect"}
-    i = 0
-    while i < len(rest):
-        key = rest[i]
-        value = rest[i + 1] if i + 1 < len(rest) else None
-        attr = keys.get(key.text.lower()) if key.kind is NodeKind.ATOM else None
-        if attr == "parameters":
-            if value is not None and value.kind is NodeKind.LIST:
-                params, d = parse_typed_list(value.children)
-                action.parameters = params
-                diags.extend(d)
-            i += 2
-        elif attr is not None:
+            continue
+        i += 2
+        attr, _ = keys.get(entry.text.lower(), (None, None))
+        if attr is None:
+            _warn(diags, entry, f"unrecognized entry {entry.text!r} in {what}",
+                  "unknown-action-key")
+        elif attr != "parameters":
             setattr(action, attr, value)
-            i += 2
-        else:
-            _warn(diags, key,
-                  f"unrecognized entry {key.text!r} in durative action",
-                  "unknown-action-key")
-            i += 1
+        elif value is not None and value.kind is NodeKind.LIST:
+            action.parameters, d = parse_typed_list(value.children)
+            diags.extend(d)
     return action
 
 
@@ -325,61 +332,66 @@ def _parse_functions(nodes: Sequence[SExprNode],
     return decls
 
 
+def _header(source: Union[str, Document], kind: str,
+            ) -> tuple[Optional[SExprNode], Optional[str], list[SExprNode],
+                       list[ParseDiagnostic]]:
+    """The define form of a document, the NAME of its ``(kind NAME)``
+    declaration, the blocks after it, and the parse diagnostics followed by
+    any for a missing define form or declaration."""
+    doc = as_document(source)
+    diagnostics = list(doc.diagnostics)
+    define = find_define(doc.forest)
+    if define is None:
+        diagnostics.append(ParseDiagnostic(
+            Span(0, 0), Severity.ERROR,
+            f"no (define ({kind} ...)) form found", "missing-define"))
+        return None, None, [], diagnostics
+    blocks = define.values()[1:]
+    if blocks and define_kind(blocks[0]) == kind:
+        return define, blocks[0].values()[1].text, blocks[1:], diagnostics
+    _warn(diagnostics, define, f"missing ({kind} NAME) declaration",
+          f"missing-{kind}-decl", Severity.ERROR)
+    return define, None, blocks, diagnostics
+
+
+def _blocks(blocks: Sequence[SExprNode], level: str, keys: frozenset[str],
+            diags: list[ParseDiagnostic],
+            ) -> Iterator[tuple[str, SExprNode, list[SExprNode]]]:
+    """Each known block as (key, block, body), lazily, so that diagnostics
+    stay in file order: a stray atom, an unknown block or a repeat of a
+    block that may appear once is reported as it is reached."""
+    seen: set[str] = set()
+    for block in blocks:
+        if block.kind is not NodeKind.LIST:
+            _warn(diags, block, f"stray {block.text!r} at {level} level",
+                  "stray-atom")
+            continue
+        key = head_key(block)
+        if key not in keys:
+            _warn(diags, block,
+                  f"unrecognized block {key or '(...)'!s} skipped", "unknown-block")
+            continue
+        if key in seen and key not in _REPEATABLE_BLOCKS:
+            _warn(diags, block, f"duplicate {key} block", "duplicate-block")
+        seen.add(key)
+        yield key, block, block.values()[1:]
+
+
 def parse_domain(source: Union[str, Document],
                  ) -> tuple[PddlDomain, list[ParseDiagnostic]]:
     """The typed domain of a document (or of text, parsed first), with the
     parse diagnostics followed by the model's own."""
-    doc = as_document(source)
-    forest, diagnostics = doc.forest, list(doc.diagnostics)
-    domain = PddlDomain()
-    define = _find_define(forest)
-    if define is None:
-        diagnostics.append(ParseDiagnostic(
-            Span(0, 0), Severity.ERROR,
-            "no (define (domain ...)) form found", "missing-define"))
-        return domain, diagnostics
-
-    values = define.values()
-    blocks = values[1:]
-    if blocks and blocks[0].kind is NodeKind.LIST:
-        decl = blocks[0].values()
-        if len(decl) == 2 and decl[0].kind is NodeKind.ATOM \
-                and decl[0].text.lower() == "domain" \
-                and decl[1].kind is NodeKind.ATOM:
-            domain.name = decl[1].text
-            blocks = blocks[1:]
-    if domain.name is None:
-        _warn(diagnostics, define, "missing (domain NAME) declaration",
-              "missing-domain-decl", Severity.ERROR)
-
-    seen: set[str] = set()
-    for block in blocks:
-        if block.kind is not NodeKind.LIST:
-            _warn(diagnostics, block,
-                  f"stray {block.text!r} at domain level", "stray-atom")
-            continue
-        head = block.head()
-        key = head.text.lower() if head is not None \
-            and head.kind is NodeKind.ATOM else None
-        if key not in DOMAIN_BLOCK_KEYS:
-            _warn(diagnostics, block,
-                  f"unrecognized block {key or '(...)'!s} skipped", "unknown-block")
-            continue
-        if key in seen and key not in (":action", ":durative-action", ":derived"):
-            _warn(diagnostics, block, f"duplicate {key} block", "duplicate-block")
-        seen.add(key)
-        body = block.values()[1:]
+    _, name, blocks, diagnostics = _header(source, "domain")
+    domain = PddlDomain(name=name)
+    for key, block, body in _blocks(blocks, "domain", DOMAIN_BLOCK_KEYS,
+                                    diagnostics):
         if key == ":requirements":
             for req in body:
                 if req.kind is NodeKind.ATOM:
                     domain.requirements.append(req.text)
-        elif key == ":types":
+        elif key in (":types", ":constants"):
             tl, d = parse_typed_list(body)
-            domain.types.entries.extend(tl.entries)
-            diagnostics.extend(d)
-        elif key == ":constants":
-            tl, d = parse_typed_list(body)
-            domain.constants.entries.extend(tl.entries)
+            getattr(domain, key[1:]).entries.extend(tl.entries)
             diagnostics.extend(d)
         elif key == ":predicates":
             for child in body:
@@ -394,9 +406,9 @@ def parse_domain(source: Union[str, Document],
         elif key == ":functions":
             domain.functions.extend(_parse_functions(body, diagnostics))
         elif key == ":action":
-            domain.actions.append(_parse_action(block, diagnostics))
+            domain.actions.append(_parse_action(block, key, diagnostics))
         elif key == ":durative-action":
-            domain.durative_actions.append(_parse_durative_action(block, diagnostics))
+            domain.durative_actions.append(_parse_action(block, key, diagnostics))
         elif key == ":derived":
             domain.derived.append(block)
     return domain, diagnostics
@@ -406,42 +418,12 @@ def parse_problem(source: Union[str, Document],
                   ) -> tuple[PddlProblem, list[ParseDiagnostic]]:
     """The typed problem of a document (or of text, parsed first), with the
     parse diagnostics followed by the model's own."""
-    doc = as_document(source)
-    forest, diagnostics = doc.forest, list(doc.diagnostics)
-    problem = PddlProblem()
-    define = _find_define(forest)
+    define, name, blocks, diagnostics = _header(source, "problem")
+    problem = PddlProblem(name=name)
     if define is None:
-        diagnostics.append(ParseDiagnostic(
-            Span(0, 0), Severity.ERROR,
-            "no (define (problem ...)) form found", "missing-define"))
         return problem, diagnostics
-
-    values = define.values()
-    blocks = values[1:]
-    if blocks and blocks[0].kind is NodeKind.LIST:
-        decl = blocks[0].values()
-        if len(decl) == 2 and decl[0].kind is NodeKind.ATOM \
-                and decl[0].text.lower() == "problem" \
-                and decl[1].kind is NodeKind.ATOM:
-            problem.name = decl[1].text
-            blocks = blocks[1:]
-    if problem.name is None:
-        _warn(diagnostics, define, "missing (problem NAME) declaration",
-              "missing-problem-decl", Severity.ERROR)
-
-    for block in blocks:
-        if block.kind is not NodeKind.LIST:
-            _warn(diagnostics, block,
-                  f"stray {block.text!r} at problem level", "stray-atom")
-            continue
-        head = block.head()
-        key = head.text.lower() if head is not None \
-            and head.kind is NodeKind.ATOM else None
-        if key not in PROBLEM_BLOCK_KEYS:
-            _warn(diagnostics, block,
-                  f"unrecognized block {key or '(...)'!s} skipped", "unknown-block")
-            continue
-        body = block.values()[1:]
+    for key, block, body in _blocks(blocks, "problem", PROBLEM_BLOCK_KEYS,
+                                    diagnostics):
         if key == ":domain":
             if body and body[0].kind is NodeKind.ATOM:
                 problem.domain_ref = body[0].text

@@ -5,10 +5,10 @@ Run it from the repository root with the interpreter under test:
 
     python tests/check_interpreters.py
 
-It needs neither click nor pytest. For each corpus file and each seed-1
-input of the three benchmark workloads it hashes the input bytes and
-``repr(tokenize(...))`` and compares both with the digests recorded below,
-which Python 3.11.7 produced. It also checks that a parsed forest survives
+It needs neither click nor pytest. For each corpus file, each grammar-tour
+fixture and each seed-1 input of the three benchmark workloads it hashes
+the input bytes and ``repr(tokenize(...))`` and compares both with the
+digests recorded below, which Python 3.11.7 produced. It also checks that a parsed forest survives
 a pickle round trip. It prints one line per mismatch and exits 1 if there
 is any, else 0. ``--record`` prints the digests of the running interpreter
 in the form of ``EXPECTED``.
@@ -48,6 +48,12 @@ EXPECTED = {
     "corpus/store.pddl": (
         "da38aef5c337d5689910377d02b5ccd16ad64ebc09fe7984c8e5f295fc8478ca",
         "684f0bec938d9dce4e29ce238d7939683c231e224928b620254d4dfa3c3139a0"),
+    "fixtures/tour_domain.pddl": (
+        "d66b344ac59464a41e1ddf137490886459549aabec32bf9a3601039a2bce6aa3",
+        "252781a90bd4735e12cee3319cdf10c5d6253e4dde977b20d03b3b8d12a3ce19"),
+    "fixtures/tour_problem.pddl": (
+        "671819a2a6e357b6e86907b0b19c63c9a956c6c67e614c58b5229d288bfa2082",
+        "5fcbf4bf209ff755083dc2f16d137722155ce896d6d364868462b3191ecd10ca"),
     "large-problem/domain": (
         "db48b71c205bed5c33f8546cb1e28aecb9c05b61995deed03e39c56153dcf94d",
         "895b4f1384325384dc65c42659cda7a2e7f57c4cf3839f3d81c0f99fa3f722fb"),
@@ -74,8 +80,10 @@ EXPECTED = {
 
 def inputs() -> dict[str, bytes]:
     """Every UTF-8 input, by a name that says where it came from."""
-    found = {f"corpus/{path.name}": path.read_bytes()
-             for path in sorted((ROOT / "tests" / "corpus").glob("*.pddl"))}
+    paths = [*sorted((ROOT / "tests" / "corpus").glob("*.pddl")),
+             *sorted((ROOT / "tests" / "fixtures").glob("tour_*.pddl"))]
+    found = {f"{path.parent.name}/{path.name}": path.read_bytes()
+             for path in paths}
     for workload in WORKLOADS:
         generated = gen.generate(workload, 1)
         found[f"{workload}/domain"] = generated.domain.text

@@ -1,0 +1,197 @@
+"""The PDDL block grammar is written down once, in the tables of
+``mypddl.model``; these tests hold the typed model and the scope walk to it.
+
+The tour fixtures (``tests/fixtures/tour_*.pddl``) between them use every
+block, action and durative-action key, the ``at start``/``over all``
+wrappers, misspelled keys with a hint, a timed initial literal, ``either``,
+typed functions, ``:derived``, ``:metric``, ``:constraints``,
+``preference``, stray atoms and repeated blocks. Their tokens, typed models
+and diagnostics are pinned in ``tests/fixtures/tour_*.golden.json``.
+"""
+
+import dataclasses
+import json
+
+import pytest
+
+from mypddl.highlight import Scope, _Walk, tokenize
+from mypddl.model import (
+    ACTION_KEYS,
+    DOMAIN_BLOCK_KEYS,
+    PROBLEM_BLOCK_KEYS,
+    parse_domain,
+    parse_problem,
+)
+from mypddl.sexpr import Document, SExprNode, Span, serialize_node
+
+from conftest import FIXTURES
+
+# Diagnostics of the golden files that a model fix has since changed, as
+# (code, message, source text at the span). Nothing else may differ.
+REMOVED = {
+    # A misspelled action key's value was read as a second, nameless key.
+    "tour_domain": [
+        ("unknown-action-key", "unrecognized entry '' in action",
+         "(?c - cargo ?v - vehicle ?p - place)"),
+        ("unknown-action-key", "unrecognized entry '' in action",
+         "(and (at ?v ?p) (not (loaded ?c ?v)))"),
+        ("unknown-action-key", "unrecognized entry '' in action",
+         "(loaded ?c ?v)"),
+        ("unknown-action-key", "unrecognized entry '' in action",
+         "(stray list)"),
+        ("unknown-action-key", "unrecognized entry '' in durative action",
+         "(= ?duration 2)"),
+        ("unknown-action-key", "unrecognized entry '' in durative action",
+         "(over all (ready))"),
+    ],
+    "tour_problem": [],
+}
+ADDED = {
+    # A list in key position is named as one.
+    "tour_domain": [
+        ("unknown-action-key", "unrecognized entry '(...)' in action",
+         "(stray list)"),
+    ],
+    # Repeated problem blocks were silently replaced or merged.
+    "tour_problem": [
+        ("duplicate-block", "duplicate :objects block", "(:objects b3 - cargo)"),
+        ("duplicate-block", "duplicate :goal block", "(:goal (loaded b2 v1))"),
+        ("duplicate-block", "duplicate :domain block", "(:domain other)"),
+    ],
+}
+PARSERS = {"tour_domain": parse_domain, "tour_problem": parse_problem}
+
+
+def plain(value):
+    """A model value as JSON data: nodes as their source text."""
+    if isinstance(value, SExprNode):
+        return serialize_node(value)
+    if isinstance(value, Span):
+        return list(value)
+    if dataclasses.is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, list):
+        return [plain(item) for item in value]
+    return value
+
+
+def diagnostic_record(diagnostic, data: bytes) -> dict:
+    start, end = diagnostic.span
+    return {"code": diagnostic.code, "severity": diagnostic.severity.value,
+            "message": diagnostic.message, "span": [start, end],
+            "text": data[start:end].decode("utf-8")}
+
+
+def tour_record(name: str) -> dict:
+    """Tokens (whitespace left out), model and diagnostics of a tour file."""
+    data = (FIXTURES / f"{name}.pddl").read_bytes()
+    doc = Document(data)
+    model, diagnostics = PARSERS[name](doc)
+    return {
+        "tokens": [[t.span.start, t.scope.value, t.text]
+                   for t in tokenize(doc) if not t.text.isspace()],
+        "model": plain(model),
+        "diagnostics": [diagnostic_record(d, data) for d in diagnostics],
+    }
+
+
+def _key(record: dict) -> tuple:
+    return record["code"], record["message"], record["text"]
+
+
+@pytest.fixture(scope="module", params=sorted(PARSERS))
+def tour(request):
+    golden = json.loads((FIXTURES / f"{request.param}.golden.json")
+                        .read_text(encoding="utf-8"))
+    return request.param, golden, tour_record(request.param)
+
+
+def test_tour_tokens_are_pinned(tour):
+    _, golden, got = tour
+    assert got["tokens"] == golden["tokens"]
+
+
+def test_tour_model_is_pinned(tour):
+    _, golden, got = tour
+    assert got["model"] == golden["model"]
+
+
+def test_tour_diagnostics_differ_only_by_the_model_fixes(tour):
+    name, golden, got = tour
+    removed, added = REMOVED[name], ADDED[name]
+    assert [d for d in got["diagnostics"] if _key(d) not in added] == \
+        [d for d in golden["diagnostics"] if _key(d) not in removed]
+    assert sorted(_key(d) for d in golden["diagnostics"]
+                  if _key(d) in removed) == sorted(removed)
+    assert sorted(_key(d) for d in got["diagnostics"]
+                  if _key(d) in added) == sorted(added)
+
+
+# -- the tables agree with both layers -------------------------------------------
+
+def _scope_of(text: str, needle: str) -> Scope:
+    start = text.index(needle)
+    [token] = [t for t in tokenize(text) if t.span.start == start]
+    assert token.text == needle
+    return token.scope
+
+
+def _codes(diagnostics) -> set:
+    return {d.code for d in diagnostics}
+
+
+BLOCK_CASES = [("domain", key) for key in sorted(DOMAIN_BLOCK_KEYS)] + \
+    [("problem", key) for key in sorted(PROBLEM_BLOCK_KEYS)]
+ACTION_CASES = [(block, key) for block in sorted(ACTION_KEYS)
+                for key in sorted(ACTION_KEYS[block])]
+
+
+@pytest.mark.parametrize("kind,key", BLOCK_CASES)
+def test_every_block_key_is_a_keyword_and_accepted(kind, key):
+    text = f"(define ({kind} x) ({key}))"
+    parse = parse_domain if kind == "domain" else parse_problem
+    assert _scope_of(text, key) is Scope.KEYWORD
+    assert "unknown-block" not in _codes(parse(text)[1])
+
+
+@pytest.mark.parametrize("kind,key", BLOCK_CASES)
+def test_a_misspelled_block_key_is_unscoped_and_reported(kind, key):
+    typo = key[:-1]
+    text = f"(define ({kind} x) ({typo}))"
+    parse = parse_domain if kind == "domain" else parse_problem
+    assert _scope_of(text, typo) is Scope.UNSCOPED
+    assert ("unknown-block", Span(text.index(f"({typo}"), len(text) - 1)) \
+        in [(d.code, d.span) for d in parse(text)[1]]
+
+
+@pytest.mark.parametrize("block,key", ACTION_CASES)
+def test_every_action_key_is_a_keyword_and_fills_its_attribute(block, key):
+    text = f"(define (domain x) ({block} a {key} (?v)))"
+    domain, diagnostics = parse_domain(text)
+    assert _scope_of(text, key) is Scope.KEYWORD
+    assert "unknown-action-key" not in _codes(diagnostics)
+    [action] = domain.actions + domain.durative_actions
+    attribute, _ = ACTION_KEYS[block][key]
+    value = getattr(action, attribute)
+    if attribute == "parameters":
+        assert value.names() == ["?v"]
+    else:
+        assert serialize_node(value) == "(?v)"
+
+
+@pytest.mark.parametrize("block,key", ACTION_CASES)
+def test_a_misspelled_action_key_is_unscoped_and_reported(block, key):
+    typo = key[:-1]
+    text = f"(define (domain x) ({block} a {typo} (?v)))"
+    assert _scope_of(text, typo) is Scope.UNSCOPED
+    start = text.index(typo)
+    assert [(d.code, d.span) for d in parse_domain(text)[1]] == \
+        [("unknown-action-key", Span(start, start + len(typo)))]
+
+
+def test_the_walk_dispatches_exactly_the_block_keys():
+    assert set(_Walk.DOMAIN_BLOCKS) == DOMAIN_BLOCK_KEYS
+    assert set(_Walk.PROBLEM_BLOCKS) == PROBLEM_BLOCK_KEYS
+    assert set(_Walk.ACTION_VALUES) == {
+        context for keys in ACTION_KEYS.values() for _, context in keys.values()}

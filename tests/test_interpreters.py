@@ -12,4 +12,4 @@ def test_the_interpreter_check_passes():
     result = subprocess.run([sys.executable, str(SCRIPT)],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "13 inputs match, and a forest pickles" in result.stdout
+    assert "15 inputs match, and a forest pickles" in result.stdout

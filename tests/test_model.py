@@ -8,7 +8,7 @@ from mypddl.model import (
     parse_problem,
     parse_typed_list,
 )
-from mypddl.sexpr import Severity, parse_sexpr
+from mypddl.sexpr import Severity, parse_sexpr, serialize_node
 
 from conftest import corpus_text
 
@@ -155,3 +155,35 @@ def test_typed_list_reparse_is_idempotent(text):
     second, _ = _typed_list_from(rendered)
     assert [(e.name, e.type_name) for e in second.entries] == \
         [(e.name, e.type_name) for e in first.entries]
+
+
+def test_a_misspelled_action_key_is_reported_once_with_its_value():
+    domain, diagnostics = parse_domain(
+        "(define (domain d) (:action a :parameter (?v - t) :effect (p ?v)))")
+    assert [(d.code, d.message) for d in diagnostics] == [
+        ("unknown-action-key", "unrecognized entry ':parameter' in action")]
+    assert domain.actions[0].parameters.entries == []
+    assert serialize_node(domain.actions[0].effect) == "(p ?v)"
+
+
+def test_a_list_in_action_key_position_is_named_and_skipped_alone():
+    domain, diagnostics = parse_domain(
+        "(define (domain d) (:durative-action a (x y) :duration (= ?duration 1)))")
+    assert [(d.code, d.message) for d in diagnostics] == [
+        ("unknown-action-key", "unrecognized entry '(...)' in durative action")]
+    assert serialize_node(domain.durative_actions[0].duration) == \
+        "(= ?duration 1)"
+
+
+def test_repeated_problem_blocks_are_reported():
+    problem, diagnostics = parse_problem(
+        "(define (problem p) (:domain d) (:objects a) (:goal (x))"
+        " (:domain e) (:objects b) (:goal (y)) (:metric minimize 1))")
+    assert [(d.code, d.message) for d in diagnostics] == [
+        ("duplicate-block", "duplicate :domain block"),
+        ("duplicate-block", "duplicate :objects block"),
+        ("duplicate-block", "duplicate :goal block")]
+    # The model itself is unchanged: later blocks replace or extend.
+    assert problem.domain_ref == "e"
+    assert problem.objects.names() == ["a", "b"]
+    assert serialize_node(problem.goal) == "(y)"
