@@ -58,9 +58,9 @@ def _insertion_state(data: bytes, block: SExprNode) -> tuple[int, str]:
     assert block.span is not None
     insert_at = block.span.end - 1 if block.closed else block.span.end
 
-    values = block.values()
-    if len(values) > 1:
-        last = values[-1]
+    # The last entry, found from the end: a long block is not walked whole.
+    last = next((c for c in reversed(block.children) if not c.is_trivia), None)
+    if last is not None and last is not block.head():
         assert last.span is not None
         line_start = data.rfind(b"\n", 0, last.span.start) + 1
         column = last.span.start - line_start

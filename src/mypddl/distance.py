@@ -10,12 +10,15 @@ tractable for ordinary planners.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import repeat
+from operator import add, mod
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .construct import append_to_block, write_atomically
+from .construct import _insertion_state, append_to_block, write_atomically
 from .model import is_number
 from .sexpr import (
     Document,
@@ -73,6 +76,10 @@ def _locations(init_block: Optional[SExprNode], predicate_name: str,
     """`extract_locations` on an already found (:init ...) block, or None."""
     diagnostics: list[ParseDiagnostic] = []
     facts: list[LocationFact] = []
+
+    def error(span: Span, message: str, code: str) -> None:
+        diagnostics.append(ParseDiagnostic(span, Severity.ERROR, message, code))
+
     if init_block is None:
         diagnostics.append(ParseDiagnostic(
             Span(0, 0), Severity.WARNING,
@@ -92,9 +99,8 @@ def _locations(init_block: Optional[SExprNode], predicate_name: str,
         span = fact_node.span if fact_node.span is not None else Span(0, 0)
         args = fact_node.values()[1:]
         if not args or args[0].kind is not NodeKind.ATOM:
-            diagnostics.append(ParseDiagnostic(
-                span, Severity.ERROR,
-                f"{predicate_name} fact has no object name", "bad-location"))
+            error(span, f"{predicate_name} fact has no object name",
+                  "bad-location")
             continue
         name = args[0].text
         coords: list[float] = []
@@ -103,36 +109,28 @@ def _locations(init_block: Optional[SExprNode], predicate_name: str,
             if arg.kind is not NodeKind.ATOM \
                     or not is_number(arg.text) \
                     or not math.isfinite(float(arg.text)):
-                arg_span = arg.span if arg.span is not None else span
                 shown = arg.text if arg.kind is NodeKind.ATOM else "(...)"
-                diagnostics.append(ParseDiagnostic(
-                    arg_span, Severity.ERROR,
-                    f"coordinate {shown!r} of {name!r} is not a finite "
-                    f"decimal number", "bad-coordinate"))
+                error(arg.span if arg.span is not None else span,
+                      f"coordinate {shown!r} of {name!r} is not a finite "
+                      f"decimal number", "bad-coordinate")
                 bad = True
             else:
                 coords.append(float(arg.text))
         if bad:
             continue
         if not coords:
-            diagnostics.append(ParseDiagnostic(
-                span, Severity.ERROR,
-                f"{predicate_name} fact for {name!r} has no coordinates",
-                "bad-location"))
+            error(span, f"{predicate_name} fact for {name!r} has no "
+                  "coordinates", "bad-location")
             continue
         if name in seen:
-            diagnostics.append(ParseDiagnostic(
-                span, Severity.ERROR,
-                f"duplicate {predicate_name} fact for object {name!r}",
-                "duplicate-object"))
+            error(span, f"duplicate {predicate_name} fact for object "
+                  f"{name!r}", "duplicate-object")
             continue
         if first_dim is None:
             first_dim = (name, len(coords))
         elif len(coords) != first_dim[1]:
-            diagnostics.append(ParseDiagnostic(
-                span, Severity.ERROR,
-                f"{name!r} has {len(coords)} coordinates but "
-                f"{first_dim[0]!r} has {first_dim[1]}", "mixed-dimensions"))
+            error(span, f"{name!r} has {len(coords)} coordinates but "
+                  f"{first_dim[0]!r} has {first_dim[1]}", "mixed-dimensions")
             continue
         fact = LocationFact(name, tuple(coords), span)
         seen[name] = fact
@@ -170,17 +168,36 @@ def format_distance(value: float) -> str:
     return text + "0" if text[-1] == "." else text
 
 
-def _distance_rows(facts: Sequence[LocationFact]) -> Iterator[list[float]]:
-    """For each fact in order, its distances to the facts after it.
+def _format_row(row: Sequence[float]) -> list[str]:
+    """``format_distance`` of each value, at C speed: one ``%`` formats the
+    row, each text with four decimals and a ``)``, and three passes strip the
+    trailing zeros. A row that may hold an exact tie (an odd multiple k/32
+    leaves ``v % (1/16) == 1/32``) goes value by value instead."""
+    if 0.03125 in map(mod, row, repeat(0.0625)):
+        return list(map(format_distance, row))
+    text = ("%.4f)" * len(row)) % tuple(row)
+    return text.replace("0)", ")").replace("0)", ")").replace("0)", ")") \
+        .split(")")[:-1]
 
-    Each unordered pair is computed once: ``(x-y)**2 == (y-x)**2`` exactly
-    in IEEE arithmetic, so d(b, a) is bitwise equal to d(a, b). A distance
-    too large for a double raises a ``DistanceError`` naming both objects.
-    """
+
+def _distance_rows(facts: Sequence[LocationFact]) -> Iterator[list[float]]:
+    """For each fact in order, its distances to the facts after it, equal
+    to ``euclidean``'s bit for bit on every Python: a row is computed by
+    column, one list of squares per dimension, and each pair's squares are
+    added by the same builtin ``sum`` (compensated for floats from 3.12 on).
+    As ``(x-y)**2 == (y-x)**2`` exactly, d(b, a) is bitwise d(a, b), so each
+    pair is computed once. A distance too large for a double raises a
+    ``DistanceError`` naming both objects."""
     points = [f.coords for f in facts]
-    for i, a in enumerate(points):
+    for b in points:  # a dimension mismatch raises as in ``euclidean``
+        if len(b) != len(points[0]):
+            euclidean(points[0], b)
+    columns = list(zip(*points)) or [(0,) * len(points)]  # 0-D: all at 0
+    for i, a in enumerate(zip(*columns)):
         try:
-            row = [euclidean(a, b) for b in points[i + 1:]]
+            squares = [[(x - y) ** 2 for y in column[i + 1:]]
+                       for x, column in zip(a, columns)]
+            row = list(map(math.sqrt, map(sum, zip(*squares))))
         except OverflowError:
             row = [math.inf]
         if math.inf in row:
@@ -202,11 +219,14 @@ def _overflow(a: LocationFact, rest: Sequence[LocationFact]) -> DistanceError:
         f"is too large for a double")
 
 
-def _full_rows(upper: list[list], diagonal) -> Iterator[list]:
-    """Row i of the symmetric n*n table whose rows above the diagonal are
-    ``upper``: column i of ``upper``, then ``diagonal``, then ``upper[i]``."""
-    for i, row in enumerate(upper):
-        full = [upper[j][i - j - 1] for j in range(i)]
+def _full_rows(upper: Iterable[list], diagonal, n: int) -> Iterator[list]:
+    """Row i of the symmetric n*n table, yielded as soon as ``upper`` yields
+    its part above the diagonal: column i of the rows before, ``diagonal``,
+    then upper row i. ``below`` holds the columns of the rows to come."""
+    below: deque[list] = deque([] for _ in range(n))
+    for row in upper:
+        full = below.popleft()
+        deque(map(list.append, below, row), maxlen=0)
         full.append(diagonal)
         full += row
         yield full
@@ -214,7 +234,7 @@ def _full_rows(upper: list[list], diagonal) -> Iterator[list]:
 
 def distance_facts(facts: Sequence[LocationFact]) -> list[DistanceFact]:
     """All n*n pairs in (source index, target index) order."""
-    rows = _full_rows(list(_distance_rows(facts)), 0.0)
+    rows = _full_rows(_distance_rows(facts), 0.0, len(facts))
     return [DistanceFact(a.object_name, b.object_name, value)
             for a, row in zip(facts, rows) for b, value in zip(facts, row)]
 
@@ -242,13 +262,15 @@ def augment_with_distances(problem: Union[str, Document],
             "no-locations"))
         return doc.text, diagnostics
 
-    # Render straight from the formatted upper triangle: no record per fact.
-    names = [f.object_name for f in facts]
-    upper = [list(map(format_distance, row)) for row in _distance_rows(facts)]
+    # One string per source row, its facts joined by the block's line prefix.
+    _, prefix = _insertion_state(doc.data, init_block)
+    targets = [f"{f.object_name} " for f in facts]
+    upper = map(_format_row, _distance_rows(facts))
     rendered: list[str] = []
-    for a, values in zip(names, _full_rows(upper, "0.0")):
-        head = f"({DISTANCE_PREDICATE} {a} "
-        rendered += [f"{head}{b} {v})" for b, v in zip(names, values)]
+    for a, values in zip(facts, _full_rows(upper, "0.0", len(facts))):
+        head = f"({DISTANCE_PREDICATE} {a.object_name} "
+        rendered.append(head + (")" + prefix + head).join(
+            map(add, targets, values)) + ")")
     return append_to_block(doc, init_block, rendered), diagnostics
 
 

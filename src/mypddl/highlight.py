@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 from .model import (
     ACTION_KEYS,
     REQUIREMENT_KEYS,
+    action_name,
     define_kind,
     head_key,
     is_define,
@@ -526,11 +527,12 @@ class _Walk:
         """(:action NAME key value...) or (:durative-action ...), keyed by
         ``ACTION_KEYS``."""
         keys = ACTION_KEYS[head.text.lower()]
+        name = action_name(node, head.text.lower())
         context: Optional[str] = None
 
         def value(child: SExprNode, k: int) -> None:
             nonlocal context
-            if k == 0:
+            if child is name:
                 self.name_value(child)
             elif context is not None:
                 self.ACTION_VALUES.get(context, _Walk.lenient)(self, child)
@@ -538,7 +540,8 @@ class _Walk:
             elif child.kind is not NodeKind.ATOM:
                 self.unscoped_tree(child)
             elif (key := child.text.lower()) in keys:
-                self.single(child, Scope.KEYWORD)
+                # A key in the name's place stays Unscoped: no name.
+                self.single(child, Scope.KEYWORD if k else Scope.UNSCOPED)
                 context = keys[key][1]
             else:
                 self.single(child, Scope.UNSCOPED)

@@ -246,6 +246,15 @@ def define_kind(decl: Optional[SExprNode]) -> Optional[str]:
     return None
 
 
+def action_name(node: SExprNode, key: str) -> Optional[SExprNode]:
+    """The name of an action block headed by ``key``: the atom after the
+    head, unless it is one of ``ACTION_KEYS[key]``, which is never a name."""
+    values = node.values()
+    name = values[1] if len(values) > 1 else None
+    return name if name is not None and name.kind is NodeKind.ATOM \
+        and name.text.lower() not in ACTION_KEYS[key] else None
+
+
 def _parse_predicate_decl(node: SExprNode,
                           diags: list[ParseDiagnostic]) -> Optional[PredicateDecl]:
     values = node.values()
@@ -268,12 +277,11 @@ def _parse_action(node: SExprNode, key: str, diags: list[ParseDiagnostic],
     what = key[1:].replace("-", " ")
     keys = ACTION_KEYS[key]
     decl = ActionDecl if key == ":action" else DurativeActionDecl
-    action = decl(name=None, parameters=TypedList(), span=node.span)
-    rest = node.values()[1:]
-    if rest and rest[0].kind is NodeKind.ATOM and not rest[0].text.startswith(":"):
-        action.name = rest[0].text
-        rest = rest[1:]
-    else:
+    name = action_name(node, key)
+    action = decl(name=None if name is None else name.text,
+                  parameters=TypedList(), span=node.span)
+    rest = node.values()[1 if name is None else 2:]
+    if name is None:
         _warn(diags, node, f"{what} has no name", "missing-action-name")
     i = 0
     while i < len(rest):

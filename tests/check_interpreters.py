@@ -1,5 +1,5 @@
-"""Stdlib-only check that the front end behaves alike on every supported
-Python (3.10 to 3.13).
+"""Stdlib-only check that the front end and the distance rows behave alike
+on every supported Python (3.10 to 3.13).
 
 Run it from the repository root with the interpreter under test:
 
@@ -8,23 +8,31 @@ Run it from the repository root with the interpreter under test:
 It needs neither click nor pytest. For each corpus file, each grammar-tour
 fixture and each seed-1 input of the three benchmark workloads it hashes
 the input bytes and ``repr(tokenize(...))`` and compares both with the
-digests recorded below, which Python 3.11.7 produced. It also checks that a parsed forest survives
-a pickle round trip. It prints one line per mismatch and exits 1 if there
-is any, else 0. ``--record`` prints the digests of the running interpreter
-in the form of ``EXPECTED``.
+digests recorded below, which Python 3.11.7 produced. It also checks that a
+parsed forest survives a pickle round trip, and that the distance rows,
+computed column by column, equal ``euclidean`` bit for bit on seeded 3-D and
+4-D points, some of whose pairs a compensated float ``sum`` (Python 3.12
+and later) and a plain left fold add to different values. It prints one
+line per mismatch and exits 1 if there is any, else 0. ``--record`` prints
+the digests of the running interpreter in the form of ``EXPECTED``.
 """
 
 import hashlib
+import math
 import pickle
+import random
 import sys
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import gen  # noqa: E402  (benchmarks/gen.py: the seeded input generator)
+from mypddl.distance import LocationFact, _distance_rows, euclidean  # noqa: E402
 from mypddl.highlight import tokenize  # noqa: E402
-from mypddl.sexpr import Document, serialize  # noqa: E402
+from mypddl.sexpr import Document, Span, serialize  # noqa: E402
 
 WORKLOADS = ("large-problem", "distance-grid", "broken-domain")
 
@@ -98,6 +106,42 @@ def digests(data: bytes) -> tuple[str, str]:
             hashlib.sha256(repr(tokens).encode("utf-8")).hexdigest())
 
 
+def compensated_sum(values: list[float]) -> float:
+    """The float ``sum`` of Python 3.12 and later (Neumaier's summation)."""
+    total = carry = 0.0
+    for x in values:
+        t = total + x
+        carry += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + carry
+
+
+def distance_mismatches() -> tuple[int, list[str]]:
+    """The number of pairs compared, and one line per pair whose distance
+    row value differs from ``euclidean`` in any bit."""
+    rng = random.Random(20240)
+    pairs, apart, failures = 0, 0, []
+    for dim in (3, 4):
+        points = [tuple(rng.choice((-1, 1)) * rng.uniform(1, 10)
+                        * 10.0 ** rng.randint(-3, 8) for _ in range(dim))
+                  for _ in range(40)]
+        facts = [LocationFact(f"p{k}", p, Span(0, 0))
+                 for k, p in enumerate(points)]
+        for i, row in enumerate(_distance_rows(facts)):
+            for b, value in zip(points[i + 1:], row):
+                squares = [(x - y) ** 2 for x, y in zip(points[i], b)]
+                pairs += 1
+                apart += math.sqrt(compensated_sum(squares)) \
+                    != math.sqrt(reduce(add, squares, 0.0))
+                if value.hex() != euclidean(points[i], b).hex():
+                    failures.append(f"the {dim}-D distance row value "
+                                    f"{value.hex()} of {points[i]} and {b} "
+                                    "is not euclidean's")
+    if not apart:
+        failures.append("no seeded pair tells a compensated sum from a fold")
+    return pairs, failures
+
+
 def main(argv: list[str]) -> int:
     found = {name: digests(data) for name, data in inputs().items()}
     if "--record" in argv:
@@ -119,12 +163,14 @@ def main(argv: list[str]) -> int:
     forest = Document(data).forest
     if serialize(pickle.loads(pickle.dumps(forest))).encode("utf-8") != data:
         failures.append("a pickled forest does not serialize to its input")
+    pairs, mismatches = distance_mismatches()
+    failures += mismatches
     version = ".".join(map(str, sys.version_info[:3]))
     for line in failures:
         print(f"python {version}: {line}")
     if not failures:
-        print(f"python {version}: {len(found)} inputs match, "
-              "and a forest pickles")
+        print(f"python {version}: {len(found)} inputs match, a forest "
+              f"pickles, and {pairs} distances equal euclidean's bit for bit")
     return 1 if failures else 0
 
 

@@ -14,6 +14,7 @@ from mypddl.cli import main
 
 from mypddl.distance import (
     DistanceError,
+    LocationFact,
     augment_with_distances,
     distance_facts,
     euclidean,
@@ -21,7 +22,7 @@ from mypddl.distance import (
     format_distance,
 )
 from mypddl.model import parse_problem
-from mypddl.sexpr import Severity, serialize_node
+from mypddl.sexpr import Severity, Span, serialize_node
 
 
 def problem_with_init(facts: str) -> str:
@@ -274,6 +275,62 @@ def test_format_distance_edges(value):
 def test_format_distance_rejects_non_finite(value):
     with pytest.raises(ValueError):
         format_distance(value)
+
+
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), finite, ties, huge,
+    st.integers(min_value=0, max_value=2 ** 53).map(float), st.just(0.0)),
+    max_size=40))
+@settings(max_examples=500)
+def test_bulk_row_formatter_equals_format_distance(row):
+    assert distance._format_row(row) == [format_distance(v) for v in row]
+
+
+@pytest.mark.parametrize("row", [
+    [], [0.0], [5.0, 100.0, 1e24, 2.0 ** 53], [2.5, 0.03125, 7.1],
+    [1.96875, 2 ** 47 + 1 / 32], [-(2.0 ** -5 - 2.0 ** -58), 1.0],
+    [1.7976931348623157e308, 2.0 ** -1074, 5e-5, 1.5e-4]])
+def test_bulk_row_formatter_edges(row):
+    assert distance._format_row(row) == [format_distance(v) for v in row]
+
+
+magnitude = st.floats(min_value=1e-3, max_value=1e8)
+signed_coordinate = st.one_of(magnitude, magnitude.map(lambda v: -v),
+                              st.just(0.0))
+
+
+@st.composite
+def location_facts(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    points = draw(st.lists(st.tuples(*[signed_coordinate] * dim),
+                           min_size=1, max_size=12))
+    return [LocationFact(f"p{k}", point, Span(0, 0))
+            for k, point in enumerate(points)]
+
+
+@given(location_facts())
+@settings(max_examples=300, deadline=None)
+def test_distance_rows_equal_euclidean_bit_for_bit(facts):
+    rows = list(distance._distance_rows(facts))
+    assert len(rows) == len(facts)
+    for i, row in enumerate(rows):
+        a = facts[i].coords
+        assert [v.hex() for v in row] == \
+            [euclidean(a, b.coords).hex() for b in facts[i + 1:]]
+
+
+def test_distance_facts_rejects_mixed_dimensions():
+    facts = [LocationFact("a", (0.0, 0.0), Span(0, 0)),
+             LocationFact("b", (1.0,), Span(0, 0))]
+    with pytest.raises(DistanceError, match="dimension mismatch: 2 versus 1"):
+        distance_facts(facts)
+
+
+def test_distance_facts_without_coordinates_are_all_zero():
+    facts = [LocationFact(name, (), Span(0, 0)) for name in "ab"]
+    assert [(f.from_object, f.to_object, f.value)
+            for f in distance_facts(facts)] == [
+        ("a", "a", 0.0), ("a", "b", 0.0), ("b", "a", 0.0), ("b", "b", 0.0)]
 
 
 def naive_augmented(points):

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from mypddl.highlight import Scope, _Walk, tokenize
+from mypddl.highlight import Scope, _Walk, invalid_regions, tokenize
 from mypddl.model import (
     ACTION_KEYS,
     DOMAIN_BLOCK_KEYS,
@@ -195,3 +195,49 @@ def test_the_walk_dispatches_exactly_the_block_keys():
     assert set(_Walk.PROBLEM_BLOCKS) == PROBLEM_BLOCK_KEYS
     assert set(_Walk.ACTION_VALUES) == {
         context for keys in ACTION_KEYS.values() for _, context in keys.values()}
+
+
+@pytest.mark.parametrize("block,key", ACTION_CASES)
+def test_a_key_in_name_position_is_a_missing_name_in_both_layers(block, key):
+    value = "(?v)" if key == ":parameters" else "(and)"
+    text = f"(define (domain x) ({block} {key} {value}))"
+    domain, diagnostics = parse_domain(text)
+    [action] = domain.actions + domain.durative_actions
+    attribute, _ = ACTION_KEYS[block][key]
+    assert action.name is None
+    assert [d.code for d in diagnostics] == ["missing-action-name"]
+    if attribute == "parameters":
+        assert action.parameters.names() == ["?v"]
+    else:
+        assert serialize_node(getattr(action, attribute)) == value
+    start = text.index(key)
+    assert invalid_regions(tokenize(text)) == [Span(start, start + len(key))]
+
+
+def test_the_action_name_position_is_pinned_in_both_layers():
+    text = "(define (domain d) (:action :parameters (?x) :effect (p ?x)))"
+    domain, diagnostics = parse_domain(text)
+    [action] = domain.actions
+    assert (action.name, action.parameters.names(),
+            serialize_node(action.effect)) == (None, ["?x"], "(p ?x)")
+    assert [d.code for d in diagnostics] == ["missing-action-name"]
+    tokens = [(t.text, t.scope) for t in tokenize(text)
+              if not t.text.isspace()]
+    assert tokens[7:] == [
+        (":action", Scope.KEYWORD), (":parameters", Scope.UNSCOPED), ("(", Scope.PUNCTUATION),
+        ("?x", Scope.VARIABLE), (")", Scope.PUNCTUATION),
+        (":effect", Scope.KEYWORD), ("(", Scope.PUNCTUATION),
+        ("p", Scope.NAME), ("?x", Scope.VARIABLE), (")", Scope.PUNCTUATION),
+        (")", Scope.PUNCTUATION), (")", Scope.PUNCTUATION)]
+
+
+def test_a_colon_atom_that_is_no_key_is_the_action_name_in_both_layers():
+    text = "(define (domain d) (:action :go :parameters (?x) :effect (p ?x)))"
+    domain, diagnostics = parse_domain(text)
+    [action] = domain.actions
+    assert (action.name, action.parameters.names()) == (":go", ["?x"])
+    assert diagnostics == []
+    assert _scope_of(text, ":go") is Scope.UNSCOPED
+    assert _scope_of(text, ":parameters") is Scope.KEYWORD
+    start = text.index(":go")
+    assert invalid_regions(tokenize(text)) == [Span(start, start + 3)]

@@ -1,5 +1,6 @@
 """The stdlib-only cross-interpreter check agrees with this interpreter, so
-its recorded digests stay in step with the tokenizer."""
+its recorded digests stay in step with the tokenizer and its distance rows
+with ``euclidean``."""
 
 import subprocess
 import sys
@@ -12,4 +13,5 @@ def test_the_interpreter_check_passes():
     result = subprocess.run([sys.executable, str(SCRIPT)],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "15 inputs match, and a forest pickles" in result.stdout
+    assert "15 inputs match, a forest pickles, and 1560 distances equal " \
+        "euclidean's bit for bit" in result.stdout
