@@ -154,11 +154,10 @@ def tokens(file: Path, output_format: str, fail_on_invalid: bool) -> None:
     doc = Document.read(file)
     token_stream = highlight.tokenize(doc)
     if output_format == "html":
-        click.echo(highlight.render_html(token_stream, doc.text,
-                                         title=file.name), nl=False)
+        click.echo(highlight.render_html(token_stream, title=file.name),
+                   nl=False)
     else:
-        sys.stdout.buffer.write(highlight.emit_tokens_json(token_stream,
-                                                           doc.text))
+        sys.stdout.buffer.write(highlight.emit_tokens_json(token_stream))
         sys.stdout.buffer.write(b"\n")
         sys.stdout.buffer.flush()
     if fail_on_invalid and highlight.invalid_regions(token_stream):

@@ -53,7 +53,9 @@ def _insertion_state(data: bytes, block: SExprNode) -> tuple[int, str]:
     """Where to splice inside ``block`` and the line prefix to use.
 
     New entries go on their own line, indented to the column of the block's
-    last existing entry; a block with no entries gets a single space instead.
+    last existing entry, after a line break of the kind (CRLF or LF) that
+    precedes that entry; a block with no entries gets a single space
+    instead.
     """
     assert block.span is not None
     insert_at = block.span.end - 1 if block.closed else block.span.end
@@ -64,7 +66,8 @@ def _insertion_state(data: bytes, block: SExprNode) -> tuple[int, str]:
         assert last.span is not None
         line_start = data.rfind(b"\n", 0, last.span.start) + 1
         column = last.span.start - line_start
-        return insert_at, "\n" + " " * column
+        crlf = data[max(line_start - 2, 0):line_start] == b"\r\n"
+        return insert_at, ("\r\n" if crlf else "\n") + " " * column
     return insert_at, " "
 
 

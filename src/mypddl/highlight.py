@@ -26,6 +26,7 @@ from .model import (
     is_name,
     is_number,
     is_variable,
+    typed_list_marks,
 )
 from .sexpr import Document, NodeKind, SExprNode, Span, as_document, gc_paused
 
@@ -129,40 +130,37 @@ class _Walk:
         if node.kind is NodeKind.ATOM:
             self.single(node, scope)
         else:
-            self.unscoped_tree(node)
+            self.flat_emit(node, Scope.UNSCOPED)
 
     def flat_emit(self, node: SExprNode, scope: Optional[Scope] = None) -> None:
-        """Iterative fallback emission: lexical scopes (or one forced scope),
-        no grammar recursion. Used beyond the depth limit."""
+        """Emission of content we have no grammar for, iterative, so any
+        depth fits: one forced ``scope`` for a misplaced expression, or
+        else lexical scopes, under which a variable at the head of a list
+        is Unscoped, as nothing in PDDL is headed by a variable."""
         todo: list = [node]
+        heads: set[SExprNode] = set()
         while todo:
             item = todo.pop()
             if item is _CLOSE:
                 self.close_paren(todo.pop(), scope or Scope.PUNCTUATION)
+            elif self.trivia(item):
                 continue
-            if self.trivia(item):
-                continue
-            if item.kind is NodeKind.ATOM:
-                if scope is None:
+            elif item.kind is NodeKind.ATOM:
+                if scope is None and item not in heads:
                     self.lexical_atom(item)
                 else:
-                    self.single(item, scope)
+                    self.single(item, scope or Scope.UNSCOPED)
             else:
                 self.open_paren(item, scope)
                 todo += (item, _CLOSE)
                 todo.extend(reversed(item.children))
-
-    def unscoped_tree(self, node: SExprNode) -> None:
-        """Mark a whole misplaced expression, trivia excepted."""
-        if self.trivia(node):
-            return
-        if node.kind is NodeKind.ATOM:
-            self.single(node, Scope.UNSCOPED)
-            return
-        self.flat_emit(node, scope=Scope.UNSCOPED)
+                head = item.head()
+                if head is not None and head.kind is NodeKind.ATOM \
+                        and is_variable(head.text):
+                    heads.add(head)
 
     def each(self, node: SExprNode, head: Optional[SExprNode],
-             head_scope: Optional[Scope],
+             head_scope: Scope,
              value_fn: Callable[[SExprNode, int], None]) -> None:
         """One in-order pass over a list's children: trivia emitted as-is,
         the head atom with ``head_scope``, the k-th following value through
@@ -184,10 +182,7 @@ class _Walk:
                         Token, (span, _TRIVIA_SCOPES[kind], text)))
                 elif not seen_head and child is head:
                     seen_head = True
-                    if head_scope is None:
-                        self.lenient(child)
-                    else:
-                        self.atom_or_tree(child, head_scope)
+                    self.atom_or_tree(child, head_scope)
                 else:
                     value_fn(child, k)
                     k += 1
@@ -201,69 +196,52 @@ class _Walk:
         text = node.text
         if text == "-":
             self.single(node, Scope.PUNCTUATION)
-        elif is_variable(text):
-            self.single(node, Scope.VARIABLE)
-        elif is_number(text):
-            self.single(node, Scope.NUMBER)
         elif text.startswith(":") and is_name(text[1:]):
             self.single(node, Scope.KEYWORD)
-        elif is_name(text):
-            self.single(node, Scope.NAME)
         else:
-            self.single(node, Scope.UNSCOPED)
+            self.single(node, self.term_scope(text))
 
     def lenient(self, node: SExprNode, k: int = 0) -> None:
-        if self.trivia(node):
-            return
-        if node.kind is NodeKind.ATOM:
-            self.lexical_atom(node)
-            return
-        if self.depth >= _MAX_GRAMMAR_DEPTH:
-            self.flat_emit(node)
-            return
-        self.depth += 1
-        try:
-            self.open_paren(node)
-            first = True
-            for child in node.children:
-                if child.is_trivia:
-                    self.trivia(child)
-                    continue
-                if first and child.kind is NodeKind.ATOM \
-                        and is_variable(child.text):
-                    # nothing in PDDL is headed by a variable
-                    self.single(child, Scope.UNSCOPED)
-                else:
-                    self.lenient(child)
-                first = False
-            self.close_paren(node)
-        finally:
-            self.depth -= 1
+        self.flat_emit(node)
 
     # -- typed lists --------------------------------------------------------
 
-    def typed_list(self, children: Sequence[SExprNode], variables: bool) -> None:
+    def typed_list(self, node: SExprNode, head: Optional[SExprNode],
+                   items: Optional[Scope],
+                   head_scope: Scope = Scope.KEYWORD) -> None:
+        """A typed list, (x+ - type)* after ``head`` if there is one, which
+        gets ``head_scope``, read by ``typed_list_marks``: a '-' that starts
+        a type is Punctuation and one with nothing after it Unscoped. An
+        atom item is of scope ``items`` if it classifies as that, else
+        Unscoped; with ``items`` None the items are declarations."""
+        marks = typed_list_marks(node.children, head)
         append = self.tokens.append
         new = tuple.__new__
-        expect_type = False
-        for child in children:
+        scopes = self.term_scopes
+        type_node = None
+        self.open_paren(node)
+        for child in node.children:
             kind, text, _, span, _, trivia = child
             if trivia:
                 append(new(Token, (span, _TRIVIA_SCOPES[kind], text)))
-            elif expect_type:
+            elif child is head:
+                self.atom_or_tree(child, head_scope)
+            elif child is type_node:
                 self.type_position(child)
-                expect_type = False
-            elif kind is not NodeKind.ATOM:
-                self.unscoped_tree(child)
             elif text == "-":
-                append(new(Token, (span, Scope.PUNCTUATION, text)))
-                expect_type = True
-            elif variables:
-                append(new(Token, (span, Scope.VARIABLE if is_variable(text)
-                                   else Scope.UNSCOPED, text)))
+                type_node = marks[child]
+                append(new(Token, (span, Scope.UNSCOPED if type_node is None
+                                   else Scope.PUNCTUATION, text)))
+            elif kind is not NodeKind.ATOM:
+                if items is None:
+                    self.declaration(child)
+                else:
+                    self.flat_emit(child, Scope.UNSCOPED)
             else:
-                append(new(Token, (span, Scope.NAME if is_name(text)
+                scope = scopes.get(text) or self.term_scope(text)
+                append(new(Token, (span, scope if scope is items
                                    else Scope.UNSCOPED, text)))
+        self.close_paren(node)
 
     def type_position(self, node: SExprNode) -> None:
         if node.kind is NodeKind.ATOM:
@@ -274,37 +252,16 @@ class _Walk:
                 if child.kind is NodeKind.ATOM and is_name(child.text):
                     self.single(child, Scope.TYPE_NAME)
                 else:
-                    self.unscoped_tree(child)
+                    self.flat_emit(child, Scope.UNSCOPED)
             self.each(node, node.head(), Scope.KEYWORD, member)
         else:
-            self.unscoped_tree(node)
+            self.flat_emit(node, Scope.UNSCOPED)
 
     def params_value(self, node: SExprNode) -> None:
         if node.kind is NodeKind.LIST:
-            self.open_paren(node)
-            self.typed_list(node.children, variables=True)
-            self.close_paren(node)
+            self.typed_list(node, None, Scope.VARIABLE)
         else:
-            self.atom_or_tree(node, Scope.UNSCOPED)
-
-    def headed(self, node: SExprNode, head: Optional[SExprNode],
-               emit_head: Callable[[SExprNode], None],
-               emit_tail: Callable[[list[SExprNode]], None]) -> None:
-        """(head tail...): the head through ``emit_head``, then everything
-        after it, trivia included, through ``emit_tail``."""
-        self.open_paren(node)
-        tail: list[SExprNode] = []
-        seen_head = False
-        for child in node.children:
-            if seen_head:
-                tail.append(child)
-            elif child is head:
-                emit_head(child)
-                seen_head = True
-            else:
-                self.trivia(child)
-        emit_tail(tail)
-        self.close_paren(node)
+            self.single(node, Scope.UNSCOPED)
 
     def name_value(self, node: SExprNode, k: int = 0) -> None:
         """A name position: a Name if the atom is one, else Unscoped."""
@@ -341,7 +298,7 @@ class _Walk:
             if is_name(head.text):
                 self.each(node, head, Scope.NAME, self.fexp)
                 return
-        self.unscoped_tree(node)
+        self.flat_emit(node, Scope.UNSCOPED)
 
     # -- conditions and effects ------------------------------------------------
 
@@ -353,9 +310,9 @@ class _Walk:
             return None
         head = node.head()
         if head is None:
-            self.each(node, None, None, lambda c, k: None)
+            self.flat_emit(node)
         elif head.kind is not NodeKind.ATOM:
-            self.unscoped_tree(node)
+            self.flat_emit(node, Scope.UNSCOPED)
         else:
             return head
         return None
@@ -453,7 +410,7 @@ class _Walk:
             if trivia:
                 append(new(Token, (span, _TRIVIA_SCOPES[kind], text)))
             elif kind is not NodeKind.ATOM:
-                self.unscoped_tree(child)
+                self.flat_emit(child, Scope.UNSCOPED)
             elif not seen_head and child is head:
                 seen_head = True
                 append(new(Token, (span, Scope.NAME, text)))
@@ -482,46 +439,28 @@ class _Walk:
                     and child.text.lower() in REQUIREMENT_KEYS:
                 self.single(child, Scope.REQUIREMENT)
             else:
-                self.unscoped_tree(child)
+                self.flat_emit(child, Scope.UNSCOPED)
         self.each(node, head, Scope.KEYWORD, value)
 
     def typed_list_block(self, node: SExprNode, head: SExprNode) -> None:
-        self.headed(node, head, lambda h: self.single(h, Scope.KEYWORD),
-                    lambda tail: self.typed_list(tail, variables=False))
+        self.typed_list(node, head, Scope.NAME)
 
-    def declaration(self, node: SExprNode) -> None:
+    def declaration(self, node: SExprNode, k: int = 0) -> None:
         """A predicate or function declaration: (name typed-variables...)."""
-        self.headed(node, node.head(), self.name_value,
-                    lambda tail: self.typed_list(tail, variables=True))
+        if node.kind is not NodeKind.LIST:
+            self.single(node, Scope.UNSCOPED)
+            return
+        head = node.head()
+        ok = head is not None and head.kind is NodeKind.ATOM \
+            and is_name(head.text)
+        self.typed_list(node, head, Scope.VARIABLE,
+                        Scope.NAME if ok else Scope.UNSCOPED)
 
     def predicates_block(self, node: SExprNode, head: SExprNode) -> None:
-        def value(child: SExprNode, k: int) -> None:
-            if child.kind is NodeKind.LIST:
-                self.declaration(child)
-            else:
-                self.single(child, Scope.UNSCOPED)
-        self.each(node, head, Scope.KEYWORD, value)
+        self.each(node, head, Scope.KEYWORD, self.declaration)
 
     def functions_block(self, node: SExprNode, head: SExprNode) -> None:
-        self.headed(node, head, lambda h: self.single(h, Scope.KEYWORD),
-                    self.function_list)
-
-    def function_list(self, children: Sequence[SExprNode]) -> None:
-        """Function declarations, each group typed by ``- type``."""
-        expect_type = False
-        for child in children:
-            if self.trivia(child):
-                continue
-            if expect_type:
-                self.type_position(child)
-                expect_type = False
-            elif child.kind is NodeKind.LIST:
-                self.declaration(child)
-            elif child.text == "-":
-                self.single(child, Scope.PUNCTUATION)
-                expect_type = True
-            else:
-                self.single(child, Scope.UNSCOPED)
+        self.typed_list(node, head, None)
 
     def action_block(self, node: SExprNode, head: SExprNode) -> None:
         """(:action NAME key value...) or (:durative-action ...), keyed by
@@ -538,7 +477,7 @@ class _Walk:
                 self.ACTION_VALUES.get(context, _Walk.lenient)(self, child)
                 context = None
             elif child.kind is not NodeKind.ATOM:
-                self.unscoped_tree(child)
+                self.flat_emit(child, Scope.UNSCOPED)
             elif (key := child.text.lower()) in keys:
                 # A key in the name's place stays Unscoped: no name.
                 self.single(child, Scope.KEYWORD if k else Scope.UNSCOPED)
@@ -580,10 +519,7 @@ class _Walk:
     def derived_block(self, node: SExprNode, head: SExprNode) -> None:
         def value(child: SExprNode, k: int) -> None:
             if k == 0:
-                if child.kind is NodeKind.LIST:
-                    self.declaration(child)
-                else:
-                    self.single(child, Scope.UNSCOPED)
+                self.declaration(child)
             else:
                 self.condition(child)
         self.each(node, head, Scope.KEYWORD, value)
@@ -609,12 +545,10 @@ class _Walk:
 
     def unknown_block(self, node: SExprNode) -> None:
         head = node.head()
-        if head is None:
-            self.each(node, None, None, lambda c, k: None)
-        elif head.kind is NodeKind.ATOM:
+        if head is not None and head.kind is NodeKind.ATOM:
             self.each(node, head, Scope.UNSCOPED, self.lenient)
         else:
-            self.each(node, head, None, self.lenient)
+            self.flat_emit(node)
 
     # -- whole files --------------------------------------------------------------
 
@@ -729,7 +663,7 @@ def invalid_regions(tokens: Sequence[Token]) -> list[Span]:
 _SCOPE_JSON = {scope: encode_basestring(scope.value) for scope in Scope}
 
 
-def emit_tokens_json(tokens: Sequence[Token], text: str) -> bytes:
+def emit_tokens_json(tokens: Sequence[Token]) -> bytes:
     """Stable JSON rendering of the token stream, sorted by start offset.
 
     The bytes are those of ``json.dumps(records, ensure_ascii=False,
@@ -779,7 +713,7 @@ class _Fragments(dict):
         return value
 
 
-def render_html(tokens: Sequence[Token], text: str, title: str = "PDDL") -> str:
+def render_html(tokens: Sequence[Token], *, title: str = "PDDL") -> str:
     """Standalone HTML document; each invalid region gets one wrapper span so
     broken spots stay visually distinct from every scoped construct.
 

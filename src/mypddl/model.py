@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from itertools import filterfalse
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .sexpr import (
     Document,
@@ -65,6 +67,8 @@ REQUIREMENT_KEYS = frozenset({
 })
 
 DEFAULT_TYPE = "object"
+
+_is_trivia = attrgetter("is_trivia")
 
 
 def is_name(text: str) -> bool:
@@ -154,6 +158,63 @@ class PddlProblem:
     metric: Optional[SExprNode] = None
 
 
+def typed_list_marks(nodes: Iterable[SExprNode],
+                     head: Optional[SExprNode] = None,
+                     ) -> dict[SExprNode, Optional[SExprNode]]:
+    """The typed-list grammar, ``x+ - type`` repeated (Kovacs, 2011), read
+    once for the model and the scope walk. Among the non-trivia ``nodes``
+    other than ``head``, each '-' that starts a type is mapped to the node
+    that is the type, or to None if nothing follows it, which makes that
+    '-' misplaced. Every other value is an item."""
+    marks: dict[SExprNode, Optional[SExprNode]] = {}
+    values = filterfalse(_is_trivia, nodes)
+    for node in values:
+        if node.text == "-" and node is not head \
+                and node.kind is NodeKind.ATOM:
+            marks[node] = next(values, None)
+    return marks
+
+
+def _typed_runs(nodes: Sequence[SExprNode], kind: NodeKind,
+                stray: tuple[str, str], diags: list[ParseDiagnostic],
+                ) -> Iterator[tuple[list[SExprNode], Optional[str],
+                                    Optional[Span]]]:
+    """The items of a typed list, which are nodes of ``kind``, run by run,
+    each run with the name and span of its type; the last run, which no
+    type follows, with None for both. Lazily, so that diagnostics stay in
+    file order: a value of another kind is reported, with the message
+    format and code of ``stray``, as it is reached; a misplaced '-' or a
+    compound type as its run ends."""
+    marks = typed_list_marks(nodes)
+    run: list[SExprNode] = []
+    type_node = None
+    for node in filterfalse(_is_trivia, nodes):
+        if node is type_node:
+            continue
+        if node in marks:
+            type_node = marks[node]
+            if type_node is None:
+                _warn(diags, node, "dangling '-' at end of typed list",
+                      "dangling-dash", Severity.ERROR)
+                continue
+            type_name = type_node.text
+            if type_node.kind is not NodeKind.ATOM:
+                # "(either a b)" and friends: keep the raw text as the type
+                # so nothing is lost, but flag it.
+                type_name = serialize_node(type_node)
+                _warn(diags, type_node,
+                      f"compound type {type_name!r} in type position",
+                      "either-type" if head_key(type_node) == "either"
+                      else "bad-type")
+            yield run, type_name, type_node.span
+            run = []
+        elif node.kind is kind:
+            run.append(node)
+        else:
+            _warn(diags, node, stray[0].format(node.text), stray[1])
+    yield run, None, None
+
+
 def parse_typed_list(nodes: Sequence[SExprNode]) -> tuple[TypedList, list[ParseDiagnostic]]:
     """Group ``a b - t c - u`` into typed entries.
 
@@ -162,53 +223,14 @@ def parse_typed_list(nodes: Sequence[SExprNode]) -> tuple[TypedList, list[ParseD
     """
     diagnostics: list[ParseDiagnostic] = []
     entries: list[TypedEntry] = []
-    pending: list[SExprNode] = []
-
-    def flush(type_name: str, type_span: Optional[Span]) -> None:
-        for item in pending:
-            entries.append(TypedEntry(item.text, type_name,
-                                      name_span=item.span, type_span=type_span))
-        pending.clear()
-
-    values = [n for n in nodes if not n.is_trivia]
-    i = 0
-    while i < len(values):
-        node = values[i]
-        if node.kind is NodeKind.ATOM and node.text == "-":
-            if i + 1 < len(values):
-                tn = values[i + 1]
-                if tn.kind is NodeKind.ATOM:
-                    flush(tn.text, tn.span)
-                else:
-                    # "(either a b)" and friends: keep the raw text as the
-                    # type so nothing is lost, but flag it.
-                    code = "either-type" if head_key(tn) == "either" \
-                        else "bad-type"
-                    if tn.span is not None:
-                        diagnostics.append(ParseDiagnostic(
-                            tn.span, Severity.WARNING,
-                            f"compound type {serialize_node(tn)!r} in type position",
-                            code))
-                    flush(serialize_node(tn), tn.span)
-                i += 2
-            else:
-                if node.span is not None:
-                    diagnostics.append(ParseDiagnostic(
-                        node.span, Severity.ERROR,
-                        "dangling '-' at end of typed list", "dangling-dash"))
-                flush(DEFAULT_TYPE, None)
-                i += 1
-        elif node.kind is NodeKind.ATOM:
-            pending.append(node)
-            i += 1
-        else:
-            if node.span is not None:
-                diagnostics.append(ParseDiagnostic(
-                    node.span, Severity.WARNING,
-                    "expression where a name was expected in typed list",
-                    "bad-typed-list-item"))
-            i += 1
-    flush(DEFAULT_TYPE, None)
+    for run, type_name, type_span in _typed_runs(
+            nodes, NodeKind.ATOM,
+            ("expression where a name was expected in typed list",
+             "bad-typed-list-item"), diagnostics):
+        for item in run:
+            entries.append(TypedEntry(item.text, type_name or DEFAULT_TYPE,
+                                      name_span=item.span,
+                                      type_span=type_span))
     return TypedList(entries), diagnostics
 
 
@@ -255,16 +277,17 @@ def action_name(node: SExprNode, key: str) -> Optional[SExprNode]:
         and name.text.lower() not in ACTION_KEYS[key] else None
 
 
-def _parse_predicate_decl(node: SExprNode,
-                          diags: list[ParseDiagnostic]) -> Optional[PredicateDecl]:
+def _signature(node: SExprNode, what: str, diags: list[ParseDiagnostic],
+               ) -> Optional[tuple[str, TypedList]]:
+    """The name and typed parameters of a predicate or function declaration,
+    ``(name typed-variables...)``, or None, reported, if it has no name."""
     values = node.values()
     if not values or values[0].kind is not NodeKind.ATOM:
-        _warn(diags, node, "malformed predicate declaration", "bad-predicate")
+        _warn(diags, node, f"malformed {what} declaration", f"bad-{what}")
         return None
     params, d = parse_typed_list(values[1:])
     diags.extend(d)
-    return PredicateDecl(values[0].text, params, serialize_node(node),
-                         span=node.span)
+    return values[0].text, params
 
 
 def _parse_action(node: SExprNode, key: str, diags: list[ParseDiagnostic],
@@ -306,37 +329,16 @@ def _parse_action(node: SExprNode, key: str, diags: list[ParseDiagnostic],
 
 def _parse_functions(nodes: Sequence[SExprNode],
                      diags: list[ParseDiagnostic]) -> list[FunctionDecl]:
+    """Function declarations, each run typed by ``- type`` or else
+    "number"."""
     decls: list[FunctionDecl] = []
-    pending: list[SExprNode] = []
-    values = [n for n in nodes if not n.is_trivia]
-    i = 0
-
-    def flush(return_type: str) -> None:
-        for raw in pending:
-            vals = raw.values()
-            if not vals or vals[0].kind is not NodeKind.ATOM:
-                _warn(diags, raw, "malformed function declaration", "bad-function")
-                continue
-            params, d = parse_typed_list(vals[1:])
-            diags.extend(d)
-            decls.append(FunctionDecl(vals[0].text, params, return_type,
-                                      serialize_node(raw), span=raw.span))
-        pending.clear()
-
-    while i < len(values):
-        node = values[i]
-        if node.kind is NodeKind.LIST:
-            pending.append(node)
-            i += 1
-        elif node.text == "-" and i + 1 < len(values) \
-                and values[i + 1].kind is NodeKind.ATOM:
-            flush(values[i + 1].text)
-            i += 2
-        else:
-            _warn(diags, node, f"unexpected {node.text!r} in (:functions ...)",
-                  "bad-function")
-            i += 1
-    flush("number")
+    for run, return_type, _ in _typed_runs(
+            nodes, NodeKind.LIST,
+            ("unexpected {!r} in (:functions ...)", "bad-function"), diags):
+        for raw in run:
+            if signature := _signature(raw, "function", diags):
+                decls.append(FunctionDecl(*signature, return_type or "number",
+                                          serialize_node(raw), span=raw.span))
     return decls
 
 
@@ -403,14 +405,13 @@ def parse_domain(source: Union[str, Document],
             diagnostics.extend(d)
         elif key == ":predicates":
             for child in body:
-                if child.kind is NodeKind.LIST:
-                    decl = _parse_predicate_decl(child, diagnostics)
-                    if decl is not None:
-                        domain.predicates.append(decl)
-                else:
+                if child.kind is not NodeKind.LIST:
                     _warn(diagnostics, child,
                           f"stray {child.text!r} in (:predicates ...)",
                           "stray-atom")
+                elif signature := _signature(child, "predicate", diagnostics):
+                    domain.predicates.append(PredicateDecl(
+                        *signature, serialize_node(child), span=child.span))
         elif key == ":functions":
             domain.functions.extend(_parse_functions(body, diagnostics))
         elif key == ":action":

@@ -15,8 +15,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from .model import DEFAULT_TYPE, PddlDomain, is_name, parse_domain
-from .sexpr import Document, MyPddlError, ParseDiagnostic, Severity, Span
+from .model import DEFAULT_TYPE, PddlDomain, head_key, is_name, parse_domain
+from .sexpr import (
+    Document,
+    MyPddlError,
+    ParseDiagnostic,
+    Severity,
+    Span,
+    parse_sexpr,
+)
 
 # Built-in numeric type: lives outside the object hierarchy, never drawn.
 _NUMBER = "number"
@@ -71,8 +78,14 @@ def build_type_graph(domain: PddlDomain) -> tuple[TypeGraph, list[ParseDiagnosti
     for entry in domain.types.entries:
         parent = entry.type_name
         if not is_name(parent):
-            warn(f"cannot place {entry.name!r} under compound type {parent!r}",
-                 "either-type", span=entry.type_span)
+            # A compound type is kept as its source text, so parse it back.
+            if parent.startswith("(") \
+                    and head_key(parse_sexpr(parent)[0][0]) == "either":
+                warn(f"cannot place {entry.name!r} under compound type "
+                     f"{parent!r}", "either-type", span=entry.type_span)
+            else:
+                warn(f"cannot place {entry.name!r} under {parent!r}, which "
+                     f"is not a type name", "bad-type", span=entry.type_span)
             graph.nodes.add(entry.name)
             continue
         graph.nodes.add(entry.name)

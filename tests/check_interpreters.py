@@ -6,15 +6,16 @@ Run it from the repository root with the interpreter under test:
     python tests/check_interpreters.py
 
 It needs neither click nor pytest. For each corpus file, each grammar-tour
-fixture and each seed-1 input of the three benchmark workloads it hashes
-the input bytes and ``repr(tokenize(...))`` and compares both with the
-digests recorded below, which Python 3.11.7 produced. It also checks that a
-parsed forest survives a pickle round trip, and that the distance rows,
-computed column by column, equal ``euclidean`` bit for bit on seeded 3-D and
-4-D points, some of whose pairs a compensated float ``sum`` (Python 3.12
-and later) and a plain left fold add to different values. It prints one
-line per mismatch and exits 1 if there is any, else 0. ``--record`` prints
-the digests of the running interpreter in the form of ``EXPECTED``.
+fixture, each seed-1 input of the three benchmark workloads and each input
+in ``GRAMMAR_CASES`` it hashes the input bytes and ``repr(tokenize(...))``
+and compares both with the digests recorded below, which Python 3.11.7
+produced. It also checks that a parsed forest survives a pickle round trip,
+and that the distance rows, computed column by column, equal ``euclidean``
+bit for bit on seeded 3-D and 4-D points, some of whose pairs a compensated
+float ``sum`` (Python 3.12 and later) and a plain left fold add to different
+values. It prints one line per mismatch and exits 1 if there is any, else 0.
+``--record`` prints the digests of the running interpreter in the form of
+``EXPECTED``.
 """
 
 import hashlib
@@ -35,6 +36,20 @@ from mypddl.highlight import tokenize  # noqa: E402
 from mypddl.sexpr import Document, Span, serialize  # noqa: E402
 
 WORKLOADS = ("large-problem", "distance-grid", "broken-domain")
+
+# Inputs whose scopes the typed-list reader and the grammar-free emitter
+# decide: a '-' with nothing after it in each kind of typed list, an
+# (either ...) return type in :functions, and a variable at the head of a
+# list past the walk's depth limit.
+GRAMMAR_CASES = {
+    "grammar/dangling-dash": b"(define (domain d) (:types a -)\n"
+    b"  (:predicates (p ?x -)) (:functions (f ?x -) -)\n"
+    b"  (:action a :parameters (?x -) :effect (forall (?y -) (p ?y))))\n",
+    "grammar/either-return": b"(define (domain d) (:types t u)\n"
+    b"  (:functions (f ?x) - (either t u) (g) - (h)))\n",
+    "grammar/deep-variable-head": b"(define (domain d) (:foo "
+    + b"(x " * 105 + b"(?v a)" + b")" * 105 + b"))\n",
+}
 
 # name -> (sha256 of the input bytes, sha256 of repr(tokenize(input)))
 EXPECTED = {
@@ -83,6 +98,15 @@ EXPECTED = {
     "crlf": (
         "190cda4434038994a4bea7b2d900417890ea92e6b56267934ae3be4b30706314",
         "8c1e96c55f0077d063d280c36140e59843ac75416eca437a34408ec9aa732c9d"),
+    "grammar/dangling-dash": (
+        "657e6dc54410351822389f1bfebdb7bd331f84f88697dd8a319a747eeb930724",
+        "98815359135f1f4be7b87b7ed3e93c57955d5bb7a6e645f379a6dec28037cc1d"),
+    "grammar/either-return": (
+        "78eb100975e86de988f54e233c2401c50986eb45b72cfb08f479d4bc37c83821",
+        "8cba25cc7a03f3da2fc79095b53e4953ba7dcb55e5daea4ca86322ac723b8fba"),
+    "grammar/deep-variable-head": (
+        "57f5ee9dbb20bfb418b7dd26a2e0e4512d58d34df2b1e0fac8bd959d7f2b0e01",
+        "19c6343ffb66c065dd2868cb03668addc1ce879d499ab39fc23350ee6233960e"),
 }
 
 
@@ -97,6 +121,7 @@ def inputs() -> dict[str, bytes]:
         found[f"{workload}/domain"] = generated.domain.text
         found[f"{workload}/problem"] = generated.problem.text
     found["crlf"] = gen.crlf_problem().text
+    found.update(GRAMMAR_CASES)
     return found
 
 

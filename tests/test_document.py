@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from mypddl import sexpr
 from mypddl.cli import main
+from mypddl.construct import insert_construct, parse_constructs
+from mypddl.distance import augment_with_distances
 from mypddl.highlight import tokenize
 from mypddl.sexpr import (
     Document,
@@ -204,6 +206,41 @@ def test_distance_keeps_crlf_bytes(runner, tmp_path):
                              b"(distance", b"b", b"a", b"5.0)",
                              b"(distance", b"b", b"b", b"0.0)"]
     assert path.read_bytes() == CRLF_PROBLEM
+
+
+@st.composite
+def _init_rows(draw):
+    """An LF problem whose :init holds rows of facts, each row on its own
+    line at its own indent, with the column of the last fact."""
+    facts = draw(st.lists(st.sampled_from([
+        "(hungry a)", "(location a 0 0)", "(location b 3 4)",
+        "(location c 1 1)"]), min_size=1, max_size=4, unique=True))
+    lines, row = [], []
+    for k, fact in enumerate(facts, 1):
+        row.append(fact)
+        if k == len(facts) or draw(st.booleans()):
+            lines.append(" " * draw(st.integers(0, 8)) + " ".join(row))
+            row = []
+    text = ("(define (problem p)\n  (:domain d)\n  (:init\n"
+            + "\n".join(lines) + ")\n  (:goal (g)))\n")
+    return text.encode("utf-8"), len(lines[-1]) - len(facts[-1])
+
+
+@given(_init_rows())
+@settings(max_examples=200)
+def test_added_lines_take_the_line_ending_of_the_block(problem):
+    lf, column = problem
+    at = lf.index(b")\n  (:goal")
+    out = insert_construct(Document(lf), ":init",
+                           parse_constructs("(hungry z)")).encode("utf-8")
+    assert added_at(lf, out, at) == b"\n" + b" " * column + b"(hungry z)"
+    crlf = lf.replace(b"\n", b"\r\n")
+    crlf_out = insert_construct(Document(crlf), ":init",
+                                parse_constructs("(hungry z)"))
+    assert crlf_out.encode("utf-8") == out.replace(b"\n", b"\r\n")
+    lf_text, _ = augment_with_distances(Document(lf))
+    crlf_text, _ = augment_with_distances(Document(crlf))
+    assert crlf_text == lf_text.replace("\n", "\r\n")
 
 
 def test_check_json_positions_are_file_bytes(runner, tmp_path):

@@ -13,8 +13,16 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mypddl.highlight import Scope, _Walk, invalid_regions, tokenize
+from mypddl.highlight import (
+    _MAX_GRAMMAR_DEPTH,
+    Scope,
+    _Walk,
+    invalid_regions,
+    tokenize,
+)
 from mypddl.model import (
     ACTION_KEYS,
     DOMAIN_BLOCK_KEYS,
@@ -241,3 +249,107 @@ def test_a_colon_atom_that_is_no_key_is_the_action_name_in_both_layers():
     assert _scope_of(text, ":parameters") is Scope.KEYWORD
     start = text.index(":go")
     assert invalid_regions(tokenize(text)) == [Span(start, start + 3)]
+
+
+# -- typed lists: one reader for both layers ------------------------------------
+
+# Typed lists with a '-' that nothing follows, and whether the model reads
+# that list (it does not read the body of an effect).
+DANGLING_CASES = [
+    ("(define (domain d) (:types a -))", True),
+    ("(define (domain d) (:constants c -))", True),
+    ("(define (domain d) (:predicates (p ?x -)))", True),
+    ("(define (domain d) (:functions (f) -))", True),
+    ("(define (domain d) (:functions (f ?x -)))", True),
+    ("(define (domain d) (:action a :parameters (?x -) :effect (p ?x)))",
+     True),
+    ("(define (problem p) (:domain d) (:objects o -) (:goal (g)))", True),
+    ("(define (domain d) (:action a :effect (forall (?x -) (p ?x))))",
+     False),
+]
+
+
+@pytest.mark.parametrize("text,model_reads", DANGLING_CASES)
+def test_a_dangling_dash_is_unscoped_and_an_error_in_both_layers(
+        text, model_reads):
+    start = text.rindex("-")
+    dash = Span(start, start + 1)
+    assert invalid_regions(tokenize(text)) == [dash]
+    parse = parse_problem if "(problem" in text else parse_domain
+    assert [(d.code, d.span, d.severity.value) for d in parse(text)[1]] == \
+        ([("dangling-dash", dash, "error")] if model_reads else [])
+
+
+def test_an_either_return_type_types_its_functions_in_both_layers():
+    text = ("(define (domain d) (:types t u) "
+            "(:functions (f ?x) (g) - (either t u) (h)))")
+    domain, diagnostics = parse_domain(text)
+    assert [(f.name, f.return_type) for f in domain.functions] == [
+        ("f", "(either t u)"), ("g", "(either t u)"), ("h", "number")]
+    start = text.index("(either")
+    assert [(d.code, d.span) for d in diagnostics] == \
+        [("either-type", Span(start, start + len("(either t u)")))]
+    tokens = [(t.text, t.scope) for t in tokenize(text)
+              if t.span.start >= text.index("- (either")
+              and not t.text.isspace()]
+    assert tokens[:6] == [
+        ("-", Scope.PUNCTUATION), ("(", Scope.PUNCTUATION),
+        ("either", Scope.KEYWORD), ("t", Scope.TYPE_NAME),
+        ("u", Scope.TYPE_NAME), (")", Scope.PUNCTUATION)]
+    assert invalid_regions(tokenize(text)) == []
+
+
+def test_any_other_list_after_a_dash_in_functions_is_a_bad_type():
+    text = "(define (domain d) (:functions (f) - (g)))"
+    domain, diagnostics = parse_domain(text)
+    assert [(f.name, f.return_type) for f in domain.functions] == \
+        [("f", "(g)")]
+    start = text.index("(g)")
+    assert [(d.code, d.span) for d in diagnostics] == \
+        [("bad-type", Span(start, start + 3))]
+    assert invalid_regions(tokenize(text)) == [Span(start, start + 3)]
+
+
+@pytest.mark.parametrize("depth", [5, _MAX_GRAMMAR_DEPTH + 5])
+@pytest.mark.parametrize("outer,inner", [
+    ("(:foo {}))", "(x "),
+    ("(:action a :precondition {}))", "(and "),
+])
+def test_a_variable_heading_a_list_is_unscoped_at_any_depth(
+        depth, outer, inner):
+    text = "(define (domain d) " + outer.format(
+        inner * depth + "(?v a)" + ")" * depth)
+    scopes = {t.text: t.scope for t in tokenize(text)}
+    assert (scopes["?v"], scopes["a"]) == (Scope.UNSCOPED, Scope.NAME)
+    assert [d.code for d in parse_domain(text)[1]] == \
+        (["unknown-block"] if outer.startswith("(:foo") else [])
+
+
+# Model diagnostics about a typed list that must each overlap an invalid
+# region. ``either-type`` is left out: the walk scopes ``either``.
+TYPED_LIST_CODES = {"dangling-dash", "bad-type", "bad-typed-list-item",
+                    "bad-function"}
+TYPED_LIST_PLACES = {
+    ":types": "(define (domain d) (:types {}))",
+    ":predicates": "(define (domain d) (:predicates (p {})))",
+    ":functions": "(define (domain d) (:functions (f {}) {}))",
+    ":parameters": "(define (domain d) (:action a :parameters ({}) "
+                   ":effect (p)))",
+}
+
+
+@given(st.sampled_from(sorted(TYPED_LIST_PLACES)),
+       st.lists(st.sampled_from(["a", "b2", "?x", "?y", "-", "(either a b)",
+                                 "(s t)", "(s)"]), max_size=8),
+       st.booleans())
+@settings(max_examples=400)
+def test_every_typed_list_diagnostic_of_the_model_is_an_invalid_region(
+        place, items, trailing_dash):
+    body = " ".join(items + ["-"] * trailing_dash)
+    text = TYPED_LIST_PLACES[place].replace("{}", body)
+    _, diagnostics = parse_domain(text)
+    regions = invalid_regions(tokenize(text))
+    for diagnostic in diagnostics:
+        if diagnostic.code in TYPED_LIST_CODES:
+            assert any(diagnostic.span.overlaps(r) for r in regions), \
+                (diagnostic, text)

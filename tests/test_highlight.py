@@ -233,17 +233,17 @@ def test_deleting_a_closer_creates_an_invalid_region():
 
 
 def test_emit_tokens_json_bare_atom():
-    records = json.loads(emit_tokens_json(tokenize("x"), "x"))
+    records = json.loads(emit_tokens_json(tokenize("x")))
     assert records == [{"start": 0, "end": 1, "scope": "Unscoped", "text": "x"}]
 
 
 def test_emit_tokens_json_empty_file():
-    assert json.loads(emit_tokens_json(tokenize(""), "")) == []
+    assert json.loads(emit_tokens_json(tokenize(""))) == []
 
 
 def test_emit_tokens_json_minimal_domain():
     text = "(define (domain d))"
-    records = json.loads(emit_tokens_json(tokenize(text), text))
+    records = json.loads(emit_tokens_json(tokenize(text)))
     assert len(records) == 9
     assert records == sorted(records, key=lambda r: r["start"])
     assert "".join(r["text"] for r in records) == text
@@ -262,7 +262,7 @@ def reference_tokens_json(tokens):
 def test_emit_tokens_json_matches_json_dumps_on_corpus(name):
     text = corpus_text(name)
     tokens = tokenize(text)
-    assert emit_tokens_json(tokens, text) == reference_tokens_json(tokens)
+    assert emit_tokens_json(tokens) == reference_tokens_json(tokens)
 
 
 _AWKWARD = st.text(st.one_of(
@@ -279,11 +279,19 @@ def test_emit_tokens_json_matches_json_dumps_on_awkward_text(pieces):
         tokens.append(Token(Span(pos, end), scope, text))
         pos = end
     text = "".join(t.text for t in tokens)
-    assert emit_tokens_json(tokens, text) == reference_tokens_json(tokens)
+    assert emit_tokens_json(tokens) == reference_tokens_json(tokens)
+
+
+def test_the_emitters_take_no_source_text():
+    tokens = tokenize("(a)")
+    with pytest.raises(TypeError):
+        emit_tokens_json(tokens, "(a)")
+    with pytest.raises(TypeError):
+        render_html(tokens, "(a)")
 
 
 def test_render_html_empty():
-    doc = render_html([], "")
+    doc = render_html([])
     assert doc.startswith("<!DOCTYPE html>")
     assert "<pre>" in doc
 
@@ -291,13 +299,13 @@ def test_render_html_empty():
 def test_render_html_region_wrappers_match_regions():
     text = corpus_text("coffee.pddl")
     tokens = tokenize(text)
-    doc = render_html(tokens, text)
+    doc = render_html(tokens)
     assert doc.count('class="invalid-region"') == len(invalid_regions(tokens))
 
 
 def test_render_html_valid_domain_has_no_invalid_class(splisus_text):
     tokens = tokenize(splisus_text)
-    doc = render_html(tokens, splisus_text)
+    doc = render_html(tokens)
     assert 'class="invalid-region"' not in doc
 
 
@@ -345,7 +353,7 @@ def reference_html(tokens, title="PDDL"):
 @pytest.mark.parametrize("name", sorted(_GOLDEN_REGIONS))
 def test_render_html_of_the_broken_domains_matches_the_reference(name):
     tokens = tokenize(corpus_text(name))
-    assert render_html(tokens, "", title=name) == reference_html(tokens, name)
+    assert render_html(tokens, title=name) == reference_html(tokens, name)
 
 
 _HTML_PIECES = st.lists(st.sampled_from([
@@ -363,7 +371,7 @@ _HTML_PIECES = st.lists(st.sampled_from([
 def test_render_html_matches_the_reference_on_random_text(text, bom):
     tokens = tokenize(bom + text)
     assert invalid_regions(tokens) == reference_regions(tokens)
-    assert render_html(tokens, bom + text, title=text[:9]) \
+    assert render_html(tokens, title=text[:9]) \
         == reference_html(tokens, text[:9])
 
 
@@ -377,7 +385,7 @@ def test_render_html_matches_the_reference_on_any_scopes(pieces):
         tokens.append(Token(Span(pos, end), scope, text))
         pos = end
     assert invalid_regions(tokens) == reference_regions(tokens)
-    assert render_html(tokens, "") == reference_html(tokens)
+    assert render_html(tokens) == reference_html(tokens)
 
 
 def test_scope_members_keep_their_enum_semantics():

@@ -292,3 +292,17 @@ def test_render_diagram_failing_renderer(tmp_path):
     domain_file.write_text("(define (domain d))", encoding="utf-8")
     with pytest.raises(RenderError, match="boom"):
         render_diagram(domain_file, tmp_path / "out", renderer=str(renderer))
+
+
+def test_only_an_either_parent_is_an_either_type():
+    text = "(define (domain d) (:types a - ?y b - (foo) c - (either x y)))"
+    _, diagnostics = graph_for(text)
+    assert [(d.code, d.message, text[d.span.start:d.span.end])
+            for d in diagnostics] == [
+        ("bad-type", "cannot place 'a' under '?y', which is not a type name",
+         "?y"),
+        ("bad-type",
+         "cannot place 'b' under '(foo)', which is not a type name", "(foo)"),
+        ("either-type",
+         "cannot place 'c' under compound type '(either x y)'",
+         "(either x y)")]
