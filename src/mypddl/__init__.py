@@ -13,7 +13,15 @@ from .distance import (
     extract_locations,
     format_distance,
 )
-from .highlight import Scope, Token, emit_tokens_json, invalid_regions, render_html, tokenize
+from .highlight import (
+    Scope,
+    Token,
+    emit_tokens_json,
+    invalid_regions,
+    iter_tokens_json,
+    render_html,
+    tokenize,
+)
 from .model import PddlDomain, PddlProblem, parse_domain, parse_problem, parse_typed_list
 from .planner import PlannerConfig, PlanResult, run_planner
 from .scaffold import ProjectTemplate, create_project
@@ -40,7 +48,7 @@ __all__ = [
     "PddlDomain", "PddlProblem", "parse_domain", "parse_problem",
     "parse_typed_list",
     "Scope", "Token", "tokenize", "invalid_regions", "emit_tokens_json",
-    "render_html",
+    "iter_tokens_json", "render_html",
     "TypeGraph", "build_type_graph", "emit_dot", "render_diagram",
     "read_construct", "add_construct", "insert_construct",
     "extract_locations", "euclidean", "format_distance",

@@ -157,9 +157,11 @@ def tokens(file: Path, output_format: str, fail_on_invalid: bool) -> None:
         click.echo(highlight.render_html(token_stream, title=file.name),
                    nl=False)
     else:
-        sys.stdout.buffer.write(highlight.emit_tokens_json(token_stream))
-        sys.stdout.buffer.write(b"\n")
-        sys.stdout.buffer.flush()
+        out = sys.stdout.buffer
+        for piece in highlight.iter_tokens_json(token_stream):
+            out.write(piece)
+        out.write(b"\n")
+        out.flush()
     if fail_on_invalid and highlight.invalid_regions(token_stream):
         sys.exit(1)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .sexpr import (
     Document,
@@ -71,20 +71,27 @@ def _insertion_state(data: bytes, block: SExprNode) -> tuple[int, str]:
     return insert_at, " "
 
 
-def append_to_block(doc: Document, block: SExprNode,
-                    constructs: Sequence[SExprNode | str]) -> str:
-    """Splice constructs into ``block`` of ``doc``; pure, no file I/O. Each
-    construct is either a node (serialized verbatim) or an already-rendered
-    string. Every byte outside the splice is kept, CR bytes included."""
-    if not constructs:
-        return doc.text
+def splice(doc: Document, block: SExprNode,
+           constructs: Iterable[SExprNode | str]) -> Iterator[bytes]:
+    """The bytes of ``doc`` with constructs spliced into ``block``, in
+    pieces: the bytes before the splice, each construct after its line
+    prefix, then the bytes from the splice on. Each construct is either a
+    node (serialized verbatim) or an already-rendered string, and is only
+    rendered when its piece is asked for."""
     data = doc.data
     insert_at, prefix = _insertion_state(data, block)
-    pieces = prefix + prefix.join([
-        item if isinstance(item, str) else serialize([item])
-        for item in constructs])
-    return (data[:insert_at] + pieces.encode("utf-8") + data[insert_at:]) \
-        .decode("utf-8")
+    yield data[:insert_at]
+    for item in constructs:
+        yield (prefix + (item if isinstance(item, str)
+                         else serialize([item]))).encode("utf-8")
+    yield data[insert_at:]
+
+
+def append_to_block(doc: Document, block: SExprNode,
+                    constructs: Iterable[SExprNode | str]) -> str:
+    """Splice constructs into ``block`` of ``doc``; pure, no file I/O. Every
+    byte outside the splice is kept, CR bytes included."""
+    return b"".join(splice(doc, block, constructs)).decode("utf-8")
 
 
 def insert_construct(source: Union[str, Document], keyword: str,
@@ -100,8 +107,15 @@ def insert_construct(source: Union[str, Document], keyword: str,
 
 
 def write_atomically(path: Path, text: str) -> None:
-    """Write via a temp file in the same directory plus rename. Newlines
-    are written as they are, never translated."""
+    """Write ``text`` as UTF-8 via a temp file in the same directory plus
+    rename. Newlines are written as they are, never translated."""
+    write_pieces_atomically(path, [text.encode("utf-8")])
+
+
+def write_pieces_atomically(path: Path, pieces: Iterable[bytes]) -> None:
+    """Write the pieces one after another into a temp file in the same
+    directory, then rename it over ``path``. If a piece raises, the temp
+    file is removed and ``path`` keeps its bytes."""
     path = Path(path)
     try:
         fd, tmp_name = tempfile.mkstemp(dir=path.parent,
@@ -109,8 +123,8 @@ def write_atomically(path: Path, text: str) -> None:
     except OSError as exc:
         raise ConstructError(f"cannot write {path}: {exc.strerror}") from exc
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines(pieces)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):

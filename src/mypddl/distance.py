@@ -18,7 +18,12 @@ from operator import add, mod
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .construct import _insertion_state, append_to_block, write_atomically
+from .construct import (
+    _insertion_state,
+    append_to_block,
+    splice,
+    write_pieces_atomically,
+)
 from .model import is_number
 from .sexpr import (
     Document,
@@ -239,16 +244,13 @@ def distance_facts(facts: Sequence[LocationFact]) -> list[DistanceFact]:
             for a, row in zip(facts, rows) for b, value in zip(facts, row)]
 
 
-def augment_with_distances(problem: Union[str, Document],
-                           predicate_name: str = DEFAULT_PREDICATE,
-                           ) -> tuple[str, list[ParseDiagnostic]]:
-    """Append the n*n distance facts to the first (:init ...) block.
-
-    Location facts and all other bytes stay untouched. Errors during
-    extraction abort with a DistanceError; zero locations is a warning
-    no-op.
-    """
-    doc = as_document(problem)
+def _rendered_rows(doc: Document, predicate_name: str,
+                   ) -> tuple[Optional[SExprNode], Optional[Iterator[str]],
+                              list[ParseDiagnostic]]:
+    """The (:init ...) block of ``doc``, the distance facts to append to it
+    as one string per source row (None with zero locations), and the
+    diagnostics. Each row is computed when it is taken, so an overflow
+    raises from the iterator; errors in the locations raise at once."""
     init_block = next(iter_blocks(doc.forest, ":init"), None)
     facts, diagnostics = _locations(init_block, predicate_name)
     errors = [d for d in diagnostics if d.severity is Severity.ERROR]
@@ -260,18 +262,34 @@ def augment_with_distances(problem: Union[str, Document],
             Span(0, 0), Severity.WARNING,
             f"no {predicate_name!r} facts found; nothing to do",
             "no-locations"))
-        return doc.text, diagnostics
+        return init_block, None, diagnostics
 
-    # One string per source row, its facts joined by the block's line prefix.
     _, prefix = _insertion_state(doc.data, init_block)
     targets = [f"{f.object_name} " for f in facts]
     upper = map(_format_row, _distance_rows(facts))
-    rendered: list[str] = []
-    for a, values in zip(facts, _full_rows(upper, "0.0", len(facts))):
-        head = f"({DISTANCE_PREDICATE} {a.object_name} "
-        rendered.append(head + (")" + prefix + head).join(
-            map(add, targets, values)) + ")")
-    return append_to_block(doc, init_block, rendered), diagnostics
+
+    def rows() -> Iterator[str]:
+        for a, values in zip(facts, _full_rows(upper, "0.0", len(facts))):
+            head = f"({DISTANCE_PREDICATE} {a.object_name} "
+            yield head + (")" + prefix + head).join(
+                map(add, targets, values)) + ")"
+    return init_block, rows(), diagnostics
+
+
+def augment_with_distances(problem: Union[str, Document],
+                           predicate_name: str = DEFAULT_PREDICATE,
+                           ) -> tuple[str, list[ParseDiagnostic]]:
+    """Append the n*n distance facts to the first (:init ...) block.
+
+    Location facts and all other bytes stay untouched. Errors during
+    extraction abort with a DistanceError; zero locations is a warning
+    no-op.
+    """
+    doc = as_document(problem)
+    init_block, rows, diagnostics = _rendered_rows(doc, predicate_name)
+    if rows is None:
+        return doc.text, diagnostics
+    return append_to_block(doc, init_block, rows), diagnostics
 
 
 def augment_file(problem: Union[Path, Document],
@@ -280,13 +298,15 @@ def augment_file(problem: Union[Path, Document],
                  ) -> tuple[Path, list[ParseDiagnostic]]:
     """Write the extended copy of a problem file, or of a document read
     from one; defaults to ``<name>_dist.pddl`` beside the input. Pass the
-    input path itself to rewrite in place."""
+    input path itself to rewrite in place. The facts are written a source
+    row at a time, never held whole; if one fails, nothing is written."""
     doc = problem if isinstance(problem, Document) else Document.read(problem)
     problem_file = doc.path
-    updated, diagnostics = augment_with_distances(doc, predicate_name)
+    init_block, rows, diagnostics = _rendered_rows(doc, predicate_name)
     if output_file is None:
         output_file = problem_file.with_name(
             problem_file.stem + "_dist" + problem_file.suffix)
     output_file = Path(output_file)
-    write_atomically(output_file, updated)
+    write_pieces_atomically(output_file, [doc.data] if rows is None
+                            else splice(doc, init_block, rows))
     return output_file, diagnostics

@@ -14,7 +14,7 @@ import enum
 import html
 from json.encoder import encode_basestring
 from operator import itemgetter
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .model import (
     ACTION_KEYS,
@@ -446,13 +446,13 @@ class _Walk:
         self.typed_list(node, head, Scope.NAME)
 
     def declaration(self, node: SExprNode, k: int = 0) -> None:
-        """A predicate or function declaration: (name typed-variables...)."""
-        if node.kind is not NodeKind.LIST:
-            self.single(node, Scope.UNSCOPED)
+        """A predicate or function declaration: (name typed-variables...);
+        one with no name at all, such as ``()``, is Unscoped whole."""
+        head = node.head() if node.kind is NodeKind.LIST else None
+        if head is None:
+            self.atom_or_tree(node, Scope.UNSCOPED)
             return
-        head = node.head()
-        ok = head is not None and head.kind is NodeKind.ATOM \
-            and is_name(head.text)
+        ok = head.kind is NodeKind.ATOM and is_name(head.text)
         self.typed_list(node, head, Scope.VARIABLE,
                         Scope.NAME if ok else Scope.UNSCOPED)
 
@@ -661,23 +661,37 @@ def invalid_regions(tokens: Sequence[Token]) -> list[Span]:
 
 
 _SCOPE_JSON = {scope: encode_basestring(scope.value) for scope in Scope}
+# Tokens per piece of ``iter_tokens_json``: enough to amortize the join,
+# few enough that a piece is small next to a large file's output.
+_JSON_RUN = 1024
 
 
-def emit_tokens_json(tokens: Sequence[Token]) -> bytes:
-    """Stable JSON rendering of the token stream, sorted by start offset.
+def iter_tokens_json(tokens: Sequence[Token]) -> Iterator[bytes]:
+    """Stable JSON rendering of the token stream, sorted by start offset,
+    as UTF-8 pieces of ``_JSON_RUN`` tokens each, so that a writer never
+    holds the whole output.
 
-    The bytes are those of ``json.dumps(records, ensure_ascii=False,
+    The joined bytes are those of ``json.dumps(records, ensure_ascii=False,
     indent=1)``, written out directly because ``indent`` makes ``json``
     fall back to its pure-Python encoder.
     """
     if not tokens:
-        return b"[]"
-    records = ",\n".join(
-        f' {{\n  "start": {t.span.start},\n  "end": {t.span.end},\n'
-        f'  "scope": {_SCOPE_JSON[t.scope]},\n'
-        f'  "text": {encode_basestring(t.text)}\n }}'
-        for t in tokens)
-    return f"[\n{records}\n]".encode("utf-8")
+        yield b"[]"
+        return
+    opening = "[\n"
+    for i in range(0, len(tokens), _JSON_RUN):
+        yield (opening + ",\n".join(
+            f' {{\n  "start": {t.span.start},\n  "end": {t.span.end},\n'
+            f'  "scope": {_SCOPE_JSON[t.scope]},\n'
+            f'  "text": {encode_basestring(t.text)}\n }}'
+            for t in tokens[i:i + _JSON_RUN])).encode("utf-8")
+        opening = ",\n"
+    yield b"\n]"
+
+
+def emit_tokens_json(tokens: Sequence[Token]) -> bytes:
+    """The pieces of ``iter_tokens_json``, joined."""
+    return b"".join(iter_tokens_json(tokens))
 
 
 _CSS = """\

@@ -75,17 +75,13 @@ def build_type_graph(domain: PddlDomain) -> tuple[TypeGraph, list[ParseDiagnosti
     # Each declared type's parents, in declaration order, each with the span
     # of the first declaration that names it.
     declared_parent: dict[str, dict[str, Optional[Span]]] = {}
+    # The names placed under each non-name parent, by its declaration.
+    misplaced: dict[tuple[str, Optional[Span]], list[str]] = {}
     for entry in domain.types.entries:
         parent = entry.type_name
         if not is_name(parent):
-            # A compound type is kept as its source text, so parse it back.
-            if parent.startswith("(") \
-                    and head_key(parse_sexpr(parent)[0][0]) == "either":
-                warn(f"cannot place {entry.name!r} under compound type "
-                     f"{parent!r}", "either-type", span=entry.type_span)
-            else:
-                warn(f"cannot place {entry.name!r} under {parent!r}, which "
-                     f"is not a type name", "bad-type", span=entry.type_span)
+            misplaced.setdefault((parent, entry.type_span), []).append(
+                entry.name)
             graph.nodes.add(entry.name)
             continue
         graph.nodes.add(entry.name)
@@ -93,6 +89,17 @@ def build_type_graph(domain: PddlDomain) -> tuple[TypeGraph, list[ParseDiagnosti
         graph.edges.add((entry.name, parent))
         declared_parent.setdefault(entry.name, {}).setdefault(
             parent, entry.name_span)
+
+    for (parent, span), names in misplaced.items():
+        placed = ", ".join(map(repr, names))
+        # A compound type is kept as its source text, so parse it back.
+        if parent.startswith("(") \
+                and head_key(parse_sexpr(parent)[0][0]) == "either":
+            warn(f"cannot place {placed} under compound type {parent!r}",
+                 "either-type", span=span)
+        else:
+            warn(f"cannot place {placed} under {parent!r}, which is not a "
+                 f"type name", "bad-type", span=span)
 
     for name, parents in declared_parent.items():
         if len(parents) > 1:

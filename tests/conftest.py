@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 CORPUS = Path(__file__).parent / "corpus"
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCHMARK_GEN = Path(__file__).parent.parent / "benchmarks" / "gen.py"
 
 
 def corpus_text(name: str) -> str:
@@ -14,6 +17,18 @@ def corpus_text(name: str) -> str:
 
 def golden_json(name: str):
     return json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+
+
+def benchmark_inputs(workload: str, seed: int):
+    """The inputs that ``benchmarks/gen.py`` generates for a workload."""
+    gen = sys.modules.get("benchmark_gen")
+    if gen is None:
+        spec = importlib.util.spec_from_file_location("benchmark_gen",
+                                                      BENCHMARK_GEN)
+        gen = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = gen  # its dataclasses look the module up
+        spec.loader.exec_module(gen)
+    return gen.generate(workload, seed)
 
 
 @pytest.fixture

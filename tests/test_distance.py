@@ -1,7 +1,9 @@
 """Distance preprocessing: extraction, arithmetic, formatting, augmentation."""
 
 import math
+import os
 import random
+import tracemalloc
 from decimal import ROUND_HALF_UP, Context, Decimal
 
 import pytest
@@ -15,6 +17,7 @@ from mypddl.cli import main
 from mypddl.distance import (
     DistanceError,
     LocationFact,
+    augment_file,
     augment_with_distances,
     distance_facts,
     euclidean,
@@ -22,7 +25,9 @@ from mypddl.distance import (
     format_distance,
 )
 from mypddl.model import parse_problem
-from mypddl.sexpr import Severity, Span, serialize_node
+from mypddl.sexpr import Document, Severity, Span, serialize_node
+
+from conftest import CORPUS, benchmark_inputs
 
 
 def problem_with_init(facts: str) -> str:
@@ -388,3 +393,77 @@ def test_augment_looks_up_the_init_block_once(monkeypatch):
     updated, _ = augment_with_distances(text)
     assert "(distance a b 5.0)" in updated
     assert looked_up == [":init"]
+
+
+# -- the file is written a source row at a time -------------------------------
+
+STREAMED_CASES = {
+    **{path.name: path.read_bytes() for path in sorted(CORPUS.glob("*.pddl"))},
+    "crlf.pddl": b"; CRLF\r\n(define (problem p)\r\n  (:domain d)\r\n"
+                 b"  (:init\r\n    (location a 0 0)\r\n    (location b 3 4)"
+                 b"\r\n    (location c 1.5 2))\r\n  (:goal (g)))\r\n",
+    "non-ascii.pddl": problem_with_init(
+        "; caf\u00e9 \u4e2d \U0001f600\n    (location a 0 0) (location b 1 1)"
+        ).encode("utf-8"),
+    "one-line.pddl": b"(define (problem p) (:init (location a 0 0) "
+                     b"(location b 0.03125 0) (location c 2.5 7)))",
+    "no-locations.pddl": problem_with_init("(at a b)").encode("utf-8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED_CASES))
+def test_augment_file_writes_the_library_result(tmp_path, name):
+    path, out = tmp_path / name, tmp_path / "out.pddl"
+    path.write_bytes(STREAMED_CASES[name])
+    doc = Document.read(path)
+    written, diagnostics = augment_file(doc, out)
+    assert written == out
+    expected, expected_diagnostics = augment_with_distances(doc)
+    assert out.read_bytes() == expected.encode("utf-8")
+    assert diagnostics == expected_diagnostics
+
+
+def test_augment_file_holds_less_than_its_output(tmp_path):
+    """The facts go to the file a source row at a time: the traced peak of
+    ``augment_file`` on an already read problem of 300 locations stays
+    below the size of the file it writes."""
+    path, out = tmp_path / "grid.pddl", tmp_path / "out.pddl"
+    path.write_bytes(benchmark_inputs("distance-grid", 1).problem.text)
+    doc = Document.read(path)
+    tracemalloc.start()
+    try:
+        augment_file(doc, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 1_000_000
+    assert peak < size, (peak, size)
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+@pytest.mark.parametrize("facts, pair", [
+    ("(location a 0 0) (location c 1 1) (location b 1e200 0)", "'a' and 'b'"),
+    # row a is written before row b overflows
+    ("(location a 0 0) (location b 1e154 0) (location c -1e154 0)",
+     "'b' and 'c'"),
+])
+def test_an_overflow_while_writing_leaves_the_target_alone(
+        tmp_path, in_place, facts, pair):
+    """The overflow is found while rows are being written; the command
+    still exits 1 with one line, the target keeps its bytes, and the temp
+    file is gone."""
+    path = tmp_path / "p.pddl"
+    path.write_text(problem_with_init(facts), encoding="utf-8")
+    target = path if in_place else tmp_path / "out.pddl"
+    if not in_place:
+        target.write_bytes(b"old bytes\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = ["distance", str(path)] + (
+        ["--in-place"] if in_place else ["--out", str(target)])
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 1
+    assert result.stderr == (f"Error: distance between {pair} is too "
+                             "large for a double\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert sorted(os.listdir(tmp_path)) == sorted(before)

@@ -280,6 +280,18 @@ def test_a_dangling_dash_is_unscoped_and_an_error_in_both_layers(
         ([("dangling-dash", dash, "error")] if model_reads else [])
 
 
+@pytest.mark.parametrize("block,code", [(":predicates", "bad-predicate"),
+                                        (":functions", "bad-function")])
+@pytest.mark.parametrize("empty", ["()", "( \n )"])
+def test_an_empty_declaration_is_unscoped_and_reported_in_both_layers(
+        block, code, empty):
+    text = f"(define (domain d) ({block} {empty}))"
+    start = text.index(empty)
+    whole = Span(start, start + len(empty))
+    assert invalid_regions(tokenize(text)) == [whole]
+    assert [(d.code, d.span) for d in parse_domain(text)[1]] == [(code, whole)]
+
+
 def test_an_either_return_type_types_its_functions_in_both_layers():
     text = ("(define (domain d) (:types t u) "
             "(:functions (f ?x) (g) - (either t u) (h)))")
@@ -340,7 +352,7 @@ TYPED_LIST_PLACES = {
 
 @given(st.sampled_from(sorted(TYPED_LIST_PLACES)),
        st.lists(st.sampled_from(["a", "b2", "?x", "?y", "-", "(either a b)",
-                                 "(s t)", "(s)"]), max_size=8),
+                                 "(s t)", "(s)", "()"]), max_size=8),
        st.booleans())
 @settings(max_examples=400)
 def test_every_typed_list_diagnostic_of_the_model_is_an_invalid_region(

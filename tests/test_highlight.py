@@ -5,6 +5,7 @@ import copy
 import html
 import json
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,16 +13,18 @@ from hypothesis import strategies as st
 
 from mypddl.highlight import (
     _CSS,
+    _JSON_RUN,
     Scope,
     Token,
     emit_tokens_json,
     invalid_regions,
+    iter_tokens_json,
     render_html,
     tokenize,
 )
-from mypddl.sexpr import Span
+from mypddl.sexpr import Document, Span
 
-from conftest import corpus_text, golden_json
+from conftest import benchmark_inputs, corpus_text, golden_json
 
 
 def scopes_at(text, needle, occurrence=0):
@@ -280,6 +283,44 @@ def test_emit_tokens_json_matches_json_dumps_on_awkward_text(pieces):
         pos = end
     text = "".join(t.text for t in tokens)
     assert emit_tokens_json(tokens) == reference_tokens_json(tokens)
+
+
+# Text that JSON escapes: quotes, backslashes, control characters, and
+# non-ASCII text that ``ensure_ascii=False`` writes as it is.
+_ESCAPED = ['"', "\\", "\x00", "\x1f", "\n\r\t", "é中😀", "\u2028", "a"]
+
+
+@pytest.mark.parametrize("count", [0, 1, _JSON_RUN - 1, _JSON_RUN,
+                                   _JSON_RUN + 1, 2 * _JSON_RUN + 1])
+def test_streamed_tokens_json_matches_json_dumps_at_run_edges(count):
+    tokens, pos = [], 0
+    for i in range(count):
+        text = _ESCAPED[i % len(_ESCAPED)] * (1 + i % 3)
+        end = pos + len(text.encode("utf-8"))
+        tokens.append(Token(Span(pos, end), list(Scope)[i % len(Scope)], text))
+        pos = end
+    pieces = list(iter_tokens_json(tokens))
+    assert b"".join(pieces) == reference_tokens_json(tokens)
+    assert emit_tokens_json(tokens) == reference_tokens_json(tokens)
+    # one piece per run of tokens, then the closing bracket
+    assert len(pieces) == -(-count // _JSON_RUN) + 1
+
+
+def test_streamed_tokens_json_holds_a_small_share_of_its_output():
+    """The writer keeps one run of tokens rendered at a time: its traced
+    peak into a sink that drops each piece stays below half the output."""
+    tokens = tokenize(Document(benchmark_inputs("large-problem", 1)
+                               .problem.text))
+    size = 0
+    tracemalloc.start()
+    try:
+        for piece in iter_tokens_json(tokens):
+            size += len(piece)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size > 1_000_000
+    assert peak < 0.5 * size, (peak, size)
 
 
 def test_the_emitters_take_no_source_text():

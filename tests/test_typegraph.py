@@ -306,3 +306,33 @@ def test_only_an_either_parent_is_an_either_type():
         ("either-type",
          "cannot place 'c' under compound type '(either x y)'",
          "(either x y)")]
+
+
+def test_one_placement_warning_per_non_name_parent_naming_every_entry():
+    text = ("(define (domain d) (:types a b - (either x y) c - ?z"
+            " e - (either x y)))")
+    _, diagnostics = graph_for(text)
+    assert [(d.code, d.message, text[d.span.start:d.span.end])
+            for d in diagnostics] == [
+        ("either-type",
+         "cannot place 'a', 'b' under compound type '(either x y)'",
+         "(either x y)"),
+        ("bad-type", "cannot place 'c' under '?z', which is not a type name",
+         "?z"),
+        ("either-type", "cannot place 'e' under compound type '(either x y)'",
+         "(either x y)")]
+
+
+def test_diagram_warns_once_at_the_compound_parent_in_coffee(tmp_path):
+    domain_file = tmp_path / "coffee.pddl"
+    domain_file.write_text(corpus_text("coffee.pddl"), encoding="utf-8")
+    result = CliRunner().invoke(main, ["diagram", str(domain_file),
+                                       "--no-render", "--out",
+                                       str(tmp_path / "out")])
+    assert [line.split(": ", 1)[1] for line in result.stderr.splitlines()
+            if ":8:35:" in line] == [
+        "warning: compound type '(at ?l - location)' in type position "
+        "[bad-type]",
+        "warning: cannot place 'robot', 'human', '_', 'agent', 'furniture', "
+        "'door' under '(at ?l - location)', which is not a type name "
+        "[bad-type]"]
