@@ -7,9 +7,10 @@ Run it from the repository root with the interpreter under test:
 
 It needs neither click nor pytest. For each corpus file, each grammar-tour
 fixture, each seed-1 input of the three benchmark workloads and each input
-in ``GRAMMAR_CASES`` it hashes the input bytes and ``repr(tokenize(...))``
-and compares both with the digests recorded below, which Python 3.11.7
-produced. It also checks that a parsed forest survives a pickle round trip,
+in ``GRAMMAR_CASES`` (among them a few hundred seeded define forms with
+random formulas in every context of the grammar walk) it hashes the input
+bytes and ``repr(tokenize(...))`` and compares both with the digests
+recorded below, which Python 3.11.7 produced. It also checks that a parsed forest survives a pickle round trip,
 and that the distance rows, computed column by column, equal ``euclidean``
 bit for bit on seeded 3-D and 4-D points, some of whose pairs a compensated
 float ``sum`` (Python 3.12 and later) and a plain left fold add to different
@@ -50,6 +51,145 @@ GRAMMAR_CASES = {
     "grammar/deep-variable-head": b"(define (domain d) (:foo "
     + b"(x " * 105 + b"(?v a)" + b")" * 105 + b"))\n",
 }
+
+# Atoms of the generated walk input: names (some of them keywords in other
+# contexts), variables, numbers, and atoms that are none of these.
+NAMES = ("p", "q", "road", "at", "over", "start", "end", "all", "either",
+         "number", "and", "when", "minimize", "object", "Depot")
+VARIABLES = ("?x", "?y", "?duration", "?V")
+NUMBERS = ("0", "2", "2.5", "-3", "1e3", ".5")
+JUNK = ("-", ":foo", ":parameters", "1x", "?", "#", "?1", "a.b", "é")
+# The shapes of well-formed formulas in each context: a head, then the
+# contexts of its values, one ending in '*' repeated zero to three times.
+SHAPES = {
+    "condition": [("and", "condition*"), ("or", "condition*"),
+                  ("not", "condition"), ("imply", "condition", "condition"),
+                  ("forall", "params", "condition"),
+                  ("exists", "params", "condition"),
+                  ("preference", "name", "condition"),
+                  ("preference", "condition"),
+                  *((op, "fexp", "fexp") for op in ("=", "<", ">", "<=", ">="))],
+    "effect": [("and", "effect*"), ("not", "effect"),
+               ("when", "condition", "effect"), ("forall", "params", "effect"),
+               *((op, "fexp", "fexp") for op in (
+                   "assign", "increase", "decrease", "scale-up", "scale-down"))],
+    "init": [("=", "fexp", "fexp"), ("not", "init"), ("at", "number", "init")],
+    "timed-condition": [("and", "timed-condition*"),
+                        ("at", "when", "condition"),
+                        ("over", "when", "condition")],
+    "timed-effect": [("and", "timed-effect*"), ("at", "when", "effect"),
+                     ("over", "when", "effect")],
+    "fexp": [(op, "fexp", "fexp") for op in "+-*/"] + [("f", "fexp*")],
+}
+WHEN = ("start", "end", "all", "START", "during", "(start)")
+
+
+def _atom(rng: random.Random) -> str:
+    return rng.choice(rng.choice((NAMES, VARIABLES, NUMBERS, JUNK)))
+
+
+def _junk(rng: random.Random, depth: int) -> str:
+    """Random content: an atom, or a list headed by anything."""
+    if depth <= 0 or rng.random() < 0.3:
+        return _atom(rng)
+    heads = [head for shapes in SHAPES.values() for head, *_ in shapes]
+    items = [rng.choice((_atom(rng), rng.choice(heads), f"({_atom(rng)})"))]
+    items += (_junk(rng, depth - 1) for _ in range(rng.randint(0, 3)))
+    return "(" + " ".join(items[rng.random() < 0.1:]) + ")"
+
+
+def _typed(rng: random.Random, items: tuple[str, ...]) -> str:
+    """A typed list of ``items``, some types compound or misplaced."""
+    parts = []
+    for _ in range(rng.randint(0, 3)):
+        parts += (rng.choice(items) for _ in range(rng.randint(1, 3)))
+        if rng.random() < 0.6:
+            parts += ["-", rng.choice(("t", "object", "(either t u)",
+                                       "?x", "(t)", "2"))]
+    return " ".join(parts + ["-"] * (rng.random() < 0.1))
+
+
+def _value(rng: random.Random, context: str, depth: int) -> str:
+    """A value of ``context``; now and then random content instead."""
+    if rng.random() < 0.08:
+        return _junk(rng, depth)
+    if context == "params":
+        return f"({_typed(rng, VARIABLES)})"
+    if context in ("name", "number", "when"):
+        return rng.choice({"name": NAMES, "number": NUMBERS,
+                           "when": WHEN}[context])
+    if depth <= 0 or rng.random() < 0.3:
+        if context == "fexp":
+            return rng.choice(NUMBERS + VARIABLES + ("(f)", "(f ?x)"))
+        terms = (rng.choice(NAMES + VARIABLES) for _ in range(rng.randint(0, 3)))
+        return "(" + " ".join((rng.choice(NAMES), *terms)) + ")"
+    head, *values = rng.choice(SHAPES[context])
+    if rng.random() < 0.1:
+        head = head.upper()
+    items = [head]
+    for value in values:
+        repeat = rng.randint(0, 3) if value.endswith("*") else 1
+        items += (_value(rng, value.rstrip("*"), depth - 1)
+                  for _ in range(repeat))
+    return "(" + " ".join(items) + ")"
+
+
+def _blocks(rng: random.Random, kind: str) -> list[str]:
+    """Every block of a domain or a problem, each with random values."""
+    def some(context: str, depth: int = 3) -> str:
+        return " ".join(_value(rng, context, depth)
+                        for _ in range(rng.randint(0, 3)))
+
+    if kind == "problem":
+        return [f"(:domain {rng.choice(NAMES + JUNK)})",
+                f"(:objects {_typed(rng, NAMES)})", f"(:init {some('init')})",
+                f"(:goal {some('condition')})",
+                f"(:metric {rng.choice(('minimize', 'maximize', 'least'))} "
+                f"{some('fexp')})",
+                f"(:constraints {some('condition')})"]
+    keys = {":action": [":parameters params", ":precondition condition",
+                        ":effect effect"],
+            ":durative-action": [":parameters params", ":duration condition",
+                                 ":condition timed-condition",
+                                 ":effect timed-effect"]}
+    blocks = [f"(:requirements :strips {rng.choice(('TYPING', ':adl', 'x'))})",
+              f"(:types {_typed(rng, NAMES)})",
+              f"(:constants {_typed(rng, NAMES)})",
+              "(:predicates " + " ".join(
+                  f"({rng.choice(NAMES + JUNK)} {_typed(rng, VARIABLES)})"
+                  for _ in range(rng.randint(0, 3))) + ")",
+              f"(:functions (f {_typed(rng, VARIABLES)}) - number (g) "
+              f"{rng.choice(('- (either t u)', '-', ''))})",
+              f"(:derived ({rng.choice(NAMES)} ?x) {some('condition')})",
+              f"(:constraints {some('condition')})"]
+    for head, entries in keys.items():
+        parts = [head, rng.choice(NAMES + JUNK + ("",))]
+        for entry in entries:
+            key, context = entry.split()
+            if rng.random() < 0.15:
+                key = key[:-1]
+            parts += [key, _value(rng, context, 3)]
+        blocks.append("(" + " ".join(parts) + ")")
+    return blocks
+
+
+def generated_defines(seed: int, count: int) -> bytes:
+    """``count`` define forms, each a domain or a problem whose every
+    context holds random well-formed and broken formulas."""
+    rng = random.Random(seed)
+    forms = []
+    for _ in range(count):
+        kind = rng.choice(("domain", "problem"))
+        blocks = _blocks(rng, kind)
+        rng.shuffle(blocks)
+        decl = rng.choice((f"({kind} n)", f"({kind} n)", f"({kind})", "x"))
+        if rng.random() < 0.3:
+            blocks.insert(rng.randrange(len(blocks) + 1), _junk(rng, 3))
+        forms.append(f"(define {decl}\n  " + "\n  ".join(blocks) + ")\n")
+    return "".join(forms).encode("utf-8")
+
+
+GRAMMAR_CASES["grammar/generated"] = generated_defines(20260, 300)
 
 # name -> (sha256 of the input bytes, sha256 of repr(tokenize(input)))
 EXPECTED = {
@@ -107,6 +247,9 @@ EXPECTED = {
     "grammar/deep-variable-head": (
         "57f5ee9dbb20bfb418b7dd26a2e0e4512d58d34df2b1e0fac8bd959d7f2b0e01",
         "19c6343ffb66c065dd2868cb03668addc1ce879d499ab39fc23350ee6233960e"),
+    "grammar/generated": (
+        "173367573deeefde4c63b9c256b010b9b4a5167d77371f6a0ef8edc04d55dda7",
+        "109c1bdce9a4076c68a43ce344f73cb2d90a150294078580a4a3617dd3758d3c"),
 }
 
 
