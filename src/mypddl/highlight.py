@@ -12,17 +12,25 @@ from __future__ import annotations
 
 import enum
 import html
+from functools import partial
 from json.encoder import encode_basestring
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .model import (
     ACTION_KEYS,
+    CONDITION_RULES,
+    EFFECT_RULES,
+    INIT_RULES,
+    NUMERIC_RULES,
+    PREDICATE_KEYWORDS,
     REQUIREMENT_KEYS,
+    TIME_SPECIFIERS,
+    TIMED_CONDITION_RULES,
+    TIMED_EFFECT_RULES,
     action_name,
     define_kind,
     head_key,
-    is_define,
     is_name,
     is_number,
     is_variable,
@@ -54,12 +62,6 @@ class Token(NamedTuple):
     text: str
 
 
-_CONDITION_CONNECTIVES = frozenset({"and", "or", "not", "imply"})
-_COMPARISONS = frozenset({"=", "<", ">", "<=", ">="})
-_EFFECT_OPS = frozenset({"assign", "increase", "decrease", "scale-up",
-                         "scale-down"})
-_ARITHMETIC = frozenset({"+", "-", "*", "/"})
-
 # Misspelled action keys still hint at what their value was meant to be: the
 # value is read as that of the hinted key, or in the hinted context where the
 # action has no such key, which keeps the error local to the key.
@@ -82,10 +84,43 @@ _TRIVIA_SCOPES = {NodeKind.WHITESPACE: Scope.PUNCTUATION,
 # Marks, in ``flat_emit``'s stack, that the list popped next is complete.
 _CLOSE = object()
 
+GrammarMethod = Callable[["_Walk", SExprNode], None]
+
+
+def _atom(scope: Scope, accepts: Callable[[str], bool]) -> GrammarMethod:
+    """The grammar method of a place for one atom, which is of ``scope`` if
+    ``accepts`` takes its text, else Unscoped; a list there is Unscoped
+    whole. ``accepts`` is kept on the method, for rows that it guards."""
+    def value(self: _Walk, node: SExprNode) -> None:
+        self.atom_or_tree(node, scope if accepts(node.text)
+                          else Scope.UNSCOPED)
+    value.accepts = accepts  # type: ignore[attr-defined]
+    return value
+
+
+def _name_or(then: GrammarMethod) -> GrammarMethod:
+    """The grammar method of a place for an optional name, such as that of
+    a preference: an atom there is the name, a list read by ``then``."""
+    def value(self: _Walk, node: SExprNode) -> None:
+        if node.kind is NodeKind.ATOM:
+            self.name(node)
+        else:
+            then(self, node)
+    return value
+
+
+def _methods(namespace: dict, rules: dict[str, tuple[str, ...]],
+             ) -> dict[str, tuple[GrammarMethod, ...]]:
+    """``rules`` with each context name turned into the grammar method of
+    that name in ``namespace``, a '-' in it read as '_'."""
+    return {key: tuple(namespace[name.replace("-", "_")] for name in row)
+            for key, row in rules.items()}
+
 
 class _Walk:
     """One grammar walk over a parsed forest, in which every node has a
-    span."""
+    span. A grammar method takes the walk and one node, as ``each`` sends
+    it; a block or form handler also takes the list's head."""
 
     def __init__(self, forest: Sequence[SExprNode]) -> None:
         self.forest = forest
@@ -96,13 +131,6 @@ class _Walk:
         self.term_scopes: dict[str, Scope] = {}
 
     # -- emission ---------------------------------------------------------
-
-    def trivia(self, node: SExprNode) -> bool:
-        kind, text, _, span, _, trivia = node
-        if trivia:
-            self.tokens.append(tuple.__new__(
-                Token, (span, _TRIVIA_SCOPES[kind], text)))
-        return trivia
 
     def open_paren(self, node: SExprNode,
                    scope: Optional[Scope] = None) -> None:
@@ -143,8 +171,8 @@ class _Walk:
             item = todo.pop()
             if item is _CLOSE:
                 self.close_paren(todo.pop(), scope or Scope.PUNCTUATION)
-            elif self.trivia(item):
-                continue
+            elif item.is_trivia:
+                self.single(item, _TRIVIA_SCOPES[item.kind])
             elif item.kind is NodeKind.ATOM:
                 if scope is None and item not in heads:
                     self.lexical_atom(item)
@@ -160,12 +188,11 @@ class _Walk:
                     heads.add(head)
 
     def each(self, node: SExprNode, head: Optional[SExprNode],
-             head_scope: Scope,
-             value_fn: Callable[[SExprNode, int], None]) -> None:
+             head_scope: Scope, *values: GrammarMethod) -> None:
         """One in-order pass over a list's children: trivia emitted as-is,
-        the head atom with ``head_scope``, the k-th following value through
-        ``value_fn(value, k)``. Parens are emitted here too. The grammar
-        methods take ``k`` too, so that they serve as value functions."""
+        the head atom with ``head_scope``, and the k-th value after it
+        through the k-th of ``values``, the last of which repeats. Parens
+        are emitted here too."""
         if self.depth >= _MAX_GRAMMAR_DEPTH:
             self.flat_emit(node)
             return
@@ -173,8 +200,9 @@ class _Walk:
         try:
             self.open_paren(node)
             append = self.tokens.append
+            rest = iter(values)
+            value = next(rest)
             seen_head = False
-            k = 0
             for child in node.children:
                 kind, text, _, span, _, trivia = child
                 if trivia:
@@ -184,13 +212,11 @@ class _Walk:
                     seen_head = True
                     self.atom_or_tree(child, head_scope)
                 else:
-                    value_fn(child, k)
-                    k += 1
+                    value(self, child)
+                    value = next(rest, value)
             self.close_paren(node)
         finally:
             self.depth -= 1
-
-    # -- fallback for content we have no grammar for ----------------------
 
     def lexical_atom(self, node: SExprNode) -> None:
         text = node.text
@@ -201,191 +227,56 @@ class _Walk:
         else:
             self.single(node, self.term_scope(text))
 
-    def lenient(self, node: SExprNode, k: int = 0) -> None:
-        self.flat_emit(node)
+    # -- formulas -----------------------------------------------------------
 
-    # -- typed lists --------------------------------------------------------
-
-    def typed_list(self, node: SExprNode, head: Optional[SExprNode],
-                   items: Optional[Scope],
-                   head_scope: Scope = Scope.KEYWORD) -> None:
-        """A typed list, (x+ - type)* after ``head`` if there is one, which
-        gets ``head_scope``, read by ``typed_list_marks``: a '-' that starts
-        a type is Punctuation and one with nothing after it Unscoped. An
-        atom item is of scope ``items`` if it classifies as that, else
-        Unscoped; with ``items`` None the items are declarations."""
-        marks = typed_list_marks(node.children, head)
-        append = self.tokens.append
-        new = tuple.__new__
-        scopes = self.term_scopes
-        type_node = None
-        self.open_paren(node)
-        for child in node.children:
-            kind, text, _, span, _, trivia = child
-            if trivia:
-                append(new(Token, (span, _TRIVIA_SCOPES[kind], text)))
-            elif child is head:
-                self.atom_or_tree(child, head_scope)
-            elif child is type_node:
-                self.type_position(child)
-            elif text == "-":
-                type_node = marks[child]
-                append(new(Token, (span, Scope.UNSCOPED if type_node is None
-                                   else Scope.PUNCTUATION, text)))
-            elif kind is not NodeKind.ATOM:
-                if items is None:
-                    self.declaration(child)
-                else:
-                    self.flat_emit(child, Scope.UNSCOPED)
-            else:
-                scope = scopes.get(text) or self.term_scope(text)
-                append(new(Token, (span, scope if scope is items
-                                   else Scope.UNSCOPED, text)))
-        self.close_paren(node)
-
-    def type_position(self, node: SExprNode) -> None:
-        if node.kind is NodeKind.ATOM:
-            ok = is_name(node.text)
-            self.single(node, Scope.TYPE_NAME if ok else Scope.UNSCOPED)
-        elif head_key(node) == "either":
-            def member(child: SExprNode, k: int) -> None:
-                if child.kind is NodeKind.ATOM and is_name(child.text):
-                    self.single(child, Scope.TYPE_NAME)
-                else:
-                    self.flat_emit(child, Scope.UNSCOPED)
-            self.each(node, node.head(), Scope.KEYWORD, member)
-        else:
-            self.flat_emit(node, Scope.UNSCOPED)
-
-    def params_value(self, node: SExprNode) -> None:
-        if node.kind is NodeKind.LIST:
-            self.typed_list(node, None, Scope.VARIABLE)
-        else:
+    def formula(self, node: SExprNode, rules: dict,
+                ground: Optional[bool] = False) -> None:
+        """A formula of the context whose rows are ``rules``: a list headed
+        by a key of ``rules`` sends the values after it to the methods of
+        the key's row, or goes with its head to the row's handler; a list
+        headed by any other name is an atomic formula, ``ground`` if in
+        ``:init``. With ``ground`` None the node is a block or a top-level
+        form: no atomic formula stands there, and a list headed by a list
+        is read lexically rather than Unscoped whole."""
+        if node.kind is not NodeKind.LIST:
             self.single(node, Scope.UNSCOPED)
-
-    def name_value(self, node: SExprNode, k: int = 0) -> None:
-        """A name position: a Name if the atom is one, else Unscoped."""
-        ok = node.kind is NodeKind.ATOM and is_name(node.text)
-        self.atom_or_tree(node, Scope.NAME if ok else Scope.UNSCOPED)
-
-    # -- terms and numeric expressions ---------------------------------------
-
-    def term_scope(self, text: str) -> Scope:
-        """Scope of an atom in term position, before ``ground`` is applied;
-        each distinct text is classified once per walk."""
-        scope = self.term_scopes.get(text)
-        if scope is None:
-            if is_variable(text):
-                scope = Scope.VARIABLE
-            elif is_number(text):
-                scope = Scope.NUMBER
-            elif is_name(text):
-                scope = Scope.NAME
-            else:
-                scope = Scope.UNSCOPED
-            self.term_scopes[text] = scope
-        return scope
-
-    def fexp(self, node: SExprNode, k: int = 0) -> None:
-        if node.kind is NodeKind.ATOM:
-            self.single(node, self.term_scope(node.text))
             return
         head = node.head()
-        if head is not None and head.kind is NodeKind.ATOM:
-            if head.text in _ARITHMETIC:
-                self.each(node, head, Scope.KEYWORD, self.fexp)
-                return
-            if is_name(head.text):
-                self.each(node, head, Scope.NAME, self.fexp)
-                return
-        self.flat_emit(node, Scope.UNSCOPED)
-
-    # -- conditions and effects ------------------------------------------------
-
-    def formula_head(self, node: SExprNode) -> Optional[SExprNode]:
-        """The head atom of a formula. Anything else (an atom, an empty list
-        or a list headed by a list) is emitted here, and None returned."""
-        if node.kind is NodeKind.ATOM:
-            self.single(node, Scope.UNSCOPED)
-            return None
-        head = node.head()
-        if head is None:
-            self.flat_emit(node)
-        elif head.kind is not NodeKind.ATOM:
-            self.flat_emit(node, Scope.UNSCOPED)
-        else:
-            return head
-        return None
-
-    def atomic(self, node: SExprNode, head: SExprNode, ground: bool) -> None:
-        """An atomic formula if its head is a name, else lenient content."""
-        if is_name(head.text):
-            self.application(node, head, ground)
-        else:
-            self.unknown_block(node)
-
-    def condition(self, node: SExprNode, k: int = 0) -> None:
-        head = self.formula_head(node)
-        if head is None:
+        if head is None or head.kind is not NodeKind.ATOM:
+            self.flat_emit(node, None if head is None or ground is None
+                           else Scope.UNSCOPED)
             return
         key = head.text.lower()
-        if key in _CONDITION_CONNECTIVES:
-            self.each(node, head, Scope.KEYWORD, self.condition)
-        elif key in ("forall", "exists"):
-            self.quantified(node, head, self.condition)
-        elif key == "preference":
-            def value(child: SExprNode, k: int) -> None:
-                if k == 0 and child.kind is NodeKind.ATOM:
-                    self.name_value(child)
-                else:
-                    self.condition(child)
-            self.each(node, head, Scope.KEYWORD, value)
-        elif key in _COMPARISONS:
-            self.each(node, head, Scope.KEYWORD, self.fexp)
+        rule = rules.get(key)
+        if rule is not None and key in PREDICATE_KEYWORDS:
+            values = node.values()
+            if len(values) < 2 or values[1].kind is not NodeKind.ATOM \
+                    or not rule[0].accepts(values[1].text):
+                rule = None
+        if rule is None:
+            if ground is not None and is_name(head.text):
+                self.application(node, head, ground)
+            else:
+                self.each(node, head, Scope.UNSCOPED, _Walk.flat_emit)
+        elif type(rule) is tuple:
+            self.each(node, head, Scope.KEYWORD, *rule)
         else:
-            self.atomic(node, head, ground=False)
+            rule(self, node, head)
 
-    def effect(self, node: SExprNode, k: int = 0) -> None:
-        head = self.formula_head(node)
-        if head is None:
-            return
-        key = head.text.lower()
-        if key in ("and", "not"):
-            self.each(node, head, Scope.KEYWORD, self.effect)
-        elif key == "when":
-            def value(child: SExprNode, k: int) -> None:
-                if k == 0:
-                    self.condition(child)
-                else:
-                    self.effect(child)
-            self.each(node, head, Scope.KEYWORD, value)
-        elif key == "forall":
-            self.quantified(node, head, self.effect)
-        elif key in _EFFECT_OPS:
-            self.each(node, head, Scope.KEYWORD, self.fexp)
-        else:
-            self.atomic(node, head, ground=False)
+    def condition(self, node: SExprNode) -> None:
+        self.formula(node, self.CONDITION)
 
-    def init_fact(self, node: SExprNode, k: int = 0) -> None:
-        head = self.formula_head(node)
-        if head is None:
-            return
-        key = head.text.lower()
-        if key == "=":
-            self.each(node, head, Scope.KEYWORD, self.fexp)
-        elif key == "not":
-            self.each(node, head, Scope.KEYWORD, self.init_fact)
-        elif key == "at" and len(values := node.values()) > 1 \
-                and values[1].kind is NodeKind.ATOM and is_number(values[1].text):
-            # timed initial literal
-            def value(child: SExprNode, k: int) -> None:
-                if k == 0:
-                    self.single(child, Scope.NUMBER)
-                else:
-                    self.init_fact(child)
-            self.each(node, head, Scope.KEYWORD, value)
-        else:
-            self.atomic(node, head, ground=True)
+    def effect(self, node: SExprNode) -> None:
+        self.formula(node, self.EFFECT)
+
+    def init(self, node: SExprNode) -> None:
+        self.formula(node, self.INIT, True)
+
+    def timed_condition(self, node: SExprNode) -> None:
+        self.formula(node, self.TIMED_CONDITION)
+
+    def timed_effect(self, node: SExprNode) -> None:
+        self.formula(node, self.TIMED_EFFECT)
 
     def application(self, node: SExprNode, head: SExprNode, ground: bool) -> None:
         """An atomic formula (name term...): the head atom is a Name and
@@ -422,30 +313,111 @@ class _Walk:
         if closed:
             append(new(Token, (new(Span, (end - 1, end)), punctuation, ")")))
 
-    def quantified(self, node: SExprNode, head: SExprNode,
-                   body_fn: Callable[[SExprNode], None]) -> None:
-        def value(child: SExprNode, k: int) -> None:
-            if k == 0:
-                self.params_value(child)
+    # -- terms, numeric expressions and one-atom places -----------------------
+
+    def term_scope(self, text: str) -> Scope:
+        """Scope of an atom in term position, before ``ground`` is applied;
+        each distinct text is classified once per walk."""
+        scope = self.term_scopes.get(text)
+        if scope is None:
+            if is_variable(text):
+                scope = Scope.VARIABLE
+            elif is_number(text):
+                scope = Scope.NUMBER
+            elif is_name(text):
+                scope = Scope.NAME
             else:
-                body_fn(child)
-        self.each(node, head, Scope.KEYWORD, value)
+                scope = Scope.UNSCOPED
+            self.term_scopes[text] = scope
+        return scope
 
-    # -- domain blocks -----------------------------------------------------------
+    def fexp(self, node: SExprNode) -> None:
+        """A numeric expression: a term, an operation of ``NUMERIC_RULES``
+        or a function applied to numeric expressions."""
+        if node.kind is NodeKind.ATOM:
+            self.single(node, self.term_scope(node.text))
+            return
+        head = node.head()
+        if head is not None and head.kind is NodeKind.ATOM:
+            rule = self.NUMERIC.get(head.text)
+            if rule is not None:
+                self.each(node, head, Scope.KEYWORD, *rule)
+                return
+            if is_name(head.text):
+                self.each(node, head, Scope.NAME, _Walk.fexp)
+                return
+        self.flat_emit(node, Scope.UNSCOPED)
 
-    def requirements_block(self, node: SExprNode, head: SExprNode) -> None:
-        def value(child: SExprNode, k: int) -> None:
-            if child.kind is NodeKind.ATOM \
-                    and child.text.lower() in REQUIREMENT_KEYS:
-                self.single(child, Scope.REQUIREMENT)
+    def metric(self, node: SExprNode) -> None:
+        if node.kind is not NodeKind.ATOM:
+            self.fexp(node)
+        elif node.text.lower() in ("minimize", "maximize"):
+            self.single(node, Scope.KEYWORD)
+        else:
+            self.lexical_atom(node)
+
+    name = _atom(Scope.NAME, is_name)
+    number = _atom(Scope.NUMBER, is_number)
+    type_name = _atom(Scope.TYPE_NAME, is_name)
+    requirement = _atom(Scope.REQUIREMENT,
+                        lambda text: text.lower() in REQUIREMENT_KEYS)
+    time_specifier = _atom(Scope.KEYWORD,
+                           lambda text: text.lower() in TIME_SPECIFIERS)
+
+    name_or_condition = _name_or(condition)
+
+    # -- typed lists --------------------------------------------------------
+
+    def typed_list(self, node: SExprNode, head: Optional[SExprNode],
+                   items: Optional[Scope] = Scope.NAME,
+                   head_scope: Scope = Scope.KEYWORD) -> None:
+        """A typed list, (x+ - type)* after ``head`` if there is one, which
+        gets ``head_scope``, read by ``typed_list_marks``: a '-' that starts
+        a type is Punctuation and one with nothing after it Unscoped. An
+        atom item is of scope ``items`` if it classifies as that, else
+        Unscoped; with ``items`` None the items are declarations."""
+        marks = typed_list_marks(node.children, head)
+        append = self.tokens.append
+        new = tuple.__new__
+        scopes = self.term_scopes
+        type_node = None
+        self.open_paren(node)
+        for child in node.children:
+            kind, text, _, span, _, trivia = child
+            if trivia:
+                append(new(Token, (span, _TRIVIA_SCOPES[kind], text)))
+            elif child is head:
+                self.atom_or_tree(child, head_scope)
+            elif child is type_node:
+                self.type_position(child)
+            elif text == "-":
+                type_node = marks[child]
+                append(new(Token, (span, Scope.UNSCOPED if type_node is None
+                                   else Scope.PUNCTUATION, text)))
+            elif kind is not NodeKind.ATOM:
+                if items is None:
+                    self.declaration(child)
+                else:
+                    self.flat_emit(child, Scope.UNSCOPED)
             else:
-                self.flat_emit(child, Scope.UNSCOPED)
-        self.each(node, head, Scope.KEYWORD, value)
+                scope = scopes.get(text) or self.term_scope(text)
+                append(new(Token, (span, scope if scope is items
+                                   else Scope.UNSCOPED, text)))
+        self.close_paren(node)
 
-    def typed_list_block(self, node: SExprNode, head: SExprNode) -> None:
-        self.typed_list(node, head, Scope.NAME)
+    def type_position(self, node: SExprNode) -> None:
+        if head_key(node) == "either":
+            self.each(node, node.head(), Scope.KEYWORD, _Walk.type_name)
+        else:
+            self.type_name(node)
 
-    def declaration(self, node: SExprNode, k: int = 0) -> None:
+    def parameters(self, node: SExprNode) -> None:
+        if node.kind is NodeKind.LIST:
+            self.typed_list(node, None, Scope.VARIABLE)
+        else:
+            self.single(node, Scope.UNSCOPED)
+
+    def declaration(self, node: SExprNode) -> None:
         """A predicate or function declaration: (name typed-variables...);
         one with no name at all, such as ``()``, is Unscoped whole."""
         head = node.head() if node.kind is NodeKind.LIST else None
@@ -456,174 +428,108 @@ class _Walk:
         self.typed_list(node, head, Scope.VARIABLE,
                         Scope.NAME if ok else Scope.UNSCOPED)
 
-    def predicates_block(self, node: SExprNode, head: SExprNode) -> None:
-        self.each(node, head, Scope.KEYWORD, self.declaration)
-
-    def functions_block(self, node: SExprNode, head: SExprNode) -> None:
-        self.typed_list(node, head, None)
+    # -- blocks and whole files -------------------------------------------------
 
     def action_block(self, node: SExprNode, head: SExprNode) -> None:
         """(:action NAME key value...) or (:durative-action ...), keyed by
-        ``ACTION_KEYS``."""
+        ``ACTION_KEYS``. A key in the name's place stays Unscoped: the
+        action has no name."""
         keys = ACTION_KEYS[head.text.lower()]
         name = action_name(node, head.text.lower())
-        context: Optional[str] = None
+        key_scope = Scope.UNSCOPED
+        context: Optional[GrammarMethod] = None
 
-        def value(child: SExprNode, k: int) -> None:
-            nonlocal context
+        def value(self: _Walk, child: SExprNode) -> None:
+            nonlocal context, key_scope
             if child is name:
-                self.name_value(child)
+                self.name(child)
             elif context is not None:
-                self.ACTION_VALUES.get(context, _Walk.lenient)(self, child)
+                context(self, child)
                 context = None
             elif child.kind is not NodeKind.ATOM:
                 self.flat_emit(child, Scope.UNSCOPED)
             elif (key := child.text.lower()) in keys:
-                # A key in the name's place stays Unscoped: no name.
-                self.single(child, Scope.KEYWORD if k else Scope.UNSCOPED)
-                context = keys[key][1]
+                self.single(child, key_scope)
+                context = self.ACTION_VALUES[keys[key][1]]
             else:
                 self.single(child, Scope.UNSCOPED)
                 # Read the value as that of the hinted key if this kind of
                 # action has it, so a durative one gets the timed context.
                 hint = _ACTION_KEY_HINTS.get(key.strip(":"))
-                context = keys[f":{hint}"][1] if f":{hint}" in keys \
-                    else hint or "lenient"
+                context = self.ACTION_VALUES.get(
+                    keys[f":{hint}"][1] if f":{hint}" in keys else hint,
+                    _Walk.flat_emit)
+            key_scope = Scope.KEYWORD
 
         self.each(node, head, Scope.KEYWORD, value)
 
-    def timed(self, node: SExprNode, plain: Callable[[SExprNode], None]) -> None:
-        """(and ...), (at start|end X) and (over all X) wrappers in
-        durative-action conditions and effects."""
-        if node.kind is NodeKind.LIST:
-            values = node.values()
-            head = values[0] if values else None
-            if head is not None and head.kind is NodeKind.ATOM:
-                key = head.text.lower()
-                if key == "and":
-                    self.each(node, head, Scope.KEYWORD,
-                              lambda c, k: self.timed(c, plain))
-                    return
-                if key in ("at", "over") and len(values) >= 2 \
-                        and values[1].kind is NodeKind.ATOM \
-                        and values[1].text.lower() in ("start", "end", "all"):
-                    def value(child: SExprNode, k: int) -> None:
-                        if k == 0:
-                            self.single(child, Scope.KEYWORD)
-                        else:
-                            plain(child)
-                    self.each(node, head, Scope.KEYWORD, value)
-                    return
-        plain(node)
+    def domain_block(self, node: SExprNode) -> None:
+        self.formula(node, self.DOMAIN_BLOCKS, ground=None)
 
-    def derived_block(self, node: SExprNode, head: SExprNode) -> None:
-        def value(child: SExprNode, k: int) -> None:
-            if k == 0:
-                self.declaration(child)
-            else:
-                self.condition(child)
-        self.each(node, head, Scope.KEYWORD, value)
+    def problem_block(self, node: SExprNode) -> None:
+        self.formula(node, self.PROBLEM_BLOCKS, ground=None)
 
-    def conditions_block(self, node: SExprNode, head: SExprNode) -> None:
-        self.each(node, head, Scope.KEYWORD, self.condition)
+    def unknown(self, node: SExprNode) -> None:
+        self.formula(node, {}, ground=None)
 
-    # -- problem blocks ------------------------------------------------------------
+    def header(self, node: SExprNode) -> None:
+        self.each(node, node.head(), Scope.KEYWORD, _Walk.name)
 
-    def init_block(self, node: SExprNode, head: SExprNode) -> None:
-        self.each(node, head, Scope.KEYWORD, self.init_fact)
-
-    def metric_block(self, node: SExprNode, head: SExprNode) -> None:
-        def value(child: SExprNode, k: int) -> None:
-            if child.kind is NodeKind.ATOM:
-                if child.text.lower() in ("minimize", "maximize"):
-                    self.single(child, Scope.KEYWORD)
-                else:
-                    self.lexical_atom(child)
-            else:
-                self.fexp(child)
-        self.each(node, head, Scope.KEYWORD, value)
-
-    def unknown_block(self, node: SExprNode) -> None:
-        head = node.head()
-        if head is not None and head.kind is NodeKind.ATOM:
-            self.each(node, head, Scope.UNSCOPED, self.lenient)
-        else:
-            self.flat_emit(node)
-
-    # -- whole files --------------------------------------------------------------
-
-    def block(self, node: SExprNode, handlers: dict) -> None:
-        """A block of a define form, through the handler of its key."""
-        if node.kind is not NodeKind.LIST:
-            self.single(node, Scope.UNSCOPED)
-            return
-        handler = handlers.get(head_key(node))
-        if handler is None:
-            self.unknown_block(node)
-        else:
-            handler(self, node, node.head())
-
-    def define_form(self, node: SExprNode) -> None:
+    def define_form(self, node: SExprNode, head: SExprNode) -> None:
+        """(define (domain NAME) block...) or (define (problem NAME) ...);
+        with no such header, a domain's blocks after lenient content."""
         values = node.values()
-        decl = values[1] if len(values) > 1 else None
-        kind = define_kind(decl)
-        handlers = self.PROBLEM_BLOCKS if kind == "problem" \
-            else self.DOMAIN_BLOCKS
-
-        def value(child: SExprNode, k: int) -> None:
-            if k > 0:
-                self.block(child, handlers)
-            elif kind is not None:
-                self.each(child, child.head(), Scope.KEYWORD, self.name_value)
-            elif child.kind is NodeKind.ATOM:
-                self.single(child, Scope.UNSCOPED)
-            else:
-                self.unknown_block(child)
-
-        self.each(node, values[0], Scope.KEYWORD, value)
+        kind = define_kind(values[1] if len(values) > 1 else None)
+        self.each(node, head, Scope.KEYWORD,
+                  _Walk.unknown if kind is None else _Walk.header,
+                  _Walk.problem_block if kind == "problem"
+                  else _Walk.domain_block)
 
     def run(self) -> list[Token]:
         for node in self.forest:
-            if self.trivia(node):
-                continue
-            if node.kind is NodeKind.ATOM:
-                self.single(node, Scope.UNSCOPED)
-            elif is_define(node):
-                self.define_form(node)
+            if node.is_trivia:
+                self.single(node, _TRIVIA_SCOPES[node.kind])
             else:
-                self.unknown_block(node)
+                self.formula(node, self.FORMS, ground=None)
         return self.tokens
 
-    # Handlers by block key (the keys of ``DOMAIN_BLOCK_KEYS`` and
-    # ``PROBLEM_BLOCK_KEYS``), and by the context ``ACTION_KEYS`` gives an
-    # action key's value.
+    # The rows of the formula tables of ``model``, and those of blocks and
+    # forms. A domain's and a problem's keys are those of
+    # ``DOMAIN_BLOCK_KEYS`` and ``PROBLEM_BLOCK_KEYS``.
+    CONDITION = _methods(locals(), CONDITION_RULES)
+    EFFECT = _methods(locals(), EFFECT_RULES)
+    INIT = _methods(locals(), INIT_RULES)
+    TIMED_CONDITION = _methods(locals(), TIMED_CONDITION_RULES)
+    TIMED_EFFECT = _methods(locals(), TIMED_EFFECT_RULES)
+    NUMERIC = _methods(locals(), NUMERIC_RULES)
     DOMAIN_BLOCKS = {
-        ":requirements": requirements_block,
-        ":types": typed_list_block,
-        ":constants": typed_list_block,
-        ":predicates": predicates_block,
-        ":functions": functions_block,
+        ":requirements": (requirement,),
+        ":types": typed_list,
+        ":constants": typed_list,
+        ":predicates": (declaration,),
+        ":functions": partial(typed_list, items=None),
         ":action": action_block,
         ":durative-action": action_block,
-        ":derived": derived_block,
-        ":constraints": conditions_block,
+        ":derived": (declaration, condition),
+        ":constraints": (condition,),
     }
     PROBLEM_BLOCKS = {
-        ":domain": lambda self, node, head: self.each(
-            node, head, Scope.KEYWORD, self.name_value),
-        ":requirements": requirements_block,
-        ":objects": typed_list_block,
-        ":init": init_block,
-        ":goal": conditions_block,
-        ":metric": metric_block,
-        ":constraints": conditions_block,
+        ":domain": (name,),
+        ":requirements": (requirement,),
+        ":objects": typed_list,
+        ":init": (init,),
+        ":goal": (condition,),
+        ":metric": (metric,),
+        ":constraints": (condition,),
     }
+    FORMS = {"define": define_form}
+    # The grammar method of each context ``ACTION_KEYS`` gives a value.
     ACTION_VALUES = {
-        "parameters": params_value,
+        "parameters": parameters,
         "condition": condition,
         "effect": effect,
-        "timed-condition": lambda self, node: self.timed(node, self.condition),
-        "timed-effect": lambda self, node: self.timed(node, self.effect),
+        "timed-condition": timed_condition,
+        "timed-effect": timed_effect,
     }
 
 

@@ -56,6 +56,37 @@ ACTION_KEYS = {
         ":effect": ("effect", "timed-effect"),
     },
 }
+# The formula grammar, written down the same way: for each context the walk
+# reads formulas in, the keywords that head one there and the contexts of
+# the values after the keyword, the last repeating. A list headed by any
+# other name is an atomic formula. "at" and "over" also name predicates, as
+# in (at ?x ?y), so a row of theirs holds only where the value after them is
+# an atom that the row's first context takes.
+CONDITION_RULES = {
+    **dict.fromkeys(("and", "or", "not", "imply"), ("condition",)),
+    **dict.fromkeys(("forall", "exists"), ("parameters", "condition")),
+    "preference": ("name-or-condition", "condition"),
+    **dict.fromkeys(("=", "<", ">", "<=", ">="), ("fexp",)),
+}
+EFFECT_RULES = {
+    **dict.fromkeys(("and", "not"), ("effect",)),
+    "when": ("condition", "effect"),
+    "forall": ("parameters", "effect"),
+    **dict.fromkeys(("assign", "increase", "decrease", "scale-up",
+                     "scale-down"), ("fexp",)),
+}
+INIT_RULES = {"=": ("fexp",), "not": ("init",), "at": ("number", "init")}
+TIMED_CONDITION_RULES = {
+    **CONDITION_RULES, "and": ("timed-condition",),
+    **dict.fromkeys(("at", "over"), ("time-specifier", "condition")),
+}
+TIMED_EFFECT_RULES = {
+    **EFFECT_RULES, "and": ("timed-effect",),
+    **dict.fromkeys(("at", "over"), ("time-specifier", "effect")),
+}
+NUMERIC_RULES = dict.fromkeys(("+", "-", "*", "/"), ("fexp",))
+PREDICATE_KEYWORDS = frozenset({"at", "over"})
+TIME_SPECIFIERS = frozenset({"start", "end", "all"})
 REQUIREMENT_KEYS = frozenset({
     ":strips", ":typing", ":negative-preconditions",
     ":disjunctive-preconditions", ":equality", ":existential-preconditions",

@@ -25,8 +25,15 @@ from mypddl.highlight import (
 )
 from mypddl.model import (
     ACTION_KEYS,
+    CONDITION_RULES,
     DOMAIN_BLOCK_KEYS,
+    EFFECT_RULES,
+    INIT_RULES,
+    NUMERIC_RULES,
+    PREDICATE_KEYWORDS,
     PROBLEM_BLOCK_KEYS,
+    TIMED_CONDITION_RULES,
+    TIMED_EFFECT_RULES,
     parse_domain,
     parse_problem,
 )
@@ -198,11 +205,26 @@ def test_a_misspelled_action_key_is_unscoped_and_reported(block, key):
         [("unknown-action-key", Span(start, start + len(typo)))]
 
 
+FORMULA_RULES = [CONDITION_RULES, EFFECT_RULES, INIT_RULES,
+                 TIMED_CONDITION_RULES, TIMED_EFFECT_RULES, NUMERIC_RULES]
+
+
 def test_the_walk_dispatches_exactly_the_block_keys():
     assert set(_Walk.DOMAIN_BLOCKS) == DOMAIN_BLOCK_KEYS
     assert set(_Walk.PROBLEM_BLOCKS) == PROBLEM_BLOCK_KEYS
     assert set(_Walk.ACTION_VALUES) == {
         context for keys in ACTION_KEYS.values() for _, context in keys.values()}
+    # Every formula keyword is looked up lowercased, and every context a
+    # row names is a grammar method of the walk. A row of a keyword that
+    # also names a predicate starts with a one-atom context, which guards it.
+    for rules in FORMULA_RULES:
+        for key, row in rules.items():
+            assert key == key.lower()
+            methods = [getattr(_Walk, context.replace("-", "_"), None)
+                       for context in row]
+            assert all(callable(method) for method in methods), (key, row)
+            if key in PREDICATE_KEYWORDS:
+                assert callable(getattr(methods[0], "accepts", None)), key
 
 
 @pytest.mark.parametrize("block,key", ACTION_CASES)
