@@ -20,8 +20,10 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 from .model import (
     ACTION_KEYS,
     CONDITION_RULES,
+    CONSTRAINT_RULES,
     EFFECT_RULES,
     INIT_RULES,
+    NUMERIC_KEYWORDS,
     NUMERIC_RULES,
     PREDICATE_KEYWORDS,
     REQUIREMENT_KEYS,
@@ -278,6 +280,9 @@ class _Walk:
     def timed_effect(self, node: SExprNode) -> None:
         self.formula(node, self.TIMED_EFFECT)
 
+    def constraint(self, node: SExprNode) -> None:
+        self.formula(node, self.CONSTRAINT)
+
     def application(self, node: SExprNode, head: SExprNode, ground: bool) -> None:
         """An atomic formula (name term...): the head atom is a Name and
         every argument a term. Every ``:init`` fact, goal, precondition and
@@ -332,10 +337,13 @@ class _Walk:
         return scope
 
     def fexp(self, node: SExprNode) -> None:
-        """A numeric expression: a term, an operation of ``NUMERIC_RULES``
-        or a function applied to numeric expressions."""
+        """A numeric expression: a term or one of ``NUMERIC_KEYWORDS``, an
+        operation of ``NUMERIC_RULES`` or a function applied to numeric
+        expressions."""
         if node.kind is NodeKind.ATOM:
-            self.single(node, self.term_scope(node.text))
+            text = node.text
+            self.single(node, Scope.KEYWORD if text.lower() in NUMERIC_KEYWORDS
+                        else self.term_scope(text))
             return
         head = node.head()
         if head is not None and head.kind is NodeKind.ATOM:
@@ -363,8 +371,10 @@ class _Walk:
                         lambda text: text.lower() in REQUIREMENT_KEYS)
     time_specifier = _atom(Scope.KEYWORD,
                            lambda text: text.lower() in TIME_SPECIFIERS)
+    end = _atom(Scope.KEYWORD, lambda text: text.lower() == "end")
 
     name_or_condition = _name_or(condition)
+    name_or_constraint = _name_or(constraint)
 
     # -- typed lists --------------------------------------------------------
 
@@ -501,6 +511,7 @@ class _Walk:
     INIT = _methods(locals(), INIT_RULES)
     TIMED_CONDITION = _methods(locals(), TIMED_CONDITION_RULES)
     TIMED_EFFECT = _methods(locals(), TIMED_EFFECT_RULES)
+    CONSTRAINT = _methods(locals(), CONSTRAINT_RULES)
     NUMERIC = _methods(locals(), NUMERIC_RULES)
     DOMAIN_BLOCKS = {
         ":requirements": (requirement,),
@@ -511,7 +522,7 @@ class _Walk:
         ":action": action_block,
         ":durative-action": action_block,
         ":derived": (declaration, condition),
-        ":constraints": (condition,),
+        ":constraints": (constraint,),
     }
     PROBLEM_BLOCKS = {
         ":domain": (name,),
@@ -520,7 +531,7 @@ class _Walk:
         ":init": (init,),
         ":goal": (condition,),
         ":metric": (metric,),
-        ":constraints": (condition,),
+        ":constraints": (constraint,),
     }
     FORMS = {"define": define_form}
     # The grammar method of each context ``ACTION_KEYS`` gives a value.

@@ -84,7 +84,23 @@ TIMED_EFFECT_RULES = {
     **EFFECT_RULES, "and": ("timed-effect",),
     **dict.fromkeys(("at", "over"), ("time-specifier", "effect")),
 }
+# PDDL3 constraints (Gerevini and Long, 2005), in :constraints and in the
+# preferences there: a condition, or a temporal operator over conditions.
+CONSTRAINT_RULES = {
+    **CONDITION_RULES, "and": ("constraint",),
+    "forall": ("parameters", "constraint"),
+    "preference": ("name-or-constraint", "constraint"),
+    "at": ("end", "condition"),
+    **dict.fromkeys(("always", "sometime", "at-most-once", "sometime-before",
+                     "sometime-after"), ("condition",)),
+    **dict.fromkeys(("within", "always-within", "hold-after"),
+                    ("number", "condition")),
+    "hold-during": ("number", "number", "condition"),
+}
 NUMERIC_RULES = dict.fromkeys(("+", "-", "*", "/"), ("fexp",))
+# Atoms that are keywords in a numeric expression: #t, the time elapsed in a
+# continuous effect (Fox and Long, 2003).
+NUMERIC_KEYWORDS = frozenset({"#t"})
 PREDICATE_KEYWORDS = frozenset({"at", "over"})
 TIME_SPECIFIERS = frozenset({"start", "end", "all"})
 REQUIREMENT_KEYS = frozenset({

@@ -213,10 +213,10 @@ EXPECTED = {
         "684f0bec938d9dce4e29ce238d7939683c231e224928b620254d4dfa3c3139a0"),
     "fixtures/tour_domain.pddl": (
         "d66b344ac59464a41e1ddf137490886459549aabec32bf9a3601039a2bce6aa3",
-        "252781a90bd4735e12cee3319cdf10c5d6253e4dde977b20d03b3b8d12a3ce19"),
+        "026aa3d2f272e3de6cc89b05dd504d38384ce29bae1cced4c258e26c4b5033d1"),
     "fixtures/tour_problem.pddl": (
         "671819a2a6e357b6e86907b0b19c63c9a956c6c67e614c58b5229d288bfa2082",
-        "5fcbf4bf209ff755083dc2f16d137722155ce896d6d364868462b3191ecd10ca"),
+        "8c3bf95e8fb51f25137abb80a4fad4cfaeb9c0704d6d56b427968480a5160e80"),
     "large-problem/domain": (
         "db48b71c205bed5c33f8546cb1e28aecb9c05b61995deed03e39c56153dcf94d",
         "895b4f1384325384dc65c42659cda7a2e7f57c4cf3839f3d81c0f99fa3f722fb"),

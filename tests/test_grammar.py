@@ -13,9 +13,11 @@ import dataclasses
 import json
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mypddl.cli import main
 from mypddl.highlight import (
     _MAX_GRAMMAR_DEPTH,
     Scope,
@@ -26,6 +28,7 @@ from mypddl.highlight import (
 from mypddl.model import (
     ACTION_KEYS,
     CONDITION_RULES,
+    CONSTRAINT_RULES,
     DOMAIN_BLOCK_KEYS,
     EFFECT_RULES,
     INIT_RULES,
@@ -206,7 +209,8 @@ def test_a_misspelled_action_key_is_unscoped_and_reported(block, key):
 
 
 FORMULA_RULES = [CONDITION_RULES, EFFECT_RULES, INIT_RULES,
-                 TIMED_CONDITION_RULES, TIMED_EFFECT_RULES, NUMERIC_RULES]
+                 TIMED_CONDITION_RULES, TIMED_EFFECT_RULES, CONSTRAINT_RULES,
+                 NUMERIC_RULES]
 
 
 def test_the_walk_dispatches_exactly_the_block_keys():
@@ -271,6 +275,57 @@ def test_a_colon_atom_that_is_no_key_is_the_action_name_in_both_layers():
     assert _scope_of(text, ":parameters") is Scope.KEYWORD
     start = text.index(":go")
     assert invalid_regions(tokenize(text)) == [Span(start, start + 3)]
+
+
+# -- PDDL3 constraints and #t ----------------------------------------------------
+
+# Valid files that the walk once marked invalid, with nothing reported by
+# the model: PDDL3 operators in :constraints and #t in a continuous effect.
+VALID_PDDL3 = [
+    "(define (domain d) (:predicates (p)) (:constraints (always (p))))",
+    "(define (problem q) (:domain d) (:init (p)) (:goal (p))\n"
+    "  (:constraints (within 5 (p))))",
+    "(define (domain d) (:predicates (p)) (:functions (f))\n"
+    "  (:durative-action a :parameters () :duration (= ?duration 1)\n"
+    "    :condition (at start (p)) :effect (increase (f) (* #t 1))))",
+]
+
+
+@pytest.mark.parametrize("text", VALID_PDDL3)
+def test_a_valid_pddl3_file_has_no_invalid_region_and_checks(text, tmp_path):
+    assert invalid_regions(tokenize(text)) == []
+    path = tmp_path / "valid.pddl"
+    path.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["check", str(path)])
+    assert result.exit_code == 0, result.output
+    assert "0 errors, 0 invalid regions" in result.output
+
+
+@pytest.mark.parametrize("constraint", [
+    "(sometime (p))", "(at-most-once (p))", "(sometime-before (p) (q))",
+    "(sometime-after (p) (q))", "(always-within 5 (p) (q))",
+    "(hold-during 2 5 (p))", "(hold-after 5 (p))", "(at end (p))",
+    "(preference c (always (p)))", "(preference (at end (p)))",
+    "(forall (?x) (sometime (p ?x)))", "(and (always (p)) (q))",
+    "(AT END (and (p) (q)))",
+])
+def test_every_pddl3_operator_takes_its_values_in_constraints(constraint):
+    text = f"(define (problem q) (:domain d) (:goal (p)) " \
+        f"(:constraints {constraint}))"
+    assert invalid_regions(tokenize(text)) == []
+    assert _scope_of(text, constraint[1:].split()[0]) is Scope.KEYWORD
+
+
+@pytest.mark.parametrize("where,bad", [
+    ("(:goal (always (p)))", "(p)"),
+    ("(:constraints (at start (p)))", "(p)"),
+    ("(:constraints (within x (p)))", "x"),
+    ("(:init (p #t))", "#t"),
+])
+def test_pddl3_operators_and_hash_t_stay_out_of_other_places(where, bad):
+    text = f"(define (problem q) (:domain d) {where})"
+    start = text.index(bad, text.index(where) + 1)
+    assert invalid_regions(tokenize(text)) == [Span(start, start + len(bad))]
 
 
 # -- typed lists: one reader for both layers ------------------------------------
