@@ -123,8 +123,7 @@ def substitute_defaults(body: str) -> str:
     return _PLACEHOLDER_RE.sub(lambda m: m.group("default") or "", body)
 
 
-def expand(trigger_text: str, snippet_set: SnippetSet,
-           fill_defaults: bool = True) -> str:
+def expand(trigger_text: str, snippet_set: SnippetSet) -> str:
     """Expansion text for a trigger, e.g. "domain", "p2" or "t3"."""
     match = _TRIGGER_RE.match(trigger_text)
     base = match.group("base") if match else trigger_text
@@ -148,8 +147,7 @@ def expand(trigger_text: str, snippet_set: SnippetSet,
                 f"arity {arity} out of range (1..{MAX_ARITY})")
         return _parametric_body(base, arity)
 
-    body = snippet.body
-    return substitute_defaults(body) if fill_defaults else body
+    return substitute_defaults(snippet.body)
 
 
 def list_snippets(snippet_set: SnippetSet) -> list[tuple[str, str]]:

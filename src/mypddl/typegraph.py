@@ -40,9 +40,6 @@ class TypeGraph:
     predicates_by_type: dict[str, list[str]] = field(default_factory=dict)
     cycle_edges: set[tuple[str, str]] = field(default_factory=set)
 
-    def parents(self, type_name: str) -> list[str]:
-        return sorted(p for c, p in self.edges if c == type_name)
-
     def children(self, type_name: str) -> list[str]:
         return sorted(c for c, p in self.edges if p == type_name)
 
