@@ -94,8 +94,10 @@ def _atom(scope: Scope, accepts: Callable[[str], bool]) -> GrammarMethod:
     ``accepts`` takes its text, else Unscoped; a list there is Unscoped
     whole. ``accepts`` is kept on the method, for rows that it guards."""
     def value(self: _Walk, node: SExprNode) -> None:
-        self.atom_or_tree(node, scope if accepts(node.text)
-                          else Scope.UNSCOPED)
+        if node.kind is NodeKind.ATOM:
+            self.single(node, scope if accepts(node.text) else Scope.UNSCOPED)
+        else:
+            self.flat_emit(node, Scope.UNSCOPED)
     value.accepts = accepts  # type: ignore[attr-defined]
     return value
 
@@ -202,8 +204,7 @@ class _Walk:
         try:
             self.open_paren(node)
             append = self.tokens.append
-            rest = iter(values)
-            value = next(rest)
+            value, rest = values[0], values[1:]
             seen_head = False
             for child in node.children:
                 kind, text, _, span, _, trivia = child
@@ -215,7 +216,8 @@ class _Walk:
                     self.atom_or_tree(child, head_scope)
                 else:
                     value(self, child)
-                    value = next(rest, value)
+                    if rest:
+                        value, rest = rest[0], rest[1:]
             self.close_paren(node)
         finally:
             self.depth -= 1
@@ -341,9 +343,10 @@ class _Walk:
         operation of ``NUMERIC_RULES`` or a function applied to numeric
         expressions."""
         if node.kind is NodeKind.ATOM:
-            text = node.text
-            self.single(node, Scope.KEYWORD if text.lower() in NUMERIC_KEYWORDS
-                        else self.term_scope(text))
+            scope = self.term_scope(node.text)
+            if scope is Scope.UNSCOPED and node.text.lower() in NUMERIC_KEYWORDS:
+                scope = Scope.KEYWORD
+            self.single(node, scope)
             return
         head = node.head()
         if head is not None and head.kind is NodeKind.ATOM:
@@ -416,7 +419,7 @@ class _Walk:
         self.close_paren(node)
 
     def type_position(self, node: SExprNode) -> None:
-        if head_key(node) == "either":
+        if node.kind is NodeKind.LIST and head_key(node) == "either":
             self.each(node, node.head(), Scope.KEYWORD, _Walk.type_name)
         else:
             self.type_name(node)
@@ -438,7 +441,7 @@ class _Walk:
         self.typed_list(node, head, Scope.VARIABLE,
                         Scope.NAME if ok else Scope.UNSCOPED)
 
-    # -- blocks and whole files -------------------------------------------------
+    # -- blocks and whole files ---------------------------------------------
 
     def action_block(self, node: SExprNode, head: SExprNode) -> None:
         """(:action NAME key value...) or (:durative-action ...), keyed by
@@ -480,9 +483,11 @@ class _Walk:
         self.formula(node, self.PROBLEM_BLOCKS, ground=None)
 
     def unknown(self, node: SExprNode) -> None:
+        """Content of no known form, read leniently."""
         self.formula(node, {}, ground=None)
 
     def header(self, node: SExprNode) -> None:
+        """The (domain NAME) or (problem NAME) of a define form."""
         self.each(node, node.head(), Scope.KEYWORD, _Walk.name)
 
     def define_form(self, node: SExprNode, head: SExprNode) -> None:
