@@ -10,11 +10,11 @@ fixture, each seed-1 input of the three benchmark workloads and each input
 in ``GRAMMAR_CASES`` (among them a few hundred seeded define forms with
 random formulas in every context of the grammar walk) it hashes the input
 bytes and ``repr(tokenize(...))`` and compares both with the digests
-recorded below, which Python 3.11.7 produced. It also checks that a parsed forest survives a pickle round trip,
-and that the distance rows, computed column by column, equal ``euclidean``
-bit for bit on seeded 3-D and 4-D points, some of whose pairs a compensated
-float ``sum`` (Python 3.12 and later) and a plain left fold add to different
-values. It prints one line per mismatch and exits 1 if there is any, else 0.
+recorded below, which Python 3.11.7 produced. It also checks that a
+parsed forest survives a pickle round trip, and that the distance rows,
+computed column by column, equal ``euclidean`` bit for bit on seeded 3-D
+and 4-D points, some of whose pairs a compensated float ``sum`` (Python
+3.12 and later) and a plain left fold add to different values. It prints one line per mismatch and exits 1 if there is any, else 0.
 ``--record`` prints the digests of the running interpreter in the form of
 ``EXPECTED``.
 """
@@ -68,11 +68,13 @@ SHAPES = {
                   ("exists", "params", "condition"),
                   ("preference", "name", "condition"),
                   ("preference", "condition"),
-                  *((op, "fexp", "fexp") for op in ("=", "<", ">", "<=", ">="))],
+                  *((op, "fexp", "fexp")
+                    for op in ("=", "<", ">", "<=", ">="))],
     "effect": [("and", "effect*"), ("not", "effect"),
                ("when", "condition", "effect"), ("forall", "params", "effect"),
                *((op, "fexp", "fexp") for op in (
-                   "assign", "increase", "decrease", "scale-up", "scale-down"))],
+                   "assign", "increase", "decrease", "scale-up",
+                   "scale-down"))],
     "init": [("=", "fexp", "fexp"), ("not", "init"), ("at", "number", "init")],
     "timed-condition": [("and", "timed-condition*"),
                         ("at", "when", "condition"),
@@ -121,7 +123,8 @@ def _value(rng: random.Random, context: str, depth: int) -> str:
     if depth <= 0 or rng.random() < 0.3:
         if context == "fexp":
             return rng.choice(NUMBERS + VARIABLES + ("(f)", "(f ?x)"))
-        terms = (rng.choice(NAMES + VARIABLES) for _ in range(rng.randint(0, 3)))
+        terms = (rng.choice(NAMES + VARIABLES)
+                 for _ in range(rng.randint(0, 3)))
         return "(" + " ".join((rng.choice(NAMES), *terms)) + ")"
     head, *values = rng.choice(SHAPES[context])
     if rng.random() < 0.1:
