@@ -20,7 +20,7 @@ from .sexpr import (
     as_document,
     find_blocks,
     iter_blocks,
-    serialize,
+    serialize_node,
 )
 
 
@@ -76,14 +76,14 @@ def splice(doc: Document, block: SExprNode,
     """The bytes of ``doc`` with constructs spliced into ``block``, in
     pieces: the bytes before the splice, each construct after its line
     prefix, then the bytes from the splice on. Each construct is either a
-    node (serialized verbatim) or an already-rendered string, and is only
-    rendered when its piece is asked for."""
+    node (serialized verbatim, without its lead) or an already-rendered
+    string, and is only rendered when its piece is asked for."""
     data = doc.data
     insert_at, prefix = _insertion_state(data, block)
     yield data[:insert_at]
     for item in constructs:
         yield (prefix + (item if isinstance(item, str)
-                         else serialize([item]))).encode("utf-8")
+                         else serialize_node(item))).encode("utf-8")
     yield data[insert_at:]
 
 

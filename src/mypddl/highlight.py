@@ -86,6 +86,17 @@ _TRIVIA_SCOPES = {NodeKind.WHITESPACE: Scope.PUNCTUATION,
 # Marks, in ``flat_emit``'s stack, that the list popped next is complete.
 _CLOSE = object()
 
+# Bound once: an enum member read through its class costs a Python call.
+_ATOM, _LIST = NodeKind.ATOM, NodeKind.LIST
+_PUNCTUATION, _UNSCOPED = Scope.PUNCTUATION, Scope.UNSCOPED
+
+
+def _gap(end: int, text: str) -> Token:
+    """The Punctuation token of a lead or tail ``text`` ending at ``end``."""
+    new = tuple.__new__
+    return new(Token, (new(Span, (end - len(text), end)), _PUNCTUATION, text))
+
+
 GrammarMethod = Callable[["_Walk", SExprNode], None]
 
 
@@ -138,31 +149,38 @@ class _Walk:
 
     def open_paren(self, node: SExprNode,
                    scope: Optional[Scope] = None) -> None:
-        """The list's '(' with ``scope``; by default Punctuation, or
-        Unscoped if the list is never closed."""
-        _, _, _, (start, _), closed, _ = node
+        """The list's lead, then its '(' with ``scope``; by default
+        Punctuation, or Unscoped if the list is never closed."""
+        _, _, _, (start, _), closed, _, lead, _ = node
         if scope is None:
-            scope = Scope.PUNCTUATION if closed else Scope.UNSCOPED
+            scope = _PUNCTUATION if closed else _UNSCOPED
+        if lead:
+            self.tokens.append(_gap(start, lead))
         new = tuple.__new__
         self.tokens.append(new(Token, (new(Span, (start, start + 1)),
                                        scope, "(")))
 
     def close_paren(self, node: SExprNode,
-                    scope: Scope = Scope.PUNCTUATION) -> None:
-        _, _, _, (_, end), closed, _ = node
+                    scope: Scope = _PUNCTUATION) -> None:
+        _, _, _, (_, end), closed, _, _, tail = node
+        close = end - 1 if closed else end
+        if tail:
+            self.tokens.append(_gap(close, tail))
         if closed:
             new = tuple.__new__
-            self.tokens.append(new(Token, (new(Span, (end - 1, end)),
-                                           scope, ")")))
+            self.tokens.append(new(Token, (new(Span, (close, end)), scope, ")")))
 
     def single(self, node: SExprNode, scope: Scope) -> None:
-        self.tokens.append(tuple.__new__(Token, (node.span, scope, node.text)))
+        _, text, _, span, _, _, lead, _ = node
+        if lead:
+            self.tokens.append(_gap(span[0], lead))
+        self.tokens.append(tuple.__new__(Token, (span, scope, text)))
 
     def atom_or_tree(self, node: SExprNode, scope: Scope) -> None:
-        if node.kind is NodeKind.ATOM:
+        if node.kind is _ATOM:
             self.single(node, scope)
         else:
-            self.flat_emit(node, Scope.UNSCOPED)
+            self.flat_emit(node, _UNSCOPED)
 
     def flat_emit(self, node: SExprNode, scope: Optional[Scope] = None) -> None:
         """Emission of content we have no grammar for, iterative, so any
@@ -174,45 +192,40 @@ class _Walk:
         while todo:
             item = todo.pop()
             if item is _CLOSE:
-                self.close_paren(todo.pop(), scope or Scope.PUNCTUATION)
+                self.close_paren(todo.pop(), scope or _PUNCTUATION)
             elif item.is_trivia:
                 self.single(item, _TRIVIA_SCOPES[item.kind])
-            elif item.kind is NodeKind.ATOM:
+            elif item.kind is _ATOM:
                 if scope is None and item not in heads:
                     self.lexical_atom(item)
                 else:
-                    self.single(item, scope or Scope.UNSCOPED)
+                    self.single(item, scope or _UNSCOPED)
             else:
                 self.open_paren(item, scope)
                 todo += (item, _CLOSE)
                 todo.extend(reversed(item.children))
                 head = item.head()
-                if head is not None and head.kind is NodeKind.ATOM \
+                if head is not None and head.kind is _ATOM \
                         and is_variable(head.text):
                     heads.add(head)
 
     def each(self, node: SExprNode, head: Optional[SExprNode],
              head_scope: Scope, *values: GrammarMethod) -> None:
-        """One in-order pass over a list's children: trivia emitted as-is,
-        the head atom with ``head_scope``, and the k-th value after it
-        through the k-th of ``values``, the last of which repeats. Parens
-        are emitted here too."""
+        """One in-order pass over a list's children: comments emitted as
+        they are, the head atom with ``head_scope``, and the k-th value
+        after it through the k-th of ``values``, the last of which repeats.
+        Parens are emitted here too; each value emits its own lead."""
         if self.depth >= _MAX_GRAMMAR_DEPTH:
             self.flat_emit(node)
             return
         self.depth += 1
         try:
             self.open_paren(node)
-            append = self.tokens.append
             value, rest = values[0], values[1:]
-            seen_head = False
             for child in node.children:
-                kind, text, _, span, _, trivia = child
-                if trivia:
-                    append(tuple.__new__(
-                        Token, (span, _TRIVIA_SCOPES[kind], text)))
-                elif not seen_head and child is head:
-                    seen_head = True
+                if child.is_trivia:
+                    self.single(child, _TRIVIA_SCOPES[child.kind])
+                elif child is head:
                     self.atom_or_tree(child, head_scope)
                 else:
                     value(self, child)
@@ -225,7 +238,7 @@ class _Walk:
     def lexical_atom(self, node: SExprNode) -> None:
         text = node.text
         if text == "-":
-            self.single(node, Scope.PUNCTUATION)
+            self.single(node, _PUNCTUATION)
         elif text.startswith(":") and is_name(text[1:]):
             self.single(node, Scope.KEYWORD)
         else:
@@ -242,26 +255,26 @@ class _Walk:
         ``:init``. With ``ground`` None the node is a block or a top-level
         form: no atomic formula stands there, and a list headed by a list
         is read lexically rather than Unscoped whole."""
-        if node.kind is not NodeKind.LIST:
-            self.single(node, Scope.UNSCOPED)
+        if node.kind is not _LIST:
+            self.single(node, _UNSCOPED)
             return
         head = node.head()
-        if head is None or head.kind is not NodeKind.ATOM:
+        if head is None or head.kind is not _ATOM:
             self.flat_emit(node, None if head is None or ground is None
-                           else Scope.UNSCOPED)
+                           else _UNSCOPED)
             return
         key = head.text.lower()
         rule = rules.get(key)
         if rule is not None and key in PREDICATE_KEYWORDS:
             values = node.values()
-            if len(values) < 2 or values[1].kind is not NodeKind.ATOM \
+            if len(values) < 2 or values[1].kind is not _ATOM \
                     or not rule[0].accepts(values[1].text):
                 rule = None
         if rule is None:
             if ground is not None and is_name(head.text):
                 self.application(node, head, ground)
             else:
-                self.each(node, head, Scope.UNSCOPED, _Walk.flat_emit)
+                self.each(node, head, _UNSCOPED, _Walk.flat_emit)
         elif type(rule) is tuple:
             self.each(node, head, Scope.KEYWORD, *rule)
         else:
@@ -297,28 +310,24 @@ class _Walk:
             return
         append = self.tokens.append
         new = tuple.__new__
-        punctuation, unscoped = Scope.PUNCTUATION, Scope.UNSCOPED
+        name, variable = Scope.NAME, Scope.VARIABLE
         scopes = self.term_scopes
-        _, _, children, (start, end), closed, _ = node
-        append(new(Token, (new(Span, (start, start + 1)),
-                           punctuation if closed else unscoped, "(")))
-        seen_head = False
-        for child in children:
-            kind, text, _, span, _, trivia = child
-            if trivia:
-                append(new(Token, (span, _TRIVIA_SCOPES[kind], text)))
-            elif kind is not NodeKind.ATOM:
-                self.flat_emit(child, Scope.UNSCOPED)
-            elif not seen_head and child is head:
-                seen_head = True
-                append(new(Token, (span, Scope.NAME, text)))
+        self.open_paren(node)
+        for child in node.children:
+            kind, text, _, span, _, _, lead, _ = child
+            if kind is not _ATOM:
+                self.flat_emit(child, _UNSCOPED)
+                continue
+            if lead:
+                append(_gap(span[0], lead))
+            if child is head:
+                append(new(Token, (span, name, text)))
             else:
                 scope = scopes.get(text) or self.term_scope(text)
-                if ground and scope is Scope.VARIABLE:
-                    scope = unscoped
+                if ground and scope is variable:
+                    scope = _UNSCOPED
                 append(new(Token, (span, scope, text)))
-        if closed:
-            append(new(Token, (new(Span, (end - 1, end)), punctuation, ")")))
+        self.close_paren(node)
 
     # -- terms, numeric expressions and one-atom places -----------------------
 
@@ -334,7 +343,7 @@ class _Walk:
             elif is_name(text):
                 scope = Scope.NAME
             else:
-                scope = Scope.UNSCOPED
+                scope = _UNSCOPED
             self.term_scopes[text] = scope
         return scope
 
@@ -342,14 +351,14 @@ class _Walk:
         """A numeric expression: a term or one of ``NUMERIC_KEYWORDS``, an
         operation of ``NUMERIC_RULES`` or a function applied to numeric
         expressions."""
-        if node.kind is NodeKind.ATOM:
+        if node.kind is _ATOM:
             scope = self.term_scope(node.text)
-            if scope is Scope.UNSCOPED and node.text.lower() in NUMERIC_KEYWORDS:
+            if scope is _UNSCOPED and node.text.lower() in NUMERIC_KEYWORDS:
                 scope = Scope.KEYWORD
             self.single(node, scope)
             return
         head = node.head()
-        if head is not None and head.kind is NodeKind.ATOM:
+        if head is not None and head.kind is _ATOM:
             rule = self.NUMERIC.get(head.text)
             if rule is not None:
                 self.each(node, head, Scope.KEYWORD, *rule)
@@ -357,10 +366,10 @@ class _Walk:
             if is_name(head.text):
                 self.each(node, head, Scope.NAME, _Walk.fexp)
                 return
-        self.flat_emit(node, Scope.UNSCOPED)
+        self.flat_emit(node, _UNSCOPED)
 
     def metric(self, node: SExprNode) -> None:
-        if node.kind is not NodeKind.ATOM:
+        if node.kind is not _ATOM:
             self.fexp(node)
         elif node.text.lower() in ("minimize", "maximize"):
             self.single(node, Scope.KEYWORD)
@@ -396,50 +405,51 @@ class _Walk:
         type_node = None
         self.open_paren(node)
         for child in node.children:
-            kind, text, _, span, _, trivia = child
-            if trivia:
-                append(new(Token, (span, _TRIVIA_SCOPES[kind], text)))
-            elif child is head:
+            kind, text, _, span, _, _, lead, _ = child
+            if child is head:
                 self.atom_or_tree(child, head_scope)
             elif child is type_node:
                 self.type_position(child)
-            elif text == "-":
-                type_node = marks[child]
-                append(new(Token, (span, Scope.UNSCOPED if type_node is None
-                                   else Scope.PUNCTUATION, text)))
-            elif kind is not NodeKind.ATOM:
+            elif kind is not _ATOM:
                 if items is None:
                     self.declaration(child)
                 else:
-                    self.flat_emit(child, Scope.UNSCOPED)
+                    self.flat_emit(child, _UNSCOPED)
             else:
-                scope = scopes.get(text) or self.term_scope(text)
-                append(new(Token, (span, scope if scope is items
-                                   else Scope.UNSCOPED, text)))
+                if lead:
+                    append(_gap(span[0], lead))
+                if text == "-":
+                    type_node = marks[child]
+                    scope = _UNSCOPED if type_node is None else _PUNCTUATION
+                else:
+                    scope = scopes.get(text) or self.term_scope(text)
+                    if scope is not items:
+                        scope = _UNSCOPED
+                append(new(Token, (span, scope, text)))
         self.close_paren(node)
 
     def type_position(self, node: SExprNode) -> None:
-        if node.kind is NodeKind.LIST and head_key(node) == "either":
+        if node.kind is _LIST and head_key(node) == "either":
             self.each(node, node.head(), Scope.KEYWORD, _Walk.type_name)
         else:
             self.type_name(node)
 
     def parameters(self, node: SExprNode) -> None:
-        if node.kind is NodeKind.LIST:
+        if node.kind is _LIST:
             self.typed_list(node, None, Scope.VARIABLE)
         else:
-            self.single(node, Scope.UNSCOPED)
+            self.single(node, _UNSCOPED)
 
     def declaration(self, node: SExprNode) -> None:
         """A predicate or function declaration: (name typed-variables...);
         one with no name at all, such as ``()``, is Unscoped whole."""
-        head = node.head() if node.kind is NodeKind.LIST else None
+        head = node.head() if node.kind is _LIST else None
         if head is None:
-            self.atom_or_tree(node, Scope.UNSCOPED)
+            self.atom_or_tree(node, _UNSCOPED)
             return
-        ok = head.kind is NodeKind.ATOM and is_name(head.text)
+        ok = head.kind is _ATOM and is_name(head.text)
         self.typed_list(node, head, Scope.VARIABLE,
-                        Scope.NAME if ok else Scope.UNSCOPED)
+                        Scope.NAME if ok else _UNSCOPED)
 
     # -- blocks and whole files ---------------------------------------------
 
@@ -449,7 +459,7 @@ class _Walk:
         action has no name."""
         keys = ACTION_KEYS[head.text.lower()]
         name = action_name(node, head.text.lower())
-        key_scope = Scope.UNSCOPED
+        key_scope = _UNSCOPED
         context: Optional[GrammarMethod] = None
 
         def value(self: _Walk, child: SExprNode) -> None:
@@ -459,13 +469,13 @@ class _Walk:
             elif context is not None:
                 context(self, child)
                 context = None
-            elif child.kind is not NodeKind.ATOM:
-                self.flat_emit(child, Scope.UNSCOPED)
+            elif child.kind is not _ATOM:
+                self.flat_emit(child, _UNSCOPED)
             elif (key := child.text.lower()) in keys:
                 self.single(child, key_scope)
                 context = self.ACTION_VALUES[keys[key][1]]
             else:
-                self.single(child, Scope.UNSCOPED)
+                self.single(child, _UNSCOPED)
                 # Read the value as that of the hinted key if this kind of
                 # action has it, so a durative one gets the timed context.
                 hint = _ACTION_KEY_HINTS.get(key.strip(":"))

@@ -1,7 +1,8 @@
 """Lossless s-expression reading and writing.
 
-The reader keeps every byte of the input: atoms, comments and whitespace all
-become nodes with exact byte spans, so that serializing a parsed forest
+The reader keeps every byte of the input: atoms, comments and lists become
+nodes with exact byte spans, each holding the whitespace before it as its
+``lead`` (Roslyn's leading trivia), so that serializing a parsed forest
 reproduces the source text byte for byte. This holds for broken input too --
 unbalanced parentheses never abort the parse, they only produce diagnostics.
 All offsets are byte offsets into the UTF-8 encoding of the source.
@@ -76,16 +77,18 @@ class NodeKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-class SExprNode(namedtuple("SExprNode",
-                           "kind text children span closed is_trivia")):
+class SExprNode(namedtuple(
+        "SExprNode", "kind text children span closed is_trivia lead tail")):
     """One node of the lossless concrete-syntax tree.
 
-    ``text`` is the verbatim source slice for atoms, comments and whitespace;
-    lists carry their elements (including trivia) in ``children``. ``closed``
-    is False for a list that was recovered at end of input, so serialization
-    does not invent the missing parenthesis. Nodes built programmatically
-    (for insertion) have ``span`` set to None. ``is_trivia`` is derived from
-    ``kind`` when the node is made.
+    ``text`` is the verbatim source slice for atoms, comments and whitespace
+    (only a leading byte order mark and what follows the last top-level
+    node); lists carry their elements in ``children``. ``lead`` is the
+    whitespace before a node, outside its span; ``tail`` is that before a
+    list's ')' or the end of input. ``closed`` is False for a list that was
+    recovered at end of input, so serialization does not invent the missing
+    parenthesis. Nodes built programmatically (for insertion) have ``span``
+    set to None. ``is_trivia`` is derived from ``kind`` when it is made.
 
     An immutable tuple record that compares and hashes by identity, as two
     nodes with the same text and span are still two places in a tree. Hot
@@ -99,13 +102,14 @@ class SExprNode(namedtuple("SExprNode",
 
     def __new__(cls, kind: NodeKind, text: str = "",
                 children: tuple["SExprNode", ...] = (),
-                span: Optional[Span] = None,
-                closed: bool = True) -> "SExprNode":
+                span: Optional[Span] = None, closed: bool = True,
+                lead: str = "", tail: str = "") -> "SExprNode":
         trivia = kind is NodeKind.COMMENT or kind is NodeKind.WHITESPACE
-        return tuple.__new__(cls, (kind, text, children, span, closed, trivia))
+        return tuple.__new__(cls, (kind, text, children, span, closed, trivia,
+                                   lead, tail))
 
     def __getnewargs__(self) -> tuple:
-        return self[:5]
+        return self[:5] + self[6:]
 
     def walk(self) -> Iterator["SExprNode"]:
         """Yield this node and all descendants in document order.
@@ -130,20 +134,17 @@ class SExprNode(namedtuple("SExprNode",
         return [c for c in self.children if not c.is_trivia]
 
 
-# One alternative per lexeme; the first character of a lexeme tells its kind.
-# Whitespace and delimiters are ASCII, so token boundaries always fall
-# between whole UTF-8 sequences. A byte order mark (U+FEFF) at offset 0 is
-# whitespace too.
+# Each match is (lead, lexeme); a lexeme's first character tells its kind.
+# Whitespace and delimiters are ASCII, so token boundaries fall between whole
+# UTF-8 sequences and a lead's length in characters is its length in bytes.
 _LEXEME = re.compile(r"""
-    [ \t\r\n\f\v]+ | \A\ufeff  # whitespace, or a leading byte order mark
-  | ;[^\n]*                    # comment, up to the end of the line
-  | [()]                       # open or close
-  | [^ \t\r\n\f\v();]+         # atom
+    ([ \t\r\n\f\v]*)
+    ( \A\ufeff                # a byte order mark at offset 0
+    | ;[^\n]*                  # comment, up to the end of the line
+    | [()]                     # open or close
+    | [^ \t\r\n\f\v();]+       # atom
+    | \Z )                     # the end, after the trailing whitespace
 """, re.VERBOSE)
-
-_BOM = "\ufeff"
-_LEAF_KINDS = dict.fromkeys(" \t\r\n\f\v", NodeKind.WHITESPACE)
-_LEAF_KINDS[";"] = NodeKind.COMMENT
 
 
 @contextlib.contextmanager
@@ -173,31 +174,38 @@ def parse_sexpr(text: str) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
     """
     with gc_paused():
         diagnostics: list[ParseDiagnostic] = []
-        # Open-paren offsets and the children collected so far for each open
-        # list; ``level`` is the innermost, and the bottom entry is the forest.
+        # Offset, lead and children so far of each open list; ``level`` is
+        # the innermost, and the bottom entry of ``levels`` is the forest.
         opens: list[int] = []
+        leads: list[str] = []
         levels: list[list[SExprNode]] = [[]]
         level = levels[0]
-        atom, lst = NodeKind.ATOM, NodeKind.LIST
-        leaf_kind = _LEAF_KINDS.get
-        # Nodes and spans are built at C speed, each node's fields in
-        # ``SExprNode`` order with ``is_trivia`` last.
+        atom, comment, lst = NodeKind.ATOM, NodeKind.COMMENT, NodeKind.LIST
+        # Nodes and spans are built at C speed, fields in ``SExprNode`` order.
         new = tuple.__new__
         # Byte offsets equal character offsets in ASCII text.
         ascii_only = text.isascii()
-        i = 0
-        for piece in _LEXEME.findall(text):
+        # The last match is empty; one before it may hold trailing whitespace.
+        pieces = _LEXEME.findall(text)[:-1]
+        trailing = pieces.pop()[0] if pieces and not pieces[-1][1] else ""
+        i = 3 if pieces and pieces[0] == ("", "\ufeff") else 0
+        if i:
+            level.append(SExprNode(NodeKind.WHITESPACE, text[0], (), _span(0, 3)))
+            del pieces[0]
+        for lead, piece in pieces:
+            i += len(lead)
             j = i + (len(piece) if ascii_only else len(piece.encode("utf-8")))
             first = piece[0]
             if first == "(":
                 opens.append(i)
+                leads.append(lead)
                 level = []
                 levels.append(level)
             elif first == ")":
                 if opens:
                     node = new(SExprNode, (lst, "", tuple(level),
                                            new(Span, (opens.pop(), j)),
-                                           True, False))
+                                           True, False, leads.pop(), lead))
                     levels.pop()
                     level = levels[-1]
                     level.append(node)
@@ -207,23 +215,27 @@ def parse_sexpr(text: str) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
                         "stray-closer"))
                     level.append(new(SExprNode, (atom, ")", (),
                                                  new(Span, (i, j)), True,
-                                                 False)))
+                                                 False, lead, "")))
             else:
-                kind = leaf_kind(first, atom)
-                if i == 0 and piece == _BOM:
-                    kind = NodeKind.WHITESPACE
+                kind = comment if first == ";" else atom
                 level.append(new(SExprNode, (kind, piece, (), new(Span, (i, j)),
-                                             True, kind is not atom)))
+                                             True, kind is comment, lead, "")))
             i = j
 
+        # Trailing whitespace is the innermost unclosed list's tail, or a node.
+        end = i + len(trailing)
+        if trailing and not opens:
+            level.append(SExprNode(NodeKind.WHITESPACE, trailing, (),
+                                   _span(i, end)))
         # Close recovered lists innermost first, without inventing parentheses.
         while opens:
             start = opens.pop()
             diagnostics.append(ParseDiagnostic(
                 _span(start, start + 1), Severity.ERROR,
                 "'(' is never closed", "unclosed-list"))
-            node = new(SExprNode, (lst, "", tuple(levels.pop()),
-                                   _span(start, i), False, False))
+            node = SExprNode(lst, "", tuple(levels.pop()), _span(start, end),
+                             False, leads.pop(), trailing)
+            trailing = ""
             levels[-1].append(node)
         return levels[0], diagnostics
 
@@ -277,30 +289,28 @@ def as_document(source: Union[str, Document]) -> Document:
     return Document(source.encode("utf-8"), text=source)
 
 
-_CLOSE = object()
-
-
 def serialize(forest: Sequence[SExprNode]) -> str:
-    """Reassemble source text; byte-exact for parsed forests. Iterative, so
-    deeply nested input round-trips without exhausting the stack."""
+    """Reassemble source text, leads included; byte-exact for parsed forests.
+    Iterative, so deeply nested input round-trips without exhausting the
+    stack."""
     parts: list[str] = []
-    todo: list[object] = list(reversed(forest))
+    todo: list[Union[SExprNode, str]] = list(reversed(forest))
     while todo:
         node = todo.pop()
-        if node is _CLOSE:
-            parts.append(")")
+        if type(node) is str:
+            parts.append(node)
         elif node.kind is NodeKind.LIST:
-            parts.append("(")
-            if node.closed:
-                todo.append(_CLOSE)
+            parts += (node.lead, "(")
+            todo.append(node.tail + ")" if node.closed else node.tail)
             todo.extend(reversed(node.children))
         else:
-            parts.append(node.text)
+            parts += (node.lead, node.text)
     return "".join(parts)
 
 
 def serialize_node(node: SExprNode) -> str:
-    return serialize([node])
+    """The text of one node, without the whitespace before it."""
+    return serialize([node._replace(lead="")])
 
 
 def iter_blocks(forest: Sequence[SExprNode],

@@ -88,13 +88,13 @@ def test_node_trivia_is_fixed_at_construction():
 
 
 _FOREST_TEXT = ("; header\n(define (problem p) (:init (at a b)\n"
-                "  (= (cost) 2.5)) ; trailing\n(:goal (and (p ?x")
+                "  (= (cost) 2.5) ) ; trailing\n(:goal (and (p ?x  ")
 
 
 def _node_fields(nodes):
     """Every node's fields, children replaced by their own fields."""
     return [(n.kind, n.text, _node_fields(n.children), n.span, n.closed,
-             n.is_trivia) for n in nodes]
+             n.is_trivia, n.lead, n.tail) for n in nodes]
 
 
 @pytest.mark.parametrize("round_trip", [
@@ -104,6 +104,9 @@ def _node_fields(nodes):
 def test_a_parsed_forest_survives_pickle_and_deepcopy(round_trip):
     forest = as_document(_FOREST_TEXT).forest
     assert any(not n.closed for n in forest[-1].walk())
+    nodes = [n for top in forest for n in top.walk()]
+    assert any(n.lead for n in nodes) and any(n.tail for n in nodes)
+    assert any(not n.closed and n.tail for n in nodes)
     copied = round_trip(forest)
     assert serialize(copied) == serialize(forest) == _FOREST_TEXT
     assert _node_fields(copied) == _node_fields(forest)
@@ -129,8 +132,10 @@ def test_parsed_nodes_match_the_constructor():
     for top in as_document(_FOREST_TEXT).forest:
         for node in top.walk():
             made = SExprNode(node.kind, node.text, node.children, node.span,
-                             node.closed)
+                             node.closed, node.lead, node.tail)
             assert tuple(made) == tuple(node)
+    made = SExprNode(NodeKind.ATOM, "x", (), Span(0, 1), True)
+    assert (made.lead, made.tail) == ("", "")
 
 
 def test_node_kinds_keep_their_enum_semantics():

@@ -18,7 +18,7 @@ from mypddl.sexpr import (
     serialize_node,
 )
 
-from conftest import corpus_text
+from conftest import benchmark_inputs, corpus_text
 
 
 def test_parse_goal_block():
@@ -60,7 +60,8 @@ def test_comment_runs_to_end_of_line():
     forest, _ = parse_sexpr("; hello\n(a)")
     assert forest[0].kind is NodeKind.COMMENT
     assert forest[0].text == "; hello"
-    assert forest[1].kind is NodeKind.WHITESPACE
+    assert forest[1].kind is NodeKind.LIST
+    assert forest[1].lead == "\n"
 
 
 def test_atom_material_keeps_pddl_oddities():
@@ -92,15 +93,27 @@ def test_round_trip_paren_heavy(text):
     assert serialize(forest) == text
 
 
-def _check_tiling(node, data):
-    if node.kind is not NodeKind.LIST:
-        return
-    start = node.span.start + 1
-    for child in node.children:
-        assert child.span.start == start
-        start = child.span.end
-        _check_tiling(child, data)
-    end = node.span.end - 1 if node.closed else node.span.end
+_WHITESPACE = set(" \t\r\n\f\v")
+
+
+def _check_tiling(nodes, start, end, data):
+    """The leads and spans of ``nodes``, and then ``end - start`` bytes of
+    whitespace, tile data[start:end]; each list's children, its tail and
+    its parens tile its span, and a leaf's span holds its text."""
+    for node in nodes:
+        assert set(node.lead) <= _WHITESPACE and set(node.tail) <= _WHITESPACE
+        assert data[start:node.span.start] == node.lead.encode("utf-8")
+        start = node.span.end
+        if node.kind is NodeKind.LIST:
+            close = node.span.end - 1 if node.closed else node.span.end
+            _check_tiling(node.children, node.span.start + 1,
+                          close - len(node.tail), data)
+            assert data[close - len(node.tail):close] == node.tail.encode()
+            assert data[node.span.start:node.span.start + 1] == b"("
+            assert data[close:node.span.end] == (b")" if node.closed else b"")
+        else:
+            assert not node.tail
+            assert data[node.span.start:start] == node.text.encode("utf-8")
     assert start == end
 
 
@@ -109,12 +122,31 @@ def _check_tiling(node, data):
 def test_span_tiling(text):
     data = text.encode("utf-8")
     forest, _ = parse_sexpr(text)
-    pos = 0
-    for node in forest:
-        assert node.span.start == pos
-        pos = node.span.end
-        _check_tiling(node, data)
-    assert pos == len(data)
+    _check_tiling(forest, 0, len(data), data)
+
+
+@given(st.text())
+@settings(max_examples=300)
+def test_whitespace_is_leading_trivia(text):
+    """Leads, spans and tails tile any text; the only whitespace nodes are
+    a byte order mark at offset 0 and the whitespace after the last
+    top-level node."""
+    data = text.encode("utf-8")
+    forest, _ = parse_sexpr(text)
+    _check_tiling(forest, 0, len(data), data)
+    for k, top in enumerate(forest):
+        if top.kind is NodeKind.WHITESPACE:
+            assert top.text == "\ufeff" and top.span.start == 0 \
+                or set(top.text) <= _WHITESPACE and k == len(forest) - 1
+        for node in list(top.walk())[1:]:
+            assert node.kind is not NodeKind.WHITESPACE
+
+
+def test_whitespace_makes_no_nodes_on_a_large_problem():
+    text = benchmark_inputs("large-problem", 1).problem.text.decode("utf-8")
+    forest, _ = parse_sexpr(text)
+    assert sum(1 for top in forest for _ in top.walk()) <= 18_300
+    assert serialize(forest) == text
 
 
 def test_find_blocks_goal(gary_problem):
