@@ -27,7 +27,6 @@ from .model import (
     NUMERIC_RULES,
     PREDICATE_KEYWORDS,
     REQUIREMENT_KEYS,
-    TIME_SPECIFIERS,
     TIMED_CONDITION_RULES,
     TIMED_EFFECT_RULES,
     action_name,
@@ -381,8 +380,9 @@ class _Walk:
     type_name = _atom(Scope.TYPE_NAME, is_name)
     requirement = _atom(Scope.REQUIREMENT,
                         lambda text: text.lower() in REQUIREMENT_KEYS)
-    time_specifier = _atom(Scope.KEYWORD,
-                           lambda text: text.lower() in TIME_SPECIFIERS)
+    start_or_end = _atom(Scope.KEYWORD,
+                         lambda text: text.lower() in ("start", "end"))
+    all = _atom(Scope.KEYWORD, lambda text: text.lower() == "all")
     end = _atom(Scope.KEYWORD, lambda text: text.lower() == "end")
 
     name_or_condition = _name_or(condition)

@@ -76,13 +76,14 @@ EFFECT_RULES = {
                      "scale-down"), ("fexp",)),
 }
 INIT_RULES = {"=": ("fexp",), "not": ("init",), "at": ("number", "init")}
+# PDDL 2.1 (Fox and Long, 2003) pairs "at" with start or end, "over" with all.
 TIMED_CONDITION_RULES = {
     **CONDITION_RULES, "and": ("timed-condition",),
-    **dict.fromkeys(("at", "over"), ("time-specifier", "condition")),
+    "at": ("start-or-end", "condition"), "over": ("all", "condition"),
 }
 TIMED_EFFECT_RULES = {
     **EFFECT_RULES, "and": ("timed-effect",),
-    **dict.fromkeys(("at", "over"), ("time-specifier", "effect")),
+    "at": ("start-or-end", "effect"), "over": ("all", "effect"),
 }
 # PDDL3 constraints (Gerevini and Long, 2005), in :constraints and in the
 # preferences there: a condition, or a temporal operator over conditions.
@@ -102,7 +103,6 @@ NUMERIC_RULES = dict.fromkeys(("+", "-", "*", "/"), ("fexp",))
 # continuous effect (Fox and Long, 2003).
 NUMERIC_KEYWORDS = frozenset({"#t"})
 PREDICATE_KEYWORDS = frozenset({"at", "over"})
-TIME_SPECIFIERS = frozenset({"start", "end", "all"})
 REQUIREMENT_KEYS = frozenset({
     ":strips", ":typing", ":negative-preconditions",
     ":disjunctive-preconditions", ":equality", ":existential-preconditions",

@@ -328,6 +328,41 @@ def test_pddl3_operators_and_hash_t_stay_out_of_other_places(where, bad):
     assert invalid_regions(tokenize(text)) == [Span(start, start + len(bad))]
 
 
+# -- timed conditions and effects -----------------------------------------------
+
+def _durative(condition: str, effect: str = "(at end (p))") -> str:
+    return ("(define (domain d) (:predicates (p))\n"
+            "  (:durative-action a :parameters () :duration (= ?duration 1)\n"
+            f"    :condition {condition} :effect {effect}))")
+
+
+@pytest.mark.parametrize("timed", ["(at start (p))", "(at end (p))",
+                                   "(over all (p))", "(AT START (p))"])
+def test_each_time_specifier_pairs_with_its_wrapper(timed, tmp_path):
+    text = _durative(f"(and {timed} {timed})", f"(and {timed})")
+    assert invalid_regions(tokenize(text)) == []
+    path = tmp_path / "timed.pddl"
+    path.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["check", str(path)])
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("timed", ["(over start (p))", "(at all (p))",
+                                   "(over end (p))"])
+@pytest.mark.parametrize("where", ["condition", "effect"])
+def test_a_time_specifier_of_the_other_wrapper_is_invalid(timed, where,
+                                                         tmp_path):
+    text = _durative(timed) if where == "condition" \
+        else _durative("(at start (p))", timed)
+    start = text.index("(p)", text.index(timed))
+    assert invalid_regions(tokenize(text)) == [Span(start, start + 3)]
+    path = tmp_path / "timed.pddl"
+    path.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["check", str(path)])
+    assert result.exit_code == 1, result.output
+    assert "0 errors, 1 invalid regions" in result.output
+
+
 # -- typed lists: one reader for both layers ------------------------------------
 
 # Typed lists with a '-' that nothing follows, and whether the model reads
