@@ -252,14 +252,14 @@ class _Walk:
         the key's row, or goes with its head to the row's handler; a list
         headed by any other name is an atomic formula, ``ground`` if in
         ``:init``. With ``ground`` None the node is a block or a top-level
-        form: no atomic formula stands there, and a list headed by a list
-        is read lexically rather than Unscoped whole."""
+        form: no atomic formula stands there, and a list with no atom at
+        its head is Unscoped whole, as is one headed by a list anywhere."""
         if node.kind is not _LIST:
             self.single(node, _UNSCOPED)
             return
         head = node.head()
         if head is None or head.kind is not _ATOM:
-            self.flat_emit(node, None if head is None or ground is None
+            self.flat_emit(node, None if head is None and ground is not None
                            else _UNSCOPED)
             return
         key = head.text.lower()
@@ -514,6 +514,8 @@ class _Walk:
         for node in self.forest:
             if node.is_trivia:
                 self.single(node, _TRIVIA_SCOPES[node.kind])
+            elif node.kind is _LIST and head_key(node) is None:
+                self.flat_emit(node)  # no form: read lexically
             else:
                 self.formula(node, self.FORMS, ground=None)
         return self.tokens

@@ -252,7 +252,7 @@ EXPECTED = {
         "19c6343ffb66c065dd2868cb03668addc1ce879d499ab39fc23350ee6233960e"),
     "grammar/generated": (
         "173367573deeefde4c63b9c256b010b9b4a5167d77371f6a0ef8edc04d55dda7",
-        "c103989c4d0a088f24dc30280ebea1fddf750986ca402dd4f46d98136366a775"),
+        "fe4c8ec70027d318136a4699027eba06d215d2051b5312fafc2b54902070e848"),
 }
 
 

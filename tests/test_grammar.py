@@ -328,6 +328,34 @@ def test_pddl3_operators_and_hash_t_stay_out_of_other_places(where, bad):
     assert invalid_regions(tokenize(text)) == [Span(start, start + len(bad))]
 
 
+# -- blocks with no keyword ------------------------------------------------------
+
+@pytest.mark.parametrize("text,block", [
+    ("(define (domain d) ((x) y))", "((x) y)"),
+    ("(define (domain d) ())", "()"),
+    ("(define (domain d) (:predicates (p)) ((:action a)))", "((:action a))"),
+    ("(define (problem p) (:domain d) ((x) y) (:goal (g)))", "((x) y)"),
+    ("(define (problem p) (:domain d) () (:goal (g)))", "()"),
+])
+def test_a_block_with_no_keyword_is_unscoped_whole_and_reported(
+        text, block, tmp_path):
+    start = text.index(block)
+    assert invalid_regions(tokenize(text)) == [Span(start, start + len(block))]
+    parse = parse_problem if "(problem" in text else parse_domain
+    assert [d.code for d in parse(text)[1]] == ["unknown-block"]
+    path = tmp_path / "block.pddl"
+    path.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["check", str(path)])
+    assert result.exit_code == 1, result.output
+
+
+@pytest.mark.parametrize("text", ["((x) y)", "()", "(() (x))"])
+def test_a_top_level_form_with_no_keyword_keeps_its_lexical_reading(text):
+    assert invalid_regions(tokenize(text)) == []
+    assert {t.scope for t in tokenize(text)} <= {Scope.PUNCTUATION,
+                                                 Scope.NAME}
+
+
 # -- timed conditions and effects -----------------------------------------------
 
 def _durative(condition: str, effect: str = "(at end (p))") -> str:
