@@ -151,18 +151,16 @@ def snippet(ctx: click.Context, trigger: Optional[str], list_all: bool,
               help="Exit 1 when any invalid region is present.")
 def tokens(file: Path, output_format: str, fail_on_invalid: bool) -> None:
     """Print the scoped token stream of FILE."""
-    doc = Document.read(file)
-    token_stream = highlight.tokenize(doc)
+    columns = highlight.scope_columns(Document.read(file))
     if output_format == "html":
-        click.echo(highlight.render_html(token_stream, title=file.name),
-                   nl=False)
+        click.echo(columns.render_html(title=file.name), nl=False)
     else:
         out = sys.stdout.buffer
-        for piece in highlight.iter_tokens_json(token_stream):
+        for piece in columns.iter_json():
             out.write(piece)
         out.write(b"\n")
         out.flush()
-    if fail_on_invalid and highlight.invalid_regions(token_stream):
+    if fail_on_invalid and columns.invalid_regions():
         sys.exit(1)
 
 
@@ -284,8 +282,7 @@ def check(ctx: click.Context, files: tuple[Path, ...]) -> None:
         doc = Document.read(path)
         diagnostics = doc.diagnostics
         errors = [d for d in diagnostics if d.severity is Severity.ERROR]
-        token_stream = highlight.tokenize(doc)
-        regions = highlight.invalid_regions(token_stream)
+        regions = highlight.scope_columns(doc).invalid_regions()
         bad = bool(errors or regions)
         any_bad = any_bad or bad
         if ctx.obj["json"]:

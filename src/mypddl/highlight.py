@@ -13,9 +13,10 @@ from __future__ import annotations
 import enum
 import html
 from functools import partial
+from itertools import accumulate, islice, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .model import (
     ACTION_KEYS,
@@ -90,12 +91,6 @@ _ATOM, _LIST = NodeKind.ATOM, NodeKind.LIST
 _PUNCTUATION, _UNSCOPED = Scope.PUNCTUATION, Scope.UNSCOPED
 
 
-def _gap(end: int, text: str) -> Token:
-    """The Punctuation token of a lead or tail ``text`` ending at ``end``."""
-    new = tuple.__new__
-    return new(Token, (new(Span, (end - len(text), end)), _PUNCTUATION, text))
-
-
 GrammarMethod = Callable[["_Walk", SExprNode], None]
 
 
@@ -132,13 +127,13 @@ def _methods(namespace: dict, rules: dict[str, tuple[str, ...]],
 
 
 class _Walk:
-    """One grammar walk over a parsed forest, in which every node has a
-    span. A grammar method takes the walk and one node, as ``each`` sends
-    it; a block or form handler also takes the list's head."""
+    """One grammar walk over a forest, which records each token's text and
+    scope in file order. A grammar method takes the walk and one node, as
+    ``each`` sends it; a block or form handler also takes the list's head."""
 
-    def __init__(self, forest: Sequence[SExprNode]) -> None:
-        self.forest = forest
-        self.tokens: list[Token] = []
+    def __init__(self) -> None:
+        self.texts: list[str] = []
+        self.scopes: list[Scope] = []
         self.depth = 0
         # Scope of each distinct atom text seen in term position (before
         # ``ground`` is applied); lives as long as this walk.
@@ -146,34 +141,30 @@ class _Walk:
 
     # -- emission ---------------------------------------------------------
 
-    def open_paren(self, node: SExprNode,
-                   scope: Optional[Scope] = None) -> None:
+    def open_paren(self, node: SExprNode, scope: Optional[Scope] = None) -> None:
         """The list's lead, then its '(' with ``scope``; by default
         Punctuation, or Unscoped if the list is never closed."""
-        _, _, _, (start, _), closed, _, lead, _ = node
-        if scope is None:
-            scope = _PUNCTUATION if closed else _UNSCOPED
-        if lead:
-            self.tokens.append(_gap(start, lead))
-        new = tuple.__new__
-        self.tokens.append(new(Token, (new(Span, (start, start + 1)),
-                                       scope, "(")))
+        scope = scope or (_PUNCTUATION if node[4] else _UNSCOPED)
+        if node[6]:
+            self.texts.append(node[6])
+            self.scopes.append(_PUNCTUATION)
+        self.texts.append("(")
+        self.scopes.append(scope)
 
-    def close_paren(self, node: SExprNode,
-                    scope: Scope = _PUNCTUATION) -> None:
-        _, _, _, (_, end), closed, _, _, tail = node
-        close = end - 1 if closed else end
-        if tail:
-            self.tokens.append(_gap(close, tail))
-        if closed:
-            new = tuple.__new__
-            self.tokens.append(new(Token, (new(Span, (close, end)), scope, ")")))
+    def close_paren(self, node: SExprNode, scope: Scope = _PUNCTUATION) -> None:
+        if node[7]:
+            self.texts.append(node[7])
+            self.scopes.append(_PUNCTUATION)
+        if node[4]:
+            self.texts.append(")")
+            self.scopes.append(scope)
 
     def single(self, node: SExprNode, scope: Scope) -> None:
-        _, text, _, span, _, _, lead, _ = node
-        if lead:
-            self.tokens.append(_gap(span[0], lead))
-        self.tokens.append(tuple.__new__(Token, (span, scope, text)))
+        if node[6]:
+            self.texts.append(node[6])
+            self.scopes.append(_PUNCTUATION)
+        self.texts.append(node[1])
+        self.scopes.append(scope)
 
     def atom_or_tree(self, node: SExprNode, scope: Scope) -> None:
         if node.kind is _ATOM:
@@ -307,25 +298,25 @@ class _Walk:
         if self.depth >= _MAX_GRAMMAR_DEPTH:
             self.flat_emit(node)
             return
-        append = self.tokens.append
-        new = tuple.__new__
+        texts, scopes, known = self.texts, self.scopes, self.term_scopes
         name, variable = Scope.NAME, Scope.VARIABLE
-        scopes = self.term_scopes
         self.open_paren(node)
         for child in node.children:
-            kind, text, _, span, _, _, lead, _ = child
+            kind, text, _, _, _, _, lead, _ = child
             if kind is not _ATOM:
                 self.flat_emit(child, _UNSCOPED)
                 continue
             if lead:
-                append(_gap(span[0], lead))
+                texts.append(lead)
+                scopes.append(_PUNCTUATION)
             if child is head:
-                append(new(Token, (span, name, text)))
+                scope = name
             else:
-                scope = scopes.get(text) or self.term_scope(text)
+                scope = known.get(text) or self.term_scope(text)
                 if ground and scope is variable:
                     scope = _UNSCOPED
-                append(new(Token, (span, scope, text)))
+            texts.append(text)
+            scopes.append(scope)
         self.close_paren(node)
 
     # -- terms, numeric expressions and one-atom places -----------------------
@@ -399,13 +390,11 @@ class _Walk:
         atom item is of scope ``items`` if it classifies as that, else
         Unscoped; with ``items`` None the items are declarations."""
         marks = typed_list_marks(node.children, head)
-        append = self.tokens.append
-        new = tuple.__new__
-        scopes = self.term_scopes
+        texts, scopes, known = self.texts, self.scopes, self.term_scopes
         type_node = None
         self.open_paren(node)
         for child in node.children:
-            kind, text, _, span, _, _, lead, _ = child
+            kind, text, _, _, _, _, lead, _ = child
             if child is head:
                 self.atom_or_tree(child, head_scope)
             elif child is type_node:
@@ -417,15 +406,17 @@ class _Walk:
                     self.flat_emit(child, _UNSCOPED)
             else:
                 if lead:
-                    append(_gap(span[0], lead))
+                    texts.append(lead)
+                    scopes.append(_PUNCTUATION)
                 if text == "-":
                     type_node = marks[child]
                     scope = _UNSCOPED if type_node is None else _PUNCTUATION
                 else:
-                    scope = scopes.get(text) or self.term_scope(text)
+                    scope = known.get(text) or self.term_scope(text)
                     if scope is not items:
                         scope = _UNSCOPED
-                append(new(Token, (span, scope, text)))
+                texts.append(text)
+                scopes.append(scope)
         self.close_paren(node)
 
     def type_position(self, node: SExprNode) -> None:
@@ -510,15 +501,14 @@ class _Walk:
                   _Walk.problem_block if kind == "problem"
                   else _Walk.domain_block)
 
-    def run(self) -> list[Token]:
-        for node in self.forest:
+    def run(self, forest: Sequence[SExprNode]) -> None:
+        for node in forest:
             if node.is_trivia:
                 self.single(node, _TRIVIA_SCOPES[node.kind])
             elif node.kind is _LIST and head_key(node) is None:
                 self.flat_emit(node)  # no form: read lexically
             else:
                 self.formula(node, self.FORMS, ground=None)
-        return self.tokens
 
     # The rows of the formula tables of ``model``, and those of blocks and
     # forms. A domain's and a problem's keys are those of
@@ -561,72 +551,10 @@ class _Walk:
     }
 
 
-def tokenize(source: Union[str, Document]) -> list[Token]:
-    """Assign a scope to every byte of a document's forest; never fails.
-    Given text, parse it first. The cyclic garbage collector is paused
-    while the tokens are built."""
-    forest = as_document(source).forest
-    with gc_paused():
-        return _Walk(forest).run()
-
-
-def invalid_regions(tokens: Sequence[Token]) -> list[Span]:
-    """Maximal runs of unscoped tokens, merged across pure whitespace."""
-    scopes = list(map(itemgetter(1), tokens))
-    unscoped, punctuation = Scope.UNSCOPED, Scope.PUNCTUATION
-    regions: list[Span] = []
-    i = 0
-    while True:
-        try:
-            # Skip to the next unscoped token at C speed.
-            i = scopes.index(unscoped, i)
-        except ValueError:
-            return regions
-        start, end = tokens[i].span
-        i += 1
-        while i < len(scopes):
-            scope = scopes[i]
-            if scope is unscoped:
-                end = tokens[i].span.end
-            elif scope is not punctuation or not tokens[i].text.isspace():
-                break
-            i += 1
-        regions.append(Span(start, end))
-
-
 _SCOPE_JSON = {scope: encode_basestring(scope.value) for scope in Scope}
-# Tokens per piece of ``iter_tokens_json``: enough to amortize the join,
-# few enough that a piece is small next to a large file's output.
+# Tokens per piece of ``iter_json``: enough to amortize the join, few
+# enough that a piece is small next to a large file's output.
 _JSON_RUN = 1024
-
-
-def iter_tokens_json(tokens: Sequence[Token]) -> Iterator[bytes]:
-    """Stable JSON rendering of the token stream, sorted by start offset,
-    as UTF-8 pieces of ``_JSON_RUN`` tokens each, so that a writer never
-    holds the whole output.
-
-    The joined bytes are those of ``json.dumps(records, ensure_ascii=False,
-    indent=1)``, written out directly because ``indent`` makes ``json``
-    fall back to its pure-Python encoder.
-    """
-    if not tokens:
-        yield b"[]"
-        return
-    opening = "[\n"
-    for i in range(0, len(tokens), _JSON_RUN):
-        yield (opening + ",\n".join(
-            f' {{\n  "start": {t.span.start},\n  "end": {t.span.end},\n'
-            f'  "scope": {_SCOPE_JSON[t.scope]},\n'
-            f'  "text": {encode_basestring(t.text)}\n }}'
-            for t in tokens[i:i + _JSON_RUN])).encode("utf-8")
-        opening = ",\n"
-    yield b"\n]"
-
-
-def emit_tokens_json(tokens: Sequence[Token]) -> bytes:
-    """The pieces of ``iter_tokens_json``, joined."""
-    return b"".join(iter_tokens_json(tokens))
-
 
 _CSS = """\
 body { background: #fdfdfd; color: #333; }
@@ -661,28 +589,143 @@ class _Fragments(dict):
         return value
 
 
+def scope_columns(source: Union[str, Document]) -> TokenColumns:
+    """The walk of `tokenize` as columns; never fails. Given text, parse it
+    first. The cyclic garbage collector is paused during the walk."""
+    doc = as_document(source)
+    walk = _Walk()
+    with gc_paused():
+        walk.run(doc.forest)
+    return TokenColumns(walk.texts, walk.scopes, len(doc.data) == len(doc.text))
+
+
+def tokenize(source: Union[str, Document]) -> list[Token]:
+    """Assign a scope to every byte of a document's forest; never fails.
+    Given text, parse it first. The tokens are those of `scope_columns`,
+    built at C speed with the cyclic garbage collector paused."""
+    with gc_paused():
+        columns = scope_columns(source)
+        spans = map(tuple.__new__, repeat(Span), zip(*columns.offsets()))
+        return list(map(tuple.__new__, repeat(Token),
+                        zip(spans, columns.scopes, columns.texts)))
+
+
+class TokenColumns:
+    """A token stream as columns: token k is ``texts[k]`` with scope
+    ``scopes[k]``. A walk's tokens tile the file, so token k spans
+    ``[bounds[k], bounds[k + 1])``, the running sums of the texts' byte
+    lengths, summed on first use: a valid file's regions never need them."""
+
+    __slots__ = ("texts", "scopes", "_ascii", "_tokens", "_offsets")
+
+    def __init__(self, texts: Sequence[str], scopes: Sequence[Scope],
+                 ascii: bool = False, tokens: Optional[Sequence[Token]] = None,
+                 ) -> None:
+        self.texts, self.scopes, self._ascii = texts, scopes, ascii
+        self._tokens = tokens
+        self._offsets: Optional[tuple[list[int], list[int]]] = None
+
+    @classmethod
+    def of(cls, tokens: Sequence[Token]) -> TokenColumns:
+        """The columns of any token list, whose spans give the offsets."""
+        return cls(list(map(itemgetter(2), tokens)),
+                   list(map(itemgetter(1), tokens)), tokens=tokens)
+
+    def offsets(self) -> tuple[list[int], list[int]]:
+        """Each token's start and end offset, made on first use."""
+        if self._offsets is None and self._tokens is not None:
+            spans = list(map(itemgetter(0), self._tokens))
+            self._offsets = (list(map(itemgetter(0), spans)),
+                             list(map(itemgetter(1), spans)))
+        elif self._offsets is None:
+            texts = self.texts if self._ascii else map(str.encode, self.texts)
+            bounds = list(accumulate(map(len, texts), initial=0))
+            self._offsets = bounds, bounds[1:]
+        return self._offsets
+
+    def invalid_regions(self) -> list[Span]:
+        """See `invalid_regions`."""
+        scopes, texts = self.scopes, self.texts
+        regions: list[Span] = []
+        i = 0
+        while True:
+            try:
+                # Skip to the next unscoped token at C speed.
+                i = scopes.index(_UNSCOPED, i)
+            except ValueError:
+                return regions
+            first = last = i
+            i += 1
+            while i < len(scopes):
+                scope = scopes[i]
+                if scope is _UNSCOPED:
+                    last = i
+                elif scope is not _PUNCTUATION or not texts[i].isspace():
+                    break
+                i += 1
+            starts, ends = self.offsets()
+            regions.append(Span(starts[first], ends[last]))
+
+    def iter_json(self) -> Iterator[bytes]:
+        """See `iter_tokens_json`."""
+        return iter_tokens_json(zip(zip(*self.offsets()), self.scopes, self.texts))
+
+    def render_html(self, *, title: str = "PDDL") -> str:
+        """See `render_html`."""
+        fragments = map(_Fragments().__getitem__, zip(self.scopes, self.texts))
+        out = [f"<!DOCTYPE html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n"
+               f"<title>{html.escape(title)}</title>\n<style>\n{_CSS}</style>\n"
+               f"</head>\n<body>\n<pre>"]
+        regions = self.invalid_regions()
+        if not regions:
+            out += fragments
+        else:
+            opens, closes = map(set, zip(*regions))
+            for start, end, fragment in zip(*self.offsets(), fragments):
+                if start in opens:
+                    out.append('<span class="invalid-region">')
+                out.append(fragment)
+                if end in closes:
+                    out.append("</span>")
+        out.append("</pre>\n</body>\n</html>\n")
+        return "".join(out)
+
+
+def invalid_regions(tokens: Sequence[Token]) -> list[Span]:
+    """Maximal runs of unscoped tokens, merged across pure whitespace."""
+    return TokenColumns.of(tokens).invalid_regions()
+
+
+def iter_tokens_json(tokens: Iterable[Token]) -> Iterator[bytes]:
+    """Stable JSON rendering of the token stream, in its order, as UTF-8
+    pieces of ``_JSON_RUN`` tokens each, so that a writer never holds the
+    whole output; any (span, scope, text) rows will do for tokens.
+
+    The joined bytes are those of ``json.dumps(records, ensure_ascii=False,
+    indent=1)``, written out directly because ``indent`` makes ``json``
+    fall back to its pure-Python encoder.
+    """
+    rows = iter(tokens)
+    opening = "[\n"
+    while run := list(islice(rows, _JSON_RUN)):
+        yield (opening + ",\n".join(
+            f' {{\n  "start": {start},\n  "end": {end},\n'
+            f'  "scope": {_SCOPE_JSON[scope]},\n'
+            f'  "text": {encode_basestring(text)}\n }}'
+            for (start, end), scope, text in run)).encode("utf-8")
+        opening = ",\n"
+    yield b"[]" if opening == "[\n" else b"\n]"
+
+
+def emit_tokens_json(tokens: Sequence[Token]) -> bytes:
+    """The pieces of ``iter_tokens_json``, joined."""
+    return b"".join(iter_tokens_json(tokens))
+
+
 def render_html(tokens: Sequence[Token], *, title: str = "PDDL") -> str:
     """Standalone HTML document; each invalid region gets one wrapper span so
     broken spots stay visually distinct from every scoped construct.
 
     Each distinct (scope, text) pair is escaped and rendered once per call.
     """
-    fragments = map(_Fragments().__getitem__, map(itemgetter(1, 2), tokens))
-    out = [f"<!DOCTYPE html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n"
-           f"<title>{html.escape(title)}</title>\n<style>\n{_CSS}</style>\n"
-           f"</head>\n<body>\n<pre>"]
-    regions = invalid_regions(tokens)
-    if not regions:
-        out += fragments
-    else:
-        opens = {r.start for r in regions}
-        closes = {r.end for r in regions}
-        for (start, end), fragment in zip(map(itemgetter(0), tokens),
-                                          fragments):
-            if start in opens:
-                out.append('<span class="invalid-region">')
-            out.append(fragment)
-            if end in closes:
-                out.append("</span>")
-    out.append("</pre>\n</body>\n</html>\n")
-    return "".join(out)
+    return TokenColumns.of(tokens).render_html(title=title)

@@ -280,13 +280,13 @@ def test_a_command_restores_the_gc_state(runner, tmp_path, enabled, data,
 
 def test_a_command_runs_with_the_gc_paused(runner, monkeypatch):
     seen = []
-    tokenize = highlight.tokenize
+    scope_columns = highlight.scope_columns
 
     def spy(source):
         seen.append(gc.isenabled())
-        return tokenize(source)
+        return scope_columns(source)
 
-    monkeypatch.setattr(highlight, "tokenize", spy)
+    monkeypatch.setattr(highlight, "scope_columns", spy)
     was_enabled = gc.isenabled()
     gc.enable()
     try:
