@@ -317,16 +317,17 @@ def iter_blocks(forest: Sequence[SExprNode],
                 keyword: str) -> Iterator[SExprNode]:
     """Each list node whose head atom equals ``keyword`` (case-insensitive),
     in document order, nested matches included. Lazy, so a caller that
-    needs only the first match walks no further than it."""
+    needs only the first match visits no more lists than it."""
     wanted = keyword.lower()
-    for top in forest:
-        for node in top.walk():
-            if node.kind is not NodeKind.LIST:
-                continue
-            head = node.head()
-            if head is not None and head.kind is NodeKind.ATOM \
-                    and head.text.lower() == wanted:
+    lst, atom = NodeKind.LIST, NodeKind.ATOM
+    todo = [node for node in reversed(forest) if node[0] is lst]
+    while todo:
+        node = todo.pop()
+        if children := node[2]:
+            head = node.head() if children[0][5] else children[0]
+            if head is not None and head[0] is atom and head[1].lower() == wanted:
                 yield node
+            todo += [child for child in reversed(children) if child[0] is lst]
 
 
 def find_blocks(forest: Sequence[SExprNode], keyword: str) -> list[SExprNode]:

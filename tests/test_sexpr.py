@@ -3,7 +3,7 @@
 import gc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mypddl.sexpr import (
@@ -195,6 +195,20 @@ def test_first_of_iter_blocks_is_first_of_find_blocks(name, keyword):
     first = next(iter_blocks(forest, keyword), None)
     assert first is (blocks[0] if blocks else None)
     assert list(iter_blocks(forest, keyword)) == blocks
+
+
+@given(st.text(alphabet="() ;:xX\n", max_size=80))
+@example("( ;c\n:x (:X)) (;\n(:x ;\n))")
+@settings(max_examples=300)
+def test_iter_blocks_yields_what_a_walk_of_every_node_finds(text):
+    # The lists-only walk against the reference: every node in document
+    # order, the head being the first child that is not trivia.
+    forest, _ = parse_sexpr(text)
+    expected = [node for top in forest for node in top.walk()
+                if node.kind is NodeKind.LIST and node.head() is not None
+                and node.head().kind is NodeKind.ATOM
+                and node.head().text.lower() == ":x"]
+    assert list(iter_blocks(forest, ":X")) == expected
 
 
 @pytest.mark.parametrize("text", [
