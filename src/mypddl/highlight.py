@@ -135,8 +135,7 @@ class _Walk:
         self.texts: list[str] = []
         self.scopes: list[Scope] = []
         self.depth = 0
-        # Scope of each distinct atom text seen in term position (before
-        # ``ground`` is applied); lives as long as this walk.
+        # Scope of each distinct atom text in term position, before ``ground``.
         self.term_scopes: dict[str, Scope] = {}
 
     # -- emission ---------------------------------------------------------
@@ -243,15 +242,14 @@ class _Walk:
         the key's row, or goes with its head to the row's handler; a list
         headed by any other name is an atomic formula, ``ground`` if in
         ``:init``. With ``ground`` None the node is a block or a top-level
-        form: no atomic formula stands there, and a list with no atom at
-        its head is Unscoped whole, as is one headed by a list anywhere."""
+        form, where no atomic formula stands. A list with no atom at its
+        head, such as ``()``, is Unscoped whole."""
         if node.kind is not _LIST:
             self.single(node, _UNSCOPED)
             return
         head = node.head()
         if head is None or head.kind is not _ATOM:
-            self.flat_emit(node, None if head is None and ground is not None
-                           else _UNSCOPED)
+            self.flat_emit(node, _UNSCOPED)
             return
         key = head.text.lower()
         rule = rules.get(key)
@@ -458,7 +456,9 @@ class _Walk:
             if child is name:
                 self.name(child)
             elif context is not None:
-                context(self, child)
+                # () is a whole value's <emptyOr> (PDDL 3.1), read lexically.
+                empty = child.kind is _LIST and child.head() is None
+                (_Walk.flat_emit if empty else context)(self, child)
                 context = None
             elif child.kind is not _ATOM:
                 self.flat_emit(child, _UNSCOPED)

@@ -76,14 +76,13 @@ EFFECT_RULES = {
                      "scale-down"), ("fexp",)),
 }
 INIT_RULES = {"=": ("fexp",), "not": ("init",), "at": ("number", "init")}
-# PDDL 2.1 (Fox and Long, 2003) pairs "at" with start or end, "over" with all.
+# PDDL 2.1 (Fox and Long, 2003): "at start|end" and "over all"; effects only "at".
 TIMED_CONDITION_RULES = {
     **CONDITION_RULES, "and": ("timed-condition",),
     "at": ("start-or-end", "condition"), "over": ("all", "condition"),
 }
 TIMED_EFFECT_RULES = {
-    **EFFECT_RULES, "and": ("timed-effect",),
-    "at": ("start-or-end", "effect"), "over": ("all", "effect"),
+    **EFFECT_RULES, "and": ("timed-effect",), "at": ("start-or-end", "effect"),
 }
 # PDDL3 constraints (Gerevini and Long, 2005), in :constraints and in the
 # preferences there: a condition, or a temporal operator over conditions.

@@ -367,7 +367,9 @@ def _durative(condition: str, effect: str = "(at end (p))") -> str:
 @pytest.mark.parametrize("timed", ["(at start (p))", "(at end (p))",
                                    "(over all (p))", "(AT START (p))"])
 def test_each_time_specifier_pairs_with_its_wrapper(timed, tmp_path):
-    text = _durative(f"(and {timed} {timed})", f"(and {timed})")
+    # A timed effect is "at start" or "at end" only.
+    effect = "(at end (p))" if timed.startswith("(over") else timed
+    text = _durative(f"(and {timed} {timed})", f"(and {effect})")
     assert invalid_regions(tokenize(text)) == []
     path = tmp_path / "timed.pddl"
     path.write_text(text, encoding="utf-8")
@@ -389,6 +391,62 @@ def test_a_time_specifier_of_the_other_wrapper_is_invalid(timed, where,
     result = CliRunner().invoke(main, ["check", str(path)])
     assert result.exit_code == 1, result.output
     assert "0 errors, 1 invalid regions" in result.output
+
+
+@pytest.mark.parametrize("effect", ["(over all (p))",
+                                    "(and (at start (p)) (over all (p)))"])
+def test_over_all_is_no_timed_effect(effect, tmp_path):
+    # PDDL 2.1 times an effect at start or at end; "over all" is read as an
+    # atomic formula, whose list argument is invalid.
+    text = _durative("(at start (p))", effect)
+    start = text.index("(p)", text.index("(over all"))
+    assert invalid_regions(tokenize(text)) == [Span(start, start + 3)]
+    path = tmp_path / "timed.pddl"
+    path.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["check", str(path)])
+    assert result.exit_code == 1, result.output
+    assert "0 errors, 1 invalid regions" in result.output
+
+
+# -- empty lists -----------------------------------------------------------------
+
+_ACTION = ("(define (domain d) (:predicates (p))\n"
+           "  (:action a :parameters () {}))")
+_PROBLEM = "(define (problem q) (:domain d) {})"
+
+
+@pytest.mark.parametrize("text", [
+    _ACTION.format(":precondition (and () (p)) :effect (p)"),
+    _ACTION.format(":precondition (p) :effect (and (p) ())"),
+    _ACTION.format(":precondition (not ()) :effect (p)"),
+    _PROBLEM.format("(:init () (p)) (:goal (p))"),
+    _PROBLEM.format("(:init (p)) (:goal (and () (p)))"),
+    _PROBLEM.format("(:init (p)) (:goal ())"),
+], ids=["precondition", "effect", "not", "init", "goal-and", "goal"])
+def test_an_empty_list_in_a_formula_place_is_unscoped(text, tmp_path):
+    start = text.rindex("()")
+    assert invalid_regions(tokenize(text)) == [Span(start, start + 2)]
+    path = tmp_path / "empty.pddl"
+    path.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["check", str(path)])
+    assert result.exit_code == 1, result.output
+    assert "0 errors, 1 invalid regions" in result.output
+
+
+@pytest.mark.parametrize("text", [
+    _ACTION.format(":precondition () :effect ()"),
+    _ACTION.format(":precondition (and) :effect (and)"),
+    _durative("()", "()").replace("(= ?duration 1)", "()"),
+])
+def test_an_empty_list_as_a_whole_action_value_is_valid(text, tmp_path):
+    # In the PDDL 3.1 BNF, () stands only for <emptyOr> and a
+    # <duration-constraint>: a whole :precondition, :effect, :condition or
+    # :duration value.
+    assert invalid_regions(tokenize(text)) == []
+    path = tmp_path / "empty.pddl"
+    path.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["check", str(path)])
+    assert result.exit_code == 0, result.output
 
 
 # -- typed lists: one reader for both layers ------------------------------------
