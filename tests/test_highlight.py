@@ -16,15 +16,17 @@ from mypddl.highlight import (
     _JSON_RUN,
     Scope,
     Token,
+    TokenColumns,
     emit_tokens_json,
     invalid_regions,
     iter_tokens_json,
     render_html,
+    scope_columns,
     tokenize,
 )
 from mypddl.sexpr import Document, Span
 
-from conftest import benchmark_inputs, corpus_text, golden_json
+from conftest import CORPUS, benchmark_inputs, corpus_text, golden_json
 
 
 def scopes_at(text, needle, occurrence=0):
@@ -437,3 +439,69 @@ def test_scope_members_keep_their_enum_semantics():
         assert copy.deepcopy(scope) is scope
     assert len(set(Scope)) == 9
     assert {Scope.KEYWORD: 1}.get(Scope("Keyword")) == 1
+
+
+# -- the column stream ------------------------------------------------------------
+
+# Arbitrary text: non-ASCII atoms and comments, CRLF and unbalanced
+# parentheses, inside and outside a define form, with or without a BOM.
+_COLUMN_TEXT = st.tuples(
+    st.sampled_from(["", "\ufeff"]),
+    st.sampled_from(["", "(define (domain d) (:predicates (p ?x)) ",
+                     "(define (problem q) (:domain d) (:init "]),
+    st.lists(st.sampled_from([
+        "(", ")", " ", "\r\n", "\n", "\t", ";", "é", "中", "😀", "?x", "-",
+        ":goal", "and", "2", "\u2028", "a"]), max_size=60).map("".join),
+).map("".join)
+
+
+@given(_COLUMN_TEXT)
+@settings(max_examples=400)
+def test_the_columns_and_the_token_list_give_the_same_outputs(text):
+    columns = scope_columns(text)
+    tokens = tokenize(text)
+    assert columns.invalid_regions() == invalid_regions(tokens)
+    assert b"".join(columns.iter_json()) == emit_tokens_json(tokens)
+    assert columns.render_html(title="t") == render_html(tokens, title="t")
+    # tokenize's spans tile the UTF-8 bytes, each over its own text.
+    data = text.encode("utf-8")
+    pos = 0
+    for token in tokens:
+        assert token.span.start == pos
+        pos = token.span.end
+        assert data[token.span.start:pos] == token.text.encode("utf-8")
+    assert pos == len(data)
+
+
+@pytest.mark.parametrize("name", ["coffee.pddl", "logistics.pddl"])
+def test_the_columns_are_those_of_tokenize(name):
+    doc = Document((CORPUS / name).read_bytes())
+    columns = scope_columns(doc)
+    tokens = tokenize(doc)
+    assert columns.texts == [t.text for t in tokens]
+    assert columns.scopes == [t.scope for t in tokens]
+    starts, ends = columns.offsets()
+    assert list(zip(starts, ends)) == [tuple(t.span) for t in tokens]
+    assert starts[-1] == len(doc.data)
+
+
+def test_a_valid_file_gets_its_regions_without_offsets(splisus_text):
+    columns = scope_columns(splisus_text)
+    assert columns.invalid_regions() == []
+    assert columns._offsets is None
+
+
+def test_a_bom_token_is_three_bytes():
+    columns = scope_columns(Document(b"\xef\xbb\xbf(a)"))
+    assert columns.texts[0] == "\ufeff"
+    assert columns.offsets()[0][:3] == [0, 3, 4]
+
+
+def test_the_adapters_read_a_token_list_that_does_not_tile():
+    # Spans come from the tokens themselves, not from their texts.
+    tokens = [Token(Span(4, 5), Scope.UNSCOPED, "x"),
+              Token(Span(9, 10), Scope.PUNCTUATION, " "),
+              Token(Span(10, 12), Scope.UNSCOPED, "yy")]
+    assert invalid_regions(tokens) == [Span(4, 12)]
+    assert TokenColumns.of(tokens).offsets() == ([4, 9, 10], [5, 10, 12])
+    assert b'"start": 9' in emit_tokens_json(tokens)
