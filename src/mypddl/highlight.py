@@ -612,9 +612,9 @@ def tokenize(source: Union[str, Document]) -> list[Token]:
 
 class TokenColumns:
     """A token stream as columns: token k is ``texts[k]`` with scope
-    ``scopes[k]``. A walk's tokens tile the file, so token k spans
-    ``[bounds[k], bounds[k + 1])``, the running sums of the texts' byte
-    lengths, summed on first use: a valid file's regions never need them."""
+    ``scopes[k]``. A walk's tokens tile the file: token k spans ``[bounds[k],
+    bounds[k + 1])``, the running sums of the texts' byte lengths (``len`` if
+    ``ascii``), made on first use, which a valid file's regions never need."""
 
     __slots__ = ("texts", "scopes", "_ascii", "_tokens", "_offsets")
 
