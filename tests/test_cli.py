@@ -89,6 +89,54 @@ def test_check_json_output(runner):
     assert {"start", "end", "line", "col", "text"} <= set(first)
 
 
+def _check_text(report: dict) -> tuple[str, str]:
+    """The stderr and stdout that ``check`` prints for one ``--json check``
+    report: a line per diagnostic, a line per invalid region with its text
+    cut to 37 characters and '...' if longer than 40, then the summary."""
+    path = report["file"]
+    err = "".join(f"{path}:{d['line']}:{d['col']}: {d['severity']}: "
+                  f"{d['message']} [{d['code']}]\n"
+                  for d in report["diagnostics"])
+    out = ""
+    for region in report["invalid_regions"]:
+        excerpt = region["text"]
+        if len(excerpt) > 40:
+            excerpt = excerpt[:37] + "..."
+        out += f"{path}:{region['line']}:{region['col']}: invalid: {excerpt}\n"
+    errors = sum(d["severity"] == "error" for d in report["diagnostics"])
+    out += (f"{path}: {errors} errors, "
+            f"{len(report['invalid_regions'])} invalid regions\n")
+    return err, out
+
+
+# A parse diagnostic (the stray ')') and an invalid region longer than 40
+# bytes, with a non-ASCII character in it.
+_LONG_REGION = ("(define (domain d)\n  (:requirements :strips\n"
+                "    (café :typing :adl :fluents :equality :negative))))\n")
+
+
+@pytest.mark.parametrize("name", [
+    *(f"corpus/{p.name}" for p in sorted(CORPUS.glob("*.pddl"))),
+    *(f"fixtures/{p.name}" for p in sorted(FIXTURES.glob("tour_*.pddl"))),
+    "long-region",
+])
+def test_check_prints_its_json_records_as_text(runner, tmp_path, name):
+    if name == "long-region":
+        path = tmp_path / "long.pddl"
+        path.write_text(_LONG_REGION, encoding="utf-8")
+    else:
+        path = CORPUS.parent / name
+    reports = json.loads(runner.invoke(main, ["--json", "check",
+                                              str(path)]).stdout)
+    if name == "long-region":
+        [report] = reports
+        assert report["diagnostics"]
+        assert any(len(r["text"].encode("utf-8")) > 40
+                   for r in report["invalid_regions"])
+    result = runner.invoke(main, ["check", str(path)])
+    assert (result.stderr, result.stdout) == _check_text(reports[0])
+
+
 def test_tokens_json(runner, tmp_path):
     target = tmp_path / "mini.pddl"
     target.write_text("(define (domain d))", encoding="utf-8")
