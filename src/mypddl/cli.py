@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import shutil
 import sys
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,34 +28,37 @@ from .sexpr import (
 )
 
 
-def _print_diagnostics(path: Path, doc: Document,
-                       diagnostics: Sequence[ParseDiagnostic],
-                       quiet: bool) -> None:
+def _report(path: Path, doc: Document, diagnostics: Sequence[ParseDiagnostic],
+            regions: Sequence[Span] = ()) -> dict:
+    """The findings on one file as ``--json check`` prints them: its
+    diagnostics, sorted by span, and its invalid regions, each positioned
+    once by its span, 1-based line and byte column."""
+    def record(span: Span, **fields) -> dict:
+        line, col = doc.line_col(span.start)
+        return {"start": span.start, "end": span.end, "line": line,
+                "col": col, **fields}
+    diagnostics = sorted(diagnostics, key=attrgetter("span"))
+    return {"file": str(path),
+            "diagnostics": [record(d.span, severity=d.severity.value,
+                                   message=d.message, code=d.code)
+                            for d in diagnostics],
+            "invalid_regions": [record(r, text=doc.data[r.start:r.end].decode(
+                "utf-8", errors="replace")) for r in regions]}
+
+
+def _print_report(report: dict, quiet: bool) -> None:
+    """A report as text: ``file:line:col: severity: message [code]`` per
+    diagnostic on stderr, then ``file:line:col: invalid: excerpt`` per
+    region, an excerpt over 40 characters cut to 37 and '...'."""
     if quiet:
         return
-    for diag in sorted(diagnostics, key=lambda d: (d.span.start, d.span.end)):
-        line, col = doc.line_col(diag.span.start)
-        click.echo(f"{path}:{line}:{col}: {diag.severity.value}: "
-                   f"{diag.message} [{diag.code}]", err=True)
-
-
-def _diagnostics_json(doc: Document,
-                      diagnostics: Sequence[ParseDiagnostic]) -> list[dict]:
-    out = []
-    for diag in sorted(diagnostics, key=lambda d: (d.span.start, d.span.end)):
-        line, col = doc.line_col(diag.span.start)
-        out.append({"start": diag.span.start, "end": diag.span.end,
-                    "line": line, "col": col,
-                    "severity": diag.severity.value,
-                    "message": diag.message, "code": diag.code})
-    return out
-
-
-def _region_json(doc: Document, region: Span) -> dict:
-    line, col = doc.line_col(region.start)
-    return {"start": region.start, "end": region.end, "line": line,
-            "col": col, "text": doc.data[region.start:region.end].decode(
-                "utf-8", errors="replace")}
+    path = report["file"]
+    for d in report["diagnostics"]:
+        click.echo(f"{path}:{d['line']}:{d['col']}: {d['severity']}: "
+                   f"{d['message']} [{d['code']}]", err=True)
+    for r in report["invalid_regions"]:
+        excerpt = r["text"] if len(r["text"]) <= 40 else r["text"][:37] + "..."
+        click.echo(f"{path}:{r['line']}:{r['col']}: invalid: {excerpt}")
 
 
 # An input file that must exist; a directory is a usage error.
@@ -183,7 +187,7 @@ def diagram(ctx: click.Context, domain_file: Path, output_root: Path,
     doc = Document.read(domain_file)
     artifacts, diagnostics = typegraph.render_diagram(
         doc, output_root, renderer=renderer)
-    _print_diagnostics(domain_file, doc, diagnostics, ctx.obj["quiet"])
+    _print_report(_report(domain_file, doc, diagnostics), ctx.obj["quiet"])
     if not ctx.obj["quiet"]:
         click.echo(f"revision {artifacts.revision}:")
         click.echo(f"  {artifacts.copied_domain_path}")
@@ -237,7 +241,7 @@ def distance_cmd(ctx: click.Context, problem_file: Path, predicate: str,
     doc = Document.read(problem_file)
     out_path, diagnostics = distance.augment_file(
         doc, output_file, predicate_name=predicate)
-    _print_diagnostics(problem_file, doc, diagnostics, ctx.obj["quiet"])
+    _print_report(_report(problem_file, doc, diagnostics), ctx.obj["quiet"])
     if not ctx.obj["quiet"]:
         click.echo(str(out_path))
 
@@ -280,29 +284,16 @@ def check(ctx: click.Context, files: tuple[Path, ...]) -> None:
     reports = []
     for path in files:
         doc = Document.read(path)
-        diagnostics = doc.diagnostics
-        errors = [d for d in diagnostics if d.severity is Severity.ERROR]
-        regions = highlight.scope_columns(doc).invalid_regions()
-        bad = bool(errors or regions)
-        any_bad = any_bad or bad
+        report = _report(path, doc, doc.diagnostics,
+                         highlight.scope_columns(doc).invalid_regions())
+        errors = sum(d.severity is Severity.ERROR for d in doc.diagnostics)
+        regions = len(report["invalid_regions"])
+        any_bad = any_bad or bool(errors or regions)
         if ctx.obj["json"]:
-            reports.append({
-                "file": str(path),
-                "diagnostics": _diagnostics_json(doc, diagnostics),
-                "invalid_regions": [_region_json(doc, r) for r in regions],
-            })
+            reports.append(report)
             continue
-        _print_diagnostics(path, doc, diagnostics, ctx.obj["quiet"])
-        if not ctx.obj["quiet"]:
-            for region in regions:
-                line, col = doc.line_col(region.start)
-                excerpt = doc.data[region.start:region.end].decode(
-                    "utf-8", errors="replace")
-                if len(excerpt) > 40:
-                    excerpt = excerpt[:37] + "..."
-                click.echo(f"{path}:{line}:{col}: invalid: {excerpt}")
-        click.echo(f"{path}: {len(errors)} errors, "
-                   f"{len(regions)} invalid regions")
+        _print_report(report, ctx.obj["quiet"])
+        click.echo(f"{path}: {errors} errors, {regions} invalid regions")
     if ctx.obj["json"]:
         click.echo(json.dumps(reports, indent=2))
     if any_bad:

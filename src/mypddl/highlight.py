@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import html
-from functools import partial
 from itertools import accumulate, islice, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
@@ -22,11 +21,13 @@ from .model import (
     ACTION_KEYS,
     CONDITION_RULES,
     CONSTRAINT_RULES,
+    DOMAIN_BLOCKS,
     EFFECT_RULES,
     INIT_RULES,
     NUMERIC_KEYWORDS,
     NUMERIC_RULES,
     PREDICATE_KEYWORDS,
+    PROBLEM_BLOCKS,
     REQUIREMENT_KEYS,
     TIMED_CONDITION_RULES,
     TIMED_EFFECT_RULES,
@@ -118,11 +119,13 @@ def _name_or(then: GrammarMethod) -> GrammarMethod:
     return value
 
 
-def _methods(namespace: dict, rules: dict[str, tuple[str, ...]],
-             ) -> dict[str, tuple[GrammarMethod, ...]]:
-    """``rules`` with each context name turned into the grammar method of
-    that name in ``namespace``, a '-' in it read as '_'."""
-    return {key: tuple(namespace[name.replace("-", "_")] for name in row)
+def _methods(namespace: dict, rules: dict) -> dict:
+    """``rules`` with each context or handler name turned into the method of
+    that name in ``namespace``, a '-' in it read as '_': a row of names, a
+    tuple, becomes a tuple of methods and one name alone one method."""
+    def method(name: str) -> Callable:
+        return namespace[name.replace("-", "_")]
+    return {key: method(row) if isinstance(row, str) else tuple(map(method, row))
             for key, row in rules.items()}
 
 
@@ -423,6 +426,10 @@ class _Walk:
         else:
             self.type_name(node)
 
+    def function_list(self, node: SExprNode, head: SExprNode) -> None:
+        """(:functions ...), a typed list of declarations."""
+        self.typed_list(node, head, None)
+
     def parameters(self, node: SExprNode) -> None:
         if node.kind is _LIST:
             self.typed_list(node, None, Scope.VARIABLE)
@@ -510,9 +517,8 @@ class _Walk:
             else:
                 self.formula(node, self.FORMS, ground=None)
 
-    # The rows of the formula tables of ``model``, and those of blocks and
-    # forms. A domain's and a problem's keys are those of
-    # ``DOMAIN_BLOCK_KEYS`` and ``PROBLEM_BLOCK_KEYS``.
+    # The rows of the formula and block tables of ``model``, the grammar
+    # method of each context ``ACTION_KEYS`` gives a value, and the forms.
     CONDITION = _methods(locals(), CONDITION_RULES)
     EFFECT = _methods(locals(), EFFECT_RULES)
     INIT = _methods(locals(), INIT_RULES)
@@ -520,35 +526,12 @@ class _Walk:
     TIMED_EFFECT = _methods(locals(), TIMED_EFFECT_RULES)
     CONSTRAINT = _methods(locals(), CONSTRAINT_RULES)
     NUMERIC = _methods(locals(), NUMERIC_RULES)
-    DOMAIN_BLOCKS = {
-        ":requirements": (requirement,),
-        ":types": typed_list,
-        ":constants": typed_list,
-        ":predicates": (declaration,),
-        ":functions": partial(typed_list, items=None),
-        ":action": action_block,
-        ":durative-action": action_block,
-        ":derived": (declaration, condition),
-        ":constraints": (constraint,),
-    }
-    PROBLEM_BLOCKS = {
-        ":domain": (name,),
-        ":requirements": (requirement,),
-        ":objects": typed_list,
-        ":init": (init,),
-        ":goal": (condition,),
-        ":metric": (metric,),
-        ":constraints": (constraint,),
-    }
+    DOMAIN_BLOCKS = _methods(locals(), DOMAIN_BLOCKS)
+    PROBLEM_BLOCKS = _methods(locals(), PROBLEM_BLOCKS)
+    ACTION_VALUES = _methods(locals(), {
+        context: context
+        for keys in ACTION_KEYS.values() for _, context in keys.values()})
     FORMS = {"define": define_form}
-    # The grammar method of each context ``ACTION_KEYS`` gives a value.
-    ACTION_VALUES = {
-        "parameters": parameters,
-        "condition": condition,
-        "effect": effect,
-        "timed-condition": timed_condition,
-        "timed-effect": timed_effect,
-    }
 
 
 _SCOPE_JSON = {scope: encode_basestring(scope.value) for scope in Scope}
@@ -616,28 +599,25 @@ class TokenColumns:
     bounds[k + 1])``, the running sums of the texts' byte lengths (``len`` if
     ``ascii``), made on first use, which a valid file's regions never need."""
 
-    __slots__ = ("texts", "scopes", "_ascii", "_tokens", "_offsets")
+    __slots__ = ("texts", "scopes", "_ascii", "_offsets")
 
     def __init__(self, texts: Sequence[str], scopes: Sequence[Scope],
-                 ascii: bool = False, tokens: Optional[Sequence[Token]] = None,
-                 ) -> None:
+                 ascii: bool = False) -> None:
         self.texts, self.scopes, self._ascii = texts, scopes, ascii
-        self._tokens = tokens
         self._offsets: Optional[tuple[list[int], list[int]]] = None
 
     @classmethod
     def of(cls, tokens: Sequence[Token]) -> TokenColumns:
         """The columns of any token list, whose spans give the offsets."""
-        return cls(list(map(itemgetter(2), tokens)),
-                   list(map(itemgetter(1), tokens)), tokens=tokens)
+        columns = cls(list(map(itemgetter(2), tokens)),
+                      list(map(itemgetter(1), tokens)))
+        columns._offsets = ([span[0] for span, _, _ in tokens],
+                            [span[1] for span, _, _ in tokens])
+        return columns
 
     def offsets(self) -> tuple[list[int], list[int]]:
         """Each token's start and end offset, made on first use."""
-        if self._offsets is None and self._tokens is not None:
-            spans = list(map(itemgetter(0), self._tokens))
-            self._offsets = (list(map(itemgetter(0), spans)),
-                             list(map(itemgetter(1), spans)))
-        elif self._offsets is None:
+        if self._offsets is None:
             texts = self.texts if self._ascii else map(str.encode, self.texts)
             bounds = list(accumulate(map(len, texts), initial=0))
             self._offsets = bounds, bounds[1:]

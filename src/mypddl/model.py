@@ -29,18 +29,31 @@ NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 VARIABLE_RE = re.compile(r"\?[A-Za-z][A-Za-z0-9_-]*\Z")
 NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 
-# The PDDL 3.1 block grammar (Kovacs, 2011), written down once: the block
-# keys of a domain and of a problem and, for each kind of action, what each
-# key's value fills in the model and the context the scope walk
-# (``highlight._Walk``) reads it in. A new block or action key goes here.
-DOMAIN_BLOCK_KEYS = frozenset({
-    ":requirements", ":types", ":constants", ":predicates", ":functions",
-    ":action", ":durative-action", ":derived", ":constraints",
-})
-PROBLEM_BLOCK_KEYS = frozenset({
-    ":domain", ":requirements", ":objects", ":init", ":goal", ":metric",
-    ":constraints",
-})
+# The PDDL 3.1 block grammar (Kovacs, 2011), written down once: each block
+# of a domain and of a problem with the contexts the scope walk
+# (``highlight._Walk``) reads the values of its body in, or the one handler
+# that reads it whole; and, for each kind of action, what each key's value
+# fills in the model and its context. A new block or action key goes here.
+DOMAIN_BLOCKS = {
+    ":requirements": ("requirement",),
+    **dict.fromkeys((":types", ":constants"), "typed-list"),
+    ":predicates": ("declaration",),
+    ":functions": "function-list",
+    **dict.fromkeys((":action", ":durative-action"), "action-block"),
+    ":derived": ("declaration", "condition"),
+    ":constraints": ("constraint",),
+}
+PROBLEM_BLOCKS = {
+    ":domain": ("name",),
+    ":requirements": ("requirement",),
+    ":objects": "typed-list",
+    ":init": ("init",),
+    ":goal": ("condition",),
+    ":metric": ("metric",),
+    ":constraints": ("constraint",),
+}
+DOMAIN_BLOCK_KEYS = frozenset(DOMAIN_BLOCKS)
+PROBLEM_BLOCK_KEYS = frozenset(PROBLEM_BLOCKS)
 # Blocks a domain may hold more than once; a repeat of any other is reported.
 _REPEATABLE_BLOCKS = frozenset({":action", ":durative-action", ":derived"})
 ACTION_KEYS = {
