@@ -9,7 +9,7 @@ so even files our grammar does not fully understand survive unharmed.
 from __future__ import annotations
 
 import os
-import tempfile
+import stat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -112,20 +112,41 @@ def write_atomically(path: Path, text: str) -> None:
     write_pieces_atomically(path, [text.encode("utf-8")])
 
 
+# The flags of ``mkstemp``: create, fail if the name exists, and write bytes
+# as they are (O_BINARY, on Windows).
+_NEW_FILE_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                   | getattr(os, "O_BINARY", 0))
+
+
+def _create_beside(target: Path) -> tuple[int, str]:
+    """A new file beside ``target``, open for writing, as ``mkstemp`` makes
+    one but with the mode any new file gets: 0666 less the umask."""
+    while True:
+        name = f"{target}.{os.urandom(4).hex()}"
+        try:
+            return os.open(name, _NEW_FILE_FLAGS, 0o666), name
+        except FileExistsError:
+            pass
+
+
 def write_pieces_atomically(path: Path, pieces: Iterable[bytes]) -> None:
     """Write the pieces one after another into a temp file in the same
-    directory, then rename it over ``path``. If a piece raises, the temp
-    file is removed and ``path`` keeps its bytes."""
-    path = Path(path)
+    directory, then rename it over ``path``, or over the file a symlink
+    ``path`` leads to. The file keeps its permission bits; a new one gets
+    those of any new file. If a piece raises, the temp file is removed and
+    ``path`` keeps its bytes."""
+    target = Path(os.path.realpath(path))
     try:
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                        prefix=path.name + ".")
+        mode = stat.S_IMODE(target.stat().st_mode) if target.exists() else None
+        fd, tmp_name = _create_beside(target)
     except OSError as exc:
         raise ConstructError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(pieces)
-        os.replace(tmp_name, path)
+        if mode is not None:
+            os.chmod(tmp_name, mode)
+        os.replace(tmp_name, target)
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)

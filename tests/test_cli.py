@@ -2,6 +2,8 @@
 
 import gc
 import json
+import os
+import stat
 import sys
 
 import pytest
@@ -215,6 +217,45 @@ def test_distance_in_place(runner, gary_pizza_problem):
     assert result.exit_code == 0
     assert "(distance pizza pizza 0.0)" in \
         gary_pizza_problem.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("via_link", [False, True])
+@pytest.mark.parametrize("command,wrote", [
+    (["insert", "{}", ":init", "(hungry gary)"], "(hungry gary)"),
+    (["distance", "{}", "--in-place"], "(distance gary pizza 2.2361)"),
+])
+def test_a_rewrite_keeps_the_mode_and_the_symlink(runner, tmp_path, command,
+                                                  wrote, via_link):
+    target = tmp_path / "real.pddl"
+    target.write_text(corpus_text("gary_pizza_problem.pddl"), encoding="utf-8")
+    target.chmod(0o644)
+    link = tmp_path / "link.pddl"
+    link.symlink_to(target.name)
+    path = link if via_link else target
+    result = runner.invoke(main, [arg.format(path) for arg in command])
+    assert result.exit_code == 0, result.output
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644
+    assert wrote in target.read_text(encoding="utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.pddl",
+                                                         "real.pddl"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_distance_out_makes_a_file_of_the_default_mode(runner, tmp_path,
+                                                        umask):
+    problem = tmp_path / "p.pddl"
+    problem.write_text(corpus_text("gary_pizza_problem.pddl"), encoding="utf-8")
+    problem.chmod(0o600)
+    out = tmp_path / "new.pddl"
+    old = os.umask(umask)
+    try:
+        result = runner.invoke(main, ["distance", str(problem), "--out",
+                                      str(out)])
+    finally:
+        os.umask(old)
+    assert result.exit_code == 0, result.output
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
 
 def test_distance_custom_predicate(runner, tmp_path):
