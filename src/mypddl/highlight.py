@@ -31,6 +31,7 @@ from .model import (
     REQUIREMENT_KEYS,
     TIMED_CONDITION_RULES,
     TIMED_EFFECT_RULES,
+    VARIADIC_KEYWORDS,
     action_name,
     define_kind,
     head_key,
@@ -202,11 +203,14 @@ class _Walk:
                     heads.add(head)
 
     def each(self, node: SExprNode, head: Optional[SExprNode],
-             head_scope: Scope, *values: GrammarMethod) -> None:
+             head_scope: Scope, *values: GrammarMethod,
+             fixed: bool = False) -> None:
         """One in-order pass over a list's children: comments emitted as
         they are, the head atom with ``head_scope``, and the k-th value
-        after it through the k-th of ``values``, the last of which repeats.
-        Parens are emitted here too; each value emits its own lead."""
+        after it through the k-th of ``values``, the last of which repeats;
+        if ``fixed``, a value past the last is Unscoped whole and a missing
+        one makes the list's ')' Unscoped. Parens are emitted here too;
+        each value emits its own lead."""
         if self.depth >= _MAX_GRAMMAR_DEPTH:
             self.flat_emit(node)
             return
@@ -219,11 +223,16 @@ class _Walk:
                     self.single(child, _TRIVIA_SCOPES[child.kind])
                 elif child is head:
                     self.atom_or_tree(child, head_scope)
+                elif value is None:
+                    self.flat_emit(child, _UNSCOPED)
                 else:
                     value(self, child)
                     if rest:
                         value, rest = rest[0], rest[1:]
-            self.close_paren(node)
+                    elif fixed:
+                        value = None
+            self.close_paren(node, _UNSCOPED if fixed and value is not None
+                             else _PUNCTUATION)
         finally:
             self.depth -= 1
 
@@ -242,11 +251,12 @@ class _Walk:
                 ground: Optional[bool] = False) -> None:
         """A formula of the context whose rows are ``rules``: a list headed
         by a key of ``rules`` sends the values after it to the methods of
-        the key's row, or goes with its head to the row's handler; a list
-        headed by any other name is an atomic formula, ``ground`` if in
-        ``:init``. With ``ground`` None the node is a block or a top-level
-        form, where no atomic formula stands. A list with no atom at its
-        head, such as ``()``, is Unscoped whole."""
+        the key's row, one each unless the key is variadic, or goes with its
+        head to the row's handler; a list headed by any other name is an
+        atomic formula, ``ground`` if in ``:init``. With ``ground`` None the
+        node is a block or a top-level form, where no atomic formula stands
+        and a row's last method repeats. A list with no atom at its head,
+        such as ``()``, is Unscoped whole."""
         if node.kind is not _LIST:
             self.single(node, _UNSCOPED)
             return
@@ -267,7 +277,8 @@ class _Walk:
             else:
                 self.each(node, head, _UNSCOPED, _Walk.flat_emit)
         elif type(rule) is tuple:
-            self.each(node, head, Scope.KEYWORD, *rule)
+            self.each(node, head, Scope.KEYWORD, *rule, fixed=ground is not None
+                      and key not in VARIADIC_KEYWORDS)
         else:
             rule(self, node, head)
 

@@ -71,24 +71,28 @@ ACTION_KEYS = {
 }
 # The formula grammar, written down the same way: for each context the walk
 # reads formulas in, the keywords that head one there and the contexts of
-# the values after the keyword, the last repeating. A list headed by any
-# other name is an atomic formula. "at" and "over" also name predicates, as
-# in (at ?x ?y), so a row of theirs holds only where the value after them is
-# an atom that the row's first context takes.
+# the values after the keyword, one value per context (PDDL 3.1's fixed
+# arities). A keyword of ``VARIADIC_KEYWORDS`` repeats its row's last
+# context instead. A list headed by any other name is an atomic formula.
+# "at" and "over" also name predicates, as in (at ?x ?y), so a row of theirs
+# holds only where the value after them is an atom that the row's first
+# context takes.
 CONDITION_RULES = {
-    **dict.fromkeys(("and", "or", "not", "imply"), ("condition",)),
+    **dict.fromkeys(("and", "or", "not"), ("condition",)),
+    "imply": ("condition", "condition"),
     **dict.fromkeys(("forall", "exists"), ("parameters", "condition")),
     "preference": ("name-or-condition", "condition"),
-    **dict.fromkeys(("=", "<", ">", "<=", ">="), ("fexp",)),
+    **dict.fromkeys(("=", "<", ">", "<=", ">="), ("fexp", "fexp")),
 }
 EFFECT_RULES = {
     **dict.fromkeys(("and", "not"), ("effect",)),
     "when": ("condition", "effect"),
     "forall": ("parameters", "effect"),
     **dict.fromkeys(("assign", "increase", "decrease", "scale-up",
-                     "scale-down"), ("fexp",)),
+                     "scale-down"), ("fexp", "fexp")),
 }
-INIT_RULES = {"=": ("fexp",), "not": ("init",), "at": ("number", "init")}
+INIT_RULES = {"=": ("fexp", "fexp"), "not": ("init",),
+              "at": ("number", "init")}
 # PDDL 2.1 (Fox and Long, 2003): "at start|end" and "over all"; effects only "at".
 TIMED_CONDITION_RULES = {
     **CONDITION_RULES, "and": ("timed-condition",),
@@ -104,13 +108,17 @@ CONSTRAINT_RULES = {
     "forall": ("parameters", "constraint"),
     "preference": ("name-or-constraint", "constraint"),
     "at": ("end", "condition"),
-    **dict.fromkeys(("always", "sometime", "at-most-once", "sometime-before",
-                     "sometime-after"), ("condition",)),
-    **dict.fromkeys(("within", "always-within", "hold-after"),
-                    ("number", "condition")),
+    **dict.fromkeys(("always", "sometime", "at-most-once"), ("condition",)),
+    **dict.fromkeys(("sometime-before", "sometime-after"),
+                    ("condition", "condition")),
+    **dict.fromkeys(("within", "hold-after"), ("number", "condition")),
+    "always-within": ("number", "condition", "condition"),
     "hold-during": ("number", "number", "condition"),
 }
 NUMERIC_RULES = dict.fromkeys(("+", "-", "*", "/"), ("fexp",))
+# The formula keywords that take any number of values: a preference's name
+# is optional, and "-" takes one value or two.
+VARIADIC_KEYWORDS = frozenset({"and", "or", "preference", "+", "-", "*", "/"})
 # Atoms that are keywords in a numeric expression: #t, the time elapsed in a
 # continuous effect (Fox and Long, 2003).
 NUMERIC_KEYWORDS = frozenset({"#t"})

@@ -328,6 +328,82 @@ def test_pddl3_operators_and_hash_t_stay_out_of_other_places(where, bad):
     assert invalid_regions(tokenize(text)) == [Span(start, start + len(bad))]
 
 
+# -- formula arity ---------------------------------------------------------------
+
+# Formulas with a value too many or too few, which the walk once read as
+# valid, as the last context of every row repeated: each gets one invalid
+# region, the value past the row's end or the list's ')', and check exits 1.
+ARITY_REPRODUCERS = [
+    ("(define (domain d) (:predicates (p) (q))\n"
+     "  (:action a :parameters () :precondition (not (p) (q)) :effect (p)))",
+     "(not (p) (q))", "(q)"),
+    ("(define (domain d) (:predicates (p) (q)) (:constraints (always (p) (q))))",
+     "(always (p) (q))", "(q)"),
+    ("(define (domain d) (:predicates (p)) (:constraints (at-most-once)))",
+     "(at-most-once)", ")"),
+]
+
+
+def _arity_region(text: str, formula: str, bad: str) -> Span:
+    """The span of ``bad``, the last of its kind in ``formula``."""
+    start = text.index(formula) + formula.rindex(bad)
+    return Span(start, start + len(bad))
+
+
+@pytest.mark.parametrize("text,formula,bad", ARITY_REPRODUCERS)
+def test_a_formula_with_a_value_too_many_or_too_few_fails_check(
+        text, formula, bad, tmp_path):
+    assert invalid_regions(tokenize(text)) == [_arity_region(text, formula,
+                                                             bad)]
+    path = tmp_path / "arity.pddl"
+    path.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["check", str(path)])
+    assert result.exit_code == 1, result.output
+    assert "0 errors, 1 invalid regions" in result.output
+
+
+_CONTEXTS = {
+    "goal": "(define (problem q) (:domain d) (:goal {}))",
+    "init": "(define (problem q) (:domain d) (:init {}) (:goal (p)))",
+    "constraints": "(define (problem q) (:domain d) (:goal (p)) "
+                   "(:constraints {}))",
+    "effect": "(define (domain d) (:predicates (p) (q)) (:functions (f))\n"
+              "  (:action a :parameters (?x) :precondition (p) :effect {}))",
+}
+
+
+@pytest.mark.parametrize("where,formula,bad", [
+    ("goal", "(imply (p) (q) (p))", "(p)"), ("goal", "(imply (p))", ")"),
+    ("goal", "(not)", ")"), ("goal", "(= 1 2 3)", "3"), ("goal", "(< 1)", ")"),
+    ("goal", "(forall (?x) (p) (q))", "(q)"), ("goal", "(exists (?x))", ")"),
+    ("constraints", "(sometime-before (p))", ")"),
+    ("constraints", "(within 5 (p) (q))", "(q)"),
+    ("constraints", "(always-within 5 (p))", ")"),
+    ("constraints", "(always-within 5 (p) (q) (p))", "(p)"),
+    ("constraints", "(hold-during 1 2 (p) (q))", "(q)"),
+    ("constraints", "(at end (p) (q))", "(q)"),
+    ("effect", "(when (p) (q) (p))", "(p)"), ("effect", "(assign (f) 1 2)", "2"),
+    ("effect", "(increase (f))", ")"), ("effect", "(not (p) (q))", "(q)"),
+    ("init", "(= (f) 1 2)", "2"), ("init", "(at 5 (p) (q))", "(q)"),
+    ("init", "(not)", ")"),
+])
+def test_each_formula_keyword_takes_its_fixed_number_of_values(where, formula,
+                                                                bad):
+    text = _CONTEXTS[where].format(formula)
+    assert invalid_regions(tokenize(text)) == [_arity_region(text, formula,
+                                                             bad)]
+
+
+@pytest.mark.parametrize("where,formula", [
+    ("goal", "(and)"), ("goal", "(or (p) (q) (p))"),
+    ("goal", "(preference (p))"), ("goal", "(preference c (p))"),
+    ("goal", "(= (+ 1 2 3) (- 1))"), ("goal", "(> (* 1 2 3) (/ 4 2))"),
+    ("effect", "(and)"), ("constraints", "(and (always (p)) (sometime (q)))"),
+])
+def test_a_variadic_keyword_takes_any_number_of_values(where, formula):
+    assert invalid_regions(tokenize(_CONTEXTS[where].format(formula))) == []
+
+
 # -- blocks with no keyword ------------------------------------------------------
 
 @pytest.mark.parametrize("text,block", [
