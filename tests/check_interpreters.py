@@ -252,7 +252,7 @@ EXPECTED = {
         "19c6343ffb66c065dd2868cb03668addc1ce879d499ab39fc23350ee6233960e"),
     "grammar/generated": (
         "173367573deeefde4c63b9c256b010b9b4a5167d77371f6a0ef8edc04d55dda7",
-        "842bdaf3173d194ec6b073bd5da0119433f5d2bda310971eb36afd7c6fee52dd"),
+        "effed9f353daecb87db181dec8d2cc187db7975a8a42cc321d14a7b42793f6a8"),
 }
 
 
