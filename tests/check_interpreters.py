@@ -9,8 +9,10 @@ It needs neither click nor pytest. For each corpus file, each grammar-tour
 fixture, each seed-1 input of the three benchmark workloads and each input
 in ``GRAMMAR_CASES`` (among them a few hundred seeded define forms with
 random formulas in every context of the grammar walk) it hashes the input
-bytes and ``repr(tokenize(...))`` and compares both with the digests
-recorded below, which Python 3.11.7 produced. It also checks that a
+bytes, ``repr(tokenize(...))`` and the ``repr`` of the input's typed model
+read both as a domain and as a problem (``parse_domain`` and
+``parse_problem``, of each define form), and compares them with the
+digests recorded below, which Python 3.11.7 produced. It also checks that a
 parsed forest survives a pickle round trip, and that the distance rows,
 computed column by column, equal ``euclidean`` bit for bit on seeded 3-D
 and 4-D points, some of whose pairs a compensated float ``sum`` (Python
@@ -34,6 +36,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 import gen  # noqa: E402  (benchmarks/gen.py: the seeded input generator)
 from mypddl.distance import LocationFact, _distance_rows, euclidean  # noqa: E402
 from mypddl.highlight import tokenize  # noqa: E402
+from mypddl.model import is_define, parse_domain, parse_problem  # noqa: E402
 from mypddl.sexpr import Document, Span, serialize  # noqa: E402
 
 WORKLOADS = ("large-problem", "distance-grid", "broken-domain")
@@ -194,65 +197,104 @@ def generated_defines(seed: int, count: int) -> bytes:
 
 GRAMMAR_CASES["grammar/generated"] = generated_defines(20260, 300)
 
-# name -> (sha256 of the input bytes, sha256 of repr(tokenize(input)))
+# name -> sha256 of the input bytes, of repr(tokenize(input)), of
+# repr(parse_domain(input)) and of repr(parse_problem(input))
 EXPECTED = {
     "corpus/coffee.pddl": (
         "88bb2b7202f4fb7df22ad0bd6efd019b68efd20bd08376825d90a8efe90557be",
-        "829c11f9d0d46f5722f37f123256f523ad1b8ad7f0a4b09e7df4e981016f5833"),
+        "829c11f9d0d46f5722f37f123256f523ad1b8ad7f0a4b09e7df4e981016f5833",
+        "9638cfaab8065af9c9e3f84bd6dc10db799ebd4194c00b0993f3c5459f1e0206",
+        "816d113696e909c35b44a67a19140bd8aef7e908996f9c2ac29f53a65557483b"),
     "corpus/gary_pizza_problem.pddl": (
         "39ef20bdb916e98b0aa6310910b75c728d2b783dba8529c3216ab50c0bf82d81",
-        "34ca851799b70ea1f1c3939b4467564912f50c8cf656f3737285c605c0473f5a"),
+        "34ca851799b70ea1f1c3939b4467564912f50c8cf656f3737285c605c0473f5a",
+        "d7b3086aa450774f9443907d00bd1703b7bc36312830e8b27ce58d077b5b712b",
+        "600f66ff93d65ccbdf7ae16a026f2d6599d97b31b6e5205666792174af4e30e0"),
     "corpus/garys_huge_problem.pddl": (
         "5f53eecf50fad7d00dcabade1dacb6f96be80fcc86072ca4bd54be5da3ff696c",
-        "44eded840235e6f26c8561352d460c08123915469351a4a030c9fb6a54225aa0"),
+        "44eded840235e6f26c8561352d460c08123915469351a4a030c9fb6a54225aa0",
+        "08201770957ee2c03862bd03eee7c9f1ea77b8e187988ce34be0e3bb5c636a8a",
+        "d25ccd1090664d8cfd3153af1eca4102c49abe6316ee511177d2c5554339f275"),
     "corpus/logistics.pddl": (
         "d37fff1f7c1ec9f760247b1a12d35134efce2872fbff70402c7f97fbfc2a28be",
-        "2290f532b35d2d486b974d501e34c8b71339671402e17a7184aa34ed150b13f7"),
+        "2290f532b35d2d486b974d501e34c8b71339671402e17a7184aa34ed150b13f7",
+        "88e1d87b68c25a7b372ae60adfc55a0b28a68b17581bb88617982a113e53c206",
+        "974173241432f1adb4950328f685d7cf170b55eda34322c4988166d8d5b4fe5a"),
     "corpus/splisus.pddl": (
         "b36ccb2fa1bb564dca9a0fca07394e0471334dd77ebaac462680ab36e8c6afd1",
-        "4a1a6565c03824c46449534d66e4430297b336123d1b03f50bb135f47f1ced8d"),
+        "4a1a6565c03824c46449534d66e4430297b336123d1b03f50bb135f47f1ced8d",
+        "2e1ff374af6374a9ed6f93892ba1868fb171a6f4119ede7c2f3329a97020ff09",
+        "4b601df7cefad389370ba6399fcf3cf54e5b52c98828050e6c964d88b4bfeee4"),
     "corpus/store.pddl": (
         "da38aef5c337d5689910377d02b5ccd16ad64ebc09fe7984c8e5f295fc8478ca",
-        "684f0bec938d9dce4e29ce238d7939683c231e224928b620254d4dfa3c3139a0"),
+        "684f0bec938d9dce4e29ce238d7939683c231e224928b620254d4dfa3c3139a0",
+        "9d1989b6d24048355136abbd92156b22572a84e595e4bec697c63fe70a9b66a8",
+        "6372ffa0831cc8b8ee07cf0656aac662b89e2f518065fc1220c1e0bd4c58f1ad"),
     "fixtures/tour_domain.pddl": (
         "d66b344ac59464a41e1ddf137490886459549aabec32bf9a3601039a2bce6aa3",
-        "026aa3d2f272e3de6cc89b05dd504d38384ce29bae1cced4c258e26c4b5033d1"),
+        "026aa3d2f272e3de6cc89b05dd504d38384ce29bae1cced4c258e26c4b5033d1",
+        "552c00f36c547553d3d0988eeaed9fecaf6695c97753304d20c18eeab10b6afb",
+        "7adb5abe31b9255d5ede1ca166dff9fb25aaf3b424751e3d39b758477c0821a4"),
     "fixtures/tour_problem.pddl": (
         "671819a2a6e357b6e86907b0b19c63c9a956c6c67e614c58b5229d288bfa2082",
-        "8c3bf95e8fb51f25137abb80a4fad4cfaeb9c0704d6d56b427968480a5160e80"),
+        "8c3bf95e8fb51f25137abb80a4fad4cfaeb9c0704d6d56b427968480a5160e80",
+        "b6480c9c803224530dc495137bf4db9c9a10d0f478fe8a8570f1cafc6b30d7a5",
+        "6998e02b42f2743aa381c87a82492c416fd602332fdb7890dbc2d59800c24f1b"),
     "large-problem/domain": (
         "db48b71c205bed5c33f8546cb1e28aecb9c05b61995deed03e39c56153dcf94d",
-        "895b4f1384325384dc65c42659cda7a2e7f57c4cf3839f3d81c0f99fa3f722fb"),
+        "895b4f1384325384dc65c42659cda7a2e7f57c4cf3839f3d81c0f99fa3f722fb",
+        "e5caa3b97978f5fc5ff73bc8c7dcff00b768c42b2471478be886dd827c62a73c",
+        "5014186842bb41a07420da55173c152a6a50b13f8f9e41b8093f3da39969cb57"),
     "large-problem/problem": (
         "f258067bbe25b36c04ff4a467ddc03ea09f8a415265b0ff8c7198318ebd6edbf",
-        "00f0c627d28868420bc3caff09a487c0acc7c9e320ccfc8c086e47bf97375824"),
+        "00f0c627d28868420bc3caff09a487c0acc7c9e320ccfc8c086e47bf97375824",
+        "7156d847ab879e568e92431053772a37a3701cd1efee869b0c7a9f1781753d08",
+        "17a76e04b7fccee52192e3eb5be8aec6efa82a7bd0f1ca4206e79980a558311c"),
     "distance-grid/domain": (
         "cae37e0a29c9f2c18146c92bcc69f42966c35b2ef1d846b00483ac619b500661",
-        "8484f83d7d6ea642bee961030f5d71c6d3e38cbd480352a5134b497a8c4a5ed4"),
+        "8484f83d7d6ea642bee961030f5d71c6d3e38cbd480352a5134b497a8c4a5ed4",
+        "289914304c4545aee922452fbdf4393462139f28923375195d99cf465739ef63",
+        "e415a4a739fa499f6a0b937e50468954d30de9cda5e66a03d889030dce10e646"),
     "distance-grid/problem": (
         "ee96ef8c7748534390834069fcc11f1da37440a9d2d6cfd188b02cd35875022e",
-        "7abe9daf1876349a20a01f6ee36966f261e54c95212a7dd168b44d351459e284"),
+        "7abe9daf1876349a20a01f6ee36966f261e54c95212a7dd168b44d351459e284",
+        "bb9e4ddd76f512ee7cf7913f2c0026142d0ebe439931e4e781a194394e4fc9bb",
+        "3870ebe6635ebc4cee00676bbdd7cdb0ddb29b35dc450e6e462ac68b6fea0137"),
     "broken-domain/domain": (
         "c472b490bef72c21048c5bf259056f1a17a65376a587edd7d4fe69f6678fb6fe",
-        "ef14547aa5ef374aacb2119a6903bf76311ceffe325564a47bef72bfc9fe5bb3"),
+        "ef14547aa5ef374aacb2119a6903bf76311ceffe325564a47bef72bfc9fe5bb3",
+        "1c66d6a79362b7895efb61b1f52e155eef40b2493a843f25df707fd45b803b75",
+        "abdc2dafc168bf4f3f3e1f772a2c51534b2d7079c15736c7f67a7023e9a873c2"),
     "broken-domain/problem": (
         "b09d2a173696001ef3b2682cfaaae0a148c6c8b5d803ce9a776d38d68767597b",
-        "46abb17c8f0087eb4d09b48e7d3564f5a9c8b142c9a1e452443b860c68afaf41"),
+        "46abb17c8f0087eb4d09b48e7d3564f5a9c8b142c9a1e452443b860c68afaf41",
+        "26376e90d5e1fdbf843ae1cc1bb75a2d62f0a901f9532b434e0b72519dd4d807",
+        "72ea97acbb4d2d234457d09e94a481555b0a577c2c76505818c906b63fafc026"),
     "crlf": (
         "190cda4434038994a4bea7b2d900417890ea92e6b56267934ae3be4b30706314",
-        "8c1e96c55f0077d063d280c36140e59843ac75416eca437a34408ec9aa732c9d"),
+        "8c1e96c55f0077d063d280c36140e59843ac75416eca437a34408ec9aa732c9d",
+        "b50c388ef82ae40db45e112f981a55e3f9ba7ee4efe4330be83ff3001b275d01",
+        "2f962ffafac7fb30b9ee4e48baa414ec677b3b724cedafc43633a2c68eceef1c"),
     "grammar/dangling-dash": (
         "657e6dc54410351822389f1bfebdb7bd331f84f88697dd8a319a747eeb930724",
-        "98815359135f1f4be7b87b7ed3e93c57955d5bb7a6e645f379a6dec28037cc1d"),
+        "98815359135f1f4be7b87b7ed3e93c57955d5bb7a6e645f379a6dec28037cc1d",
+        "4d115de70f36b349cd8247a2d579ddb2edda0c1ce3465f539dbd156d6ed7e6d9",
+        "08cc7ebecbfdb7c69544abada6449e0a36f2c497001c4bd9fec45405a1817190"),
     "grammar/either-return": (
         "78eb100975e86de988f54e233c2401c50986eb45b72cfb08f479d4bc37c83821",
-        "8cba25cc7a03f3da2fc79095b53e4953ba7dcb55e5daea4ca86322ac723b8fba"),
+        "8cba25cc7a03f3da2fc79095b53e4953ba7dcb55e5daea4ca86322ac723b8fba",
+        "9e7f1c315ad54c5a26c2555de7d85aef2648233af6cb7605d34cf41f1e8f3855",
+        "9ee7397415f9070b01e41efd0449175a3d93885ca8707d1b999ab7740d36d32c"),
     "grammar/deep-variable-head": (
         "57f5ee9dbb20bfb418b7dd26a2e0e4512d58d34df2b1e0fac8bd959d7f2b0e01",
-        "19c6343ffb66c065dd2868cb03668addc1ce879d499ab39fc23350ee6233960e"),
+        "19c6343ffb66c065dd2868cb03668addc1ce879d499ab39fc23350ee6233960e",
+        "27cf637bb5ae7c94ccf34cefe1bb470736ed44619be6572ce6a7e85c8e492498",
+        "625b46c04709e876ab128203e10f22210f0c1eb2d6b23d029e97f966e6a7d3d4"),
     "grammar/generated": (
         "173367573deeefde4c63b9c256b010b9b4a5167d77371f6a0ef8edc04d55dda7",
-        "effed9f353daecb87db181dec8d2cc187db7975a8a42cc321d14a7b42793f6a8"),
+        "effed9f353daecb87db181dec8d2cc187db7975a8a42cc321d14a7b42793f6a8",
+        "df4e247e978f0210a095081df46b276476e286040cc146df3709f0e57fb3f24a",
+        "7d9f58add31dfb77be56d83e09287468662d1e3ab6dac18cac8ebd28ba4fe4fa"),
 }
 
 
@@ -271,10 +313,16 @@ def inputs() -> dict[str, bytes]:
     return found
 
 
-def digests(data: bytes) -> tuple[str, str]:
-    tokens = tokenize(Document(data))
-    return (hashlib.sha256(data).hexdigest(),
-            hashlib.sha256(repr(tokens).encode("utf-8")).hexdigest())
+def digests(data: bytes) -> tuple[str, ...]:
+    doc = Document(data)
+    # The model reads the first define form of a document; each later one,
+    # as in the generated input, is read again as a document of its own.
+    later = [Document(data[node.span.start:node.span.end])
+             for node in doc.forest if is_define(node)][1:]
+    return tuple(hashlib.sha256(text).hexdigest() for text in (
+        data, repr(tokenize(doc)).encode("utf-8"),
+        *(repr([read(doc), *map(read, later)]).encode("utf-8")
+          for read in (parse_domain, parse_problem))))
 
 
 def compensated_sum(values: list[float]) -> float:
@@ -316,9 +364,9 @@ def distance_mismatches() -> tuple[int, list[str]]:
 def main(argv: list[str]) -> int:
     found = {name: digests(data) for name, data in inputs().items()}
     if "--record" in argv:
-        for name, pair in found.items():
-            print(f'    "{name}": (\n        "{pair[0]}",\n'
-                  f'        "{pair[1]}"),')
+        for name, recorded in found.items():
+            print(f'    "{name}": (\n        "'
+                  + '",\n        "'.join(recorded) + '"),')
         return 0
     failures = []
     for name in sorted(found.keys() | EXPECTED.keys()):
@@ -328,8 +376,10 @@ def main(argv: list[str]) -> int:
                             f"found {got is not None}")
         elif got[0] != want[0]:
             failures.append(f"{name}: the input bytes differ")
-        elif got[1] != want[1]:
-            failures.append(f"{name}: the tokens differ")
+        else:
+            failures += (f"{name}: the {what} differ" for what, a, b in zip(
+                ("tokens", "domain models", "problem models"),
+                got[1:], want[1:]) if a != b)
     data = inputs()["corpus/coffee.pddl"] + b"\n(unclosed (list"
     forest = Document(data).forest
     if serialize(pickle.loads(pickle.dumps(forest))).encode("utf-8") != data:
