@@ -26,6 +26,7 @@ from .model import (
     INIT_RULES,
     NUMERIC_KEYWORDS,
     NUMERIC_RULES,
+    OPTIONAL_NAME_KEYWORDS,
     PREDICATE_KEYWORDS,
     PROBLEM_BLOCKS,
     REQUIREMENT_KEYS,
@@ -106,17 +107,6 @@ def _atom(scope: Scope, accepts: Callable[[str], bool]) -> GrammarMethod:
         else:
             self.flat_emit(node, Scope.UNSCOPED)
     value.accepts = accepts  # type: ignore[attr-defined]
-    return value
-
-
-def _name_or(then: GrammarMethod) -> GrammarMethod:
-    """The grammar method of a place for an optional name, such as that of
-    a preference: an atom there is the name, a list read by ``then``."""
-    def value(self: _Walk, node: SExprNode) -> None:
-        if node.kind is NodeKind.ATOM:
-            self.name(node)
-        else:
-            then(self, node)
     return value
 
 
@@ -266,11 +256,12 @@ class _Walk:
             return
         key = head.text.lower()
         rule = rules.get(key)
-        if rule is not None and key in PREDICATE_KEYWORDS:
+        if rule is not None and (key in PREDICATE_KEYWORDS
+                                 or key in OPTIONAL_NAME_KEYWORDS):
             values = node.values()
             if len(values) < 2 or values[1].kind is not _ATOM \
                     or not rule[0].accepts(values[1].text):
-                rule = None
+                rule = rule[1:] if key in OPTIONAL_NAME_KEYWORDS else None
         if rule is None:
             if ground is not None and is_name(head.text):
                 self.application(node, head, ground)
@@ -387,9 +378,6 @@ class _Walk:
                          lambda text: text.lower() in ("start", "end"))
     all = _atom(Scope.KEYWORD, lambda text: text.lower() == "all")
     end = _atom(Scope.KEYWORD, lambda text: text.lower() == "end")
-
-    name_or_condition = _name_or(condition)
-    name_or_constraint = _name_or(constraint)
 
     # -- typed lists --------------------------------------------------------
 

@@ -76,12 +76,13 @@ ACTION_KEYS = {
 # context instead. A list headed by any other name is an atomic formula.
 # "at" and "over" also name predicates, as in (at ?x ?y), so a row of theirs
 # holds only where the value after them is an atom that the row's first
-# context takes.
+# context takes. A preference's name is optional: without an atom after
+# "preference", its row goes on from its second context, the one GD.
 CONDITION_RULES = {
     **dict.fromkeys(("and", "or", "not"), ("condition",)),
     "imply": ("condition", "condition"),
     **dict.fromkeys(("forall", "exists"), ("parameters", "condition")),
-    "preference": ("name-or-condition", "condition"),
+    "preference": ("name", "condition"),
     **dict.fromkeys(("=", "<", ">", "<=", ">="), ("fexp", "fexp")),
 }
 EFFECT_RULES = {
@@ -106,7 +107,7 @@ TIMED_EFFECT_RULES = {
 CONSTRAINT_RULES = {
     **CONDITION_RULES, "and": ("constraint",),
     "forall": ("parameters", "constraint"),
-    "preference": ("name-or-constraint", "constraint"),
+    "preference": ("name", "constraint"),
     "at": ("end", "condition"),
     **dict.fromkeys(("always", "sometime", "at-most-once"), ("condition",)),
     **dict.fromkeys(("sometime-before", "sometime-after"),
@@ -116,13 +117,14 @@ CONSTRAINT_RULES = {
     "hold-during": ("number", "number", "condition"),
 }
 NUMERIC_RULES = dict.fromkeys(("+", "-", "*", "/"), ("fexp",))
-# The formula keywords that take any number of values: a preference's name
-# is optional, and "-" takes one value or two.
-VARIADIC_KEYWORDS = frozenset({"and", "or", "preference", "+", "-", "*", "/"})
+# The formula keywords that take any number of values: "-" takes one value
+# or two.
+VARIADIC_KEYWORDS = frozenset({"and", "or", "+", "-", "*", "/"})
 # Atoms that are keywords in a numeric expression: #t, the time elapsed in a
 # continuous effect (Fox and Long, 2003).
 NUMERIC_KEYWORDS = frozenset({"#t"})
 PREDICATE_KEYWORDS = frozenset({"at", "over"})
+OPTIONAL_NAME_KEYWORDS = frozenset({"preference"})
 REQUIREMENT_KEYS = frozenset({
     ":strips", ":typing", ":negative-preconditions",
     ":disjunctive-preconditions", ":equality", ":existential-preconditions",

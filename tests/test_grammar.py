@@ -341,6 +341,11 @@ ARITY_REPRODUCERS = [
      "(always (p) (q))", "(q)"),
     ("(define (domain d) (:predicates (p)) (:constraints (at-most-once)))",
      "(at-most-once)", ")"),
+    # A preference takes one GD after its optional name.
+    ("(define (problem q) (:domain d) (:goal (preference c)))",
+     "(preference c)", ")"),
+    ("(define (problem q) (:domain d) (:goal (preference n (p) (q))))",
+     "(preference n (p) (q))", "(q)"),
 ]
 
 
@@ -386,6 +391,10 @@ _CONTEXTS = {
     ("effect", "(increase (f))", ")"), ("effect", "(not (p) (q))", "(q)"),
     ("init", "(= (f) 1 2)", "2"), ("init", "(at 5 (p) (q))", "(q)"),
     ("init", "(not)", ")"),
+    ("goal", "(preference)", ")"), ("goal", "(preference (p) (q))", "(q)"),
+    ("constraints", "(preference c)", ")"),
+    ("constraints", "(preference c (always (p)) (q))", "(q)"),
+    ("constraints", "(preference (always (p)) (q))", "(q)"),
 ])
 def test_each_formula_keyword_takes_its_fixed_number_of_values(where, formula,
                                                                 bad):
