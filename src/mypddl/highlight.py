@@ -244,9 +244,8 @@ class _Walk:
         the key's row, one each unless the key is variadic, or goes with its
         head to the row's handler; a list headed by any other name is an
         atomic formula, ``ground`` if in ``:init``. With ``ground`` None the
-        node is a block or a top-level form, where no atomic formula stands
-        and a row's last method repeats. A list with no atom at its head,
-        such as ``()``, is Unscoped whole."""
+        node is a block or a top-level form, where no atomic formula stands.
+        A list with no atom at its head, such as ``()``, is Unscoped whole."""
         if node.kind is not _LIST:
             self.single(node, _UNSCOPED)
             return
@@ -268,8 +267,8 @@ class _Walk:
             else:
                 self.each(node, head, _UNSCOPED, _Walk.flat_emit)
         elif type(rule) is tuple:
-            self.each(node, head, Scope.KEYWORD, *rule, fixed=ground is not None
-                      and key not in VARIADIC_KEYWORDS)
+            self.each(node, head, Scope.KEYWORD, *rule,
+                      fixed=key not in VARIADIC_KEYWORDS)
         else:
             rule(self, node, head)
 
@@ -361,14 +360,6 @@ class _Walk:
                 return
         self.flat_emit(node, _UNSCOPED)
 
-    def metric(self, node: SExprNode) -> None:
-        if node.kind is not _ATOM:
-            self.fexp(node)
-        elif node.text.lower() in ("minimize", "maximize"):
-            self.single(node, Scope.KEYWORD)
-        else:
-            self.lexical_atom(node)
-
     name = _atom(Scope.NAME, is_name)
     number = _atom(Scope.NUMBER, is_number)
     type_name = _atom(Scope.TYPE_NAME, is_name)
@@ -378,6 +369,8 @@ class _Walk:
                          lambda text: text.lower() in ("start", "end"))
     all = _atom(Scope.KEYWORD, lambda text: text.lower() == "all")
     end = _atom(Scope.KEYWORD, lambda text: text.lower() == "end")
+    optimization = _atom(Scope.KEYWORD,
+                         lambda text: text.lower() in ("minimize", "maximize"))
 
     # -- typed lists --------------------------------------------------------
 

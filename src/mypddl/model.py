@@ -49,7 +49,7 @@ PROBLEM_BLOCKS = {
     ":objects": "typed-list",
     ":init": ("init",),
     ":goal": ("condition",),
-    ":metric": ("metric",),
+    ":metric": ("optimization", "fexp"),
     ":constraints": ("constraint",),
 }
 DOMAIN_BLOCK_KEYS = frozenset(DOMAIN_BLOCKS)
@@ -117,9 +117,10 @@ CONSTRAINT_RULES = {
     "hold-during": ("number", "number", "condition"),
 }
 NUMERIC_RULES = dict.fromkeys(("+", "-", "*", "/"), ("fexp",))
-# The formula keywords that take any number of values: "-" takes one value
-# or two.
-VARIADIC_KEYWORDS = frozenset({"and", "or", "+", "-", "*", "/"})
+# The keywords that take any number of values: of formulas, where "-"
+# takes one value or two, and of the blocks a value of which may repeat.
+VARIADIC_KEYWORDS = frozenset({"and", "or", "+", "-", "*", "/",
+                               ":requirements", ":predicates", ":init"})
 # Atoms that are keywords in a numeric expression: #t, the time elapsed in a
 # continuous effect (Fox and Long, 2003).
 NUMERIC_KEYWORDS = frozenset({"#t"})

@@ -413,6 +413,52 @@ def test_a_variadic_keyword_takes_any_number_of_values(where, formula):
     assert invalid_regions(tokenize(_CONTEXTS[where].format(formula))) == []
 
 
+# -- block arity -----------------------------------------------------------------
+
+# Blocks with a value too many or too few, which the walk once read as valid,
+# as every block row's last context repeated: a block row is fixed unless
+# its key repeats (:requirements, :predicates, :init), and :metric is an
+# optimization followed by one fexp.
+_DOMAIN = "(define (domain d) (:predicates (p ?x) (q) (r)) {})"
+_GOAL = "(define (problem q) (:domain d) (:goal (p)) {})"
+BLOCK_ARITY = [
+    ("(define (problem q) (:domain d e) (:goal (p)))", ["e"]),
+    ("(define (problem q) (:domain d) (:goal (q) (r)))", ["(r)"]),
+    ("(define (problem q) (:domain d) (:goal))", [")"]),
+    (_GOAL.format("(:metric (f))"), ["(f))"]),
+    (_GOAL.format("(:metric minimize (f) (g))"), ["(g)"]),
+    (_GOAL.format("(:metric least (f))"), ["least"]),
+    (_DOMAIN.format("(:derived (p ?x))"), [")"]),
+    (_DOMAIN.format("(:derived (p ?x) (q) (r))"), ["(r)"]),
+    (_DOMAIN.format("(:constraints (always (q)) (always (r)))"),
+     ["(always (r))"]),
+    (_GOAL.format("(:constraints (a) (b))"), ["(b)"]),
+]
+
+
+@pytest.mark.parametrize("text,bad", BLOCK_ARITY)
+def test_a_block_with_a_value_too_many_or_too_few_fails_check(text, bad,
+                                                              tmp_path):
+    regions = invalid_regions(tokenize(text))
+    assert [text[start:end] for start, end in regions] == bad
+    path = tmp_path / "block.pddl"
+    path.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["check", str(path)])
+    assert result.exit_code == 1, result.output
+    assert f"0 errors, {len(bad)} invalid regions" in result.output
+
+
+@pytest.mark.parametrize("text", [
+    _GOAL.format("(:metric maximize (total-time))"),
+    _GOAL.format("(:metric MINIMIZE (+ (f) 2))"),
+    _GOAL.format("(:requirements) (:init)"),
+    _GOAL.format("(:requirements :strips :typing) (:init (p) (q) (r))"),
+    _DOMAIN.format("(:derived (p ?x) (q)) (:predicates)"),
+])
+def test_a_repeating_block_takes_any_number_of_values(text):
+    assert invalid_regions(tokenize(text)) == []
+
+
 # -- blocks with no keyword ------------------------------------------------------
 
 @pytest.mark.parametrize("text,block", [
