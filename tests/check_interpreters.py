@@ -292,7 +292,7 @@ EXPECTED = {
         "625b46c04709e876ab128203e10f22210f0c1eb2d6b23d029e97f966e6a7d3d4"),
     "grammar/generated": (
         "173367573deeefde4c63b9c256b010b9b4a5167d77371f6a0ef8edc04d55dda7",
-        "effed9f353daecb87db181dec8d2cc187db7975a8a42cc321d14a7b42793f6a8",
+        "e8f50c7aeb6a4c3d06042f1106b6b67204a5c64ed7b96b8a01516c0b781f81e3",
         "df4e247e978f0210a095081df46b276476e286040cc146df3709f0e57fb3f24a",
         "7d9f58add31dfb77be56d83e09287468662d1e3ab6dac18cac8ebd28ba4fe4fa"),
 }
