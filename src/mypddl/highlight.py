@@ -21,6 +21,7 @@ from .model import (
     ACTION_KEYS,
     CONDITION_RULES,
     CONSTRAINT_RULES,
+    DEFAULT_TYPE,
     DOMAIN_BLOCKS,
     EFFECT_RULES,
     INIT_RULES,
@@ -29,19 +30,35 @@ from .model import (
     OPTIONAL_NAME_KEYWORDS,
     PREDICATE_KEYWORDS,
     PROBLEM_BLOCKS,
+    REPEATABLE_BLOCKS,
     REQUIREMENT_KEYS,
     TIMED_CONDITION_RULES,
     TIMED_EFFECT_RULES,
     VARIADIC_KEYWORDS,
-    action_name,
-    define_kind,
+    ActionDecl,
+    DurativeActionDecl,
+    FunctionDecl,
+    PddlDomain,
+    PddlProblem,
+    PredicateDecl,
+    TypedEntry,
+    TypedList,
     head_key,
     is_name,
     is_number,
     is_variable,
-    typed_list_marks,
 )
-from .sexpr import Document, NodeKind, SExprNode, Span, as_document, gc_paused
+from .sexpr import (
+    Document,
+    NodeKind,
+    ParseDiagnostic,
+    SExprNode,
+    Severity,
+    Span,
+    as_document,
+    gc_paused,
+    serialize_node,
+)
 
 
 class Scope(enum.Enum):
@@ -123,14 +140,26 @@ def _methods(namespace: dict, rules: dict) -> dict:
 class _Walk:
     """One grammar walk over a forest, which records each token's text and
     scope in file order. A grammar method takes the walk and one node, as
-    ``each`` sends it; a block or form handler also takes the list's head."""
+    ``each`` sends it; a block or form handler also takes the list's head.
 
-    def __init__(self) -> None:
+    Given a ``model``, a ``PddlDomain`` or a ``PddlProblem``, the walk fills
+    it from a define form read as that kind, with the findings in
+    ``diagnostics``; it records no tokens and keeps formulas as nodes."""
+
+    def __init__(self, model: Union[PddlDomain, PddlProblem, None] = None,
+                 ) -> None:
         self.texts: list[str] = []
         self.scopes: list[Scope] = []
         self.depth = 0
         # Scope of each distinct atom text in term position, before ``ground``.
         self.term_scopes: dict[str, Scope] = {}
+        self.model = model
+        self.diagnostics: list[ParseDiagnostic] = []
+        # The kind of the define form read, and the keys of its blocks so far.
+        self.kind = "problem" if isinstance(model, PddlProblem) else "domain"
+        self.seen: set[str] = set()
+        if model is not None:  # a model's walk emits no tokens
+            self.open_paren = self.close_paren = self.single = lambda *_: None
 
     # -- emission ---------------------------------------------------------
 
@@ -225,6 +254,14 @@ class _Walk:
                              else _PUNCTUATION)
         finally:
             self.depth -= 1
+
+    def warn(self, node: SExprNode, message: str, code: str,
+             severity: Severity = Severity.WARNING) -> None:
+        """Report a finding of the model at ``node``; none without one."""
+        if self.model is not None:
+            span = node.span if node.span is not None else Span(0, 0)
+            self.diagnostics.append(ParseDiagnostic(span, severity, message,
+                                                    code))
 
     def lexical_atom(self, node: SExprNode) -> None:
         text = node.text
@@ -376,96 +413,201 @@ class _Walk:
 
     def typed_list(self, node: SExprNode, head: Optional[SExprNode],
                    items: Optional[Scope] = Scope.NAME,
-                   head_scope: Scope = Scope.KEYWORD) -> None:
-        """A typed list, (x+ - type)* after ``head`` if there is one, which
-        gets ``head_scope``, read by ``typed_list_marks``: a '-' that starts
-        a type is Punctuation and one with nothing after it Unscoped. An
-        atom item is of scope ``items`` if it classifies as that, else
-        Unscoped; with ``items`` None the items are declarations."""
-        marks = typed_list_marks(node.children, head)
+                   head_scope: Scope = Scope.KEYWORD) -> Optional[list]:
+        """The typed-list grammar, (x+ - type)* (Kovacs, 2011), after
+        ``head`` if there is one, which gets ``head_scope``: a '-' makes the
+        value after it the type, and is Unscoped if none follows. An atom
+        item is of scope ``items`` if it classifies as that, else Unscoped;
+        with ``items`` None the items are declarations. For a model, its
+        entries, each run of items as the type after it ends the run
+        (``typed_run``), a value that is no item reported as it is reached."""
         texts, scopes, known = self.texts, self.scopes, self.term_scopes
-        type_node = None
+        record = self.model is not None
+        entries, run = [], []
+        dash = None  # the last '-', while the value after it is due
         self.open_paren(node)
         for child in node.children:
-            kind, text, _, _, _, _, lead, _ = child
+            kind, text, _, span, _, trivia, lead, _ = child
             if child is head:
                 self.atom_or_tree(child, head_scope)
-            elif child is type_node:
-                self.type_position(child)
-            elif kind is not _ATOM:
-                if items is None:
-                    self.declaration(child)
+            elif trivia:
+                self.single(child, _TRIVIA_SCOPES[kind])
+            elif dash is not None:
+                dash = None
+                if record and kind is _ATOM and items is not None:
+                    for item in run:
+                        entries.append(TypedEntry(item[1], text, item[3],
+                                                  span))
+                elif record:
+                    entries += self.typed_run(run, items, child)
+                elif kind is _LIST and head_key(child) == "either":
+                    self.each(child, child.head(), Scope.KEYWORD,
+                              _Walk.type_name)
                 else:
+                    self.type_name(child)
+                run = []
+            elif kind is _LIST:
+                if items is not None:
                     self.flat_emit(child, _UNSCOPED)
+                    self.warn(child, "expression where a name was expected "
+                              "in typed list", "bad-typed-list-item")
+                elif record:
+                    run.append(child)
+                else:
+                    self.declaration(child)
+            elif text == "-":
+                self.single(child, _PUNCTUATION)
+                dash, at = child, len(scopes) - 1
+            elif items is None:
+                self.single(child, _UNSCOPED)
+                self.warn(child, f"unexpected {text!r} in (:functions ...)",
+                          "bad-function")
+            elif record:
+                run.append(child)
             else:
                 if lead:
                     texts.append(lead)
                     scopes.append(_PUNCTUATION)
-                if text == "-":
-                    type_node = marks[child]
-                    scope = _UNSCOPED if type_node is None else _PUNCTUATION
-                else:
-                    scope = known.get(text) or self.term_scope(text)
-                    if scope is not items:
-                        scope = _UNSCOPED
+                scope = known.get(text) or self.term_scope(text)
                 texts.append(text)
-                scopes.append(scope)
+                scopes.append(scope if scope is items else _UNSCOPED)
         self.close_paren(node)
+        if dash is not None:
+            if not record:
+                scopes[at] = _UNSCOPED
+            self.warn(dash, "dangling '-' at end of typed list",
+                      "dangling-dash", Severity.ERROR)
+        if record and run:
+            entries += self.typed_run(run, items)
+        return entries if record else None
 
-    def type_position(self, node: SExprNode) -> None:
-        if node.kind is _LIST and head_key(node) == "either":
-            self.each(node, node.head(), Scope.KEYWORD, _Walk.type_name)
-        else:
-            self.type_name(node)
+    def typed_run(self, run: list[SExprNode], items: Optional[Scope],
+                  type_node: Optional[SExprNode] = None) -> list:
+        """The model's entries of a typed list's ``run`` of items, typed by
+        ``type_node`` or else by default: a ``TypedEntry`` per name, or a
+        ``FunctionDecl`` per declaration, each read now. A compound type,
+        such as (either a b), is kept as its text so nothing is lost, and
+        reported."""
+        type_name = type_span = None
+        if type_node is not None:
+            type_name, type_span = type_node.text, type_node.span
+            if type_node.kind is not _ATOM:
+                type_name = serialize_node(type_node)
+                self.warn(type_node,
+                          f"compound type {type_name!r} in type position",
+                          "either-type" if head_key(type_node) == "either"
+                          else "bad-type")
+        if items is not None:
+            return [TypedEntry(item.text, type_name or DEFAULT_TYPE,
+                               item.span, type_span) for item in run]
+        return [FunctionDecl(*signature, type_name or "number",
+                             serialize_node(raw), span=raw.span)
+                for raw in run if (signature := self.declaration(
+                    raw, "function"))]
+
+    def typed_block(self, node: SExprNode, head: SExprNode) -> None:
+        """(:types ...), (:constants ...) or (:objects ...): a typed list of
+        names, which a model adds to its list of the block's name."""
+        entries = self.typed_list(node, head)
+        if entries is not None:
+            getattr(self.model, head.text.lower()[1:]).entries += entries
 
     def function_list(self, node: SExprNode, head: SExprNode) -> None:
-        """(:functions ...), a typed list of declarations."""
-        self.typed_list(node, head, None)
+        """(:functions ...), typed declarations, which a model records."""
+        functions = self.typed_list(node, head, None)
+        if functions is not None:
+            self.model.functions += functions
 
-    def parameters(self, node: SExprNode) -> None:
-        if node.kind is _LIST:
-            self.typed_list(node, None, Scope.VARIABLE)
-        else:
+    def predicate(self, node: SExprNode) -> None:
+        """A declaration in (:predicates ...), which a model records."""
+        if node.kind is not _LIST and self.model is not None:
+            self.warn(node, f"stray {node.text!r} in (:predicates ...)",
+                      "stray-atom")
+        elif signature := self.declaration(node):
+            self.model.predicates.append(PredicateDecl(
+                *signature, serialize_node(node), span=node.span))
+
+    def parameters(self, node: SExprNode) -> Optional[TypedList]:
+        """Typed variables, a model's ``TypedList``."""
+        if node.kind is not _LIST:
             self.single(node, _UNSCOPED)
+        elif (entries := self.typed_list(node, None, Scope.VARIABLE)) \
+                is not None:
+            return TypedList(entries)
+        return None
 
-    def declaration(self, node: SExprNode) -> None:
+    def declaration(self, node: SExprNode, what: str = "predicate",
+                    ) -> Optional[tuple[str, TypedList]]:
         """A predicate or function declaration: (name typed-variables...);
-        one with no name at all, such as ``()``, is Unscoped whole."""
+        one with no name at all, such as ``()``, is Unscoped whole. For a
+        model, its name and parameters; one whose head is no atom is
+        reported and read no further."""
         head = node.head() if node.kind is _LIST else None
-        if head is None:
+        if head is None or self.model is not None and head.kind is not _ATOM:
             self.atom_or_tree(node, _UNSCOPED)
-            return
+            self.warn(node, f"malformed {what} declaration", f"bad-{what}")
+            return None
         ok = head.kind is _ATOM and is_name(head.text)
-        self.typed_list(node, head, Scope.VARIABLE,
-                        Scope.NAME if ok else _UNSCOPED)
+        entries = self.typed_list(node, head, Scope.VARIABLE,
+                                  Scope.NAME if ok else _UNSCOPED)
+        return None if entries is None else (head.text, TypedList(entries))
 
     # -- blocks and whole files ---------------------------------------------
 
     def action_block(self, node: SExprNode, head: SExprNode) -> None:
         """(:action NAME key value...) or (:durative-action ...), keyed by
         ``ACTION_KEYS``. A key in the name's place stays Unscoped: the
-        action has no name."""
-        keys = ACTION_KEYS[head.text.lower()]
-        name = action_name(node, head.text.lower())
+        action has no name. A model gets the action, which has each key's
+        value, or the last one's, and ``None`` for a key with none; a
+        misplaced list or an unknown key, with its value, is reported."""
+        block = head.text.lower()
+        keys = ACTION_KEYS[block]
+        values = node.values()
+        name = values[1] if len(values) > 1 and values[1].kind is _ATOM \
+            and values[1].text.lower() not in keys else None
+        what = block[1:].replace("-", " ")
         key_scope = _UNSCOPED
         context: Optional[GrammarMethod] = None
+        attr = action = None
+        if self.model is not None:
+            durative = block == ":durative-action"
+            action = (DurativeActionDecl if durative else ActionDecl)(
+                name and name.text, TypedList(), span=node.span)
+            (self.model.durative_actions if durative
+             else self.model.actions).append(action)
+        if name is None:
+            self.warn(node, f"{what} has no name", "missing-action-name")
 
         def value(self: _Walk, child: SExprNode) -> None:
-            nonlocal context, key_scope
+            nonlocal context, key_scope, attr
             if child is name:
                 self.name(child)
             elif context is not None:
-                # () is a whole value's <emptyOr> (PDDL 3.1), read lexically.
-                empty = child.kind is _LIST and child.head() is None
-                (_Walk.flat_emit if empty else context)(self, child)
+                if action is None:
+                    # () is a whole value's <emptyOr> (PDDL 3.1), read
+                    # lexically.
+                    empty = child.kind is _LIST and child.head() is None
+                    (_Walk.flat_emit if empty else context)(self, child)
+                elif attr == "parameters":
+                    action.parameters = self.parameters(child) \
+                        or action.parameters
+                elif attr is not None:
+                    setattr(action, attr, child)
                 context = None
             elif child.kind is not _ATOM:
                 self.flat_emit(child, _UNSCOPED)
+                self.warn(child, f"unrecognized entry '(...)' in {what}",
+                          "unknown-action-key")
             elif (key := child.text.lower()) in keys:
                 self.single(child, key_scope)
-                context = self.ACTION_VALUES[keys[key][1]]
+                attr, context = keys[key][0], self.ACTION_VALUES[keys[key][1]]
+                if action is not None and attr != "parameters":
+                    setattr(action, attr, None)
             else:
                 self.single(child, _UNSCOPED)
+                attr = None
+                self.warn(child, f"unrecognized entry {child.text!r} in "
+                          f"{what}", "unknown-action-key")
                 # Read the value as that of the hinted key if this kind of
                 # action has it, so a durative one gets the timed context.
                 hint = _ACTION_KEY_HINTS.get(key.strip(":"))
@@ -476,11 +618,48 @@ class _Walk:
 
         self.each(node, head, Scope.KEYWORD, value)
 
-    def domain_block(self, node: SExprNode) -> None:
-        self.formula(node, self.DOMAIN_BLOCKS, ground=None)
-
-    def problem_block(self, node: SExprNode) -> None:
-        self.formula(node, self.PROBLEM_BLOCKS, ground=None)
+    def block(self, node: SExprNode) -> None:
+        """A block of the define form's kind. A model reports a stray atom,
+        an unknown block or a repeat of one that may appear once. It keeps
+        the values of :init, :goal, :metric, :derived, :domain and a
+        domain's :requirements unscoped, formulas as nodes and atoms as
+        text, skips :constraints, and reads any other block by the walk."""
+        model = self.model
+        if model is None:
+            self.formula(node, self.blocks, ground=None)
+            return
+        key = head_key(node)
+        if node.kind is not _LIST:
+            self.warn(node, f"stray {node.text!r} at {self.kind} level",
+                      "stray-atom")
+            return
+        if key not in self.blocks:
+            self.warn(node, f"unrecognized block {key or '(...)'!s} skipped",
+                      "unknown-block")
+            return
+        if key in self.seen and key not in REPEATABLE_BLOCKS:
+            self.warn(node, f"duplicate {key} block", "duplicate-block")
+        self.seen.add(key)
+        values = node.values()[1:]
+        if key == ":requirements" and self.kind == "domain":
+            model.requirements += [v.text for v in values if v.kind is _ATOM]
+        elif key == ":domain" and values and values[0].kind is _ATOM:
+            model.domain_ref = values[0].text
+        elif key == ":init":
+            for value in values:
+                if value.kind is _LIST:
+                    model.init.append(value)
+                else:
+                    self.warn(value, f"stray {value.text!r} in (:init ...)",
+                              "stray-atom")
+        elif key == ":goal":
+            model.goal = values[0] if values else None
+        elif key == ":metric":
+            model.metric = node
+        elif key == ":derived":
+            model.derived.append(node)
+        elif key != ":constraints":
+            self.formula(node, self.blocks, ground=None)
 
     def unknown(self, node: SExprNode) -> None:
         """Content of no known form, read leniently."""
@@ -492,13 +671,30 @@ class _Walk:
 
     def define_form(self, node: SExprNode, head: SExprNode) -> None:
         """(define (domain NAME) block...) or (define (problem NAME) ...);
-        with no such header, a domain's blocks after lenient content."""
+        with no such header, a domain's blocks after lenient content. A
+        model reads the form as its own kind: every value after the head is
+        a block unless it is a header of that kind, whose absence it
+        reports, as it does a problem's missing goal."""
         values = node.values()
-        kind = define_kind(values[1] if len(values) > 1 else None)
-        self.each(node, head, Scope.KEYWORD,
-                  _Walk.unknown if kind is None else _Walk.header,
-                  _Walk.problem_block if kind == "problem"
-                  else _Walk.domain_block)
+        header = values[1].values() if len(values) > 1 \
+            and values[1].kind is _LIST else ()
+        kind = header[0].text.lower() if len(header) == 2 \
+            and header[0].kind is header[1].kind is _ATOM \
+            and header[0].text.lower() in ("domain", "problem") else None
+        first = _Walk.unknown if kind is None else _Walk.header
+        if self.model is None:
+            self.kind = kind or "domain"
+        elif kind == self.kind:
+            self.model.name = header[1].text
+        else:
+            self.warn(node, f"missing ({self.kind} NAME) declaration",
+                      f"missing-{self.kind}-decl", Severity.ERROR)
+            first = _Walk.block
+        self.blocks = self.PROBLEM_BLOCKS if self.kind == "problem" \
+            else self.DOMAIN_BLOCKS
+        self.each(node, head, Scope.KEYWORD, first, _Walk.block)
+        if isinstance(self.model, PddlProblem) and self.model.goal is None:
+            self.warn(node, "problem has no goal", "missing-goal")
 
     def run(self, forest: Sequence[SExprNode]) -> None:
         for node in forest:
