@@ -8,6 +8,7 @@ so even files our grammar does not fully understand survive unharmed.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import stat
 from pathlib import Path
@@ -132,20 +133,24 @@ def _create_beside(target: Path) -> tuple[int, str]:
 def write_pieces_atomically(path: Path, pieces: Iterable[bytes]) -> None:
     """Write the pieces one after another into a temp file in the same
     directory, then rename it over ``path``, or over the file a symlink
-    ``path`` leads to. The file keeps its permission bits; a new one gets
-    those of any new file. If a piece raises, the temp file is removed and
-    ``path`` keeps its bytes."""
+    ``path`` leads to. The file keeps its permission bits, and its owner
+    and group where the caller may set them; a new one gets those of any
+    new file. If a piece raises, the temp file is removed and ``path``
+    keeps its bytes."""
     target = Path(os.path.realpath(path))
     try:
-        mode = stat.S_IMODE(target.stat().st_mode) if target.exists() else None
+        old = target.stat() if target.exists() else None
         fd, tmp_name = _create_beside(target)
     except OSError as exc:
         raise ConstructError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(pieces)
-        if mode is not None:
-            os.chmod(tmp_name, mode)
+        if old is not None:
+            # Before the mode: a change of owner may clear set-id bits.
+            with contextlib.suppress(PermissionError):
+                os.chown(tmp_name, old.st_uid, old.st_gid)
+            os.chmod(tmp_name, stat.S_IMODE(old.st_mode))
         os.replace(tmp_name, target)
     except BaseException:
         if os.path.exists(tmp_name):

@@ -241,6 +241,24 @@ def test_a_rewrite_keeps_the_mode_and_the_symlink(runner, tmp_path, command,
                                                          "real.pddl"]
 
 
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0,
+                    reason="only root may give a file to another owner")
+@pytest.mark.parametrize("command", [
+    ["insert", "{}", ":init", "(hungry gary)"], ["distance", "{}", "--in-place"],
+])
+def test_a_rewrite_by_root_keeps_the_owner_and_group(runner, tmp_path,
+                                                     command):
+    target = tmp_path / "p.pddl"
+    target.write_text(corpus_text("gary_pizza_problem.pddl"), encoding="utf-8")
+    target.chmod(0o640)
+    os.chown(target, 65534, 65534)
+    result = runner.invoke(main, [arg.format(target) for arg in command])
+    assert result.exit_code == 0, result.output
+    info = target.stat()
+    assert (info.st_uid, info.st_gid) == (65534, 65534)
+    assert stat.S_IMODE(info.st_mode) == 0o640
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077])
 def test_distance_out_makes_a_file_of_the_default_mode(runner, tmp_path,
                                                         umask):

@@ -135,3 +135,18 @@ def test_insert_cli_never_corrupts_file(gary_problem):
         "insert", str(gary_problem), ":init", "(hungry gisela"])
     assert result.exit_code == 1
     assert gary_problem.read_text(encoding="utf-8") == before
+
+
+def test_a_write_the_caller_may_not_give_its_owner_still_lands(
+        gary_problem, monkeypatch):
+    from mypddl import construct
+
+    def refuse(*args):
+        raise PermissionError(1, "Operation not permitted")
+
+    # As for a user who may not set the file's owner or group.
+    monkeypatch.setattr(construct.os, "chown", refuse)
+    add_construct(gary_problem, ":init", parse_constructs("(hungry gisela)"))
+    assert "(hungry gisela)" in gary_problem.read_text(encoding="utf-8")
+    assert [p.name for p in gary_problem.parent.iterdir()
+            if p.name.startswith(gary_problem.name + ".")] == []
