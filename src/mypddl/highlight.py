@@ -434,6 +434,8 @@ class _Walk:
                 self.single(child, _TRIVIA_SCOPES[kind])
             elif dash is not None:
                 dash = None
+                # A run of names typed by an atom, by far the most common,
+                # is made here, without a call and a list per run.
                 if record and kind is _ATOM and items is not None:
                     for item in run:
                         entries.append(TypedEntry(item[1], text, item[3],
