@@ -109,6 +109,7 @@ _CLOSE = object()
 # Bound once: an enum member read through its class costs a Python call.
 _ATOM, _LIST = NodeKind.ATOM, NodeKind.LIST
 _PUNCTUATION, _UNSCOPED = Scope.PUNCTUATION, Scope.UNSCOPED
+_KEYWORD, _NAME, _VARIABLE = Scope.KEYWORD, Scope.NAME, Scope.VARIABLE
 
 
 GrammarMethod = Callable[["_Walk", SExprNode], None]
@@ -120,9 +121,9 @@ def _atom(scope: Scope, accepts: Callable[[str], bool]) -> GrammarMethod:
     whole. ``accepts`` is kept on the method, for rows that it guards."""
     def value(self: _Walk, node: SExprNode) -> None:
         if node.kind is NodeKind.ATOM:
-            self.single(node, scope if accepts(node.text) else Scope.UNSCOPED)
+            self.single(node, scope if accepts(node.text) else _UNSCOPED)
         else:
-            self.flat_emit(node, Scope.UNSCOPED)
+            self.flat_emit(node, _UNSCOPED)
     value.accepts = accepts  # type: ignore[attr-defined]
     return value
 
@@ -268,7 +269,7 @@ class _Walk:
         if text == "-":
             self.single(node, _PUNCTUATION)
         elif text.startswith(":") and is_name(text[1:]):
-            self.single(node, Scope.KEYWORD)
+            self.single(node, _KEYWORD)
         else:
             self.single(node, self.term_scope(text))
 
@@ -304,7 +305,7 @@ class _Walk:
             else:
                 self.each(node, head, _UNSCOPED, _Walk.flat_emit)
         elif type(rule) is tuple:
-            self.each(node, head, Scope.KEYWORD, *rule,
+            self.each(node, head, _KEYWORD, *rule,
                       fixed=key not in VARIADIC_KEYWORDS)
         else:
             rule(self, node, head)
@@ -338,7 +339,7 @@ class _Walk:
             self.flat_emit(node)
             return
         texts, scopes, known = self.texts, self.scopes, self.term_scopes
-        name, variable = Scope.NAME, Scope.VARIABLE
+        name, variable = _NAME, _VARIABLE
         self.open_paren(node)
         for child in node.children:
             kind, text, _, _, _, _, lead, _ = child
@@ -383,17 +384,17 @@ class _Walk:
         if node.kind is _ATOM:
             scope = self.term_scope(node.text)
             if scope is _UNSCOPED and node.text.lower() in NUMERIC_KEYWORDS:
-                scope = Scope.KEYWORD
+                scope = _KEYWORD
             self.single(node, scope)
             return
         head = node.head()
         if head is not None and head.kind is _ATOM:
             rule = self.NUMERIC.get(head.text)
             if rule is not None:
-                self.each(node, head, Scope.KEYWORD, *rule)
+                self.each(node, head, _KEYWORD, *rule)
                 return
             if is_name(head.text):
-                self.each(node, head, Scope.NAME, _Walk.fexp)
+                self.each(node, head, _NAME, _Walk.fexp)
                 return
         self.flat_emit(node, _UNSCOPED)
 
@@ -443,7 +444,7 @@ class _Walk:
                 elif record:
                     entries += self.typed_run(run, items, child)
                 elif kind is _LIST and head_key(child) == "either":
-                    self.each(child, child.head(), Scope.KEYWORD,
+                    self.each(child, child.head(), _KEYWORD,
                               _Walk.type_name)
                 else:
                     self.type_name(child)
@@ -533,7 +534,7 @@ class _Walk:
         """Typed variables, a model's ``TypedList``."""
         if node.kind is not _LIST:
             self.single(node, _UNSCOPED)
-        elif (entries := self.typed_list(node, None, Scope.VARIABLE)) \
+        elif (entries := self.typed_list(node, None, _VARIABLE)) \
                 is not None:
             return TypedList(entries)
         return None
@@ -550,8 +551,8 @@ class _Walk:
             self.warn(node, f"malformed {what} declaration", f"bad-{what}")
             return None
         ok = head.kind is _ATOM and is_name(head.text)
-        entries = self.typed_list(node, head, Scope.VARIABLE,
-                                  Scope.NAME if ok else _UNSCOPED)
+        entries = self.typed_list(node, head, _VARIABLE,
+                                  _NAME if ok else _UNSCOPED)
         return None if entries is None else (head.text, TypedList(entries))
 
     # -- blocks and whole files ---------------------------------------------
@@ -616,9 +617,9 @@ class _Walk:
                 context = self.ACTION_VALUES.get(
                     keys[f":{hint}"][1] if f":{hint}" in keys else hint,
                     _Walk.flat_emit)
-            key_scope = Scope.KEYWORD
+            key_scope = _KEYWORD
 
-        self.each(node, head, Scope.KEYWORD, value)
+        self.each(node, head, _KEYWORD, value)
 
     def block(self, node: SExprNode) -> None:
         """A block of the define form's kind. A model reports a stray atom,
@@ -669,7 +670,7 @@ class _Walk:
 
     def header(self, node: SExprNode) -> None:
         """The (domain NAME) or (problem NAME) of a define form."""
-        self.each(node, node.head(), Scope.KEYWORD, _Walk.name)
+        self.each(node, node.head(), _KEYWORD, _Walk.name)
 
     def define_form(self, node: SExprNode, head: SExprNode) -> None:
         """(define (domain NAME) block...) or (define (problem NAME) ...);
@@ -694,7 +695,7 @@ class _Walk:
             first = _Walk.block
         self.blocks = self.PROBLEM_BLOCKS if self.kind == "problem" \
             else self.DOMAIN_BLOCKS
-        self.each(node, head, Scope.KEYWORD, first, _Walk.block)
+        self.each(node, head, _KEYWORD, first, _Walk.block)
         if isinstance(self.model, PddlProblem) and self.model.goal is None:
             self.warn(node, "problem has no goal", "missing-goal")
 
