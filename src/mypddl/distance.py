@@ -44,10 +44,7 @@ _STEP = Decimal("0.0001")
 
 
 class DistanceError(MyPddlError):
-    def __init__(self, message: str,
-                 diagnostics: Sequence[ParseDiagnostic] = ()) -> None:
-        super().__init__(message)
-        self.diagnostics = list(diagnostics)
+    pass
 
 
 @dataclass(frozen=True)
@@ -95,8 +92,7 @@ def _locations(init_block: Optional[SExprNode], predicate_name: str,
     seen: dict[str, LocationFact] = {}
     first_dim: Optional[tuple[str, int]] = None
     for fact_node in init_block.values()[1:]:
-        if fact_node.kind is not NodeKind.LIST:
-            continue
+        # An atom has no head, so a stray one is skipped with the rest.
         head = fact_node.head()
         if head is None or head.kind is not NodeKind.ATOM \
                 or head.text.lower() != wanted:
@@ -255,8 +251,7 @@ def _rendered_rows(doc: Document, predicate_name: str,
     facts, diagnostics = _locations(init_block, predicate_name)
     errors = [d for d in diagnostics if d.severity is Severity.ERROR]
     if errors:
-        raise DistanceError(
-            "; ".join(d.message for d in errors), diagnostics)
+        raise DistanceError("; ".join(d.message for d in errors))
     if not facts:
         diagnostics.append(ParseDiagnostic(
             Span(0, 0), Severity.WARNING,

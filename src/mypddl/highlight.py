@@ -438,6 +438,9 @@ class _Walk:
                 # A run of names typed by an atom, by far the most common,
                 # is made here, without a call and a list per run.
                 if record and kind is _ATOM and items is not None:
+                    if (known.get(text) or self.term_scope(text)) \
+                            is not _NAME:
+                        self.bad_type(child, text)
                     for item in run:
                         entries.append(TypedEntry(item[1], text, item[3],
                                                   span))
@@ -489,17 +492,16 @@ class _Walk:
         """The model's entries of a typed list's ``run`` of items, typed by
         ``type_node`` or else by default: a ``TypedEntry`` per name, or a
         ``FunctionDecl`` per declaration, each read now. A compound type,
-        such as (either a b), is kept as its text so nothing is lost, and
-        reported."""
+        such as (either a b), is kept as its text so nothing is lost; a
+        type that is no name is reported."""
         type_name = type_span = None
         if type_node is not None:
             type_name, type_span = type_node.text, type_node.span
             if type_node.kind is not _ATOM:
                 type_name = serialize_node(type_node)
-                self.warn(type_node,
-                          f"compound type {type_name!r} in type position",
-                          "either-type" if head_key(type_node) == "either"
-                          else "bad-type")
+                self.bad_type(type_node, type_name)
+            elif self.term_scope(type_name) is not _NAME:
+                self.bad_type(type_node, type_name)
         if items is not None:
             return [TypedEntry(item.text, type_name or DEFAULT_TYPE,
                                item.span, type_span) for item in run]
@@ -507,6 +509,18 @@ class _Walk:
                              serialize_node(raw), span=raw.span)
                 for raw in run if (signature := self.declaration(
                     raw, "function"))]
+
+    def bad_type(self, node: SExprNode, text: str) -> None:
+        """Report the type ``node``, whose text is ``text``, as no type
+        name: an (either ...) as ``either-type``, anything else as
+        ``bad-type``."""
+        if node.kind is _ATOM:
+            self.warn(node, f"{text!r} in type position is not a type name",
+                      "bad-type")
+        else:
+            self.warn(node, f"compound type {text!r} in type position",
+                      "either-type" if head_key(node) == "either"
+                      else "bad-type")
 
     def typed_block(self, node: SExprNode, head: SExprNode) -> None:
         """(:types ...), (:constants ...) or (:objects ...): a typed list of

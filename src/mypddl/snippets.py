@@ -32,8 +32,8 @@ _PARAMETRIC = {
     "p": "typed predicate declaration",
     "f": "typed function declaration",
 }
-_STATIC_ORDER = ("domain", "problem")
-_TRAILING_ORDER = ("action", "durative-action")
+# The order of ``list_snippets``; any other trigger follows, by name.
+_LIST_ORDER = ("domain", "problem", *_PARAMETRIC, "action", "durative-action")
 
 
 class SnippetError(MyPddlError):
@@ -152,27 +152,10 @@ def expand(trigger_text: str, snippet_set: SnippetSet) -> str:
 
 def list_snippets(snippet_set: SnippetSet) -> list[tuple[str, str]]:
     """(trigger, description) rows: the seven base snippets first, then any
-    user additions in name order."""
-    rows: list[tuple[str, str]] = []
-    listed: set[str] = set()
-
-    def add(trigger: str, description: str) -> None:
-        rows.append((trigger, description))
-        listed.add(trigger)
-
-    for trigger in _STATIC_ORDER:
-        if trigger in snippet_set.snippets:
-            add(trigger, snippet_set.snippets[trigger].description)
-    for base in _PARAMETRIC:
-        if base in snippet_set.snippets:
-            snippet = snippet_set.snippets[base]
-            label = f"{base}1, {base}2, ..." if snippet.parametric else base
-            add(label, snippet.description)
-            listed.add(base)
-    for trigger in _TRAILING_ORDER:
-        if trigger in snippet_set.snippets:
-            add(trigger, snippet_set.snippets[trigger].description)
-    for trigger in sorted(snippet_set.snippets):
-        if trigger not in listed:
-            add(trigger, snippet_set.snippets[trigger].description)
-    return rows
+    user additions in name order. A parametric trigger is listed with its
+    arity suffix, as ``p1, p2, ...``."""
+    snippets = snippet_set.snippets
+    triggers = [t for t in _LIST_ORDER if t in snippets]
+    triggers += sorted(snippets.keys() - set(_LIST_ORDER))
+    return [(f"{t}1, {t}2, ..." if snippets[t].parametric else t,
+             snippets[t].description) for t in triggers]

@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from .model import DEFAULT_TYPE, PddlDomain, head_key, is_name, parse_domain
+from .model import DEFAULT_TYPE, PddlDomain, is_name, parse_domain
 from .sexpr import (
     Document,
     MyPddlError,
     ParseDiagnostic,
     Severity,
     Span,
-    parse_sexpr,
 )
 
 # Built-in numeric type: lives outside the object hierarchy, never drawn.
@@ -60,43 +59,28 @@ def build_type_graph(domain: PddlDomain) -> tuple[TypeGraph, list[ParseDiagnosti
     declared under several distinct parents keeps all its edges, plus a
     warning. Cycles are reported as errors and their back-edges marked.
     Each diagnostic carries the span of the declaration that caused it.
+    Only facts of the graph are reported here: a type that is no name was
+    already reported by the model that holds it.
     """
     graph = TypeGraph()
     diagnostics: list[ParseDiagnostic] = []
 
-    def warn(message: str, code: str, severity: Severity = Severity.WARNING,
-             span: Optional[Span] = None) -> None:
-        diagnostics.append(ParseDiagnostic(span or Span(0, 0), severity,
-                                           message, code))
+    def warn(message: str, code: str, span: Optional[Span]) -> None:
+        diagnostics.append(ParseDiagnostic(span or Span(0, 0),
+                                           Severity.WARNING, message, code))
 
     # Each declared type's parents, in declaration order, each with the span
-    # of the first declaration that names it.
+    # of the first declaration that names it. A parent that is no name, which
+    # the model reports, is left out, so its entries hang off object.
     declared_parent: dict[str, dict[str, Optional[Span]]] = {}
-    # The names placed under each non-name parent, by its declaration.
-    misplaced: dict[tuple[str, Optional[Span]], list[str]] = {}
     for entry in domain.types.entries:
         parent = entry.type_name
-        if not is_name(parent):
-            misplaced.setdefault((parent, entry.type_span), []).append(
-                entry.name)
-            graph.nodes.add(entry.name)
-            continue
         graph.nodes.add(entry.name)
-        graph.nodes.add(parent)
-        graph.edges.add((entry.name, parent))
-        declared_parent.setdefault(entry.name, {}).setdefault(
-            parent, entry.name_span)
-
-    for (parent, span), names in misplaced.items():
-        placed = ", ".join(map(repr, names))
-        # A compound type is kept as its source text, so parse it back.
-        if parent.startswith("(") \
-                and head_key(parse_sexpr(parent)[0][0]) == "either":
-            warn(f"cannot place {placed} under compound type {parent!r}",
-                 "either-type", span=span)
-        else:
-            warn(f"cannot place {placed} under {parent!r}, which is not a "
-                 f"type name", "bad-type", span=span)
+        if is_name(parent):
+            graph.nodes.add(parent)
+            graph.edges.add((entry.name, parent))
+            declared_parent.setdefault(entry.name, {}).setdefault(
+                parent, entry.name_span)
 
     for name, parents in declared_parent.items():
         if len(parents) > 1:

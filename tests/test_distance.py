@@ -80,6 +80,42 @@ def test_extract_only_first_init_block():
     assert [f.object_name for f in facts] == ["a"]
 
 
+def test_extract_skips_a_stray_atom_in_init():
+    facts, diagnostics = extract_locations(
+        problem_with_init("stray (location a 1 2) x (location b 3 4)"))
+    assert [(f.object_name, f.coords) for f in facts] == [
+        ("a", (1.0, 2.0)), ("b", (3.0, 4.0))]
+    assert diagnostics == []
+
+
+# Location facts that are no location, each with its one error message.
+BAD_LOCATIONS = [
+    ("(location)", "location fact has no object name"),
+    ("(location (a) 1 2)", "location fact has no object name"),
+    ("(location a)", "location fact for 'a' has no coordinates"),
+]
+
+
+@pytest.mark.parametrize("fact,message", BAD_LOCATIONS)
+def test_extract_reports_a_location_without_name_or_coordinates(fact,
+                                                                 message):
+    text = problem_with_init(f"(location b 1 2) {fact}")
+    facts, diagnostics = extract_locations(text)
+    assert [f.object_name for f in facts] == ["b"]
+    start = text.index(fact)
+    assert [(d.code, d.severity, d.message, d.span) for d in diagnostics] \
+        == [("bad-location", Severity.ERROR, message,
+             Span(start, start + len(fact)))]
+
+
+@pytest.mark.parametrize("fact,message", BAD_LOCATIONS)
+def test_cli_bad_location_is_one_line_exit_1(tmp_path, fact, message):
+    result, out = run_distance(tmp_path, f"(location b 1 2) {fact}")
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [f"Error: {message}"]
+    assert not out.exists()
+
+
 def test_euclidean_paper_pair():
     assert format_distance(euclidean((4, 2), (2, 3))) == "2.2361"
 

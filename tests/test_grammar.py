@@ -651,6 +651,67 @@ def test_any_other_list_after_a_dash_in_functions_is_a_bad_type():
     assert invalid_regions(tokenize(text)) == [Span(start, start + 3)]
 
 
+# Typed lists whose type, the last atom before ')', is no name.
+BAD_ATOM_TYPES = [
+    "(define (domain d) (:types a - ?y))",
+    "(define (domain d) (:constants k - 12))",
+    "(define (domain d) (:predicates (p ?x - ?z)))",
+    "(define (domain d) (:functions (f) - 5))",
+    "(define (domain d) (:action a :parameters (?x - ?t) :effect (p ?x)))",
+    "(define (problem p) (:domain d) (:objects o - ?t) (:goal (g)))",
+]
+
+
+@pytest.mark.parametrize("text", BAD_ATOM_TYPES)
+def test_an_atom_type_that_is_no_name_is_one_bad_type_in_both_layers(text):
+    bad = text.split(" - ")[1].split(")")[0]
+    start = text.index(f"- {bad})") + 2
+    span = Span(start, start + len(bad))
+    assert invalid_regions(tokenize(text)) == [span]
+    parse = parse_problem if "(problem" in text else parse_domain
+    assert [(d.code, d.message, d.span) for d in parse(text)[1]] == [
+        ("bad-type", f"{bad!r} in type position is not a type name", span)]
+
+
+# A comment in each place of a typed list, and the same list without it.
+TYPED_LIST_COMMENTS = [
+    ("(define (domain d) (:types a ; note\n b - t c))",
+     "(define (domain d) (:types a b - t c))"),
+    ("(define (domain d) (:types a b - ; note\n t c))",
+     "(define (domain d) (:types a b - t c))"),
+    ("(define (domain d) (:action a :parameters (?x ; note\n - t ?y)"
+     " :effect (p ?x ?y)))",
+     "(define (domain d) (:action a :parameters (?x - t ?y)"
+     " :effect (p ?x ?y)))"),
+]
+
+
+def _typed_entries(domain):
+    return [[(e.name, e.type_name) for e in typed.entries]
+            for typed in (domain.types, *(a.parameters
+                                           for a in domain.actions))]
+
+
+@pytest.mark.parametrize("text,plain_text", TYPED_LIST_COMMENTS)
+def test_a_comment_in_a_typed_list_is_a_comment_in_both_layers(text,
+                                                               plain_text):
+    tokens = tokenize(text)
+    assert [t.scope for t in tokens if t.text.startswith(";")] == \
+        [Scope.COMMENT]
+    assert invalid_regions(tokens) == []
+    domain, diagnostics = parse_domain(text)
+    assert diagnostics == []
+    assert _typed_entries(domain) == _typed_entries(parse_domain(plain_text)[0])
+
+
+def test_an_atom_as_the_parameters_is_invalid_and_reads_as_none():
+    text = "(define (domain d) (:action a :parameters ?x :effect (p)))"
+    start = text.index("?x")
+    assert invalid_regions(tokenize(text)) == [Span(start, start + 2)]
+    domain, _ = parse_domain(text)
+    assert domain.actions[0].parameters.entries == []
+
+
 @pytest.mark.parametrize("depth", [5, _MAX_GRAMMAR_DEPTH + 5])
 @pytest.mark.parametrize("outer,inner", [
     ("(:foo {}))", "(x "),

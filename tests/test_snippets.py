@@ -139,6 +139,21 @@ def test_user_snippet_shadows_builtin_with_warning(tmp_path):
     assert len(list_snippets(snippet_set)) == 7
 
 
+def test_user_snippet_shadowing_a_parametric_one_is_listed_by_its_name(
+        tmp_path):
+    (tmp_path / "p.snippet").write_text(
+        ";; snippet: my predicate\n\n(my-pred)\n", encoding="utf-8")
+    (tmp_path / "zz.snippet").write_text("(zz)", encoding="utf-8")
+    (tmp_path / "aa.snippet").write_text("(aa)", encoding="utf-8")
+    snippet_set = load_snippets(tmp_path)
+    rows = list_snippets(snippet_set)
+    assert [r[0] for r in rows] == [
+        "domain", "problem", "t1, t2, ...", "p", "f1, f2, ...",
+        "action", "durative-action", "aa", "zz"]
+    assert dict(rows)["p"] == "my predicate"
+    assert expand("p", snippet_set) == "(my-pred)"
+
+
 def test_substitute_defaults():
     assert substitute_defaults("(${1:a} ${2} ${1:a})") == "(a  a)"
 

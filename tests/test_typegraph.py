@@ -58,12 +58,15 @@ def test_store_fixture_counts():
 
 
 def test_either_type_excluded_from_graph():
-    graph, diagnostics = graph_for(
+    domain, model_diagnostics = parse_domain(
         "(define (domain d) (:types a - (either b c) d - object))")
+    graph, diagnostics = build_type_graph(domain)
     assert "a" in graph.nodes and "d" in graph.nodes
+    assert ("a", "object") in graph.edges
     assert all(parent not in ("b", "c") and "either" not in parent
                for _, parent in graph.edges)
-    assert any(d.code == "either-type" for d in diagnostics)
+    assert [d.code for d in model_diagnostics] == ["either-type"]
+    assert diagnostics == []
 
 
 def test_multi_parent_kept_with_warning():
@@ -294,33 +297,34 @@ def test_render_diagram_failing_renderer(tmp_path):
         render_diagram(domain_file, tmp_path / "out", renderer=str(renderer))
 
 
+def model_and_graph_findings(text):
+    """The model's diagnostics and the type graph's, each as (code,
+    message, the source text at its span) rows."""
+    domain, model_diagnostics = parse_domain(text)
+    _, graph_diagnostics = build_type_graph(domain)
+    return [[(d.code, d.message, text[d.span.start:d.span.end])
+             for d in diagnostics]
+            for diagnostics in (model_diagnostics, graph_diagnostics)]
+
+
 def test_only_an_either_parent_is_an_either_type():
     text = "(define (domain d) (:types a - ?y b - (foo) c - (either x y)))"
-    _, diagnostics = graph_for(text)
-    assert [(d.code, d.message, text[d.span.start:d.span.end])
-            for d in diagnostics] == [
-        ("bad-type", "cannot place 'a' under '?y', which is not a type name",
-         "?y"),
-        ("bad-type",
-         "cannot place 'b' under '(foo)', which is not a type name", "(foo)"),
-        ("either-type",
-         "cannot place 'c' under compound type '(either x y)'",
-         "(either x y)")]
+    assert model_and_graph_findings(text) == [[
+        ("bad-type", "'?y' in type position is not a type name", "?y"),
+        ("bad-type", "compound type '(foo)' in type position", "(foo)"),
+        ("either-type", "compound type '(either x y)' in type position",
+         "(either x y)")], []]
 
 
 def test_one_placement_warning_per_non_name_parent_naming_every_entry():
     text = ("(define (domain d) (:types a b - (either x y) c - ?z"
             " e - (either x y)))")
-    _, diagnostics = graph_for(text)
-    assert [(d.code, d.message, text[d.span.start:d.span.end])
-            for d in diagnostics] == [
-        ("either-type",
-         "cannot place 'a', 'b' under compound type '(either x y)'",
+    assert model_and_graph_findings(text) == [[
+        ("either-type", "compound type '(either x y)' in type position",
          "(either x y)"),
-        ("bad-type", "cannot place 'c' under '?z', which is not a type name",
-         "?z"),
-        ("either-type", "cannot place 'e' under compound type '(either x y)'",
-         "(either x y)")]
+        ("bad-type", "'?z' in type position is not a type name", "?z"),
+        ("either-type", "compound type '(either x y)' in type position",
+         "(either x y)")], []]
 
 
 def test_diagram_warns_once_at_the_compound_parent_in_coffee(tmp_path):
@@ -332,7 +336,41 @@ def test_diagram_warns_once_at_the_compound_parent_in_coffee(tmp_path):
     assert [line.split(": ", 1)[1] for line in result.stderr.splitlines()
             if ":8:35:" in line] == [
         "warning: compound type '(at ?l - location)' in type position "
-        "[bad-type]",
-        "warning: cannot place 'robot', 'human', '_', 'agent', 'furniture', "
-        "'door' under '(at ?l - location)', which is not a type name "
         "[bad-type]"]
+
+
+def test_diagram_warns_once_at_an_either_parent(tmp_path):
+    domain_file = tmp_path / "either.pddl"
+    domain_file.write_text("(define (domain d) (:types a - (either b c)))",
+                           encoding="utf-8")
+    result = CliRunner().invoke(main, ["diagram", str(domain_file),
+                                       "--no-render", "--out",
+                                       str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert result.stderr.splitlines()[1:] == [
+        f"{domain_file}:1:32: warning: compound type '(either b c)' in type "
+        "position [either-type]"]
+
+
+GRAPH_CODES = {"multi-parent", "undeclared-type", "type-cycle", "orphan-type"}
+
+
+_TYPES = st.sampled_from(["a", "b", "object", "?y", "12", "(either a b)",
+                         "(foo)"])
+
+
+@given(st.lists(st.tuples(st.lists(st.sampled_from(["a", "b"]), min_size=1,
+                                   max_size=2), _TYPES), max_size=5))
+@settings(max_examples=300)
+def test_the_type_graph_reports_only_graph_facts(declarations):
+    types = " ".join(f"{' '.join(names)} - {parent}"
+                     for names, parent in declarations)
+    domain, model_diagnostics = parse_domain(
+        f"(define (domain d) (:types {types}))")
+    graph, diagnostics = build_type_graph(domain)
+    assert {d.code for d in diagnostics} <= GRAPH_CODES
+    judged = {d.span for d in model_diagnostics
+              if d.code in ("bad-type", "either-type")}
+    assert judged == {e.type_span for e in domain.types.entries
+                      if e.type_name not in ("a", "b", "object")}
+    assert graph.nodes <= {"object", "a", "b"}
