@@ -203,7 +203,7 @@ EXPECTED = {
     "corpus/coffee.pddl": (
         "88bb2b7202f4fb7df22ad0bd6efd019b68efd20bd08376825d90a8efe90557be",
         "829c11f9d0d46f5722f37f123256f523ad1b8ad7f0a4b09e7df4e981016f5833",
-        "9638cfaab8065af9c9e3f84bd6dc10db799ebd4194c00b0993f3c5459f1e0206",
+        "ce878c76ae20c452b67777156075437c58a6f600e3a8163e04651be5616b5b1b",
         "816d113696e909c35b44a67a19140bd8aef7e908996f9c2ac29f53a65557483b"),
     "corpus/gary_pizza_problem.pddl": (
         "39ef20bdb916e98b0aa6310910b75c728d2b783dba8529c3216ab50c0bf82d81",
@@ -293,8 +293,8 @@ EXPECTED = {
     "grammar/generated": (
         "173367573deeefde4c63b9c256b010b9b4a5167d77371f6a0ef8edc04d55dda7",
         "e8f50c7aeb6a4c3d06042f1106b6b67204a5c64ed7b96b8a01516c0b781f81e3",
-        "df4e247e978f0210a095081df46b276476e286040cc146df3709f0e57fb3f24a",
-        "7d9f58add31dfb77be56d83e09287468662d1e3ab6dac18cac8ebd28ba4fe4fa"),
+        "fcd17e997959cd88b6f56af5083a23c950debce5a9eb81318addca8e3cec593e",
+        "f96edb85196aa9576dc1dc78cbcaa640fbfd881a9a70b7b7bb2fc1d410366f7a"),
 }
 
 
