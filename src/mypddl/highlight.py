@@ -366,12 +366,14 @@ class _Walk:
         each distinct text is classified once per walk."""
         scope = self.term_scopes.get(text)
         if scope is None:
-            if is_variable(text):
+            # The three classes share no text; names, the most common,
+            # are tried first.
+            if is_name(text):
+                scope = Scope.NAME
+            elif is_variable(text):
                 scope = Scope.VARIABLE
             elif is_number(text):
                 scope = Scope.NUMBER
-            elif is_name(text):
-                scope = Scope.NAME
             else:
                 scope = _UNSCOPED
             self.term_scopes[text] = scope
