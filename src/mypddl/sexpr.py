@@ -165,8 +165,11 @@ def gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def parse_sexpr(text: str) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
-    """Parse source text into a lossless forest.
+def parse_sexpr(text: str, offset: int = 0,
+                ) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
+    """Parse source text into a lossless forest; ``text`` may be a slice of
+    a file that starts at byte ``offset``, which every span then counts
+    from.
 
     Never raises on malformed input: an unclosed list is closed at end of
     input and a stray ')' becomes an atom, each with an Error diagnostic.
@@ -188,9 +191,11 @@ def parse_sexpr(text: str) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
         # The last match is empty; one before it may hold trailing whitespace.
         pieces = _LEXEME.findall(text)[:-1]
         trailing = pieces.pop()[0] if pieces and not pieces[-1][1] else ""
-        i = 3 if pieces and pieces[0] == ("", "\ufeff") else 0
-        if i:
-            level.append(SExprNode(NodeKind.WHITESPACE, text[0], (), _span(0, 3)))
+        i = offset
+        if pieces and pieces[0] == ("", "\ufeff"):
+            i += 3
+            level.append(SExprNode(NodeKind.WHITESPACE, text[0], (),
+                                   _span(offset, i)))
             del pieces[0]
         for lead, piece in pieces:
             i += len(lead)
@@ -241,17 +246,16 @@ def parse_sexpr(text: str) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
 
 
 class Document:
-    """One source file, read, decoded and parsed exactly once.
+    """One source file, read and decoded once, and parsed at most once.
 
-    Holds the raw bytes, the strictly decoded text, the lossless forest, the
-    parse diagnostics, and a line index that turns byte offsets into
-    positions. ``path`` is the file the bytes came from, or None. Every
-    layer that needs the file works from the same document, so no command
-    reads or parses a file twice.
+    Holds the raw bytes, the strictly decoded text, the lossless forest and
+    the parse diagnostics, both parsed on first use, and a line index that
+    turns byte offsets into positions. ``path`` is the file the bytes came
+    from, or None. Every layer that needs the file works from the same
+    document, so no command reads or parses a file twice.
     """
 
-    __slots__ = ("path", "data", "text", "forest", "diagnostics",
-                 "_line_starts")
+    __slots__ = ("path", "data", "text", "_parsed", "_line_starts")
 
     def __init__(self, data: bytes, path: Optional[Path] = None,
                  text: Optional[str] = None) -> None:
@@ -264,8 +268,17 @@ class Document:
         self.path = path
         self.data = data
         self.text = text
-        self.forest, self.diagnostics = parse_sexpr(text)
+        self._parsed: Optional[tuple[list[SExprNode],
+                                     list[ParseDiagnostic]]] = None
         self._line_starts: Optional[list[int]] = None
+
+    def _parse(self) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
+        if self._parsed is None:
+            self._parsed = parse_sexpr(self.text)
+        return self._parsed
+
+    forest = property(lambda self: self._parse()[0])
+    diagnostics = property(lambda self: self._parse()[1])
 
     @classmethod
     def read(cls, path: Union[str, Path]) -> "Document":
