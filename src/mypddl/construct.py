@@ -2,25 +2,30 @@
 
 `read_construct` pulls blocks out by keyword; `add_construct` appends new
 constructs to the first matching block while leaving every other byte of the
-file untouched. Appending is a textual splice guided by the lossless tree,
-so even files our grammar does not fully understand survive unharmed.
+file untouched. Appending is a textual splice, so even files our grammar
+does not fully understand survive unharmed.
+
+Both find their block through a structural index, in the two stages of
+simdjson (Langdale and Lemire, VLDB Journal 2019): a regex pass finds the
+'(' of each list headed by the keyword, a scan over parens and comments its
+')', and only the block, or for a splice only its last entry, is parsed.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import re
 import stat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .sexpr import (
     Document,
     MyPddlError,
     SExprNode,
     as_document,
-    find_blocks,
-    iter_blocks,
+    parse_sexpr,
     serialize_node,
 )
 
@@ -29,9 +34,75 @@ class ConstructError(MyPddlError):
     pass
 
 
+# Whitespace and whole comments, with the whitespace of ``sexpr._LEXEME``,
+# never ``\s``, which also matches spaces the reader takes for atom text. A
+# comment runs to the end of its line: a regex free to end it sooner finds a
+# head inside it, as in "(;x (:init".
+_GAP = r"[ \t\r\n\f\v]*(?:;[^\n]*(?![^\n])[ \t\r\n\f\v]*)*"
+_NOTHING = re.compile("\ufeff?" + _GAP)
+# What the scan for a list's ')' steps over: a list with neither a list nor
+# a comment inside, a paren, or a comment.
+_STRUCTURE = re.compile(r"\([^();]*\)|[()]|;[^\n]*")
+
+
+def _heads(text: str, keyword: str) -> Iterator[int]:
+    """The offset of the '(' of each list headed by ``keyword``, compared by
+    ``.lower()`` as ``sexpr.iter_blocks`` compares it, in document order,
+    nested lists included."""
+    wanted = keyword.lower()
+    if not wanted or re.search(r"[ \t\r\n\f\v();]", wanted):
+        return  # no atom
+    # Ignoring case matches each character c as c.lower() does, except 'İ',
+    # whose lower case is two characters.
+    pattern = re.escape(wanted).replace("i\u0307", "(?:i\u0307|\u0130)")
+    for match in re.finditer(rf"\({_GAP}({pattern})(?![^ \t\r\n\f\v();])",
+                             text, re.IGNORECASE):
+        start = match.start()
+        # A '(' after a ';' on its line is inside a comment.
+        if match[1].lower() == wanted and \
+                text.find(";", text.rfind("\n", 0, start) + 1, start) < 0:
+            yield start
+
+
+def _scan(text: str, start: int) -> tuple[Optional[int], Optional[int]]:
+    """The offset of the ')' of the list whose '(' is at ``start``, None if
+    it is never closed, and that of its last '(' at depth one, None if the
+    list holds no list."""
+    depth, last = 1, None
+    for match in _STRUCTURE.finditer(text, start + 1):
+        token = match[0]
+        if token == "(":
+            depth += 1
+            if depth == 2:
+                last = match.start()
+        elif token == ")":
+            depth -= 1
+            if not depth:
+                return match.start(), last
+        elif depth == 1 and token[0] == "(":
+            last = match.start()
+    return None, last
+
+
 def read_construct(keyword: str, file: Path) -> list[SExprNode]:
-    """All blocks headed by ``keyword`` in the file, in document order."""
-    return find_blocks(Document.read(file).forest, keyword)
+    """All blocks headed by ``keyword`` in the file, in document order. Each
+    is parsed alone, with the whitespace before it, and is the node the
+    whole file's tree would hold."""
+    text = Document.read(file).text
+    blocks: list[SExprNode] = []
+    at = offset = 0  # a character offset and its byte offset
+    for start in _heads(text, keyword):
+        lead = start
+        while lead and text[lead - 1] in " \t\r\n\f\v":
+            lead -= 1
+        if text.find(";", text.rfind("\n", 0, lead) + 1, lead) >= 0:
+            lead = text.index("\n", lead)  # a comment runs to its line's end
+        offset += len(text[at:lead].encode("utf-8"))
+        at = lead
+        close = _scan(text, start)[0]
+        blocks += parse_sexpr(text[lead:len(text) if close is None
+                                   else close + 1], offset)[0]
+    return blocks
 
 
 def parse_constructs(text: str) -> list[SExprNode]:
@@ -50,26 +121,56 @@ def parse_constructs(text: str) -> list[SExprNode]:
     return nodes
 
 
+def _line_prefix(data: bytes, last: Optional[int]) -> str:
+    """The prefix of each entry added to a block whose last entry starts at
+    byte ``last``: a line break of the kind (CRLF or LF) that precedes that
+    entry, then its column in spaces. A block with no entries, ``last``
+    None, gets a single space instead."""
+    if last is None:
+        return " "
+    line_start = data.rfind(b"\n", 0, last) + 1
+    crlf = data[max(line_start - 2, 0):line_start] == b"\r\n"
+    return ("\r\n" if crlf else "\n") + " " * (last - line_start)
+
+
 def _insertion_state(data: bytes, block: SExprNode) -> tuple[int, str]:
-    """Where to splice inside ``block`` and the line prefix to use.
-
-    New entries go on their own line, indented to the column of the block's
-    last existing entry, after a line break of the kind (CRLF or LF) that
-    precedes that entry; a block with no entries gets a single space
-    instead.
-    """
+    """Where to splice inside a parsed ``block`` and the line prefix."""
     assert block.span is not None
-    insert_at = block.span.end - 1 if block.closed else block.span.end
-
     # The last entry, found from the end: a long block is not walked whole.
     last = next((c for c in reversed(block.children) if not c.is_trivia), None)
-    if last is not None and last is not block.head():
-        assert last.span is not None
-        line_start = data.rfind(b"\n", 0, last.span.start) + 1
-        column = last.span.start - line_start
-        crlf = data[max(line_start - 2, 0):line_start] == b"\r\n"
-        return insert_at, ("\r\n" if crlf else "\n") + " " * column
-    return insert_at, " "
+    return (block.span.end - 1 if block.closed else block.span.end,
+            _line_prefix(data, None if last is None or last is block.head()
+                         else last.span.start))
+
+
+def _indexed_insertion_state(doc: Document, keyword: str) -> tuple[int, str]:
+    """Where to splice inside the first block headed by ``keyword`` and the
+    line prefix, from the index. Only the block's end is parsed: from its
+    last '(' at depth one, or else from its head, to its ')'."""
+    text = doc.text
+    start = next(_heads(text, keyword), None)
+    if start is None:
+        raise ConstructError("file contains no s-expressions"
+                             if _NOTHING.fullmatch(text) else
+                             f"no block headed by {keyword!r} found")
+    close, last = _scan(text, start)
+    end = len(text) if close is None else close
+    first = start + 1 if last is None else last
+    entries = [n for n in parse_sexpr(text[first:end], len(
+        text[:first].encode("utf-8")))[0] if not n.is_trivia]
+    if last is None:
+        del entries[0]  # the head
+    return (len(text[:end].encode("utf-8")),
+            _line_prefix(doc.data, entries[-1].span.start if entries else None))
+
+
+def _pieces(data: bytes, insert_at: int, prefix: str,
+            constructs: Iterable[SExprNode | str]) -> Iterator[bytes]:
+    yield data[:insert_at]
+    for item in constructs:
+        yield (prefix + (item if isinstance(item, str)
+                         else serialize_node(item))).encode("utf-8")
+    yield data[insert_at:]
 
 
 def splice(doc: Document, block: SExprNode,
@@ -79,13 +180,7 @@ def splice(doc: Document, block: SExprNode,
     prefix, then the bytes from the splice on. Each construct is either a
     node (serialized verbatim, without its lead) or an already-rendered
     string, and is only rendered when its piece is asked for."""
-    data = doc.data
-    insert_at, prefix = _insertion_state(data, block)
-    yield data[:insert_at]
-    for item in constructs:
-        yield (prefix + (item if isinstance(item, str)
-                         else serialize_node(item))).encode("utf-8")
-    yield data[insert_at:]
+    return _pieces(doc.data, *_insertion_state(doc.data, block), constructs)
 
 
 def append_to_block(doc: Document, block: SExprNode,
@@ -97,14 +192,11 @@ def append_to_block(doc: Document, block: SExprNode,
 
 def insert_construct(source: Union[str, Document], keyword: str,
                      constructs: Sequence[SExprNode]) -> str:
-    """Append constructs to the first block headed by ``keyword``."""
+    """Append constructs to the first block headed by ``keyword``, found
+    through the index; every byte outside the splice is kept."""
     doc = as_document(source)
-    if not [n for n in doc.forest if not n.is_trivia]:
-        raise ConstructError("file contains no s-expressions")
-    block = next(iter_blocks(doc.forest, keyword), None)
-    if block is None:
-        raise ConstructError(f"no block headed by {keyword!r} found")
-    return append_to_block(doc, block, constructs)
+    return b"".join(_pieces(doc.data, *_indexed_insertion_state(doc, keyword),
+                            constructs)).decode("utf-8")
 
 
 def write_atomically(path: Path, text: str) -> None:

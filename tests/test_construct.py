@@ -1,16 +1,30 @@
 """Construct extraction and insertion: blocks out, constructs in, every
 other byte untouched."""
 
+import time
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mypddl.construct import (
     ConstructError,
     add_construct,
+    append_to_block,
     insert_construct,
     parse_constructs,
     read_construct,
 )
-from mypddl.sexpr import parse_sexpr, serialize_node
+from mypddl.sexpr import (
+    Document,
+    NodeKind,
+    find_blocks,
+    iter_blocks,
+    parse_sexpr,
+    serialize_node,
+)
+
+from conftest import CORPUS, FIXTURES
 
 
 def test_read_construct_goal(gary_problem):
@@ -150,3 +164,115 @@ def test_a_write_the_caller_may_not_give_its_owner_still_lands(
     assert "(hungry gisela)" in gary_problem.read_text(encoding="utf-8")
     assert [p.name for p in gary_problem.parent.iterdir()
             if p.name.startswith(gary_problem.name + ".")] == []
+
+
+# -- the structural index against the tree -------------------------------------
+
+# Files with the block heads of both kinds, and copies with a byte order
+# mark and with CRLF line breaks.
+_TEXTS = [path.read_text(encoding="utf-8") for path in
+          [*sorted(CORPUS.glob("*.pddl")), *sorted(FIXTURES.glob("tour_*.pddl"))]]
+_TEXTS += ["﻿" + _TEXTS[1], _TEXTS[1].replace("\n", "\r\n")]
+# Edits that put parens and keywords in comments, unclose or close a list,
+# and give heads cases and non-ASCII letters.
+_EDITS = ["(", ")", ";", "\n", " ", "\r\n", "\t", "; (:init (x)\n",
+          "(;c (:init\n", "(; (:goal\n", ";(and\n", "(:INIT ", "(:Goal ",
+          "(İ ", "(ΑΣ ", "(é ", ":action", "﻿"]
+# Keywords that are no atom, and case variants of block heads.
+_KEYWORDS = ["", "a b", "(", ";x", ":init", ":INIT", ":goal", "and",
+             ":action", "i̇", "ας", "ΑΣ", "ßx"]
+# The regex trap: a head that a comment which ends too early would expose.
+_TRAP = "(;c (:init\n  a)\n(define (problem p) (:init (b)))\n"
+
+
+def _plain(node):
+    """Every field of a node, recursively: nodes compare by identity."""
+    return (*node[:2], tuple(map(_plain, node.children)), *node[3:])
+
+
+@st.composite
+def _edited(draw):
+    text = draw(st.sampled_from(_TEXTS))
+    for at, edit in draw(st.lists(st.tuples(st.integers(0, 1 << 16),
+                                            st.sampled_from(_EDITS)),
+                                  max_size=4)):
+        at %= len(text) + 1
+        text = text[:at] + edit + text[at:]
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]  # lists left open
+    atoms = sorted({node.text for root in parse_sexpr(text)[0]
+                    for node in root.walk() if node.kind is NodeKind.ATOM})
+    keyword = draw(st.sampled_from(_KEYWORDS + atoms))
+    return text, draw(st.sampled_from(
+        [keyword, keyword.upper(), keyword.swapcase()]))
+
+
+def _tree_insert(text: str, keyword: str, constructs) -> str:
+    """The splice as the whole file's tree finds the block."""
+    doc = Document(text.encode("utf-8"))
+    if all(node.is_trivia for node in doc.forest):
+        raise ConstructError("file contains no s-expressions")
+    block = next(iter_blocks(doc.forest, keyword), None)
+    if block is None:
+        raise ConstructError(f"no block headed by {keyword!r} found")
+    return append_to_block(doc, block, constructs)
+
+
+def _outcome(insert, *args):
+    try:
+        return insert(*args)
+    except ConstructError as exc:
+        return str(exc)
+
+
+@given(_edited())
+@example((_TRAP, ":init"))
+@example(("(x ;c\r\n (:goal y))", ":goal"))
+@example(("(d (İ x) (ΑΣ y))", "i̇"))  # 'İ'.lower() is two characters
+@settings(max_examples=300, deadline=None)
+def test_read_construct_gives_the_nodes_of_the_tree(tmp_path_factory, case):
+    text, keyword = case
+    path = tmp_path_factory.getbasetemp() / "index.pddl"
+    path.write_bytes(text.encode("utf-8"))
+    tree = find_blocks(Document.read(path).forest, keyword)
+    assert list(map(_plain, read_construct(keyword, path))) == \
+        list(map(_plain, tree))
+
+
+@given(_edited())
+@example((_TRAP, ":init"))
+@settings(max_examples=300, deadline=None)
+def test_insert_gives_the_bytes_of_the_tree_splice(tmp_path_factory, case):
+    text, keyword = case
+    constructs = parse_constructs("(p a) (q)")
+    expected = _outcome(_tree_insert, text, keyword, constructs)
+    assert _outcome(insert_construct, text, keyword, constructs) == expected
+    path = tmp_path_factory.getbasetemp() / "insert.pddl"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(add_construct, path, keyword, constructs) == expected
+    if not expected.startswith(("file contains", "no block")):
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_insert_into_a_block_nested_200000_deep(tmp_path, closed):
+    from click.testing import CliRunner
+
+    from mypddl.cli import main
+
+    depth = 200_000
+    # After a list whose comment holds an (:init head.
+    text = "(;c (:init\n  a)\n(define (problem q)\n  (:init (a)\n         " \
+        + "(a " * depth
+    close = ")" * depth + "))\n" if closed else ""
+    path = tmp_path / "deep.pddl"
+    path.write_text(text + close, encoding="utf-8")
+    started = time.perf_counter()
+    result = CliRunner().invoke(main, ["insert", str(path), ":init", "(b)"])
+    assert time.perf_counter() - started < 60
+    assert result.exit_code == 0 and result.exception is None, result.output
+    added = "\n         (b)"
+    expected = (text + ")" * depth + added + "))\n" if closed
+                else text + added)
+    same = path.read_text(encoding="utf-8") == expected  # no diff of 1 MB
+    assert same
