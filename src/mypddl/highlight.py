@@ -471,7 +471,12 @@ class _Walk:
                 self.warn(child, f"unexpected {text!r} in (:functions ...)",
                           "bad-function")
             elif record:
-                run.append(child)
+                if (known.get(text) or self.term_scope(text)) is items:
+                    run.append(child)
+                else:
+                    self.warn(child, f"{text!r} where a {items.name.lower()}"
+                              " was expected in typed list",
+                              "bad-typed-list-item")
             else:
                 if lead:
                     texts.append(lead)
@@ -550,6 +555,8 @@ class _Walk:
         """Typed variables, a model's ``TypedList``."""
         if node.kind is not _LIST:
             self.single(node, _UNSCOPED)
+            self.warn(node, f"{node.text!r} where a list of parameters was "
+                      "expected", "bad-parameters")
         elif (entries := self.typed_list(node, None, _VARIABLE)) \
                 is not None:
             return TypedList(entries)

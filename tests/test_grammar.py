@@ -41,6 +41,7 @@ from mypddl.model import (
     parse_problem,
 )
 from mypddl.sexpr import Document, SExprNode, Span, serialize_node
+from mypddl.typegraph import build_type_graph
 
 from conftest import FIXTURES
 
@@ -708,8 +709,30 @@ def test_an_atom_as_the_parameters_is_invalid_and_reads_as_none():
     text = "(define (domain d) (:action a :parameters ?x :effect (p)))"
     start = text.index("?x")
     assert invalid_regions(tokenize(text)) == [Span(start, start + 2)]
-    domain, _ = parse_domain(text)
+    domain, diagnostics = parse_domain(text)
     assert domain.actions[0].parameters.entries == []
+    assert [(d.code, d.span) for d in diagnostics] == \
+        [("bad-parameters", Span(start, start + 2))]
+
+
+def test_an_atom_item_of_the_wrong_class_is_reported_and_left_out():
+    text = ("(define (domain d) (:types ?y 12 a - t) (:constants c ?c)"
+            " (:predicates (p ?x b)))")
+    domain, diagnostics = parse_domain(text)
+    assert [e.name for e in domain.types.entries] == ["a"]
+    assert [e.name for e in domain.constants.entries] == ["c"]
+    assert [e.name for e in domain.predicates[0].parameters.entries] == ["?x"]
+    found = [d.span for d in diagnostics if d.code == "bad-typed-list-item"]
+    assert [text[s.start:s.end] for s in found] == ["?y", "12", "?c", "b"]
+    regions = invalid_regions(tokenize(text))
+    assert all(any(r.start <= f.start and f.end <= r.end for r in regions)
+               for f in found)
+    graph, _ = build_type_graph(domain)
+    assert graph.nodes == {"object", "a", "t"}
+    problem, diagnostics = parse_problem(
+        "(define (problem p) (:domain d) (:objects o 7 - t) (:goal (g)))")
+    assert [e.name for e in problem.objects.entries] == ["o"]
+    assert [d.code for d in diagnostics] == ["bad-typed-list-item"]
 
 
 @pytest.mark.parametrize("depth", [5, _MAX_GRAMMAR_DEPTH + 5])
