@@ -203,7 +203,7 @@ EXPECTED = {
     "corpus/coffee.pddl": (
         "88bb2b7202f4fb7df22ad0bd6efd019b68efd20bd08376825d90a8efe90557be",
         "829c11f9d0d46f5722f37f123256f523ad1b8ad7f0a4b09e7df4e981016f5833",
-        "ce878c76ae20c452b67777156075437c58a6f600e3a8163e04651be5616b5b1b",
+        "c9bd49828a18f4235ebe80e0d8ff1ef88ea2fab022378f5aaa7b279069cc3ad8",
         "816d113696e909c35b44a67a19140bd8aef7e908996f9c2ac29f53a65557483b"),
     "corpus/gary_pizza_problem.pddl": (
         "39ef20bdb916e98b0aa6310910b75c728d2b783dba8529c3216ab50c0bf82d81",
@@ -218,7 +218,7 @@ EXPECTED = {
     "corpus/logistics.pddl": (
         "d37fff1f7c1ec9f760247b1a12d35134efce2872fbff70402c7f97fbfc2a28be",
         "2290f532b35d2d486b974d501e34c8b71339671402e17a7184aa34ed150b13f7",
-        "88e1d87b68c25a7b372ae60adfc55a0b28a68b17581bb88617982a113e53c206",
+        "3e5f0266d39065ec6469e58944be97a1c66641229a462b03f1e675b83d6900f2",
         "974173241432f1adb4950328f685d7cf170b55eda34322c4988166d8d5b4fe5a"),
     "corpus/splisus.pddl": (
         "b36ccb2fa1bb564dca9a0fca07394e0471334dd77ebaac462680ab36e8c6afd1",
@@ -293,7 +293,7 @@ EXPECTED = {
     "grammar/generated": (
         "173367573deeefde4c63b9c256b010b9b4a5167d77371f6a0ef8edc04d55dda7",
         "e8f50c7aeb6a4c3d06042f1106b6b67204a5c64ed7b96b8a01516c0b781f81e3",
-        "fcd17e997959cd88b6f56af5083a23c950debce5a9eb81318addca8e3cec593e",
+        "924ab15cfaa7eef68c4b4d6f86213e2651fc9414ffe59b08b624f2a673d1f0bd",
         "f96edb85196aa9576dc1dc78cbcaa640fbfd881a9a70b7b7bb2fc1d410366f7a"),
 }
 
