@@ -2,13 +2,8 @@
 
 `read_construct` pulls blocks out by keyword; `add_construct` appends new
 constructs to the first matching block while leaving every other byte of the
-file untouched. Appending is a textual splice, so even files our grammar
-does not fully understand survive unharmed.
-
-Both find their block through a structural index, in the two stages of
-simdjson (Langdale and Lemire, VLDB Journal 2019): a regex pass finds the
-'(' of each list headed by the keyword, a scan over parens and comments its
-')', and only the block, or for a splice only its last entry, is parsed.
+file untouched, by a textual splice. Both find blocks with a structural
+index, as simdjson does (Langdale and Lemire, 2019), and parse only those.
 """
 
 from __future__ import annotations
@@ -34,21 +29,16 @@ class ConstructError(MyPddlError):
     pass
 
 
-# Whitespace and whole comments, with the whitespace of ``sexpr._LEXEME``,
-# never ``\s``, which also matches spaces the reader takes for atom text. A
-# comment runs to the end of its line: a regex free to end it sooner finds a
-# head inside it, as in "(;x (:init".
+# The whitespace of ``sexpr._LEXEME`` (``\s`` takes in atom text) and whole
+# comments, as one that could end early would expose a head: "(;x (:init".
 _GAP = r"[ \t\r\n\f\v]*(?:;[^\n]*(?![^\n])[ \t\r\n\f\v]*)*"
-_NOTHING = re.compile("\ufeff?" + _GAP)
-# What the scan for a list's ')' steps over: a list with neither a list nor
-# a comment inside, a paren, or a comment.
+# A list holding no list and no comment, a paren, or a comment.
 _STRUCTURE = re.compile(r"\([^();]*\)|[()]|;[^\n]*")
 
 
 def _heads(text: str, keyword: str) -> Iterator[int]:
     """The offset of the '(' of each list headed by ``keyword``, compared by
-    ``.lower()`` as ``sexpr.iter_blocks`` compares it, in document order,
-    nested lists included."""
+    ``.lower()`` as ``sexpr.iter_blocks`` compares it, in document order."""
     wanted = keyword.lower()
     if not wanted or re.search(r"[ \t\r\n\f\v();]", wanted):
         return  # no atom
@@ -64,30 +54,26 @@ def _heads(text: str, keyword: str) -> Iterator[int]:
             yield start
 
 
-def _scan(text: str, start: int) -> tuple[Optional[int], Optional[int]]:
-    """The offset of the ')' of the list whose '(' is at ``start``, None if
-    it is never closed, and that of its last '(' at depth one, None if the
-    list holds no list."""
-    depth, last = 1, None
+def _scan(text: str, start: int) -> tuple[Optional[int], int]:
+    """The offset of the ')' of the list whose '(' is at ``start`` (None if
+    unclosed), and of its last '(' at depth one, or else of its head's lead."""
+    depth, last = 1, start + 1
     for match in _STRUCTURE.finditer(text, start + 1):
         token = match[0]
-        if token == "(":
-            depth += 1
-            if depth == 2:
-                last = match.start()
-        elif token == ")":
+        if token == ")":
             depth -= 1
             if not depth:
                 return match.start(), last
-        elif depth == 1 and token[0] == "(":
-            last = match.start()
+        elif token[0] == "(":
+            if depth == 1:
+                last = match.start()
+            depth += token == "("
     return None, last
 
 
 def read_construct(keyword: str, file: Path) -> list[SExprNode]:
-    """All blocks headed by ``keyword`` in the file, in document order. Each
-    is parsed alone, with the whitespace before it, and is the node the
-    whole file's tree would hold."""
+    """All blocks headed by ``keyword`` in the file, in document order, each
+    parsed alone with its lead, as the whole file's tree holds it."""
     text = Document.read(file).text
     blocks: list[SExprNode] = []
     at = offset = 0  # a character offset and its byte offset
@@ -98,8 +84,7 @@ def read_construct(keyword: str, file: Path) -> list[SExprNode]:
         if text.find(";", text.rfind("\n", 0, lead) + 1, lead) >= 0:
             lead = text.index("\n", lead)  # a comment runs to its line's end
         offset += len(text[at:lead].encode("utf-8"))
-        at = lead
-        close = _scan(text, start)[0]
+        at, close = lead, _scan(text, start)[0]
         blocks += parse_sexpr(text[lead:len(text) if close is None
                                    else close + 1], offset)[0]
     return blocks
@@ -121,51 +106,48 @@ def parse_constructs(text: str) -> list[SExprNode]:
     return nodes
 
 
-def _line_prefix(data: bytes, last: Optional[int]) -> str:
-    """The prefix of each entry added to a block whose last entry starts at
-    byte ``last``: a line break of the kind (CRLF or LF) that precedes that
-    entry, then its column in spaces. A block with no entries, ``last``
-    None, gets a single space instead."""
+def _insertion_state(doc: Document, block: SExprNode | str) -> tuple[int, str]:
+    """Where to splice inside ``block``, a parsed list or the keyword of the
+    first block the index finds, and the line prefix: a line break of the
+    kind (CRLF or LF) before the block's last entry and its column, or a
+    single space if the block has no entry."""
+    if isinstance(block, str):
+        text = doc.text
+        start = next(_heads(text, block), None)
+        if start is None:
+            raise ConstructError("file contains no s-expressions"
+                                 if re.fullmatch("\ufeff?" + _GAP, text) else
+                                 f"no block headed by {block!r} found")
+        # Only the block's end is parsed, from its last list or its head.
+        close, first = _scan(text, start)
+        end = len(text) if close is None else close
+        insert_at = len(text[:end].encode("utf-8"))
+        entries = [n for n in parse_sexpr(text[first:end], len(
+            text[:first].encode("utf-8")))[0] if not n.is_trivia]
+        last = entries[-1] if len(entries) > (first == start + 1) else None
+    else:
+        assert block.span is not None
+        insert_at = block.span.end - 1 if block.closed else block.span.end
+        # The last entry, found from the end: a long block is not walked whole.
+        last = next((c for c in reversed(block.children) if not c.is_trivia),
+                    None)
+        last = None if last is block.head() else last
     if last is None:
-        return " "
-    line_start = data.rfind(b"\n", 0, last) + 1
-    crlf = data[max(line_start - 2, 0):line_start] == b"\r\n"
-    return ("\r\n" if crlf else "\n") + " " * (last - line_start)
+        return insert_at, " "
+    at = last.span.start
+    line_start = doc.data.rfind(b"\n", 0, at) + 1
+    crlf = doc.data[max(line_start - 2, 0):line_start] == b"\r\n"
+    return insert_at, ("\r\n" if crlf else "\n") + " " * (at - line_start)
 
 
-def _insertion_state(data: bytes, block: SExprNode) -> tuple[int, str]:
-    """Where to splice inside a parsed ``block`` and the line prefix."""
-    assert block.span is not None
-    # The last entry, found from the end: a long block is not walked whole.
-    last = next((c for c in reversed(block.children) if not c.is_trivia), None)
-    return (block.span.end - 1 if block.closed else block.span.end,
-            _line_prefix(data, None if last is None or last is block.head()
-                         else last.span.start))
-
-
-def _indexed_insertion_state(doc: Document, keyword: str) -> tuple[int, str]:
-    """Where to splice inside the first block headed by ``keyword`` and the
-    line prefix, from the index. Only the block's end is parsed: from its
-    last '(' at depth one, or else from its head, to its ')'."""
-    text = doc.text
-    start = next(_heads(text, keyword), None)
-    if start is None:
-        raise ConstructError("file contains no s-expressions"
-                             if _NOTHING.fullmatch(text) else
-                             f"no block headed by {keyword!r} found")
-    close, last = _scan(text, start)
-    end = len(text) if close is None else close
-    first = start + 1 if last is None else last
-    entries = [n for n in parse_sexpr(text[first:end], len(
-        text[:first].encode("utf-8")))[0] if not n.is_trivia]
-    if last is None:
-        del entries[0]  # the head
-    return (len(text[:end].encode("utf-8")),
-            _line_prefix(doc.data, entries[-1].span.start if entries else None))
-
-
-def _pieces(data: bytes, insert_at: int, prefix: str,
-            constructs: Iterable[SExprNode | str]) -> Iterator[bytes]:
+def splice(doc: Document, block: SExprNode | str,
+           constructs: Iterable[SExprNode | str]) -> Iterator[bytes]:
+    """The bytes of ``doc`` with constructs spliced into ``block`` (as
+    ``_insertion_state`` takes it), in pieces: the bytes before the splice,
+    each construct, a node (verbatim, without its lead) or a string,
+    rendered after its line prefix when asked for, and the bytes after."""
+    data = doc.data
+    insert_at, prefix = _insertion_state(doc, block)
     yield data[:insert_at]
     for item in constructs:
         yield (prefix + (item if isinstance(item, str)
@@ -173,17 +155,7 @@ def _pieces(data: bytes, insert_at: int, prefix: str,
     yield data[insert_at:]
 
 
-def splice(doc: Document, block: SExprNode,
-           constructs: Iterable[SExprNode | str]) -> Iterator[bytes]:
-    """The bytes of ``doc`` with constructs spliced into ``block``, in
-    pieces: the bytes before the splice, each construct after its line
-    prefix, then the bytes from the splice on. Each construct is either a
-    node (serialized verbatim, without its lead) or an already-rendered
-    string, and is only rendered when its piece is asked for."""
-    return _pieces(doc.data, *_insertion_state(doc.data, block), constructs)
-
-
-def append_to_block(doc: Document, block: SExprNode,
+def append_to_block(doc: Document, block: SExprNode | str,
                     constructs: Iterable[SExprNode | str]) -> str:
     """Splice constructs into ``block`` of ``doc``; pure, no file I/O. Every
     byte outside the splice is kept, CR bytes included."""
@@ -192,11 +164,8 @@ def append_to_block(doc: Document, block: SExprNode,
 
 def insert_construct(source: Union[str, Document], keyword: str,
                      constructs: Sequence[SExprNode]) -> str:
-    """Append constructs to the first block headed by ``keyword``, found
-    through the index; every byte outside the splice is kept."""
-    doc = as_document(source)
-    return b"".join(_pieces(doc.data, *_indexed_insertion_state(doc, keyword),
-                            constructs)).decode("utf-8")
+    """Append constructs to the first block headed by ``keyword``."""
+    return append_to_block(as_document(source), keyword, constructs)
 
 
 def write_atomically(path: Path, text: str) -> None:

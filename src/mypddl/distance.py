@@ -259,7 +259,7 @@ def _rendered_rows(doc: Document, predicate_name: str,
             "no-locations"))
         return init_block, None, diagnostics
 
-    _, prefix = _insertion_state(doc.data, init_block)
+    _, prefix = _insertion_state(doc, init_block)
     targets = [f"{f.object_name} " for f in facts]
     upper = map(_format_row, _distance_rows(facts))
 

@@ -167,9 +167,8 @@ def gc_paused() -> Iterator[None]:
 
 def parse_sexpr(text: str, offset: int = 0,
                 ) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
-    """Parse source text into a lossless forest; ``text`` may be a slice of
-    a file that starts at byte ``offset``, which every span then counts
-    from.
+    """Parse source text, or a slice of a file at byte ``offset``, into a
+    lossless forest whose spans count from the file's start.
 
     Never raises on malformed input: an unclosed list is closed at end of
     input and a stray ')' becomes an atom, each with an Error diagnostic.
@@ -191,11 +190,9 @@ def parse_sexpr(text: str, offset: int = 0,
         # The last match is empty; one before it may hold trailing whitespace.
         pieces = _LEXEME.findall(text)[:-1]
         trailing = pieces.pop()[0] if pieces and not pieces[-1][1] else ""
-        i = offset
-        if pieces and pieces[0] == ("", "\ufeff"):
-            i += 3
-            level.append(SExprNode(NodeKind.WHITESPACE, text[0], (),
-                                   _span(offset, i)))
+        i = offset + 3 if pieces and pieces[0] == ("", "\ufeff") else offset
+        if i > offset:
+            level.append(SExprNode(NodeKind.WHITESPACE, text[0], (), _span(offset, i)))
             del pieces[0]
         for lead, piece in pieces:
             i += len(lead)
@@ -268,8 +265,7 @@ class Document:
         self.path = path
         self.data = data
         self.text = text
-        self._parsed: Optional[tuple[list[SExprNode],
-                                     list[ParseDiagnostic]]] = None
+        self._parsed = None
         self._line_starts: Optional[list[int]] = None
 
     def _parse(self) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
