@@ -40,12 +40,11 @@ def _heads(text: str, keyword: str) -> Iterator[int]:
     """The offset of the '(' of each list headed by ``keyword``, compared by
     ``.lower()`` as ``sexpr.iter_blocks`` compares it, in document order."""
     wanted = keyword.lower()
-    if not wanted or re.search(r"[ \t\r\n\f\v();]", wanted):
-        return  # no atom
     # Ignoring case matches each character c as c.lower() does, except 'İ',
-    # whose lower case is two characters.
+    # whose lower case is two characters; the match is then a whole atom.
     pattern = re.escape(wanted).replace("i\u0307", "(?:i\u0307|\u0130)")
-    for match in re.finditer(rf"\({_GAP}({pattern})(?![^ \t\r\n\f\v();])",
+    atom = "[^ \t\r\n\f\v();]"
+    for match in re.finditer(rf"\({_GAP}(?={pattern}(?!{atom}))({atom}+)",
                              text, re.IGNORECASE):
         start = match.start()
         # A '(' after a ';' on its line is inside a comment.
@@ -146,13 +145,12 @@ def splice(doc: Document, block: SExprNode | str,
     ``_insertion_state`` takes it), in pieces: the bytes before the splice,
     each construct, a node (verbatim, without its lead) or a string,
     rendered after its line prefix when asked for, and the bytes after."""
-    data = doc.data
     insert_at, prefix = _insertion_state(doc, block)
-    yield data[:insert_at]
+    yield doc.data[:insert_at]
     for item in constructs:
         yield (prefix + (item if isinstance(item, str)
                          else serialize_node(item))).encode("utf-8")
-    yield data[insert_at:]
+    yield doc.data[insert_at:]
 
 
 def append_to_block(doc: Document, block: SExprNode | str,
