@@ -29,8 +29,9 @@ class ConstructError(MyPddlError):
     pass
 
 
-# The whitespace of ``sexpr._LEXEME`` (``\s`` takes in atom text) and whole
-# comments, as one that could end early would expose a head: "(;x (:init".
+# Whitespace as ``sexpr._LEXEME`` has it (``\s`` also matches spaces that
+# the reader takes for atom text), then whole comments: a comment that could
+# end early would expose a head inside it, as in "(;x (:init".
 _GAP = r"[ \t\r\n\f\v]*(?:;[^\n]*(?![^\n])[ \t\r\n\f\v]*)*"
 # A list holding no list and no comment, a paren, or a comment.
 _STRUCTURE = re.compile(r"\([^();]*\)|[()]|;[^\n]*")
