@@ -84,7 +84,8 @@ def read_construct(keyword: str, file: Path) -> list[SExprNode]:
         if text.find(";", text.rfind("\n", 0, lead) + 1, lead) >= 0:
             lead = text.index("\n", lead)  # a comment runs to its line's end
         offset += len(text[at:lead].encode("utf-8"))
-        at, close = lead, _scan(text, start)[0]
+        at = lead
+        close = _scan(text, start)[0]
         blocks += parse_sexpr(text[lead:len(text) if close is None
                                    else close + 1], offset)[0]
     return blocks
@@ -124,7 +125,9 @@ def _insertion_state(doc: Document, block: SExprNode | str) -> tuple[int, str]:
         insert_at = len(text[:end].encode("utf-8"))
         entries = [n for n in parse_sexpr(text[first:end], len(
             text[:first].encode("utf-8")))[0] if not n.is_trivia]
-        last = entries[-1] if len(entries) > (first == start + 1) else None
+        if first == start + 1:
+            del entries[0]  # the head
+        last = entries[-1] if entries else None
     else:
         assert block.span is not None
         insert_at = block.span.end - 1 if block.closed else block.span.end
@@ -142,16 +145,19 @@ def _insertion_state(doc: Document, block: SExprNode | str) -> tuple[int, str]:
 
 def splice(doc: Document, block: SExprNode | str,
            constructs: Iterable[SExprNode | str]) -> Iterator[bytes]:
-    """The bytes of ``doc`` with constructs spliced into ``block`` (as
-    ``_insertion_state`` takes it), in pieces: the bytes before the splice,
-    each construct, a node (verbatim, without its lead) or a string,
-    rendered after its line prefix when asked for, and the bytes after."""
+    """The bytes of ``doc`` with constructs spliced into ``block``, a parsed
+    list or a keyword, in pieces: the bytes before the splice, each
+    construct after its line prefix, then the bytes from the splice on.
+    Each construct is either a node (serialized verbatim, without its lead)
+    or an already-rendered string, and is only rendered when its piece is
+    asked for."""
+    data = doc.data
     insert_at, prefix = _insertion_state(doc, block)
-    yield doc.data[:insert_at]
+    yield data[:insert_at]
     for item in constructs:
         yield (prefix + (item if isinstance(item, str)
                          else serialize_node(item))).encode("utf-8")
-    yield doc.data[insert_at:]
+    yield data[insert_at:]
 
 
 def append_to_block(doc: Document, block: SExprNode | str,
