@@ -457,8 +457,9 @@ class _Walk:
             elif kind is _LIST:
                 if items is not None:
                     self.flat_emit(child, _UNSCOPED)
-                    self.warn(child, "expression where a name was expected "
-                              "in typed list", "bad-typed-list-item")
+                    self.warn(child, f"expression where a {items.name.lower()}"
+                              " was expected in typed list",
+                              "bad-typed-list-item")
                 elif record:
                     run.append(child)
                 else:

@@ -735,6 +735,20 @@ def test_an_atom_item_of_the_wrong_class_is_reported_and_left_out():
     assert [d.code for d in diagnostics] == ["bad-typed-list-item"]
 
 
+@pytest.mark.parametrize("text,item", [
+    ("(define (domain d) (:action a :parameters (?x (y)) :effect (p)))",
+     "variable"),
+    ("(define (domain d) (:predicates (p ?x (q))))", "variable"),
+    ("(define (domain d) (:types a (b)))", "name"),
+    ("(define (problem p) (:domain d) (:objects o (b)) (:goal (g)))", "name"),
+])
+def test_a_list_item_names_the_class_its_typed_list_expects(text, item):
+    parse = parse_problem if "(problem" in text else parse_domain
+    _, diagnostics = parse(text)
+    assert [d.message for d in diagnostics] == \
+        [f"expression where a {item} was expected in typed list"]
+
+
 @pytest.mark.parametrize("depth", [5, _MAX_GRAMMAR_DEPTH + 5])
 @pytest.mark.parametrize("outer,inner", [
     ("(:foo {}))", "(x "),
