@@ -293,7 +293,7 @@ EXPECTED = {
     "grammar/generated": (
         "173367573deeefde4c63b9c256b010b9b4a5167d77371f6a0ef8edc04d55dda7",
         "e8f50c7aeb6a4c3d06042f1106b6b67204a5c64ed7b96b8a01516c0b781f81e3",
-        "924ab15cfaa7eef68c4b4d6f86213e2651fc9414ffe59b08b624f2a673d1f0bd",
+        "fd76b6036f04f253d6857affbc99a7e4cbe7b3cf9d38323b14e3000659cfc797",
         "f96edb85196aa9576dc1dc78cbcaa640fbfd881a9a70b7b7bb2fc1d410366f7a"),
 }
 
