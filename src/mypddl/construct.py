@@ -8,6 +8,7 @@ index, as simdjson does (Langdale and Lemire, 2019), and parse only those.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import os
 import re
@@ -33,20 +34,24 @@ class ConstructError(MyPddlError):
 # the reader takes for atom text), then whole comments: a comment that could
 # end early would expose a head inside it, as in "(;x (:init".
 _GAP = r"[ \t\r\n\f\v]*(?:;[^\n]*(?![^\n])[ \t\r\n\f\v]*)*"
-# A list holding no list and no comment, a paren, or a comment.
-_STRUCTURE = re.compile(r"\([^();]*\)|[()]|;[^\n]*")
+_SKIP_GAP = re.compile(_GAP).match
+# A run of whitespace, atoms and lists that hold no list and no comment.
+_FLAT = re.compile(r"(?:[^();]+|\([^();]*\))*").match
+_SPACE = " \t\r\n\f\v"
+_ENTRY = re.compile(f"[^{_SPACE}]").search
+_COMMENT = re.compile(r";[^\n]*").match
 
 
-def _heads(text: str, keyword: str) -> Iterator[int]:
-    """The offset of the '(' of each list headed by ``keyword``, compared by
-    ``.lower()`` as ``sexpr.iter_blocks`` compares it, in document order."""
+def _heads(text: str, keyword: str, pos: int = 0) -> Iterator[int]:
+    """The offset of the '(' of each list headed by ``keyword`` from ``pos``
+    on, in document order, compared by ``.lower()`` as ``iter_blocks`` is."""
     wanted = keyword.lower()
     # Ignoring case matches each character c as c.lower() does, except 'İ',
     # whose lower case is two characters; the match is then a whole atom.
     pattern = re.escape(wanted).replace("i\u0307", "(?:i\u0307|\u0130)")
     atom = "[^ \t\r\n\f\v();]"
-    for match in re.finditer(rf"\({_GAP}(?={pattern}(?!{atom}))({atom}+)",
-                             text, re.IGNORECASE):
+    for match in re.compile(rf"\({_GAP}(?={pattern}(?!{atom}))({atom}+)",
+                            re.IGNORECASE).finditer(text, pos):
         start = match.start()
         # A '(' after a ';' on its line is inside a comment.
         if match[1].lower() == wanted and \
@@ -54,41 +59,57 @@ def _heads(text: str, keyword: str) -> Iterator[int]:
             yield start
 
 
-def _scan(text: str, start: int) -> tuple[Optional[int], int]:
+def _scan(text: str, start: int, bounds: Optional[list[int]] = None,
+          ) -> tuple[Optional[int], Optional[tuple[int, int]]]:
     """The offset of the ')' of the list whose '(' is at ``start`` (None if
-    unclosed), and of its last '(' at depth one, or else of its head's lead."""
-    depth, last = 1, start + 1
-    for match in _STRUCTURE.finditer(text, start + 1):
-        token = match[0]
-        if token == ")":
-            depth -= 1
-            if not depth:
-                return match.start(), last
-        elif token[0] == "(":
-            if depth == 1:
-                last = match.start()
-            depth += token == "("
-    return None, last
+    unclosed), and the last stretch at depth one holding an entry, the head
+    included: a run of whitespace, atoms and flat lists, one regex match,
+    and any nested list's '(' after it. ``bounds`` gets each stretch."""
+    depth, at, last = 1, start + 1, None
+    while True:
+        end = _FLAT(text, at).end()
+        stop = end + text.startswith("(", end)
+        if depth == 1 and stop > at:
+            if bounds is not None:
+                bounds += (at, stop)
+            if stop > end or _ENTRY(text, at, stop):
+                last = (at, stop)
+        if end == len(text):
+            return None, last
+        if text[end] == ";":
+            at = _COMMENT(text, end).end()
+            continue
+        depth += 1 if stop > end else -1
+        if not depth:
+            return end, last
+        at = end + 1
+
+
+def _parse_slices(text: str, slices: Iterable[tuple[int, int]],
+                  ) -> list[SExprNode]:
+    """The nodes of each ``text[start:end]``, parsed alone at its offset."""
+    nodes, at, offset = [], 0, 0  # a character offset and its byte offset
+    for start, end in slices:
+        offset += len(text[at:start].encode("utf-8"))
+        nodes += parse_sexpr(text[start:end], offset)[0]
+        at = start
+    return nodes
 
 
 def read_construct(keyword: str, file: Path) -> list[SExprNode]:
     """All blocks headed by ``keyword`` in the file, in document order, each
     parsed alone with its lead, as the whole file's tree holds it."""
     text = Document.read(file).text
-    blocks: list[SExprNode] = []
-    at = offset = 0  # a character offset and its byte offset
-    for start in _heads(text, keyword):
+
+    def block(start: int) -> tuple[int, int]:
         lead = start
-        while lead and text[lead - 1] in " \t\r\n\f\v":
+        while lead and text[lead - 1] in _SPACE:
             lead -= 1
         if text.find(";", text.rfind("\n", 0, lead) + 1, lead) >= 0:
             lead = text.index("\n", lead)  # a comment runs to its line's end
-        offset += len(text[at:lead].encode("utf-8"))
-        at = lead
         close = _scan(text, start)[0]
-        blocks += parse_sexpr(text[lead:len(text) if close is None
-                                   else close + 1], offset)[0]
-    return blocks
+        return lead, len(text) if close is None else close + 1
+    return _parse_slices(text, map(block, _heads(text, keyword)))
 
 
 def parse_constructs(text: str) -> list[SExprNode]:
@@ -107,11 +128,12 @@ def parse_constructs(text: str) -> list[SExprNode]:
     return nodes
 
 
-def _insertion_state(doc: Document, block: SExprNode | str) -> tuple[int, str]:
+def _insertion_state(doc: Document, block: SExprNode | str,
+                     bounds: Optional[list[int]] = None) -> tuple[int, str]:
     """Where to splice inside ``block``, a parsed list or the keyword of the
-    first block the index finds, and the line prefix: a line break of the
-    kind (CRLF or LF) before the block's last entry and its column, or a
-    single space if the block has no entry."""
+    first block the index finds (whose ``bounds`` ``_scan`` gets), and the
+    line prefix: a line break of the kind (CRLF or LF) before the block's
+    last entry and its column, or a single space if it has no entry."""
     if isinstance(block, str):
         text = doc.text
         start = next(_heads(text, block), None)
@@ -119,40 +141,67 @@ def _insertion_state(doc: Document, block: SExprNode | str) -> tuple[int, str]:
             raise ConstructError("file contains no s-expressions"
                                  if re.fullmatch("\ufeff?" + _GAP, text) else
                                  f"no block headed by {block!r} found")
-        # Only the block's end is parsed, from its last list or its head.
-        close, first = _scan(text, start)
+        # Nothing is parsed: the last entry is a list's '(' or else the last
+        # atom of the stretch the scan found.
+        close, stretch = _scan(text, start, bounds)
         end = len(text) if close is None else close
         insert_at = len(text[:end].encode("utf-8"))
-        entries = [n for n in parse_sexpr(text[first:end], len(
-            text[:first].encode("utf-8")))[0] if not n.is_trivia]
-        if first == start + 1:
-            del entries[0]  # the head
-        last = entries[-1] if entries else None
+        first, last = stretch
+        last = first + len(text[first:last].rstrip(_SPACE)) - 1
+        if text[last] == ")":
+            last = text.rfind("(", first, last)
+        elif text[last] != "(":
+            last = max(first - 1, *(text.rfind(c, first, last)
+                                    for c in _SPACE + ")")) + 1
+        at = None if last == _SKIP_GAP(text, start + 1).end() else \
+            insert_at - len(text[last:end].encode("utf-8"))  # not the head
     else:
         assert block.span is not None
         insert_at = block.span.end - 1 if block.closed else block.span.end
         # The last entry, found from the end: a long block is not walked whole.
         last = next((c for c in reversed(block.children) if not c.is_trivia),
                     None)
-        last = None if last is block.head() else last
-    if last is None:
+        at = None if last is None or last is block.head() else last.span.start
+    if at is None:
         return insert_at, " "
-    at = last.span.start
     line_start = doc.data.rfind(b"\n", 0, at) + 1
     crlf = doc.data[max(line_start - 2, 0):line_start] == b"\r\n"
     return insert_at, ("\r\n" if crlf else "\n") + " " * (at - line_start)
 
 
-def splice(doc: Document, block: SExprNode | str,
+def _entries(doc: Document, keyword: str, head: str,
+             ) -> tuple[Optional[list[SExprNode]], int, str]:
+    """The lists headed by ``head`` among the entries of the first block
+    headed by ``keyword`` (None with no such block), each run of them
+    parsed as one slice, and where to splice inside it with the prefix."""
+    bounds: list[int] = []
+    try:
+        insert_at, prefix = _insertion_state(doc, keyword, bounds)
+    except ConstructError:
+        return None, 0, ""
+    text, runs = doc.text, []
+    for at in _heads(text, head, bounds[0]):
+        i = bisect.bisect_right(bounds, at)
+        if i == len(bounds):
+            break  # past the block
+        if i % 2:  # an entry: a flat list, or a nested list's '('
+            close = _scan(text, at)[0] if bounds[i] == at + 1 \
+                else text.index(")", at)
+            end = len(text) if close is None else close + 1
+            if runs and _SKIP_GAP(text, runs[-1][1]).end() == at:
+                runs[-1][1] = end
+            else:
+                runs.append([at, end])
+    return _parse_slices(text, runs), insert_at, prefix
+
+
+def splice(doc: Document, insert_at: int, prefix: str,
            constructs: Iterable[SExprNode | str]) -> Iterator[bytes]:
-    """The bytes of ``doc`` with constructs spliced into ``block``, a parsed
-    list or a keyword, in pieces: the bytes before the splice, each
-    construct after its line prefix, then the bytes from the splice on.
-    Each construct is either a node (serialized verbatim, without its lead)
-    or an already-rendered string, and is only rendered when its piece is
-    asked for."""
+    """The bytes of ``doc`` in pieces: those before byte ``insert_at``, each
+    construct after the line ``prefix``, then the rest. A construct is a
+    node (serialized verbatim, without its lead) or an already-rendered
+    string, and is only rendered when its piece is asked for."""
     data = doc.data
-    insert_at, prefix = _insertion_state(doc, block)
     yield data[:insert_at]
     for item in constructs:
         yield (prefix + (item if isinstance(item, str)
@@ -162,9 +211,11 @@ def splice(doc: Document, block: SExprNode | str,
 
 def append_to_block(doc: Document, block: SExprNode | str,
                     constructs: Iterable[SExprNode | str]) -> str:
-    """Splice constructs into ``block`` of ``doc``; pure, no file I/O. Every
-    byte outside the splice is kept, CR bytes included."""
-    return b"".join(splice(doc, block, constructs)).decode("utf-8")
+    """Splice constructs into ``block`` of ``doc``, a parsed list or a
+    keyword; pure, no file I/O. Every byte outside the splice is kept, CR
+    bytes included."""
+    return b"".join(splice(doc, *_insertion_state(doc, block),
+                           constructs)).decode("utf-8")
 
 
 def insert_construct(source: Union[str, Document], keyword: str,

@@ -18,12 +18,7 @@ from operator import add, mod
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .construct import (
-    _insertion_state,
-    append_to_block,
-    splice,
-    write_pieces_atomically,
-)
+from .construct import _entries, splice, write_pieces_atomically
 from .model import is_number
 from .sexpr import (
     Document,
@@ -34,7 +29,6 @@ from .sexpr import (
     SExprNode,
     Span,
     as_document,
-    iter_blocks,
 )
 
 DEFAULT_PREDICATE = "location"
@@ -67,22 +61,23 @@ def extract_locations(problem: Union[str, Document],
     """Collect coordinate facts from the first (:init ...) block.
 
     Every fact must name a distinct object and all facts must share one
-    dimension; violations become Error diagnostics.
+    dimension; violations become Error diagnostics. Only the facts are
+    parsed, not the whole file.
     """
-    return _locations(next(iter_blocks(as_document(problem).forest, ":init"),
-                           None), predicate_name)
+    return _locations(_entries(as_document(problem), ":init",
+                               predicate_name)[0], predicate_name)
 
 
-def _locations(init_block: Optional[SExprNode], predicate_name: str,
+def _locations(nodes: Optional[list[SExprNode]], predicate_name: str,
                ) -> tuple[list[LocationFact], list[ParseDiagnostic]]:
-    """`extract_locations` on an already found (:init ...) block, or None."""
+    """`extract_locations` on the nodes read from an (:init ...) block."""
     diagnostics: list[ParseDiagnostic] = []
     facts: list[LocationFact] = []
 
     def error(span: Span, message: str, code: str) -> None:
         diagnostics.append(ParseDiagnostic(span, Severity.ERROR, message, code))
 
-    if init_block is None:
+    if nodes is None:
         diagnostics.append(ParseDiagnostic(
             Span(0, 0), Severity.WARNING,
             "problem has no (:init ...) block", "missing-init"))
@@ -91,8 +86,7 @@ def _locations(init_block: Optional[SExprNode], predicate_name: str,
     wanted = predicate_name.lower()
     seen: dict[str, LocationFact] = {}
     first_dim: Optional[tuple[str, int]] = None
-    for fact_node in init_block.values()[1:]:
-        # An atom has no head, so a stray one is skipped with the rest.
+    for fact_node in nodes:
         head = fact_node.head()
         if head is None or head.kind is not NodeKind.ATOM \
                 or head.text.lower() != wanted:
@@ -240,15 +234,14 @@ def distance_facts(facts: Sequence[LocationFact]) -> list[DistanceFact]:
             for a, row in zip(facts, rows) for b, value in zip(facts, row)]
 
 
-def _rendered_rows(doc: Document, predicate_name: str,
-                   ) -> tuple[Optional[SExprNode], Optional[Iterator[str]],
-                              list[ParseDiagnostic]]:
-    """The (:init ...) block of ``doc``, the distance facts to append to it
-    as one string per source row (None with zero locations), and the
-    diagnostics. Each row is computed when it is taken, so an overflow
-    raises from the iterator; errors in the locations raise at once."""
-    init_block = next(iter_blocks(doc.forest, ":init"), None)
-    facts, diagnostics = _locations(init_block, predicate_name)
+def _spliced(doc: Document, predicate_name: str,
+             ) -> tuple[Iterable[bytes], list[ParseDiagnostic]]:
+    """The bytes of ``doc`` with the distance facts appended to its
+    (:init ...) block, in pieces, one per source row, and the diagnostics.
+    Each row is computed when it is taken, so an overflow raises from the
+    iterator; errors in the locations raise at once."""
+    nodes, insert_at, prefix = _entries(doc, ":init", predicate_name)
+    facts, diagnostics = _locations(nodes, predicate_name)
     errors = [d for d in diagnostics if d.severity is Severity.ERROR]
     if errors:
         raise DistanceError("; ".join(d.message for d in errors))
@@ -257,9 +250,8 @@ def _rendered_rows(doc: Document, predicate_name: str,
             Span(0, 0), Severity.WARNING,
             f"no {predicate_name!r} facts found; nothing to do",
             "no-locations"))
-        return init_block, None, diagnostics
+        return [doc.data], diagnostics
 
-    _, prefix = _insertion_state(doc, init_block)
     targets = [f"{f.object_name} " for f in facts]
     upper = map(_format_row, _distance_rows(facts))
 
@@ -268,7 +260,7 @@ def _rendered_rows(doc: Document, predicate_name: str,
             head = f"({DISTANCE_PREDICATE} {a.object_name} "
             yield head + (")" + prefix + head).join(
                 map(add, targets, values)) + ")"
-    return init_block, rows(), diagnostics
+    return splice(doc, insert_at, prefix, rows()), diagnostics
 
 
 def augment_with_distances(problem: Union[str, Document],
@@ -280,11 +272,8 @@ def augment_with_distances(problem: Union[str, Document],
     extraction abort with a DistanceError; zero locations is a warning
     no-op.
     """
-    doc = as_document(problem)
-    init_block, rows, diagnostics = _rendered_rows(doc, predicate_name)
-    if rows is None:
-        return doc.text, diagnostics
-    return append_to_block(doc, init_block, rows), diagnostics
+    pieces, diagnostics = _spliced(as_document(problem), predicate_name)
+    return b"".join(pieces).decode("utf-8"), diagnostics
 
 
 def augment_file(problem: Union[Path, Document],
@@ -297,11 +286,10 @@ def augment_file(problem: Union[Path, Document],
     row at a time, never held whole; if one fails, nothing is written."""
     doc = problem if isinstance(problem, Document) else Document.read(problem)
     problem_file = doc.path
-    init_block, rows, diagnostics = _rendered_rows(doc, predicate_name)
+    pieces, diagnostics = _spliced(doc, predicate_name)
     if output_file is None:
         output_file = problem_file.with_name(
             problem_file.stem + "_dist" + problem_file.suffix)
     output_file = Path(output_file)
-    write_pieces_atomically(output_file, [doc.data] if rows is None
-                            else splice(doc, init_block, rows))
+    write_pieces_atomically(output_file, pieces)
     return output_file, diagnostics

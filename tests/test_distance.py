@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from mypddl import distance
 from mypddl.cli import main
+from mypddl.construct import append_to_block
 
 from mypddl.distance import (
     DistanceError,
@@ -25,7 +26,7 @@ from mypddl.distance import (
     format_distance,
 )
 from mypddl.model import parse_problem
-from mypddl.sexpr import Document, Severity, Span, serialize_node
+from mypddl.sexpr import Document, Severity, Span, iter_blocks, serialize_node
 
 from conftest import CORPUS, benchmark_inputs
 
@@ -416,19 +417,105 @@ def test_augment_matches_naive_n_squared(points):
     assert updated == expected
 
 
-def test_augment_looks_up_the_init_block_once(monkeypatch):
-    looked_up = []
-    iter_blocks = distance.iter_blocks
+def test_distance_parses_no_tree_of_the_whole_file(tmp_path):
+    path = tmp_path / "p.pddl"
+    path.write_text(problem_with_init("(location a 0 0) (location b 3 4)"),
+                    encoding="utf-8")
+    doc = Document.read(path)
+    facts, _ = extract_locations(doc)
+    assert [f.object_name for f in facts] == ["a", "b"]
+    assert doc._parsed is None
+    out, _ = augment_file(doc, tmp_path / "out.pddl")
+    assert b"(distance a b 5.0)" in out.read_bytes()
+    assert doc._parsed is None
 
-    def spy(forest, keyword):
-        looked_up.append(keyword)
-        return iter_blocks(forest, keyword)
 
-    monkeypatch.setattr(distance, "iter_blocks", spy)
-    text = problem_with_init("(location a 0 0) (location b 3 4)")
-    updated, _ = augment_with_distances(text)
-    assert "(distance a b 5.0)" in updated
-    assert looked_up == [":init"]
+# -- the structural index against the tree ---------------------------------------
+
+def _tree_locations(doc, predicate):
+    """The locations as read from the whole file's tree: each entry of the
+    first (:init ...) block after its head."""
+    block = next(iter_blocks(doc.forest, ":init"), None)
+    return block, distance._locations(
+        None if block is None else block.values()[1:], predicate)
+
+
+def _tree_augment(text, predicate):
+    """What ``augment_with_distances`` gives, spliced into the tree's block,
+    or the message of its error."""
+    doc = Document(text.encode("utf-8"))
+    block, (facts, diagnostics) = _tree_locations(doc, predicate)
+    errors = [d.message for d in diagnostics if d.severity is Severity.ERROR]
+    if errors:
+        return "error", "; ".join(errors)
+    if not facts:
+        return "text", text, [d.code for d in diagnostics] + ["no-locations"]
+    rows = [f"(distance {f.from_object} {f.to_object} "
+            f"{format_distance(f.value)})" for f in distance_facts(facts)]
+    return ("text", append_to_block(doc, block, rows),
+            [d.code for d in diagnostics])
+
+
+def _augment(text, predicate):
+    try:
+        updated, diagnostics = augment_with_distances(text, predicate)
+    except DistanceError as exc:
+        return "error", str(exc)
+    return "text", updated, [d.code for d in diagnostics]
+
+
+_NAMES = ["a", "b", "c", "é"]
+# Mostly numbers, so that many cases get as far as the splice.
+_COORDS = ["0", "3", "4.5", "-1", "7", "2", "x", "(1)"]
+_SEPARATORS = [" ", "\n   ", "\n ; (location z 9 9)\n   ", "\t", ";\n"]
+
+
+@st.composite
+def _location(draw):
+    head = draw(st.sampled_from(["location", "LOCATION", "Location"]))
+    parts = [head, draw(st.sampled_from(_NAMES + ["(a)"]))]
+    parts += draw(st.lists(st.sampled_from(_COORDS), min_size=2, max_size=2)
+                  | st.lists(st.sampled_from(_COORDS), max_size=3))
+    inner = st.sampled_from([" ", " ; c (x\n ", "\n"])
+    return "(" + "".join(p + draw(inner) for p in parts[:-1]) + parts[-1] \
+        + ")"
+
+
+@st.composite
+def _init_problems(draw):
+    """A problem whose (:init ...) block mixes location facts with other
+    entries, comments, stray atoms and closers, after a prefix that may
+    hold a byte order mark, non-ASCII atoms and location facts elsewhere."""
+    location = _location()
+    entry = st.one_of(
+        location, location, location,
+        st.sampled_from(["(at a)", "(= (f a) 1)", "x", ")", "; (location q 1 1)\n",
+                         "(not (location a 1 2))", "(location)", "()"]))
+    entries = draw(st.lists(entry, max_size=8))
+    separators = st.sampled_from(_SEPARATORS)
+    body = "".join(draw(separators) + e for e in entries)
+    prefix = draw(st.sampled_from([
+        "", "\ufeff", "; é ü\n", "(:objects é ü - t)\n",
+        "(:foo (location q 5 5))\n"]))
+    init = draw(st.sampled_from(["(:init", "(:INIT", "( ;c\n :init"]))
+    tail = draw(st.sampled_from([
+        ")\n  (:goal (location a 1 1)))\n", ")\n  (:init (location z 1 1)))",
+        ")", ""]))
+    text = f"{prefix}(define (problem p)\n  {init}{body}{tail}"
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    predicate = draw(st.sampled_from(
+        ["location"] * 6 + ["LOCATION", "", "a b", "(", "at", "not", ":init"]))
+    return text, predicate
+
+
+@given(_init_problems())
+@settings(max_examples=500, deadline=None)
+def test_the_index_reads_the_locations_of_the_tree(case):
+    text, predicate = case
+    _, expected = _tree_locations(Document(text.encode("utf-8")), predicate)
+    assert extract_locations(text, predicate) == expected
+    assert _augment(text, predicate) == _tree_augment(text, predicate)
 
 
 # -- the file is written a source row at a time -------------------------------
