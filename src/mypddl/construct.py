@@ -43,8 +43,8 @@ _COMMENT = re.compile(r";[^\n]*").match
 
 
 def _heads(text: str, keyword: str, pos: int = 0) -> Iterator[int]:
-    """The offset of the '(' of each list headed by ``keyword`` from ``pos``
-    on, in document order, compared by ``.lower()`` as ``iter_blocks`` is."""
+    """The offset of the '(' of each list from ``pos`` on whose head is
+    ``keyword`` by ``.lower()``, as for ``iter_blocks``, in document order."""
     wanted = keyword.lower()
     # Ignoring case matches each character c as c.lower() does, except 'İ',
     # whose lower case is two characters; the match is then a whole atom.
@@ -142,7 +142,7 @@ def _insertion_state(doc: Document, block: SExprNode | str,
                                  if re.fullmatch("\ufeff?" + _GAP, text) else
                                  f"no block headed by {block!r} found")
         # Nothing is parsed: the last entry is a list's '(' or else the last
-        # atom of the stretch the scan found.
+        # atom of the stretch the scan found, and the head is none.
         close, stretch = _scan(text, start, bounds)
         end = len(text) if close is None else close
         insert_at = len(text[:end].encode("utf-8"))
@@ -154,7 +154,7 @@ def _insertion_state(doc: Document, block: SExprNode | str,
             last = max(first - 1, *(text.rfind(c, first, last)
                                     for c in _SPACE + ")")) + 1
         at = None if last == _SKIP_GAP(text, start + 1).end() else \
-            insert_at - len(text[last:end].encode("utf-8"))  # not the head
+            insert_at - len(text[last:end].encode("utf-8"))
     else:
         assert block.span is not None
         insert_at = block.span.end - 1 if block.closed else block.span.end

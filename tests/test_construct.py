@@ -255,6 +255,16 @@ def test_insert_gives_the_bytes_of_the_tree_splice(tmp_path_factory, case):
     assert path.read_bytes() == written.encode("utf-8")
 
 
+@pytest.mark.parametrize("before", [" ", "\t", "\n", "\r\n", "\f", "\v", ")",
+                                    " ; (c\n", "\n (l) "])
+@pytest.mark.parametrize("last", ["b", "é", "(q)"])
+def test_insert_aligns_on_the_last_entry_after_any_separator(before, last):
+    text = f"(define (problem p)\n  (:init x\n   (a) y z{before}{last}))\n"
+    constructs = parse_constructs("(p a)")
+    assert insert_construct(text, ":init", constructs) == \
+        _tree_insert(text, ":init", constructs)
+
+
 @pytest.mark.parametrize("closed", [True, False])
 def test_insert_into_a_block_nested_200000_deep(tmp_path, closed):
     from click.testing import CliRunner

@@ -430,7 +430,7 @@ def test_distance_parses_no_tree_of_the_whole_file(tmp_path):
     assert doc._parsed is None
 
 
-# -- the structural index against the tree ---------------------------------------
+# -- the structural index against the tree ------------------------------------
 
 def _tree_locations(doc, predicate):
     """The locations as read from the whole file's tree: each entry of the
@@ -489,8 +489,8 @@ def _init_problems(draw):
     location = _location()
     entry = st.one_of(
         location, location, location,
-        st.sampled_from(["(at a)", "(= (f a) 1)", "x", ")", "; (location q 1 1)\n",
-                         "(not (location a 1 2))", "(location)", "()"]))
+        st.sampled_from(["(at a)", "(= (f a) 1)", "x", ")", "()", "(location)",
+                         "; (location q 1 1)\n", "(not (location a 1 2))"]))
     entries = draw(st.lists(entry, max_size=8))
     separators = st.sampled_from(_SEPARATORS)
     body = "".join(draw(separators) + e for e in entries)
