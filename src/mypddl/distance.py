@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import repeat
 from operator import add, mod
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .construct import _entries, splice, write_pieces_atomically
 from .model import is_number
@@ -41,15 +40,13 @@ class DistanceError(MyPddlError):
     pass
 
 
-@dataclass(frozen=True)
-class LocationFact:
+class LocationFact(NamedTuple):
     object_name: str
     coords: tuple[float, ...]
     span: Span
 
 
-@dataclass(frozen=True)
-class DistanceFact:
+class DistanceFact(NamedTuple):
     from_object: str
     to_object: str
     value: float

@@ -12,13 +12,13 @@ tree, so the original text is never copied or normalized.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, TypeVar, Union
+from typing import NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .sexpr import (
     Document,
     NodeKind,
     ParseDiagnostic,
+    Record,
     SExprNode,
     Severity,
     Span,
@@ -152,32 +152,31 @@ def is_number(text: str) -> bool:
     return bool(NUMBER_RE.match(text))
 
 
-@dataclass(frozen=True)
-class TypedEntry:
+class TypedEntry(NamedTuple):
     name: str
     type_name: str = DEFAULT_TYPE
     name_span: Optional[Span] = None
     type_span: Optional[Span] = None
 
 
-@dataclass
-class TypedList:
-    entries: list[TypedEntry] = field(default_factory=list)
+class TypedList(Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Optional[list[TypedEntry]] = None) -> None:
+        self.entries = [] if entries is None else entries
 
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
 
 
-@dataclass
-class PredicateDecl:
+class PredicateDecl(NamedTuple):
     name: str
     parameters: TypedList
     signature_text: str
     span: Optional[Span] = None
 
 
-@dataclass
-class FunctionDecl:
+class FunctionDecl(NamedTuple):
     name: str
     parameters: TypedList
     return_type: str
@@ -185,46 +184,68 @@ class FunctionDecl:
     span: Optional[Span] = None
 
 
-@dataclass
-class ActionDecl:
-    name: Optional[str]
-    parameters: TypedList
-    precondition: Optional[SExprNode] = None
-    effect: Optional[SExprNode] = None
-    span: Optional[Span] = None
+class ActionDecl(Record):
+    __slots__ = ("name", "parameters", "precondition", "effect", "span")
+
+    def __init__(self, name: Optional[str], parameters: TypedList,
+                 precondition: Optional[SExprNode] = None,
+                 effect: Optional[SExprNode] = None,
+                 span: Optional[Span] = None) -> None:
+        self.name, self.parameters = name, parameters
+        self.precondition, self.effect, self.span = precondition, effect, span
 
 
-@dataclass
-class DurativeActionDecl:
-    name: Optional[str]
-    parameters: TypedList
-    duration: Optional[SExprNode] = None
-    condition: Optional[SExprNode] = None
-    effect: Optional[SExprNode] = None
-    span: Optional[Span] = None
+class DurativeActionDecl(Record):
+    __slots__ = ("name", "parameters", "duration", "condition", "effect",
+                 "span")
+
+    def __init__(self, name: Optional[str], parameters: TypedList,
+                 duration: Optional[SExprNode] = None,
+                 condition: Optional[SExprNode] = None,
+                 effect: Optional[SExprNode] = None,
+                 span: Optional[Span] = None) -> None:
+        self.name, self.parameters, self.duration = name, parameters, duration
+        self.condition, self.effect, self.span = condition, effect, span
 
 
-@dataclass
-class PddlDomain:
-    name: Optional[str] = None
-    requirements: list[str] = field(default_factory=list)
-    types: TypedList = field(default_factory=TypedList)
-    constants: TypedList = field(default_factory=TypedList)
-    predicates: list[PredicateDecl] = field(default_factory=list)
-    functions: list[FunctionDecl] = field(default_factory=list)
-    actions: list[ActionDecl] = field(default_factory=list)
-    durative_actions: list[DurativeActionDecl] = field(default_factory=list)
-    derived: list[SExprNode] = field(default_factory=list)
+class PddlDomain(Record):
+    __slots__ = ("name", "requirements", "types", "constants", "predicates",
+                 "functions", "actions", "durative_actions", "derived")
+
+    def __init__(self, name: Optional[str] = None,
+                 requirements: Optional[list[str]] = None,
+                 types: Optional[TypedList] = None,
+                 constants: Optional[TypedList] = None,
+                 predicates: Optional[list[PredicateDecl]] = None,
+                 functions: Optional[list[FunctionDecl]] = None,
+                 actions: Optional[list[ActionDecl]] = None,
+                 durative_actions: Optional[list[DurativeActionDecl]] = None,
+                 derived: Optional[list[SExprNode]] = None) -> None:
+        self.name = name
+        self.requirements = [] if requirements is None else requirements
+        self.types = TypedList() if types is None else types
+        self.constants = TypedList() if constants is None else constants
+        self.predicates = [] if predicates is None else predicates
+        self.functions = [] if functions is None else functions
+        self.actions = [] if actions is None else actions
+        self.durative_actions = [] if durative_actions is None \
+            else durative_actions
+        self.derived = [] if derived is None else derived
 
 
-@dataclass
-class PddlProblem:
-    name: Optional[str] = None
-    domain_ref: Optional[str] = None
-    objects: TypedList = field(default_factory=TypedList)
-    init: list[SExprNode] = field(default_factory=list)
-    goal: Optional[SExprNode] = None
-    metric: Optional[SExprNode] = None
+class PddlProblem(Record):
+    __slots__ = ("name", "domain_ref", "objects", "init", "goal", "metric")
+
+    def __init__(self, name: Optional[str] = None,
+                 domain_ref: Optional[str] = None,
+                 objects: Optional[TypedList] = None,
+                 init: Optional[list[SExprNode]] = None,
+                 goal: Optional[SExprNode] = None,
+                 metric: Optional[SExprNode] = None) -> None:
+        self.name, self.domain_ref = name, domain_ref
+        self.objects = TypedList() if objects is None else objects
+        self.init = [] if init is None else init
+        self.goal, self.metric = goal, metric
 
 
 Model = TypeVar("Model", PddlDomain, PddlProblem)

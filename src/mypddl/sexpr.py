@@ -19,9 +19,8 @@ import enum
 import gc
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 
 class MyPddlError(Exception):
@@ -58,12 +57,35 @@ class Severity(enum.Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     span: Span
     severity: Severity
     message: str
     code: str
+
+
+class Record:
+    """Base of the records a caller may assign to: the fields are a
+    subclass's ``__slots__``, in the order of its constructor, where None
+    stands for a new list, set, dict or record. Records of one class are
+    equal when their fields are; none hashes, and each prints as
+    ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
 
 class NodeKind(enum.Enum):

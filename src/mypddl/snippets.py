@@ -12,14 +12,12 @@ PDDL.
 
 from __future__ import annotations
 
-import difflib
 import re
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .sexpr import MyPddlError
+from .sexpr import MyPddlError, Record
 
 _HEADER_RE = re.compile(r";;\s*snippet:\s*(?P<description>.+)\s*$")
 _TRIGGER_RE = re.compile(r"(?P<base>[A-Za-z-]+)(?P<arity>\d+)?\Z")
@@ -40,18 +38,20 @@ class SnippetError(MyPddlError):
     pass
 
 
-@dataclass(frozen=True)
-class SnippetDef:
+class SnippetDef(NamedTuple):
     trigger: str
     body: str
     description: str
     parametric: bool = False
 
 
-@dataclass
-class SnippetSet:
-    snippets: dict[str, SnippetDef]
-    warnings: list[str] = field(default_factory=list)
+class SnippetSet(Record):
+    __slots__ = ("snippets", "warnings")
+
+    def __init__(self, snippets: dict[str, SnippetDef],
+                 warnings: Optional[list[str]] = None) -> None:
+        self.snippets = snippets
+        self.warnings = [] if warnings is None else warnings
 
 
 def _parse_snippet_file(trigger: str, text: str) -> SnippetDef:
@@ -133,7 +133,8 @@ def expand(trigger_text: str, snippet_set: SnippetSet) -> str:
     if snippet is None or (arity_text is not None and not snippet.parametric):
         candidates = list(snippet_set.snippets) + [
             f"{b}1" for b, s in snippet_set.snippets.items() if s.parametric]
-        near = difflib.get_close_matches(trigger_text, candidates, n=3)
+        from difflib import get_close_matches
+        near = get_close_matches(trigger_text, candidates, n=3)
         hint = f"; did you mean {', '.join(near)}?" if near else ""
         raise SnippetError(f"unknown snippet trigger {trigger_text!r}{hint}")
 

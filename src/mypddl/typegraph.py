@@ -10,16 +10,15 @@ three tagged with the same ascending revision number.
 from __future__ import annotations
 
 import re
-import subprocess
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .model import DEFAULT_TYPE, PddlDomain, is_name, parse_domain
 from .sexpr import (
     Document,
     MyPddlError,
     ParseDiagnostic,
+    Record,
     Severity,
     Span,
 )
@@ -32,19 +31,24 @@ class RenderError(MyPddlError):
     pass
 
 
-@dataclass
-class TypeGraph:
-    nodes: set[str] = field(default_factory=lambda: {DEFAULT_TYPE})
-    edges: set[tuple[str, str]] = field(default_factory=set)
-    predicates_by_type: dict[str, list[str]] = field(default_factory=dict)
-    cycle_edges: set[tuple[str, str]] = field(default_factory=set)
+class TypeGraph(Record):
+    __slots__ = ("nodes", "edges", "predicates_by_type", "cycle_edges")
+
+    def __init__(self, nodes: Optional[set[str]] = None,
+                 edges: Optional[set[tuple[str, str]]] = None,
+                 predicates_by_type: Optional[dict[str, list[str]]] = None,
+                 cycle_edges: Optional[set[tuple[str, str]]] = None) -> None:
+        self.nodes = {DEFAULT_TYPE} if nodes is None else nodes
+        self.edges = set() if edges is None else edges
+        self.predicates_by_type = {} if predicates_by_type is None \
+            else predicates_by_type
+        self.cycle_edges = set() if cycle_edges is None else cycle_edges
 
     def children(self, type_name: str) -> list[str]:
         return sorted(c for c, p in self.edges if p == type_name)
 
 
-@dataclass(frozen=True)
-class DiagramArtifacts:
+class DiagramArtifacts(NamedTuple):
     dot_path: Path
     image_path: Optional[Path]
     copied_domain_path: Path
@@ -288,6 +292,7 @@ def render_diagram(domain_file: Union[Path, Document], output_root: Path,
     image_path: Optional[Path] = None
     if renderer is not None:
         image_path = diagrams_dir / f"{base}_{revision}.png"
+        import subprocess
         try:
             proc = subprocess.run(
                 [renderer, "-Tpng", str(dot_path), "-o", str(image_path)],

@@ -9,7 +9,6 @@ typed functions, ``:derived``, ``:metric``, ``:constraints``,
 and diagnostics are pinned in ``tests/fixtures/tour_*.golden.json``.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -87,9 +86,11 @@ def plain(value):
         return serialize_node(value)
     if isinstance(value, Span):
         return list(value)
-    if dataclasses.is_dataclass(value):
-        return {f.name: plain(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
+    # A model record names its fields in ``_fields`` (a NamedTuple) or in
+    # ``__slots__`` (a ``Record``).
+    fields = getattr(value, "_fields", None) or getattr(value, "__slots__", ())
+    if fields:
+        return {name: plain(getattr(value, name)) for name in fields}
     if isinstance(value, list):
         return [plain(item) for item in value]
     return value
