@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import click
 
-from . import construct, distance, highlight, planner, scaffold, snippets, typegraph
+from . import construct, distance, highlight, snippets, typegraph
 from .sexpr import (
     Document,
     MyPddlError,
@@ -113,6 +113,7 @@ def main(ctx: click.Context, quiet: bool, as_json: bool) -> None:
 def new(ctx: click.Context, name: str, parent_dir: Path,
         template_dir: Optional[Path]) -> None:
     """Create a new PDDL project tree named NAME."""
+    from . import scaffold
     templates = scaffold.default_templates()
     if template_dir is not None:
         templates = scaffold.merge_templates(
@@ -252,11 +253,12 @@ def distance_cmd(ctx: click.Context, problem_file: Path, predicate: str,
 @click.option("--problem", "problem_file", type=click.Path(path_type=Path),
               default=Path("problems/p01.pddl"), show_default=True)
 @click.option("--config", "config_file", type=click.Path(path_type=Path),
-              default=Path(planner.CONFIG_FILENAME), show_default=True)
+              default=Path("mypddl.toml"), show_default=True)
 @click.pass_context
 def plan(ctx: click.Context, domain_file: Path, problem_file: Path,
          config_file: Path) -> None:
     """Run the configured planner on a domain/problem pair."""
+    from . import planner
     config = planner.load_config(config_file)
     result = planner.run_planner(config, domain_file, problem_file)
     if result.stdout and not ctx.obj["quiet"]:

@@ -20,8 +20,6 @@ from typing import Optional
 
 from .sexpr import MyPddlError
 
-CONFIG_FILENAME = "mypddl.toml"
-
 
 class PlannerError(MyPddlError):
     pass
