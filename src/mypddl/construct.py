@@ -17,6 +17,9 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .sexpr import (
+    ATOM,
+    COMMENT,
+    SPACE,
     Document,
     MyPddlError,
     SExprNode,
@@ -30,16 +33,17 @@ class ConstructError(MyPddlError):
     pass
 
 
-# Whitespace as ``sexpr._LEXEME`` has it (``\s`` also matches spaces that
-# the reader takes for atom text), then whole comments: a comment that could
-# end early would expose a head inside it, as in "(;x (:init".
-_GAP = r"[ \t\r\n\f\v]*(?:;[^\n]*(?![^\n])[ \t\r\n\f\v]*)*"
+# A comment is matched whole: a head inside it, as in "(;x (:init", is none.
+_GAP = rf"[{SPACE}]*(?:{COMMENT}(?![^\n])[{SPACE}]*)*"
 _SKIP_GAP = re.compile(_GAP).match
 # A run of whitespace, atoms and lists that hold no list and no comment.
 _FLAT = re.compile(r"(?:[^();]+|\([^();]*\))*").match
-_SPACE = " \t\r\n\f\v"
-_ENTRY = re.compile(f"[^{_SPACE}]").search
-_COMMENT = re.compile(r";[^\n]*").match
+_ENTRY = re.compile(f"[^{SPACE}]").search
+
+
+def _in_comment(text: str, at: int) -> bool:
+    """Whether offset ``at`` is inside a comment: after a ';' on its line."""
+    return text.find(";", text.rfind("\n", 0, at) + 1, at) >= 0
 
 
 def _heads(text: str, keyword: str, pos: int = 0) -> Iterator[int]:
@@ -49,14 +53,10 @@ def _heads(text: str, keyword: str, pos: int = 0) -> Iterator[int]:
     # Ignoring case matches each character c as c.lower() does, except 'İ',
     # whose lower case is two characters; the match is then a whole atom.
     pattern = re.escape(wanted).replace("i\u0307", "(?:i\u0307|\u0130)")
-    atom = "[^ \t\r\n\f\v();]"
-    for match in re.compile(rf"\({_GAP}(?={pattern}(?!{atom}))({atom}+)",
+    for match in re.compile(rf"\({_GAP}(?={pattern}(?!{ATOM}))({ATOM}+)",
                             re.IGNORECASE).finditer(text, pos):
-        start = match.start()
-        # A '(' after a ';' on its line is inside a comment.
-        if match[1].lower() == wanted and \
-                text.find(";", text.rfind("\n", 0, start) + 1, start) < 0:
-            yield start
+        if match[1].lower() == wanted and not _in_comment(text, match.start()):
+            yield match.start()
 
 
 def _scan(text: str, start: int, bounds: Optional[list[int]] = None,
@@ -77,7 +77,7 @@ def _scan(text: str, start: int, bounds: Optional[list[int]] = None,
         if end == len(text):
             return None, last
         if text[end] == ";":
-            at = _COMMENT(text, end).end()
+            at = _SKIP_GAP(text, end).end()
             continue
         depth += 1 if stop > end else -1
         if not depth:
@@ -103,9 +103,9 @@ def read_construct(keyword: str, file: Path) -> list[SExprNode]:
 
     def block(start: int) -> tuple[int, int]:
         lead = start
-        while lead and text[lead - 1] in _SPACE:
+        while lead and text[lead - 1] in SPACE:
             lead -= 1
-        if text.find(";", text.rfind("\n", 0, lead) + 1, lead) >= 0:
+        if _in_comment(text, lead):
             lead = text.index("\n", lead)  # a comment runs to its line's end
         close = _scan(text, start)[0]
         return lead, len(text) if close is None else close + 1
@@ -147,12 +147,12 @@ def _insertion_state(doc: Document, block: SExprNode | str,
         end = len(text) if close is None else close
         insert_at = len(text[:end].encode("utf-8"))
         first, last = stretch
-        last = first + len(text[first:last].rstrip(_SPACE)) - 1
+        last = first + len(text[first:last].rstrip(SPACE)) - 1
         if text[last] == ")":
             last = text.rfind("(", first, last)
         elif text[last] != "(":
             last = max(first - 1, *(text.rfind(c, first, last)
-                                    for c in _SPACE + ")")) + 1
+                                    for c in SPACE + ")")) + 1
         at = None if last == _SKIP_GAP(text, start + 1).end() else \
             insert_at - len(text[last:end].encode("utf-8"))
     else:

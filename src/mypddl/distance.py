@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .construct import _entries, splice, write_pieces_atomically
-from .model import is_number
+from .model import head_key, is_number
 from .sexpr import (
     Document,
     MyPddlError,
@@ -84,9 +84,7 @@ def _locations(nodes: Optional[list[SExprNode]], predicate_name: str,
     seen: dict[str, LocationFact] = {}
     first_dim: Optional[tuple[str, int]] = None
     for fact_node in nodes:
-        head = fact_node.head()
-        if head is None or head.kind is not NodeKind.ATOM \
-                or head.text.lower() != wanted:
+        if head_key(fact_node) != wanted:
             continue
         span = fact_node.span if fact_node.span is not None else Span(0, 0)
         args = fact_node.values()[1:]

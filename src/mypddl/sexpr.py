@@ -156,15 +156,17 @@ class SExprNode(namedtuple(
         return [c for c in self.children if not c.is_trivia]
 
 
+SPACE = " \t\r\n\f\v"  # not \s: other spaces, such as U+00A0, are atom text
+ATOM, COMMENT = f"[^{SPACE}();]", r";[^\n]*"
 # Each match is (lead, lexeme); a lexeme's first character tells its kind.
 # Whitespace and delimiters are ASCII, so token boundaries fall between whole
 # UTF-8 sequences and a lead's length in characters is its length in bytes.
-_LEXEME = re.compile(r"""
-    ([ \t\r\n\f\v]*)
+_LEXEME = re.compile(rf"""
+    ([{SPACE}]*)
     ( \A\ufeff                # a byte order mark at offset 0
-    | ;[^\n]*                  # comment, up to the end of the line
+    | {COMMENT}                # comment, up to the end of the line
     | [()]                     # open or close
-    | [^ \t\r\n\f\v();]+       # atom
+    | {ATOM}+                  # atom
     | \Z )                     # the end, after the trailing whitespace
 """, re.VERBOSE)
 
@@ -341,7 +343,7 @@ def serialize(forest: Sequence[SExprNode]) -> str:
 
 def serialize_node(node: SExprNode) -> str:
     """The text of one node, without the whitespace before it."""
-    return serialize([node._replace(lead="")])
+    return serialize([node])[len(node.lead):]
 
 
 def iter_blocks(forest: Sequence[SExprNode],
