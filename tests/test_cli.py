@@ -11,9 +11,11 @@ from click.testing import CliRunner
 
 from mypddl import highlight
 from mypddl.cli import main
+from mypddl.construct import parse_constructs
 from mypddl.sexpr import Document
 
 from conftest import CORPUS, FIXTURES, corpus_text
+from references import tree_augment, tree_extract, tree_insert
 
 PY = sys.executable
 
@@ -286,6 +288,74 @@ def test_distance_custom_predicate(runner, tmp_path):
     assert result.exit_code == 0
     text = (tmp_path / "p_dist.pddl").read_text(encoding="utf-8")
     assert "(distance a b 4.0)" in text
+
+
+# -- the commands against the whole file's tree ------------------------------
+
+CORPUS_FILES = sorted(CORPUS.glob("*.pddl"))
+
+
+def _pizza(tmp_path, newline):
+    """``gary_pizza_problem.pddl`` with its line breaks made ``newline``."""
+    path = tmp_path / "pizza.pddl"
+    path.write_bytes((CORPUS / "gary_pizza_problem.pddl").read_bytes()
+                     .replace(b"\n", newline))
+    return path
+
+
+@pytest.mark.parametrize("keyword", [":action", ":init", ":goal", "and"])
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda path: path.name)
+def test_extract_prints_the_blocks_of_the_tree(runner, path, keyword):
+    result = runner.invoke(main, ["extract", str(path), keyword])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == tree_extract(
+        path.read_bytes().decode("utf-8"), keyword).encode("utf-8")
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_insert_stdout_prints_the_splice_of_the_tree(runner, tmp_path,
+                                                      newline):
+    path = _pizza(tmp_path, newline)
+    result = runner.invoke(main, ["insert", "--stdout", str(path), ":init",
+                                  "(p a)"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == tree_insert(
+        path.read_bytes().decode("utf-8"), ":init",
+        parse_constructs("(p a)")).encode("utf-8")
+
+
+@pytest.mark.parametrize("name", [*(path.name for path in CORPUS_FILES),
+                                  "crlf"])
+def test_distance_writes_the_splice_of_the_tree(runner, tmp_path, name):
+    path = _pizza(tmp_path, b"\r\n") if name == "crlf" else CORPUS / name
+    out = tmp_path / "out.pddl"
+    result = runner.invoke(main, ["distance", str(path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    _, text, _ = tree_augment(path.read_bytes().decode("utf-8"),
+                              "location")
+    assert out.read_bytes() == text.encode("utf-8")
+
+
+def test_token_and_region_offsets_are_the_bytes_of_a_non_ascii_file(runner):
+    path = CORPUS / "coffee.pddl"
+    data = path.read_bytes()
+    assert not data.isascii()
+    result = runner.invoke(main, ["tokens", str(path)])
+    assert result.exit_code == 0, result.output
+    tokens = json.loads(result.stdout)
+    assert "".join(t["text"] for t in tokens).encode("utf-8") == data
+    for t in tokens:
+        text = t["text"].encode("utf-8")
+        assert t["end"] - t["start"] == len(text), t
+        assert data[t["start"]:t["end"]] == text, t
+    result = runner.invoke(main, ["--json", "check", str(path)])
+    assert result.exit_code == 1, result.output
+    [report] = json.loads(result.stdout)
+    regions = report["invalid_regions"]
+    assert regions
+    for region in regions:
+        assert data[region["start"]:region["end"]].decode("utf-8") == \
+            region["text"], region
 
 
 def test_new_project(runner, tmp_path):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mypddl.construct import (
     ConstructError,
     add_construct,
-    append_to_block,
     insert_construct,
     parse_constructs,
     read_construct,
@@ -19,12 +18,12 @@ from mypddl.sexpr import (
     Document,
     NodeKind,
     find_blocks,
-    iter_blocks,
     parse_sexpr,
     serialize_node,
 )
 
 from conftest import CORPUS, FIXTURES
+from references import tree_insert
 
 
 def test_read_construct_goal(gary_problem):
@@ -207,17 +206,6 @@ def _edited(draw):
         [keyword, keyword.upper(), keyword.swapcase()]))
 
 
-def _tree_insert(text: str, keyword: str, constructs) -> str:
-    """The splice as the whole file's tree finds the block."""
-    doc = Document(text.encode("utf-8"))
-    if all(node.is_trivia for node in doc.forest):
-        raise ConstructError("file contains no s-expressions")
-    block = next(iter_blocks(doc.forest, keyword), None)
-    if block is None:
-        raise ConstructError(f"no block headed by {keyword!r} found")
-    return append_to_block(doc, block, constructs)
-
-
 def _outcome(insert, *args):
     """The text an insert gives, or the message of its error."""
     try:
@@ -246,7 +234,7 @@ def test_read_construct_gives_the_nodes_of_the_tree(tmp_path_factory, case):
 def test_insert_gives_the_bytes_of_the_tree_splice(tmp_path_factory, case):
     text, keyword = case
     constructs = parse_constructs("(p a) (q)")
-    expected = _outcome(_tree_insert, text, keyword, constructs)
+    expected = _outcome(tree_insert, text, keyword, constructs)
     assert _outcome(insert_construct, text, keyword, constructs) == expected
     path = tmp_path_factory.getbasetemp() / "insert.pddl"
     path.write_bytes(text.encode("utf-8"))
@@ -262,7 +250,7 @@ def test_insert_aligns_on_the_last_entry_after_any_separator(before, last):
     text = f"(define (problem p)\n  (:init x\n   (a) y z{before}{last}))\n"
     constructs = parse_constructs("(p a)")
     assert insert_construct(text, ":init", constructs) == \
-        _tree_insert(text, ":init", constructs)
+        tree_insert(text, ":init", constructs)
 
 
 @pytest.mark.parametrize("closed", [True, False])

@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 
 from mypddl import distance
 from mypddl.cli import main
-from mypddl.construct import append_to_block
-
 from mypddl.distance import (
     DistanceError,
     LocationFact,
@@ -26,9 +24,10 @@ from mypddl.distance import (
     format_distance,
 )
 from mypddl.model import parse_problem
-from mypddl.sexpr import Document, Severity, Span, iter_blocks, serialize_node
+from mypddl.sexpr import Document, Severity, Span, serialize_node
 
 from conftest import CORPUS, benchmark_inputs
+from references import tree_augment, tree_locations
 
 
 def problem_with_init(facts: str) -> str:
@@ -432,30 +431,6 @@ def test_distance_parses_no_tree_of_the_whole_file(tmp_path):
 
 # -- the structural index against the tree ------------------------------------
 
-def _tree_locations(doc, predicate):
-    """The locations as read from the whole file's tree: each entry of the
-    first (:init ...) block after its head."""
-    block = next(iter_blocks(doc.forest, ":init"), None)
-    return block, distance._locations(
-        None if block is None else block.values()[1:], predicate)
-
-
-def _tree_augment(text, predicate):
-    """What ``augment_with_distances`` gives, spliced into the tree's block,
-    or the message of its error."""
-    doc = Document(text.encode("utf-8"))
-    block, (facts, diagnostics) = _tree_locations(doc, predicate)
-    errors = [d.message for d in diagnostics if d.severity is Severity.ERROR]
-    if errors:
-        return "error", "; ".join(errors)
-    if not facts:
-        return "text", text, [d.code for d in diagnostics] + ["no-locations"]
-    rows = [f"(distance {f.from_object} {f.to_object} "
-            f"{format_distance(f.value)})" for f in distance_facts(facts)]
-    return ("text", append_to_block(doc, block, rows),
-            [d.code for d in diagnostics])
-
-
 def _augment(text, predicate):
     try:
         updated, diagnostics = augment_with_distances(text, predicate)
@@ -513,9 +488,9 @@ def _init_problems(draw):
 @settings(max_examples=500, deadline=None)
 def test_the_index_reads_the_locations_of_the_tree(case):
     text, predicate = case
-    _, expected = _tree_locations(Document(text.encode("utf-8")), predicate)
+    _, expected = tree_locations(Document(text.encode("utf-8")), predicate)
     assert extract_locations(text, predicate) == expected
-    assert _augment(text, predicate) == _tree_augment(text, predicate)
+    assert _augment(text, predicate) == tree_augment(text, predicate)
 
 
 # -- the file is written a source row at a time -------------------------------

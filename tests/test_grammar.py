@@ -405,6 +405,12 @@ def test_each_formula_keyword_takes_its_fixed_number_of_values(where, formula,
                                                              bad)]
 
 
+def test_a_list_with_no_name_at_its_head_is_no_numeric_expression():
+    text = _CONTEXTS["goal"].format("(= (?v) 1)")
+    assert invalid_regions(tokenize(text)) == [
+        _arity_region(text, "(= (?v) 1)", "(?v)")]
+
+
 @pytest.mark.parametrize("where,formula", [
     ("goal", "(and)"), ("goal", "(or (p) (q) (p))"),
     ("goal", "(preference (p))"), ("goal", "(preference c (p))"),
@@ -763,6 +769,26 @@ def test_a_variable_heading_a_list_is_unscoped_at_any_depth(
     assert (scopes["?v"], scopes["a"]) == (Scope.UNSCOPED, Scope.NAME)
     assert [d.code for d in parse_domain(text)[1]] == \
         (["unknown-block"] if outer.startswith("(:foo") else [])
+
+
+@pytest.mark.parametrize("depth,regions,innermost", [
+    (_MAX_GRAMMAR_DEPTH - 3, ["(q)"], Scope.KEYWORD),
+    (_MAX_GRAMMAR_DEPTH - 2, [], Scope.KEYWORD),
+    (_MAX_GRAMMAR_DEPTH - 1, [], Scope.NAME),
+])
+def test_a_formula_at_the_depth_limit_is_read_lexically(depth, regions,
+                                                        innermost):
+    """Inside 97 ``and`` the grammar reads ``(p (q))`` and finds ``(q)``
+    misplaced; inside 98 the formula is entered at the limit and emitted
+    lexically; inside 99 so is the innermost ``and``."""
+    text = ("(define (domain d) (:action a :precondition "
+            + "(and " * depth + "(p (q))" + ")" * depth + "))")
+    tokens = tokenize(text)
+    data = text.encode("utf-8")
+    assert [data[r.start:r.end].decode("utf-8")
+            for r in invalid_regions(tokens)] == regions
+    assert [t.scope for t in tokens if t.text == "and"] == \
+        [Scope.KEYWORD] * (depth - 1) + [innermost]
 
 
 # Model diagnostics about a typed list that must each overlap an invalid

@@ -11,6 +11,8 @@ again in every call.
 import importlib
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,9 @@ from click.testing import CliRunner
 import mypddl
 from mypddl.cli import main
 
+from conftest import CORPUS
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = str(Path(mypddl.__file__).resolve().parent.parent)
 
 
@@ -42,13 +47,14 @@ def test_dir_lists_every_public_name_and_unknown_names_are_missing():
 
 
 def _loaded_after(statement: str) -> set[str]:
-    """The modules a fresh interpreter holds after ``statement``."""
+    """The modules a fresh interpreter holds after ``statement``, which may
+    print lines of its own first."""
     code = f"{statement}; import json, sys; print(json.dumps([*sys.modules]))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
-    return set(json.loads(done.stdout))
+    return set(json.loads(done.stdout.splitlines()[-1]))
 
 
 def test_a_submodule_still_imports_from_the_package():
@@ -63,7 +69,8 @@ def test_a_submodule_still_imports_from_the_package():
 def test_a_cold_import_loads_the_layers_and_nothing_only_plan_or_new_needs():
     assert {m for m in _loaded_after("import mypddl")
             if m.startswith("mypddl.")} == set()
-    loaded = _loaded_after("import mypddl.cli")
+    loaded = _loaded_after("from mypddl.cli import main; "
+                           "main(['snippet', 'p2'], standalone_mode=False)")
     layers = {f"mypddl.{m}" for m in ("sexpr", "model", "highlight",
                                       "construct", "distance", "typegraph",
                                       "snippets")}
@@ -73,6 +80,19 @@ def test_a_cold_import_loads_the_layers_and_nothing_only_plan_or_new_needs():
     own = loaded - _loaded_after("import click")
     assert own.isdisjoint({"mypddl.planner", "mypddl.scaffold", "subprocess",
                            "difflib", "dataclasses"})
+
+
+def test_the_readme_library_examples_run(tmp_path, monkeypatch):
+    """Each ``python`` block of the README, in a directory that holds its
+    ``domain.pddl``, with ``text`` bound to a domain's source."""
+    blocks = re.findall(r"^```python\n(.*?)^```",
+                        README.read_text(encoding="utf-8"), re.S | re.M)
+    assert blocks
+    text = (CORPUS / "logistics.pddl").read_text(encoding="utf-8")
+    shutil.copy(CORPUS / "store.pddl", tmp_path / "domain.pddl")
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {"text": text})
 
 
 def test_plan_help_shows_the_config_default():

@@ -178,12 +178,16 @@ def test_type_graph_diagnostics_lie_on_declarations(declarations, used):
 
 
 def test_predicates_attach_to_each_parameter_type_once():
+    # A compound parameter type gets no box of its own and is no undeclared
+    # type.
     text = ("(define (domain d) (:types t u - object)\n"
-            "  (:predicates (twice ?a - t ?b - t) (mixed ?a - t ?b - u)))")
-    graph, _ = graph_for(text)
-    assert graph.predicates_by_type["t"] == [
-        "(twice ?a - t ?b - t)", "(mixed ?a - t ?b - u)"]
-    assert graph.predicates_by_type["u"] == ["(mixed ?a - t ?b - u)"]
+            "  (:predicates (twice ?a - t ?b - t) (mixed ?a - t ?b - u)\n"
+            "               (one ?a - (either t u))))")
+    graph, diagnostics = graph_for(text)
+    assert graph.predicates_by_type == {
+        "t": ["(twice ?a - t ?b - t)", "(mixed ?a - t ?b - u)"],
+        "u": ["(mixed ?a - t ?b - u)"]}
+    assert diagnostics == []
 
 
 def test_object_only_predicates_live_in_object_box():
@@ -254,6 +258,12 @@ def test_render_diagram_revisions_ascend(tmp_path):
     domain_file = tmp_path / "splisus.pddl"
     domain_file.write_text(corpus_text("splisus.pddl"), encoding="utf-8")
     out = tmp_path / "out"
+    # Files of other bases do not count, whatever their revision.
+    for directory, name in [("domains", "other_7.pddl"),
+                            ("dot", "splisus2_8.dot"),
+                            ("diagrams", "x_splisus_9.png")]:
+        (out / directory).mkdir(parents=True)
+        (out / directory / name).write_text("", encoding="utf-8")
     revisions = []
     for _ in range(3):
         artifacts, diagnostics = render_diagram(domain_file, out, renderer=None)
