@@ -69,17 +69,22 @@ def test_a_submodule_still_imports_from_the_package():
 def test_a_cold_import_loads_the_layers_and_nothing_only_plan_or_new_needs():
     assert {m for m in _loaded_after("import mypddl")
             if m.startswith("mypddl.")} == set()
-    loaded = _loaded_after("from mypddl.cli import main; "
-                           "main(['snippet', 'p2'], standalone_mode=False)")
+    loaded = _loaded_after("import mypddl.cli")
     layers = {f"mypddl.{m}" for m in ("sexpr", "model", "highlight",
                                       "construct", "distance", "typegraph",
                                       "snippets")}
     assert layers <= loaded
     # What click loads by itself (``subprocess``, on Python 3.10) is no
     # import of this package's.
-    own = loaded - _loaded_after("import click")
-    assert own.isdisjoint({"mypddl.planner", "mypddl.scaffold", "subprocess",
-                           "difflib", "dataclasses"})
+    click = _loaded_after("import click")
+    only_plan_or_new = {"mypddl.planner", "mypddl.scaffold", "subprocess",
+                        "difflib", "dataclasses"}
+    assert (loaded - click).isdisjoint(only_plan_or_new)
+    # A real call loads nothing more of them either.
+    ran = _loaded_after("from mypddl.cli import main; "
+                        "main(['snippet', 'p2'], standalone_mode=False)")
+    assert "mypddl.highlight" in ran
+    assert (ran - click).isdisjoint(only_plan_or_new)
 
 
 def test_the_readme_library_examples_run(tmp_path, monkeypatch):
