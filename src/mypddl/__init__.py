@@ -18,9 +18,9 @@ _EXPORTS = {
     "sexpr": ("Document", "MyPddlError", "NodeKind", "ParseDiagnostic",
               "SExprNode", "Severity", "Span", "parse_sexpr", "serialize",
               "find_blocks"),
-    "model": ("PddlDomain", "PddlProblem", "parse_domain", "parse_problem",
-              "parse_typed_list"),
-    "highlight": ("Scope", "Token", "tokenize", "invalid_regions",
+    "model": ("PddlDomain", "PddlProblem", "Scope", "parse_domain",
+              "parse_problem", "parse_typed_list"),
+    "highlight": ("Token", "tokenize", "invalid_regions",
                   "emit_tokens_json", "iter_tokens_json", "render_html"),
     "typegraph": ("TypeGraph", "build_type_graph", "emit_dot",
                   "render_diagram"),

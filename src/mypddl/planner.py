@@ -13,10 +13,11 @@ import os
 import shlex
 import signal
 import subprocess
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import IO, Optional
 
 from .sexpr import MyPddlError
 
@@ -119,9 +120,11 @@ def run_planner(config: PlannerConfig, domain: Path, problem: Path,
 
     After the run, the newest file that appeared (or changed) under the
     solution directory is reported as the solution. A missing executable
-    raises PlannerError; exceeding the timeout kills the planner's process
-    group and returns a result with the ``timed_out`` flag instead. Output
-    that is not UTF-8 is decoded with replacement characters.
+    raises PlannerError. The run ends when the planner itself exits or
+    outlives the timeout, which sets the ``timed_out`` flag; either way the
+    planner's whole process group is killed, so nothing it started outlives
+    the run. Output that is not UTF-8 is decoded with replacement
+    characters.
     """
     domain = Path(domain)
     problem = Path(problem)
@@ -138,39 +141,46 @@ def run_planner(config: PlannerConfig, domain: Path, problem: Path,
         "solution_dir": str(solution_dir),
     })
     before = _snapshot(solution_dir)
-    start = time.monotonic()
-    try:
-        # A session of its own puts the planner and everything it starts
-        # in one process group, which a timeout kills as a whole.
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, encoding="utf-8",
-                                errors="replace", start_new_session=True)
-    except FileNotFoundError as exc:
-        raise PlannerError(f"planner executable not found: {argv[0]!r}") from exc
-    except OSError as exc:
-        raise PlannerError(f"cannot run planner {argv[0]!r}: {exc}") from exc
-    with proc:
+    # Files, not pipes, take the output: a process the planner started can
+    # hold a pipe open after the planner exits, and no one waits for it.
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.monotonic()
         try:
-            stdout, stderr = proc.communicate(timeout=config.timeout_seconds)
+            # A session of its own puts the planner and everything it
+            # starts in one process group, which is killed as a whole.
+            proc = subprocess.Popen(argv, stdout=out, stderr=err,
+                                    start_new_session=True)
+        except FileNotFoundError as exc:
+            raise PlannerError(
+                f"planner executable not found: {argv[0]!r}") from exc
+        except OSError as exc:
+            raise PlannerError(f"cannot run planner {argv[0]!r}: {exc}") from exc
+        try:
+            exit_code = proc.wait(timeout=config.timeout_seconds)
         except subprocess.TimeoutExpired:
+            exit_code = None
+        finally:
             _kill_group(proc)
-            stdout, stderr = proc.communicate()
-            return PlanResult(
-                exit_code=None, stdout=stdout, stderr=stderr,
-                elapsed=time.monotonic() - start, solution_path=None,
-                timed_out=True)
-        except BaseException:
-            _kill_group(proc)
-            raise
-    elapsed = time.monotonic() - start
+            proc.wait()
+        elapsed = time.monotonic() - start
+        stdout, stderr = _text(out), _text(err)
 
-    after = _snapshot(solution_dir)
+    # A planner that timed out reports no solution.
+    after = {} if exit_code is None else _snapshot(solution_dir)
     new_files = [p for p, mtime in after.items()
                  if p not in before or mtime > before[p]]
     solution_path = max(new_files, key=lambda p: after[p], default=None)
-    return PlanResult(exit_code=proc.returncode, stdout=stdout,
+    return PlanResult(exit_code=exit_code, stdout=stdout,
                       stderr=stderr, elapsed=elapsed,
-                      solution_path=solution_path)
+                      solution_path=solution_path, timed_out=exit_code is None)
+
+
+def _text(file: IO[bytes]) -> str:
+    """A file's bytes as text pipes give them: UTF-8 with replacement
+    characters, and universal newlines."""
+    file.seek(0)
+    text = file.read().decode("utf-8", "replace")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _kill_group(proc: subprocess.Popen) -> None:

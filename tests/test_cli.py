@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import re
 import stat
 import sys
 
@@ -427,6 +428,47 @@ def test_plan_via_cli(runner, tmp_path):
     assert result.exit_code == 0
     assert "solution:" in result.output
     assert (tmp_path / "solutions" / "plan.txt").is_file()
+
+
+def _plan(runner, tmp_path, script, timeout=None):
+    """``plan`` with a planner that runs ``script`` and writes no
+    solution."""
+    for name, text in [("domain.pddl", "(define (domain d))"),
+                       ("p01.pddl", "(define (problem p) (:domain d))"),
+                       ("planner.py", script)]:
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    config = tmp_path / "mypddl.toml"
+    config.write_text(
+        f'command = "{PY} {tmp_path / "planner.py"} {{domain}} {{problem}}"\n'
+        f'solution_dir = "{(tmp_path / "solutions").as_posix()}"\n'
+        + (f"timeout_seconds = {timeout}\n" if timeout else ""),
+        encoding="utf-8")
+    return runner.invoke(main, [
+        "plan", "--domain", str(tmp_path / "domain.pddl"),
+        "--problem", str(tmp_path / "p01.pddl"), "--config", str(config)])
+
+
+def test_plan_echoes_the_planners_stderr_and_a_missing_solution(runner,
+                                                                 tmp_path):
+    result = _plan(runner, tmp_path,
+                   "import sys; print('searching'); "
+                   "print('no plan', file=sys.stderr)")
+    assert result.exit_code == 0
+    assert result.stdout == "searching\nno new solution file detected\n"
+    assert result.stderr == "no plan\n"
+
+
+def test_plan_fails_when_the_planner_fails(runner, tmp_path):
+    result = _plan(runner, tmp_path, "raise SystemExit(3)")
+    assert result.exit_code == 1
+    assert result.stdout == "no new solution file detected\n"
+
+
+def test_plan_fails_when_the_planner_times_out(runner, tmp_path):
+    result = _plan(runner, tmp_path, "import time; time.sleep(30)", timeout=1)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert re.fullmatch(r"planner timed out after 1\.\ds\n", result.stderr)
 
 
 def test_plan_missing_config_fails(runner, tmp_path):

@@ -17,14 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mypddl.cli import main
-from mypddl.highlight import (
-    _MAX_GRAMMAR_DEPTH,
-    Scope,
-    _Walk,
-    invalid_regions,
-    tokenize,
-)
+from mypddl.highlight import Scope, invalid_regions, tokenize
 from mypddl.model import (
+    _MAX_GRAMMAR_DEPTH,
     ACTION_KEYS,
     CONDITION_RULES,
     CONSTRAINT_RULES,
@@ -36,6 +31,7 @@ from mypddl.model import (
     PROBLEM_BLOCK_KEYS,
     TIMED_CONDITION_RULES,
     TIMED_EFFECT_RULES,
+    _Walk,
     parse_domain,
     parse_problem,
 )

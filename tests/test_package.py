@@ -87,6 +87,17 @@ def test_a_cold_import_loads_the_layers_and_nothing_only_plan_or_new_needs():
     assert (ran - click).isdisjoint(only_plan_or_new)
 
 
+def test_the_model_reads_a_file_without_the_token_outputs():
+    """The grammar and its walk live in ``model``: reading a model loads
+    neither ``highlight`` nor what only its outputs need."""
+    loaded = _loaded_after("from mypddl import parse_domain; "
+                           "parse_domain('(define (domain d))')")
+    assert "mypddl.model" in loaded
+    assert loaded.isdisjoint({"mypddl.highlight", "html"})
+    assert "Scope" in mypddl._EXPORTS["model"]
+    assert mypddl.Scope is sys.modules["mypddl.model"].Scope
+
+
 def test_the_readme_library_examples_run(tmp_path, monkeypatch):
     """Each ``python`` block of the README, in a directory that holds its
     ``domain.pddl``, with ``text`` bound to a domain's source."""

@@ -3,6 +3,7 @@
 import os
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +182,69 @@ def test_timeout_kills_the_planners_grandchildren(pair, tmp_path):
     while _alive(grandchild) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not _alive(grandchild)
+
+
+def _running_in_group(pgid):
+    """The processes of group ``pgid`` that are still running, read from
+    /proc; a zombie counts as gone, as nothing may reap it."""
+    running = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            text = stat.read_text()
+        except OSError:  # the process ended while the group was read
+            continue
+        state, _, pgrp = text[text.rindex(")") + 2:].split()[:3]
+        if int(pgrp) == pgid and state not in "ZX":
+            running.append(stat.parent.name)
+    return running
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(),
+                    reason="reads processes from /proc")
+@pytest.mark.parametrize("timeout", [3, None])
+@pytest.mark.parametrize("child_output", [
+    "stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL", "",
+], ids=["devnull", "inherited"])
+def test_the_run_ends_with_the_planner_and_ends_its_group(
+        pair, tmp_path, child_output, timeout):
+    """A planner that starts a child and exits at once: the run returns
+    then, with the planner's exit code, and the child is killed, whether
+    or not it holds the planner's stdout open."""
+    domain, problem = pair
+    pid_file = tmp_path / "planner.pid"
+    stub = tmp_path / "forking_planner.py"
+    stub.write_text(
+        "import os, subprocess, sys, time\n"
+        "subprocess.Popen([sys.executable, '-c', 'import time; "
+        f"time.sleep(30)'], {child_output})\n"
+        "print('planned')\n"
+        f"open({str(pid_file)!r}, 'w').write(f'{{os.getpid()}} {{time.time()}}')\n",
+        encoding="utf-8")
+    config = PlannerConfig(
+        command_template=f"{PY} {stub} {{domain}} {{problem}}",
+        timeout_seconds=timeout)
+    result = run_planner(config, domain, problem,
+                         solution_dir=tmp_path / "solutions")
+    returned = time.time()
+    group, exited = pid_file.read_text().split()
+    assert returned - float(exited) < 1
+    assert (result.exit_code, result.timed_out) == (0, False)
+    assert result.stdout == "planned\n"
+    group = int(group)
+    deadline = time.monotonic() + 2
+    while _running_in_group(group) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _running_in_group(group) == []
+
+
+def test_output_gets_universal_newlines(pair, tmp_path):
+    domain, problem = pair
+    config = PlannerConfig(command_template=(
+        f"{PY} -c 'import sys; sys.stdout.buffer.write(b\"a\\r\\nb\\rc\\n\")' "
+        f"{{domain}} {{problem}}"))
+    result = run_planner(config, domain, problem,
+                         solution_dir=tmp_path / "solutions")
+    assert result.stdout == "a\nb\nc\n"
 
 
 def test_missing_inputs_rejected(tmp_path):
