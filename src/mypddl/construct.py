@@ -249,30 +249,50 @@ def _create_beside(target: Path) -> tuple[int, str]:
 
 def write_pieces_atomically(path: Path, pieces: Iterable[bytes]) -> None:
     """Write the pieces one after another into a temp file in the same
-    directory, then rename it over ``path``, or over the file a symlink
-    ``path`` leads to. The file keeps its permission bits, and its owner
-    and group where the caller may set them; a new one gets those of any
-    new file. If a piece raises, the temp file is removed and ``path``
-    keeps its bytes."""
+    directory, sync it to disk, then rename it over ``path``, or over the
+    file a symlink ``path`` leads to, and sync the directory, so that after
+    a crash the file has its old bytes or its new ones. The file keeps its
+    permission bits, and its owner and group where the caller may set them;
+    a new one gets those of any new file. If a piece raises, or the system
+    fails a step, the temp file is removed and ``path`` keeps its bytes; a
+    failure of the system is a ConstructError."""
     target = Path(os.path.realpath(path))
+    tmp_name = ""
     try:
         old = target.stat() if target.exists() else None
         fd, tmp_name = _create_beside(target)
-    except OSError as exc:
-        raise ConstructError(f"cannot write {path}: {exc.strerror}") from exc
-    try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(pieces)
+            handle.flush()
+            os.fsync(handle.fileno())
         if old is not None:
             # Before the mode: a change of owner may clear set-id bits.
             with contextlib.suppress(PermissionError):
                 os.chown(tmp_name, old.st_uid, old.st_gid)
             os.chmod(tmp_name, stat.S_IMODE(old.st_mode))
         os.replace(tmp_name, target)
-    except BaseException:
-        if os.path.exists(tmp_name):
+        _sync_directory(target.parent)
+    except BaseException as exc:
+        if tmp_name and os.path.exists(tmp_name):
             os.unlink(tmp_name)
+        if isinstance(exc, OSError):
+            raise ConstructError(
+                f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
+
+
+def _sync_directory(directory: Path) -> None:
+    """Put a rename in ``directory`` on disk: POSIX orders it after the
+    file's data only once the directory is synced. Where a directory cannot
+    be opened, as on Windows, the rename is left to the system."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def add_construct(file: Path, keyword: str,

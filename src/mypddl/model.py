@@ -38,7 +38,8 @@ NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 # (``_Walk``, below) reads the values of its body in, or the one handler
 # that reads it whole and fills the model; and, for each kind of action,
 # what each key's value fills in the model and its context. A model keeps a
-# block of values as nodes. A new block or action key goes here.
+# block of values as nodes. A new block or action key goes here: a key's
+# attribute is also a field of its action's record (``_action_fields``).
 DOMAIN_BLOCKS = {
     ":requirements": ("requirement",),
     **dict.fromkeys((":types", ":constants"), "typed-block"),
@@ -165,9 +166,7 @@ class TypedEntry(NamedTuple):
 
 class TypedList(Record):
     __slots__ = ("entries",)
-
-    def __init__(self, entries: Optional[list[TypedEntry]] = None) -> None:
-        self.entries = [] if entries is None else entries
+    _fresh = {"entries": list}
 
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
@@ -188,68 +187,33 @@ class FunctionDecl(NamedTuple):
     span: Optional[Span] = None
 
 
-class ActionDecl(Record):
-    __slots__ = ("name", "parameters", "precondition", "effect", "span")
+def _action_fields(block: str) -> tuple[str, ...]:
+    """An action record's fields: the name, the attribute of each key of
+    ``block`` in ``ACTION_KEYS``, in its order, and the span."""
+    return ("name", *(attr for attr, _ in ACTION_KEYS[block].values()), "span")
 
-    def __init__(self, name: Optional[str], parameters: TypedList,
-                 precondition: Optional[SExprNode] = None,
-                 effect: Optional[SExprNode] = None,
-                 span: Optional[Span] = None) -> None:
-        self.name, self.parameters = name, parameters
-        self.precondition, self.effect, self.span = precondition, effect, span
+
+class ActionDecl(Record):
+    __slots__ = _action_fields(":action")
+    _required = 2
 
 
 class DurativeActionDecl(Record):
-    __slots__ = ("name", "parameters", "duration", "condition", "effect",
-                 "span")
-
-    def __init__(self, name: Optional[str], parameters: TypedList,
-                 duration: Optional[SExprNode] = None,
-                 condition: Optional[SExprNode] = None,
-                 effect: Optional[SExprNode] = None,
-                 span: Optional[Span] = None) -> None:
-        self.name, self.parameters, self.duration = name, parameters, duration
-        self.condition, self.effect, self.span = condition, effect, span
+    __slots__ = _action_fields(":durative-action")
+    _required = 2
 
 
 class PddlDomain(Record):
     __slots__ = ("name", "requirements", "types", "constants", "predicates",
                  "functions", "actions", "durative_actions", "derived")
-
-    def __init__(self, name: Optional[str] = None,
-                 requirements: Optional[list[str]] = None,
-                 types: Optional[TypedList] = None,
-                 constants: Optional[TypedList] = None,
-                 predicates: Optional[list[PredicateDecl]] = None,
-                 functions: Optional[list[FunctionDecl]] = None,
-                 actions: Optional[list[ActionDecl]] = None,
-                 durative_actions: Optional[list[DurativeActionDecl]] = None,
-                 derived: Optional[list[SExprNode]] = None) -> None:
-        self.name = name
-        self.requirements = [] if requirements is None else requirements
-        self.types = TypedList() if types is None else types
-        self.constants = TypedList() if constants is None else constants
-        self.predicates = [] if predicates is None else predicates
-        self.functions = [] if functions is None else functions
-        self.actions = [] if actions is None else actions
-        self.durative_actions = [] if durative_actions is None \
-            else durative_actions
-        self.derived = [] if derived is None else derived
+    _fresh = {"requirements": list, "types": TypedList,
+              "constants": TypedList, "predicates": list, "functions": list,
+              "actions": list, "durative_actions": list, "derived": list}
 
 
 class PddlProblem(Record):
     __slots__ = ("name", "domain_ref", "objects", "init", "goal", "metric")
-
-    def __init__(self, name: Optional[str] = None,
-                 domain_ref: Optional[str] = None,
-                 objects: Optional[TypedList] = None,
-                 init: Optional[list[SExprNode]] = None,
-                 goal: Optional[SExprNode] = None,
-                 metric: Optional[SExprNode] = None) -> None:
-        self.name, self.domain_ref = name, domain_ref
-        self.objects = TypedList() if objects is None else objects
-        self.init = [] if init is None else init
-        self.goal, self.metric = goal, metric
+    _fresh = {"objects": TypedList, "init": list}
 
 
 Model = TypeVar("Model", PddlDomain, PddlProblem)

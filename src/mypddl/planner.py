@@ -17,7 +17,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Optional
+from typing import Optional
 
 from .sexpr import MyPddlError
 
@@ -143,7 +143,11 @@ def run_planner(config: PlannerConfig, domain: Path, problem: Path,
     before = _snapshot(solution_dir)
     # Files, not pipes, take the output: a process the planner started can
     # hold a pipe open after the planner exits, and no one waits for it.
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+    # Read back as text, they give what text-mode pipes gave: UTF-8 with
+    # replacement characters, and universal newlines.
+    text = {"mode": "w+", "encoding": "utf-8", "errors": "replace"}
+    with tempfile.TemporaryFile(**text) as out, \
+            tempfile.TemporaryFile(**text) as err:
         start = time.monotonic()
         try:
             # A session of its own puts the planner and everything it
@@ -163,7 +167,9 @@ def run_planner(config: PlannerConfig, domain: Path, problem: Path,
             _kill_group(proc)
             proc.wait()
         elapsed = time.monotonic() - start
-        stdout, stderr = _text(out), _text(err)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read(), err.read()
 
     # A planner that timed out reports no solution.
     after = {} if exit_code is None else _snapshot(solution_dir)
@@ -173,14 +179,6 @@ def run_planner(config: PlannerConfig, domain: Path, problem: Path,
     return PlanResult(exit_code=exit_code, stdout=stdout,
                       stderr=stderr, elapsed=elapsed,
                       solution_path=solution_path, timed_out=exit_code is None)
-
-
-def _text(file: IO[bytes]) -> str:
-    """A file's bytes as text pipes give them: UTF-8 with replacement
-    characters, and universal newlines."""
-    file.seek(0)
-    text = file.read().decode("utf-8", "replace")
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _kill_group(proc: subprocess.Popen) -> None:

@@ -20,7 +20,7 @@ import gc
 import re
 from collections import namedtuple
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
 class MyPddlError(Exception):
@@ -66,13 +66,32 @@ class ParseDiagnostic(NamedTuple):
 
 class Record:
     """Base of the records a caller may assign to: the fields are a
-    subclass's ``__slots__``, in the order of its constructor, where None
-    stands for a new list, set, dict or record. Records of one class are
-    equal when their fields are; none hashes, and each prints as
-    ``Name(field=value, ...)``."""
+    subclass's ``__slots__``, and its constructor is built from them, as
+    ``collections.namedtuple`` builds ``__new__``. The constructor takes the
+    fields in order: the first ``_required`` have no default, the others
+    default to None, and a field of ``_fresh`` that gets None gets a new
+    value from its factory instead (a list, set, dict or record). Records
+    of one class are equal when their fields are; none hashes, and each
+    prints as ``Name(field=value, ...)``."""
 
     __slots__ = ()
     __hash__ = None  # type: ignore[assignment]
+    _fresh: dict[str, Callable[[], object]] = {}
+    _required = 0
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields, fresh = cls.__slots__, cls._fresh
+        params = [*fields[:cls._required],
+                  *(f"{name}=None" for name in fields[cls._required:])]
+        body = [f"self.{name} = _new_{name}() if {name} is None else {name}"
+                if name in fresh else f"self.{name} = {name}"
+                for name in fields]
+        namespace = {f"_new_{name}": make for name, make in fresh.items()}
+        exec(f"def __init__(self, {', '.join(params)}):\n    "
+             + "\n    ".join(body), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -47,11 +47,8 @@ class SnippetDef(NamedTuple):
 
 class SnippetSet(Record):
     __slots__ = ("snippets", "warnings")
-
-    def __init__(self, snippets: dict[str, SnippetDef],
-                 warnings: Optional[list[str]] = None) -> None:
-        self.snippets = snippets
-        self.warnings = [] if warnings is None else warnings
+    _fresh = {"warnings": list}
+    _required = 1
 
 
 def _parse_snippet_file(trigger: str, text: str) -> SnippetDef:

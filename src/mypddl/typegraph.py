@@ -33,16 +33,8 @@ class RenderError(MyPddlError):
 
 class TypeGraph(Record):
     __slots__ = ("nodes", "edges", "predicates_by_type", "cycle_edges")
-
-    def __init__(self, nodes: Optional[set[str]] = None,
-                 edges: Optional[set[tuple[str, str]]] = None,
-                 predicates_by_type: Optional[dict[str, list[str]]] = None,
-                 cycle_edges: Optional[set[tuple[str, str]]] = None) -> None:
-        self.nodes = {DEFAULT_TYPE} if nodes is None else nodes
-        self.edges = set() if edges is None else edges
-        self.predicates_by_type = {} if predicates_by_type is None \
-            else predicates_by_type
-        self.cycle_edges = set() if cycle_edges is None else cycle_edges
+    _fresh = {"nodes": lambda: {DEFAULT_TYPE}, "edges": set,
+              "predicates_by_type": dict, "cycle_edges": set}
 
     def children(self, type_name: str) -> list[str]:
         return sorted(c for c, p in self.edges if p == type_name)
@@ -94,14 +86,9 @@ def build_type_graph(domain: PddlDomain) -> tuple[TypeGraph, list[ParseDiagnosti
 
     # Predicate signatures attach to every parameter type, once per box.
     for pred in domain.predicates:
-        param_types = []
         for entry in pred.parameters.entries:
-            if entry.type_name not in param_types:
-                param_types.append(entry.type_name)
-        for type_name in param_types:
-            if type_name == _NUMBER:
-                continue
-            if not is_name(type_name):
+            type_name = entry.type_name
+            if type_name == _NUMBER or not is_name(type_name):
                 continue
             if type_name not in graph.nodes:
                 warn(f"type {type_name!r} is used by {pred.name!r} but never "

@@ -244,6 +244,28 @@ def test_a_rewrite_keeps_the_mode_and_the_symlink(runner, tmp_path, command,
                                                          "real.pddl"]
 
 
+@pytest.mark.parametrize("command", [
+    ["insert", "{}", ":init", "(hungry gary)"], ["distance", "{}", "--in-place"],
+])
+def test_a_failed_write_keeps_the_file_and_is_one_error_line(
+        runner, gary_pizza_problem, monkeypatch, command):
+    from mypddl import construct
+
+    def fail(fd):
+        raise OSError(28, "No space left on device")
+
+    before = gary_pizza_problem.read_bytes()
+    monkeypatch.setattr(construct.os, "fsync", fail)
+    result = runner.invoke(main, [arg.format(gary_pizza_problem)
+                                  for arg in command])
+    assert result.exit_code == 1
+    assert result.stderr == (f"Error: cannot write {gary_pizza_problem}: "
+                             "No space left on device\n")
+    assert gary_pizza_problem.read_bytes() == before
+    assert [p.name for p in gary_pizza_problem.parent.iterdir()] == \
+        [gary_pizza_problem.name]
+
+
 @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0,
                     reason="only root may give a file to another owner")
 @pytest.mark.parametrize("command", [
@@ -367,6 +389,49 @@ def test_new_project(runner, tmp_path):
     assert again.exit_code == 1
 
 
+def test_new_takes_its_templates_from_a_directory(runner, tmp_path):
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    (templates / "README.md").write_text("custom {{name}}\n",
+                                         encoding="utf-8")
+    result = runner.invoke(main, ["new", "rover", "--dir", str(tmp_path),
+                                  "--templates", str(templates)])
+    assert result.exit_code == 0
+    assert (tmp_path / "rover" / "README.md").read_text(encoding="utf-8") \
+        == "custom rover\n"
+    assert (tmp_path / "rover" / "domain.pddl").is_file()
+
+
+def test_new_with_a_missing_template_directory_fails(runner, tmp_path):
+    absent = tmp_path / "absent"
+    result = runner.invoke(main, ["new", "rover", "--dir", str(tmp_path),
+                                  "--templates", str(absent)])
+    assert result.exit_code == 1
+    assert result.stderr == f"Error: template directory {absent} not found\n"
+    assert not (tmp_path / "rover").exists()
+
+
+@pytest.mark.parametrize("quiet", [False, True])
+def test_a_snippet_that_shadows_a_builtin_warns_unless_quiet(runner, tmp_path,
+                                                            quiet):
+    (tmp_path / "action.snippet").write_text("(my action body)",
+                                             encoding="utf-8")
+    result = runner.invoke(main, [*(["--quiet"] if quiet else []), "snippet",
+                                  "--snippets-dir", str(tmp_path), "action"])
+    assert result.exit_code == 0
+    assert result.stdout == "(my action body)\n"
+    assert result.stderr == ("" if quiet else
+                             "warning: user snippet action.snippet shadows "
+                             "built-in 'action'\n")
+
+
+def test_snippet_without_a_trigger_is_a_usage_error(runner):
+    result = runner.invoke(main, ["snippet"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == \
+        "Error: provide a trigger or use --list"
+
+
 def test_snippet_p2(runner):
     result = runner.invoke(main, ["snippet", "p2"])
     assert result.exit_code == 0
@@ -408,6 +473,64 @@ def test_diagram_without_renderer_degrades_to_dot_only(runner, tmp_path):
     result = runner.invoke(main, ["diagram", str(domain), "--out", str(out)])
     assert result.exit_code == 0
     assert (out / "dot" / "d_1.dot").is_file()
+
+
+def _renderer(path, mode=0o755):
+    """A stand-in for ``dot``: it writes the file after ``-o``."""
+    path.write_text(f"#!{PY}\nimport sys\n"
+                    "open(sys.argv[sys.argv.index('-o') + 1], 'wb')"
+                    ".write(b'png')\n", encoding="utf-8")
+    path.chmod(mode)
+    return path
+
+
+@pytest.mark.skipif(os.name != "posix", reason="runs a script by its #! line")
+@pytest.mark.parametrize("on_path", [False, True])
+def test_diagram_prints_the_image_it_rendered(runner, tmp_path, monkeypatch,
+                                              on_path):
+    domain = tmp_path / "d.pddl"
+    domain.write_text("(define (domain d) (:types a - object))",
+                      encoding="utf-8")
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    renderer = _renderer(bin_dir / ("dot" if on_path else "render"))
+    if on_path:
+        monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "diagram", str(domain), "--out", str(out),
+        *([] if on_path else ["--renderer", str(renderer)])])
+    assert result.exit_code == 0, result.output
+    image = out / "diagrams" / "d_1.png"
+    assert result.stdout.splitlines()[-1] == f"  {image}"
+    assert image.read_bytes() == b"png"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="the execute bit is POSIX")
+def test_diagram_with_a_renderer_that_cannot_run_fails(runner, tmp_path):
+    domain = tmp_path / "d.pddl"
+    domain.write_text("(define (domain d))", encoding="utf-8")
+    renderer = _renderer(tmp_path / "render", mode=0o644)
+    result = runner.invoke(main, ["diagram", str(domain), "--out",
+                                  str(tmp_path / "out"), "--renderer",
+                                  str(renderer)])
+    assert result.exit_code == 1
+    quoted = re.escape(repr(str(renderer)))
+    assert re.fullmatch(rf"Error: cannot run renderer {quoted}: "
+                        r"\[Errno 13\] [^\n]*\n", result.stderr)
+
+
+def test_distance_in_place_and_out_is_a_usage_error(runner, gary_pizza_problem,
+                                                    tmp_path):
+    before = gary_pizza_problem.read_bytes()
+    result = runner.invoke(main, ["distance", str(gary_pizza_problem),
+                                  "--in-place", "--out",
+                                  str(tmp_path / "x.pddl")])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == \
+        "Error: --in-place and --out are mutually exclusive"
+    assert gary_pizza_problem.read_bytes() == before
+    assert not (tmp_path / "x.pddl").exists()
 
 
 def test_plan_via_cli(runner, tmp_path):

@@ -1,7 +1,10 @@
 """Construct extraction and insertion: blocks out, constructs in, every
 other byte untouched."""
 
+import os
+import stat
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -163,6 +166,90 @@ def test_a_write_the_caller_may_not_give_its_owner_still_lands(
     assert "(hungry gisela)" in gary_problem.read_text(encoding="utf-8")
     assert [p.name for p in gary_problem.parent.iterdir()
             if p.name.startswith(gary_problem.name + ".")] == []
+
+
+def _temp_files(path):
+    return [p.name for p in path.parent.iterdir()
+            if p.name.startswith(path.name + ".")]
+
+
+def test_a_write_syncs_the_file_then_renames_then_syncs_the_directory(
+        gary_problem, monkeypatch):
+    from mypddl import construct
+
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def record_fsync(fd):
+        kind = "directory" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        calls.append(("fsync", kind))
+        fsync(fd)
+
+    def record_replace(source, target):
+        calls.append(("replace", Path(target).name))
+        replace(source, target)
+
+    monkeypatch.setattr(construct.os, "fsync", record_fsync)
+    monkeypatch.setattr(construct.os, "replace", record_replace)
+    add_construct(gary_problem, ":init", parse_constructs("(hungry gisela)"))
+    assert calls == [("fsync", "file"), ("replace", gary_problem.name),
+                     ("fsync", "directory")]
+    assert "(hungry gisela)" in gary_problem.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_a_failing_sync_leaves_the_file_and_no_temp_file(
+        gary_problem, monkeypatch, failing):
+    from mypddl import construct
+
+    before = gary_problem.read_bytes()
+    calls = []
+
+    def fsync(fd):
+        calls.append(fd)
+        if len(calls) == failing:
+            raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(construct.os, "fsync", fsync)
+    with pytest.raises(ConstructError,
+                       match=r"cannot write .*: Input/output error"):
+        add_construct(gary_problem, ":init",
+                      parse_constructs("(hungry gisela)"))
+    assert _temp_files(gary_problem) == []
+    if failing == 1:  # the file's sync: the rename never happened
+        assert gary_problem.read_bytes() == before
+
+
+def test_a_directory_that_cannot_be_opened_is_not_synced(gary_problem,
+                                                        monkeypatch):
+    from mypddl import construct
+
+    opened, synced = os.open, []
+
+    def open_no_directory(path, *args):
+        if os.path.isdir(path):  # as Windows refuses to
+            raise PermissionError(13, "Permission denied")
+        return opened(path, *args)
+
+    monkeypatch.setattr(construct.os, "open", open_no_directory)
+    monkeypatch.setattr(construct.os, "fsync", synced.append)
+    add_construct(gary_problem, ":init", parse_constructs("(hungry gisela)"))
+    assert len(synced) == 1  # the file's
+    assert "(hungry gisela)" in gary_problem.read_text(encoding="utf-8")
+
+
+def test_a_temp_name_already_taken_is_drawn_again(gary_problem, monkeypatch):
+    from mypddl import construct
+
+    taken = gary_problem.parent / f"{gary_problem.name}.{'00' * 4}"
+    taken.write_bytes(b"someone else's")
+    draws = iter([bytes(4), b"\x01" * 4])
+    monkeypatch.setattr(construct.os, "urandom", lambda n: next(draws))
+    add_construct(gary_problem, ":init", parse_constructs("(hungry gisela)"))
+    assert "(hungry gisela)" in gary_problem.read_text(encoding="utf-8")
+    assert taken.read_bytes() == b"someone else's"
+    assert next(draws, None) is None
+    assert _temp_files(gary_problem) == [taken.name]
 
 
 # -- the structural index against the tree -------------------------------------

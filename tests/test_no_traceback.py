@@ -1,7 +1,8 @@
 """No input makes a command raise: every PDDL-reading subcommand, run on
 byte-level mutations of the corpus files, exits 0 or 1 with its findings
-and at most one error line on stderr, and ``insert --stdout`` keeps every
-input byte outside its splice."""
+and at most one error line on stderr. ``insert --stdout`` keeps every input
+byte outside its splice, and so do in-place ``insert`` and ``distance``, read
+back from the file they wrote."""
 
 import pytest
 from click.testing import CliRunner
@@ -57,7 +58,7 @@ def _kept_outside_one_splice(before: bytes, after: bytes) -> bool:
 @given(_mutated(), st.sampled_from([":init", ":predicates", ":objects"]))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_no_mutation_makes_a_command_raise(work, data, keyword):
-    path, out = work / "input.pddl", work / "out"
+    path, out, copy = work / "input.pddl", work / "out", work / "copy.pddl"
     path.write_bytes(data)
     runner = CliRunner()
     commands = [
@@ -70,7 +71,14 @@ def test_no_mutation_makes_a_command_raise(work, data, keyword):
         ["distance", str(path), "--out", str(out / "dist.pddl")],
         ["diagram", str(path), "--no-render", "--out", str(out)],
     ]
-    for argv in commands:
+    # Each rewrites a fresh copy of the input.
+    in_place = [
+        ["insert", str(copy), keyword, "(fresh a)"],
+        ["distance", str(copy), "--in-place"],
+    ]
+    for argv in commands + in_place:
+        source = copy if argv in in_place else path
+        source.write_bytes(data)
         result = runner.invoke(main, argv)
         assert result.exit_code in (0, 1), (argv, result.output)
         assert result.exception is None \
@@ -79,8 +87,12 @@ def test_no_mutation_makes_a_command_raise(work, data, keyword):
         # error is one line too, and the last.
         lines = result.stderr.splitlines()
         others = [i for i, line in enumerate(lines)
-                  if not line.startswith(f"{path}:")]
+                  if not line.startswith(f"{source}:")]
         assert others in ([], [len(lines) - 1]), (argv, result.stderr)
         assert all(lines[i].startswith("Error: ") for i in others), argv
-        if argv[0] == "insert" and result.exit_code == 0:
+        if "--stdout" in argv and result.exit_code == 0:
             assert _kept_outside_one_splice(data, result.stdout_bytes)
+        if argv in in_place:
+            written = copy.read_bytes()
+            assert _kept_outside_one_splice(data, written), argv
+            assert result.exit_code == 0 or written == data, argv

@@ -116,6 +116,40 @@ def test_nonexistent_planner_is_a_clean_error(pair):
                     solution_dir=domain.parent / "solutions")
 
 
+@pytest.mark.parametrize("timeout", [0, -5])
+def test_a_timeout_that_is_not_positive_is_rejected(timeout):
+    with pytest.raises(PlannerError, match="timeout must be a positive"):
+        PlannerConfig(command_template="solve {domain} {problem}",
+                      timeout_seconds=timeout)
+    with pytest.raises(PlannerError, match="timeout must be a positive"):
+        parse_config('command = "solve {domain} {problem}"\n'
+                     f"timeout_seconds = {timeout}\n")
+
+
+def test_a_timeout_that_is_no_integer_is_rejected():
+    with pytest.raises(PlannerError,
+                       match="bad value for timeout_seconds: 'soon'"):
+        parse_config('command = "solve {domain} {problem}"\n'
+                     'timeout_seconds = "soon"\n')
+
+
+def test_an_empty_template_is_rejected():
+    with pytest.raises(PlannerError, match="template is empty"):
+        substitute_template("", {})
+
+
+@pytest.mark.skipif(os.name != "posix", reason="the execute bit is POSIX")
+def test_a_planner_that_cannot_be_executed_is_a_clean_error(pair, tmp_path):
+    domain, problem = pair
+    script = tmp_path / "planner"
+    script.write_text("#!/bin/sh\n", encoding="utf-8")
+    script.chmod(0o644)
+    config = PlannerConfig(command_template=f"{script} {{domain}} {{problem}}")
+    with pytest.raises(PlannerError, match="cannot run planner"):
+        run_planner(config, domain, problem,
+                    solution_dir=tmp_path / "solutions")
+
+
 def test_timeout_sets_flag(pair, tmp_path):
     domain, problem = pair
     config = PlannerConfig(

@@ -1,8 +1,11 @@
 """The records the CLI loads are NamedTuples (never assigned after they are
 made) or ``sexpr.Record`` subclasses (assigned to), and keep what their
 dataclasses gave: constructor, fresh defaults, equality, hashability, the
-``repr`` that ``tests/check_interpreters.py`` hashes, and pickling."""
+``repr`` that ``tests/check_interpreters.py`` hashes, and pickling. A
+``Record``'s constructor is built from its fields, with the parameters the
+hand-written one had."""
 
+import inspect
 import pickle
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 
 from mypddl.distance import DistanceFact, LocationFact
 from mypddl.model import (
+    ACTION_KEYS,
     ActionDecl,
     DurativeActionDecl,
     FunctionDecl,
@@ -19,7 +23,7 @@ from mypddl.model import (
     TypedEntry,
     TypedList,
 )
-from mypddl.sexpr import ParseDiagnostic, Severity, Span
+from mypddl.sexpr import ParseDiagnostic, Record, Severity, Span
 from mypddl.snippets import SnippetDef, SnippetSet
 from mypddl.typegraph import DiagramArtifacts, TypeGraph
 
@@ -137,3 +141,56 @@ def test_a_record_keeps_its_dataclass_behaviour(make, text, frozen, fresh):
     for name in fresh:
         assert getattr(record, name) == getattr(twin, name)
         assert getattr(record, name) is not getattr(twin, name)
+
+
+# The constructors as they were written out by hand: each parameter's name
+# and default, in order (``EMPTY`` where there is none); every parameter is
+# positional-or-keyword.
+EMPTY = inspect.Parameter.empty
+SIGNATURES = {
+    TypedList: [("entries", None)],
+    ActionDecl: [("name", EMPTY), ("parameters", EMPTY),
+                 ("precondition", None), ("effect", None), ("span", None)],
+    DurativeActionDecl: [("name", EMPTY), ("parameters", EMPTY),
+                         ("duration", None), ("condition", None),
+                         ("effect", None), ("span", None)],
+    PddlDomain: [(name, None) for name in (
+        "name", "requirements", "types", "constants", "predicates",
+        "functions", "actions", "durative_actions", "derived")],
+    PddlProblem: [(name, None) for name in (
+        "name", "domain_ref", "objects", "init", "goal", "metric")],
+    TypeGraph: [(name, None) for name in (
+        "nodes", "edges", "predicates_by_type", "cycle_edges")],
+    SnippetSet: [("snippets", EMPTY), ("warnings", None)],
+}
+
+
+@pytest.mark.parametrize("cls", SIGNATURES, ids=lambda cls: cls.__name__)
+def test_a_record_constructor_keeps_its_parameters(cls):
+    parameters = inspect.signature(cls).parameters.values()
+    assert [(p.name, p.default) for p in parameters] == SIGNATURES[cls]
+    assert {p.kind for p in parameters} == {
+        inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
+def test_every_record_constructor_is_built_from_its_fields():
+    records = Record.__subclasses__()
+    assert set(SIGNATURES) <= set(records)
+    for cls in records:
+        assert "__init__" in vars(cls)
+        assert cls.__init__.__code__.co_filename == "<string>", cls
+        assert list(inspect.signature(cls).parameters) == \
+            list(cls.__slots__)
+
+
+@pytest.mark.parametrize("cls,block", [(ActionDecl, ":action"),
+                                       (DurativeActionDecl, ":durative-action")])
+def test_an_action_record_has_a_field_per_action_key(cls, block):
+    attributes = [attr for attr, _ in ACTION_KEYS[block].values()]
+    assert cls.__slots__ == ("name", *attributes, "span")
+
+
+def test_a_record_is_not_equal_to_a_record_of_another_class():
+    assert TypedList().__eq__(PddlProblem()) is NotImplemented
+    assert TypedList() != PddlProblem() and not TypedList() == PddlProblem()
+    assert SnippetSet({}) != TypeGraph()

@@ -5,7 +5,9 @@ import pytest
 from mypddl.model import parse_domain, parse_problem
 from mypddl.sexpr import Severity, parse_sexpr
 from mypddl.snippets import (
+    SnippetDef,
     SnippetError,
+    SnippetSet,
     expand,
     list_snippets,
     load_snippets,
@@ -161,3 +163,9 @@ def test_substitute_defaults():
 def test_missing_snippet_dir_raises(tmp_path):
     with pytest.raises(SnippetError, match="not found"):
         load_snippets(tmp_path / "absent")
+
+
+def test_a_parametric_snippet_of_unknown_base_raises():
+    snippet_set = SnippetSet({"q": SnippetDef("q", "", "q", parametric=True)})
+    with pytest.raises(SnippetError, match="unknown parametric snippet 'q'"):
+        expand("q2", snippet_set)
