@@ -156,12 +156,12 @@ def _insertion_state(doc: Document, block: SExprNode | str,
         at = None if last == _SKIP_GAP(text, start + 1).end() else \
             insert_at - len(text[last:end].encode("utf-8"))
     else:
-        assert block.span is not None
-        insert_at = block.span.end - 1 if block.closed else block.span.end
+        assert block.end is not None
+        insert_at = block.end - 1 if block.closed else block.end
         # The last entry, found from the end: a long block is not walked whole.
         last = next((c for c in reversed(block.children) if not c.is_trivia),
                     None)
-        at = None if last is None or last is block.head() else last.span.start
+        at = None if last is None or last is block.head() else last.start
     if at is None:
         return insert_at, " "
     line_start = doc.data.rfind(b"\n", 0, at) + 1

@@ -67,7 +67,8 @@ def extract_locations(problem: Union[str, Document],
 
 def _locations(nodes: Optional[list[SExprNode]], predicate_name: str,
                ) -> tuple[list[LocationFact], list[ParseDiagnostic]]:
-    """`extract_locations` on the nodes read from an (:init ...) block."""
+    """`extract_locations` on the nodes parsed from an (:init ...) block,
+    each of which has its byte offsets."""
     diagnostics: list[ParseDiagnostic] = []
     facts: list[LocationFact] = []
 
@@ -86,7 +87,7 @@ def _locations(nodes: Optional[list[SExprNode]], predicate_name: str,
     for fact_node in nodes:
         if head_key(fact_node) != wanted:
             continue
-        span = fact_node.span if fact_node.span is not None else Span(0, 0)
+        span = Span(fact_node.start, fact_node.end)
         args = fact_node.values()[1:]
         if not args or args[0].kind is not NodeKind.ATOM:
             error(span, f"{predicate_name} fact has no object name",
@@ -96,11 +97,10 @@ def _locations(nodes: Optional[list[SExprNode]], predicate_name: str,
         coords: list[float] = []
         bad = False
         for arg in args[1:]:
-            if arg.kind is not NodeKind.ATOM \
-                    or not is_number(arg.text) \
+            if arg.kind is not NodeKind.ATOM or not is_number(arg.text) \
                     or not math.isfinite(float(arg.text)):
                 shown = arg.text if arg.kind is NodeKind.ATOM else "(...)"
-                error(arg.span if arg.span is not None else span,
+                error(arg.span,
                       f"coordinate {shown!r} of {name!r} is not a finite "
                       f"decimal number", "bad-coordinate")
                 bad = True

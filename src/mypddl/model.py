@@ -18,6 +18,10 @@ import re
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .sexpr import (
+    CLOSED,
+    LEAD,
+    TAIL,
+    TEXT,
     Document,
     NodeKind,
     ParseDiagnostic,
@@ -222,8 +226,7 @@ Model = TypeVar("Model", PddlDomain, PddlProblem)
 def head_key(node: SExprNode) -> Optional[str]:
     """The lowercased text of a list's head atom, or None."""
     head = node.head() if node.kind is NodeKind.LIST else None
-    return head.text.lower() if head is not None \
-        and head.kind is NodeKind.ATOM else None
+    return head.text.lower() if head and head.kind is NodeKind.ATOM else None
 
 
 def is_define(node: SExprNode) -> bool:
@@ -330,26 +333,26 @@ class _Walk:
     def open_paren(self, node: SExprNode, scope: Optional[Scope] = None) -> None:
         """The list's lead, then its '(' with ``scope``; by default
         Punctuation, or Unscoped if the list is never closed."""
-        scope = scope or (_PUNCTUATION if node[4] else _UNSCOPED)
-        if node[6]:
-            self.texts.append(node[6])
+        scope = scope or (_PUNCTUATION if node[CLOSED] else _UNSCOPED)
+        if node[LEAD]:
+            self.texts.append(node[LEAD])
             self.scopes.append(_PUNCTUATION)
         self.texts.append("(")
         self.scopes.append(scope)
 
     def close_paren(self, node: SExprNode, scope: Scope = _PUNCTUATION) -> None:
-        if node[7]:
-            self.texts.append(node[7])
+        if node[TAIL]:
+            self.texts.append(node[TAIL])
             self.scopes.append(_PUNCTUATION)
-        if node[4]:
+        if node[CLOSED]:
             self.texts.append(")")
             self.scopes.append(scope)
 
     def single(self, node: SExprNode, scope: Scope) -> None:
-        if node[6]:
-            self.texts.append(node[6])
+        if node[LEAD]:
+            self.texts.append(node[LEAD])
             self.scopes.append(_PUNCTUATION)
-        self.texts.append(node[1])
+        self.texts.append(node[TEXT])
         self.scopes.append(scope)
 
     def atom_or_tree(self, node: SExprNode, scope: Scope) -> None:
@@ -423,9 +426,8 @@ class _Walk:
              severity: Severity = Severity.WARNING) -> None:
         """Report a finding of the model at ``node``; none without one."""
         if self.model is not None:
-            span = node.span if node.span is not None else Span(0, 0)
-            self.diagnostics.append(ParseDiagnostic(span, severity, message,
-                                                    code))
+            self.diagnostics.append(ParseDiagnostic(
+                node.span or Span(0, 0), severity, message, code))
 
     def lexical_atom(self, node: SExprNode) -> None:
         text = node.text
@@ -505,7 +507,7 @@ class _Walk:
         name, variable = _NAME, _VARIABLE
         self.open_paren(node)
         for child in node.children:
-            kind, text, _, _, _, _, lead, _ = child
+            kind, text, _, _, _, _, _, lead, _ = child
             if kind is not _ATOM:
                 self.flat_emit(child, _UNSCOPED)
                 continue
@@ -593,7 +595,7 @@ class _Walk:
         dash = None  # the last '-', while the value after it is due
         self.open_paren(node)
         for child in node.children:
-            kind, text, _, span, _, trivia, lead, _ = child
+            kind, text, _, start, end, _, trivia, lead, _ = child
             if child is head:
                 self.atom_or_tree(child, head_scope)
             elif trivia:
@@ -603,17 +605,16 @@ class _Walk:
                 # A run of names typed by an atom, by far the most common,
                 # is made here, without a call and a list per run.
                 if record and kind is _ATOM and items is not None:
-                    if (known.get(text) or self.term_scope(text)) \
-                            is not _NAME:
+                    if (known.get(text) or self.term_scope(text)) is not _NAME:
                         self.bad_type(child, text)
-                    for item in run:
-                        entries.append(TypedEntry(item[1], text, item[3],
-                                                  span))
+                    span = None if start is None else Span._make((start, end))
+                    for _, name, _, at, to, _, _, _, _ in run:
+                        at = None if at is None else Span._make((at, to))
+                        entries.append(TypedEntry(name, text, at, span))
                 elif record:
                     entries += self.typed_run(run, items, child)
                 elif kind is _LIST and head_key(child) == "either":
-                    self.each(child, child.head(), _KEYWORD,
-                              _Walk.type_name)
+                    self.each(child, child.head(), _KEYWORD, _Walk.type_name)
                 else:
                     self.type_name(child)
                 run = []
@@ -721,8 +722,7 @@ class _Walk:
             self.single(node, _UNSCOPED)
             self.warn(node, f"{node.text!r} where a list of parameters was "
                       "expected", "bad-parameters")
-        elif (entries := self.typed_list(node, None, _VARIABLE)) \
-                is not None:
+        elif (entries := self.typed_list(node, None, _VARIABLE)) is not None:
             return TypedList(entries)
         return None
 

@@ -28,12 +28,13 @@ class MyPddlError(Exception):
 
 
 class Span(namedtuple("Span", "start end")):
-    """Half-open byte range [start, end) into the source text.
-
-    An immutable pair: equal spans compare and hash alike.
-    """
+    """Half-open byte range [start, end) into the source text: an immutable
+    pair, so equal spans compare and hash alike. ``_make`` builds one from
+    a pair known to be valid, unchecked and at C speed."""
 
     __slots__ = ()
+    # namedtuple's own _make checks len(), which here is a span's length.
+    _make = classmethod(tuple.__new__)
 
     def __new__(cls, start: int, end: int) -> "Span":
         if start > end or start < 0:
@@ -45,11 +46,6 @@ class Span(namedtuple("Span", "start end")):
 
     def overlaps(self, other: "Span") -> bool:
         return self.start < other.end and other.start < self.end
-
-
-def _span(start: int, end: int) -> Span:
-    """A span whose bounds the caller has already ensured are valid."""
-    return tuple.__new__(Span, (start, end))
 
 
 class Severity(enum.Enum):
@@ -118,23 +114,23 @@ class NodeKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-class SExprNode(namedtuple(
-        "SExprNode", "kind text children span closed is_trivia lead tail")):
+class SExprNode(namedtuple("SExprNode", "kind text children start end "
+                                        "closed is_trivia lead tail")):
     """One node of the lossless concrete-syntax tree.
 
     ``text`` is the verbatim source slice for atoms, comments and whitespace
     (only a leading byte order mark and what follows the last top-level
-    node); lists carry their elements in ``children``. ``lead`` is the
-    whitespace before a node, outside its span; ``tail`` is that before a
-    list's ')' or the end of input. ``closed`` is False for a list that was
-    recovered at end of input, so serialization does not invent the missing
-    parenthesis. Nodes built programmatically (for insertion) have ``span``
-    set to None. ``is_trivia`` is derived from ``kind`` when it is made.
+    node); lists carry their elements in ``children``. ``start`` and ``end``
+    are byte offsets, None in a node built in code; ``span``, which the
+    constructor, ``repr`` and pickles use, is built from them when read.
+    ``lead`` is the whitespace before a node, outside its span; ``tail`` is
+    that before a list's ')' or the end of input. ``closed`` is False for a
+    list recovered at end of input, so serialization invents no missing
+    parenthesis. ``is_trivia`` is derived from ``kind``.
 
-    An immutable tuple record that compares and hashes by identity, as two
-    nodes with the same text and span are still two places in a tree. Hot
-    loops unpack it rather than read its fields one by one.
-    """
+    An immutable tuple that compares and hashes by identity, as two nodes
+    with the same text and span are still two places in a tree. Hot loops
+    unpack it or index it by the constants below."""
 
     __slots__ = ()
     __eq__ = object.__eq__
@@ -146,17 +142,24 @@ class SExprNode(namedtuple(
                 span: Optional[Span] = None, closed: bool = True,
                 lead: str = "", tail: str = "") -> "SExprNode":
         trivia = kind is NodeKind.COMMENT or kind is NodeKind.WHITESPACE
-        return tuple.__new__(cls, (kind, text, children, span, closed, trivia,
-                                   lead, tail))
+        start, end = (None, None) if span is None else span
+        return tuple.__new__(cls, (kind, text, children, start, end, closed,
+                                   trivia, lead, tail))
+
+    span = property(lambda self: None if self[START] is None
+                    else Span._make(self[START:END + 1]))
 
     def __getnewargs__(self) -> tuple:
-        return self[:5] + self[6:]
+        return (*self[:START], self.span, self[CLOSED], *self[LEAD:])
+
+    def __repr__(self) -> str:
+        return ("SExprNode(kind=%r, text=%r, children=%r, span=%r, closed=%r, "
+                "is_trivia=%r, lead=%r, tail=%r)"
+                % (*self[:START], self.span, *self[CLOSED:]))
 
     def walk(self) -> Iterator["SExprNode"]:
-        """Yield this node and all descendants in document order.
-
-        Iterative, so arbitrarily deep nesting cannot exhaust the stack.
-        """
+        """Yield this node and all descendants in document order;
+        iterative, so arbitrarily deep nesting cannot exhaust the stack."""
         stack: list[SExprNode] = [self]
         while stack:
             node = stack.pop()
@@ -173,6 +176,10 @@ class SExprNode(namedtuple(
     def values(self) -> list["SExprNode"]:
         """Non-trivia children."""
         return [c for c in self.children if not c.is_trivia]
+
+
+# The index of each field of ``SExprNode``, for loops that read it by index.
+KIND, TEXT, CHILDREN, START, END, CLOSED, IS_TRIVIA, LEAD, TAIL = range(9)
 
 
 SPACE = " \t\r\n\f\v"  # not \s: other spaces, such as U+00A0, are atom text
@@ -193,12 +200,9 @@ _LEXEME = re.compile(rf"""
 @contextlib.contextmanager
 def gc_paused() -> Iterator[None]:
     """Keep the cyclic garbage collector off for the body, then restore the
-    state it had before.
-
-    Trees and token lists hold no cycles, so reference counting alone frees
-    them; without the pause every 700 allocations start a collection that
-    rescans the growing structure.
-    """
+    state it had before. Trees and token lists hold no cycles, so reference
+    counting alone frees them; without the pause every 700 allocations
+    start a collection that rescans the growing structure."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -211,12 +215,10 @@ def gc_paused() -> Iterator[None]:
 def parse_sexpr(text: str, offset: int = 0,
                 ) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
     """Parse source text, or a slice of a file at byte ``offset``, into a
-    lossless forest whose spans count from the file's start.
-
-    Never raises on malformed input: an unclosed list is closed at end of
-    input and a stray ')' becomes an atom, each with an Error diagnostic.
-    The cyclic garbage collector is paused while the forest is built.
-    """
+    lossless forest whose offsets count from the file's start. Never raises
+    on malformed input: an unclosed list is closed at end of input and a
+    stray ')' becomes an atom, each with an Error diagnostic. The cyclic
+    garbage collector is paused while the forest is built."""
     with gc_paused():
         diagnostics: list[ParseDiagnostic] = []
         # Offset, lead and children so far of each open list; ``level`` is
@@ -226,7 +228,7 @@ def parse_sexpr(text: str, offset: int = 0,
         levels: list[list[SExprNode]] = [[]]
         level = levels[0]
         atom, comment, lst = NodeKind.ATOM, NodeKind.COMMENT, NodeKind.LIST
-        # Nodes and spans are built at C speed, fields in ``SExprNode`` order.
+        # Nodes are built at C speed, fields in ``SExprNode`` order.
         new = tuple.__new__
         # Byte offsets equal character offsets in ASCII text.
         ascii_only = text.isascii()
@@ -235,7 +237,7 @@ def parse_sexpr(text: str, offset: int = 0,
         trailing = pieces.pop()[0] if pieces and not pieces[-1][1] else ""
         i = offset + 3 if pieces and pieces[0] == ("", "\ufeff") else offset
         if i > offset:
-            level.append(SExprNode(NodeKind.WHITESPACE, text[0], (), _span(offset, i)))
+            level.append(SExprNode(NodeKind.WHITESPACE, text[0], (), Span(offset, i)))
             del pieces[0]
         for lead, piece in pieces:
             i += len(lead)
@@ -248,37 +250,35 @@ def parse_sexpr(text: str, offset: int = 0,
                 levels.append(level)
             elif first == ")":
                 if opens:
-                    node = new(SExprNode, (lst, "", tuple(level),
-                                           new(Span, (opens.pop(), j)),
-                                           True, False, leads.pop(), lead))
+                    node = new(SExprNode, (lst, "", tuple(level), opens.pop(),
+                                           j, True, False, leads.pop(), lead))
                     levels.pop()
                     level = levels[-1]
                     level.append(node)
                 else:
                     diagnostics.append(ParseDiagnostic(
-                        _span(i, j), Severity.ERROR, "unmatched ')'",
+                        Span(i, j), Severity.ERROR, "unmatched ')'",
                         "stray-closer"))
-                    level.append(new(SExprNode, (atom, ")", (),
-                                                 new(Span, (i, j)), True,
+                    level.append(new(SExprNode, (atom, ")", (), i, j, True,
                                                  False, lead, "")))
             else:
                 kind = comment if first == ";" else atom
-                level.append(new(SExprNode, (kind, piece, (), new(Span, (i, j)),
-                                             True, kind is comment, lead, "")))
+                level.append(new(SExprNode, (kind, piece, (), i, j, True,
+                                             kind is comment, lead, "")))
             i = j
 
         # Trailing whitespace is the innermost unclosed list's tail, or a node.
         end = i + len(trailing)
         if trailing and not opens:
             level.append(SExprNode(NodeKind.WHITESPACE, trailing, (),
-                                   _span(i, end)))
+                                   Span(i, end)))
         # Close recovered lists innermost first, without inventing parentheses.
         while opens:
             start = opens.pop()
             diagnostics.append(ParseDiagnostic(
-                _span(start, start + 1), Severity.ERROR,
+                Span(start, start + 1), Severity.ERROR,
                 "'(' is never closed", "unclosed-list"))
-            node = SExprNode(lst, "", tuple(levels.pop()), _span(start, end),
+            node = SExprNode(lst, "", tuple(levels.pop()), Span(start, end),
                              False, leads.pop(), trailing)
             trailing = ""
             levels[-1].append(node)
@@ -372,14 +372,14 @@ def iter_blocks(forest: Sequence[SExprNode],
     needs only the first match visits no more lists than it."""
     wanted = keyword.lower()
     lst, atom = NodeKind.LIST, NodeKind.ATOM
-    todo = [node for node in reversed(forest) if node[0] is lst]
+    todo = [node for node in reversed(forest) if node[KIND] is lst]
     while todo:
         node = todo.pop()
-        if children := node[2]:
-            head = node.head() if children[0][5] else children[0]
-            if head is not None and head[0] is atom and head[1].lower() == wanted:
+        if children := node[CHILDREN]:
+            head = node.head() if children[0][IS_TRIVIA] else children[0]
+            if head and head[KIND] is atom and head[TEXT].lower() == wanted:
                 yield node
-            todo += [child for child in reversed(children) if child[0] is lst]
+            todo += [c for c in reversed(children) if c[KIND] is lst]
 
 
 def find_blocks(forest: Sequence[SExprNode], keyword: str) -> list[SExprNode]:

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mypddl import sexpr
 from mypddl.sexpr import (
     NodeKind,
     Severity,
+    SExprNode,
+    Span,
     find_blocks,
     gc_paused,
     iter_blocks,
@@ -147,6 +150,78 @@ def test_whitespace_makes_no_nodes_on_a_large_problem():
     forest, _ = parse_sexpr(text)
     assert sum(1 for top in forest for _ in top.walk()) <= 18_300
     assert serialize(forest) == text
+
+
+# Pieces of text that exercise byte offsets: multi-byte characters (two,
+# three and four bytes in UTF-8), CRLF, a no-break space, which is atom
+# text, comments, and parentheses that may be stray or never closed.
+_OFFSET_PIECES = ["(", "(", ")", ")", "a", "?x", "é", "漢", "😀", "\u00a0",
+                  " ", "\t", "\n", "\r\n", "; c", ";é\n"]
+
+
+@given(st.booleans(),
+       st.lists(st.sampled_from(_OFFSET_PIECES), max_size=40).map("".join),
+       st.integers(0, 300))
+@example(True, "(a é) ) (b\r\n ;x", 7)
+@settings(max_examples=300)
+def test_every_node_holds_its_byte_offsets(bom, body, offset):
+    """Parsed at ``offset`` of a file, each node's ``start`` and ``end``
+    give its ``span`` and bracket exactly the bytes it serializes to."""
+    text = ("\ufeff" if bom else "") + body
+    data = b"x" * offset + text.encode("utf-8")
+    forest, _ = parse_sexpr(text, offset)
+    for node in (node for top in forest for node in top.walk()):
+        assert node.span == Span(node.start, node.end)
+        assert data[node.start:node.end].decode("utf-8") \
+            == serialize_node(node)
+
+
+def test_a_node_built_in_code_has_no_offsets():
+    node = SExprNode(NodeKind.ATOM, "x")
+    assert (node.start, node.end, node.span) == (None, None, None)
+    placed = SExprNode(NodeKind.ATOM, "x", (), Span(3, 4))
+    assert (placed.start, placed.end, placed.span) == (3, 4, Span(3, 4))
+
+
+def test_span_make_builds_a_span_of_any_length():
+    # namedtuple's own ``_make`` would compare len(), a span's length, to 2.
+    span = Span._make((3, 9))
+    assert span == Span(3, 9) and type(span) is Span
+
+
+def test_the_node_layout_is_pinned():
+    # Hot loops index nodes by these constants and unpack them whole, so a
+    # reordered field must fail here rather than be misread there.
+    assert SExprNode._fields == ("kind", "text", "children", "start", "end",
+                                 "closed", "is_trivia", "lead", "tail")
+    assert [getattr(sexpr, field.upper()) for field in SExprNode._fields] \
+        == list(range(len(SExprNode._fields)))
+
+
+def test_a_node_prints_its_span_as_it_always_has():
+    assert repr(parse_sexpr(" (a)")[0][0]) == (
+        "SExprNode(kind=<NodeKind.LIST: 'list'>, text='', children=("
+        "SExprNode(kind=<NodeKind.ATOM: 'atom'>, text='a', children=(), "
+        "span=Span(start=2, end=3), closed=True, is_trivia=False, lead='', "
+        "tail=''),), span=Span(start=1, end=4), closed=True, "
+        "is_trivia=False, lead=' ', tail='')")
+    assert repr(SExprNode(NodeKind.ATOM, "x")) == (
+        "SExprNode(kind=<NodeKind.ATOM: 'atom'>, text='x', children=(), "
+        "span=None, closed=True, is_trivia=False, lead='', tail='')")
+
+
+def test_a_parse_allocates_no_span():
+    """Nodes hold their offsets as ints; a ``Span`` is built only when a
+    node's ``span`` is read, so a clean parse leaves none behind."""
+    text = benchmark_inputs("large-problem", 1).problem.text.decode("utf-8")
+
+    def live_spans() -> int:
+        return sum(1 for obj in gc.get_objects() if type(obj) is Span)
+
+    before = live_spans()
+    forest, diagnostics = parse_sexpr(text)
+    assert live_spans() - before == 0
+    assert diagnostics == [] and serialize(forest) == text
 
 
 def test_find_blocks_goal(gary_problem):
