@@ -23,6 +23,7 @@ from .sexpr import (
     ParseDiagnostic,
     Severity,
     Span,
+    excerpt,
     gc_paused,
     serialize_node,
 )
@@ -57,8 +58,8 @@ def _print_report(report: dict, quiet: bool) -> None:
         click.echo(f"{path}:{d['line']}:{d['col']}: {d['severity']}: "
                    f"{d['message']} [{d['code']}]", err=True)
     for r in report["invalid_regions"]:
-        excerpt = r["text"] if len(r["text"]) <= 40 else r["text"][:37] + "..."
-        click.echo(f"{path}:{r['line']}:{r['col']}: invalid: {excerpt}")
+        click.echo(f"{path}:{r['line']}:{r['col']}: invalid: "
+                   f"{excerpt(r['text'])}")
 
 
 # An input file that must exist; a directory is a usage error.
@@ -284,11 +285,12 @@ def check(ctx: click.Context, files: tuple[Path, ...]) -> None:
     """Parse and scope FILES, reporting errors and invalid regions."""
     any_bad = False
     reports = []
+    error = Severity.ERROR
     for path in files:
         doc = Document.read(path)
         report = _report(path, doc, doc.diagnostics,
                          highlight.scope_columns(doc).invalid_regions())
-        errors = sum(d.severity is Severity.ERROR for d in doc.diagnostics)
+        errors = sum(d.severity is error for d in doc.diagnostics)
         regions = len(report["invalid_regions"])
         any_bad = any_bad or bool(errors or regions)
         if ctx.obj["json"]:

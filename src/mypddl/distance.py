@@ -28,6 +28,7 @@ from .sexpr import (
     SExprNode,
     Span,
     as_document,
+    excerpt,
 )
 
 DEFAULT_PREDICATE = "location"
@@ -82,6 +83,7 @@ def _locations(nodes: Optional[list[SExprNode]], predicate_name: str,
         return facts, diagnostics
 
     wanted = predicate_name.lower()
+    atom = NodeKind.ATOM
     seen: dict[str, LocationFact] = {}
     first_dim: Optional[tuple[str, int]] = None
     for fact_node in nodes:
@@ -89,7 +91,7 @@ def _locations(nodes: Optional[list[SExprNode]], predicate_name: str,
             continue
         span = Span(fact_node.start, fact_node.end)
         args = fact_node.values()[1:]
-        if not args or args[0].kind is not NodeKind.ATOM:
+        if not args or args[0].kind is not atom:
             error(span, f"{predicate_name} fact has no object name",
                   "bad-location")
             continue
@@ -97,30 +99,31 @@ def _locations(nodes: Optional[list[SExprNode]], predicate_name: str,
         coords: list[float] = []
         bad = False
         for arg in args[1:]:
-            if arg.kind is not NodeKind.ATOM or not is_number(arg.text) \
+            if arg.kind is not atom or not is_number(arg.text) \
                     or not math.isfinite(float(arg.text)):
-                shown = arg.text if arg.kind is NodeKind.ATOM else "(...)"
-                error(arg.span,
-                      f"coordinate {shown!r} of {name!r} is not a finite "
-                      f"decimal number", "bad-coordinate")
+                shown = arg.text if arg.kind is atom else "(...)"
+                error(arg.span, f"coordinate {excerpt(repr(shown))} of "
+                      f"{excerpt(repr(name))} is not a finite decimal number",
+                      "bad-coordinate")
                 bad = True
             else:
                 coords.append(float(arg.text))
         if bad:
             continue
         if not coords:
-            error(span, f"{predicate_name} fact for {name!r} has no "
-                  "coordinates", "bad-location")
+            error(span, f"{predicate_name} fact for {excerpt(repr(name))} "
+                  "has no coordinates", "bad-location")
             continue
         if name in seen:
             error(span, f"duplicate {predicate_name} fact for object "
-                  f"{name!r}", "duplicate-object")
+                  f"{excerpt(repr(name))}", "duplicate-object")
             continue
         if first_dim is None:
             first_dim = (name, len(coords))
         elif len(coords) != first_dim[1]:
-            error(span, f"{name!r} has {len(coords)} coordinates but "
-                  f"{first_dim[0]!r} has {first_dim[1]}", "mixed-dimensions")
+            error(span, f"{excerpt(repr(name))} has {len(coords)} "
+                  f"coordinates but {excerpt(repr(first_dim[0]))} has "
+                  f"{first_dim[1]}", "mixed-dimensions")
             continue
         fact = LocationFact(name, tuple(coords), span)
         seen[name] = fact
@@ -205,8 +208,8 @@ def _overflow(a: LocationFact, rest: Sequence[LocationFact]) -> DistanceError:
         except OverflowError:
             break
     return DistanceError(
-        f"distance between {a.object_name!r} and {b.object_name!r} "
-        f"is too large for a double")
+        f"distance between {excerpt(repr(a.object_name))} and "
+        f"{excerpt(repr(b.object_name))} is too large for a double")
 
 
 def _full_rows(upper: Iterable[list], diagonal, n: int) -> Iterator[list]:

@@ -13,7 +13,7 @@ Tokens always tile the whole file, whitespace included.
 from __future__ import annotations
 
 import html
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -29,9 +29,16 @@ class Token(NamedTuple):
 
 
 _SCOPE_JSON = {scope: encode_basestring(scope.value) for scope in Scope}
-# Tokens per piece of ``iter_json``: enough to amortize the join, few
+# Tokens per piece of ``iter_json``: enough to amortize the ``%``, few
 # enough that a piece is small next to a large file's output.
 _JSON_RUN = 1024
+# A token's JSON record: its offsets, then its tail, which holds the rest.
+_JSON_RECORD = b' {\n  "start": %d,\n  "end": %d%s'
+# The template of a full run of records, about 34 KB.
+_JSON_TEMPLATE = b",\n".join(repeat(_JSON_RECORD, _JSON_RUN))
+# Distinct tails kept between runs; past this many the cache starts over,
+# so a file whose atoms are all distinct never holds its tails whole.
+_JSON_TAILS = 4 * _JSON_RUN
 
 _CSS = """\
 body { background: #fdfdfd; color: #333; }
@@ -62,6 +69,18 @@ class _Fragments(dict):
             value = html.escape(text)
         else:
             value = f"{_SCOPE_OPEN[scope]}{html.escape(text)}</span>"
+        self[key] = value
+        return value
+
+
+class _Tails(dict):
+    """(scope, text) -> the UTF-8 tail of the token's JSON record, rendered
+    on first use."""
+
+    def __missing__(self, key: tuple[Scope, str]) -> bytes:
+        scope, text = key
+        value = (f',\n  "scope": {_SCOPE_JSON[scope]},\n'
+                 f'  "text": {encode_basestring(text)}\n }}').encode("utf-8")
         self[key] = value
         return value
 
@@ -142,7 +161,13 @@ class TokenColumns:
 
     def iter_json(self) -> Iterator[bytes]:
         """See `iter_tokens_json`."""
-        return iter_tokens_json(zip(zip(*self.offsets()), self.scopes, self.texts))
+        size = len(self.texts)
+        cuts = list(map(slice, range(0, size, _JSON_RUN),
+                        range(_JSON_RUN, size + _JSON_RUN, _JSON_RUN)))
+        columns = (*self.offsets(), self.scopes, self.texts)
+        # Each run's columns, cut at C speed.
+        return _json_pieces(zip(*[map(column.__getitem__, cuts)
+                                  for column in columns]))
 
     def render_html(self, *, title: str = "PDDL") -> str:
         """See `render_html`."""
@@ -179,16 +204,29 @@ def iter_tokens_json(tokens: Iterable[Token]) -> Iterator[bytes]:
     indent=1)``, written out directly because ``indent`` makes ``json``
     fall back to its pure-Python encoder.
     """
-    rows = iter(tokens)
-    opening = "[\n"
-    while run := list(islice(rows, _JSON_RUN)):
-        yield (opening + ",\n".join(
-            f' {{\n  "start": {start},\n  "end": {end},\n'
-            f'  "scope": {_SCOPE_JSON[scope]},\n'
-            f'  "text": {encode_basestring(text)}\n }}'
-            for (start, end), scope, text in run)).encode("utf-8")
-        opening = ",\n"
-    yield b"[]" if opening == "[\n" else b"\n]"
+    def runs(rows: Iterator) -> Iterator[tuple]:
+        while run := list(islice(rows, _JSON_RUN)):
+            spans, scopes, texts = zip(*run)
+            yield (*zip(*spans), scopes, texts)
+    return _json_pieces(runs(iter(tokens)))
+
+
+def _json_pieces(runs: Iterable[tuple]) -> Iterator[bytes]:
+    """The pieces of ``iter_tokens_json``, one per run of columns (starts,
+    ends, scopes, texts). A run is one bytes ``%`` of a template of
+    ``_JSON_RECORD``s, whose arguments are interleaved at C speed; each
+    distinct (scope, text) pair's tail is rendered once (``_Tails``)."""
+    tails = _Tails()
+    opening = b"[\n"
+    for starts, ends, scopes, texts in runs:
+        if len(tails) > _JSON_TAILS:
+            tails.clear()
+        template = _JSON_TEMPLATE if len(texts) == _JSON_RUN \
+            else b",\n".join(repeat(_JSON_RECORD, len(texts)))
+        yield opening + template % tuple(chain.from_iterable(zip(
+            starts, ends, map(tails.__getitem__, zip(scopes, texts)))))
+        opening = b",\n"
+    yield b"[]" if opening == b"[\n" else b"\n]"
 
 
 def emit_tokens_json(tokens: Sequence[Token]) -> bytes:

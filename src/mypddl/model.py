@@ -30,6 +30,7 @@ from .sexpr import (
     Severity,
     Span,
     as_document,
+    excerpt,
     serialize_node,
 )
 
@@ -223,10 +224,14 @@ class PddlProblem(Record):
 Model = TypeVar("Model", PddlDomain, PddlProblem)
 
 
+# Bound once: an enum member read through its class costs a Python call.
+_ATOM, _LIST = NodeKind.ATOM, NodeKind.LIST
+
+
 def head_key(node: SExprNode) -> Optional[str]:
     """The lowercased text of a list's head atom, or None."""
-    head = node.head() if node.kind is NodeKind.LIST else None
-    return head.text.lower() if head and head.kind is NodeKind.ATOM else None
+    head = node.head() if node.kind is _LIST else None
+    return head.text.lower() if head and head.kind is _ATOM else None
 
 
 def is_define(node: SExprNode) -> bool:
@@ -272,8 +277,7 @@ _TRIVIA_SCOPES = {NodeKind.WHITESPACE: Scope.PUNCTUATION,
 # Marks, in ``flat_emit``'s stack, that the list popped next is complete.
 _CLOSE = object()
 
-# Bound once: an enum member read through its class costs a Python call.
-_ATOM, _LIST = NodeKind.ATOM, NodeKind.LIST
+# Bound once, as ``_ATOM`` and ``_LIST`` are.
 _PUNCTUATION, _UNSCOPED = Scope.PUNCTUATION, Scope.UNSCOPED
 _KEYWORD, _NAME, _VARIABLE = Scope.KEYWORD, Scope.NAME, Scope.VARIABLE
 
@@ -286,7 +290,7 @@ def _atom(scope: Scope, accepts: Callable[[str], bool]) -> GrammarMethod:
     ``accepts`` takes its text, else Unscoped; a list there is Unscoped
     whole. ``accepts`` is kept on the method, for rows that it guards."""
     def value(self: _Walk, node: SExprNode) -> None:
-        if node.kind is NodeKind.ATOM:
+        if node.kind is _ATOM:
             self.single(node, scope if accepts(node.text) else _UNSCOPED)
         else:
             self.flat_emit(node, _UNSCOPED)
@@ -610,7 +614,9 @@ class _Walk:
                     span = None if start is None else Span._make((start, end))
                     for _, name, _, at, to, _, _, _, _ in run:
                         at = None if at is None else Span._make((at, to))
-                        entries.append(TypedEntry(name, text, at, span))
+                        # The entry's own constructor, at C speed.
+                        entries.append(tuple.__new__(
+                            TypedEntry, (name, text, at, span)))
                 elif record:
                     entries += self.typed_run(run, items, child)
                 elif kind is _LIST and head_key(child) == "either":
@@ -633,15 +639,15 @@ class _Walk:
                 dash, at = child, len(scopes) - 1
             elif items is None:
                 self.single(child, _UNSCOPED)
-                self.warn(child, f"unexpected {text!r} in (:functions ...)",
-                          "bad-function")
+                self.warn(child, f"unexpected {excerpt(repr(text))} in "
+                          "(:functions ...)", "bad-function")
             elif record:
                 if (known.get(text) or self.term_scope(text)) is items:
                     run.append(child)
                 else:
-                    self.warn(child, f"{text!r} where a {items.name.lower()}"
-                              " was expected in typed list",
-                              "bad-typed-list-item")
+                    self.warn(child, f"{excerpt(repr(text))} where a "
+                              f"{items.name.lower()} was expected in typed "
+                              "list", "bad-typed-list-item")
             else:
                 if lead:
                     texts.append(lead)
@@ -687,10 +693,11 @@ class _Walk:
         name: an (either ...) as ``either-type``, anything else as
         ``bad-type``."""
         if node.kind is _ATOM:
-            self.warn(node, f"{text!r} in type position is not a type name",
-                      "bad-type")
+            self.warn(node, f"{excerpt(repr(text))} in type position is "
+                      "not a type name", "bad-type")
         else:
-            self.warn(node, f"compound type {text!r} in type position",
+            self.warn(node, f"compound type {excerpt(repr(text))} in type "
+                      "position",
                       "either-type" if head_key(node) == "either"
                       else "bad-type")
 
@@ -710,8 +717,8 @@ class _Walk:
     def predicate(self, node: SExprNode) -> None:
         """A declaration in (:predicates ...), which a model records."""
         if node.kind is not _LIST and self.model is not None:
-            self.warn(node, f"stray {node.text!r} in (:predicates ...)",
-                      "stray-atom")
+            self.warn(node, f"stray {excerpt(repr(node.text))} in "
+                      "(:predicates ...)", "stray-atom")
         elif signature := self.declaration(node):
             self.model.predicates.append(PredicateDecl(
                 *signature, serialize_node(node), span=node.span))
@@ -720,8 +727,8 @@ class _Walk:
         """Typed variables, a model's ``TypedList``."""
         if node.kind is not _LIST:
             self.single(node, _UNSCOPED)
-            self.warn(node, f"{node.text!r} where a list of parameters was "
-                      "expected", "bad-parameters")
+            self.warn(node, f"{excerpt(repr(node.text))} where a list of "
+                      "parameters was expected", "bad-parameters")
         elif (entries := self.typed_list(node, None, _VARIABLE)) is not None:
             return TypedList(entries)
         return None
@@ -796,8 +803,9 @@ class _Walk:
             else:
                 self.single(child, _UNSCOPED)
                 attr = None
-                self.warn(child, f"unrecognized entry {child.text!r} in "
-                          f"{what}", "unknown-action-key")
+                self.warn(child, "unrecognized entry "
+                          f"{excerpt(repr(child.text))} in {what}",
+                          "unknown-action-key")
                 # Read the value as that of the hinted key if this kind of
                 # action has it, so a durative one gets the timed context.
                 hint = _ACTION_KEY_HINTS.get(key.strip(":"))
@@ -820,12 +828,12 @@ class _Walk:
             return
         key = head_key(node)
         if node.kind is not _LIST:
-            self.warn(node, f"stray {node.text!r} at {self.kind} level",
-                      "stray-atom")
+            self.warn(node, f"stray {excerpt(repr(node.text))} at "
+                      f"{self.kind} level", "stray-atom")
             return
         if key not in self.blocks:
-            self.warn(node, f"unrecognized block {key or '(...)'!s} skipped",
-                      "unknown-block")
+            self.warn(node, f"unrecognized block {excerpt(key or '(...)')} "
+                      "skipped", "unknown-block")
             return
         if key in self.seen and key not in REPEATABLE_BLOCKS:
             self.warn(node, f"duplicate {key} block", "duplicate-block")
@@ -840,8 +848,8 @@ class _Walk:
                 if value.kind is _LIST:
                     model.init.append(value)
                 else:
-                    self.warn(value, f"stray {value.text!r} in (:init ...)",
-                              "stray-atom")
+                    self.warn(value, f"stray {excerpt(repr(value.text))} "
+                              "in (:init ...)", "stray-atom")
         elif key == ":goal":
             model.goal = values[0] if values else None
         elif key == ":metric":

@@ -60,6 +60,13 @@ class ParseDiagnostic(NamedTuple):
     code: str
 
 
+def excerpt(text: str) -> str:
+    """``text`` as a message or a report line shows it: whole up to 40
+    characters, else its first 37 and '...'. A message quotes source as
+    ``excerpt(repr(text))``, so no input makes it long."""
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 class Record:
     """Base of the records a caller may assign to: the fields are a
     subclass's ``__slots__``, and its constructor is built from them, as
@@ -347,11 +354,12 @@ def serialize(forest: Sequence[SExprNode]) -> str:
     stack."""
     parts: list[str] = []
     todo: list[Union[SExprNode, str]] = list(reversed(forest))
+    lst = NodeKind.LIST
     while todo:
         node = todo.pop()
         if type(node) is str:
             parts.append(node)
-        elif node.kind is NodeKind.LIST:
+        elif node.kind is lst:
             parts += (node.lead, "(")
             todo.append(node.tail + ")" if node.closed else node.tail)
             todo.extend(reversed(node.children))

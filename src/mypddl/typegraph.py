@@ -21,6 +21,7 @@ from .sexpr import (
     Record,
     Severity,
     Span,
+    excerpt,
 )
 
 # Built-in numeric type: lives outside the object hierarchy, never drawn.
@@ -80,9 +81,9 @@ def build_type_graph(domain: PddlDomain) -> tuple[TypeGraph, list[ParseDiagnosti
 
     for name, parents in declared_parent.items():
         if len(parents) > 1:
-            warn(f"type {name!r} is declared under several parents: "
-                 f"{', '.join(sorted(parents))}", "multi-parent",
-                 span=list(parents.values())[1])
+            warn(f"type {excerpt(repr(name))} is declared under several "
+                 f"parents: {excerpt(', '.join(sorted(parents)))}",
+                 "multi-parent", span=list(parents.values())[1])
 
     # Predicate signatures attach to every parameter type, once per box.
     for pred in domain.predicates:
@@ -91,8 +92,9 @@ def build_type_graph(domain: PddlDomain) -> tuple[TypeGraph, list[ParseDiagnosti
             if type_name == _NUMBER or not is_name(type_name):
                 continue
             if type_name not in graph.nodes:
-                warn(f"type {type_name!r} is used by {pred.name!r} but never "
-                     f"declared", "undeclared-type", span=pred.span)
+                warn(f"type {excerpt(repr(type_name))} is used by "
+                     f"{excerpt(repr(pred.name))} but never declared",
+                     "undeclared-type", span=pred.span)
                 graph.nodes.add(type_name)
             box = graph.predicates_by_type.setdefault(type_name, [])
             if pred.signature_text not in box:
@@ -140,7 +142,8 @@ def _mark_cycles(graph: TypeGraph, diagnostics: list[ParseDiagnostic],
                          if p in declared_parent.get(c, ())), None)
                     diagnostics.append(ParseDiagnostic(
                         span or Span(0, 0), Severity.ERROR,
-                        "type hierarchy contains a cycle: " + " -> ".join(cycle),
+                        "type hierarchy contains a cycle: "
+                        + excerpt(" -> ".join(cycle)),
                         "type-cycle"))
                 elif color[parent] == WHITE:
                     color[parent] = GRAY
@@ -166,7 +169,8 @@ def _mark_cycles(graph: TypeGraph, diagnostics: list[ParseDiagnostic],
         diagnostics.append(ParseDiagnostic(
             next(iter(declared_parent[node].values())) or Span(0, 0),
             Severity.WARNING,
-            f"type {node!r} is not rooted at {DEFAULT_TYPE!r}", "orphan-type"))
+            f"type {excerpt(repr(node))} is not rooted at {DEFAULT_TYPE!r}",
+            "orphan-type"))
 
 
 def hierarchy_depth(graph: TypeGraph) -> int:

@@ -5,6 +5,7 @@ import copy
 import html
 import json
 import pickle
+import sys
 import tracemalloc
 
 import pytest
@@ -323,6 +324,78 @@ def test_streamed_tokens_json_holds_a_small_share_of_its_output():
         tracemalloc.stop()
     assert size > 1_000_000
     assert peak < 0.5 * size, (peak, size)
+
+
+# Text that the byte templates must pass through as it is: '%' and format
+# codes, JSON escapes, control characters, 1- to 4-byte UTF-8, a BOM, CRLF.
+_TEMPLATE_TEXT = st.tuples(
+    st.sampled_from(["", "\ufeff"]),
+    st.lists(st.sampled_from([
+        "(", ")", " ", "\r\n", "\n", ";", "%", "%d", "%s", "%%", "%(x)s",
+        '"', "\\", "\x00", "\x01", "\x1f", "\x7f", "a", "é", "中", "😀",
+        "?x", "-", ":init", "(define (problem q) (:init "]), max_size=80)
+    .map("".join),
+).map("".join)
+
+
+@given(_TEMPLATE_TEXT)
+@settings(max_examples=300)
+def test_both_writers_give_json_dumps_bytes(text):
+    tokens = tokenize(text)
+    expected = reference_tokens_json(tokens)
+    assert b"".join(scope_columns(text).iter_json()) == expected
+    assert emit_tokens_json(tokens) == expected
+
+
+def _traced_peak(pieces):
+    """The output size of an iterator of pieces dropped as they come, and
+    the traced peak while it runs."""
+    size = 0
+    tracemalloc.start()
+    try:
+        for piece in pieces:
+            size += len(piece)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return size, peak
+
+
+def test_the_tail_cache_stays_small_when_every_atom_is_distinct():
+    """Each distinct (scope, text) pair's tail is cached, but not without
+    bound: with 20,000 distinct atoms the writers still hold a small share
+    of their output."""
+    text = "(" + " ".join(f"atom{i:05d}" for i in range(20_000)) + ")"
+    columns = scope_columns(text)
+    columns.offsets()
+    tokens = tokenize(text)
+    for pieces in (columns.iter_json(), iter_tokens_json(tokens)):
+        size, peak = _traced_peak(pieces)
+        assert size > 2_000_000
+        assert peak < 0.5 * size, (peak, size)
+
+
+def test_the_column_writer_makes_no_python_call_per_token():
+    """Python-level calls while the columns are written: one per run, one
+    per distinct (scope, text) pair, and a few more; none per token."""
+    columns = scope_columns(Document(benchmark_inputs("large-problem", 1)
+                                     .problem.text))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        for _ in columns.iter_json():
+            pass
+    finally:
+        sys.setprofile(None)
+    runs = -(-len(columns.texts) // _JSON_RUN)
+    distinct = len(set(zip(columns.scopes, columns.texts)))
+    assert len(columns.texts) > 30_000
+    assert calls <= runs + distinct + 10, (calls, runs, distinct)
 
 
 def test_the_emitters_take_no_source_text():

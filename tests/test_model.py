@@ -1,14 +1,19 @@
 """Typed-AST layer tests: domains, problems, typed lists."""
 
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mypddl.distance import extract_locations
 from mypddl.model import (
+    TypedEntry,
     parse_domain,
     parse_problem,
     parse_typed_list,
 )
-from mypddl.sexpr import Severity, parse_sexpr, serialize_node
+from mypddl.sexpr import Severity, Span, parse_sexpr, serialize_node
+from mypddl.typegraph import build_type_graph
 
 from conftest import corpus_text
 
@@ -187,3 +192,98 @@ def test_repeated_problem_blocks_are_reported():
     assert problem.domain_ref == "e"
     assert problem.objects.names() == ["a", "b"]
     assert serialize_node(problem.goal) == "(y)"
+
+
+# -- quoted source in messages --------------------------------------------
+
+# Each message that quotes source, with ``{x}`` where a long atom goes;
+# ``{t}`` is a long type name and ``{e}`` a deep (either ...).
+_QUOTING_DOMAINS = [
+    "(define (domain d) (:types a - {x}))",                     # bad-type
+    "(define (domain d) (:types a - {e}))",                     # either-type
+    "(define (domain d) (:types a - (f {x})))",                 # bad-type
+    "(define (domain d) {x})",                                  # stray-atom
+    "(define (domain d) (:predicates {x}))",                    # stray-atom
+    "(define (domain d) ({x}))",                                # unknown-block
+    "(define (domain d) (:action a :parameters {x}))",          # bad-parameters
+    "(define (domain d) (:action a :parameters (?v {x})))",     # bad-typed-list-item
+    "(define (domain d) (:functions (f) {x}))",                 # bad-function
+    "(define (domain d) (:action a {x} (p)))",                  # unknown-action-key
+    "(define (domain d) (:types {t} - a {t} - b))",             # multi-parent
+    "(define (domain d) (:types c - {t}0 {t}1 {t}2 {t}3 {t}4 {t}5"
+    " - c c - {t}9))",                                          # multi-parent
+    "(define (domain d) (:predicates ({x} ?v - {t})))",         # undeclared-type
+    "(define (domain d) (:types {t}a - {t}b {t}b - {t}a))",     # cycle, orphans
+]
+_QUOTING_PROBLEMS = [
+    "(define (problem p) (:domain d) (:init {x}) (:goal (p)))",            # stray-atom
+    "(define (problem p) (:domain d) (:init (location {x} {x})))",         # bad-coordinate
+    "(define (problem p) (:domain d) (:init (location {x})))",             # bad-location
+    "(define (problem p) (:domain d) (:init (location {x} 1)"
+    " (location {x} 2)))",                                                  # duplicate-object
+    "(define (problem p) (:domain d) (:init (location {x} 1)"
+    " (location {x}2 1 2)))",                                               # mixed-dimensions
+]
+
+
+def _messages(x, t, depth):
+    """The messages of the domain and problem templates above."""
+    e = "(either " * depth + "b" + ")" * depth
+    for template in _QUOTING_DOMAINS:
+        domain, diagnostics = parse_domain(template.format(x=x, t=t, e=e))
+        yield from (d.message for d in diagnostics)
+        yield from (d.message for d in build_type_graph(domain)[1])
+    for template in _QUOTING_PROBLEMS:
+        text = template.format(x=x, t=t, e=e)
+        yield from (d.message for d in parse_problem(text)[1])
+        yield from (d.message for d in extract_locations(text)[1])
+
+
+def _atom_text(alphabet):
+    return st.text(alphabet, min_size=30, max_size=300).map(lambda s: "?" + s)
+
+
+_NAME_TEXT = st.text("abcxyz019-_", min_size=30, max_size=300).map(
+    lambda s: "t" + s)
+
+
+@given(_atom_text("ab?-:.%\"\\\x01\x7féß"), _NAME_TEXT, st.integers(0, 300))
+@settings(max_examples=60, deadline=None)
+def test_no_message_exceeds_200_bytes(x, t, depth):
+    """Each quote is cut to 40 characters, so that no message grows with
+    its input; with quoted text of 1- and 2-byte characters, a message
+    holding two quotes stays within 200 bytes."""
+    for message in _messages(x, t, depth):
+        assert len(message.encode("utf-8")) <= 200, message
+
+
+@given(_atom_text("a中😀\U000e0001\U0010fffd\x00"), _NAME_TEXT)
+@settings(max_examples=30, deadline=None)
+def test_no_message_exceeds_200_characters(x, t):
+    """The cut counts characters of the quote as it is shown, escapes
+    included: a quote is at most 40 characters whatever the text."""
+    for message in _messages(x, t, 3):
+        assert len(message) <= 200, message
+
+
+def test_a_short_quote_is_whole_and_a_long_one_is_cut():
+    short = "(define (domain d) (:types a - 1x))"
+    assert [d.message for d in parse_domain(short)[1]] == [
+        "'1x' in type position is not a type name"]
+    long = f"(define (domain d) (:types a - 1{'x' * 50}))"
+    assert [d.message for d in parse_domain(long)[1]] == [
+        f"'1{'x' * 35}... in type position is not a type name"]
+
+
+def test_typed_entries_of_the_fast_path_are_those_of_the_constructor():
+    domain, _ = parse_domain("(define (domain d) (:types a b - t))")
+    assert domain.types.entries == [
+        TypedEntry("a", "t", Span(27, 28), Span(33, 34)),
+        TypedEntry("b", "t", Span(29, 30), Span(33, 34))]
+    entry = domain.types.entries[0]
+    assert type(entry) is TypedEntry
+    assert repr(entry) == ("TypedEntry(name='a', type_name='t', "
+                           "name_span=Span(start=27, end=28), "
+                           "type_span=Span(start=33, end=34))")
+    assert pickle.loads(pickle.dumps(entry)) == entry
+    assert entry._asdict()["type_name"] == "t"
