@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .sexpr import MyPddlError
+from .sexpr import Document, MyPddlError
 
 
 class PlannerError(MyPddlError):
@@ -92,14 +92,19 @@ def load_config(path: Path) -> PlannerConfig:
         raise PlannerError(
             f"no planner configuration at {path}; create it with a line like "
             f'command = "my-planner {{domain}} {{problem}}"')
-    return parse_config(path.read_text(encoding="utf-8"))
+    return parse_config(Document.read(path).text)
 
 
 def substitute_template(template: str, mapping: dict[str, str]) -> list[str]:
     """Split the template like a shell would, then substitute placeholders
     inside each token. Pure; substituted values are never re-split."""
+    try:
+        tokens = shlex.split(template)
+    except ValueError as exc:  # an unclosed quote or a trailing escape
+        raise PlannerError(f"planner command template {template!r}: "
+                           f"{exc}") from exc
     argv = []
-    for token in shlex.split(template):
+    for token in tokens:
         for key, value in mapping.items():
             token = token.replace("{" + key + "}", value)
         argv.append(token)
@@ -157,7 +162,7 @@ def run_planner(config: PlannerConfig, domain: Path, problem: Path,
         except FileNotFoundError as exc:
             raise PlannerError(
                 f"planner executable not found: {argv[0]!r}") from exc
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte
             raise PlannerError(f"cannot run planner {argv[0]!r}: {exc}") from exc
         try:
             exit_code = proc.wait(timeout=config.timeout_seconds)

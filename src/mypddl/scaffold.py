@@ -19,12 +19,13 @@ user directory; on a path collision the user template wins.
 from __future__ import annotations
 
 import re
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .model import is_name
-from .sexpr import MyPddlError
+from .sexpr import Document, MyPddlError
 
 # Empty folders that are part of the standard tree.
 TREE_DIRS = ("domains", "problems", "solutions")
@@ -122,7 +123,7 @@ def load_template_dir(template_dir: Path) -> list[ProjectTemplate]:
             rel = path.relative_to(template_dir).as_posix()
             executable = bool(path.stat().st_mode & 0o100)
             templates.append(ProjectTemplate(
-                rel, path.read_text(encoding="utf-8"), executable))
+                rel, Document.read(path).text, executable))
     return templates
 
 
@@ -169,20 +170,22 @@ def create_project(name: str, parent_dir: Path,
     created: list[Path] = []
     try:
         root.mkdir(parents=True)
+        created.append(root)
+        for directory in TREE_DIRS:
+            (root / directory).mkdir()
+            created.append(root / directory)
+        for template in templates:
+            path = root / template.relative_path
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(
+                template.content.replace("{{name}}", name).encode("utf-8"))
+            if template.executable:
+                path.chmod(path.stat().st_mode | 0o755)
+            created.append(path)
     except OSError as exc:
-        raise ScaffoldError(
-            f"cannot create directory {root}: {exc.strerror}") from exc
-    created.append(root)
-    for directory in TREE_DIRS:
-        path = root / directory
-        path.mkdir()
-        created.append(path)
-    for template in templates:
-        path = root / template.relative_path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(template.content.replace("{{name}}", name),
-                        encoding="utf-8")
-        if template.executable:
-            path.chmod(path.stat().st_mode | 0o755)
-        created.append(path)
+        if created:
+            shutil.rmtree(root, ignore_errors=True)
+        at = "" if Path(exc.filename or root) == root else f" at {exc.filename}"
+        raise ScaffoldError(f"cannot create directory {root}: "
+                            f"{exc.strerror or exc}{at}") from exc
     return created

@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .sexpr import MyPddlError, Record
+from .sexpr import Document, MyPddlError, Record
 
 _HEADER_RE = re.compile(r";;\s*snippet:\s*(?P<description>.+)\s*$")
 _TRIGGER_RE = re.compile(r"(?P<base>[A-Za-z-]+)(?P<arity>\d+)?\Z")
@@ -63,35 +63,33 @@ def _parse_snippet_file(trigger: str, text: str) -> SnippetDef:
     return SnippetDef(trigger, body, description)
 
 
-def _builtin_static() -> dict[str, SnippetDef]:
-    snippets = {}
-    package_files = resources.files(__package__) / "snippet_files"
-    for entry in package_files.iterdir():
-        if entry.name.endswith(".snippet"):
+def _load_dir(directory, snippets: dict[str, SnippetDef],
+              warnings: list[str]) -> None:
+    """Add each regular ``*.snippet`` file of a directory or package folder
+    to ``snippets`` in name order, warning of each trigger it replaces."""
+    for entry in sorted(directory.iterdir(), key=lambda e: e.name):
+        if entry.name.endswith(".snippet") and entry.is_file():
             trigger = entry.name[:-len(".snippet")]
+            if trigger in snippets:
+                warnings.append(
+                    f"user snippet {entry.name} shadows built-in {trigger!r}")
             snippets[trigger] = _parse_snippet_file(
-                trigger, entry.read_text(encoding="utf-8"))
-    return snippets
+                trigger, Document(entry.read_bytes(), entry).text)
 
 
 def load_snippets(snippets_dir: Optional[Path] = None) -> SnippetSet:
     """Built-in snippets plus (optionally) a user directory; user files
     shadow built-ins by trigger name, with a warning."""
-    snippets = _builtin_static()
-    for base, description in _PARAMETRIC.items():
-        snippets[base] = SnippetDef(base, "", description, parametric=True)
+    snippets = {base: SnippetDef(base, "", description, parametric=True)
+                for base, description in _PARAMETRIC.items()}
     warnings: list[str] = []
+    _load_dir(resources.files(__package__) / "snippet_files", snippets,
+              warnings)
     if snippets_dir is not None:
         snippets_dir = Path(snippets_dir)
         if not snippets_dir.is_dir():
             raise SnippetError(f"snippet directory {snippets_dir} not found")
-        for path in sorted(snippets_dir.glob("*.snippet")):
-            trigger = path.stem
-            if trigger in snippets:
-                warnings.append(
-                    f"user snippet {path.name} shadows built-in {trigger!r}")
-            snippets[trigger] = _parse_snippet_file(
-                trigger, path.read_text(encoding="utf-8"))
+        _load_dir(snippets_dir, snippets, warnings)
     return SnippetSet(snippets, warnings)
 
 

@@ -233,8 +233,6 @@ _REVISION_RE = re.compile(r"_(\d+)\.[^.]+\Z")
 def _next_revision(base: str, *dirs: Path) -> int:
     highest = 0
     for directory in dirs:
-        if not directory.is_dir():
-            continue
         for path in directory.iterdir():
             if not path.name.startswith(base + "_"):
                 continue

@@ -411,6 +411,48 @@ def test_new_with_a_missing_template_directory_fails(runner, tmp_path):
     assert not (tmp_path / "rover").exists()
 
 
+def test_new_copies_a_crlf_template_with_its_crlf_bytes(runner, tmp_path):
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    (templates / "README.md").write_bytes(b"# {{name}}\r\n\r\nnotes\r\n")
+    result = runner.invoke(main, ["new", "rover", "--dir", str(tmp_path),
+                                  "--templates", str(templates)])
+    assert result.exit_code == 0
+    assert (tmp_path / "rover" / "README.md").read_bytes() == \
+        b"# rover\r\n\r\nnotes\r\n"
+
+
+@pytest.mark.parametrize("collision,failed,strerror", [
+    ("domains", "domains", "Is a directory"),
+    ("domain.pddl/x", "domain.pddl", "File exists"),
+])
+def test_new_with_a_colliding_template_fails_and_leaves_nothing(
+        runner, tmp_path, collision, failed, strerror):
+    templates = tmp_path / "templates"
+    (templates / collision).parent.mkdir(parents=True, exist_ok=True)
+    (templates / collision).write_bytes(b"x\n")
+    root = tmp_path / "proj"
+    result = runner.invoke(main, ["new", "proj", "--dir", str(tmp_path),
+                                  "--templates", str(templates)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == (f"Error: cannot create directory {root}: "
+                             f"{strerror} at {root / failed}\n")
+    assert not root.exists()
+
+
+def test_new_with_a_template_that_is_not_utf8_fails(runner, tmp_path):
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    (templates / "logo.png").write_bytes(b"\x89PNG\r\n\x1a\n")
+    result = runner.invoke(main, ["new", "proj", "--dir", str(tmp_path),
+                                  "--templates", str(templates)])
+    assert result.exit_code == 1
+    assert result.stderr == \
+        f"Error: {templates / 'logo.png'}: not valid UTF-8 at byte 0\n"
+    assert not (tmp_path / "proj").exists()
+
+
 @pytest.mark.parametrize("quiet", [False, True])
 def test_a_snippet_that_shadows_a_builtin_warns_unless_quiet(runner, tmp_path,
                                                             quiet):
@@ -442,6 +484,25 @@ def test_snippet_list(runner):
     result = runner.invoke(main, ["snippet", "--list"])
     assert result.exit_code == 0
     assert len(result.output.strip().splitlines()) == 7
+
+
+def test_snippet_list_skips_a_directory_named_like_a_snippet(runner,
+                                                           tmp_path):
+    (tmp_path / "bar.snippet").mkdir()
+    result = runner.invoke(main, ["snippet", "--snippets-dir", str(tmp_path),
+                                  "--list"])
+    assert result.exit_code == 0
+    assert len(result.stdout.splitlines()) == 7
+    assert "bar" not in result.stdout
+
+
+def test_a_user_snippet_that_is_not_utf8_fails(runner, tmp_path):
+    (tmp_path / "cafe.snippet").write_bytes(b"(caf\xe9)\n")
+    result = runner.invoke(main, ["snippet", "--snippets-dir", str(tmp_path),
+                                  "p2"])
+    assert result.exit_code == 1
+    assert result.stderr == \
+        f"Error: {tmp_path / 'cafe.snippet'}: not valid UTF-8 at byte 4\n"
 
 
 def test_snippet_unknown_trigger(runner):
@@ -598,6 +659,35 @@ def test_plan_missing_config_fails(runner, tmp_path):
     result = runner.invoke(main, [
         "plan", "--config", str(tmp_path / "absent.toml")])
     assert result.exit_code == 1
+
+
+def test_plan_with_a_config_that_is_not_utf8_fails(runner, tmp_path):
+    config = tmp_path / "mypddl.toml"
+    config.write_bytes(b"# caf\xe9\ncommand = \"solve {domain} {problem}\"\n")
+    result = runner.invoke(main, ["plan", "--config", str(config)])
+    assert result.exit_code == 1
+    assert result.stderr == f"Error: {config}: not valid UTF-8 at byte 5\n"
+
+
+@pytest.mark.parametrize("tail,message", [
+    (b' "unclosed', "No closing quotation"),
+    (b" a\0b", "embedded null byte"),
+])
+def test_plan_with_a_template_that_cannot_run_fails(runner, tmp_path, tail,
+                                                    message):
+    for name in ("domain.pddl", "p01.pddl"):
+        (tmp_path / name).write_text("(define (domain d))", encoding="utf-8")
+    config = tmp_path / "mypddl.toml"
+    config.write_bytes(f"command = {PY} -c pass {{domain}} {{problem}}"
+                       .encode() + tail + b"\n")
+    result = runner.invoke(main, [
+        "plan", "--domain", str(tmp_path / "domain.pddl"),
+        "--problem", str(tmp_path / "p01.pddl"), "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("Error: ")
+    assert result.stderr.endswith(f"{message}\n")
+    assert result.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -138,6 +138,24 @@ def test_an_empty_template_is_rejected():
         substitute_template("", {})
 
 
+@pytest.mark.parametrize("template,message", [
+    ('solve {domain} {problem} "unclosed', "No closing quotation"),
+    ("solve {domain} {problem} \\", "No escaped character"),
+])
+def test_a_template_that_does_not_split_is_rejected(template, message):
+    with pytest.raises(PlannerError, match=message):
+        substitute_template(template, {"domain": "d", "problem": "p"})
+
+
+def test_a_template_with_a_nul_byte_is_a_clean_error(pair, tmp_path):
+    domain, problem = pair
+    config = PlannerConfig(command_template=f"{PY} -c pass {{domain}} "
+                                            f"{{problem}} a\0b")
+    with pytest.raises(PlannerError, match="embedded null byte"):
+        run_planner(config, domain, problem,
+                    solution_dir=tmp_path / "solutions")
+
+
 @pytest.mark.skipif(os.name != "posix", reason="the execute bit is POSIX")
 def test_a_planner_that_cannot_be_executed_is_a_clean_error(pair, tmp_path):
     domain, problem = pair
