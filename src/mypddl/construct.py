@@ -118,11 +118,11 @@ def parse_constructs(text: str) -> list[SExprNode]:
     Malformed text is rejected outright: splicing unbalanced parentheses
     into a file must never be possible through this path.
     """
-    doc = as_document(text)
-    if doc.diagnostics:
+    forest, diagnostics = parse_sexpr(text)
+    if diagnostics:
         raise ConstructError(
-            f"construct text is not well formed: {doc.diagnostics[0].message}")
-    nodes = [n for n in doc.forest if not n.is_trivia]
+            f"construct text is not well formed: {diagnostics[0].message}")
+    nodes = [n for n in forest if not n.is_trivia]
     if not nodes:
         raise ConstructError(f"no construct found in {text!r}")
     return nodes

@@ -86,18 +86,20 @@ class _Tails(dict):
 
 
 def scope_columns(source: Union[str, Document]) -> TokenColumns:
-    """The walk of `tokenize` as columns; never fails. Given text, parse it
-    first. The cyclic garbage collector is paused during the walk."""
+    """The walk of `tokenize` as columns; never fails. Given text, lex it
+    first. The walk reads the document's tape and builds no tree; the
+    cyclic garbage collector is paused during it."""
     doc = as_document(source)
-    walk = _Walk()
+    walk = _Walk(doc.tape)
     with gc_paused():
-        walk.run(doc.forest)
-    return TokenColumns(walk.texts, walk.scopes, len(doc.data) == len(doc.text))
+        walk.run()
+        texts, scopes = walk.tokens()
+    return TokenColumns(texts, scopes, len(doc.data) == len(doc.text))
 
 
 def tokenize(source: Union[str, Document]) -> list[Token]:
-    """Assign a scope to every byte of a document's forest; never fails.
-    Given text, parse it first. The tokens are those of `scope_columns`,
+    """Assign a scope to every byte of a document; never fails. Given
+    text, lex it first. The tokens are those of `scope_columns`,
     built at C speed with the cyclic garbage collector paused."""
     with gc_paused():
         columns = scope_columns(source)

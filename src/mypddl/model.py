@@ -1,27 +1,27 @@
-"""Typed PDDL 3.1 view over the lossless tree: the grammar's tables, the
+"""Typed PDDL 3.1 view over a document's tape: the grammar's tables, the
 scope walk that reads them, the model's records, and the functions that
 read a domain or a problem.
 
 The grammar is written down once, here. The scope walk (``_Walk``) reads it
-from the tables in one of two modes: it records a token per piece of text,
-which ``highlight`` renders, or it fills a model's records, so the model and
-the tokens come from one reader. Parsing is best-effort: unrecognized or malformed blocks produce
+from the tables over the lexemes of a `Tape`, in one of two modes: it gives
+each lexeme a scope, for the tokens that ``highlight`` renders, or it fills
+a model's records, so the model and the tokens come from one reader.
+Parsing is best-effort: unrecognized or malformed blocks produce
 diagnostics instead of failures, because the toolkit has to keep working on
-broken files. The records hold references back into the concrete-syntax
-tree, so the original text is never copied or normalized.
+broken files. The records keep formulas as nodes of the concrete-syntax
+tree, built from the tape, so the original text is never copied or
+normalized.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from itertools import accumulate, compress
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .sexpr import (
-    CLOSED,
-    LEAD,
-    TAIL,
-    TEXT,
+    Deferred,
     Document,
     NodeKind,
     ParseDiagnostic,
@@ -29,8 +29,10 @@ from .sexpr import (
     SExprNode,
     Severity,
     Span,
+    Tape,
     as_document,
     excerpt,
+    gc_paused,
     serialize_node,
 )
 
@@ -198,13 +200,17 @@ def _action_fields(block: str) -> tuple[str, ...]:
     return ("name", *(attr for attr, _ in ACTION_KEYS[block].values()), "span")
 
 
+# A model's formulas are nodes built from the tape when a field holding
+# them is first read, so a reader of the declarations alone builds none.
 class ActionDecl(Record):
     __slots__ = _action_fields(":action")
+    _deferred = __slots__[2:-1]  # between the parameters and the span
     _required = 2
 
 
 class DurativeActionDecl(Record):
     __slots__ = _action_fields(":durative-action")
+    _deferred = __slots__[2:-1]
     _required = 2
 
 
@@ -214,11 +220,13 @@ class PddlDomain(Record):
     _fresh = {"requirements": list, "types": TypedList,
               "constants": TypedList, "predicates": list, "functions": list,
               "actions": list, "durative_actions": list, "derived": list}
+    _deferred = ("derived",)
 
 
 class PddlProblem(Record):
     __slots__ = ("name", "domain_ref", "objects", "init", "goal", "metric")
     _fresh = {"objects": TypedList, "init": list}
+    _deferred = ("init", "goal", "metric")
 
 
 Model = TypeVar("Model", PddlDomain, PddlProblem)
@@ -232,10 +240,6 @@ def head_key(node: SExprNode) -> Optional[str]:
     """The lowercased text of a list's head atom, or None."""
     head = node.head() if node.kind is _LIST else None
     return head.text.lower() if head and head.kind is _ATOM else None
-
-
-def is_define(node: SExprNode) -> bool:
-    return head_key(node) == "define"
 
 
 class Scope(enum.Enum):
@@ -271,31 +275,57 @@ _ACTION_KEY_HINTS = {
 # flat lexical emission, so paren bombs cannot exhaust the Python stack.
 _MAX_GRAMMAR_DEPTH = 100
 
-_TRIVIA_SCOPES = {NodeKind.WHITESPACE: Scope.PUNCTUATION,
-                  NodeKind.COMMENT: Scope.COMMENT}
-
-# Marks, in ``flat_emit``'s stack, that the list popped next is complete.
-_CLOSE = object()
+# Lexeme -1 is the end, whose value is the end too (``last[-1]``), so the
+# values of the list at -1 run from lexeme 0 to the end: the whole text.
+_TOP = -1
 
 # Bound once, as ``_ATOM`` and ``_LIST`` are.
 _PUNCTUATION, _UNSCOPED = Scope.PUNCTUATION, Scope.UNSCOPED
 _KEYWORD, _NAME, _VARIABLE = Scope.KEYWORD, Scope.NAME, Scope.VARIABLE
 
 
-GrammarMethod = Callable[["_Walk", SExprNode], None]
+class _TermScopes(dict):
+    """Scope of an atom in term position, by its text, each distinct text
+    classified on first use; ``ground`` makes a variable Unscoped. A
+    parenthesis is Punctuation, so a list of atoms maps whole."""
+
+    def __init__(self, ground: bool = False) -> None:
+        super().__init__({"(": _PUNCTUATION, ")": _PUNCTUATION})
+        self.ground = ground
+
+    def __missing__(self, text: str) -> Scope:
+        # The three classes share no text; names, the most common, first.
+        if is_name(text):
+            scope = _NAME
+        elif is_variable(text):
+            scope = _UNSCOPED if self.ground else _VARIABLE
+        elif is_number(text):
+            scope = Scope.NUMBER
+        else:
+            scope = _UNSCOPED
+        self[text] = scope
+        return scope
+
+
+GrammarMethod = Callable[["_Walk", int], None]
 
 
 def _atom(scope: Scope, accepts: Callable[[str], bool]) -> GrammarMethod:
     """The grammar method of a place for one atom, which is of ``scope`` if
     ``accepts`` takes its text, else Unscoped; a list there is Unscoped
     whole. ``accepts`` is kept on the method, for rows that it guards."""
-    def value(self: _Walk, node: SExprNode) -> None:
-        if node.kind is _ATOM:
-            self.single(node, scope if accepts(node.text) else _UNSCOPED)
-        else:
-            self.flat_emit(node, _UNSCOPED)
+    def value(self: _Walk, k: int) -> None:
+        piece = self.pieces[k]
+        if piece != "(" and accepts(piece):
+            self.scopes[k] = scope
     value.accepts = accepts  # type: ignore[attr-defined]
     return value
+
+
+def _formula(rules: str, ground: bool = False) -> GrammarMethod:
+    """The grammar method of a formula place, read by the rows of the
+    walk's table named ``rules`` (``_Walk.formula``)."""
+    return lambda self, k: self.formula(k, getattr(self, rules), ground)
 
 
 def _methods(namespace: dict, rules: dict) -> dict:
@@ -309,265 +339,242 @@ def _methods(namespace: dict, rules: dict) -> dict:
 
 
 class _Walk:
-    """One grammar walk over a forest, which records each token's text and
-    scope in file order. A grammar method takes the walk and one node, as
+    """One grammar walk over a document's `Tape`, which gives each lexeme a
+    scope, ``scopes[k]`` for lexeme k. Every lexeme starts Unscoped, which
+    is what anything misplaced gets, so the walk skips it; a comment is a
+    Comment wherever it stands, and every lead is Punctuation (`tokens`).
+    A grammar method takes the walk and the lexeme of one value, as
     ``each`` sends it; a block or form handler also takes the list's head.
 
     Given a ``model``, a ``PddlDomain`` or a ``PddlProblem``, the walk fills
     it from a define form read as that kind, with the findings in
-    ``diagnostics``; it records no tokens and keeps formulas as nodes."""
+    ``diagnostics``; it keeps each formula as a `Deferred` call of
+    `Tape.node`. ``inits``, ``derived`` and ``goal`` hold the lexemes of
+    the :init and :derived blocks and of the goal read so far."""
 
-    def __init__(self, model: Union[PddlDomain, PddlProblem, None] = None,
-                 ) -> None:
-        self.texts: list[str] = []
-        self.scopes: list[Scope] = []
+    def __init__(self, tape: Tape,
+                 model: Union[PddlDomain, PddlProblem, None] = None) -> None:
+        self.tape = tape
+        self.pieces, self.last, self.eof = tape.pieces, tape.last, tape.end
+        self.scopes = [_UNSCOPED] * len(tape.pieces)
         self.depth = 0
-        # Scope of each distinct atom text in term position, before ``ground``.
-        self.term_scopes: dict[str, Scope] = {}
+        self.terms, self.ground_terms = _TermScopes(), _TermScopes(True)
         self.model = model
         self.diagnostics: list[ParseDiagnostic] = []
         # The kind of the define form read, and the keys of its blocks so far.
         self.kind = "problem" if isinstance(model, PddlProblem) else "domain"
         self.seen: set[str] = set()
-        if model is not None:  # a model's walk emits no tokens
-            self.open_paren = self.close_paren = self.single = lambda *_: None
+        self.inits: list[int] = []
+        self.derived: list[int] = []
+        self.goal: Optional[int] = None
+
+    def tokens(self) -> tuple[list[str], list[Scope]]:
+        """The token texts and scopes: each lead that is not empty, as
+        Punctuation, then its lexeme, comments as Comment; built at C speed."""
+        texts, scopes = self.tape.texts, [_PUNCTUATION] * len(self.tape.texts)
+        for k in self.tape.comments():
+            self.scopes[k] = Scope.COMMENT
+        scopes[1::2] = self.scopes
+        return list(filter(None, texts)), list(compress(scopes, texts))
+
+    # -- the tape -------------------------------------------------------
+
+    def first(self, j: int, k: int) -> Optional[int]:
+        """The first value from lexeme j on in the list at k, or None: a
+        forward skip over comments. The head of a list at k, or None for an
+        atom, is ``first(k + 1, k)``."""
+        pieces, close = self.pieces, self.last[k]
+        while j < close and pieces[j][0] == ";":
+            j += 1
+        return j if j < close else None
+
+    def head_key(self, k: int) -> Optional[str]:
+        """The lowercased text of the head atom of the list at k, or None."""
+        head = self.first(k + 1, k)
+        return None if head is None or self.pieces[head] == "(" \
+            else self.pieces[head].lower()
+
+    def values(self, k: int) -> list[int]:
+        """The lexeme of each value of the list at k: its children but
+        comments."""
+        pieces, last, values = self.pieces, self.last, []
+        j, close = k + 1, last[k]
+        while j < close:
+            if pieces[j][0] != ";":
+                values.append(j)
+            j = last[j] + 1
+        return values
 
     # -- emission ---------------------------------------------------------
 
-    def open_paren(self, node: SExprNode, scope: Optional[Scope] = None) -> None:
-        """The list's lead, then its '(' with ``scope``; by default
-        Punctuation, or Unscoped if the list is never closed."""
-        scope = scope or (_PUNCTUATION if node[CLOSED] else _UNSCOPED)
-        if node[LEAD]:
-            self.texts.append(node[LEAD])
-            self.scopes.append(_PUNCTUATION)
-        self.texts.append("(")
-        self.scopes.append(scope)
+    def parens(self, k: int, close: Scope = _PUNCTUATION) -> None:
+        """The parentheses of the list at k: its '(' Punctuation and its
+        ')' ``close``, or both Unscoped if it is never closed."""
+        last = self.last[k]
+        if last < self.eof:
+            self.scopes[k] = _PUNCTUATION
+            self.scopes[last] = close
 
-    def close_paren(self, node: SExprNode, scope: Scope = _PUNCTUATION) -> None:
-        if node[TAIL]:
-            self.texts.append(node[TAIL])
-            self.scopes.append(_PUNCTUATION)
-        if node[CLOSED]:
-            self.texts.append(")")
-            self.scopes.append(scope)
-
-    def single(self, node: SExprNode, scope: Scope) -> None:
-        if node[LEAD]:
-            self.texts.append(node[LEAD])
-            self.scopes.append(_PUNCTUATION)
-        self.texts.append(node[TEXT])
-        self.scopes.append(scope)
-
-    def atom_or_tree(self, node: SExprNode, scope: Scope) -> None:
-        if node.kind is _ATOM:
-            self.single(node, scope)
-        else:
-            self.flat_emit(node, _UNSCOPED)
-
-    def flat_emit(self, node: SExprNode, scope: Optional[Scope] = None) -> None:
-        """Emission of content we have no grammar for, iterative, so any
-        depth fits: one forced ``scope`` for a misplaced expression, or
-        else lexical scopes, under which a variable at the head of a list
+    def lexical(self, k: int) -> None:
+        """Lexical scopes for the value at k, content we have no grammar
+        for; iterative, so any depth fits. A variable at the head of a list
         is Unscoped, as nothing in PDDL is headed by a variable."""
-        todo: list = [node]
-        heads: set[SExprNode] = set()
-        while todo:
-            item = todo.pop()
-            if item is _CLOSE:
-                self.close_paren(todo.pop(), scope or _PUNCTUATION)
-            elif item.is_trivia:
-                self.single(item, _TRIVIA_SCOPES[item.kind])
-            elif item.kind is _ATOM:
-                if scope is None and item not in heads:
-                    self.lexical_atom(item)
-                else:
-                    self.single(item, scope or _UNSCOPED)
-            else:
-                self.open_paren(item, scope)
-                todo += (item, _CLOSE)
-                todo.extend(reversed(item.children))
-                head = item.head()
-                if head is not None and head.kind is _ATOM \
-                        and is_variable(head.text):
-                    heads.add(head)
+        if self.model is not None:
+            return
+        pieces, last, scopes, terms = \
+            self.pieces, self.last, self.scopes, self.terms
+        end = self.eof
+        first = False  # whether the next value heads a list
+        for j in range(k, min(last[k] + 1, end)):
+            piece = pieces[j]
+            if piece == "(":
+                if last[j] < end:
+                    scopes[j] = _PUNCTUATION
+                first = True
+            elif piece == ")":
+                scopes[j] = _PUNCTUATION
+                first = False
+            elif piece[0] != ";":
+                if piece == "-":
+                    scopes[j] = _PUNCTUATION
+                elif piece[0] == ":" and is_name(piece[1:]):
+                    scopes[j] = _KEYWORD
+                elif not first or not is_variable(piece):
+                    scopes[j] = terms[piece]
+                first = False
 
-    def each(self, node: SExprNode, head: Optional[SExprNode],
-             head_scope: Scope, *values: GrammarMethod,
-             fixed: bool = False) -> None:
-        """One in-order pass over a list's children: comments emitted as
-        they are, the head atom with ``head_scope``, and the k-th value
-        after it through the k-th of ``values``, the last of which repeats;
-        if ``fixed``, a value past the last is Unscoped whole and a missing
-        one makes the list's ')' Unscoped. Parens are emitted here too;
-        each value emits its own lead."""
+    def each(self, k: int, head: Optional[int], head_scope: Scope,
+             *values: GrammarMethod, fixed: bool = False) -> None:
+        """One in-order pass over the values of the list at k: the head
+        atom with ``head_scope``, and the i-th value after it through the
+        i-th of ``values``, the last of which repeats; if ``fixed``, a value
+        past the last is Unscoped whole and a missing one makes the list's
+        ')' Unscoped."""
         if self.depth >= _MAX_GRAMMAR_DEPTH:
-            self.flat_emit(node)
+            self.lexical(k)
             return
         self.depth += 1
         try:
-            self.open_paren(node)
+            pieces, last = self.pieces, self.last
             value, rest = values[0], values[1:]
-            for child in node.children:
-                if child.is_trivia:
-                    self.single(child, _TRIVIA_SCOPES[child.kind])
-                elif child is head:
-                    self.atom_or_tree(child, head_scope)
-                elif value is None:
-                    self.flat_emit(child, _UNSCOPED)
-                else:
-                    value(self, child)
+            j, close = k + 1, last[k]
+            while j < close:
+                if j == head:
+                    if pieces[j] != "(":
+                        self.scopes[j] = head_scope
+                elif pieces[j][0] != ";" and value is not None:
+                    value(self, j)
                     if rest:
                         value, rest = rest[0], rest[1:]
                     elif fixed:
                         value = None
-            self.close_paren(node, _UNSCOPED if fixed and value is not None
-                             else _PUNCTUATION)
+                j = last[j] + 1
+            self.parens(k, _UNSCOPED if fixed and value is not None
+                        else _PUNCTUATION)
         finally:
             self.depth -= 1
 
-    def warn(self, node: SExprNode, message: str, code: str,
+    def warn(self, k: int, message: str, code: str,
              severity: Severity = Severity.WARNING) -> None:
-        """Report a finding of the model at ``node``; none without one."""
+        """Report a finding of the model at the value at k; none without
+        one."""
         if self.model is not None:
             self.diagnostics.append(ParseDiagnostic(
-                node.span or Span(0, 0), severity, message, code))
-
-    def lexical_atom(self, node: SExprNode) -> None:
-        text = node.text
-        if text == "-":
-            self.single(node, _PUNCTUATION)
-        elif text.startswith(":") and is_name(text[1:]):
-            self.single(node, _KEYWORD)
-        else:
-            self.single(node, self.term_scope(text))
+                self.tape.span(k), severity, message, code))
 
     # -- formulas -----------------------------------------------------------
 
-    def formula(self, node: SExprNode, rules: dict,
+    def formula(self, k: int, rules: dict,
                 ground: Optional[bool] = False) -> None:
         """A formula of the context whose rows are ``rules``: a list headed
         by a key of ``rules`` sends the values after it to the methods of
         the key's row, one each unless the key is variadic, or goes with its
         head to the row's handler; a list headed by any other name is an
         atomic formula, ``ground`` if in ``:init``. With ``ground`` None the
-        node is a block or a top-level form, where no atomic formula stands.
-        A list with no atom at its head, such as ``()``, is Unscoped whole."""
-        if node.kind is not _LIST:
-            self.single(node, _UNSCOPED)
+        value is a block or a top-level form, where no atomic formula
+        stands. A list with no atom at its head, such as ``()``, and an
+        atom are Unscoped whole."""
+        pieces, close = self.pieces, self.last[k]
+        if pieces[k] != "(":
             return
-        head = node.head()
-        if head is None or head.kind is not _ATOM:
-            self.flat_emit(node, _UNSCOPED)
+        # An atomic formula of atoms, by far the most common, is scoped by
+        # one slice at C speed, as ``application`` would scope it.
+        if ground is not None and close < self.eof \
+                and self.depth < _MAX_GRAMMAR_DEPTH \
+                and "(" not in pieces[k + 1:close]:
+            terms = self.ground_terms if ground else self.terms
+            if terms[pieces[k + 1]] is _NAME \
+                    and pieces[k + 1].lower() not in rules:
+                self.scopes[k:close + 1] = map(terms.__getitem__,
+                                               pieces[k:close + 1])
+                return
+        head = self.first(k + 1, k)
+        if head is None or pieces[head] == "(":
             return
-        key = head.text.lower()
+        key = pieces[head].lower()
         rule = rules.get(key)
         if rule is not None and (key in PREDICATE_KEYWORDS
                                  or key in OPTIONAL_NAME_KEYWORDS):
-            values = node.values()
-            if len(values) < 2 or values[1].kind is not _ATOM \
-                    or not rule[0].accepts(values[1].text):
+            # The value after the head decides.
+            after = self.first(head + 1, k)
+            if after is None or pieces[after] == "(" \
+                    or not rule[0].accepts(pieces[after]):
                 rule = rule[1:] if key in OPTIONAL_NAME_KEYWORDS else None
         if rule is None:
-            if ground is not None and is_name(head.text):
-                self.application(node, head, ground)
+            if ground is not None and is_name(pieces[head]):
+                self.application(k, head, ground)
             else:
-                self.each(node, head, _UNSCOPED, _Walk.flat_emit)
+                self.each(k, head, _UNSCOPED, _Walk.lexical)
         elif type(rule) is tuple:
-            self.each(node, head, _KEYWORD, *rule,
+            self.each(k, head, _KEYWORD, *rule,
                       fixed=key not in VARIADIC_KEYWORDS)
         else:
-            rule(self, node, head)
+            rule(self, k, head)
 
-    def condition(self, node: SExprNode) -> None:
-        self.formula(node, self.CONDITION)
+    condition = _formula("CONDITION")
+    effect = _formula("EFFECT")
+    init = _formula("INIT", True)
+    timed_condition = _formula("TIMED_CONDITION")
+    timed_effect = _formula("TIMED_EFFECT")
+    constraint = _formula("CONSTRAINT")
 
-    def effect(self, node: SExprNode) -> None:
-        self.formula(node, self.EFFECT)
-
-    def init(self, node: SExprNode) -> None:
-        self.formula(node, self.INIT, True)
-
-    def timed_condition(self, node: SExprNode) -> None:
-        self.formula(node, self.TIMED_CONDITION)
-
-    def timed_effect(self, node: SExprNode) -> None:
-        self.formula(node, self.TIMED_EFFECT)
-
-    def constraint(self, node: SExprNode) -> None:
-        self.formula(node, self.CONSTRAINT)
-
-    def application(self, node: SExprNode, head: SExprNode, ground: bool) -> None:
+    def application(self, k: int, head: int, ground: bool) -> None:
         """An atomic formula (name term...): the head atom is a Name and
-        every argument a term. Every ``:init`` fact, goal, precondition and
-        effect comes through here, so this is ``each`` with its value
-        function inlined: each child is unpacked once and every token is
-        appended in place. No argument re-enters the grammar walk (a
-        misplaced list is emitted flat), so the depth is left as it is."""
+        every argument a term; a list among them is Unscoped. No argument
+        re-enters the grammar walk, so the depth is left as it is."""
         if self.depth >= _MAX_GRAMMAR_DEPTH:
-            self.flat_emit(node)
+            self.lexical(k)
             return
-        texts, scopes, known = self.texts, self.scopes, self.term_scopes
-        name, variable = _NAME, _VARIABLE
-        self.open_paren(node)
-        for child in node.children:
-            kind, text, _, _, _, _, _, lead, _ = child
-            if kind is not _ATOM:
-                self.flat_emit(child, _UNSCOPED)
-                continue
-            if lead:
-                texts.append(lead)
-                scopes.append(_PUNCTUATION)
-            if child is head:
-                scope = name
-            else:
-                scope = known.get(text) or self.term_scope(text)
-                if ground and scope is variable:
-                    scope = _UNSCOPED
-            texts.append(text)
-            scopes.append(scope)
-        self.close_paren(node)
+        pieces, scopes, last = self.pieces, self.scopes, self.last
+        terms = self.ground_terms if ground else self.terms
+        self.parens(k)
+        scopes[head] = _NAME
+        j, close = head + 1, last[k]
+        while j < close:
+            if pieces[j] != "(" and pieces[j][0] != ";":
+                scopes[j] = terms[pieces[j]]
+            j = last[j] + 1
 
     # -- terms, numeric expressions and one-atom places -----------------------
 
-    def term_scope(self, text: str) -> Scope:
-        """Scope of an atom in term position, before ``ground`` is applied;
-        each distinct text is classified once per walk."""
-        scope = self.term_scopes.get(text)
-        if scope is None:
-            # The three classes share no text; names, the most common,
-            # are tried first.
-            if is_name(text):
-                scope = Scope.NAME
-            elif is_variable(text):
-                scope = Scope.VARIABLE
-            elif is_number(text):
-                scope = Scope.NUMBER
-            else:
-                scope = _UNSCOPED
-            self.term_scopes[text] = scope
-        return scope
-
-    def fexp(self, node: SExprNode) -> None:
+    def fexp(self, k: int) -> None:
         """A numeric expression: a term or one of ``NUMERIC_KEYWORDS``, an
         operation of ``NUMERIC_RULES`` or a function applied to numeric
         expressions."""
-        if node.kind is _ATOM:
-            scope = self.term_scope(node.text)
-            if scope is _UNSCOPED and node.text.lower() in NUMERIC_KEYWORDS:
+        piece = self.pieces[k]
+        if piece != "(":
+            scope = self.terms[piece]
+            if scope is _UNSCOPED and piece.lower() in NUMERIC_KEYWORDS:
                 scope = _KEYWORD
-            self.single(node, scope)
+            self.scopes[k] = scope
             return
-        head = node.head()
-        if head is not None and head.kind is _ATOM:
-            rule = self.NUMERIC.get(head.text)
+        head = self.first(k + 1, k)
+        if head is not None and self.pieces[head] != "(":
+            rule = self.NUMERIC.get(self.pieces[head])
             if rule is not None:
-                self.each(node, head, _KEYWORD, *rule)
-                return
-            if is_name(head.text):
-                self.each(node, head, _NAME, _Walk.fexp)
-                return
-        self.flat_emit(node, _UNSCOPED)
+                self.each(k, head, _KEYWORD, *rule)
+            elif is_name(self.pieces[head]):
+                self.each(k, head, _NAME, _Walk.fexp)
 
     name = _atom(Scope.NAME, is_name)
     number = _atom(Scope.NUMBER, is_number)
@@ -583,185 +590,173 @@ class _Walk:
 
     # -- typed lists --------------------------------------------------------
 
-    def typed_list(self, node: SExprNode, head: Optional[SExprNode],
+    def typed_list(self, k: int, head: Optional[int],
                    items: Optional[Scope] = Scope.NAME,
                    head_scope: Scope = Scope.KEYWORD) -> Optional[list]:
-        """The typed-list grammar, (x+ - type)* (Kovacs, 2011), after
-        ``head`` if there is one, which gets ``head_scope``: a '-' makes the
-        value after it the type, and is Unscoped if none follows. An atom
-        item is of scope ``items`` if it classifies as that, else Unscoped;
-        with ``items`` None the items are declarations. For a model, its
-        entries, each run of items as the type after it ends the run
-        (``typed_run``), a value that is no item reported as it is reached."""
-        texts, scopes, known = self.texts, self.scopes, self.term_scopes
+        """The typed-list grammar, (x+ - type)* (Kovacs, 2011), in the list
+        at k after ``head`` if there is one, which gets ``head_scope``: a
+        '-' makes the value after it the type, and is Unscoped if none
+        follows. An atom item is of scope ``items`` if it classifies as
+        that, else Unscoped; with ``items`` None the items are declarations.
+        For a model, its entries, each run of items as the type after it
+        ends the run (``typed_run``), a value that is no item reported as it
+        is reached."""
+        pieces, last, scopes, terms = \
+            self.pieces, self.last, self.scopes, self.terms
         record = self.model is not None
         entries, run = [], []
         dash = None  # the last '-', while the value after it is due
-        self.open_paren(node)
-        for child in node.children:
-            kind, text, _, start, end, _, trivia, lead, _ = child
-            if child is head:
-                self.atom_or_tree(child, head_scope)
-            elif trivia:
-                self.single(child, _TRIVIA_SCOPES[kind])
+        j, close = k + 1, last[k]
+        while j < close:
+            piece = pieces[j]
+            if j == head:
+                if piece != "(":
+                    scopes[j] = head_scope
+            elif piece[0] == ";":
+                pass
             elif dash is not None:
                 dash = None
-                # A run of names typed by an atom, by far the most common,
-                # is made here, without a call and a list per run.
-                if record and kind is _ATOM and items is not None:
-                    if (known.get(text) or self.term_scope(text)) is not _NAME:
-                        self.bad_type(child, text)
-                    span = None if start is None else Span._make((start, end))
-                    for _, name, _, at, to, _, _, _, _ in run:
-                        at = None if at is None else Span._make((at, to))
-                        # The entry's own constructor, at C speed.
-                        entries.append(tuple.__new__(
-                            TypedEntry, (name, text, at, span)))
-                elif record:
-                    entries += self.typed_run(run, items, child)
-                elif kind is _LIST and head_key(child) == "either":
-                    self.each(child, child.head(), _KEYWORD, _Walk.type_name)
+                if record:
+                    entries += self.typed_run(run, items, j)
+                elif piece == "(" and self.head_key(j) == "either":
+                    self.each(j, self.first(j + 1, j), _KEYWORD,
+                              _Walk.type_name)
                 else:
-                    self.type_name(child)
+                    self.type_name(j)
                 run = []
-            elif kind is _LIST:
+            elif piece == "(":
                 if items is not None:
-                    self.flat_emit(child, _UNSCOPED)
-                    self.warn(child, f"expression where a {items.name.lower()}"
+                    self.warn(j, f"expression where a {items.name.lower()}"
                               " was expected in typed list",
                               "bad-typed-list-item")
                 elif record:
-                    run.append(child)
+                    run.append(j)
                 else:
-                    self.declaration(child)
-            elif text == "-":
-                self.single(child, _PUNCTUATION)
-                dash, at = child, len(scopes) - 1
+                    self.declaration(j)
+            elif piece == "-":
+                scopes[j] = _PUNCTUATION
+                dash = j
             elif items is None:
-                self.single(child, _UNSCOPED)
-                self.warn(child, f"unexpected {excerpt(repr(text))} in "
+                self.warn(j, f"unexpected {excerpt(repr(piece))} in "
                           "(:functions ...)", "bad-function")
-            elif record:
-                if (known.get(text) or self.term_scope(text)) is items:
-                    run.append(child)
-                else:
-                    self.warn(child, f"{excerpt(repr(text))} where a "
-                              f"{items.name.lower()} was expected in typed "
-                              "list", "bad-typed-list-item")
+            elif terms[piece] is items:
+                scopes[j] = items
+                run.append(j)
             else:
-                if lead:
-                    texts.append(lead)
-                    scopes.append(_PUNCTUATION)
-                scope = known.get(text) or self.term_scope(text)
-                texts.append(text)
-                scopes.append(scope if scope is items else _UNSCOPED)
-        self.close_paren(node)
+                self.warn(j, f"{excerpt(repr(piece))} where a "
+                          f"{items.name.lower()} was expected in typed list",
+                          "bad-typed-list-item")
+            j = last[j] + 1
+        self.parens(k)
         if dash is not None:
-            if not record:
-                scopes[at] = _UNSCOPED
+            scopes[dash] = _UNSCOPED
             self.warn(dash, "dangling '-' at end of typed list",
                       "dangling-dash", Severity.ERROR)
         if record and run:
             entries += self.typed_run(run, items)
         return entries if record else None
 
-    def typed_run(self, run: list[SExprNode], items: Optional[Scope],
-                  type_node: Optional[SExprNode] = None) -> list:
+    def typed_run(self, run: list[int], items: Optional[Scope],
+                  type_at: Optional[int] = None) -> list:
         """The model's entries of a typed list's ``run`` of items, typed by
-        ``type_node`` or else by default: a ``TypedEntry`` per name, or a
-        ``FunctionDecl`` per declaration, each read now. A compound type,
-        such as (either a b), is kept as its text so nothing is lost; a
-        type that is no name is reported."""
+        the value at ``type_at`` or else by default: a ``TypedEntry`` per
+        name, or a ``FunctionDecl`` per declaration, each read now. A
+        compound type, such as (either a b), is kept as its text so nothing
+        is lost; a type that is no name is reported."""
+        tape, pieces = self.tape, self.pieces
         type_name = type_span = None
-        if type_node is not None:
-            type_name, type_span = type_node.text, type_node.span
-            if type_node.kind is not _ATOM:
-                type_name = serialize_node(type_node)
-                self.bad_type(type_node, type_name)
-            elif self.term_scope(type_name) is not _NAME:
-                self.bad_type(type_node, type_name)
+        if type_at is not None:
+            type_span = tape.span(type_at)
+            type_name = tape.source(type_at)
+            if pieces[type_at] == "(" or self.terms[type_name] is not _NAME:
+                self.bad_type(type_at, type_name)
         if items is not None:
-            return [TypedEntry(item.text, type_name or DEFAULT_TYPE,
-                               item.span, type_span) for item in run]
+            # The spans of atoms, and the entry's own constructor, at C speed.
+            at, type_name = tape.bounds(), type_name or DEFAULT_TYPE
+            return [tuple.__new__(TypedEntry, (
+                pieces[item], type_name,
+                Span._make(at[2 * item + 1:2 * item + 3]), type_span))
+                for item in run]
         return [FunctionDecl(*signature, type_name or "number",
-                             serialize_node(raw), span=raw.span)
+                             tape.source(raw), span=tape.span(raw))
                 for raw in run if (signature := self.declaration(
                     raw, "function"))]
 
-    def bad_type(self, node: SExprNode, text: str) -> None:
-        """Report the type ``node``, whose text is ``text``, as no type
-        name: an (either ...) as ``either-type``, anything else as
-        ``bad-type``."""
-        if node.kind is _ATOM:
-            self.warn(node, f"{excerpt(repr(text))} in type position is "
+    def bad_type(self, k: int, text: str) -> None:
+        """Report the type at k, whose text is ``text``, as no type name:
+        an (either ...) as ``either-type``, anything else as ``bad-type``."""
+        if self.pieces[k] != "(":
+            self.warn(k, f"{excerpt(repr(text))} in type position is "
                       "not a type name", "bad-type")
         else:
-            self.warn(node, f"compound type {excerpt(repr(text))} in type "
+            self.warn(k, f"compound type {excerpt(repr(text))} in type "
                       "position",
-                      "either-type" if head_key(node) == "either"
+                      "either-type" if self.head_key(k) == "either"
                       else "bad-type")
 
-    def typed_block(self, node: SExprNode, head: SExprNode) -> None:
+    def typed_block(self, k: int, head: int) -> None:
         """(:types ...), (:constants ...) or (:objects ...): a typed list of
         names, which a model adds to its list of the block's name."""
-        entries = self.typed_list(node, head)
+        entries = self.typed_list(k, head)
         if entries is not None:
-            getattr(self.model, head.text.lower()[1:]).entries += entries
+            getattr(self.model, self.pieces[head].lower()[1:]).entries \
+                += entries
 
-    def function_list(self, node: SExprNode, head: SExprNode) -> None:
+    def function_list(self, k: int, head: int) -> None:
         """(:functions ...), typed declarations, which a model records."""
-        functions = self.typed_list(node, head, None)
+        functions = self.typed_list(k, head, None)
         if functions is not None:
             self.model.functions += functions
 
-    def predicate(self, node: SExprNode) -> None:
+    def predicate(self, k: int) -> None:
         """A declaration in (:predicates ...), which a model records."""
-        if node.kind is not _LIST and self.model is not None:
-            self.warn(node, f"stray {excerpt(repr(node.text))} in "
+        if self.pieces[k] != "(" and self.model is not None:
+            self.warn(k, f"stray {excerpt(repr(self.pieces[k]))} in "
                       "(:predicates ...)", "stray-atom")
-        elif signature := self.declaration(node):
+        elif signature := self.declaration(k):
             self.model.predicates.append(PredicateDecl(
-                *signature, serialize_node(node), span=node.span))
+                *signature, self.tape.source(k), span=self.tape.span(k)))
 
-    def parameters(self, node: SExprNode) -> Optional[TypedList]:
+    def parameters(self, k: int) -> Optional[TypedList]:
         """Typed variables, a model's ``TypedList``."""
-        if node.kind is not _LIST:
-            self.single(node, _UNSCOPED)
-            self.warn(node, f"{excerpt(repr(node.text))} where a list of "
+        if self.pieces[k] != "(":
+            self.warn(k, f"{excerpt(repr(self.pieces[k]))} where a list of "
                       "parameters was expected", "bad-parameters")
-        elif (entries := self.typed_list(node, None, _VARIABLE)) is not None:
+        elif (entries := self.typed_list(k, None, _VARIABLE)) is not None:
             return TypedList(entries)
         return None
 
-    def declaration(self, node: SExprNode, what: str = "predicate",
+    def declaration(self, k: int, what: str = "predicate",
                     ) -> Optional[tuple[str, TypedList]]:
         """A predicate or function declaration: (name typed-variables...);
         one with no name at all, such as ``()``, is Unscoped whole. For a
         model, its name and parameters; one whose head is no atom is
         reported and read no further."""
-        head = node.head() if node.kind is _LIST else None
-        if head is None or self.model is not None and head.kind is not _ATOM:
-            self.atom_or_tree(node, _UNSCOPED)
-            self.warn(node, f"malformed {what} declaration", f"bad-{what}")
+        pieces = self.pieces
+        head = self.first(k + 1, k)
+        if head is None or self.model is not None and pieces[head] == "(":
+            self.warn(k, f"malformed {what} declaration", f"bad-{what}")
             return None
-        ok = head.kind is _ATOM and is_name(head.text)
-        entries = self.typed_list(node, head, _VARIABLE,
+        ok = pieces[head] != "(" and is_name(pieces[head])
+        entries = self.typed_list(k, head, _VARIABLE,
                                   _NAME if ok else _UNSCOPED)
-        return None if entries is None else (head.text, TypedList(entries))
+        return None if entries is None else (pieces[head], TypedList(entries))
 
     # -- blocks and whole files ---------------------------------------------
 
-    def action_block(self, node: SExprNode, head: SExprNode) -> None:
+    def action_block(self, k: int, head: int) -> None:
         """(:action NAME key value...) or (:durative-action ...), keyed by
         ``ACTION_KEYS``. A key in the name's place stays Unscoped: the
         action has no name. A model gets the action, which has each key's
         value, or the last one's, and ``None`` for a key with none; a
         misplaced list or an unknown key, with its value, is reported."""
-        block = head.text.lower()
+        pieces = self.pieces
+        block = pieces[head].lower()
         keys = ACTION_KEYS[block]
-        values = node.values()
-        name = values[1] if len(values) > 1 and values[1].kind is _ATOM \
-            and values[1].text.lower() not in keys else None
+        name = self.first(head + 1, k)
+        if name is not None and (pieces[name] == "("
+                                 or pieces[name].lower() in keys):
+            name = None
         what = block[1:].replace("-", " ")
         key_scope = _UNSCOPED
         context: Optional[GrammarMethod] = None
@@ -769,139 +764,147 @@ class _Walk:
         if self.model is not None:
             durative = block == ":durative-action"
             action = (DurativeActionDecl if durative else ActionDecl)(
-                name and name.text, TypedList(), span=node.span)
+                None if name is None else pieces[name], TypedList(),
+                span=self.tape.span(k))
             (self.model.durative_actions if durative
              else self.model.actions).append(action)
         if name is None:
-            self.warn(node, f"{what} has no name", "missing-action-name")
+            self.warn(k, f"{what} has no name", "missing-action-name")
 
-        def value(self: _Walk, child: SExprNode) -> None:
+        def value(self: _Walk, j: int) -> None:
             nonlocal context, key_scope, attr
-            if child is name:
-                self.name(child)
+            piece = pieces[j]
+            if j == name:
+                self.name(j)
             elif context is not None:
                 if action is None:
                     # () is a whole value's <emptyOr> (PDDL 3.1), read
                     # lexically.
-                    empty = child.kind is _LIST and child.head() is None
-                    (_Walk.flat_emit if empty else context)(self, child)
+                    empty = piece == "(" and self.first(j + 1, j) is None
+                    (_Walk.lexical if empty else context)(self, j)
                 elif attr == "parameters":
-                    action.parameters = self.parameters(child) \
+                    action.parameters = self.parameters(j) \
                         or action.parameters
                 elif attr is not None:
-                    setattr(action, attr, child)
+                    setattr(action, attr, Deferred(self.tape.node, j))
                 context = None
-            elif child.kind is not _ATOM:
-                self.flat_emit(child, _UNSCOPED)
-                self.warn(child, f"unrecognized entry '(...)' in {what}",
+            elif piece == "(":
+                self.warn(j, f"unrecognized entry '(...)' in {what}",
                           "unknown-action-key")
-            elif (key := child.text.lower()) in keys:
-                self.single(child, key_scope)
+            elif (key := piece.lower()) in keys:
+                self.scopes[j] = key_scope
                 attr, context = keys[key][0], self.ACTION_VALUES[keys[key][1]]
                 if action is not None and attr != "parameters":
                     setattr(action, attr, None)
             else:
-                self.single(child, _UNSCOPED)
                 attr = None
-                self.warn(child, "unrecognized entry "
-                          f"{excerpt(repr(child.text))} in {what}",
+                self.warn(j, "unrecognized entry "
+                          f"{excerpt(repr(piece))} in {what}",
                           "unknown-action-key")
                 # Read the value as that of the hinted key if this kind of
                 # action has it, so a durative one gets the timed context.
                 hint = _ACTION_KEY_HINTS.get(key.strip(":"))
                 context = self.ACTION_VALUES.get(
                     keys[f":{hint}"][1] if f":{hint}" in keys else hint,
-                    _Walk.flat_emit)
+                    _Walk.lexical)
             key_scope = _KEYWORD
 
-        self.each(node, head, _KEYWORD, value)
+        self.each(k, head, _KEYWORD, value)
 
-    def block(self, node: SExprNode) -> None:
+    def block(self, k: int) -> None:
         """A block of the define form's kind. A model reports a stray atom,
         an unknown block or a repeat of one that may appear once. It keeps
         the values of :init, :goal, :metric, :derived, :domain and a
         domain's :requirements unscoped, formulas as nodes and atoms as
         text, skips :constraints, and reads any other block by the walk."""
-        model = self.model
+        model, pieces = self.model, self.pieces
         if model is None:
-            self.formula(node, self.blocks, ground=None)
+            self.formula(k, self.blocks, ground=None)
             return
-        key = head_key(node)
-        if node.kind is not _LIST:
-            self.warn(node, f"stray {excerpt(repr(node.text))} at "
+        key = self.head_key(k)
+        if pieces[k] != "(":
+            self.warn(k, f"stray {excerpt(repr(pieces[k]))} at "
                       f"{self.kind} level", "stray-atom")
             return
         if key not in self.blocks:
-            self.warn(node, f"unrecognized block {excerpt(key or '(...)')} "
+            self.warn(k, f"unrecognized block {excerpt(key or '(...)')} "
                       "skipped", "unknown-block")
             return
         if key in self.seen and key not in REPEATABLE_BLOCKS:
-            self.warn(node, f"duplicate {key} block", "duplicate-block")
+            self.warn(k, f"duplicate {key} block", "duplicate-block")
         self.seen.add(key)
-        values = node.values()[1:]
+        after = self.first(self.first(k + 1, k) + 1, k)
         if key == ":requirements" and self.kind == "domain":
-            model.requirements += [v.text for v in values if v.kind is _ATOM]
-        elif key == ":domain" and values and values[0].kind is _ATOM:
-            model.domain_ref = values[0].text
+            model.requirements += [pieces[v] for v in self.values(k)[1:]
+                                   if pieces[v] != "("]
+        elif key == ":domain" and after is not None and pieces[after] != "(":
+            model.domain_ref = pieces[after]
         elif key == ":init":
-            for value in values:
-                if value.kind is _LIST:
-                    model.init.append(value)
-                else:
-                    self.warn(value, f"stray {excerpt(repr(value.text))} "
+            self.inits.append(k)
+            model.init = Deferred(_facts, self.tape, self.inits[:])
+            for v in self.values(k)[1:]:
+                if pieces[v] != "(":
+                    self.warn(v, f"stray {excerpt(repr(pieces[v]))} "
                               "in (:init ...)", "stray-atom")
         elif key == ":goal":
-            model.goal = values[0] if values else None
+            self.goal = after
+            model.goal = None if after is None \
+                else Deferred(self.tape.node, after)
         elif key == ":metric":
-            model.metric = node
+            model.metric = Deferred(self.tape.node, k)
         elif key == ":derived":
-            model.derived.append(node)
+            self.derived.append(k)
+            model.derived = Deferred(list, map(self.tape.node, self.derived[:]))
         elif key != ":constraints":
-            self.formula(node, self.blocks, ground=None)
+            self.formula(k, self.blocks, ground=None)
 
-    def unknown(self, node: SExprNode) -> None:
+    def unknown(self, k: int) -> None:
         """Content of no known form, read leniently."""
-        self.formula(node, {}, ground=None)
+        self.formula(k, {}, ground=None)
 
-    def header(self, node: SExprNode) -> None:
+    def header(self, k: int) -> None:
         """The (domain NAME) or (problem NAME) of a define form."""
-        self.each(node, node.head(), _KEYWORD, _Walk.name)
+        self.each(k, self.first(k + 1, k), _KEYWORD, _Walk.name)
 
-    def define_form(self, node: SExprNode, head: SExprNode) -> None:
+    def define_form(self, k: int, head: int) -> None:
         """(define (domain NAME) block...) or (define (problem NAME) ...);
         with no such header, a domain's blocks after lenient content. A
         model reads the form as its own kind: every value after the head is
         a block unless it is a header of that kind, whose absence it
         reports, as it does a problem's missing goal."""
-        values = node.values()
-        header = values[1].values() if len(values) > 1 \
-            and values[1].kind is _LIST else ()
-        kind = header[0].text.lower() if len(header) == 2 \
-            and header[0].kind is header[1].kind is _ATOM \
-            and header[0].text.lower() in ("domain", "problem") else None
+        pieces = self.pieces
+        values = self.values(k)
+        header = self.values(values[1]) if len(values) > 1 \
+            and pieces[values[1]] == "(" else ()
+        kind = pieces[header[0]].lower() if len(header) == 2 \
+            and pieces[header[0]] != "(" and pieces[header[1]] != "(" \
+            and pieces[header[0]].lower() in ("domain", "problem") else None
         first = _Walk.unknown if kind is None else _Walk.header
         if self.model is None:
             self.kind = kind or "domain"
         elif kind == self.kind:
-            self.model.name = header[1].text
+            self.model.name = pieces[header[1]]
         else:
-            self.warn(node, f"missing ({self.kind} NAME) declaration",
+            self.warn(k, f"missing ({self.kind} NAME) declaration",
                       f"missing-{self.kind}-decl", Severity.ERROR)
             first = _Walk.block
         self.blocks = self.PROBLEM_BLOCKS if self.kind == "problem" \
             else self.DOMAIN_BLOCKS
-        self.each(node, head, _KEYWORD, first, _Walk.block)
-        if isinstance(self.model, PddlProblem) and self.model.goal is None:
-            self.warn(node, "problem has no goal", "missing-goal")
+        self.each(k, head, _KEYWORD, first, _Walk.block)
+        if self.kind == "problem" and self.goal is None:
+            self.warn(k, "problem has no goal", "missing-goal")
 
-    def run(self, forest: Sequence[SExprNode]) -> None:
-        for node in forest:
-            if node.is_trivia:
-                self.single(node, _TRIVIA_SCOPES[node.kind])
-            elif node.kind is _LIST and head_key(node) is None:
-                self.flat_emit(node)  # no form: read lexically
+    def run(self) -> None:
+        """Every top-level value: a byte order mark is Punctuation, a list
+        with no atom at its head is read lexically, and a form by its
+        kind."""
+        for k in self.values(_TOP):
+            if k == 0 and self.tape.text.startswith("\ufeff"):
+                self.scopes[k] = _PUNCTUATION
+            elif self.pieces[k] == "(" and self.head_key(k) is None:
+                self.lexical(k)
             else:
-                self.formula(node, self.FORMS, ground=None)
+                self.formula(k, self.FORMS, ground=None)
 
     # The rows of the formula and block tables of ``model``, the grammar
     # method of each context ``ACTION_KEYS`` gives a value, and the forms.
@@ -920,45 +923,67 @@ class _Walk:
     FORMS = {"define": define_form}
 
 
+def _facts(tape: Tape, blocks: Sequence[int]) -> list[SExprNode]:
+    """The facts of the :init blocks at lexemes ``blocks``: the lists among
+    their values, each block's nodes built at once."""
+    return [fact for k in blocks for fact in tape.node(k).values()[1:]
+            if fact.kind is _LIST]
+
+
 def parse_typed_list(nodes: Sequence[SExprNode]) -> tuple[TypedList, list[ParseDiagnostic]]:
     """Group ``a b - t c - u`` into typed entries, as the scope walk reads
-    a typed list of names.
+    a typed list of names. Each span is that of the node an entry or a
+    finding is about; a node built in code has none, so an entry's span
+    is None and a finding's is empty, at 0. Each node is read from its
+    text, so the elements of a list built in code need leads to be apart.
 
     Names after the last '-' group default to "object"; a dangling '-' gets
     a diagnostic and its preceding names fall back to the default as well.
     """
-    walk = _Walk(PddlDomain())
-    entries = walk.typed_list(SExprNode(NodeKind.LIST, children=tuple(nodes)),
-                              None)
-    return TypedList(entries), walk.diagnostics
+    # The walk reads the nodes' texts, one a line, and the span of each
+    # node is looked up by the offset of its text there.
+    texts = [serialize_node(node) for node in nodes]
+    starts = accumulate((len(t.encode("utf-8")) + 1 for t in texts),
+                        initial=0)
+    span = dict(zip(starts, (node.span for node in nodes))).get
+    walk = _Walk(Tape("\n".join(texts)), PddlDomain())
+    entries = [entry._replace(name_span=span(entry.name_span.start),
+                              type_span=entry.type_span
+                              and span(entry.type_span.start))
+               for entry in walk.typed_list(_TOP, None)]
+    return TypedList(entries), [
+        finding._replace(span=span(finding.span.start) or Span(0, 0))
+        for finding in walk.diagnostics]
 
 
 def _read(source: Union[str, Document], model: Model,
           ) -> tuple[Model, list[ParseDiagnostic]]:
     """``model`` as the scope walk fills it from the first define form of a
-    document (or of text, parsed first), with the parse diagnostics
+    document (or of text, lexed first), with the parse diagnostics
     followed by the model's own."""
     doc = as_document(source)
-    walk = _Walk(model)
-    define = next(filter(is_define, doc.forest), None)
+    walk = _Walk(doc.tape, model)
+    define = next((k for k in walk.values(_TOP)
+                   if walk.head_key(k) == "define"), None)
     if define is None:
         walk.diagnostics.append(ParseDiagnostic(
             Span(0, 0), Severity.ERROR,
             f"no (define ({walk.kind} ...)) form found", "missing-define"))
     else:
-        walk.define_form(define, define.head())
+        with gc_paused():
+            walk.define_form(define, walk.first(define + 1, define))
     return model, doc.diagnostics + walk.diagnostics
 
 
 def parse_domain(source: Union[str, Document],
                  ) -> tuple[PddlDomain, list[ParseDiagnostic]]:
-    """The typed domain of a document (or of text, parsed first), with the
+    """The typed domain of a document (or of text, lexed first), with the
     parse diagnostics followed by the model's own."""
     return _read(source, PddlDomain())
 
 
 def parse_problem(source: Union[str, Document],
                   ) -> tuple[PddlProblem, list[ParseDiagnostic]]:
-    """The typed problem of a document (or of text, parsed first), with the
+    """The typed problem of a document (or of text, lexed first), with the
     parse diagnostics followed by the model's own."""
     return _read(source, PddlProblem())

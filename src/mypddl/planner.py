@@ -60,8 +60,11 @@ _CONFIG_KEYS = {
 
 
 def parse_config(text: str) -> PlannerConfig:
-    """Read the INI-like ``key = "value"`` lines of mypddl.toml."""
+    """Read the INI-like ``key = "value"`` lines of mypddl.toml; a byte
+    order mark before the first line is skipped, as the PDDL reader skips
+    one."""
     values: dict[str, object] = {}
+    text = text.removeprefix("\ufeff")
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):

@@ -18,9 +18,11 @@ user directory; on a path collision the user template wins.
 
 from __future__ import annotations
 
+import contextlib
 import re
 import shutil
 from dataclasses import dataclass
+from itertools import takewhile
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -167,6 +169,9 @@ def create_project(name: str, parent_dir: Path,
             raise ScaffoldError(
                 f"template path {template.relative_path!r} escapes the project")
 
+    # The parents that ``mkdir`` makes, innermost first: a failure removes
+    # them too, and nothing that existed before.
+    made = list(takewhile(lambda parent: not parent.exists(), root.parents))
     created: list[Path] = []
     try:
         root.mkdir(parents=True)
@@ -185,6 +190,9 @@ def create_project(name: str, parent_dir: Path,
     except OSError as exc:
         if created:
             shutil.rmtree(root, ignore_errors=True)
+        for parent in made:
+            with contextlib.suppress(OSError):
+                parent.rmdir()
         at = "" if Path(exc.filename or root) == root else f" at {exc.filename}"
         raise ScaffoldError(f"cannot create directory {root}: "
                             f"{exc.strerror or exc}{at}") from exc

@@ -7,8 +7,10 @@ reproduces the source text byte for byte. This holds for broken input too --
 unbalanced parentheses never abort the parse, they only produce diagnostics.
 All offsets are byte offsets into the UTF-8 encoding of the source.
 
-A `Document` is one file read as bytes, decoded strictly and parsed once;
-every other layer works from its forest and its line index.
+A `Document` is one file read as bytes and decoded strictly. Its `Tape`, the
+lexemes with the bounds of each list, is built on first use, and the scope
+walk and the model read it; its forest is built only when read, for callers
+that want a tree.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import enum
 import gc
 import re
 from collections import namedtuple
+from functools import partial
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -73,13 +77,15 @@ class Record:
     ``collections.namedtuple`` builds ``__new__``. The constructor takes the
     fields in order: the first ``_required`` have no default, the others
     default to None, and a field of ``_fresh`` that gets None gets a new
-    value from its factory instead (a list, set, dict or record). Records
-    of one class are equal when their fields are; none hashes, and each
-    prints as ``Name(field=value, ...)``."""
+    value from its factory instead (a list, set, dict or record). A field
+    of ``_deferred`` may hold a `Deferred`, made into its value when first
+    read. Records of one class are equal when their fields are; none
+    hashes, and each prints as ``Name(field=value, ...)``."""
 
     __slots__ = ()
     __hash__ = None  # type: ignore[assignment]
     _fresh: dict[str, Callable[[], object]] = {}
+    _deferred: tuple[str, ...] = ()
     _required = 0
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -95,6 +101,9 @@ class Record:
              + "\n    ".join(body), namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        for name in cls._deferred:
+            slot = vars(cls)[name]
+            setattr(cls, name, property(partial(_made, slot), slot.__set__))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -108,6 +117,22 @@ class Record:
         fields = ", ".join(f"{name}={value!r}" for name, value
                            in zip(self.__slots__, self._values()))
         return f"{type(self).__qualname__}({fields})"
+
+
+class Deferred(partial):
+    """A field's value not made yet: the call that makes it, made on the
+    first read of the field (``Record._deferred``)."""
+
+    __slots__ = ()
+
+
+def _made(slot, record: Record) -> object:
+    """The value of a field of ``_deferred`` whose slot is ``slot``."""
+    value = slot.__get__(record)
+    if type(value) is Deferred:
+        value = value()
+        slot.__set__(record, value)
+    return value
 
 
 class NodeKind(enum.Enum):
@@ -156,6 +181,9 @@ class SExprNode(namedtuple("SExprNode", "kind text children start end "
     span = property(lambda self: None if self[START] is None
                     else Span._make(self[START:END + 1]))
 
+    # Immutable, so a copy is the node itself, and deepcopy holds at any depth.
+    __copy__ = __deepcopy__ = lambda self, memo=None: self
+
     def __getnewargs__(self) -> tuple:
         return (*self[:START], self.span, self[CLOSED], *self[LEAD:])
 
@@ -191,17 +219,17 @@ KIND, TEXT, CHILDREN, START, END, CLOSED, IS_TRIVIA, LEAD, TAIL = range(9)
 
 SPACE = " \t\r\n\f\v"  # not \s: other spaces, such as U+00A0, are atom text
 ATOM, COMMENT = f"[^{SPACE}();]", r";[^\n]*"
-# Each match is (lead, lexeme); a lexeme's first character tells its kind.
-# Whitespace and delimiters are ASCII, so token boundaries fall between whole
-# UTF-8 sequences and a lead's length in characters is its length in bytes.
-_LEXEME = re.compile(rf"""
-    ([{SPACE}]*)
-    ( \A\ufeff                # a byte order mark at offset 0
-    | {COMMENT}                # comment, up to the end of the line
+# A lexeme: its first character tells its kind. Whitespace and delimiters are
+# ASCII, so token boundaries fall between whole UTF-8 sequences and a lead's
+# length in characters is its length in bytes. Every character outside a
+# lexeme is whitespace, so ``split`` gives the leads and the lexemes in turn,
+# the trailing whitespace last.
+_LEXEME = re.compile(rf"""(
+      {COMMENT}                # comment, up to the end of the line
     | [()]                     # open or close
     | {ATOM}+                  # atom
-    | \Z )                     # the end, after the trailing whitespace
-""", re.VERBOSE)
+)""", re.VERBOSE)
+_COMMENT = re.compile(COMMENT)
 
 
 @contextlib.contextmanager
@@ -219,6 +247,16 @@ def gc_paused() -> Iterator[None]:
             gc.enable()
 
 
+def lexemes(text: str, offset: int = 0) -> list[str]:
+    """The leads and the lexemes of a text at byte ``offset`` in turn, the
+    trailing whitespace last. A byte order mark at offset 0 is a lexeme of
+    its own; U+FEFF anywhere else is atom text, so a slice of a file lexes
+    as the file does."""
+    if offset or not text.startswith("\ufeff"):
+        return _LEXEME.split(text)
+    return ["", "\ufeff", *_LEXEME.split(text[1:])]
+
+
 def parse_sexpr(text: str, offset: int = 0,
                 ) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
     """Parse source text, or a slice of a file at byte ``offset``, into a
@@ -227,82 +265,169 @@ def parse_sexpr(text: str, offset: int = 0,
     stray ')' becomes an atom, each with an Error diagnostic. The cyclic
     garbage collector is paused while the forest is built."""
     with gc_paused():
-        diagnostics: list[ParseDiagnostic] = []
-        # Offset, lead and children so far of each open list; ``level`` is
-        # the innermost, and the bottom entry of ``levels`` is the forest.
-        opens: list[int] = []
-        leads: list[str] = []
-        levels: list[list[SExprNode]] = [[]]
-        level = levels[0]
-        atom, comment, lst = NodeKind.ATOM, NodeKind.COMMENT, NodeKind.LIST
-        # Nodes are built at C speed, fields in ``SExprNode`` order.
-        new = tuple.__new__
-        # Byte offsets equal character offsets in ASCII text.
-        ascii_only = text.isascii()
-        # The last match is empty; one before it may hold trailing whitespace.
-        pieces = _LEXEME.findall(text)[:-1]
-        trailing = pieces.pop()[0] if pieces and not pieces[-1][1] else ""
-        i = offset + 3 if pieces and pieces[0] == ("", "\ufeff") else offset
-        if i > offset:
-            level.append(SExprNode(NodeKind.WHITESPACE, text[0], (), Span(offset, i)))
-            del pieces[0]
-        for lead, piece in pieces:
-            i += len(lead)
-            j = i + (len(piece) if ascii_only else len(piece.encode("utf-8")))
-            first = piece[0]
-            if first == "(":
-                opens.append(i)
-                leads.append(lead)
-                level = []
-                levels.append(level)
-            elif first == ")":
-                if opens:
-                    node = new(SExprNode, (lst, "", tuple(level), opens.pop(),
-                                           j, True, False, leads.pop(), lead))
-                    levels.pop()
-                    level = levels[-1]
-                    level.append(node)
-                else:
-                    diagnostics.append(ParseDiagnostic(
-                        Span(i, j), Severity.ERROR, "unmatched ')'",
-                        "stray-closer"))
-                    level.append(new(SExprNode, (atom, ")", (), i, j, True,
-                                                 False, lead, "")))
-            else:
-                kind = comment if first == ";" else atom
-                level.append(new(SExprNode, (kind, piece, (), i, j, True,
-                                             kind is comment, lead, "")))
-            i = j
+        return _forest(lexemes(text, offset), offset, text.isascii())
 
-        # Trailing whitespace is the innermost unclosed list's tail, or a node.
-        end = i + len(trailing)
-        if trailing and not opens:
-            level.append(SExprNode(NodeKind.WHITESPACE, trailing, (),
-                                   Span(i, end)))
-        # Close recovered lists innermost first, without inventing parentheses.
-        while opens:
-            start = opens.pop()
-            diagnostics.append(ParseDiagnostic(
-                Span(start, start + 1), Severity.ERROR,
-                "'(' is never closed", "unclosed-list"))
-            node = SExprNode(lst, "", tuple(levels.pop()), Span(start, end),
-                             False, leads.pop(), trailing)
-            trailing = ""
-            levels[-1].append(node)
-        return levels[0], diagnostics
+
+def _forest(texts: list[str], offset: int, ascii_only: bool,
+            ) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
+    """The forest and diagnostics of `parse_sexpr` from the `lexemes` of a
+    text at byte ``offset``; ``ascii_only`` if the text is ASCII."""
+    diagnostics: list[ParseDiagnostic] = []
+    # Offset, lead and children so far of each open list; ``level`` is
+    # the innermost, and the bottom entry of ``levels`` is the forest.
+    opens: list[int] = []
+    leads: list[str] = []
+    levels: list[list[SExprNode]] = [[]]
+    level = levels[0]
+    atom, comment, lst = NodeKind.ATOM, NodeKind.COMMENT, NodeKind.LIST
+    # Nodes are built at C speed, fields in ``SExprNode`` order.
+    new = tuple.__new__
+    i, trailing = offset, texts[-1]
+    pairs = zip(texts[::2], texts[1::2])  # the trailing lead has no lexeme
+    if not offset and texts[:2] == ["", "\ufeff"]:
+        i = 3
+        level.append(SExprNode(NodeKind.WHITESPACE, "\ufeff", (), Span(0, i)))
+        next(pairs)
+    for lead, piece in pairs:
+        i += len(lead)
+        j = i + (len(piece) if ascii_only else len(piece.encode("utf-8")))
+        first = piece[0]
+        if first == "(":
+            opens.append(i)
+            leads.append(lead)
+            level = []
+            levels.append(level)
+        elif first == ")":
+            if opens:
+                node = new(SExprNode, (lst, "", tuple(level), opens.pop(),
+                                       j, True, False, leads.pop(), lead))
+                levels.pop()
+                level = levels[-1]
+                level.append(node)
+            else:
+                diagnostics.append(ParseDiagnostic(
+                    Span(i, j), Severity.ERROR, "unmatched ')'",
+                    "stray-closer"))
+                level.append(new(SExprNode, (atom, ")", (), i, j, True,
+                                             False, lead, "")))
+        else:
+            kind = comment if first == ";" else atom
+            level.append(new(SExprNode, (kind, piece, (), i, j, True,
+                                         kind is comment, lead, "")))
+        i = j
+
+    # Trailing whitespace is the innermost unclosed list's tail, or a node.
+    end = i + len(trailing)
+    if trailing and not opens:
+        level.append(SExprNode(NodeKind.WHITESPACE, trailing, (),
+                               Span(i, end)))
+    # Close recovered lists innermost first, without inventing parentheses.
+    while opens:
+        start = opens.pop()
+        diagnostics.append(ParseDiagnostic(
+            Span(start, start + 1), Severity.ERROR,
+            "'(' is never closed", "unclosed-list"))
+        node = SExprNode(lst, "", tuple(levels.pop()), Span(start, end),
+                         False, leads.pop(), trailing)
+        trailing = ""
+        levels[-1].append(node)
+    return levels[0], diagnostics
+
+
+class Tape:
+    """The lexemes of a text and where each list ends, which the scope walk
+    and the model read instead of a tree, as simdjson's tape records where
+    each bracket closes (Langdale and Lemire, 2019).
+
+    Lexeme k is ``pieces[k]``, an atom, a comment, a parenthesis or a
+    leading byte order mark, after the whitespace ``texts[2 * k]``: the
+    strings of ``texts`` interleave leads and lexemes and tile the text. The
+    last lexeme, ``end``, is the empty one after the trailing whitespace.
+    The value at lexeme k runs to lexeme ``last[k]``: k itself, or for a '('
+    its ')', or ``end`` if it is never closed. ``diagnostics`` are those of
+    `parse_sexpr`."""
+
+    __slots__ = ("text", "ascii", "texts", "pieces", "last", "end",
+                 "diagnostics", "_bounds")
+
+    def __init__(self, text: str) -> None:
+        with gc_paused():
+            self.text, self.ascii = text, text.isascii()
+            self._bounds: Optional[list[int]] = None
+            self.texts = texts = lexemes(text)
+            texts.append("")  # the end
+            self.pieces = pieces = texts[1::2]
+            self.end = end = len(pieces) - 1
+            self.last = last = list(range(end + 1))
+            opens: list[int] = []
+            strays: list[int] = []
+            for k, piece in enumerate(pieces):
+                if piece == "(":
+                    opens.append(k)
+                elif piece == ")":
+                    if opens:
+                        last[opens.pop()] = k
+                    else:
+                        strays.append(k)
+            for k in opens:
+                last[k] = end
+        self.diagnostics = [ParseDiagnostic(
+            self.span(k), Severity.ERROR, "unmatched ')'", "stray-closer")
+            for k in strays]
+        for k in reversed(opens):
+            at = self.bounds()[2 * k + 1]
+            self.diagnostics.append(ParseDiagnostic(
+                Span(at, at + 1), Severity.ERROR, "'(' is never closed",
+                "unclosed-list"))
+
+    def bounds(self) -> list[int]:
+        """The byte offset of each string of ``texts``, and of the end of
+        the text, made on first use: lexeme k spans entries 2k + 1 to 2k + 2."""
+        if self._bounds is None:
+            texts = self.texts if self.ascii else map(str.encode, self.texts)
+            self._bounds = list(accumulate(map(len, texts), initial=0))
+        return self._bounds
+
+    def comments(self) -> list[int]:
+        """The lexeme of each comment: every ';' outside a comment starts
+        one, so a regex finds them and ``list.index`` their lexemes."""
+        found = [-1]
+        for comment in _COMMENT.findall(self.text):
+            found.append(self.pieces.index(comment, found[-1] + 1))
+        return found[1:]
+
+    def span(self, k: int) -> Span:
+        """The byte span of the value at lexeme k."""
+        at = self.bounds()
+        return Span._make((at[2 * k + 1], at[2 * self.last[k] + 2]))
+
+    def source(self, k: int) -> str:
+        """The text of the value at lexeme k, without its lead."""
+        return "".join(self.texts[2 * k + 1:2 * self.last[k] + 2])
+
+    def node(self, k: int) -> SExprNode:
+        """The node of the value at lexeme k, as the text's forest holds
+        it: `parse_sexpr`'s, built from the lexemes of its bytes."""
+        texts = self.texts[2 * k:2 * self.last[k] + 2]
+        if texts[-1]:
+            texts.append("")  # a ')': no trailing whitespace
+        else:
+            texts.pop()  # the end, whose lead is the trailing whitespace
+        return _forest(texts, self.bounds()[2 * k], self.ascii)[0][0]
 
 
 class Document:
-    """One source file, read and decoded once, and parsed at most once.
+    """One source file, read and decoded once, and lexed at most once.
 
-    Holds the raw bytes, the strictly decoded text, the lossless forest and
-    the parse diagnostics, both parsed on first use, and a line index that
-    turns byte offsets into positions. ``path`` is the file the bytes came
-    from, or None. Every layer that needs the file works from the same
-    document, so no command reads or parses a file twice.
+    Holds the raw bytes, the strictly decoded text, its `Tape` and the
+    parse diagnostics, made on first use, the lossless forest, parsed only
+    when read, and a line index that turns byte offsets into positions.
+    ``path`` is the file the bytes came from, or None. Every layer that
+    needs the file works from the same document, so no command reads or
+    lexes a file twice.
     """
 
-    __slots__ = ("path", "data", "text", "_parsed", "_line_starts")
+    __slots__ = ("path", "data", "text", "_tape", "_parsed", "_line_starts")
 
     def __init__(self, data: bytes, path: Optional[Path] = None,
                  text: Optional[str] = None) -> None:
@@ -315,16 +440,23 @@ class Document:
         self.path = path
         self.data = data
         self.text = text
-        self._parsed = None
+        self._tape: Optional[Tape] = None
+        self._parsed: Optional[list[SExprNode]] = None
         self._line_starts: Optional[list[int]] = None
 
-    def _parse(self) -> tuple[list[SExprNode], list[ParseDiagnostic]]:
+    @property
+    def tape(self) -> Tape:
+        if self._tape is None:
+            self._tape = Tape(self.text)
+        return self._tape
+
+    @property
+    def forest(self) -> list[SExprNode]:
         if self._parsed is None:
-            self._parsed = parse_sexpr(self.text)
+            self._parsed = parse_sexpr(self.text)[0]
         return self._parsed
 
-    forest = property(lambda self: self._parse()[0])
-    diagnostics = property(lambda self: self._parse()[1])
+    diagnostics = property(lambda self: self.tape.diagnostics)
 
     @classmethod
     def read(cls, path: Union[str, Path]) -> "Document":

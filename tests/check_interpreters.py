@@ -36,7 +36,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 import gen  # noqa: E402  (benchmarks/gen.py: the seeded input generator)
 from mypddl.distance import LocationFact, _distance_rows, euclidean  # noqa: E402
 from mypddl.highlight import tokenize  # noqa: E402
-from mypddl.model import is_define, parse_domain, parse_problem  # noqa: E402
+from mypddl.model import head_key, parse_domain, parse_problem  # noqa: E402
 from mypddl.sexpr import Document, Span, serialize  # noqa: E402
 
 WORKLOADS = ("large-problem", "distance-grid", "broken-domain")
@@ -318,7 +318,7 @@ def digests(data: bytes) -> tuple[str, ...]:
     # The model reads the first define form of a document; each later one,
     # as in the generated input, is read again as a document of its own.
     later = [Document(data[node.span.start:node.span.end])
-             for node in doc.forest if is_define(node)][1:]
+             for node in doc.forest if head_key(node) == "define"][1:]
     return tuple(hashlib.sha256(text).hexdigest() for text in (
         data, repr(tokenize(doc)).encode("utf-8"),
         *(repr([read(doc), *map(read, later)]).encode("utf-8")

@@ -411,6 +411,27 @@ def test_new_with_a_missing_template_directory_fails(runner, tmp_path):
     assert not (tmp_path / "rover").exists()
 
 
+def test_a_failed_new_removes_the_parents_it_made_and_no_others(runner,
+                                                                  tmp_path):
+    """A template directory ``domain.pddl/`` collides with the built-in
+    ``domain.pddl`` file, so the tree cannot be made: the parents that
+    ``--dir`` named and ``new`` created go too, the one that existed stays."""
+    templates = tmp_path / "templates"
+    (templates / "domain.pddl").mkdir(parents=True)
+    (templates / "domain.pddl" / "x").write_text("x\n", encoding="utf-8")
+    parent = tmp_path / "a" / "b"
+    result = runner.invoke(main, ["new", "rover", "--dir", str(parent),
+                                  "--templates", str(templates)])
+    assert result.exit_code == 1
+    assert len(result.stderr.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["templates"]
+    (tmp_path / "a").mkdir()
+    result = runner.invoke(main, ["new", "rover", "--dir", str(parent),
+                                  "--templates", str(templates)])
+    assert result.exit_code == 1
+    assert (tmp_path / "a").is_dir() and not parent.exists()
+
+
 def test_new_copies_a_crlf_template_with_its_crlf_bytes(runner, tmp_path):
     templates = tmp_path / "templates"
     templates.mkdir()

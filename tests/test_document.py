@@ -1,11 +1,11 @@
 """One `Document` per file: byte-exact reads and writes, strict decoding,
-one line index per file, and exactly one parse per input file for every
-command."""
+one line index per file, at most one lexing per input file for every
+command, and no tree on the token path."""
 
 import copy
+import gc
 import json
 import pickle
-import sys
 
 import pytest
 from click.testing import CliRunner
@@ -16,7 +16,8 @@ from mypddl import sexpr
 from mypddl.cli import main
 from mypddl.construct import insert_construct, parse_constructs
 from mypddl.distance import augment_with_distances
-from mypddl.highlight import tokenize
+from mypddl.highlight import scope_columns, tokenize
+from mypddl.model import parse_domain, parse_problem
 from mypddl.sexpr import (
     Document,
     MyPddlError,
@@ -28,7 +29,7 @@ from mypddl.sexpr import (
     serialize,
 )
 
-from conftest import CORPUS
+from conftest import CORPUS, FIXTURES, benchmark_inputs
 
 CRLF_PROBLEM = (b"; a problem with CRLF line endings\r\n"
                 b"(define (problem p)\r\n"
@@ -111,6 +112,18 @@ def test_a_parsed_forest_survives_pickle_and_deepcopy(round_trip):
     assert serialize(copied) == serialize(forest) == _FOREST_TEXT
     assert _node_fields(copied) == _node_fields(forest)
     assert all(type(n) is SExprNode for top in copied for n in top.walk())
+
+
+def test_a_forest_deep_copies_at_any_depth():
+    """A node is immutable, so a copy of it is the node itself, and a copy
+    of a forest needs no recursion into it."""
+    depth = 100_000
+    text = "(a " * depth + ")" * depth
+    forest = as_document(text).forest
+    copied = copy.deepcopy(forest)
+    assert copied is not forest and copied[0] is forest[0]
+    assert copy.copy(forest[0]) is forest[0]
+    assert serialize(copied) == text
 
 
 def test_nodes_compare_and_hash_by_identity():
@@ -490,29 +503,90 @@ def test_leaves_and_tokens_match_the_bytes(text, bom):
     assert pos == len(doc.data)
 
 
-# -- one parse per file -------------------------------------------------------------
+# -- one lexing per file, and no tree on the token path -------------------------------
+
+@given(text=_LEXEMES, bom=st.booleans())
+@settings(max_examples=300)
+def test_the_tape_holds_what_the_forest_holds(text, bom):
+    """The tape's strings tile the text, its diagnostics are the parse's,
+    and the node it builds of each top-level value is the forest's."""
+    if bom:
+        text = "\ufeff" + text
+    tape = sexpr.Tape(text)
+    forest, diagnostics = sexpr.parse_sexpr(text)
+    assert "".join(tape.texts) == text and tape.pieces[tape.end] == ""
+    assert tape.diagnostics == diagnostics
+    values, k = [], 0
+    while k < tape.end:
+        if k or not text.startswith("\ufeff"):  # a byte order mark
+            values.append(tape.node(k))
+        k = tape.last[k] + 1
+    assert _node_fields(values) == _node_fields(
+        [n for n in forest if n.kind is not NodeKind.WHITESPACE])
+
+
+def _live_nodes() -> int:
+    return sum(1 for obj in gc.get_objects() if type(obj) is SExprNode)
+
+
+def test_the_token_path_builds_no_forest(runner, tmp_path, monkeypatch):
+    """``scope_columns``, ``check`` and ``tokens`` read the tape: no node is
+    built, so none is alive after them, and the document's forest is never
+    parsed."""
+    data = benchmark_inputs("large-problem", 1).problem.text
+    before = _live_nodes()
+    doc = Document(data)
+    columns = scope_columns(doc)
+    assert doc.diagnostics == []
+    assert _live_nodes() - before == 0 and doc._parsed is None
+    assert "".join(columns.texts).encode("utf-8") == data
+    built = []
+    monkeypatch.setattr(sexpr, "_forest", lambda *args: built.append(args))
+    path = tmp_path / "p.pddl"
+    path.write_bytes(data)
+    for argv in (["check", str(path)], ["--json", "check", str(path)],
+                 ["tokens", str(path)],
+                 ["tokens", str(path), "--format", "html"]):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+    assert built == [] and _live_nodes() - before == 0
+
+
+def test_the_diagnostics_of_a_document_build_no_forest():
+    text = "(define (domain d)) ) (:predicates (p ?x) (q"
+    doc = as_document(text)
+    assert [d.code for d in doc.diagnostics] == \
+        ["stray-closer", "unclosed-list", "unclosed-list"]
+    assert doc._parsed is None
+    assert doc.diagnostics == sexpr.parse_sexpr(text)[1]
+
 
 @pytest.fixture
-def parse_calls(monkeypatch):
-    """Texts passed to ``parse_sexpr``, under every name it is bound to."""
-    calls: list[str] = []
-    real = sexpr.parse_sexpr
+def lexed(monkeypatch):
+    """Texts that a `Tape` lexed whole, and those whose lexemes were passed
+    to the node builder (`parse_sexpr` and `Tape.node`)."""
+    tapes: list[str] = []
+    built: list[str] = []
+    tape_init, forest = sexpr.Tape.__init__, sexpr._forest
 
-    def counting(text, *args):
-        calls.append(text)
-        return real(text, *args)
+    def lexing(self, text, *args):
+        tapes.append(text)
+        tape_init(self, text, *args)
 
-    for name, module in list(sys.modules.items()):
-        if name == "mypddl" or name.startswith("mypddl."):
-            for attr, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, attr, counting)
-    return calls
+    def building(texts, *args):
+        built.append("".join(texts))
+        return forest(texts, *args)
+
+    monkeypatch.setattr(sexpr.Tape, "__init__", lexing)
+    monkeypatch.setattr(sexpr, "_forest", building)
+    return tapes, built
 
 
-# ``others`` counts the other texts parsed: a construct, for ``extract`` the
-# slice of the block that the index found, and for ``distance`` the slice of
-# its run of location facts. ``insert`` parses nothing of the file.
+# ``others`` counts the other texts parsed into nodes: a construct, for
+# ``extract`` the slice of the block that the index found, and for
+# ``distance`` the slice of its run of location facts. ``insert`` parses
+# nothing of the file, and ``diagram``, which reads declarations alone, no
+# formula.
 @pytest.mark.parametrize("argv, files, others", [
     (["check", "{dom}", "{prob}"], 2, 0),
     (["--json", "check", "{dom}", "{prob}"], 2, 0),
@@ -524,8 +598,8 @@ def parse_calls(monkeypatch):
     (["distance", "{prob}"], 0, 1),
     (["diagram", "{dom}", "--out", "{out}", "--no-render"], 1, 0),
 ])
-def test_each_command_parses_each_file_at_most_once(
-        runner, tmp_path, parse_calls, argv, files, others):
+def test_each_command_lexes_each_file_at_most_once(
+        runner, tmp_path, lexed, argv, files, others):
     dom, prob = tmp_path / "store.pddl", tmp_path / "pizza.pddl"
     dom.write_bytes((CORPUS / "store.pddl").read_bytes())
     prob.write_bytes((CORPUS / "gary_pizza_problem.pddl").read_bytes())
@@ -535,5 +609,31 @@ def test_each_command_parses_each_file_at_most_once(
     file_texts = {dom.read_text(encoding="utf-8"),
                   (CORPUS / "gary_pizza_problem.pddl").read_text(
                       encoding="utf-8")}
-    assert len([t for t in parse_calls if t in file_texts]) == files
-    assert len(parse_calls) == files + others
+    tapes, built = lexed
+    assert len(tapes) == files and set(tapes) <= file_texts
+    assert len(built) == others and not file_texts & set(built)
+
+
+@pytest.mark.parametrize("name, read, formulas", [
+    ("tour_domain.pddl", parse_domain,
+     lambda m: [a.effect for a in m.actions + m.durative_actions] + m.derived),
+    ("tour_problem.pddl", parse_problem, lambda m: [m.goal, m.metric, *m.init]),
+], ids=["domain", "problem"])
+def test_a_model_builds_each_formula_when_it_is_first_read(
+        lexed, name, read, formulas):
+    """A read model holds no node: the first read of a formula's field
+    builds it from the tape, with the fields of the forest's node there,
+    and keeps it; a model pickles with its formulas built."""
+    text = (FIXTURES / name).read_text(encoding="utf-8")
+    tapes, built = lexed
+    model, unread = read(text)[0], read(text)[0]
+    assert built == []
+    nodes = [node for node in formulas(model) if node is not None]
+    assert len(nodes) > 2 and built
+    del built[:]
+    assert [node for node in formulas(model) if node is not None] == nodes
+    assert built == []
+    forest = {n.start: n for top in sexpr.parse_sexpr(text)[0]
+              for n in top.walk()}
+    assert _node_fields(nodes) == _node_fields([forest[n.start] for n in nodes])
+    assert repr(pickle.loads(pickle.dumps(unread))) == repr(model)

@@ -25,7 +25,7 @@ from mypddl.highlight import (
     scope_columns,
     tokenize,
 )
-from mypddl.sexpr import Document, Span
+from mypddl.sexpr import Document, Span, parse_sexpr
 
 from conftest import CORPUS, benchmark_inputs, corpus_text, golden_json
 
@@ -568,6 +568,27 @@ def test_a_bom_token_is_three_bytes():
     columns = scope_columns(Document(b"\xef\xbb\xbf(a)"))
     assert columns.texts[0] == "\ufeff"
     assert columns.offsets()[0][:3] == [0, 3, 4]
+
+
+@pytest.mark.parametrize("text,scopes", [
+    ("\ufeff(define (domain d))", [Scope.PUNCTUATION]),
+    (" \ufeff(define (domain d))", [Scope.UNSCOPED]),
+    ("\ufeff\ufeff", [Scope.PUNCTUATION, Scope.UNSCOPED]),
+    ("x \ufeffabc", []),
+], ids=["bom", "after-a-space", "bom-then-atom", "in-an-atom"])
+def test_only_a_feff_at_offset_0_is_a_byte_order_mark(text, scopes):
+    """A byte order mark is Punctuation; U+FEFF anywhere else is an atom,
+    Unscoped at the top level, and a slice of a file that starts with it
+    is read as the file is."""
+    assert [t.scope for t in tokenize(text) if t.text == "\ufeff"] == scopes
+    start = text.index("\ufeff", 1) if text.count("\ufeff") > 1 \
+        else text.index("\ufeff")
+    offset = len(text[:start].encode("utf-8"))
+    if offset:
+        forest, _ = parse_sexpr(text)
+        sliced, _ = parse_sexpr(text[start:], offset)
+        assert [(n.kind, n.text, n.span) for n in sliced] == \
+            [(n.kind, n.text, n.span) for n in forest if n.start >= offset]
 
 
 def test_the_adapters_read_a_token_list_that_does_not_tile():

@@ -6,6 +6,7 @@ back from the file they wrote. ``snippet``, ``new`` and ``plan``, run on
 mutations of a user snippet, a project template and a planner config, exit
 0 or 1 too, and an error is their one stderr line."""
 
+import json
 import shlex
 import shutil
 import sys
@@ -170,3 +171,28 @@ def test_no_planner_config_makes_plan_raise(work, data):
     # The planner's solution directory is relative to the working directory.
     with runner.isolated_filesystem(temp_dir=project):
         _assert_clean(runner.invoke(main, argv), argv)
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "unclosed"])
+def test_a_domain_nested_100000_deep_is_read_cleanly(tmp_path, closed):
+    """The tape, the scope walk and the model read any depth: each command
+    exits 0 or 1, and the token texts tile the file."""
+    depth = 100_000
+    text = ("(define (domain d)\n  (:predicates (p))\n  (:action a "
+            ":parameters ()\n    :precondition " + "(and " * depth + "(p)")
+    if closed:
+        text += ")" * depth + "))\n"
+    path, out = tmp_path / "deep.pddl", tmp_path / "out"
+    path.write_text(text, encoding="utf-8")
+    runner = CliRunner()
+    for argv in (["check", str(path)], ["--json", "check", str(path)],
+                 ["tokens", str(path)],
+                 ["tokens", str(path), "--format", "html"],
+                 ["diagram", str(path), "--no-render", "--out", str(out)]):
+        result = runner.invoke(main, argv)
+        assert result.exit_code in (0, 1), (argv, result.output)
+        assert result.exception is None \
+            or isinstance(result.exception, SystemExit), argv
+        if argv[0] == "tokens" and len(argv) == 2:
+            texts = [token["text"] for token in json.loads(result.stdout)]
+            assert "".join(texts) == text

@@ -10,6 +10,7 @@ import pytest
 from mypddl.planner import (
     PlannerConfig,
     PlannerError,
+    load_config,
     parse_config,
     run_planner,
     substitute_template,
@@ -46,6 +47,17 @@ def test_parse_config_roundtrip():
     assert config.command_template.startswith("fast-forward")
     assert config.timeout_seconds == 42
     assert config.solution_dir == "plans"
+
+
+@pytest.mark.parametrize("text", [
+    '# my planner\ncommand = "solve {domain} {problem}"\n',
+    'command = "solve {domain} {problem}"\n',
+], ids=["before-a-comment", "before-the-command"])
+def test_a_config_that_starts_with_a_byte_order_mark_is_read(tmp_path, text):
+    path = tmp_path / "mypddl.toml"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_config(path) == parse_config(text)
+    assert load_config(path).command_template == "solve {domain} {problem}"
 
 
 def test_parse_config_rejects_unknown_keys():
