@@ -88,13 +88,13 @@ class _Tails(dict):
 def scope_columns(source: Union[str, Document]) -> TokenColumns:
     """The walk of `tokenize` as columns; never fails. Given text, lex it
     first. The walk reads the document's tape and builds no tree; the
-    cyclic garbage collector is paused during it."""
+    cyclic garbage collector is paused during it. The columns are built
+    when first read, which finding the regions does not need."""
     doc = as_document(source)
     walk = _Walk(doc.tape)
     with gc_paused():
         walk.run()
-        texts, scopes = walk.tokens()
-    return TokenColumns(texts, scopes, len(doc.data) == len(doc.text))
+    return TokenColumns(ascii=len(doc.data) == len(doc.text), walk=walk)
 
 
 def tokenize(source: Union[str, Document]) -> list[Token]:
@@ -112,14 +112,26 @@ class TokenColumns:
     """A token stream as columns: token k is ``texts[k]`` with scope
     ``scopes[k]``. A walk's tokens tile the file: token k spans ``[bounds[k],
     bounds[k + 1])``, the running sums of the texts' byte lengths (``len`` if
-    ``ascii``), made on first use, which a valid file's regions never need."""
+    ``ascii``), made on first use, which a valid file's regions never need.
+    Given a ``walk`` instead of texts and scopes, the columns are its
+    `_Walk.tokens`, built on first read."""
 
-    __slots__ = ("texts", "scopes", "_ascii", "_offsets")
+    __slots__ = ("texts", "scopes", "_ascii", "_offsets", "_walk")
 
-    def __init__(self, texts: Sequence[str], scopes: Sequence[Scope],
-                 ascii: bool = False) -> None:
-        self.texts, self.scopes, self._ascii = texts, scopes, ascii
+    def __init__(self, texts: Optional[Sequence[str]] = None,
+                 scopes: Optional[Sequence[Scope]] = None, ascii: bool = False,
+                 walk: Optional[_Walk] = None) -> None:
+        if walk is None:
+            self.texts, self.scopes = texts, scopes
+        self._ascii, self._walk = ascii, walk
         self._offsets: Optional[tuple[list[int], list[int]]] = None
+
+    def __getattr__(self, name: str) -> Sequence:
+        # A walk's texts and scopes, built on first read.
+        if name not in ("texts", "scopes") or self._walk is None:
+            raise AttributeError(name)
+        self.texts, self.scopes = self._walk.tokens()
+        return getattr(self, name)
 
     @classmethod
     def of(cls, tokens: Sequence[Token]) -> TokenColumns:
@@ -139,8 +151,14 @@ class TokenColumns:
         return self._offsets
 
     def invalid_regions(self) -> list[Span]:
-        """See `invalid_regions`."""
-        scopes, texts = self.scopes, self.texts
+        """See `invalid_regions`. A walk's are read off its lexemes, but the
+        end, and the tape's bounds, as leads are whitespace."""
+        if self._walk is None:
+            scopes, texts, offsets = self.scopes, self.texts, self.offsets
+        else:
+            tape = self._walk.tape
+            scopes, texts = self._walk.scopes[:-1], tape.pieces
+            offsets = lambda: (tape.bounds()[1::2], tape.bounds()[2::2])
         regions: list[Span] = []
         i = 0
         while True:
@@ -158,7 +176,8 @@ class TokenColumns:
                 elif scope is not _PUNCTUATION or not texts[i].isspace():
                     break
                 i += 1
-            starts, ends = self.offsets()
+            if not regions:
+                starts, ends = offsets()
             regions.append(Span(starts[first], ends[last]))
 
     def iter_json(self) -> Iterator[bytes]:

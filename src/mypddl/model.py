@@ -324,8 +324,13 @@ def _atom(scope: Scope, accepts: Callable[[str], bool]) -> GrammarMethod:
 
 def _formula(rules: str, ground: bool = False) -> GrammarMethod:
     """The grammar method of a formula place, read by the rows of the
-    walk's table named ``rules`` (``_Walk.formula``)."""
-    return lambda self, k: self.formula(k, getattr(self, rules), ground)
+    walk's table named ``rules`` (``_Walk.formulas``). ``rules`` and
+    ``ground`` are kept on the method, for the lists of formulas that
+    ``each`` reads in one pass."""
+    def value(self: _Walk, k: int) -> None:
+        self.formulas(k, self.last[k] + 1, getattr(self, rules), ground)
+    value.rules, value.ground = rules, ground  # type: ignore[attr-defined]
+    return value
 
 
 def _methods(namespace: dict, rules: dict) -> dict:
@@ -370,10 +375,8 @@ class _Walk:
 
     def tokens(self) -> tuple[list[str], list[Scope]]:
         """The token texts and scopes: each lead that is not empty, as
-        Punctuation, then its lexeme, comments as Comment; built at C speed."""
+        Punctuation, then its lexeme; built at C speed."""
         texts, scopes = self.tape.texts, [_PUNCTUATION] * len(self.tape.texts)
-        for k in self.tape.comments():
-            self.scopes[k] = Scope.COMMENT
         scopes[1::2] = self.scopes
         return list(filter(None, texts)), list(compress(scopes, texts))
 
@@ -458,6 +461,15 @@ class _Walk:
             pieces, last = self.pieces, self.last
             value, rest = values[0], values[1:]
             j, close = k + 1, last[k]
+            if not fixed and hasattr(value, "rules"):
+                # A list of formulas, such as :init or (and ...), in one pass.
+                if head is not None:
+                    if pieces[head] != "(":
+                        self.scopes[head] = head_scope
+                    j = last[head] + 1
+                self.formulas(j, close, getattr(self, value.rules),
+                              value.ground)
+                j = close
             while j < close:
                 if j == head:
                     if pieces[j] != "(":
@@ -494,20 +506,9 @@ class _Walk:
         value is a block or a top-level form, where no atomic formula
         stands. A list with no atom at its head, such as ``()``, and an
         atom are Unscoped whole."""
-        pieces, close = self.pieces, self.last[k]
+        pieces = self.pieces
         if pieces[k] != "(":
             return
-        # An atomic formula of atoms, by far the most common, is scoped by
-        # one slice at C speed, as ``application`` would scope it.
-        if ground is not None and close < self.eof \
-                and self.depth < _MAX_GRAMMAR_DEPTH \
-                and "(" not in pieces[k + 1:close]:
-            terms = self.ground_terms if ground else self.terms
-            if terms[pieces[k + 1]] is _NAME \
-                    and pieces[k + 1].lower() not in rules:
-                self.scopes[k:close + 1] = map(terms.__getitem__,
-                                               pieces[k:close + 1])
-                return
         head = self.first(k + 1, k)
         if head is None or pieces[head] == "(":
             return
@@ -537,6 +538,53 @@ class _Walk:
     timed_condition = _formula("TIMED_CONDITION")
     timed_effect = _formula("TIMED_EFFECT")
     constraint = _formula("CONSTRAINT")
+
+    def formulas(self, j: int, close: int, rules: dict, ground: bool) -> None:
+        """The values from lexeme j to ``close``, each a formula read by
+        ``formula``. An atomic formula of atoms, by far the most common, is
+        scoped as ``application`` would scope it, and in :init so is
+        (= (f atom*) atom), whose '=' is a Keyword: a run of these is
+        scoped as terms by one map at C speed, and ``formula`` reads only
+        the values between runs. Past the depth limit it reads them all."""
+        pieces, last, scopes, eof = self.pieces, self.last, self.scopes, self.eof
+        terms = self.ground_terms if ground else self.terms
+        flat = self.depth < _MAX_GRAMMAR_DEPTH - 1
+        keys = []  # the '=' of each (= (f atom*) atom)
+        run = j
+        while j < close:
+            end = last[j]
+            if pieces[j] == "(" and end < eof and flat:
+                if "(" not in pieces[j + 1:end]:
+                    if terms[pieces[j + 1]] is _NAME \
+                            and pieces[j + 1].lower() not in rules:
+                        j = end + 1
+                        continue
+                elif ground and self.numeric_fact(j, end):
+                    keys.append(j + 1)
+                    j = end + 1
+                    continue
+            elif pieces[j][0] == ";":
+                j = end + 1
+                continue
+            # Any other value ends the run.
+            scopes[run:j] = map(terms.__getitem__, pieces[run:j])
+            self.formula(j, rules, ground)
+            j = run = end + 1
+        scopes[run:close] = map(terms.__getitem__, pieces[run:close])
+        for j in keys:
+            scopes[j] = _KEYWORD
+
+    def numeric_fact(self, j: int, end: int) -> bool:
+        """Whether the list at j, which ends at ``end``, is (= (f atom*)
+        atom) with no comment after (f ...), scoped as ground terms as
+        ``fexp`` scopes it."""
+        pieces, f = self.pieces, j + 2
+        return pieces[j + 1] == "=" and pieces[f] == "(" \
+            and self.last[f] + 2 == end and "(" not in pieces[f + 1:end] \
+            and pieces[end - 1][0] != ";" \
+            and self.ground_terms[pieces[f + 1]] is _NAME \
+            and _UNSCOPED not in map(self.ground_terms.__getitem__,
+                                     pieces[f + 1:end])
 
     def application(self, k: int, head: int, ground: bool) -> None:
         """An atomic formula (name term...): the head atom is a Name and
@@ -897,7 +945,7 @@ class _Walk:
     def run(self) -> None:
         """Every top-level value: a byte order mark is Punctuation, a list
         with no atom at its head is read lexically, and a form by its
-        kind."""
+        kind; then every comment is a Comment."""
         for k in self.values(_TOP):
             if k == 0 and self.tape.text.startswith("\ufeff"):
                 self.scopes[k] = _PUNCTUATION
@@ -905,6 +953,8 @@ class _Walk:
                 self.lexical(k)
             else:
                 self.formula(k, self.FORMS, ground=None)
+        for k in self.tape.comments():
+            self.scopes[k] = Scope.COMMENT
 
     # The rows of the formula and block tables of ``model``, the grammar
     # method of each context ``ACTION_KEYS`` gives a value, and the forms.

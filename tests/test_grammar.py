@@ -35,7 +35,7 @@ from mypddl.model import (
     parse_domain,
     parse_problem,
 )
-from mypddl.sexpr import Document, SExprNode, Span, serialize_node
+from mypddl.sexpr import Document, SExprNode, Span, Tape, serialize_node
 from mypddl.typegraph import build_type_graph
 
 from conftest import FIXTURES
@@ -815,3 +815,62 @@ def test_every_typed_list_diagnostic_of_the_model_is_an_invalid_region(
         if diagnostic.code in TYPED_LIST_CODES:
             assert any(diagnostic.span.overlaps(r) for r in regions), \
                 (diagnostic, text)
+
+
+class _EachValueWalk(_Walk):
+    """The scope walk with every formula of a list, such as :init or
+    (and ...), read alone by ``_Walk.formula``, none in one pass."""
+
+    def formulas(self, j, close, rules, ground):
+        while j < close:
+            self.formula(j, rules, ground)
+            j = self.last[j] + 1
+
+
+# Atoms of the generated lists: names, among them keys of the formula
+# rows, a variable, numbers, atoms that are none of these, and a comment.
+_LIST_ATOMS = st.sampled_from(["p", "f", "Depot", "at", "not", "and", "=",
+                               "?x", "5", "-3", "2.5", "#t", "-", ":foo",
+                               "\u00e9", "; c\n"])
+
+
+def _joined(values):
+    return "(" + " ".join(values) + ")"
+
+
+_LIST_VALUES = st.recursive(
+    st.one_of(
+        _LIST_ATOMS,
+        st.lists(_LIST_ATOMS, max_size=4).map(_joined),
+        st.tuples(st.lists(_LIST_ATOMS, max_size=3), _LIST_ATOMS).map(
+            lambda fact: f"(= {_joined(['f', *fact[0]])} {fact[1]})")),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(_joined),
+        inner.map("(not {})".format),
+        inner.map("(at 5 {})".format),
+        inner.map("(= (f a) {})".format)),
+    max_leaves=8)
+
+
+@given(st.sampled_from([":init", ":goal"]),
+       st.sampled_from([0, 1, 2, _MAX_GRAMMAR_DEPTH - 4,
+                        _MAX_GRAMMAR_DEPTH - 3, _MAX_GRAMMAR_DEPTH - 2,
+                        _MAX_GRAMMAR_DEPTH - 1]),
+       st.lists(_LIST_VALUES, max_size=6),
+       st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_a_list_of_formulas_is_scoped_as_each_formula_alone(
+        block, depth, values, unclosed):
+    """:init and (and ...) are read in one pass, which scopes runs of
+    atomic formulas at C speed; every list gets the scopes of its values
+    read one by one, nested ``depth`` deep in (not ...) in :init and in
+    (and ...) in the goal, and when the list is never closed."""
+    wrapper = "(not " if block == ":init" else "(and "
+    text = (f"(define (problem p) (:domain d) ({block} "
+            + wrapper * depth + " ".join(values))
+    text += " (p a" if unclosed else ")" * (depth + 2)
+    tape = Tape(text)
+    walks = [_Walk(tape), _EachValueWalk(tape)]
+    for walk in walks:
+        walk.run()
+    assert walks[0].scopes == walks[1].scopes, text
