@@ -105,7 +105,9 @@ EFFECT_RULES = {
     **dict.fromkeys(("assign", "increase", "decrease", "scale-up",
                      "scale-down"), ("fexp", "fexp")),
 }
-INIT_RULES = {"=": ("fexp", "fexp"), "not": ("init",),
+# In :init a function's value is set, not computed (PDDL 3.1): a function
+# of ground terms, as in a fact, equals a number or a name.
+INIT_RULES = {"=": ("function-term", "ground-term"), "not": ("init",),
               "at": ("number", "init")}
 # PDDL 2.1 (Fox and Long, 2003): "at start|end" and "over all"; effects only "at".
 TIMED_CONDITION_RULES = {
@@ -576,15 +578,13 @@ class _Walk:
 
     def numeric_fact(self, j: int, end: int) -> bool:
         """Whether the list at j, which ends at ``end``, is (= (f atom*)
-        atom) with no comment after (f ...), scoped as ground terms as
-        ``fexp`` scopes it."""
+        atom) with no comment after (f ...): :init's rows scope its atoms
+        as ground terms."""
         pieces, f = self.pieces, j + 2
         return pieces[j + 1] == "=" and pieces[f] == "(" \
             and self.last[f] + 2 == end and "(" not in pieces[f + 1:end] \
             and pieces[end - 1][0] != ";" \
-            and self.ground_terms[pieces[f + 1]] is _NAME \
-            and _UNSCOPED not in map(self.ground_terms.__getitem__,
-                                     pieces[f + 1:end])
+            and self.ground_terms[pieces[f + 1]] is _NAME
 
     def application(self, k: int, head: int, ground: bool) -> None:
         """An atomic formula (name term...): the head atom is a Name and
@@ -623,6 +623,23 @@ class _Walk:
                 self.each(k, head, _KEYWORD, *rule)
             elif is_name(self.pieces[head]):
                 self.each(k, head, _NAME, _Walk.fexp)
+
+    def function_term(self, k: int) -> None:
+        """A function in :init: its name, or an atomic formula of ground
+        terms (``application``); a list with no name at its head is
+        Unscoped whole."""
+        pieces = self.pieces
+        if pieces[k] != "(":
+            self.name(k)
+            return
+        head = self.first(k + 1, k)
+        if head is not None and pieces[head] != "(" and is_name(pieces[head]):
+            self.application(k, head, True)
+
+    def ground_term(self, k: int) -> None:
+        """A term of :init, a name or a number; a list is Unscoped whole."""
+        if self.pieces[k] != "(":
+            self.scopes[k] = self.ground_terms[self.pieces[k]]
 
     name = _atom(Scope.NAME, is_name)
     number = _atom(Scope.NUMBER, is_number)

@@ -292,7 +292,7 @@ EXPECTED = {
         "625b46c04709e876ab128203e10f22210f0c1eb2d6b23d029e97f966e6a7d3d4"),
     "grammar/generated": (
         "173367573deeefde4c63b9c256b010b9b4a5167d77371f6a0ef8edc04d55dda7",
-        "e8f50c7aeb6a4c3d06042f1106b6b67204a5c64ed7b96b8a01516c0b781f81e3",
+        "6b63cca7d2c7248c89ccbddce5888f248f04a3b137484d967e38e5a8ac8d5512",
         "fd76b6036f04f253d6857affbc99a7e4cbe7b3cf9d38323b14e3000659cfc797",
         "f96edb85196aa9576dc1dc78cbcaa640fbfd881a9a70b7b7bb2fc1d410366f7a"),
 }

@@ -13,7 +13,7 @@ import json
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mypddl.cli import main
@@ -817,6 +817,17 @@ def test_every_typed_list_diagnostic_of_the_model_is_an_invalid_region(
                 (diagnostic, text)
 
 
+def test_a_numeric_init_fact_is_ground():
+    """In :init a function of ground terms equals a number or a name (PDDL
+    3.1), as a fact's terms are ground: a variable, #t and a numeric
+    expression there are Unscoped."""
+    text = ("(define (problem p) (:domain d) (:init (= (f ?x) #t) "
+            "(= (f a) ?y) (p ?x) (= (f a) (+ 1 2)) (= (g) b) (= h 2.5)))")
+    data = text.encode("utf-8")
+    assert [data[r.start:r.end].decode("utf-8")
+            for r in invalid_regions(tokenize(text))] == \
+        ["?x", "#t", "?y", "?x", "(+ 1 2)"]
+
 class _EachValueWalk(_Walk):
     """The scope walk with every formula of a list, such as :init or
     (and ...), read alone by ``_Walk.formula``, none in one pass."""
@@ -858,6 +869,9 @@ _LIST_VALUES = st.recursive(
                         _MAX_GRAMMAR_DEPTH - 1]),
        st.lists(_LIST_VALUES, max_size=6),
        st.booleans())
+@example(":init", 0, ["(= (f a) ; c\n)", "(= (f a))", "(= (f a) 1 2)"], False)
+@example(":init", _MAX_GRAMMAR_DEPTH - 3, ["(= (f ?x) 1)"], False)
+@example(":goal", _MAX_GRAMMAR_DEPTH - 2, ["(p ?x)", "(not (q))"], True)
 @settings(max_examples=400, deadline=None)
 def test_a_list_of_formulas_is_scoped_as_each_formula_alone(
         block, depth, values, unclosed):

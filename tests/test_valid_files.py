@@ -43,7 +43,8 @@ RULES = {"condition": CONDITION_RULES, "effect": EFFECT_RULES,
 PLACES = {"name": ("n0", "end"), "number": ("0", "2.5", "-1e3"),
           "start-or-end": ("start", "END"), "all": ("all", "ALL"),
           "end": ("end",), "optimization": ("minimize", "maximize"),
-          "requirement": tuple(sorted(REQUIREMENT_KEYS))}
+          "requirement": tuple(sorted(REQUIREMENT_KEYS)),
+          "ground-term": ("n0", "0", "2.5")}
 TYPES = ("t0", "t1", "t2")
 OBJECTS = ("n0", "n1", "start")
 VARIABLES = ("?x", "?y", "?duration")
@@ -82,6 +83,9 @@ class Writer:
             return f"({self.pick(PREDICATES)} {self.typed(VARIABLES)})"
         if context == "fexp":
             return self.fexp(depth, ground)
+        if context == "function-term":
+            return self.pick((self.pick(FUNCTIONS),
+                              f"({self.pick(FUNCTIONS)}{self.terms(True)})"))
         return self.formula(context, depth, ground or context == "init")
 
     def terms(self, ground):
