@@ -88,13 +88,11 @@ class _Tails(dict):
 def scope_columns(source: Union[str, Document]) -> TokenColumns:
     """The walk of `tokenize` as columns; never fails. Given text, lex it
     first. The walk reads the document's tape and builds no tree; the
-    cyclic garbage collector is paused during it. The columns are built
-    when first read, which finding the regions does not need."""
-    doc = as_document(source)
-    walk = _Walk(doc.tape)
+    cyclic garbage collector is paused during it."""
+    walk = _Walk(as_document(source).tape)
     with gc_paused():
         walk.run()
-    return TokenColumns(ascii=len(doc.data) == len(doc.text), walk=walk)
+    return TokenColumns(walk)
 
 
 def tokenize(source: Union[str, Document]) -> list[Token]:
@@ -110,21 +108,15 @@ def tokenize(source: Union[str, Document]) -> list[Token]:
 
 class TokenColumns:
     """A token stream as columns: token k is ``texts[k]`` with scope
-    ``scopes[k]``. A walk's tokens tile the file: token k spans ``[bounds[k],
-    bounds[k + 1])``, the running sums of the texts' byte lengths (``len`` if
-    ``ascii``), made on first use, which a valid file's regions never need.
-    Given a ``walk`` instead of texts and scopes, the columns are its
-    `_Walk.tokens`, built on first read."""
+    ``scopes[k]``. A ``walk``'s columns are its `_Walk.tokens`, built on
+    first read, and tile the file: token k spans ``[bounds[k], bounds[k +
+    1])``, the running sums of the texts' byte lengths, made on first use.
+    Finding its regions needs neither."""
 
-    __slots__ = ("texts", "scopes", "_ascii", "_offsets", "_walk")
+    __slots__ = ("texts", "scopes", "_walk", "_offsets")
 
-    def __init__(self, texts: Optional[Sequence[str]] = None,
-                 scopes: Optional[Sequence[Scope]] = None, ascii: bool = False,
-                 walk: Optional[_Walk] = None) -> None:
-        if walk is None:
-            self.texts, self.scopes = texts, scopes
-        self._ascii, self._walk = ascii, walk
-        self._offsets: Optional[tuple[list[int], list[int]]] = None
+    def __init__(self, walk: Optional[_Walk] = None) -> None:
+        self._walk, self._offsets = walk, None
 
     def __getattr__(self, name: str) -> Sequence:
         # A walk's texts and scopes, built on first read.
@@ -136,8 +128,9 @@ class TokenColumns:
     @classmethod
     def of(cls, tokens: Sequence[Token]) -> TokenColumns:
         """The columns of any token list, whose spans give the offsets."""
-        columns = cls(list(map(itemgetter(2), tokens)),
-                      list(map(itemgetter(1), tokens)))
+        columns = cls()
+        columns.texts = list(map(itemgetter(2), tokens))
+        columns.scopes = list(map(itemgetter(1), tokens))
         columns._offsets = ([span[0] for span, _, _ in tokens],
                             [span[1] for span, _, _ in tokens])
         return columns
@@ -145,7 +138,8 @@ class TokenColumns:
     def offsets(self) -> tuple[list[int], list[int]]:
         """Each token's start and end offset, made on first use."""
         if self._offsets is None:
-            texts = self.texts if self._ascii else map(str.encode, self.texts)
+            texts = self.texts if self._walk.tape.ascii \
+                else map(str.encode, self.texts)
             bounds = list(accumulate(map(len, texts), initial=0))
             self._offsets = bounds, bounds[1:]
         return self._offsets

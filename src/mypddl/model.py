@@ -326,9 +326,8 @@ def _atom(scope: Scope, accepts: Callable[[str], bool]) -> GrammarMethod:
 
 def _formula(rules: str, ground: bool = False) -> GrammarMethod:
     """The grammar method of a formula place, read by the rows of the
-    walk's table named ``rules`` (``_Walk.formulas``). ``rules`` and
-    ``ground`` are kept on the method, for the lists of formulas that
-    ``each`` reads in one pass."""
+    walk's table named ``rules`` (``_Walk.formulas``), which are kept on
+    the method with ``ground`` for ``each``."""
     def value(self: _Walk, k: int) -> None:
         self.formulas(k, self.last[k] + 1, getattr(self, rules), ground)
     value.rules, value.ground = rules, ground  # type: ignore[attr-defined]
@@ -464,12 +463,9 @@ class _Walk:
             value, rest = values[0], values[1:]
             j, close = k + 1, last[k]
             if not fixed and hasattr(value, "rules"):
-                # A list of formulas, such as :init or (and ...), in one pass.
-                if head is not None:
-                    if pieces[head] != "(":
-                        self.scopes[head] = head_scope
-                    j = last[head] + 1
-                self.formulas(j, close, getattr(self, value.rules),
+                # :init or (and ...), whose head ``formula`` found an atom.
+                self.scopes[head] = head_scope
+                self.formulas(head + 1, close, getattr(self, value.rules),
                               value.ground)
                 j = close
             while j < close:
@@ -525,7 +521,8 @@ class _Walk:
                 rule = rule[1:] if key in OPTIONAL_NAME_KEYWORDS else None
         if rule is None:
             if ground is not None and is_name(pieces[head]):
-                self.application(k, head, ground)
+                self.each(k, head, _NAME,
+                          _Walk.ground_term if ground else _Walk.term)
             else:
                 self.each(k, head, _UNSCOPED, _Walk.lexical)
         elif type(rule) is tuple:
@@ -543,11 +540,11 @@ class _Walk:
 
     def formulas(self, j: int, close: int, rules: dict, ground: bool) -> None:
         """The values from lexeme j to ``close``, each a formula read by
-        ``formula``. An atomic formula of atoms, by far the most common, is
-        scoped as ``application`` would scope it, and in :init so is
-        (= (f atom*) atom), whose '=' is a Keyword: a run of these is
-        scoped as terms by one map at C speed, and ``formula`` reads only
-        the values between runs. Past the depth limit it reads them all."""
+        ``formula``. An atomic formula of atoms, by far the most common, and
+        in :init (= (f atom*) atom) too, whose '=' is a Keyword, are scoped
+        as ``formula`` would scope them: each run of these is scoped as
+        terms by one map at C speed, and ``formula`` reads only the values
+        between runs, all of them near the depth limit."""
         pieces, last, scopes, eof = self.pieces, self.last, self.scopes, self.eof
         terms = self.ground_terms if ground else self.terms
         flat = self.depth < _MAX_GRAMMAR_DEPTH - 1
@@ -555,53 +552,25 @@ class _Walk:
         run = j
         while j < close:
             end = last[j]
-            if pieces[j] == "(" and end < eof and flat:
-                if "(" not in pieces[j + 1:end]:
-                    if terms[pieces[j + 1]] is _NAME \
-                            and pieces[j + 1].lower() not in rules:
-                        j = end + 1
-                        continue
-                elif ground and self.numeric_fact(j, end):
+            if pieces[j] == "(" and end < eof and flat and (
+                    "(" not in pieces[j + 1:end]
+                    and terms[pieces[j + 1]] is _NAME
+                    and pieces[j + 1].lower() not in rules
+                    or ground and pieces[j + 1] == "=" and pieces[j + 2] == "("
+                    and last[j + 2] + 2 == end and pieces[end - 1][0] != ";"
+                    and "(" not in pieces[j + 3:end]
+                    and terms[pieces[j + 3]] is _NAME):
+                if pieces[j + 1] == "=":
                     keys.append(j + 1)
-                    j = end + 1
-                    continue
-            elif pieces[j][0] == ";":
-                j = end + 1
-                continue
-            # Any other value ends the run.
-            scopes[run:j] = map(terms.__getitem__, pieces[run:j])
-            self.formula(j, rules, ground)
-            j = run = end + 1
+            elif pieces[j][0] != ";":
+                # Any other value ends the run.
+                scopes[run:j] = map(terms.__getitem__, pieces[run:j])
+                self.formula(j, rules, ground)
+                run = end + 1
+            j = end + 1
         scopes[run:close] = map(terms.__getitem__, pieces[run:close])
         for j in keys:
             scopes[j] = _KEYWORD
-
-    def numeric_fact(self, j: int, end: int) -> bool:
-        """Whether the list at j, which ends at ``end``, is (= (f atom*)
-        atom) with no comment after (f ...): :init's rows scope its atoms
-        as ground terms."""
-        pieces, f = self.pieces, j + 2
-        return pieces[j + 1] == "=" and pieces[f] == "(" \
-            and self.last[f] + 2 == end and "(" not in pieces[f + 1:end] \
-            and pieces[end - 1][0] != ";" \
-            and self.ground_terms[pieces[f + 1]] is _NAME
-
-    def application(self, k: int, head: int, ground: bool) -> None:
-        """An atomic formula (name term...): the head atom is a Name and
-        every argument a term; a list among them is Unscoped. No argument
-        re-enters the grammar walk, so the depth is left as it is."""
-        if self.depth >= _MAX_GRAMMAR_DEPTH:
-            self.lexical(k)
-            return
-        pieces, scopes, last = self.pieces, self.scopes, self.last
-        terms = self.ground_terms if ground else self.terms
-        self.parens(k)
-        scopes[head] = _NAME
-        j, close = head + 1, last[k]
-        while j < close:
-            if pieces[j] != "(" and pieces[j][0] != ";":
-                scopes[j] = terms[pieces[j]]
-            j = last[j] + 1
 
     # -- terms, numeric expressions and one-atom places -----------------------
 
@@ -611,10 +580,8 @@ class _Walk:
         expressions."""
         piece = self.pieces[k]
         if piece != "(":
-            scope = self.terms[piece]
-            if scope is _UNSCOPED and piece.lower() in NUMERIC_KEYWORDS:
-                scope = _KEYWORD
-            self.scopes[k] = scope
+            self.scopes[k] = _KEYWORD if piece.lower() in NUMERIC_KEYWORDS \
+                else self.terms[piece]
             return
         head = self.first(k + 1, k)
         if head is not None and self.pieces[head] != "(":
@@ -624,22 +591,24 @@ class _Walk:
             elif is_name(self.pieces[head]):
                 self.each(k, head, _NAME, _Walk.fexp)
 
-    def function_term(self, k: int) -> None:
-        """A function in :init: its name, or an atomic formula of ground
-        terms (``application``); a list with no name at its head is
-        Unscoped whole."""
-        pieces = self.pieces
-        if pieces[k] != "(":
-            self.name(k)
-            return
-        head = self.first(k + 1, k)
-        if head is not None and pieces[head] != "(" and is_name(pieces[head]):
-            self.application(k, head, True)
+    def term(self, k: int) -> None:
+        """A name, a variable or a number; a list is Unscoped whole."""
+        if self.pieces[k] != "(":
+            self.scopes[k] = self.terms[self.pieces[k]]
 
     def ground_term(self, k: int) -> None:
         """A term of :init, a name or a number; a list is Unscoped whole."""
         if self.pieces[k] != "(":
             self.scopes[k] = self.ground_terms[self.pieces[k]]
+
+    def function_term(self, k: int) -> None:
+        """A function in :init: its name, or its name applied to ground
+        terms; a list with no name at its head is Unscoped whole."""
+        head = self.first(k + 1, k)
+        if self.pieces[k] != "(":
+            self.name(k)
+        elif head is not None and is_name(self.pieces[head]):
+            self.each(k, head, _NAME, _Walk.ground_term)
 
     name = _atom(Scope.NAME, is_name)
     number = _atom(Scope.NUMBER, is_number)

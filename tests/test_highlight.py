@@ -7,10 +7,14 @@ import json
 import pickle
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from mypddl.cli import main
 
 from mypddl.highlight import (
     _CSS,
@@ -25,6 +29,7 @@ from mypddl.highlight import (
     scope_columns,
     tokenize,
 )
+from mypddl.model import _Walk
 from mypddl.sexpr import Document, Span, parse_sexpr
 
 from conftest import CORPUS, benchmark_inputs, corpus_text, golden_json
@@ -545,6 +550,40 @@ def test_the_columns_and_the_token_list_give_the_same_outputs(text):
         assert data[token.span.start:pos] == token.text.encode("utf-8")
     assert pos == len(data)
 
+
+def test_check_builds_no_token_columns(tmp_path, monkeypatch):
+    """``check`` reads its regions off the walk's lexeme scopes: on the
+    seed-1 large-problem problem it builds no token column."""
+    built = []
+    monkeypatch.setattr(_Walk, "tokens", lambda walk: built.append(walk))
+    path = tmp_path / "p.pddl"
+    path.write_bytes(benchmark_inputs("large-problem", 1).problem.text)
+    for argv in (["check", str(path)], ["--json", "check", str(path)]):
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 0, result.output
+    assert built == []
+
+
+# Problems whose :init holds facts, numeric facts and junk among comments
+# and line breaks, some never closed.
+_INIT_TEXT = st.tuples(
+    st.sampled_from(["", "\ufeff", "; c\n"]),
+    st.lists(st.sampled_from([
+        "(p a)", "(p ?x)", "(= (f a) 1)", "(= (f ?x) #t)", "(= (f a) (+ 1 2))",
+        "(not (p a))", "(at 5 (p a))", "()", "a", "((p))", "(and (p))",
+        "; c\n", "\r\n", "\t", "(p \u00e9", ")", "(", "-"]), max_size=20),
+).map(lambda parts: parts[0] + "(define (problem q) (:domain d) (:init "
+      + " ".join(parts[1]) + "))")
+
+
+@given(st.one_of(_INIT_TEXT, _COLUMN_TEXT))
+@settings(max_examples=300)
+def test_the_regions_of_a_walk_are_those_of_its_tokens(text):
+    """A walk's regions, read off its lexeme scopes before any token column
+    is built, are those that ``invalid_regions`` finds in its tokens."""
+    with mock.patch.object(_Walk, "tokens", side_effect=AssertionError):
+        regions = scope_columns(text).invalid_regions()
+    assert regions == invalid_regions(tokenize(text))
 
 @pytest.mark.parametrize("name", ["coffee.pddl", "logistics.pddl"])
 def test_the_columns_are_those_of_tokenize(name):
