@@ -145,8 +145,8 @@ class TokenColumns:
         return self._offsets
 
     def invalid_regions(self) -> list[Span]:
-        """See `invalid_regions`. A walk's are read off its lexemes, but the
-        end, and the tape's bounds, as leads are whitespace."""
+        """See `invalid_regions`. A walk's are read off its lexemes, the end
+        left out, and the tape's bounds: only whitespace lies between two."""
         if self._walk is None:
             scopes, texts, offsets = self.scopes, self.texts, self.offsets
         else:

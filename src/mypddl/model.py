@@ -543,8 +543,8 @@ class _Walk:
         ``formula``. An atomic formula of atoms, by far the most common, and
         in :init (= (f atom*) atom) too, whose '=' is a Keyword, are scoped
         as ``formula`` would scope them: each run of these is scoped as
-        terms by one map at C speed, and ``formula`` reads only the values
-        between runs, all of them near the depth limit."""
+        terms by one map at C speed, and ``formula`` reads the values
+        between runs, and every value within one level of the depth limit."""
         pieces, last, scopes, eof = self.pieces, self.last, self.scopes, self.eof
         terms = self.ground_terms if ground else self.terms
         flat = self.depth < _MAX_GRAMMAR_DEPTH - 1
@@ -580,8 +580,10 @@ class _Walk:
         expressions."""
         piece = self.pieces[k]
         if piece != "(":
-            self.scopes[k] = _KEYWORD if piece.lower() in NUMERIC_KEYWORDS \
-                else self.terms[piece]
+            scope = self.terms[piece]
+            if scope is _UNSCOPED and piece.lower() in NUMERIC_KEYWORDS:
+                scope = _KEYWORD
+            self.scopes[k] = scope
             return
         head = self.first(k + 1, k)
         if head is not None and self.pieces[head] != "(":

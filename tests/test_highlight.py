@@ -533,12 +533,28 @@ _COLUMN_TEXT = st.tuples(
 ).map("".join)
 
 
-@given(_COLUMN_TEXT)
+# Problems whose :init holds facts, numeric facts and junk among comments
+# and line breaks, some never closed.
+_INIT_TEXT = st.tuples(
+    st.sampled_from(["", "\ufeff", "; c\n"]),
+    st.lists(st.sampled_from([
+        "(p a)", "(p ?x)", "(= (f a) 1)", "(= (f ?x) #t)", "(= (f a) (+ 1 2))",
+        "(not (p a))", "(at 5 (p a))", "()", "a", "((p))", "(and (p))",
+        "; c\n", "\r\n", "\t", "(p \u00e9", ")", "(", "-"]), max_size=20),
+).map(lambda parts: parts[0] + "(define (problem q) (:domain d) (:init "
+      + " ".join(parts[1]) + "))")
+
+
+@given(st.one_of(_COLUMN_TEXT, _INIT_TEXT))
 @settings(max_examples=400)
 def test_the_columns_and_the_token_list_give_the_same_outputs(text):
+    # A walk's regions are read off its lexeme scopes, before any token
+    # column is built.
+    with mock.patch.object(_Walk, "tokens", side_effect=AssertionError):
+        regions = scope_columns(text).invalid_regions()
     columns = scope_columns(text)
     tokens = tokenize(text)
-    assert columns.invalid_regions() == invalid_regions(tokens)
+    assert regions == columns.invalid_regions() == invalid_regions(tokens)
     assert b"".join(columns.iter_json()) == emit_tokens_json(tokens)
     assert columns.render_html(title="t") == render_html(tokens, title="t")
     # tokenize's spans tile the UTF-8 bytes, each over its own text.
@@ -563,27 +579,6 @@ def test_check_builds_no_token_columns(tmp_path, monkeypatch):
         assert result.exit_code == 0, result.output
     assert built == []
 
-
-# Problems whose :init holds facts, numeric facts and junk among comments
-# and line breaks, some never closed.
-_INIT_TEXT = st.tuples(
-    st.sampled_from(["", "\ufeff", "; c\n"]),
-    st.lists(st.sampled_from([
-        "(p a)", "(p ?x)", "(= (f a) 1)", "(= (f ?x) #t)", "(= (f a) (+ 1 2))",
-        "(not (p a))", "(at 5 (p a))", "()", "a", "((p))", "(and (p))",
-        "; c\n", "\r\n", "\t", "(p \u00e9", ")", "(", "-"]), max_size=20),
-).map(lambda parts: parts[0] + "(define (problem q) (:domain d) (:init "
-      + " ".join(parts[1]) + "))")
-
-
-@given(st.one_of(_INIT_TEXT, _COLUMN_TEXT))
-@settings(max_examples=300)
-def test_the_regions_of_a_walk_are_those_of_its_tokens(text):
-    """A walk's regions, read off its lexeme scopes before any token column
-    is built, are those that ``invalid_regions`` finds in its tokens."""
-    with mock.patch.object(_Walk, "tokens", side_effect=AssertionError):
-        regions = scope_columns(text).invalid_regions()
-    assert regions == invalid_regions(tokenize(text))
 
 @pytest.mark.parametrize("name", ["coffee.pddl", "logistics.pddl"])
 def test_the_columns_are_those_of_tokenize(name):
