@@ -146,13 +146,24 @@ class TokenColumns:
 
     def invalid_regions(self) -> list[Span]:
         """See `invalid_regions`. A walk's are read off its lexemes, the end
-        left out, and the tape's bounds: only whitespace lies between two."""
+        left out, as only whitespace lies between two; each offset is the
+        last one's plus the bytes of the tape's texts between them."""
         if self._walk is None:
-            scopes, texts, offsets = self.scopes, self.texts, self.offsets
+            scopes, texts = self.scopes, self.texts
+            span = lambda first, last: Span(self.offsets()[0][first],
+                                            self.offsets()[1][last])
         else:
             tape = self._walk.tape
             scopes, texts = self._walk.scopes[:-1], tape.pieces
-            offsets = lambda: (tape.bounds()[1::2], tape.bounds()[2::2])
+            size = len if tape.ascii else lambda text: len(text.encode())
+            at = offset = 0  # a string of the tape's texts, and its offset
+
+            def span(first: int, last: int) -> Span:
+                nonlocal at, offset
+                start = offset + size("".join(tape.texts[at:2 * first + 1]))
+                at = 2 * last + 2
+                offset = start + size("".join(tape.texts[2 * first + 1:at]))
+                return Span(start, offset)
         regions: list[Span] = []
         i = 0
         while True:
@@ -170,9 +181,7 @@ class TokenColumns:
                 elif scope is not _PUNCTUATION or not texts[i].isspace():
                     break
                 i += 1
-            if not regions:
-                starts, ends = offsets()
-            regions.append(Span(starts[first], ends[last]))
+            regions.append(span(first, last))
 
     def iter_json(self) -> Iterator[bytes]:
         """See `iter_tokens_json`."""

@@ -203,16 +203,17 @@ def _action_fields(block: str) -> tuple[str, ...]:
 
 
 # A model's formulas are nodes built from the tape when a field holding
-# them is first read, so a reader of the declarations alone builds none.
+# them is first read, and an action's parameters are built then too
+# (``_parameters``), so a reader of the declarations alone builds neither.
 class ActionDecl(Record):
     __slots__ = _action_fields(":action")
-    _deferred = __slots__[2:-1]  # between the parameters and the span
+    _deferred = __slots__[1:-1]  # between the name and the span
     _required = 2
 
 
 class DurativeActionDecl(Record):
     __slots__ = _action_fields(":durative-action")
-    _deferred = __slots__[2:-1]
+    _deferred = __slots__[1:-1]
     _required = 2
 
 
@@ -309,6 +310,26 @@ class _TermScopes(dict):
         return scope
 
 
+class _ItemClasses(dict):
+    """Class of a lexeme in a flat typed list, by its text, each distinct
+    text classified on first use: 'n' a name, 'v' a variable, '-' the dash
+    and 'x' anything else, a parenthesis or a comment among them."""
+
+    def __missing__(self, text: str) -> str:
+        item = ("n" if is_name(text) else "v" if is_variable(text)
+                else "-" if text == "-" else "x")
+        self[text] = item
+        return item
+
+
+# A valid flat typed list of variables or of names by its items' classes,
+# a type 't' once matched, and each class's scope.
+_FLAT_LISTS = {Scope.VARIABLE: re.compile(r"(?:v+-n)*v*"),
+               Scope.NAME: re.compile(r"(?:n+-n)*n*")}
+_FLAT_SCOPES = {"v": Scope.VARIABLE, "n": Scope.NAME,
+                "-": Scope.PUNCTUATION, "t": Scope.TYPE_NAME}
+
+
 GrammarMethod = Callable[["_Walk", int], None]
 
 
@@ -355,16 +376,21 @@ class _Walk:
     Given a ``model``, a ``PddlDomain`` or a ``PddlProblem``, the walk fills
     it from a define form read as that kind, with the findings in
     ``diagnostics``; it keeps each formula as a `Deferred` call of
-    `Tape.node`. ``inits``, ``derived`` and ``goal`` hold the lexemes of
-    the :init and :derived blocks and of the goal read so far."""
+    `Tape.node`, and an action's parameters as one of ``_parameters``. Its
+    scopes, which no one reads, go to a dict, so a walk that builds one
+    action's parameters makes no list of the whole tape. ``inits``,
+    ``derived`` and ``goal`` hold the lexemes of the :init and :derived
+    blocks and of the goal read so far."""
 
     def __init__(self, tape: Tape,
                  model: Union[PddlDomain, PddlProblem, None] = None) -> None:
         self.tape = tape
         self.pieces, self.last, self.eof = tape.pieces, tape.last, tape.end
-        self.scopes = [_UNSCOPED] * len(tape.pieces)
+        self.scopes: Union[list[Scope], dict[int, Scope]] = \
+            [_UNSCOPED] * len(tape.pieces) if model is None else {}
         self.depth = 0
         self.terms, self.ground_terms = _TermScopes(), _TermScopes(True)
+        self.classes = _ItemClasses()
         self.model = model
         self.diagnostics: list[ParseDiagnostic] = []
         # The kind of the define form read, and the keys of its blocks so far.
@@ -540,15 +566,17 @@ class _Walk:
 
     def formulas(self, j: int, close: int, rules: dict, ground: bool) -> None:
         """The values from lexeme j to ``close``, each a formula read by
-        ``formula``. An atomic formula of atoms, by far the most common, and
-        in :init (= (f atom*) atom) too, whose '=' is a Keyword, are scoped
-        as ``formula`` would scope them: each run of these is scoped as
-        terms by one map at C speed, and ``formula`` reads the values
-        between runs, and every value within one level of the depth limit."""
+        ``formula``. An atomic formula of atoms, by far the most common, its
+        negation (not (p atom*)), and in :init (= (f atom*) atom) too, whose
+        'not' and '=' are Keywords, are scoped as ``formula`` would scope
+        them: each run of these is scoped as terms by one map at C speed,
+        and ``formula`` reads the values between runs, and every value
+        within one level of the depth limit, or two for a negation."""
         pieces, last, scopes, eof = self.pieces, self.last, self.scopes, self.eof
         terms = self.ground_terms if ground else self.terms
         flat = self.depth < _MAX_GRAMMAR_DEPTH - 1
-        keys = []  # the '=' of each (= (f atom*) atom)
+        literal = "not" in rules and self.depth < _MAX_GRAMMAR_DEPTH - 2
+        keys = []  # the 'not' or '=' of each negation or (= (f atom*) atom)
         run = j
         while j < close:
             end = last[j]
@@ -556,11 +584,16 @@ class _Walk:
                     "(" not in pieces[j + 1:end]
                     and terms[pieces[j + 1]] is _NAME
                     and pieces[j + 1].lower() not in rules
-                    or ground and pieces[j + 1] == "=" and pieces[j + 2] == "("
-                    and last[j + 2] + 2 == end and pieces[end - 1][0] != ";"
+                    or pieces[j + 2] == "(" and (
+                        ground and pieces[j + 1] == "="
+                        and last[j + 2] + 2 == end
+                        and pieces[end - 1][0] != ";"
+                        or literal and pieces[j + 1].lower() == "not"
+                        and last[j + 2] + 1 == end
+                        and pieces[j + 3].lower() not in rules)
                     and "(" not in pieces[j + 3:end]
                     and terms[pieces[j + 3]] is _NAME):
-                if pieces[j + 1] == "=":
+                if pieces[j + 2] == "(":
                     keys.append(j + 1)
             elif pieces[j][0] != ";":
                 # Any other value ends the run.
@@ -628,18 +661,22 @@ class _Walk:
 
     def typed_list(self, k: int, head: Optional[int],
                    items: Optional[Scope] = Scope.NAME,
-                   head_scope: Scope = Scope.KEYWORD) -> Optional[list]:
+                   head_scope: Scope = Scope.KEYWORD,
+                   record: bool = True) -> Optional[list]:
         """The typed-list grammar, (x+ - type)* (Kovacs, 2011), in the list
         at k after ``head`` if there is one, which gets ``head_scope``: a
         '-' makes the value after it the type, and is Unscoped if none
         follows. An atom item is of scope ``items`` if it classifies as
         that, else Unscoped; with ``items`` None the items are declarations.
-        For a model, its entries, each run of items as the type after it
-        ends the run (``typed_run``), a value that is no item reported as it
-        is reached."""
+        A model gets each finding as its value is reached, and if
+        ``record``, its entries, each run of items as the type after it ends
+        the run (``typed_run``); a list that records none may be scoped in
+        one pass (``flat_list``)."""
         pieces, last, scopes, terms = \
             self.pieces, self.last, self.scopes, self.terms
-        record = self.model is not None
+        record = record and self.model is not None
+        if not record and self.flat_list(k, head, items, head_scope):
+            return None
         entries, run = [], []
         dash = None  # the last '-', while the value after it is due
         j, close = k + 1, last[k]
@@ -652,6 +689,8 @@ class _Walk:
                 pass
             elif dash is not None:
                 dash = None
+                if piece == "(" or terms[piece] is not _NAME:
+                    self.bad_type(j)
                 if record:
                     entries += self.typed_run(run, items, j)
                 elif piece == "(" and self.head_key(j) == "either":
@@ -698,14 +737,10 @@ class _Walk:
         the value at ``type_at`` or else by default: a ``TypedEntry`` per
         name, or a ``FunctionDecl`` per declaration, each read now. A
         compound type, such as (either a b), is kept as its text so nothing
-        is lost; a type that is no name is reported."""
+        is lost."""
         tape, pieces = self.tape, self.pieces
-        type_name = type_span = None
-        if type_at is not None:
-            type_span = tape.span(type_at)
-            type_name = tape.source(type_at)
-            if pieces[type_at] == "(" or self.terms[type_name] is not _NAME:
-                self.bad_type(type_at, type_name)
+        type_span = None if type_at is None else tape.span(type_at)
+        type_name = None if type_at is None else tape.source(type_at)
         if items is not None:
             # The spans of atoms, and the entry's own constructor, at C speed.
             at, type_name = tape.bounds(), type_name or DEFAULT_TYPE
@@ -718,15 +753,36 @@ class _Walk:
                 for raw in run if (signature := self.declaration(
                     raw, "function"))]
 
-    def bad_type(self, k: int, text: str) -> None:
-        """Report the type at k, whose text is ``text``, as no type name:
-        an (either ...) as ``either-type``, anything else as ``bad-type``."""
+    def flat_list(self, k: int, head: Optional[int], items: Optional[Scope],
+                  head_scope: Scope) -> bool:
+        """Whether the typed list at k is flat and valid, and if so, scope
+        it as ``typed_list`` would, at C speed: its atoms' classes make one
+        string that one pattern checks, and that maps to their scopes."""
+        j, close = k + 1 if head is None else k + 2, self.last[k]
+        pattern = _FLAT_LISTS.get(items)
+        if pattern is None or head is not None and (
+                head != k + 1 or self.pieces[head] == "("):
+            return False
+        classes = "".join(map(self.classes.__getitem__, self.pieces[j:close]))
+        if pattern.fullmatch(classes) is None:
+            return False
+        if self.model is None:
+            if head is not None:
+                self.scopes[head] = head_scope
+            self.scopes[j:close] = map(_FLAT_SCOPES.__getitem__,
+                                       classes.replace("-n", "-t"))
+            self.parens(k)
+        return True
+
+    def bad_type(self, k: int) -> None:
+        """Report the type at k as no type name: an (either ...) as
+        ``either-type``, anything else as ``bad-type``."""
+        text = excerpt(repr(self.tape.source(k)))
         if self.pieces[k] != "(":
-            self.warn(k, f"{excerpt(repr(text))} in type position is "
-                      "not a type name", "bad-type")
+            self.warn(k, f"{text} in type position is not a type name",
+                      "bad-type")
         else:
-            self.warn(k, f"compound type {excerpt(repr(text))} in type "
-                      "position",
+            self.warn(k, f"compound type {text} in type position",
                       "either-type" if self.head_key(k) == "either"
                       else "bad-type")
 
@@ -753,14 +809,16 @@ class _Walk:
             self.model.predicates.append(PredicateDecl(
                 *signature, self.tape.source(k), span=self.tape.span(k)))
 
-    def parameters(self, k: int) -> Optional[TypedList]:
-        """Typed variables, a model's ``TypedList``."""
+    def parameters(self, k: int) -> Optional[Deferred]:
+        """Typed variables; for a model, its ``TypedList`` as a `Deferred`
+        call of ``_parameters``, the findings reported now."""
         if self.pieces[k] != "(":
             self.warn(k, f"{excerpt(repr(self.pieces[k]))} where a list of "
                       "parameters was expected", "bad-parameters")
-        elif (entries := self.typed_list(k, None, _VARIABLE)) is not None:
-            return TypedList(entries)
-        return None
+            return None
+        self.typed_list(k, None, _VARIABLE, record=False)
+        return None if self.model is None \
+            else Deferred(_parameters, self.tape, k)
 
     def declaration(self, k: int, what: str = "predicate",
                     ) -> Optional[tuple[str, TypedList]]:
@@ -819,8 +877,8 @@ class _Walk:
                     empty = piece == "(" and self.first(j + 1, j) is None
                     (_Walk.lexical if empty else context)(self, j)
                 elif attr == "parameters":
-                    action.parameters = self.parameters(j) \
-                        or action.parameters
+                    if (parameters := self.parameters(j)) is not None:
+                        action.parameters = parameters
                 elif attr is not None:
                     setattr(action, attr, Deferred(self.tape.node, j))
                 context = None
@@ -959,6 +1017,12 @@ class _Walk:
         context: context
         for keys in ACTION_KEYS.values() for _, context in keys.values()})
     FORMS = {"define": define_form}
+
+
+def _parameters(tape: Tape, k: int) -> TypedList:
+    """The parameters of an action, the list at lexeme k, as a model's walk
+    records them; their findings went to the model that was read."""
+    return TypedList(_Walk(tape, PddlDomain()).typed_list(k, None, _VARIABLE))
 
 
 def _facts(tape: Tape, blocks: Sequence[int]) -> list[SExprNode]:

@@ -12,7 +12,8 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mypddl import sexpr
+from mypddl import model as pddl_model
+from mypddl import sexpr, typegraph
 from mypddl.cli import main
 from mypddl.construct import insert_construct, parse_constructs
 from mypddl.distance import augment_with_distances
@@ -614,20 +615,45 @@ def test_each_command_lexes_each_file_at_most_once(
     assert len(built) == others and not file_texts & set(built)
 
 
-@pytest.mark.parametrize("name, read, formulas", [
+def _parameter_walks(monkeypatch) -> list[int]:
+    """The lexeme of each action's parameters that `model._parameters`
+    builds from now on."""
+    walked, build = [], pddl_model._parameters
+
+    def counted(tape, k):
+        walked.append(k)
+        return build(tape, k)
+
+    monkeypatch.setattr(pddl_model, "_parameters", counted)
+    return walked
+
+
+def _entries(typed_list):
+    """A typed list's entries as the golden files hold them."""
+    return [[e.name, e.type_name, list(e.name_span),
+             e.type_span and list(e.type_span)] for e in typed_list.entries]
+
+
+@pytest.mark.parametrize("name, read, formulas, actions", [
     ("tour_domain.pddl", parse_domain,
-     lambda m: [a.effect for a in m.actions + m.durative_actions] + m.derived),
-    ("tour_problem.pddl", parse_problem, lambda m: [m.goal, m.metric, *m.init]),
+     lambda m: [a.effect for a in m.actions + m.durative_actions] + m.derived,
+     lambda m: m.actions + m.durative_actions),
+    ("tour_problem.pddl", parse_problem, lambda m: [m.goal, m.metric, *m.init],
+     lambda m: []),
 ], ids=["domain", "problem"])
 def test_a_model_builds_each_formula_when_it_is_first_read(
-        lexed, name, read, formulas):
+        lexed, monkeypatch, name, read, formulas, actions):
     """A read model holds no node: the first read of a formula's field
     builds it from the tape, with the fields of the forest's node there,
-    and keeps it; a model pickles with its formulas built."""
+    and keeps it. An action's parameters are built the same way, once
+    each, by a walk of their typed list, and equal those the golden file
+    pins. A model pickles with its formulas and parameters built."""
     text = (FIXTURES / name).read_text(encoding="utf-8")
     tapes, built = lexed
-    model, unread = read(text)[0], read(text)[0]
-    assert built == []
+    unread = read(text)[0]
+    walked = _parameter_walks(monkeypatch)
+    model = read(text)[0]
+    assert built == [] and walked == []
     nodes = [node for node in formulas(model) if node is not None]
     assert len(nodes) > 2 and built
     del built[:]
@@ -636,4 +662,37 @@ def test_a_model_builds_each_formula_when_it_is_first_read(
     forest = {n.start: n for top in sexpr.parse_sexpr(text)[0]
               for n in top.walk()}
     assert _node_fields(nodes) == _node_fields([forest[n.start] for n in nodes])
+    parameters = [action.parameters for action in actions(model)]
+    assert len(set(walked)) == len(walked) and bool(walked) == bool(parameters)
+    once = walked[:]
+    assert [action.parameters for action in actions(model)] == parameters
+    assert walked == once
+    golden = json.loads((FIXTURES / name.replace(".pddl", ".golden.json"))
+                        .read_text(encoding="utf-8"))["model"]
+    assert [_entries(p) for p in parameters] == [
+        [list(e.values()) for e in action["parameters"]["entries"]]
+        for action in golden.get("actions", [])
+        + golden.get("durative_actions", [])]
+    monkeypatch.undo()  # a model pickles the real builder, by its name
     assert repr(pickle.loads(pickle.dumps(unread))) == repr(model)
+
+
+def test_the_diagram_builds_no_action_parameters(tmp_path, monkeypatch):
+    """`render_diagram` reads the types and the predicates alone: on the
+    seed-1 broken-domain domain it builds no action's parameters, each of
+    which is built when first read."""
+    domains, read = [], typegraph.parse_domain
+
+    def kept(doc):
+        domain, diagnostics = read(doc)
+        domains.append(domain)
+        return domain, diagnostics
+
+    monkeypatch.setattr(typegraph, "parse_domain", kept)
+    walked = _parameter_walks(monkeypatch)
+    domain_file = tmp_path / "domain.pddl"
+    domain_file.write_bytes(benchmark_inputs("broken-domain", 1).domain.text)
+    typegraph.render_diagram(Document.read(domain_file), tmp_path / "out")
+    actions = domains[0].actions
+    assert len(actions) == 400 and walked == []
+    assert actions[0].parameters.entries and len(walked) == 1

@@ -31,6 +31,8 @@ from mypddl.model import (
     PROBLEM_BLOCK_KEYS,
     TIMED_CONDITION_RULES,
     TIMED_EFFECT_RULES,
+    PddlDomain,
+    PddlProblem,
     _Walk,
     parse_domain,
     parse_problem,
@@ -888,3 +890,83 @@ def test_a_list_of_formulas_is_scoped_as_each_formula_alone(
     for walk in walks:
         walk.run()
     assert walks[0].scopes == walks[1].scopes, text
+
+
+@pytest.mark.parametrize("literal", [
+    "(not (p a ?x))", "(NOT (p 5))", "(not (p a) b)", "(not (p a) ; c\n)",
+    "(not ; c\n (p a))", "(not (p ; c\n a))", "(not (and p q))",
+    "(not (and (p)))", "(not (not (p)))", "(not (p (f)))", "(not ())",
+    "(not (?x a))", "(not (at ?x 5))", "(not (= (f a) 1))", "(not (p :foo))"])
+@pytest.mark.parametrize("block", [":init", ":goal"])
+@pytest.mark.parametrize("depth", [0, _MAX_GRAMMAR_DEPTH - 5,
+                                   _MAX_GRAMMAR_DEPTH - 4,
+                                   _MAX_GRAMMAR_DEPTH - 3])
+def test_a_negated_atomic_formula_is_scoped_as_formula_scopes_it(
+        literal, block, depth):
+    """A run of formulas takes (not (p atom*)), and leaves every other
+    negation to ``formula``, with the same scopes near the depth limit."""
+    wrapper = "(not " if block == ":init" else "(and "
+    text = (f"(define (problem p) (:domain d) ({block} " + wrapper * depth
+            + f"(p) {literal} (p)" + ")" * (depth + 2))
+    tape = Tape(text)
+    walks = [_Walk(tape), _EachValueWalk(tape)]
+    for walk in walks:
+        walk.run()
+    assert walks[0].scopes == walks[1].scopes
+
+
+class _LoopWalk(_Walk):
+    """The scope walk with every typed list read by ``typed_list``'s loop,
+    none in one pass."""
+
+    def flat_list(self, k, head, items, head_scope):
+        return False
+
+
+# Pieces of the generated typed lists: runs of variables or of names with
+# or without a type, types that are no name, a compound type, the dash
+# (dangling where it comes last), a number, an empty list, a comment and a
+# nested list. Most lists of these are flat, many of them valid.
+_TYPED_PIECES = st.sampled_from([
+    "?x ?y - t", "?z", "?x - a", "a b - t", "c", "o - t", "?x - 12",
+    "a - ?x", "?x - (either a b)", "-", "12", "()", "; c\n", "(q ?x)"])
+
+
+@given(st.lists(st.lists(_TYPED_PIECES, max_size=4), min_size=6, max_size=6),
+       st.sampled_from([None, 0, 1, 2, 3, 4, 5]))
+@example([["?x ?y - t", "?z"], ["a b - t", "c"], ["c"], ["o - t"],
+          ["?x - a"], ["?x - (either a b)"]], None)
+@example([["?x", "-"], ["a - 12"], ["?z"], ["-", "t"], ["c ?z"],
+          ["?x", "; c\n", "?y"]], 5)
+@example([[], [], [], ["()", "?x"], [], []], 3)
+@example([[], [], [], ["(", "?x"], [], []], 3)
+@settings(max_examples=300, deadline=None)
+def test_a_flat_typed_list_reads_as_the_loop_reads_it(lists, cut):
+    """:types, :constants, a predicate's parameters, a declaration, an
+    action's parameters and :objects get the same scopes whether a flat
+    list is scoped in one pass or by ``typed_list``'s loop, also where the
+    text ends in the list numbered ``cut``; and a model gets the same
+    findings and, once read, the same entries."""
+    # Each list's values end in a NUL, where the text may be cut.
+    types, constants, predicate, declaration, parameters, objects = \
+        [" ".join(values) + "\0" for values in lists]
+    domain = (f"(define (domain d) (:types {types}) (:constants {constants})"
+              f" (:predicates (p {predicate}) ({declaration}))"
+              f" (:action a :parameters ({parameters}) :effect (p)))")
+    problem = (f"(define (problem q) (:domain d) (:objects {objects})"
+               " (:goal (p)))")
+    for text, model, first in (domain, PddlDomain, 0), \
+            (problem, PddlProblem, 5):
+        ends = [i for i, c in enumerate(text) if c == "\0"]
+        if cut is not None and 0 <= cut - first < len(ends):
+            text = text[:ends[cut - first]]
+        tape = Tape(text.replace("\0", ""))
+        walks = [_Walk(tape), _LoopWalk(tape)]
+        for walk in walks:
+            walk.run()
+        assert walks[0].scopes == walks[1].scopes, text
+        flat, loop = _Walk(tape, model()), _LoopWalk(tape, model())
+        for walk in flat, loop:
+            walk.define_form(0, 1)
+        assert (flat.diagnostics, repr(flat.model)) == \
+            (loop.diagnostics, repr(loop.model)), text

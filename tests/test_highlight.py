@@ -30,7 +30,7 @@ from mypddl.highlight import (
     tokenize,
 )
 from mypddl.model import _Walk
-from mypddl.sexpr import Document, Span, parse_sexpr
+from mypddl.sexpr import Document, Span, Tape, parse_sexpr
 
 from conftest import CORPUS, benchmark_inputs, corpus_text, golden_json
 
@@ -578,6 +578,23 @@ def test_check_builds_no_token_columns(tmp_path, monkeypatch):
         result = CliRunner().invoke(main, argv)
         assert result.exit_code == 0, result.output
     assert built == []
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["check"], 1), (["tokens", "--format", "html"], 0)])
+def test_regions_are_summed_without_the_tapes_bounds(
+        tmp_path, monkeypatch, argv, status):
+    """A walk's regions take their offsets from the bytes between one and
+    the next: on the seed-1 broken-domain domain, which has regions,
+    ``check`` and ``tokens --format html`` build no table of the offset of
+    every string of the tape (``Tape.bounds``)."""
+    summed = []
+    monkeypatch.setattr(Tape, "bounds", lambda tape: summed.append(tape))
+    path = tmp_path / "d.pddl"
+    path.write_bytes(benchmark_inputs("broken-domain", 1).domain.text)
+    result = CliRunner().invoke(main, [*argv, str(path)])
+    assert result.exit_code == status and "invalid" in result.output
+    assert summed == []
 
 
 @pytest.mark.parametrize("name", ["coffee.pddl", "logistics.pddl"])
