@@ -29,6 +29,7 @@ from .sexpr import (
     Span,
     as_document,
     excerpt,
+    finding,
 )
 
 DEFAULT_PREDICATE = "location"
@@ -73,13 +74,11 @@ def _locations(nodes: Optional[list[SExprNode]], predicate_name: str,
     diagnostics: list[ParseDiagnostic] = []
     facts: list[LocationFact] = []
 
-    def error(span: Span, message: str, code: str) -> None:
-        diagnostics.append(ParseDiagnostic(span, Severity.ERROR, message, code))
+    def report(span: Optional[Span], message: str, code: str) -> None:
+        diagnostics.append(finding(span, message, code))
 
     if nodes is None:
-        diagnostics.append(ParseDiagnostic(
-            Span(0, 0), Severity.WARNING,
-            "problem has no (:init ...) block", "missing-init"))
+        report(None, "problem has no (:init ...) block", "missing-init")
         return facts, diagnostics
 
     wanted = predicate_name.lower()
@@ -92,8 +91,8 @@ def _locations(nodes: Optional[list[SExprNode]], predicate_name: str,
         span = Span(fact_node.start, fact_node.end)
         args = fact_node.values()[1:]
         if not args or args[0].kind is not atom:
-            error(span, f"{predicate_name} fact has no object name",
-                  "bad-location")
+            report(span, f"{predicate_name} fact has no object name",
+                   "bad-location")
             continue
         name = args[0].text
         coords: list[float] = []
@@ -102,28 +101,28 @@ def _locations(nodes: Optional[list[SExprNode]], predicate_name: str,
             if arg.kind is not atom or not is_number(arg.text) \
                     or not math.isfinite(float(arg.text)):
                 shown = arg.text if arg.kind is atom else "(...)"
-                error(arg.span, f"coordinate {excerpt(repr(shown))} of "
-                      f"{excerpt(repr(name))} is not a finite decimal number",
-                      "bad-coordinate")
+                report(arg.span, f"coordinate {excerpt(repr(shown))} of "
+                       f"{excerpt(repr(name))} is not a finite decimal "
+                       "number", "bad-coordinate")
                 bad = True
             else:
                 coords.append(float(arg.text))
         if bad:
             continue
         if not coords:
-            error(span, f"{predicate_name} fact for {excerpt(repr(name))} "
-                  "has no coordinates", "bad-location")
+            report(span, f"{predicate_name} fact for {excerpt(repr(name))} "
+                   "has no coordinates", "bad-location")
             continue
         if name in seen:
-            error(span, f"duplicate {predicate_name} fact for object "
-                  f"{excerpt(repr(name))}", "duplicate-object")
+            report(span, f"duplicate {predicate_name} fact for object "
+                   f"{excerpt(repr(name))}", "duplicate-object")
             continue
         if first_dim is None:
             first_dim = (name, len(coords))
         elif len(coords) != first_dim[1]:
-            error(span, f"{excerpt(repr(name))} has {len(coords)} "
-                  f"coordinates but {excerpt(repr(first_dim[0]))} has "
-                  f"{first_dim[1]}", "mixed-dimensions")
+            report(span, f"{excerpt(repr(name))} has {len(coords)} "
+                   f"coordinates but {excerpt(repr(first_dim[0]))} has "
+                   f"{first_dim[1]}", "mixed-dimensions")
             continue
         fact = LocationFact(name, tuple(coords), span)
         seen[name] = fact
@@ -244,9 +243,8 @@ def _spliced(doc: Document, predicate_name: str,
     if errors:
         raise DistanceError("; ".join(d.message for d in errors))
     if not facts:
-        diagnostics.append(ParseDiagnostic(
-            Span(0, 0), Severity.WARNING,
-            f"no {predicate_name!r} facts found; nothing to do",
+        diagnostics.append(finding(
+            None, f"no {predicate_name!r} facts found; nothing to do",
             "no-locations"))
         return [doc.data], diagnostics
 

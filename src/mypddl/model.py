@@ -27,11 +27,11 @@ from .sexpr import (
     ParseDiagnostic,
     Record,
     SExprNode,
-    Severity,
     Span,
     Tape,
     as_document,
     excerpt,
+    finding,
     gc_paused,
     serialize_node,
 )
@@ -376,18 +376,16 @@ class _Walk:
     Given a ``model``, a ``PddlDomain`` or a ``PddlProblem``, the walk fills
     it from a define form read as that kind, with the findings in
     ``diagnostics``; it keeps each formula as a `Deferred` call of
-    `Tape.node`, and an action's parameters as one of ``_parameters``. Its
-    scopes, which no one reads, go to a dict, so a walk that builds one
-    action's parameters makes no list of the whole tape. ``inits``,
-    ``derived`` and ``goal`` hold the lexemes of the :init and :derived
-    blocks and of the goal read so far."""
+    `Tape.node`, and an action's parameters as one of ``_parameters`` on
+    ``recorder``, one walk for them all: not this one, which the model would
+    then hold in a cycle. ``inits``, ``derived`` and ``goal`` hold the
+    lexemes of the :init and :derived blocks and of the goal read so far."""
 
     def __init__(self, tape: Tape,
                  model: Union[PddlDomain, PddlProblem, None] = None) -> None:
         self.tape = tape
         self.pieces, self.last, self.eof = tape.pieces, tape.last, tape.end
-        self.scopes: Union[list[Scope], dict[int, Scope]] = \
-            [_UNSCOPED] * len(tape.pieces) if model is None else {}
+        self.scopes = [_UNSCOPED] * len(tape.pieces)
         self.depth = 0
         self.terms, self.ground_terms = _TermScopes(), _TermScopes(True)
         self.classes = _ItemClasses()
@@ -399,6 +397,7 @@ class _Walk:
         self.inits: list[int] = []
         self.derived: list[int] = []
         self.goal: Optional[int] = None
+        self.recorder: Optional[_Walk] = None
 
     def tokens(self) -> tuple[list[str], list[Scope]]:
         """The token texts and scopes: each lead that is not empty, as
@@ -449,8 +448,6 @@ class _Walk:
         """Lexical scopes for the value at k, content we have no grammar
         for; iterative, so any depth fits. A variable at the head of a list
         is Unscoped, as nothing in PDDL is headed by a variable."""
-        if self.model is not None:
-            return
         pieces, last, scopes, terms = \
             self.pieces, self.last, self.scopes, self.terms
         end = self.eof
@@ -510,13 +507,11 @@ class _Walk:
         finally:
             self.depth -= 1
 
-    def warn(self, k: int, message: str, code: str,
-             severity: Severity = Severity.WARNING) -> None:
+    def warn(self, k: int, message: str, code: str) -> None:
         """Report a finding of the model at the value at k; none without
         one."""
         if self.model is not None:
-            self.diagnostics.append(ParseDiagnostic(
-                self.tape.span(k), severity, message, code))
+            self.diagnostics.append(finding(self.tape.span(k), message, code))
 
     # -- formulas -----------------------------------------------------------
 
@@ -726,7 +721,7 @@ class _Walk:
         if dash is not None:
             scopes[dash] = _UNSCOPED
             self.warn(dash, "dangling '-' at end of typed list",
-                      "dangling-dash", Severity.ERROR)
+                      "dangling-dash")
         if record and run:
             entries += self.typed_run(run, items)
         return entries if record else None
@@ -766,12 +761,11 @@ class _Walk:
         classes = "".join(map(self.classes.__getitem__, self.pieces[j:close]))
         if pattern.fullmatch(classes) is None:
             return False
-        if self.model is None:
-            if head is not None:
-                self.scopes[head] = head_scope
-            self.scopes[j:close] = map(_FLAT_SCOPES.__getitem__,
-                                       classes.replace("-n", "-t"))
-            self.parens(k)
+        if head is not None:
+            self.scopes[head] = head_scope
+        self.scopes[j:close] = map(_FLAT_SCOPES.__getitem__,
+                                   classes.replace("-n", "-t"))
+        self.parens(k)
         return True
 
     def bad_type(self, k: int) -> None:
@@ -811,14 +805,16 @@ class _Walk:
 
     def parameters(self, k: int) -> Optional[Deferred]:
         """Typed variables; for a model, its ``TypedList`` as a `Deferred`
-        call of ``_parameters``, the findings reported now."""
+        call of ``_parameters`` on ``recorder``, the findings reported now."""
         if self.pieces[k] != "(":
             self.warn(k, f"{excerpt(repr(self.pieces[k]))} where a list of "
                       "parameters was expected", "bad-parameters")
             return None
         self.typed_list(k, None, _VARIABLE, record=False)
-        return None if self.model is None \
-            else Deferred(_parameters, self.tape, k)
+        if self.model is None:
+            return None
+        self.recorder = self.recorder or _Walk(self.tape, PddlDomain())
+        return Deferred(_parameters, self.recorder, k)
 
     def declaration(self, k: int, what: str = "predicate",
                     ) -> Optional[tuple[str, TypedList]]:
@@ -829,7 +825,9 @@ class _Walk:
         pieces = self.pieces
         head = self.first(k + 1, k)
         if head is None or self.model is not None and pieces[head] == "(":
-            self.warn(k, f"malformed {what} declaration", f"bad-{what}")
+            self.warn(k, f"malformed {what} declaration",
+                      "bad-predicate" if what == "predicate"
+                      else "bad-function")
             return None
         ok = pieces[head] != "(" and is_name(pieces[head])
         entries = self.typed_list(k, head, _VARIABLE,
@@ -980,7 +978,8 @@ class _Walk:
             self.model.name = pieces[header[1]]
         else:
             self.warn(k, f"missing ({self.kind} NAME) declaration",
-                      f"missing-{self.kind}-decl", Severity.ERROR)
+                      "missing-problem-decl" if self.kind == "problem"
+                      else "missing-domain-decl")
             first = _Walk.block
         self.blocks = self.PROBLEM_BLOCKS if self.kind == "problem" \
             else self.DOMAIN_BLOCKS
@@ -1019,10 +1018,10 @@ class _Walk:
     FORMS = {"define": define_form}
 
 
-def _parameters(tape: Tape, k: int) -> TypedList:
-    """The parameters of an action, the list at lexeme k, as a model's walk
-    records them; their findings went to the model that was read."""
-    return TypedList(_Walk(tape, PddlDomain()).typed_list(k, None, _VARIABLE))
+def _parameters(walk: _Walk, k: int) -> TypedList:
+    """The parameters of an action, the list at lexeme k, as the recording
+    walk ``walk`` reads them; their findings went to the model read."""
+    return TypedList(walk.typed_list(k, None, _VARIABLE))
 
 
 def _facts(tape: Tape, blocks: Sequence[int]) -> list[SExprNode]:
@@ -1068,9 +1067,8 @@ def _read(source: Union[str, Document], model: Model,
     define = next((k for k in walk.values(_TOP)
                    if walk.head_key(k) == "define"), None)
     if define is None:
-        walk.diagnostics.append(ParseDiagnostic(
-            Span(0, 0), Severity.ERROR,
-            f"no (define ({walk.kind} ...)) form found", "missing-define"))
+        walk.diagnostics.append(finding(None, f"no (define ({walk.kind} "
+                                        "...)) form found", "missing-define"))
     else:
         with gc_paused():
             walk.define_form(define, walk.first(define + 1, define))

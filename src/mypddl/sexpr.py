@@ -64,6 +64,48 @@ class ParseDiagnostic(NamedTuple):
     code: str
 
 
+# The code of every finding the toolkit makes, and its severity; the README's
+# list of finding codes says what each means.
+FINDINGS = {
+    "stray-closer": Severity.ERROR,
+    "unclosed-list": Severity.ERROR,
+    "missing-define": Severity.ERROR,
+    "missing-domain-decl": Severity.ERROR,
+    "missing-problem-decl": Severity.ERROR,
+    "missing-goal": Severity.WARNING,
+    "stray-atom": Severity.WARNING,
+    "unknown-block": Severity.WARNING,
+    "duplicate-block": Severity.WARNING,
+    "missing-action-name": Severity.WARNING,
+    "unknown-action-key": Severity.WARNING,
+    "bad-parameters": Severity.WARNING,
+    "bad-predicate": Severity.WARNING,
+    "bad-function": Severity.WARNING,
+    "bad-typed-list-item": Severity.WARNING,
+    "dangling-dash": Severity.ERROR,
+    "bad-type": Severity.WARNING,
+    "either-type": Severity.WARNING,
+    "type-cycle": Severity.ERROR,
+    "multi-parent": Severity.WARNING,
+    "undeclared-type": Severity.WARNING,
+    "orphan-type": Severity.WARNING,
+    "no-renderer": Severity.WARNING,
+    "missing-init": Severity.WARNING,
+    "no-locations": Severity.WARNING,
+    "bad-location": Severity.ERROR,
+    "bad-coordinate": Severity.ERROR,
+    "duplicate-object": Severity.ERROR,
+    "mixed-dimensions": Severity.ERROR,
+}
+
+
+def finding(span: Optional[Span], message: str, code: str) -> ParseDiagnostic:
+    """A finding of ``code`` at ``span``, None for one about no place in the
+    file (at its start), with the severity that ``FINDINGS`` gives it."""
+    return ParseDiagnostic(Span(0, 0) if span is None else span,
+                           FINDINGS[code], message, code)
+
+
 def excerpt(text: str) -> str:
     """``text`` as a message or a report line shows it: whole up to 40
     characters, else its first 37 and '...'. A message quotes source as
@@ -305,9 +347,8 @@ def _forest(texts: list[str], offset: int, ascii_only: bool,
                 level = levels[-1]
                 level.append(node)
             else:
-                diagnostics.append(ParseDiagnostic(
-                    Span(i, j), Severity.ERROR, "unmatched ')'",
-                    "stray-closer"))
+                diagnostics.append(finding(Span(i, j), "unmatched ')'",
+                                           "stray-closer"))
                 level.append(new(SExprNode, (atom, ")", (), i, j, True,
                                              False, lead, "")))
         else:
@@ -324,9 +365,8 @@ def _forest(texts: list[str], offset: int, ascii_only: bool,
     # Close recovered lists innermost first, without inventing parentheses.
     while opens:
         start = opens.pop()
-        diagnostics.append(ParseDiagnostic(
-            Span(start, start + 1), Severity.ERROR,
-            "'(' is never closed", "unclosed-list"))
+        diagnostics.append(finding(Span(start, start + 1),
+                                   "'(' is never closed", "unclosed-list"))
         node = SExprNode(lst, "", tuple(levels.pop()), Span(start, end),
                          False, leads.pop(), trailing)
         trailing = ""
@@ -371,14 +411,12 @@ class Tape:
                         strays.append(k)
             for k in opens:
                 last[k] = end
-        self.diagnostics = [ParseDiagnostic(
-            self.span(k), Severity.ERROR, "unmatched ')'", "stray-closer")
-            for k in strays]
+        self.diagnostics = [finding(self.span(k), "unmatched ')'",
+                                    "stray-closer") for k in strays]
         for k in reversed(opens):
             at = self.bounds()[2 * k + 1]
-            self.diagnostics.append(ParseDiagnostic(
-                Span(at, at + 1), Severity.ERROR, "'(' is never closed",
-                "unclosed-list"))
+            self.diagnostics.append(finding(
+                Span(at, at + 1), "'(' is never closed", "unclosed-list"))
 
     def bounds(self) -> list[int]:
         """The byte offset of each string of ``texts``, and of the end of

@@ -19,9 +19,9 @@ from .sexpr import (
     MyPddlError,
     ParseDiagnostic,
     Record,
-    Severity,
     Span,
     excerpt,
+    finding,
 )
 
 # Built-in numeric type: lives outside the object hierarchy, never drawn.
@@ -63,8 +63,7 @@ def build_type_graph(domain: PddlDomain) -> tuple[TypeGraph, list[ParseDiagnosti
     diagnostics: list[ParseDiagnostic] = []
 
     def warn(message: str, code: str, span: Optional[Span]) -> None:
-        diagnostics.append(ParseDiagnostic(span or Span(0, 0),
-                                           Severity.WARNING, message, code))
+        diagnostics.append(finding(span, message, code))
 
     # Each declared type's parents, in declaration order, each with the span
     # of the first declaration that names it. A parent that is no name, which
@@ -140,11 +139,9 @@ def _mark_cycles(graph: TypeGraph, diagnostics: list[ParseDiagnostic],
                         (declared_parent[c][p] for c, p
                          in [(node, parent), *zip(cycle, cycle[1:])]
                          if p in declared_parent.get(c, ())), None)
-                    diagnostics.append(ParseDiagnostic(
-                        span or Span(0, 0), Severity.ERROR,
-                        "type hierarchy contains a cycle: "
-                        + excerpt(" -> ".join(cycle)),
-                        "type-cycle"))
+                    diagnostics.append(finding(
+                        span, "type hierarchy contains a cycle: "
+                        + excerpt(" -> ".join(cycle)), "type-cycle"))
                 elif color[parent] == WHITE:
                     color[parent] = GRAY
                     path.append(parent)
@@ -166,9 +163,8 @@ def _mark_cycles(graph: TypeGraph, diagnostics: list[ParseDiagnostic],
                 reaches_object.add(child)
                 todo.append(child)
     for node in sorted(graph.nodes - reaches_object):
-        diagnostics.append(ParseDiagnostic(
-            next(iter(declared_parent[node].values())) or Span(0, 0),
-            Severity.WARNING,
+        diagnostics.append(finding(
+            next(iter(declared_parent[node].values())),
             f"type {excerpt(repr(node))} is not rooted at {DEFAULT_TYPE!r}",
             "orphan-type"))
 
@@ -227,19 +223,17 @@ def emit_dot(graph: TypeGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-_REVISION_RE = re.compile(r"_(\d+)\.[^.]+\Z")
+# A revision's file name, ``{base}_{N}.ext``: its base and N. Compiled once,
+# as each diagram command would otherwise compile a pattern of its base.
+_REVISION = re.compile(r"(.*)_(\d+)\.[^.]+", re.DOTALL)
 
 
 def _next_revision(base: str, *dirs: Path) -> int:
-    highest = 0
-    for directory in dirs:
-        for path in directory.iterdir():
-            if not path.name.startswith(base + "_"):
-                continue
-            match = _REVISION_RE.search(path.name)
-            if match:
-                highest = max(highest, int(match.group(1)))
-    return highest + 1
+    """One more than the highest N of a ``{base}_{N}.ext`` in ``dirs``."""
+    return 1 + max((int(match[2]) for directory in dirs
+                    for path in directory.iterdir()
+                    if (match := _REVISION.fullmatch(path.name))
+                    and match[1] == base), default=0)
 
 
 def render_diagram(domain_file: Union[Path, Document], output_root: Path,
@@ -293,9 +287,9 @@ def render_diagram(domain_file: Union[Path, Document], output_root: Path,
                 f"renderer {renderer!r} exited with {proc.returncode}: "
                 f"{proc.stderr.strip()}")
     else:
-        diagnostics.append(ParseDiagnostic(
-            Span(0, 0), Severity.WARNING,
-            "no renderer configured; image generation skipped", "no-renderer"))
+        diagnostics.append(finding(
+            None, "no renderer configured; image generation skipped",
+            "no-renderer"))
 
     artifacts = DiagramArtifacts(dot_path=dot_path, image_path=image_path,
                                  copied_domain_path=copied, revision=revision)

@@ -620,9 +620,9 @@ def _parameter_walks(monkeypatch) -> list[int]:
     builds from now on."""
     walked, build = [], pddl_model._parameters
 
-    def counted(tape, k):
+    def counted(walk, k):
         walked.append(k)
-        return build(tape, k)
+        return build(walk, k)
 
     monkeypatch.setattr(pddl_model, "_parameters", counted)
     return walked
@@ -696,3 +696,21 @@ def test_the_diagram_builds_no_action_parameters(tmp_path, monkeypatch):
     actions = domains[0].actions
     assert len(actions) == 400 and walked == []
     assert actions[0].parameters.entries and len(walked) == 1
+
+
+def test_the_actions_of_a_model_share_one_recording_walk(monkeypatch):
+    """Reading every action's parameters of the seed-1 broken-domain domain
+    makes two walks: the model's, and the one that records the parameters
+    of all its actions."""
+    walks, init = [], pddl_model._Walk.__init__
+
+    def counted(self, *args):
+        walks.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(pddl_model._Walk, "__init__", counted)
+    domain, _ = pddl_model.parse_domain(
+        Document(benchmark_inputs("broken-domain", 1).domain.text))
+    parameters = [action.parameters for action in domain.actions]
+    assert len(parameters) == 400 and all(p.entries for p in parameters)
+    assert len(walks) == 2 and walks[1] is walks[0].recorder

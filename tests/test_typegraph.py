@@ -258,11 +258,13 @@ def test_render_diagram_revisions_ascend(tmp_path):
     domain_file = tmp_path / "splisus.pddl"
     domain_file.write_text(corpus_text("splisus.pddl"), encoding="utf-8")
     out = tmp_path / "out"
-    # Files of other bases do not count, whatever their revision.
+    # Files of other bases do not count, whatever their revision: also a
+    # base that starts with this one and an underscore.
     for directory, name in [("domains", "other_7.pddl"),
                             ("dot", "splisus2_8.dot"),
+                            ("dot", "splisus_b_8.dot"),
                             ("diagrams", "x_splisus_9.png")]:
-        (out / directory).mkdir(parents=True)
+        (out / directory).mkdir(parents=True, exist_ok=True)
         (out / directory / name).write_text("", encoding="utf-8")
     revisions = []
     for _ in range(3):
