@@ -53,6 +53,31 @@ GRAMMAR_CASES = {
     b"  (:functions (f ?x) - (either t u) (g) - (h)))\n",
     "grammar/deep-variable-head": b"(define (domain d) (:foo "
     + b"(x " * 105 + b"(?v a)" + b")" * 105 + b"))\n",
+    # Actions whose scopes follow from their lexemes' classes, among
+    # durative actions, actions with a comment, a number, (), a repeated,
+    # missing or misspelled key, a nested (and ...) or a keyword as a
+    # predicate, and an unclosed action last.
+    "grammar/plain-actions": b"(define (domain d) (:types t u - object)\n"
+    b"  (:action move :parameters (?x ?y - t ?z - u)\n"
+    b"    :precondition (and (at ?x ?y) (not (road ?y ?z)) (either ?x))\n"
+    b"    :effect (and (at ?x ?z) (not (at ?x ?y))))\n"
+    b"  (:ACTION Stop :Parameters (?x) :PRECONDITION (NOT (p ?x d))"
+    b" :effect (p ?x))\n"
+    b"  (:action bare)\n"
+    b"  (:action only-effect :effect (and))\n"
+    b"  (:action note :parameters (?x) ; why\n    :effect (p ?x))\n"
+    b"  (:action empty :parameters () :precondition (p) :effect (q))\n"
+    b"  (:action twice :effect (p) :effect (q))\n"
+    b"  (:action order :effect (p) :precondition (q))\n"
+    b"  (:action count :parameters (?x) :effect (p ?x 2))\n"
+    b"  (:action deep :effect (and (and (p)) (when (q) (r))))\n"
+    b"  (:action typo :parameters (?x) :precondtion (p ?x) :effect (q))\n"
+    b"  (:action either :parameters (?x - (either t u)) :effect (p ?x))\n"
+    b"  (:action :parameters (?x) :effect (p ?x))\n"
+    b"  (:action caf\xc3\xa9 :parameters (?x) :effect (\xc3\xa9t\xc3\xa9 ?x))\n"
+    b"  (:durative-action fly :parameters (?x - t) :duration (= ?duration 2)\n"
+    b"    :condition (at start (p ?x)) :effect (at end (q ?x)))\n"
+    b"  (:action open :parameters (?x) :effect (and (p ?x)\n",
 }
 
 # Atoms of the generated walk input: names (some of them keywords in other
@@ -290,6 +315,11 @@ EXPECTED = {
         "19c6343ffb66c065dd2868cb03668addc1ce879d499ab39fc23350ee6233960e",
         "27cf637bb5ae7c94ccf34cefe1bb470736ed44619be6572ce6a7e85c8e492498",
         "625b46c04709e876ab128203e10f22210f0c1eb2d6b23d029e97f966e6a7d3d4"),
+    "grammar/plain-actions": (
+        "5f1a8512644d5be357d5840e4d2a1bdad43d185f40fa8f22d4d5bce8e99e3a06",
+        "7f7dbe61b511bbbbea95dc67e32ffbf8a735b116a0d71d1d25e9e21e77ffb422",
+        "d71f979d2ee30e6c7ee44368c2f4dd9f850bcdf4196de9a73759bbc6f38a15c8",
+        "a903561e593ea4a70c56a03919e522471d383e32e0a5e34db4491ae53ba3a41c"),
     "grammar/generated": (
         "173367573deeefde4c63b9c256b010b9b4a5167d77371f6a0ef8edc04d55dda7",
         "6b63cca7d2c7248c89ccbddce5888f248f04a3b137484d967e38e5a8ac8d5512",
