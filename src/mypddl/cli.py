@@ -241,8 +241,17 @@ def distance_cmd(ctx: click.Context, problem_file: Path, predicate: str,
     if in_place:
         output_file = problem_file
     doc = Document.read(problem_file)
-    out_path, diagnostics = distance.augment_file(
-        doc, output_file, predicate_name=predicate)
+    try:
+        out_path, diagnostics = distance.augment_file(
+            doc, output_file, predicate_name=predicate)
+    except distance.DistanceError as exc:
+        if not exc.findings:
+            raise
+        _print_report(_report(problem_file, doc, exc.findings),
+                      ctx.obj["quiet"])
+        count = len(exc.findings)
+        raise MyPddlError(f"{count} error{'s' * (count > 1)} in the "
+                          f"{predicate} facts; nothing written") from None
     _print_report(_report(problem_file, doc, diagnostics), ctx.obj["quiet"])
     if not ctx.obj["quiet"]:
         click.echo(str(out_path))

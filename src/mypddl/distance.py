@@ -39,7 +39,13 @@ _STEP = Decimal("0.0001")
 
 
 class DistanceError(MyPddlError):
-    pass
+    """A problem whose distances cannot be computed; ``findings`` holds the
+    error findings on its location facts that stopped it, if any."""
+
+    def __init__(self, message: str,
+                 findings: Sequence[ParseDiagnostic] = ()) -> None:
+        super().__init__(message)
+        self.findings = list(findings)
 
 
 class LocationFact(NamedTuple):
@@ -236,12 +242,12 @@ def _spliced(doc: Document, predicate_name: str,
     """The bytes of ``doc`` with the distance facts appended to its
     (:init ...) block, in pieces, one per source row, and the diagnostics.
     Each row is computed when it is taken, so an overflow raises from the
-    iterator; errors in the locations raise at once."""
+    iterator; errors in the locations raise at once, with their findings."""
     nodes, insert_at, prefix = _entries(doc, ":init", predicate_name)
     facts, diagnostics = _locations(nodes, predicate_name)
     errors = [d for d in diagnostics if d.severity is Severity.ERROR]
     if errors:
-        raise DistanceError("; ".join(d.message for d in errors))
+        raise DistanceError("; ".join(d.message for d in errors), errors)
     if not facts:
         diagnostics.append(finding(
             None, f"no {predicate_name!r} facts found; nothing to do",

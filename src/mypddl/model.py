@@ -114,8 +114,11 @@ TIMED_CONDITION_RULES = {
     **CONDITION_RULES, "and": ("timed-condition",),
     "at": ("start-or-end", "condition"), "over": ("all", "condition"),
 }
+# A continuous effect, an increase or a decrease directly in a durative
+# action's effect, changes by a rate (``_Walk.fexp_t``).
 TIMED_EFFECT_RULES = {
     **EFFECT_RULES, "and": ("timed-effect",), "at": ("start-or-end", "effect"),
+    **dict.fromkeys(("increase", "decrease"), ("fexp", "fexp-t")),
 }
 # PDDL3 constraints (Gerevini and Long, 2005), in :constraints and in the
 # preferences there: a condition, or a temporal operator over conditions.
@@ -136,8 +139,8 @@ NUMERIC_RULES = dict.fromkeys(("+", "-", "*", "/"), ("fexp",))
 # takes one value or two, and of the blocks a value of which may repeat.
 VARIADIC_KEYWORDS = frozenset({"and", "or", "+", "-", "*", "/",
                                ":requirements", ":predicates", ":init"})
-# Atoms that are keywords in a numeric expression: #t, the time elapsed in a
-# continuous effect (Fox and Long, 2003).
+# Atoms that are keywords in the rate of a continuous effect: #t, the time
+# elapsed (Fox and Long, 2003).
 NUMERIC_KEYWORDS = frozenset({"#t"})
 PREDICATE_KEYWORDS = frozenset({"at", "over"})
 OPTIONAL_NAME_KEYWORDS = frozenset({"preference"})
@@ -311,13 +314,18 @@ class _TermScopes(dict):
 
 
 class _ItemClasses(dict):
-    """Class of a lexeme in a flat typed list, by its text, each distinct
-    text classified on first use: 'n' a name, 'v' a variable, '-' the dash
-    and 'x' anything else, a parenthesis or a comment among them."""
+    """Class of a lexeme by its text, each distinct text classified on
+    first use: that of its lowercased text in ``keywords``, else 'n' a
+    name, 'v' a variable, '-' the dash and 'x' anything else, a comment
+    among them, and in a flat typed list a parenthesis too."""
+
+    def __init__(self, keywords: Optional[dict[str, str]] = None) -> None:
+        self.keywords = keywords or {}
 
     def __missing__(self, text: str) -> str:
-        item = ("n" if is_name(text) else "v" if is_variable(text)
-                else "-" if text == "-" else "x")
+        item = self.keywords.get(text.lower()) or (
+            "n" if is_name(text) else "v" if is_variable(text)
+            else "-" if text == "-" else "x")
         self[text] = item
         return item
 
@@ -328,6 +336,29 @@ _FLAT_LISTS = {Scope.VARIABLE: re.compile(r"(?:v+-n)*v*"),
                Scope.NAME: re.compile(r"(?:n+-n)*n*")}
 _FLAT_SCOPES = {"v": Scope.VARIABLE, "n": Scope.NAME,
                 "-": Scope.PUNCTUATION, "t": Scope.TYPE_NAME}
+
+# A plain :action by its lexemes' classes: its head 'A' and name, then each
+# key (its place in ``ACTION_KEYS``) at most once and in order, with flat
+# typed variables, or one literal or an (and ...) of literals, a literal
+# being (p term*) or (not (p term*)) of names and variables: no comment,
+# number, () or deeper list. '&' and '!' are the formula keys whose rows
+# read their own context in conditions and effects alike, 'x' any other.
+_ACTION_KEY_CLASSES = {key: str(place)
+                       for place, key in enumerate(ACTION_KEYS[":action"])}
+_ACTION_CLASSES = {"(": "(", ")": ")", ":action": "A", **_ACTION_KEY_CLASSES,
+                   **{key: "&!"[key not in VARIADIC_KEYWORDS] if (
+                       CONDITION_RULES.get(key), EFFECT_RULES.get(key)) == (
+                       ("condition",), ("effect",)) else "x"
+                      for key in CONDITION_RULES.keys() | EFFECT_RULES.keys()}}
+_LITERAL = r"(?:\(n[nv]*\)|\(!\(n[nv]*\)\))"
+_PLAIN_VALUES = {"parameters": r"\((?=v)(?:v+-n)*v*\)", **dict.fromkeys(
+    ("condition", "effect"), rf"(?:\(&{_LITERAL}*\)|{_LITERAL})")}
+_PLAIN_ACTION = re.compile(r"\(An" + "".join(
+    f"(?:{_ACTION_KEY_CLASSES[key]}{_PLAIN_VALUES[context]})?"
+    for key, (_, context) in ACTION_KEYS[":action"].items()) + r"\)")
+_ACTION_SCOPES = {**_FLAT_SCOPES, "(": _PUNCTUATION, ")": _PUNCTUATION,
+                  **dict.fromkeys([*"A&!", *_ACTION_KEY_CLASSES.values()],
+                                  _KEYWORD)}
 
 
 GrammarMethod = Callable[["_Walk", int], None]
@@ -350,7 +381,7 @@ def _formula(rules: str, ground: bool = False) -> GrammarMethod:
     walk's table named ``rules`` (``_Walk.formulas``), which are kept on
     the method with ``ground`` for ``each``."""
     def value(self: _Walk, k: int) -> None:
-        self.formulas(k, self.last[k] + 1, getattr(self, rules), ground)
+        self.formula(k, getattr(self, rules), ground)
     value.rules, value.ground = rules, ground  # type: ignore[attr-defined]
     return value
 
@@ -389,6 +420,7 @@ class _Walk:
         self.depth = 0
         self.terms, self.ground_terms = _TermScopes(), _TermScopes(True)
         self.classes = _ItemClasses()
+        self.action_classes = _ItemClasses(_ACTION_CLASSES)
         self.model = model
         self.diagnostics: list[ParseDiagnostic] = []
         # The kind of the define form read, and the keys of its blocks so far.
@@ -603,15 +635,11 @@ class _Walk:
     # -- terms, numeric expressions and one-atom places -----------------------
 
     def fexp(self, k: int) -> None:
-        """A numeric expression: a term or one of ``NUMERIC_KEYWORDS``, an
-        operation of ``NUMERIC_RULES`` or a function applied to numeric
-        expressions."""
+        """A numeric expression: a term, an operation of ``NUMERIC_RULES``
+        or a function applied to numeric expressions."""
         piece = self.pieces[k]
         if piece != "(":
-            scope = self.terms[piece]
-            if scope is _UNSCOPED and piece.lower() in NUMERIC_KEYWORDS:
-                scope = _KEYWORD
-            self.scopes[k] = scope
+            self.scopes[k] = self.terms[piece]
             return
         head = self.first(k + 1, k)
         if head is not None and self.pieces[head] != "(":
@@ -620,6 +648,22 @@ class _Walk:
                 self.each(k, head, _KEYWORD, *rule)
             elif is_name(self.pieces[head]):
                 self.each(k, head, _NAME, _Walk.fexp)
+
+    def fexp_t(self, k: int) -> None:
+        """The rate of a continuous effect (Fox and Long, 2003): #t, one of
+        ``NUMERIC_KEYWORDS`` and a Keyword only here, (* f-exp #t),
+        (* #t f-exp) or any numeric expression."""
+        pieces = self.pieces
+        values = self.values(k) if pieces[k] == "(" else []
+        times = [pieces[v].lower() in NUMERIC_KEYWORDS for v in values]
+        if pieces[k].lower() in NUMERIC_KEYWORDS:
+            self.scopes[k] = _KEYWORD
+        elif len(values) == 3 and pieces[values[0]] == "*" and any(times):
+            self.each(k, values[0], _KEYWORD, *(
+                (_Walk.fexp, _Walk.fexp_t) if times[2]
+                else (_Walk.fexp_t, _Walk.fexp)), fixed=True)
+        else:
+            self.fexp(k)
 
     def term(self, k: int) -> None:
         """A name, a variable or a number; a list is Unscoped whole."""
@@ -841,8 +885,19 @@ class _Walk:
         ``ACTION_KEYS``. A key in the name's place stays Unscoped: the
         action has no name. A model gets the action, which has each key's
         value, or the last one's, and ``None`` for a key with none; a
-        misplaced list or an unknown key, with its value, is reported."""
-        pieces = self.pieces
+        misplaced list or an unknown key, with its value, is reported.
+        Without a model, a closed plain action (``_PLAIN_ACTION``) well
+        inside the depth limit is scoped at C speed by its lexemes'
+        classes, as ``flat_list`` scopes a list."""
+        pieces, close = self.pieces, self.last[k]
+        if self.model is None and close < self.eof \
+                and self.depth < _MAX_GRAMMAR_DEPTH - 5:
+            classes = "".join(map(self.action_classes.__getitem__,
+                                  pieces[k:close + 1]))
+            if _PLAIN_ACTION.fullmatch(classes):
+                self.scopes[k:close + 1] = map(_ACTION_SCOPES.__getitem__,
+                                               classes.replace("-n", "-t"))
+                return
         block = pieces[head].lower()
         keys = ACTION_KEYS[block]
         name = self.first(head + 1, k)

@@ -109,10 +109,40 @@ def test_extract_reports_a_location_without_name_or_coordinates(fact,
 
 
 @pytest.mark.parametrize("fact,message", BAD_LOCATIONS)
-def test_cli_bad_location_is_one_line_exit_1(tmp_path, fact, message):
+def test_cli_bad_location_is_one_finding_then_one_error_exit_1(tmp_path, fact,
+                                                               message):
     result, out = run_distance(tmp_path, f"(location b 1 2) {fact}")
+    col = len("  (:init (location b 1 2) ") + 1
     assert result.exit_code == 1
-    assert result.stderr.splitlines() == [f"Error: {message}"]
+    assert result.stderr.splitlines() == [
+        f"{tmp_path / 'p.pddl'}:3:{col}: error: {message} [bad-location]",
+        "Error: 1 error in the location facts; nothing written"]
+    assert not out.exists()
+
+
+def test_each_location_error_keeps_its_code_and_position(tmp_path):
+    """A bad coordinate and a fact of another dimension: the library's
+    error carries both findings, and the command prints each at its place
+    with its code, then one Error: line, and writes nothing."""
+    facts = "(location a 1 x)\n  (location b 1 2) (location c 1 2 3)"
+    text = problem_with_init(facts)
+    with pytest.raises(DistanceError) as info:
+        augment_with_distances(text)
+    x, c = text.index("x)"), text.index("(location c")
+    findings = info.value.findings
+    assert [(d.code, d.severity, d.span) for d in findings] == [
+        ("bad-coordinate", Severity.ERROR, Span(x, x + 1)),
+        ("mixed-dimensions", Severity.ERROR, Span(c, c + 18))]
+    assert str(info.value) == "; ".join(d.message for d in findings)
+    result, out = run_distance(tmp_path, facts)
+    path = tmp_path / "p.pddl"
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [
+        f"{path}:3:24: error: coordinate 'x' of 'a' is not a finite decimal "
+        "number [bad-coordinate]",
+        f"{path}:4:20: error: 'c' has 3 coordinates but 'b' has 2 "
+        "[mixed-dimensions]",
+        "Error: 2 errors in the location facts; nothing written"]
     assert not out.exists()
 
 

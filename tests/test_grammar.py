@@ -10,14 +10,17 @@ and diagnostics are pinned in ``tests/fixtures/tour_*.golden.json``.
 """
 
 import json
+import re
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mypddl import model
 from mypddl.cli import main
-from mypddl.highlight import Scope, invalid_regions, tokenize
+from mypddl.highlight import Scope, invalid_regions, scope_columns, tokenize
 from mypddl.model import (
     _MAX_GRAMMAR_DEPTH,
     ACTION_KEYS,
@@ -40,7 +43,7 @@ from mypddl.model import (
 from mypddl.sexpr import Document, SExprNode, Span, Tape, serialize_node
 from mypddl.typegraph import build_type_graph
 
-from conftest import FIXTURES
+from conftest import FIXTURES, benchmark_inputs
 
 # Diagnostics of the golden files that a model fix has since changed, as
 # (code, message, source text at the span). Nothing else may differ.
@@ -970,3 +973,159 @@ def test_a_flat_typed_list_reads_as_the_loop_reads_it(lists, cut):
             walk.define_form(0, 1)
         assert (flat.diagnostics, repr(flat.model)) == \
             (loop.diagnostics, repr(loop.model)), text
+
+
+# -- plain actions: one match -------------------------------------------------
+
+def _keyed_scopes(text):
+    """The tokens of ``text`` with every action read by the keyed walk: the
+    pattern of plain actions matches nothing."""
+    with mock.patch.object(model, "_PLAIN_ACTION", re.compile(r"(?!)")):
+        columns = scope_columns(text)
+        return columns.texts, columns.scopes
+
+
+# Atoms and lists of the generated actions: most of them plain, and the
+# others what a plain action may not hold.
+_ACTION_TERMS = st.sampled_from(["a", "?x", "?y", "Depot", "a", "?x", "2",
+                                 "#t", "café", "and", "-", ":foo"])
+_ACTION_HEADS = st.sampled_from(["p", "at", "either", "q", "p", "when",
+                                 "not", "?x", "café", "=", "AT"])
+_ACTION_LITERALS = st.one_of(
+    st.tuples(_ACTION_HEADS, st.lists(_ACTION_TERMS, max_size=3)).map(
+        lambda fact: _joined([fact[0], *fact[1]])),
+    st.just("()"))
+_ACTION_GDS = st.recursive(_ACTION_LITERALS, lambda inner: st.one_of(
+    st.tuples(st.sampled_from(["and", "AND", "and", "or"]),
+              st.lists(inner, max_size=3)).map(
+        lambda gd: _joined([gd[0], *gd[1]])),
+    st.tuples(st.sampled_from(["not", "Not"]), inner).map(_joined)),
+    max_leaves=5)
+_ACTION_PARAMETERS = st.lists(st.sampled_from(
+    ["?x", "?y ?z", "- t", "?x - t", "- (either t u)", "a", "2", "-",
+     "(?x)"]), max_size=4).map(_joined)
+_ACTION_VALUES = {":parameters": _ACTION_PARAMETERS,
+                  ":precondition": _ACTION_GDS, ":effect": _ACTION_GDS}
+
+
+def _action(head, name, entries):
+    return _joined([head, *name, *(f"{key} {value}" for key, value in entries)])
+
+
+_PLAIN_LITERALS = st.tuples(
+    st.sampled_from(["p", "at", "either", "Q", "café"]),
+    st.lists(st.sampled_from(["a", "?x", "?y", "over"]), max_size=3)).map(
+    lambda fact: _joined([fact[0], *fact[1]]))
+_PLAIN_LITERALS = st.one_of(_PLAIN_LITERALS,
+                            _PLAIN_LITERALS.map("(not {})".format))
+_PLAIN_VALUES = {
+    ":parameters": st.lists(st.sampled_from(["?x", "?y ?z", "?x - t", "-"]),
+                            min_size=1, max_size=3).map(_joined),
+    **dict.fromkeys([":precondition", ":effect"], st.one_of(
+        _PLAIN_LITERALS,
+        st.lists(_PLAIN_LITERALS, max_size=3).map(
+            lambda gd: _joined(["and", *gd]))))}
+_ACTION_NAMES = st.lists(st.sampled_from(["move", "at", "café", "and", "?x",
+                                          "2", ":effect"]), max_size=1)
+_ACTIONS = st.one_of(
+    # The keys in order, each at most once, in any case, with plain values
+    # or with any.
+    *(st.tuples(st.sampled_from([":action", ":ACTION", ":Action"]),
+                names, st.tuples(*(
+                    st.lists(st.tuples(st.sampled_from([key, key.upper()]),
+                                       value), max_size=1)
+                    for key, value in values.items())).map(
+                    lambda entries: sum(entries, [])))
+      for names, values in ((st.just(["move"]), _PLAIN_VALUES),
+                            (_ACTION_NAMES, _ACTION_VALUES))),
+    # Any keys in any order, repeated, missing or misspelled, with any
+    # values, in any kind of action.
+    st.tuples(
+        st.sampled_from([":action", ":durative-action"]), _ACTION_NAMES,
+        st.lists(st.tuples(
+            st.sampled_from([*_ACTION_VALUES, ":Effect", ":precondtion",
+                             ":duration", ":condition"]),
+            st.one_of(*_ACTION_VALUES.values(), _ACTION_TERMS)),
+            max_size=4))).map(lambda action: _action(*action))
+
+
+@given(st.lists(_ACTIONS, min_size=1, max_size=3), st.data())
+@example(["(:action a :parameters (?x - t ?y) :precondition (and (p ?x) "
+          "(not (q ?x a))) :effect (not (p ?x)))"], None)
+@settings(max_examples=400, deadline=None)
+def test_a_plain_action_is_scoped_as_the_keyed_walk_scopes_it(actions, data):
+    """Actions of every shape, with keys in any order and case, repeated,
+    missing or misspelled, now and then a comment between two lexemes, or
+    the text cut short: the tokens are those of the keyed walk alone."""
+    lexemes = re.findall(r"[()]|[^\s()]+", "(define (domain d) "
+                         + " ".join(actions) + ")")
+    if data is not None:
+        for at in data.draw(st.lists(st.integers(0, len(lexemes) - 1),
+                                     max_size=2)):
+            lexemes[at] += "\n; c\n"
+        lexemes = lexemes[:data.draw(st.one_of(
+            st.none(), st.integers(1, len(lexemes))))]
+    text = " ".join(lexemes)
+    columns = scope_columns(text)
+    assert (columns.texts, columns.scopes) == _keyed_scopes(text), text
+
+
+def test_the_keyed_action_walk_runs_only_for_the_actions_with_a_misspelled_key(
+        monkeypatch):
+    """On the seed-1 broken domain the keyed walk of ``check`` reads the 40
+    actions with a misspelled key, and the model's walk reads all 400."""
+    domain = benchmark_inputs("broken-domain", 1).domain
+    doc = Document(domain.text)
+    walked = []
+    each = _Walk.each
+
+    def counting(self, k, head, *values, **fixed):
+        if head is not None and self.pieces[head] == ":action":
+            walked.append(self.tape.span(k).start)
+        return each(self, k, head, *values, **fixed)
+
+    monkeypatch.setattr(_Walk, "each", counting)
+    scope_columns(doc).invalid_regions()
+    assert len(domain.broken_actions) == 40
+    assert walked == [start + 2 for start, _ in domain.broken_actions]
+    walked.clear()
+    parse_domain(doc)
+    assert len(walked) == 400
+
+
+# -- #t: only in the rate of a continuous effect --------------------------------
+
+HASH_T_ELSEWHERE = (
+    "(define (domain d) (:functions (f))\n"
+    "  (:action a :parameters () :precondition (> (f) #t)\n"
+    "    :effect (increase (f) #t)))")
+HASH_T_RATES = (
+    "(define (domain d) (:functions (f) (g))\n"
+    "  (:durative-action a :parameters () :duration (= ?duration 1)\n"
+    "    :condition (at start (> (f) 0))\n"
+    "    :effect (and (increase (f) #t) (decrease (g) (* 2 #t))\n"
+    "                 (increase (g) (* #T (f))) (increase (f) 3))))")
+
+
+@pytest.mark.parametrize("text,bad", [
+    (HASH_T_ELSEWHERE, ["#t", "#t"]),
+    (HASH_T_RATES, []),
+    (HASH_T_RATES.replace("(increase (f) #t)", "(at end (increase (f) #t))"),
+     ["#t"]),
+    (HASH_T_RATES.replace("(* 2 #t)", "(* #t #t)"), ["#t"]),
+    (HASH_T_RATES.replace("(* 2 #t)", "(+ 2 #t)"), ["#t"]),
+    (HASH_T_RATES.replace("(* 2 #t)", "(* 2 #t 1)"), ["#t"]),
+])
+def test_hash_t_is_a_keyword_only_in_the_rate_of_a_continuous_effect(
+        text, bad, tmp_path):
+    """PDDL 2.1: #t, (* f-exp #t) or (* #t f-exp) is the rate of an
+    increase or a decrease directly in a durative action's effect; #t
+    anywhere else is Unscoped, and check fails."""
+    data = text.encode("utf-8")
+    assert [data[r.start:r.end].decode("utf-8")
+            for r in invalid_regions(tokenize(text))] == bad
+    path = tmp_path / "hash-t.pddl"
+    path.write_bytes(data)
+    result = CliRunner().invoke(main, ["check", str(path)])
+    assert result.exit_code == (1 if bad else 0), result.output
+    assert f"0 errors, {len(bad)} invalid regions" in result.output

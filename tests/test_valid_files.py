@@ -83,6 +83,8 @@ class Writer:
             return f"({self.pick(PREDICATES)} {self.typed(VARIABLES)})"
         if context == "fexp":
             return self.fexp(depth, ground)
+        if context == "fexp-t":
+            return self.rate(depth, ground)
         if context == "function-term":
             return self.pick((self.pick(FUNCTIONS),
                               f"({self.pick(FUNCTIONS)}{self.terms(True)})"))
@@ -111,9 +113,9 @@ class Writer:
         return f"({self.pick((key, key.upper()))} {' '.join(values)})"
 
     def fexp(self, depth, ground=False):
-        """A numeric expression: a number, a term, #t, a function applied to
+        """A numeric expression: a number, a term, a function applied to
         terms or a numeric operation."""
-        atoms = PLACES["number"] + tuple(NUMERIC_KEYWORDS)
+        atoms = PLACES["number"]
         choice = self.pick(("atom", "application", "operation")
                            if depth > 0 else ("atom", "application"))
         if choice == "atom":
@@ -124,6 +126,14 @@ class Writer:
         operands = 1 + self.pick((0, 1))
         return f"({key} " + " ".join(self.fexp(depth - 1, ground)
                                      for _ in range(operands)) + ")"
+
+    def rate(self, depth, ground=False):
+        """The rate of a continuous effect: #t, #t times a numeric
+        expression, or a numeric expression."""
+        time = self.pick(sorted(NUMERIC_KEYWORDS))
+        fexp = self.fexp(depth, ground)
+        return self.pick((time, f"(* {fexp} {time})", f"(* {time} {fexp})",
+                          fexp))
 
     def block(self, key, row, depth):
         """A block of a domain or a problem, by its table row."""
