@@ -50,7 +50,7 @@ def _report(path: Path, doc: Document, diagnostics: Sequence[ParseDiagnostic],
 def _print_report(report: dict, quiet: bool) -> None:
     """A report as text: ``file:line:col: severity: message [code]`` per
     diagnostic on stderr, then ``file:line:col: invalid: excerpt`` per
-    region, an excerpt over 40 characters cut to 37 and '...'."""
+    region, an excerpt over 40 bytes cut as `excerpt` cuts it."""
     if quiet:
         return
     path = report["file"]

@@ -155,7 +155,7 @@ class TokenColumns:
         else:
             tape = self._walk.tape
             scopes, texts = self._walk.scopes[:-1], tape.pieces
-            size = len if tape.ascii else lambda text: len(text.encode())
+            size = tape.size
             at = offset = 0  # a string of the tape's texts, and its offset
 
             def span(first: int, last: int) -> Span:

@@ -206,17 +206,17 @@ def _action_fields(block: str) -> tuple[str, ...]:
 
 
 # A model's formulas are nodes built from the tape when a field holding
-# them is first read, and an action's parameters are built then too
-# (``_parameters``), so a reader of the declarations alone builds neither.
+# them is first read, and an action's parameters (``_parameters``) and span
+# are built then too, so a reader of the declarations alone builds none.
 class ActionDecl(Record):
     __slots__ = _action_fields(":action")
-    _deferred = __slots__[1:-1]  # between the name and the span
+    _deferred = __slots__[1:]  # all but the name
     _required = 2
 
 
 class DurativeActionDecl(Record):
     __slots__ = _action_fields(":durative-action")
-    _deferred = __slots__[1:-1]
+    _deferred = __slots__[1:]
     _required = 2
 
 
@@ -407,10 +407,11 @@ class _Walk:
     Given a ``model``, a ``PddlDomain`` or a ``PddlProblem``, the walk fills
     it from a define form read as that kind, with the findings in
     ``diagnostics``; it keeps each formula as a `Deferred` call of
-    `Tape.node`, and an action's parameters as one of ``_parameters`` on
-    ``recorder``, one walk for them all: not this one, which the model would
-    then hold in a cycle. ``inits``, ``derived`` and ``goal`` hold the
-    lexemes of the :init and :derived blocks and of the goal read so far."""
+    `Tape.node`, an action's span as one of `Tape.span` (``record_action``)
+    and its parameters as one of ``_parameters`` on ``recorder``, one walk
+    for them all: not this one, which the model would then hold in a cycle.
+    ``inits``, ``derived`` and ``goal`` hold the lexemes of the :init and
+    :derived blocks and of the goal read so far."""
 
     def __init__(self, tape: Tape,
                  model: Union[PddlDomain, PddlProblem, None] = None) -> None:
@@ -777,15 +778,22 @@ class _Walk:
         name, or a ``FunctionDecl`` per declaration, each read now. A
         compound type, such as (either a b), is kept as its text so nothing
         is lost."""
+        if not run:
+            return []
         tape, pieces = self.tape, self.pieces
-        type_span = None if type_at is None else tape.span(type_at)
         type_name = None if type_at is None else tape.source(type_at)
         if items is not None:
-            # The spans of atoms, and the entry's own constructor, at C speed.
-            at, type_name = tape.bounds(), type_name or DEFAULT_TYPE
+            # The spans of the atoms and of the type, summed on from the
+            # first's offset, and the entry's own constructor, at C speed.
+            first, type_name = 2 * run[0] + 1, type_name or DEFAULT_TYPE
+            at = list(accumulate(map(tape.size, tape.texts[first:2 * (
+                run[-1] if type_at is None else self.last[type_at]) + 2]),
+                initial=tape.offset(first)))
+            type_span = None if type_at is None else Span._make(
+                (at[2 * type_at + 1 - first], at[-1]))
             return [tuple.__new__(TypedEntry, (
-                pieces[item], type_name,
-                Span._make(at[2 * item + 1:2 * item + 3]), type_span))
+                pieces[item], type_name, Span._make(
+                    at[2 * item + 1 - first:2 * item + 3 - first]), type_span))
                 for item in run]
         return [FunctionDecl(*signature, type_name or "number",
                              tape.source(raw), span=tape.span(raw))
@@ -883,71 +891,40 @@ class _Walk:
     def action_block(self, k: int, head: int) -> None:
         """(:action NAME key value...) or (:durative-action ...), keyed by
         ``ACTION_KEYS``. A key in the name's place stays Unscoped: the
-        action has no name. A model gets the action, which has each key's
-        value, or the last one's, and ``None`` for a key with none; a
-        misplaced list or an unknown key, with its value, is reported.
-        Without a model, a closed plain action (``_PLAIN_ACTION``) well
-        inside the depth limit is scoped at C speed by its lexemes'
-        classes, as ``flat_list`` scopes a list."""
+        action has no name. A misplaced list stays Unscoped, and the value
+        after an unknown key is read in the hinted context. A closed plain
+        action (``_PLAIN_ACTION``) well inside the depth limit is scoped at
+        C speed by its lexemes' classes, as ``flat_list`` scopes a list."""
         pieces, close = self.pieces, self.last[k]
-        if self.model is None and close < self.eof \
-                and self.depth < _MAX_GRAMMAR_DEPTH - 5:
+        if close < self.eof and self.depth < _MAX_GRAMMAR_DEPTH - 5:
             classes = "".join(map(self.action_classes.__getitem__,
                                   pieces[k:close + 1]))
             if _PLAIN_ACTION.fullmatch(classes):
                 self.scopes[k:close + 1] = map(_ACTION_SCOPES.__getitem__,
                                                classes.replace("-n", "-t"))
                 return
-        block = pieces[head].lower()
-        keys = ACTION_KEYS[block]
+        keys = ACTION_KEYS[pieces[head].lower()]
         name = self.first(head + 1, k)
         if name is not None and (pieces[name] == "("
                                  or pieces[name].lower() in keys):
             name = None
-        what = block[1:].replace("-", " ")
         key_scope = _UNSCOPED
         context: Optional[GrammarMethod] = None
-        attr = action = None
-        if self.model is not None:
-            durative = block == ":durative-action"
-            action = (DurativeActionDecl if durative else ActionDecl)(
-                None if name is None else pieces[name], TypedList(),
-                span=self.tape.span(k))
-            (self.model.durative_actions if durative
-             else self.model.actions).append(action)
-        if name is None:
-            self.warn(k, f"{what} has no name", "missing-action-name")
 
         def value(self: _Walk, j: int) -> None:
-            nonlocal context, key_scope, attr
+            nonlocal context, key_scope
             piece = pieces[j]
             if j == name:
                 self.name(j)
             elif context is not None:
-                if action is None:
-                    # () is a whole value's <emptyOr> (PDDL 3.1), read
-                    # lexically.
-                    empty = piece == "(" and self.first(j + 1, j) is None
-                    (_Walk.lexical if empty else context)(self, j)
-                elif attr == "parameters":
-                    if (parameters := self.parameters(j)) is not None:
-                        action.parameters = parameters
-                elif attr is not None:
-                    setattr(action, attr, Deferred(self.tape.node, j))
+                # () is a whole value's <emptyOr> (PDDL 3.1), read lexically.
+                empty = piece == "(" and self.first(j + 1, j) is None
+                (_Walk.lexical if empty else context)(self, j)
                 context = None
-            elif piece == "(":
-                self.warn(j, f"unrecognized entry '(...)' in {what}",
-                          "unknown-action-key")
             elif (key := piece.lower()) in keys:
                 self.scopes[j] = key_scope
-                attr, context = keys[key][0], self.ACTION_VALUES[keys[key][1]]
-                if action is not None and attr != "parameters":
-                    setattr(action, attr, None)
-            else:
-                attr = None
-                self.warn(j, "unrecognized entry "
-                          f"{excerpt(repr(piece))} in {what}",
-                          "unknown-action-key")
+                context = self.ACTION_VALUES[keys[key][1]]
+            elif piece != "(":
                 # Read the value as that of the hinted key if this kind of
                 # action has it, so a durative one gets the timed context.
                 hint = _ACTION_KEY_HINTS.get(key.strip(":"))
@@ -958,12 +935,50 @@ class _Walk:
 
         self.each(k, head, _KEYWORD, value)
 
+    def record_action(self, k: int) -> None:
+        """The model's record of the action at k, in one pass over its
+        values: each key's value (the last one's), None for a key with none,
+        deferred, as is the span; a missing name, a misplaced list and an
+        unknown key, whose value is skipped, are reported."""
+        pieces, (head, *values) = self.pieces, self.values(k)
+        block = pieces[head].lower()
+        keys, what = ACTION_KEYS[block], block[1:].replace("-", " ")
+        first = pieces[values[0]] if values else "("
+        name = None if first == "(" or first.lower() in keys else first
+        durative = block == ":durative-action"
+        action = (DurativeActionDecl if durative else ActionDecl)(
+            name, TypedList(), span=Deferred(self.tape.span, k))
+        (self.model.durative_actions if durative
+         else self.model.actions).append(action)
+        if name is None:
+            self.warn(k, f"{what} has no name", "missing-action-name")
+        attr, due = None, False  # the last key's attribute, its value due
+        for j in values[name is not None:]:
+            piece = pieces[j]
+            if due:
+                if attr == "parameters":
+                    if (parameters := self.parameters(j)) is not None:
+                        action.parameters = parameters
+                elif attr is not None:
+                    setattr(action, attr, Deferred(self.tape.node, j))
+                due = False
+            elif (key := piece.lower()) in keys:
+                attr, due = keys[key][0], True
+                if attr != "parameters":
+                    setattr(action, attr, None)
+            else:  # a misplaced list, or an unknown key with its value
+                attr, due = None, piece != "("
+                shown = "'(...)'" if piece == "(" else excerpt(repr(piece))
+                self.warn(j, f"unrecognized entry {shown} in {what}",
+                          "unknown-action-key")
+
     def block(self, k: int) -> None:
         """A block of the define form's kind. A model reports a stray atom,
         an unknown block or a repeat of one that may appear once. It keeps
         the values of :init, :goal, :metric, :derived, :domain and a
         domain's :requirements unscoped, formulas as nodes and atoms as
-        text, skips :constraints, and reads any other block by the walk."""
+        text, records actions, skips :constraints, and reads any other block
+        by the walk."""
         model, pieces = self.model, self.pieces
         if model is None:
             self.formula(k, self.blocks, ground=None)
@@ -1002,6 +1017,8 @@ class _Walk:
         elif key == ":derived":
             self.derived.append(k)
             model.derived = Deferred(list, map(self.tape.node, self.derived[:]))
+        elif key in ACTION_KEYS:
+            self.record_action(k)
         elif key != ":constraints":
             self.formula(k, self.blocks, ground=None)
 

@@ -108,9 +108,13 @@ def finding(span: Optional[Span], message: str, code: str) -> ParseDiagnostic:
 
 def excerpt(text: str) -> str:
     """``text`` as a message or a report line shows it: whole up to 40
-    characters, else its first 37 and '...'. A message quotes source as
-    ``excerpt(repr(text))``, so no input makes it long."""
-    return text if len(text) <= 40 else text[:37] + "..."
+    UTF-8 bytes, else the characters of its first 37 bytes and '...'. A
+    message quotes source as ``excerpt(repr(text))``, so no input makes it
+    long."""
+    data = text.encode()
+    if len(data) <= 40:
+        return text
+    return data[:37].decode(errors="ignore") + "..."
 
 
 class Record:
@@ -385,15 +389,18 @@ class Tape:
     last lexeme, ``end``, is the empty one after the trailing whitespace.
     The value at lexeme k runs to lexeme ``last[k]``: k itself, or for a '('
     its ')', or ``end`` if it is never closed. ``diagnostics`` are those of
-    `parse_sexpr`."""
+    `parse_sexpr`. ``size`` gives a string's bytes, summed into offsets only
+    on read (`offset`), as rowan's tree keeps lengths, not offsets."""
 
-    __slots__ = ("text", "ascii", "texts", "pieces", "last", "end",
-                 "diagnostics", "_bounds")
+    STRIDE = 64  # the strings between two entries of the offset index
+    __slots__ = ("text", "ascii", "size", "texts", "pieces", "last", "end",
+                 "diagnostics", "_index")
 
     def __init__(self, text: str) -> None:
         with gc_paused():
             self.text, self.ascii = text, text.isascii()
-            self._bounds: Optional[list[int]] = None
+            self.size = len if self.ascii else lambda t: len(t.encode())
+            self._index: Optional[list[int]] = None
             self.texts = texts = lexemes(text)
             texts.append("")  # the end
             self.pieces = pieces = texts[1::2]
@@ -414,17 +421,20 @@ class Tape:
         self.diagnostics = [finding(self.span(k), "unmatched ')'",
                                     "stray-closer") for k in strays]
         for k in reversed(opens):
-            at = self.bounds()[2 * k + 1]
+            at = self.offset(2 * k + 1)
             self.diagnostics.append(finding(
                 Span(at, at + 1), "'(' is never closed", "unclosed-list"))
 
-    def bounds(self) -> list[int]:
-        """The byte offset of each string of ``texts``, and of the end of
-        the text, made on first use: lexeme k spans entries 2k + 1 to 2k + 2."""
-        if self._bounds is None:
-            texts = self.texts if self.ascii else map(str.encode, self.texts)
-            self._bounds = list(accumulate(map(len, texts), initial=0))
-        return self._bounds
+    def offset(self, i: int) -> int:
+        """The byte offset of string i of ``texts`` (i = ``len(texts)``: the
+        end): that of the indexed string at or before it, one a ``STRIDE``,
+        indexed on first use, plus the bytes between, at most a stride's."""
+        texts, base, stride = self.texts, i - i % self.STRIDE, self.STRIDE
+        if self._index is None:
+            self._index = list(accumulate(
+                (self.size("".join(texts[j:j + stride]))
+                 for j in range(0, len(texts), stride)), initial=0))
+        return self._index[base // stride] + self.size("".join(texts[base:i]))
 
     def comments(self) -> list[int]:
         """The lexeme of each comment: every ';' outside a comment starts
@@ -435,9 +445,11 @@ class Tape:
         return found[1:]
 
     def span(self, k: int) -> Span:
-        """The byte span of the value at lexeme k."""
-        at = self.bounds()
-        return Span._make((at[2 * k + 1], at[2 * self.last[k] + 2]))
+        """The byte span of the value at lexeme k: it ends after the bytes
+        of its own strings, or for a long value, at the offset of its end."""
+        start, last = self.offset(2 * k + 1), self.last[k]
+        return Span._make((start, start + self.size(self.source(k)) if last - k
+                           < self.STRIDE // 2 else self.offset(2 * last + 2)))
 
     def source(self, k: int) -> str:
         """The text of the value at lexeme k, without its lead."""
@@ -451,7 +463,7 @@ class Tape:
             texts.append("")  # a ')': no trailing whitespace
         else:
             texts.pop()  # the end, whose lead is the trailing whitespace
-        return _forest(texts, self.bounds()[2 * k], self.ascii)[0][0]
+        return _forest(texts, self.offset(2 * k), self.ascii)[0][0]
 
 
 class Document:

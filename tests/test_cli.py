@@ -97,7 +97,8 @@ def test_check_json_output(runner):
 def _check_text(report: dict) -> tuple[str, str]:
     """The stderr and stdout that ``check`` prints for one ``--json check``
     report: a line per diagnostic, a line per invalid region with its text
-    cut to 37 characters and '...' if longer than 40, then the summary."""
+    cut to the whole characters of its first 37 UTF-8 bytes and '...' if
+    longer than 40 bytes, then the summary."""
     path = report["file"]
     err = "".join(f"{path}:{d['line']}:{d['col']}: {d['severity']}: "
                   f"{d['message']} [{d['code']}]\n"
@@ -105,8 +106,11 @@ def _check_text(report: dict) -> tuple[str, str]:
     out = ""
     for region in report["invalid_regions"]:
         excerpt = region["text"]
-        if len(excerpt) > 40:
-            excerpt = excerpt[:37] + "..."
+        if len(excerpt.encode("utf-8")) > 40:
+            excerpt = excerpt[:37]
+            while len(excerpt.encode("utf-8")) > 37:
+                excerpt = excerpt[:-1]
+            excerpt += "..."
         out += f"{path}:{region['line']}:{region['col']}: invalid: {excerpt}\n"
     errors = sum(d["severity"] == "error" for d in report["diagnostics"])
     out += (f"{path}: {errors} errors, "

@@ -6,10 +6,12 @@ import copy
 import gc
 import json
 import pickle
+import random
+import re
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mypddl import model as pddl_model
@@ -526,6 +528,57 @@ def test_the_tape_holds_what_the_forest_holds(text, bom):
         [n for n in forest if n.kind is not NodeKind.WHITESPACE])
 
 
+# A lexeme of the bytes: a comment, a parenthesis or an atom.
+_BYTE_LEXEME = re.compile(rb";[^\n]*|[()]|[^ \t\r\n\f\v();]+")
+
+
+def _byte_spans(data: bytes) -> tuple[list[tuple[int, int]], set[int]]:
+    """The byte span of the value at each lexeme but the end, found from
+    the bytes alone, and the lexemes that are ')' closing a list: a leading
+    byte order mark is a lexeme, and a '(' runs to its ')', or to the end
+    of the data if it has none."""
+    bom = 3 if data.startswith(b"\xef\xbb\xbf") else 0
+    spans, opens, closers = [(0, bom)] if bom else [], [], set()
+    for match in _BYTE_LEXEME.finditer(data, bom):
+        if match.group() == b"(":
+            opens.append(len(spans))
+        elif match.group() == b")" and opens:
+            opened = opens.pop()
+            spans[opened] = (spans[opened][0], match.end())
+            closers.add(len(spans))
+        spans.append(match.span())
+    for opened in opens:
+        spans[opened] = (spans[opened][0], len(data))
+    return spans, closers
+
+
+@given(text=st.lists(_LEXEMES, max_size=8).map("".join), bom=st.booleans(),
+       order=st.randoms())
+@example(text="(d ; \u00e9\r\n" + "(caf\u00e9 ?x) " * 40 + ")) (\u20ac",
+         bom=True, order=random.Random(0))
+@settings(max_examples=200, deadline=None)
+def test_byte_spans_are_exact_in_any_order(text, bom, order):
+    """The span of the value at every lexeme, and the offsets of every node
+    of the node built there, are the byte offsets that a scan of the bytes
+    finds, whether they are asked for in order, in reverse or shuffled: each
+    order asks a new tape, whose offset index its first request builds."""
+    if bom:
+        text = "\ufeff" + text
+    doc = as_document(text)
+    spans, closers = _byte_spans(doc.data)
+    lexemes = list(range(len(spans)))
+    shuffled = order.sample(lexemes, len(lexemes))
+    for asked in (lexemes, lexemes[::-1], shuffled):
+        tape = sexpr.Tape(doc.text)
+        assert tape.end == len(spans)
+        for k in asked:
+            assert tape.span(k) == spans[k]
+            last = min(tape.last[k], tape.end - 1)
+            assert [(node.start, node.end) for node in tape.node(k).walk()] \
+                == [spans[j] for j in range(k, last + 1)
+                    if j == k or j not in closers]
+
+
 def _live_nodes() -> int:
     return sum(1 for obj in gc.get_objects() if type(obj) is SExprNode)
 
@@ -696,6 +749,48 @@ def test_the_diagram_builds_no_action_parameters(tmp_path, monkeypatch):
     actions = domains[0].actions
     assert len(actions) == 400 and walked == []
     assert actions[0].parameters.entries and len(walked) == 1
+
+
+class _CountedStrings(list):
+    """A tape's strings, counting the strings that its slices copy."""
+
+    def __init__(self, strings: list[str]) -> None:
+        super().__init__(strings)
+        self.copied = 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            self.copied += len(range(*index.indices(len(self))))
+        return super().__getitem__(index)
+
+
+def test_reads_in_any_order_sum_only_near_the_value_read():
+    """Every deferred field of the seed-1 broken-domain domain's actions,
+    read in a shuffled order, copies no more of the tape's strings than the
+    value's own and one stride per run of typed items ('-' ends a run), so
+    no read sums the bytes of the text before it."""
+    doc = Document(benchmark_inputs("broken-domain", 1).domain.text)
+    domain = parse_domain(doc)[0]
+    tape = doc.tape
+    tape.offset(len(tape.texts))  # the offset index, built once
+    tape.texts = strings = _CountedStrings(tape.texts)
+    reads = [(action, field) for action in domain.actions
+             for field in type(action)._deferred]
+    random.Random(31).shuffle(reads)
+    deferred = 0
+    for action, field in reads:
+        slot = vars(type(action))[field].fget.args[0]
+        value = slot.__get__(action)
+        if type(value) is not sexpr.Deferred:
+            continue
+        deferred += 1
+        k = value.args[-1]
+        runs = 1 + tape.pieces[k:tape.last[k] + 1].count("-")
+        before = strings.copied
+        getattr(action, field)
+        assert strings.copied - before \
+            <= 2 * (tape.last[k] - k) + 2 + runs * sexpr.Tape.STRIDE
+    assert deferred >= 3 * len(domain.actions) == 1200
 
 
 def test_the_actions_of_a_model_share_one_recording_walk(monkeypatch):

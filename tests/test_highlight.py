@@ -580,21 +580,28 @@ def test_check_builds_no_token_columns(tmp_path, monkeypatch):
     assert built == []
 
 
-@pytest.mark.parametrize("argv, status", [
-    (["check"], 1), (["tokens", "--format", "html"], 0)])
-def test_regions_are_summed_without_the_tapes_bounds(
-        tmp_path, monkeypatch, argv, status):
-    """A walk's regions take their offsets from the bytes between one and
-    the next: on the seed-1 broken-domain domain, which has regions,
-    ``check`` and ``tokens --format html`` build no table of the offset of
-    every string of the tape (``Tape.bounds``)."""
-    summed = []
-    monkeypatch.setattr(Tape, "bounds", lambda tape: summed.append(tape))
+@pytest.mark.parametrize("argv, status, shown", [
+    (["check"], 1, "invalid"), (["tokens", "--format", "html"], 0, "invalid"),
+    (["diagram", "--no-render"], 0, "[unknown-action-key]")])
+def test_no_command_sums_an_offset_for_every_tape_string(
+        tmp_path, monkeypatch, argv, status, shown):
+    """Byte offsets are summed only near what is reported: on the seed-1
+    broken-domain domain, which has regions and findings, ``check``,
+    ``tokens --format html`` and ``diagram --no-render`` ask the tape for
+    the offsets of fewer than one string in ten (``Tape.offset``), and its
+    index holds one offset per stride, not one per string."""
+    asked = []
+    offset = Tape.offset
+    monkeypatch.setattr(Tape, "offset", lambda tape, i: asked.append(
+        tape) or offset(tape, i))
     path = tmp_path / "d.pddl"
     path.write_bytes(benchmark_inputs("broken-domain", 1).domain.text)
-    result = CliRunner().invoke(main, [*argv, str(path)])
-    assert result.exit_code == status and "invalid" in result.output
-    assert summed == []
+    out = ["--out", str(tmp_path)] if argv[0] == "diagram" else []
+    result = CliRunner().invoke(main, [*argv, str(path), *out])
+    assert result.exit_code == status and shown in result.output
+    for tape in set(asked):
+        assert asked.count(tape) < len(tape.texts) / 10
+        assert len(tape._index) <= len(tape.texts) // Tape.STRIDE + 2
 
 
 @pytest.mark.parametrize("name", ["coffee.pddl", "logistics.pddl"])

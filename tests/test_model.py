@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from mypddl.distance import extract_locations
 from mypddl.model import (
+    PddlDomain,
     TypedEntry,
+    TypedList,
     parse_domain,
     parse_problem,
     parse_typed_list,
@@ -17,6 +19,7 @@ from mypddl.sexpr import (
     Severity,
     SExprNode,
     Span,
+    excerpt,
     parse_sexpr,
     serialize_node,
 )
@@ -280,9 +283,9 @@ _NAME_TEXT = st.text("abcxyz019-_", min_size=30, max_size=300).map(
 @given(_atom_text("ab?-:.%\"\\\x01\x7féß"), _NAME_TEXT, st.integers(0, 300))
 @settings(max_examples=60, deadline=None)
 def test_no_message_exceeds_200_bytes(x, t, depth):
-    """Each quote is cut to 40 characters, so that no message grows with
-    its input; with quoted text of 1- and 2-byte characters, a message
-    holding two quotes stays within 200 bytes."""
+    """Each quote is cut to 40 bytes, so that no message grows with its
+    input; with quoted text of 1- and 2-byte characters, a message holding
+    two quotes stays within 200 bytes."""
     for message in _messages(x, t, depth):
         assert len(message.encode("utf-8")) <= 200, message
 
@@ -290,10 +293,47 @@ def test_no_message_exceeds_200_bytes(x, t, depth):
 @given(_atom_text("a中😀\U000e0001\U0010fffd\x00"), _NAME_TEXT)
 @settings(max_examples=30, deadline=None)
 def test_no_message_exceeds_200_characters(x, t):
-    """The cut counts characters of the quote as it is shown, escapes
-    included: a quote is at most 40 characters whatever the text."""
+    """The cut counts bytes of the quote as it is shown, escapes included,
+    so a quote is at most 40 characters whatever the text."""
     for message in _messages(x, t, 3):
         assert len(message) <= 200, message
+
+
+# Characters of 1, 2, 3 and 4 UTF-8 bytes, each of which a quote shows as
+# itself.
+_WIDE_TEXT = st.text("a\u00e9\u4e2d\U0001f600\U00010348", min_size=30,
+                     max_size=300)
+
+
+@given(_WIDE_TEXT)
+@settings(max_examples=30, deadline=None)
+def test_no_message_quoting_wide_characters_exceeds_200_bytes(x):
+    """A quote is cut to 40 UTF-8 bytes, on a character boundary, so a
+    message that quotes texts of characters of up to 4 bytes each stays
+    within 200 bytes."""
+    long_type = "t" * 100
+    domain = parse_domain(
+        f"(define (domain d) (:action a {x} (p))"
+        f" (:predicates ({x} ?v - {long_type})))")
+    problem = (f"(define (problem p) (:domain d) (:init (location {x} {x})"
+               f" (location {x} 1) (location {x}b 1 2)))")
+    parents = PddlDomain(types=TypedList([TypedEntry(x, "a"),
+                                          TypedEntry(x, "b")]))
+    messages = {d.code: d.message for d in [
+        *domain[1], *build_type_graph(domain[0])[1],
+        *extract_locations(problem)[1], *build_type_graph(parents)[1]]}
+    codes = ["unknown-action-key", "undeclared-type", "bad-coordinate",
+             "mixed-dimensions", "multi-parent"]
+    for code in codes:
+        assert len(messages[code].encode("utf-8")) <= 200, messages[code]
+    assert "\ufffd" not in "".join(messages.values())
+
+
+def test_a_quote_is_cut_between_characters():
+    assert excerpt("\U0001f600" * 10) == "\U0001f600" * 10
+    assert excerpt("\U0001f600" * 11) == "\U0001f600" * 9 + "..."
+    assert excerpt("a" * 40) == "a" * 40
+    assert excerpt("\u00e9" * 21) == "\u00e9" * 18 + "..."
 
 
 def test_a_short_quote_is_whole_and_a_long_one_is_cut():
