@@ -378,6 +378,10 @@ def _forest(texts: list[str], offset: int, ascii_only: bool,
     return levels[0], diagnostics
 
 
+def _utf8_len(text: str) -> int:
+    return len(text.encode())
+
+
 class Tape:
     """The lexemes of a text and where each list ends, which the scope walk
     and the model read instead of a tree, as simdjson's tape records where
@@ -389,8 +393,7 @@ class Tape:
     last lexeme, ``end``, is the empty one after the trailing whitespace.
     The value at lexeme k runs to lexeme ``last[k]``: k itself, or for a '('
     its ')', or ``end`` if it is never closed. ``diagnostics`` are those of
-    `parse_sexpr`. ``size`` gives a string's bytes, summed into offsets only
-    on read (`offset`), as rowan's tree keeps lengths, not offsets."""
+    `parse_sexpr`. ``size`` is a string's bytes, summed on read (`offset`)."""
 
     STRIDE = 64  # the strings between two entries of the offset index
     __slots__ = ("text", "ascii", "size", "texts", "pieces", "last", "end",
@@ -399,7 +402,7 @@ class Tape:
     def __init__(self, text: str) -> None:
         with gc_paused():
             self.text, self.ascii = text, text.isascii()
-            self.size = len if self.ascii else lambda t: len(t.encode())
+            self.size = len if self.ascii else _utf8_len
             self._index: Optional[list[int]] = None
             self.texts = texts = lexemes(text)
             texts.append("")  # the end

@@ -579,6 +579,16 @@ def test_byte_spans_are_exact_in_any_order(text, bom, order):
                     if j == k or j not in closers]
 
 
+@pytest.mark.parametrize("text", ["(a b)", "(caf\u00e9 \u20ac)"])
+def test_a_read_tape_pickles(text):
+    """A tape whose offsets were read, of ASCII or other text, pickles
+    with its document, and the copy gives the same spans."""
+    doc = as_document(text)
+    spans = [doc.tape.span(k) for k in range(doc.tape.end)]
+    copy = pickle.loads(pickle.dumps(doc))
+    assert [copy.tape.span(k) for k in range(copy.tape.end)] == spans
+
+
 def _live_nodes() -> int:
     return sum(1 for obj in gc.get_objects() if type(obj) is SExprNode)
 
