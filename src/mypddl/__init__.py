@@ -19,7 +19,7 @@ _EXPORTS = {
               "SExprNode", "Severity", "Span", "parse_sexpr", "serialize",
               "find_blocks"),
     "model": ("PddlDomain", "PddlProblem", "Scope", "parse_domain",
-              "parse_problem", "parse_typed_list"),
+              "parse_problem"),
     "highlight": ("Token", "tokenize", "invalid_regions",
                   "emit_tokens_json", "iter_tokens_json", "render_html"),
     "typegraph": ("TypeGraph", "build_type_graph", "emit_dot",

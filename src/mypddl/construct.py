@@ -48,7 +48,7 @@ def _in_comment(text: str, at: int) -> bool:
 
 def _heads(text: str, keyword: str, pos: int = 0) -> Iterator[int]:
     """The offset of the '(' of each list from ``pos`` on whose head is
-    ``keyword`` by ``.lower()``, as for ``iter_blocks``, in document order."""
+    ``keyword`` by ``.lower()``, as for ``find_blocks``, in document order."""
     wanted = keyword.lower()
     # Ignoring case matches each character c as c.lower() does, except 'İ',
     # whose lower case is two characters; the match is then a whole atom.

@@ -33,7 +33,6 @@ from .sexpr import (
     excerpt,
     finding,
     gc_paused,
-    serialize_node,
 )
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
@@ -118,6 +117,8 @@ TIMED_CONDITION_RULES = {
 # action's effect, changes by a rate (``_Walk.fexp_t``).
 TIMED_EFFECT_RULES = {
     **EFFECT_RULES, "and": ("timed-effect",), "at": ("start-or-end", "effect"),
+    "when": ("timed-condition", "timed-effect"),
+    "forall": ("parameters", "timed-effect"),
     **dict.fromkeys(("increase", "decrease"), ("fexp", "fexp-t")),
 }
 # PDDL3 constraints (Gerevini and Long, 2005), in :constraints and in the
@@ -205,9 +206,8 @@ def _action_fields(block: str) -> tuple[str, ...]:
     return ("name", *(attr for attr, _ in ACTION_KEYS[block].values()), "span")
 
 
-# A model's formulas are nodes built from the tape when a field holding
-# them is first read, and an action's parameters (``_parameters``) and span
-# are built then too, so a reader of the declarations alone builds none.
+# A model's formulas, an action's parameters (``_parameters``) and its span
+# are built from the tape on first read: a reader of declarations builds none.
 class ActionDecl(Record):
     __slots__ = _action_fields(":action")
     _deferred = __slots__[1:]  # all but the name
@@ -351,8 +351,9 @@ _ACTION_CLASSES = {"(": "(", ")": ")", ":action": "A", **_ACTION_KEY_CLASSES,
                        ("condition",), ("effect",)) else "x"
                       for key in CONDITION_RULES.keys() | EFFECT_RULES.keys()}}
 _LITERAL = r"(?:\(n[nv]*\)|\(!\(n[nv]*\)\))"
-_PLAIN_VALUES = {"parameters": r"\((?=v)(?:v+-n)*v*\)", **dict.fromkeys(
-    ("condition", "effect"), rf"(?:\(&{_LITERAL}*\)|{_LITERAL})")}
+_PLAIN_VALUES = {"parameters": rf"\((?=v){_FLAT_LISTS[_VARIABLE].pattern}\)",
+                 **dict.fromkeys(("condition", "effect"),
+                                 rf"(?:\(&{_LITERAL}*\)|{_LITERAL})")}
 _PLAIN_ACTION = re.compile(r"\(An" + "".join(
     f"(?:{_ACTION_KEY_CLASSES[key]}{_PLAIN_VALUES[context]})?"
     for key, (_, context) in ACTION_KEYS[":action"].items()) + r"\)")
@@ -408,8 +409,8 @@ class _Walk:
     it from a define form read as that kind, with the findings in
     ``diagnostics``; it keeps each formula as a `Deferred` call of
     `Tape.node`, an action's span as one of `Tape.span` (``record_action``)
-    and its parameters as one of ``_parameters`` on ``recorder``, one walk
-    for them all: not this one, which the model would then hold in a cycle.
+    and its parameters as one of ``_parameters`` on ``recorder``, a silent
+    walk for them all, not this one, which the model would hold in a cycle.
     ``inits``, ``derived`` and ``goal`` hold the lexemes of the :init and
     :derived blocks and of the goal read so far."""
 
@@ -865,7 +866,7 @@ class _Walk:
         self.typed_list(k, None, _VARIABLE, record=False)
         if self.model is None:
             return None
-        self.recorder = self.recorder or _Walk(self.tape, PddlDomain())
+        self.recorder = self.recorder or _Recorder(self.tape, PddlDomain())
         return Deferred(_parameters, self.recorder, k)
 
     def declaration(self, k: int, what: str = "predicate",
@@ -1090,6 +1091,13 @@ class _Walk:
     FORMS = {"define": define_form}
 
 
+class _Recorder(_Walk):
+    """The walk of ``_parameters``, silent: the model's walk has warned."""
+
+    def warn(self, k: int, message: str, code: str) -> None:
+        pass
+
+
 def _parameters(walk: _Walk, k: int) -> TypedList:
     """The parameters of an action, the list at lexeme k, as the recording
     walk ``walk`` reads them; their findings went to the model read."""
@@ -1101,32 +1109,6 @@ def _facts(tape: Tape, blocks: Sequence[int]) -> list[SExprNode]:
     their values, each block's nodes built at once."""
     return [fact for k in blocks for fact in tape.node(k).values()[1:]
             if fact.kind is _LIST]
-
-
-def parse_typed_list(nodes: Sequence[SExprNode]) -> tuple[TypedList, list[ParseDiagnostic]]:
-    """Group ``a b - t c - u`` into typed entries, as the scope walk reads
-    a typed list of names. Each span is that of the node an entry or a
-    finding is about; a node built in code has none, so an entry's span
-    is None and a finding's is empty, at 0. Each node is read from its
-    text, so the elements of a list built in code need leads to be apart.
-
-    Names after the last '-' group default to "object"; a dangling '-' gets
-    a diagnostic and its preceding names fall back to the default as well.
-    """
-    # The walk reads the nodes' texts, one a line, and the span of each
-    # node is looked up by the offset of its text there.
-    texts = [serialize_node(node) for node in nodes]
-    starts = accumulate((len(t.encode("utf-8")) + 1 for t in texts),
-                        initial=0)
-    span = dict(zip(starts, (node.span for node in nodes))).get
-    walk = _Walk(Tape("\n".join(texts)), PddlDomain())
-    entries = [entry._replace(name_span=span(entry.name_span.start),
-                              type_span=entry.type_span
-                              and span(entry.type_span.start))
-               for entry in walk.typed_list(_TOP, None)]
-    return TypedList(entries), [
-        finding._replace(span=span(finding.span.start) or Span(0, 0))
-        for finding in walk.diagnostics]
 
 
 def _read(source: Union[str, Document], model: Model,

@@ -558,27 +558,19 @@ def serialize_node(node: SExprNode) -> str:
     return serialize([node])[len(node.lead):]
 
 
-def iter_blocks(forest: Sequence[SExprNode],
-                keyword: str) -> Iterator[SExprNode]:
-    """Each list node whose head atom equals ``keyword`` (case-insensitive),
-    in document order, nested matches included. Lazy, so a caller that
-    needs only the first match visits no more lists than it."""
-    wanted = keyword.lower()
-    lst, atom = NodeKind.LIST, NodeKind.ATOM
-    todo = [node for node in reversed(forest) if node[KIND] is lst]
+def find_blocks(forest: Sequence[SExprNode], keyword: str) -> list[SExprNode]:
+    """All list nodes whose head atom equals ``keyword`` (case-insensitive),
+    in document order, nested matches included; it visits lists alone."""
+    wanted, lst, atom = keyword.lower(), NodeKind.LIST, NodeKind.ATOM
+    found, todo = [], [node for node in reversed(forest) if node[KIND] is lst]
     while todo:
         node = todo.pop()
         if children := node[CHILDREN]:
             head = node.head() if children[0][IS_TRIVIA] else children[0]
             if head and head[KIND] is atom and head[TEXT].lower() == wanted:
-                yield node
+                found.append(node)
             todo += [c for c in reversed(children) if c[KIND] is lst]
-
-
-def find_blocks(forest: Sequence[SExprNode], keyword: str) -> list[SExprNode]:
-    """All list nodes whose head atom equals ``keyword`` (case-insensitive),
-    in document order, nested matches included."""
-    return list(iter_blocks(forest, keyword))
+    return found
 
 
 def line_starts(data: bytes) -> list[int]:

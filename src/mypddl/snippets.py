@@ -101,11 +101,10 @@ def _slot_variable(index: int) -> str:
 
 
 def _parametric_body(base: str, arity: int) -> str:
+    slots = " ".join(f"{_slot_variable(i)} - object" for i in range(arity))
     if base == "p":
-        slots = " ".join(f"{_slot_variable(i)} - object" for i in range(arity))
         return f"(pred-name {slots})"
     if base == "f":
-        slots = " ".join(f"{_slot_variable(i)} - object" for i in range(arity))
         return f"(func-name {slots}) - number"
     if base == "t":
         if arity == 1:

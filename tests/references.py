@@ -9,7 +9,6 @@ from mypddl.sexpr import (
     Document,
     Severity,
     find_blocks,
-    iter_blocks,
     serialize_node,
 )
 
@@ -26,7 +25,7 @@ def tree_insert(text: str, keyword: str, constructs) -> str:
     doc = Document(text.encode("utf-8"))
     if all(node.is_trivia for node in doc.forest):
         raise ConstructError("file contains no s-expressions")
-    block = next(iter_blocks(doc.forest, keyword), None)
+    block = next(iter(find_blocks(doc.forest, keyword)), None)
     if block is None:
         raise ConstructError(f"no block headed by {keyword!r} found")
     return append_to_block(doc, block, constructs)
@@ -35,7 +34,7 @@ def tree_insert(text: str, keyword: str, constructs) -> str:
 def tree_locations(doc, predicate):
     """The locations as read from the whole file's tree: each entry of the
     first (:init ...) block after its head."""
-    block = next(iter_blocks(doc.forest, ":init"), None)
+    block = next(iter(find_blocks(doc.forest, ":init")), None)
     return block, distance._locations(
         None if block is None else block.values()[1:], predicate)
 

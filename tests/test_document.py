@@ -819,3 +819,25 @@ def test_the_actions_of_a_model_share_one_recording_walk(monkeypatch):
     parameters = [action.parameters for action in domain.actions]
     assert len(parameters) == 400 and all(p.entries for p in parameters)
     assert len(walks) == 2 and walks[1] is walks[0].recorder
+
+
+def test_reading_parameters_asks_one_offset_and_reports_nothing(
+        monkeypatch):
+    """The walk that builds an action's parameters on first read reports
+    nothing, as the model's walk has reported their findings: reading
+    ``(?x k ?y - (t))``, whose ``k`` and ``(t)`` the model reports, asks the
+    tape for one offset, that of the run of entries."""
+    domain, diagnostics = parse_domain(
+        "(define (domain d)\n"
+        "  (:action a :parameters (?x k ?y - (t)) :effect (p ?x)))")
+    assert [d.code for d in diagnostics] == ["bad-typed-list-item",
+                                             "bad-type"]
+    [action] = domain.actions
+    deferred = vars(type(action))["parameters"].fget.args[0].__get__(action)
+    recorder = deferred.args[0]
+    asked, offset = [], sexpr.Tape.offset
+    monkeypatch.setattr(sexpr.Tape, "offset", lambda tape, i: asked.append(
+        i) or offset(tape, i))
+    assert [(e.name, e.type_name) for e in action.parameters.entries] == [
+        ("?x", "(t)"), ("?y", "(t)")]
+    assert len(asked) == 1 and recorder.diagnostics == []

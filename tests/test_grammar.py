@@ -548,6 +548,33 @@ def test_over_all_is_no_timed_effect(effect, tmp_path):
     assert "0 errors, 1 invalid regions" in result.output
 
 
+@pytest.mark.parametrize("effect, keywords, terms", [
+    ("(when (at start (p ?x)) (at end (q ?x)))",
+     ["when", "at", "start", "at", "end"], ["p", "?x", "q", "?x"]),
+    ("(forall (?y) (at end (q ?y)))", ["forall", "at", "end"],
+     ["?y", "q", "?y"]),
+], ids=["when", "forall"])
+def test_a_durative_when_or_forall_holds_timed_effects(effect, keywords,
+                                                      terms, tmp_path):
+    # PDDL 2.1: (when <da-GD> <timed-effect>) and (forall (...) <da-effect>),
+    # so the condition and the effects inside are timed.
+    text = ("(define (domain d) (:predicates (p ?x) (q ?x))\n"
+            "  (:durative-action a :parameters (?x) :duration (= ?duration 1)"
+            f"\n    :condition (at start (p ?x)) :effect {effect}))")
+    tokens = tokenize(text)
+    start = text.index(":effect") + len(":effect ")
+    inside = [t for t in tokens if t.span.start >= start]
+    assert [t.text for t in inside if t.scope is Scope.KEYWORD] == keywords
+    assert [t.text for t in inside
+            if t.scope in (Scope.NAME, Scope.VARIABLE)] == terms
+    assert invalid_regions(tokens) == []
+    path = tmp_path / "timed.pddl"
+    path.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["check", str(path)])
+    assert result.exit_code == 0, result.output
+    assert "0 errors, 0 invalid regions" in result.output
+
+
 # -- empty lists -----------------------------------------------------------------
 
 _ACTION = ("(define (domain d) (:predicates (p))\n"

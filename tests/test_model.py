@@ -12,15 +12,11 @@ from mypddl.model import (
     TypedList,
     parse_domain,
     parse_problem,
-    parse_typed_list,
 )
 from mypddl.sexpr import (
-    NodeKind,
     Severity,
-    SExprNode,
     Span,
     excerpt,
-    parse_sexpr,
     serialize_node,
 )
 from mypddl.typegraph import build_type_graph
@@ -29,8 +25,9 @@ from conftest import corpus_text
 
 
 def _typed_list_from(text):
-    forest, _ = parse_sexpr(text)
-    return parse_typed_list(forest)
+    """The :types of a domain that declares ``text``, and its findings."""
+    domain, diagnostics = parse_domain(f"(define (domain d) (:types {text}))")
+    return domain.types, diagnostics
 
 
 def test_store_domain():
@@ -128,29 +125,6 @@ def test_typed_list_either_flagged():
     typed, diagnostics = _typed_list_from("a - (either t u)")
     assert [d.code for d in diagnostics] == ["either-type"]
     assert typed.entries[0].name == "a"
-
-
-def test_a_typed_list_of_nodes_built_in_code_has_no_spans():
-    """Nodes built in code have no lead and no span: each is still one
-    value, each entry's span is None and a finding's is empty, at 0."""
-    atoms = [SExprNode(NodeKind.ATOM, text) for text in ("a", "-", "t", "b", "-")]
-    typed, diagnostics = parse_typed_list(atoms)
-    assert typed.entries == [TypedEntry("a", "t"), TypedEntry("b")]
-    assert [(d.code, d.span) for d in diagnostics] == [("dangling-dash", Span(0, 0))]
-
-
-def test_the_spans_of_a_typed_list_are_those_of_its_nodes():
-    """A list whose comment was taken out keeps the spans of its nodes,
-    after the gap too."""
-    forest, _ = parse_sexpr("a ; c\n - (either t u) b -")
-    nodes = [n for n in forest if n.kind is not NodeKind.COMMENT]
-    typed, diagnostics = parse_typed_list(nodes)
-    assert [(e.name, e.type_name, e.name_span, e.type_span)
-            for e in typed.entries] == [
-        ("a", "(either t u)", Span(0, 1), Span(9, 21)),
-        ("b", "object", Span(22, 23), None)]
-    assert [(d.code, d.span) for d in diagnostics] == [
-        ("either-type", Span(9, 21)), ("dangling-dash", Span(24, 25))]
 
 
 def test_duplicate_types_blocks_warn_but_merge():

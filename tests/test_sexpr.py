@@ -14,7 +14,6 @@ from mypddl.sexpr import (
     Span,
     find_blocks,
     gc_paused,
-    iter_blocks,
     offset_to_line_col,
     parse_sexpr,
     serialize,
@@ -258,24 +257,10 @@ def test_find_blocks_document_order_with_nesting():
     assert len(blocks) == 3
 
 
-@pytest.mark.parametrize("name", [
-    "splisus.pddl", "store.pddl", "logistics.pddl", "coffee.pddl",
-    "garys_huge_problem.pddl", "gary_pizza_problem.pddl",
-])
-@pytest.mark.parametrize("keyword", [":init", ":goal", ":action", ":INIT",
-                                     "and", ":nonexistent"])
-def test_first_of_iter_blocks_is_first_of_find_blocks(name, keyword):
-    forest, _ = parse_sexpr(corpus_text(name))
-    blocks = find_blocks(forest, keyword)
-    first = next(iter_blocks(forest, keyword), None)
-    assert first is (blocks[0] if blocks else None)
-    assert list(iter_blocks(forest, keyword)) == blocks
-
-
 @given(st.text(alphabet="() ;:xX\n", max_size=80))
 @example("( ;c\n:x (:X)) (;\n(:x ;\n))")
 @settings(max_examples=300)
-def test_iter_blocks_yields_what_a_walk_of_every_node_finds(text):
+def test_find_blocks_finds_what_a_walk_of_every_node_finds(text):
     # The lists-only walk against the reference: every node in document
     # order, the head being the first child that is not trivia.
     forest, _ = parse_sexpr(text)
@@ -283,7 +268,7 @@ def test_iter_blocks_yields_what_a_walk_of_every_node_finds(text):
                 if node.kind is NodeKind.LIST and node.head() is not None
                 and node.head().kind is NodeKind.ATOM
                 and node.head().text.lower() == ":x"]
-    assert list(iter_blocks(forest, ":X")) == expected
+    assert find_blocks(forest, ":X") == expected
 
 
 @pytest.mark.parametrize("text", [
