@@ -127,6 +127,21 @@ def test_typed_list_either_flagged():
     assert typed.entries[0].name == "a"
 
 
+def test_the_spans_of_a_typed_list_are_those_of_its_nodes():
+    """A list with a comment in it keeps the spans of its nodes, after the
+    comment too, at their offsets in the file."""
+    text = "(define (domain d) (:types a ; c\n - (either t u) b -))"
+    domain, diagnostics = parse_domain(text)
+    at = text.index("a ; c")
+    shift = lambda span: span and Span(span.start - at, span.end - at)
+    assert [(e.name, e.type_name, shift(e.name_span), shift(e.type_span))
+            for e in domain.types.entries] == [
+        ("a", "(either t u)", Span(0, 1), Span(9, 21)),
+        ("b", "object", Span(22, 23), None)]
+    assert [(d.code, shift(d.span)) for d in diagnostics] == [
+        ("either-type", Span(9, 21)), ("dangling-dash", Span(24, 25))]
+
+
 def test_duplicate_types_blocks_warn_but_merge():
     domain, diagnostics = parse_domain(
         "(define (domain d) (:types a - object) (:types b - object))")

@@ -257,18 +257,33 @@ def test_find_blocks_document_order_with_nesting():
     assert len(blocks) == 3
 
 
+def _walk_blocks(forest, keyword):
+    """The reference: every node in document order, the head being the
+    first child that is not trivia."""
+    return [node for top in forest for node in top.walk()
+            if node.kind is NodeKind.LIST and node.head() is not None
+            and node.head().kind is NodeKind.ATOM
+            and node.head().text.lower() == keyword.lower()]
+
+
+@pytest.mark.parametrize("name", [
+    "splisus.pddl", "store.pddl", "logistics.pddl", "coffee.pddl",
+    "garys_huge_problem.pddl", "gary_pizza_problem.pddl",
+])
+@pytest.mark.parametrize("keyword", [":init", ":goal", ":action", ":INIT",
+                                     "and", ":nonexistent"])
+def test_find_blocks_on_the_corpus_finds_what_a_walk_of_every_node_finds(
+        name, keyword):
+    forest, _ = parse_sexpr(corpus_text(name))
+    assert find_blocks(forest, keyword) == _walk_blocks(forest, keyword)
+
+
 @given(st.text(alphabet="() ;:xX\n", max_size=80))
 @example("( ;c\n:x (:X)) (;\n(:x ;\n))")
 @settings(max_examples=300)
 def test_find_blocks_finds_what_a_walk_of_every_node_finds(text):
-    # The lists-only walk against the reference: every node in document
-    # order, the head being the first child that is not trivia.
     forest, _ = parse_sexpr(text)
-    expected = [node for top in forest for node in top.walk()
-                if node.kind is NodeKind.LIST and node.head() is not None
-                and node.head().kind is NodeKind.ATOM
-                and node.head().text.lower() == ":x"]
-    assert find_blocks(forest, ":X") == expected
+    assert find_blocks(forest, ":X") == _walk_blocks(forest, ":x")
 
 
 @pytest.mark.parametrize("text", [
