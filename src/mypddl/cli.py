@@ -10,9 +10,10 @@ from __future__ import annotations
 import json
 import shutil
 import sys
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import click
 
@@ -60,6 +61,15 @@ def _print_report(report: dict, quiet: bool) -> None:
     for r in report["invalid_regions"]:
         click.echo(f"{path}:{r['line']}:{r['col']}: invalid: "
                    f"{excerpt(r['text'])}")
+
+
+def _write(pieces: Iterable[bytes]) -> None:
+    """Print bytes as they are: ``click.echo`` drops ANSI escape sequences,
+    which may be bytes of a file, when stdout is not a terminal."""
+    out = sys.stdout.buffer
+    for piece in pieces:
+        out.write(piece)
+    out.flush()
 
 
 # An input file that must exist; a directory is a usage error.
@@ -145,7 +155,7 @@ def snippet(ctx: click.Context, trigger: Optional[str], list_all: bool,
         return
     if trigger is None:
         raise click.UsageError("provide a trigger or use --list")
-    click.echo(snippets.expand(trigger, snippet_set))
+    _write([snippets.expand(trigger, snippet_set).encode("utf-8"), b"\n"])
 
 
 @main.command()
@@ -158,14 +168,8 @@ def snippet(ctx: click.Context, trigger: Optional[str], list_all: bool,
 def tokens(file: Path, output_format: str, fail_on_invalid: bool) -> None:
     """Print the scoped token stream of FILE."""
     columns = highlight.scope_columns(Document.read(file))
-    if output_format == "html":
-        click.echo(columns.render_html(title=file.name), nl=False)
-    else:
-        out = sys.stdout.buffer
-        for piece in columns.iter_json():
-            out.write(piece)
-        out.write(b"\n")
-        out.flush()
+    _write([columns.render_html(title=file.name).encode("utf-8")]
+           if output_format == "html" else chain(columns.iter_json(), [b"\n"]))
     if fail_on_invalid and columns.invalid_regions():
         sys.exit(1)
 
@@ -203,8 +207,8 @@ def diagram(ctx: click.Context, domain_file: Path, output_root: Path,
 @click.argument("keyword")
 def extract(file: Path, keyword: str) -> None:
     """Print every block of FILE headed by KEYWORD."""
-    for block in construct.read_construct(keyword, file):
-        click.echo(serialize_node(block))
+    _write(serialize_node(block).encode("utf-8") + b"\n"
+           for block in construct.read_construct(keyword, file))
 
 
 @main.command()
@@ -218,8 +222,8 @@ def insert(file: Path, keyword: str, construct_text: str,
     """Append CONSTRUCT to the first KEYWORD block of FILE."""
     nodes = construct.parse_constructs(construct_text)
     if to_stdout:
-        click.echo(construct.insert_construct(Document.read(file), keyword,
-                                              nodes), nl=False)
+        _write([construct.insert_construct(Document.read(file), keyword,
+                                           nodes).encode("utf-8")])
     else:
         construct.add_construct(file, keyword, nodes)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from decimal import ROUND_HALF_UP, Decimal
 from itertools import repeat
 from operator import add, mod
 from pathlib import Path
@@ -34,8 +33,6 @@ from .sexpr import (
 
 DEFAULT_PREDICATE = "location"
 DISTANCE_PREDICATE = "distance"
-
-_STEP = Decimal("0.0001")
 
 
 class DistanceError(MyPddlError):
@@ -154,10 +151,11 @@ def format_distance(value: float) -> str:
     The two rules differ only at an exact tie, where value * 10**4 ends in
     exactly .5; for a double that happens iff value is an odd multiple of
     1/32. Only ties take the ``Decimal`` path, and they are all below 2**48,
-    well inside its 28 digits.
+    well inside its 28 digits; ``decimal`` is imported on the first tie.
     """
     if (value * 32.0) % 2.0 == 1.0:
-        text = f"{Decimal(value).quantize(_STEP, rounding=ROUND_HALF_UP):f}"
+        from decimal import ROUND_HALF_UP, Decimal
+        text = f"{Decimal(value).quantize(Decimal('1e-4'), ROUND_HALF_UP):f}"
     elif math.isfinite(value):
         text = f"{value:.4f}"
     else:
@@ -166,12 +164,13 @@ def format_distance(value: float) -> str:
     return text + "0" if text[-1] == "." else text
 
 
-def _format_row(row: Sequence[float]) -> list[str]:
+def _format_row(row: Sequence[float], tieless: bool = False) -> list[str]:
     """``format_distance`` of each value, at C speed: one ``%`` formats the
     row, each text with four decimals and a ``)``, and three passes strip the
-    trailing zeros. A row that may hold an exact tie (an odd multiple k/32
-    leaves ``v % (1/16) == 1/32``) goes value by value instead."""
-    if 0.03125 in map(mod, row, repeat(0.0625)):
+    trailing zeros. A row that may hold an exact tie goes value by value
+    instead: an odd multiple k/32 leaves ``v % (1/16) == 1/32``, which a row
+    known to be ``tieless`` is not scanned for."""
+    if not tieless and 0.03125 in map(mod, row, repeat(0.0625)):
         return list(map(format_distance, row))
     text = ("%.4f)" * len(row)) % tuple(row)
     return text.replace("0)", ")").replace("0)", ")").replace("0)", ")") \
@@ -182,10 +181,12 @@ def _distance_rows(facts: Sequence[LocationFact]) -> Iterator[list[float]]:
     """For each fact in order, its distances to the facts after it, equal
     to ``euclidean``'s bit for bit on every Python: a row is computed by
     column, one list of squares per dimension, and each pair's squares are
-    added by the same builtin ``sum`` (compensated for floats from 3.12 on).
-    As ``(x-y)**2 == (y-x)**2`` exactly, d(b, a) is bitwise d(a, b), so each
-    pair is computed once. A distance too large for a double raises a
-    ``DistanceError`` naming both objects."""
+    added as the builtin ``sum`` adds them: by ``sum`` from 3-D on; by
+    ``+`` in 2-D, where the compensation of ``sum`` (3.12 on) is the exact
+    error of one add of non-negative terms and changes nothing; and a 1-D
+    square is its own sum. As ``(x-y)**2 == (y-x)**2`` exactly, d(b, a) is
+    bitwise d(a, b), so each pair is computed once. A distance too large for
+    a double raises a ``DistanceError`` naming both objects."""
     points = [f.coords for f in facts]
     for b in points:  # a dimension mismatch raises as in ``euclidean``
         if len(b) != len(points[0]):
@@ -195,7 +196,9 @@ def _distance_rows(facts: Sequence[LocationFact]) -> Iterator[list[float]]:
         try:
             squares = [[(x - y) ** 2 for y in column[i + 1:]]
                        for x, column in zip(a, columns)]
-            row = list(map(math.sqrt, map(sum, zip(*squares))))
+            sums = map(add, *squares) if len(a) == 2 else squares[0] \
+                if len(a) == 1 else map(sum, zip(*squares))
+            row = list(map(math.sqrt, sums))
         except OverflowError:
             row = [math.inf]
         if math.inf in row:
@@ -254,8 +257,13 @@ def _spliced(doc: Document, predicate_name: str,
             "no-locations"))
         return [doc.data], diagnostics
 
+    # With integral coordinates, a distance v < 2**20 is no tie k/32, k odd:
+    # its sum of squares s is an exact integer, so 1024*s - k*k is a nonzero
+    # one and sqrt(s) is >= 2**-31 from k/32, more than v's half ulp, 2**-34.
+    integral = all(x.is_integer() for f in facts for x in f.coords)
+    upper = (_format_row(row, integral and max(row, default=0.0) < 2.0**20)
+             for row in _distance_rows(facts))
     targets = [f"{f.object_name} " for f in facts]
-    upper = map(_format_row, _distance_rows(facts))
 
     def rows() -> Iterator[str]:
         for a, values in zip(facts, _full_rows(upper, "0.0", len(facts))):

@@ -1,6 +1,7 @@
 """End-to-end CLI tests through click's runner."""
 
 import gc
+import html
 import json
 import os
 import re
@@ -349,6 +350,38 @@ def test_insert_stdout_prints_the_splice_of_the_tree(runner, tmp_path,
     assert result.stdout_bytes == tree_insert(
         path.read_bytes().decode("utf-8"), ":init",
         parse_constructs("(p a)")).encode("utf-8")
+
+
+# A comment holding an ANSI escape sequence, which ``click.echo`` strips from
+# a stream that is not a terminal, as the runner's is.
+RED = b"; \x1b[31mred\x1b[0m\n"
+RED_PROBLEM = (b"(define (problem p) (:domain d)\n  (:init " + RED
+               + b"    (at a))\n  (:goal (at a)))\n")
+
+
+@pytest.mark.parametrize("command", ["insert", "extract", "tokens",
+                                     "snippet"])
+def test_an_escape_sequence_in_a_comment_is_printed_byte_for_byte(
+        runner, tmp_path, command):
+    path = tmp_path / "p.pddl"
+    path.write_bytes(RED_PROBLEM)
+    (tmp_path / "red.snippet").write_bytes(b"(p) " + RED)
+    args, expected = {
+        "insert": (["insert", "--stdout", str(path), ":init", "(at b)"],
+                   RED_PROBLEM.replace(b"(at a))", b"(at a)\n    (at b))", 1)),
+        "extract": (["extract", str(path), ":init"],
+                    b"(:init " + RED + b"    (at a))\n"),
+        "tokens": (["tokens", str(path), "--format", "html"], RED_PROBLEM),
+        "snippet": (["snippet", "--snippets-dir", str(tmp_path), "red"],
+                    b"(p) " + RED),
+    }[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    out = result.stdout_bytes
+    if command == "tokens":  # the text of the HTML's body is the file
+        body = out.decode("utf-8").split("<pre>", 1)[1].split("</pre>")[0]
+        out = html.unescape(re.sub("<[^>]*>", "", body)).encode("utf-8")
+    assert out == expected
 
 
 @pytest.mark.parametrize("name", [*(path.name for path in CORPUS_FILES),

@@ -390,6 +390,48 @@ def test_distance_rows_equal_euclidean_bit_for_bit(facts):
             [euclidean(a, b.coords).hex() for b in facts[i + 1:]]
 
 
+integral = st.integers(min_value=-2 ** 19, max_value=2 ** 19).map(float)
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda dim: st.lists(st.tuples(*[integral] * dim), min_size=2,
+                         max_size=12)))
+@settings(max_examples=300, deadline=None)
+def test_rows_of_integral_points_hold_no_tie(points):
+    """Integral coordinates rule out an exact tie, so a row formatted
+    without the scan for one is each value's `format_distance`."""
+    facts = [LocationFact(f"p{k}", p, Span(0, 0))
+             for k, p in enumerate(points)]
+    for row in distance._distance_rows(facts):
+        assert distance._format_row(row, tieless=True) == \
+            list(map(format_distance, row))
+
+
+@pytest.mark.parametrize("facts, tieless", [
+    ("(location a 0 0) (location b 3 4)", [True, True]),
+    # A row holding a distance of 2**20 or more is scanned.
+    ("(location a 0 0) (location b 1048576 0) (location c 1 0)",
+     [False, True, True]),
+    ("(location a 0) (location b 1e100)", [False, True]),
+    # So is every row of a table with a coordinate that is no integer.
+    ("(location a 0 0) (location b 0.03125 0) (location c 3 4)",
+     [False, False, False]),
+])
+def test_only_integral_rows_below_2_to_the_20_skip_the_tie_scan(
+        monkeypatch, facts, tieless):
+    passed = []
+
+    def format_row(row, tieless=False):
+        passed.append(tieless)
+        return real(row, tieless)
+    real = distance._format_row
+    monkeypatch.setattr(distance, "_format_row", format_row)
+    updated, _ = augment_with_distances(problem_with_init(facts))
+    assert passed == tieless
+    if "0.03125" in facts:  # the tie is rounded half up, not to even
+        assert "(distance a b 0.0313)" in updated
+
+
 def test_distance_facts_rejects_mixed_dimensions():
     facts = [LocationFact("a", (0.0, 0.0), Span(0, 0)),
              LocationFact("b", (1.0,), Span(0, 0))]

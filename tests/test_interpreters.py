@@ -13,5 +13,5 @@ def test_the_interpreter_check_passes():
     result = subprocess.run([sys.executable, str(SCRIPT)],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "20 inputs match, a forest pickles, and 1560 distances equal " \
+    assert "20 inputs match, a forest pickles, and 3120 distances equal " \
         "euclidean's bit for bit" in result.stdout
