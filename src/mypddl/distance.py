@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from decimal import ROUND_HALF_UP, Decimal
 from itertools import repeat
 from operator import add, mod
 from pathlib import Path
@@ -33,6 +34,8 @@ from .sexpr import (
 
 DEFAULT_PREDICATE = "location"
 DISTANCE_PREDICATE = "distance"
+
+_STEP = Decimal("0.0001")
 
 
 class DistanceError(MyPddlError):
@@ -151,11 +154,10 @@ def format_distance(value: float) -> str:
     The two rules differ only at an exact tie, where value * 10**4 ends in
     exactly .5; for a double that happens iff value is an odd multiple of
     1/32. Only ties take the ``Decimal`` path, and they are all below 2**48,
-    well inside its 28 digits; ``decimal`` is imported on the first tie.
+    well inside its 28 digits.
     """
     if (value * 32.0) % 2.0 == 1.0:
-        from decimal import ROUND_HALF_UP, Decimal
-        text = f"{Decimal(value).quantize(Decimal('1e-4'), ROUND_HALF_UP):f}"
+        text = f"{Decimal(value).quantize(_STEP, rounding=ROUND_HALF_UP):f}"
     elif math.isfinite(value):
         text = f"{value:.4f}"
     else:
@@ -164,7 +166,7 @@ def format_distance(value: float) -> str:
     return text + "0" if text[-1] == "." else text
 
 
-def _format_row(row: Sequence[float], tieless: bool = False) -> list[str]:
+def _format_row(row: Sequence[float], tieless: bool) -> list[str]:
     """``format_distance`` of each value, at C speed: one ``%`` formats the
     row, each text with four decimals and a ``)``, and three passes strip the
     trailing zeros. A row that may hold an exact tie goes value by value
@@ -181,12 +183,12 @@ def _distance_rows(facts: Sequence[LocationFact]) -> Iterator[list[float]]:
     """For each fact in order, its distances to the facts after it, equal
     to ``euclidean``'s bit for bit on every Python: a row is computed by
     column, one list of squares per dimension, and each pair's squares are
-    added as the builtin ``sum`` adds them: by ``sum`` from 3-D on; by
-    ``+`` in 2-D, where the compensation of ``sum`` (3.12 on) is the exact
-    error of one add of non-negative terms and changes nothing; and a 1-D
-    square is its own sum. As ``(x-y)**2 == (y-x)**2`` exactly, d(b, a) is
-    bitwise d(a, b), so each pair is computed once. A distance too large for
-    a double raises a ``DistanceError`` naming both objects."""
+    added as the builtin ``sum`` adds them: by ``+`` in 2-D, where the
+    compensation of ``sum`` (3.12 on) is the exact error of one add of
+    non-negative terms and changes nothing, and by ``sum`` otherwise. As
+    ``(x-y)**2 == (y-x)**2`` exactly, d(b, a) is bitwise d(a, b), so each
+    pair is computed once. A distance too large for a double raises a
+    ``DistanceError`` naming both objects."""
     points = [f.coords for f in facts]
     for b in points:  # a dimension mismatch raises as in ``euclidean``
         if len(b) != len(points[0]):
@@ -196,8 +198,8 @@ def _distance_rows(facts: Sequence[LocationFact]) -> Iterator[list[float]]:
         try:
             squares = [[(x - y) ** 2 for y in column[i + 1:]]
                        for x, column in zip(a, columns)]
-            sums = map(add, *squares) if len(a) == 2 else squares[0] \
-                if len(a) == 1 else map(sum, zip(*squares))
+            sums = map(add, *squares) if len(a) == 2 \
+                else map(sum, zip(*squares))
             row = list(map(math.sqrt, sums))
         except OverflowError:
             row = [math.inf]

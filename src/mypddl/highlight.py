@@ -12,6 +12,7 @@ Tokens always tile the whole file, whitespace included.
 
 from __future__ import annotations
 
+import html
 from itertools import accumulate, chain, islice, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
@@ -54,11 +55,6 @@ pre { font-family: monospace; font-size: 14px; }
 """
 
 
-def _escape(text: str) -> str:  # html.escape, without loading html
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(
-        ">", "&gt;").replace('"', "&quot;").replace("'", "&#x27;")
-
-
 # The opening tag of each scope's span; unscoped text gets no span.
 _SCOPE_OPEN = {scope: f'<span class="scope-{scope.value.lower()}">'
                for scope in Scope if scope is not Scope.UNSCOPED}
@@ -69,8 +65,10 @@ class _Fragments(dict):
 
     def __missing__(self, key: tuple[Scope, str]) -> str:
         scope, text = key
-        value = _escape(text) if scope is Scope.UNSCOPED \
-            else f"{_SCOPE_OPEN[scope]}{_escape(text)}</span>"
+        if scope is Scope.UNSCOPED:
+            value = html.escape(text)
+        else:
+            value = f"{_SCOPE_OPEN[scope]}{html.escape(text)}</span>"
         self[key] = value
         return value
 
@@ -199,8 +197,8 @@ class TokenColumns:
         """See `render_html`."""
         fragments = map(_Fragments().__getitem__, zip(self.scopes, self.texts))
         out = [f"<!DOCTYPE html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n"
-               f"<title>{_escape(title)}</title>\n<style>\n"
-               f"{_CSS}</style>\n</head>\n<body>\n<pre>"]
+               f"<title>{html.escape(title)}</title>\n<style>\n{_CSS}</style>\n"
+               f"</head>\n<body>\n<pre>"]
         regions = self.invalid_regions()
         if not regions:
             out += fragments

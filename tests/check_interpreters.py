@@ -15,7 +15,7 @@ read both as a domain and as a problem (``parse_domain`` and
 digests recorded below, which Python 3.11.7 produced. It also checks that a
 parsed forest survives a pickle round trip, and that the distance rows,
 computed column by column, equal ``euclidean`` bit for bit on seeded 1-D to
-4-D points of magnitudes 1e-3 to 1e8: in 1-D and 2-D the rows add no
+4-D points of magnitudes 1e-3 to 1e8: in 2-D the rows add by ``+``, not
 ``sum``, and of the 3-D and 4-D pairs, some a compensated float ``sum``
 (Python 3.12 and later) and a plain left fold add to different values. It
 prints one line per mismatch and exits 1 if there is any, else 0.
@@ -372,7 +372,7 @@ def distance_mismatches() -> tuple[int, list[str]]:
     row value differs from ``euclidean`` in any bit."""
     rng = random.Random(20240)
     pairs, apart, failures = 0, 0, []
-    for dim in (1, 2, 3, 4):
+    for dim in (3, 4, 1, 2):  # the 3-D and 4-D points come first
         points = [tuple(rng.choice((-1, 1)) * rng.uniform(1, 10)
                         * 10.0 ** rng.randint(-3, 8) for _ in range(dim))
                   for _ in range(40)]

@@ -354,7 +354,8 @@ def test_format_distance_rejects_non_finite(value):
     max_size=40))
 @settings(max_examples=500)
 def test_bulk_row_formatter_equals_format_distance(row):
-    assert distance._format_row(row) == [format_distance(v) for v in row]
+    assert distance._format_row(row, False) == \
+        [format_distance(v) for v in row]
 
 
 @pytest.mark.parametrize("row", [
@@ -362,7 +363,8 @@ def test_bulk_row_formatter_equals_format_distance(row):
     [1.96875, 2 ** 47 + 1 / 32], [-(2.0 ** -5 - 2.0 ** -58), 1.0],
     [1.7976931348623157e308, 2.0 ** -1074, 5e-5, 1.5e-4]])
 def test_bulk_row_formatter_edges(row):
-    assert distance._format_row(row) == [format_distance(v) for v in row]
+    assert distance._format_row(row, False) == \
+        [format_distance(v) for v in row]
 
 
 magnitude = st.floats(min_value=1e-3, max_value=1e8)
@@ -403,7 +405,7 @@ def test_rows_of_integral_points_hold_no_tie(points):
     facts = [LocationFact(f"p{k}", p, Span(0, 0))
              for k, p in enumerate(points)]
     for row in distance._distance_rows(facts):
-        assert distance._format_row(row, tieless=True) == \
+        assert distance._format_row(row, True) == \
             list(map(format_distance, row))
 
 
@@ -421,7 +423,7 @@ def test_only_integral_rows_below_2_to_the_20_skip_the_tie_scan(
         monkeypatch, facts, tieless):
     passed = []
 
-    def format_row(row, tieless=False):
+    def format_row(row, tieless):
         passed.append(tieless)
         return real(row, tieless)
     real = distance._format_row

@@ -19,7 +19,6 @@ from mypddl.cli import main
 from mypddl.highlight import (
     _CSS,
     _JSON_RUN,
-    _escape,
     Scope,
     Token,
     TokenColumns,
@@ -429,15 +428,6 @@ def test_render_html_valid_domain_has_no_invalid_class(splisus_text):
     tokens = tokenize(splisus_text)
     doc = render_html(tokens)
     assert 'class="invalid-region"' not in doc
-
-
-@given(st.text(alphabet=st.sampled_from("&<>\"'a é;\x1b"), max_size=30)
-       | st.text(max_size=30))
-@settings(max_examples=300)
-def test_html_is_escaped_as_the_html_module_escapes_it(text):
-    """Without loading ``html``: a token text, and the title."""
-    assert _escape(text) == html.escape(text)
-    assert f"<title>{html.escape(text)}</title>" in render_html([], title=text)
 
 
 def reference_regions(tokens):

@@ -87,18 +87,6 @@ def test_a_cold_import_loads_the_layers_and_nothing_only_plan_or_new_needs():
     assert (ran - click).isdisjoint(only_plan_or_new)
 
 
-def test_a_cold_import_and_a_tieless_table_load_neither_decimal_nor_html():
-    """Only an exact distance tie needs ``decimal``; no command needs
-    ``html``."""
-    unneeded = {"decimal", "_decimal", "_pydecimal", "html", "html.entities"}
-    assert _loaded_after("import mypddl.cli").isdisjoint(unneeded)
-    table = ("from mypddl.distance import augment_with_distances as augment; "
-             "augment('(define (problem p) (:init (location a 0 0) "
-             "(location b 0 {})))')")
-    assert _loaded_after(table.format(4)).isdisjoint(unneeded)
-    assert "decimal" in _loaded_after(table.format(0.03125))
-
-
 def test_the_model_reads_a_file_without_the_token_outputs():
     """The grammar and its walk live in ``model``: reading a model loads
     neither ``highlight`` nor what only its outputs need."""
