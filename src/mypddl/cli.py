@@ -63,10 +63,11 @@ def _print_report(report: dict, quiet: bool) -> None:
                    f"{excerpt(r['text'])}")
 
 
-def _write(pieces: Iterable[bytes]) -> None:
-    """Print bytes as they are: ``click.echo`` drops ANSI escape sequences,
-    which may be bytes of a file, when stdout is not a terminal."""
-    out = sys.stdout.buffer
+def _write(pieces: Iterable[bytes], err: bool = False) -> None:
+    """Print bytes as they are, to stdout or to stderr: ``click.echo`` drops
+    ANSI escape sequences, which may be bytes of a file or of a planner's
+    output, when the stream is not a terminal."""
+    out = (sys.stderr if err else sys.stdout).buffer
     for piece in pieces:
         out.write(piece)
     out.flush()
@@ -276,9 +277,9 @@ def plan(ctx: click.Context, domain_file: Path, problem_file: Path,
     config = planner.load_config(config_file)
     result = planner.run_planner(config, domain_file, problem_file)
     if result.stdout and not ctx.obj["quiet"]:
-        click.echo(result.stdout, nl=False)
+        _write([result.stdout.encode("utf-8")])
     if result.stderr:
-        click.echo(result.stderr, err=True, nl=False)
+        _write([result.stderr.encode("utf-8")], err=True)
     if result.timed_out:
         click.echo(f"planner timed out after {result.elapsed:.1f}s", err=True)
         sys.exit(1)

@@ -36,8 +36,9 @@ class ConstructError(MyPddlError):
 # A comment is matched whole: a head inside it, as in "(;x (:init", is none.
 _GAP = rf"[{SPACE}]*(?:{COMMENT}(?![^\n])[{SPACE}]*)*"
 _SKIP_GAP = re.compile(_GAP).match
-# A run of whitespace, atoms and lists that hold no list and no comment.
-_FLAT = re.compile(r"(?:[^();]+|\([^();]*\))*").match
+# A run of whitespace, atoms and lists nested at most two deep that hold no
+# comment, in one possessive match: ``re`` keeps no backtrack entry per item.
+_FLAT = re.compile(r"(?:[^();]++|\((?:[^();]++|\([^();]*+\))*+\))*+").match
 _ENTRY = re.compile(f"[^{SPACE}]").search
 
 
@@ -63,8 +64,9 @@ def _scan(text: str, start: int, bounds: Optional[list[int]] = None,
           ) -> tuple[Optional[int], Optional[tuple[int, int]]]:
     """The offset of the ')' of the list whose '(' is at ``start`` (None if
     unclosed), and the last stretch at depth one holding an entry, the head
-    included: a run of whitespace, atoms and flat lists, one regex match,
-    and any nested list's '(' after it. ``bounds`` gets each stretch."""
+    included: a run of whitespace, atoms and lists nested at most two deep,
+    one regex match, and the '(' after it of any list that the match cannot
+    take. ``bounds`` gets each stretch."""
     depth, at, last = 1, start + 1, None
     while True:
         end = _FLAT(text, at).end()
@@ -142,14 +144,19 @@ def _insertion_state(doc: Document, block: SExprNode | str,
                                  if re.fullmatch("\ufeff?" + _GAP, text) else
                                  f"no block headed by {block!r} found")
         # Nothing is parsed: the last entry is a list's '(' or else the last
-        # atom of the stretch the scan found, and the head is none.
+        # atom of the stretch the scan found, and the head is none. A list
+        # that ends the stretch opens where a reverse depth count reaches 0.
         close, stretch = _scan(text, start, bounds)
         end = len(text) if close is None else close
         insert_at = len(text[:end].encode("utf-8"))
         first, last = stretch
         last = first + len(text[first:last].rstrip(SPACE)) - 1
         if text[last] == ")":
-            last = text.rfind("(", first, last)
+            depth = 1
+            while depth:
+                last = max(text.rfind("(", first, last),
+                           text.rfind(")", first, last))
+                depth += 1 if text[last] == ")" else -1
         elif text[last] != "(":
             last = max(first - 1, *(text.rfind(c, first, last)
                                     for c in SPACE + ")")) + 1
@@ -179,19 +186,28 @@ def _entries(doc: Document, keyword: str, head: str,
         insert_at, prefix = _insertion_state(doc, keyword, bounds)
     except ConstructError:
         return None, 0, ""
-    text, runs = doc.text, []
+    text, runs, stretch = doc.text, [], 0
     for at in _heads(text, head, bounds[0]):
         i = bisect.bisect_right(bounds, at)
         if i == len(bounds):
             break  # past the block
-        if i % 2:  # an entry: a flat list, or a nested list's '('
-            close = _scan(text, at)[0] if bounds[i] == at + 1 \
-                else text.index(")", at)
-            end = len(text) if close is None else close + 1
-            if runs and _SKIP_GAP(text, runs[-1][1]).end() == at:
-                runs[-1][1] = end
-            else:
-                runs.append([at, end])
+        if not i % 2:
+            continue  # inside a list that the scan stepped into
+        if i != stretch:
+            stretch, depth, since = i, 0, bounds[i - 1]
+        # Only a list at depth 0 of its stretch is an entry: the (location …)
+        # of (not (location …)) is none.
+        depth += text.count("(", since, at) - text.count(")", since, at)
+        since = at
+        if depth:
+            continue
+        close = _scan(text, at)[0] if bounds[i] == at + 1 \
+            else _FLAT(text, at + 1).end()
+        end = len(text) if close is None else close + 1
+        if runs and _SKIP_GAP(text, runs[-1][1]).end() == at:
+            runs[-1][1] = end
+        else:
+            runs.append([at, end])
     return _parse_slices(text, runs), insert_at, prefix
 
 

@@ -1,5 +1,5 @@
 """Stdlib-only check that the front end and the distance rows behave alike
-on every supported Python (3.10 to 3.13).
+on every supported Python (3.11 to 3.13).
 
 Run it from the repository root with the interpreter under test:
 

@@ -11,13 +11,12 @@ counts as reached, and then runs every subcommand in process through
 click's ``CliRunner``: on each corpus file, each grammar-tour fixture, the
 seed-1 domain and problem of each benchmark workload and the inputs of
 ``CASES``, which reach grammar and error paths by input. It lists each
-top-level function and method of ``src/mypddl`` that no command entered;
-nested functions are left out, and functions are keyed by file and first
-line, as ``co_qualname`` is new in Python 3.11. ``KEPT`` names each
-function that no command calls, with the reason it is kept. The check
-prints one line per function that no command reached and ``KEPT`` does
-not name, and one per ``KEPT`` name that a command reached or that names
-no function, and exits 1 if there is any, else 0.
+top-level function and method of ``src/mypddl``, by file and qualified
+name, that no command entered; nested functions are left out. ``KEPT``
+names each function that no command calls, with the reason it is kept.
+The check prints one line per function that no command reached and
+``KEPT`` does not name, and one per ``KEPT`` name that a command reached
+or that names no function, and exits 1 if there is any, else 0.
 """
 
 import ast
@@ -29,13 +28,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mypddl"
 
-# (file, first line) of each code object entered, from the package's import on.
+# (file, qualified name) of each code object entered, from the package's
+# import on.
 entered: set = set()
 
 
 def _trace(frame, event, arg):
     code = frame.f_code
-    entered.add((code.co_filename, code.co_firstlineno))
+    entered.add((code.co_filename, code.co_qualname))
 
 
 WORKLOADS = ("large-problem", "distance-grid", "broken-domain")
@@ -106,9 +106,8 @@ KEYWORDS = (":init", ":goal", ":action", ":types", ":INIT", ":nonexistent")
 
 
 def functions() -> dict:
-    """Each top-level function and method of the package, by the file and
-    first line of its code object (a decorator's, if it has one): its
-    module and qualified name."""
+    """Each top-level function and method of the package, by its file and
+    qualified name: its module and qualified name, and its first line."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         module = "mypddl" if path.stem == "__init__" else path.stem
@@ -121,8 +120,8 @@ def functions() -> dict:
             else:
                 defs = []
             for fn, prefix in defs:
-                first = min([fn.lineno, *(d.lineno for d in fn.decorator_list)])
-                found[str(path), first] = f"{module}.{prefix}{fn.name}"
+                found[str(path), prefix + fn.name] = \
+                    (f"{module}.{prefix}{fn.name}", fn.lineno)
     return found
 
 
@@ -200,14 +199,15 @@ def main() -> int:
             os.chdir(cwd)
     sys.settrace(None)
     found = functions()
-    unreached = {name: key for key, name in found.items()
+    unreached = {name: (key[0], line) for key, (name, line) in found.items()
                  if key not in entered}
     failures = [f"{name} ({Path(file).relative_to(ROOT)}:{line}) is called "
                 "by no command and has no reason in KEPT"
                 for name, (file, line) in unreached.items()
                 if name not in KEPT]
+    named = {name for name, _ in found.values()}
     failures += [f"KEPT names {name}, which "
-                 + ("no function is" if name not in found.values()
+                 + ("no function is" if name not in named
                     else "a command reaches")
                  for name in KEPT if name not in unreached]
     for line in failures:

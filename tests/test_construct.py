@@ -263,7 +263,8 @@ _TEXTS += ["\ufeff" + _TEXTS[1], _TEXTS[1].replace("\n", "\r\n")]
 # and give heads cases and non-ASCII letters.
 _EDITS = ["(", ")", ";", "\n", " ", "\r\n", "\t", "; (:init (x)\n",
           "(;c (:init\n", "(; (:goal\n", ";(and\n", "(:INIT ", "(:Goal ",
-          "(İ ", "(ΑΣ ", "(é ", ":action", "\ufeff"]
+          "(İ ", "(ΑΣ ", "(é ", ":action", "\ufeff", "(= (f a) 1) ",
+          "(not (location a 1 2)) ", "(a (b (c)))", "(x (y ; c\n z))"]
 # Keywords that are no atom, and case variants of block heads.
 _KEYWORDS = ["", "a b", "(", ";x", ":init", ":INIT", ":goal", "and",
              ":action", "i\u0307", "ας", "ΑΣ", "ßx"]
@@ -332,12 +333,30 @@ def test_insert_gives_the_bytes_of_the_tree_splice(tmp_path_factory, case):
 
 @pytest.mark.parametrize("before", [" ", "\t", "\n", "\r\n", "\f", "\v", ")",
                                     " ; (c\n", "\n (l) "])
-@pytest.mark.parametrize("last", ["b", "é", "(q)"])
+@pytest.mark.parametrize("last", ["b", "é", "(q)", "(= (f a) 1)", "(not (q))",
+                                  "(at 1 (not (q)))"])
 def test_insert_aligns_on_the_last_entry_after_any_separator(before, last):
     text = f"(define (problem p)\n  (:init x\n   (a) y z{before}{last}))\n"
     constructs = parse_constructs("(p a)")
     assert insert_construct(text, ":init", constructs) == \
         tree_insert(text, ":init", constructs)
+
+
+@pytest.mark.parametrize("entries, matches", [
+    ("(= (f a) 1) (not (p b)) (q c)", 1),
+    ("(= (f a) 1) (not (p (b))) (q c)", 3),  # a fact three deep
+    ("(= (f a) 1) (not (p ; c\n b)) (q c)", 6),  # a comment in a list
+], ids=["two-deep", "three-deep", "comment"])
+def test_the_scan_takes_lists_nested_two_deep_in_one_match(monkeypatch,
+                                                           entries, matches):
+    from mypddl import construct
+
+    text, calls = f"(:init {entries})", []
+    flat = construct._FLAT
+    monkeypatch.setattr(construct, "_FLAT",
+                        lambda *args: calls.append(args) or flat(*args))
+    assert construct._scan(text, 0)[0] == len(text) - 1
+    assert len(calls) == matches
 
 
 @pytest.mark.parametrize("closed", [True, False])

@@ -539,7 +539,8 @@ def _init_problems(draw):
     entry = st.one_of(
         location, location, location,
         st.sampled_from(["(at a)", "(= (f a) 1)", "x", ")", "()", "(location)",
-                         "; (location q 1 1)\n", "(not (location a 1 2))"]))
+                         "; (location q 1 1)\n", "(not (location a 1 2))",
+                         "(at 1 (location a 1 2))", "(p (q ; c\n r))"]))
     entries = draw(st.lists(entry, max_size=8))
     separators = st.sampled_from(_SEPARATORS)
     body = "".join(draw(separators) + e for e in entries)

@@ -315,3 +315,30 @@ def test_missing_inputs_rejected(tmp_path):
     config = PlannerConfig(command_template="echo {domain} {problem}")
     with pytest.raises(PlannerError, match="does not exist"):
         run_planner(config, tmp_path / "no.pddl", tmp_path / "no2.pddl")
+
+
+def test_plan_prints_the_planners_escape_sequences_byte_for_byte(pair,
+                                                                 tmp_path):
+    """``click.echo`` drops ANSI escape sequences when its stream is not a
+    terminal; ``plan`` prints the planner's output as it is."""
+    from click.testing import CliRunner
+
+    from mypddl.cli import main
+
+    domain, problem = pair
+    stub = tmp_path / "planner.py"
+    stub.write_text("import sys\nprint('step 1 \\033[32mok\\033[0m')\n"
+                    "print('\\033[31mwarning\\033[0m', file=sys.stderr)\n",
+                    encoding="utf-8")
+    config = tmp_path / "mypddl.toml"
+    config.write_text(
+        f'command = "{PY} {stub} {{domain}} {{problem}}"\n'
+        f'solution_dir = "{(tmp_path / "solutions").as_posix()}"\n',
+        encoding="utf-8")
+    result = CliRunner().invoke(main, [
+        "plan", "--domain", str(domain), "--problem", str(problem),
+        "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (b"step 1 \x1b[32mok\x1b[0m\n"
+                                   b"no new solution file detected\n")
+    assert result.stderr_bytes == b"\x1b[31mwarning\x1b[0m\n"
