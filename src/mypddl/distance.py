@@ -141,7 +141,7 @@ def euclidean(a: Sequence[float], b: Sequence[float]) -> float:
     if len(a) != len(b):
         raise DistanceError(
             f"dimension mismatch: {len(a)} versus {len(b)} coordinates")
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+    return math.sqrt(sum((x - y) * (x - y) for x, y in zip(a, b)))
 
 
 def format_distance(value: float) -> str:
@@ -181,28 +181,31 @@ def _format_row(row: Sequence[float], tieless: bool) -> list[str]:
 
 def _distance_rows(facts: Sequence[LocationFact]) -> Iterator[list[float]]:
     """For each fact in order, its distances to the facts after it, equal
-    to ``euclidean``'s bit for bit on every Python: a row is computed by
-    column, one list of squares per dimension, and each pair's squares are
-    added as the builtin ``sum`` adds them: by ``+`` in 2-D, where the
-    compensation of ``sum`` (3.12 on) is the exact error of one add of
-    non-negative terms and changes nothing, and by ``sum`` otherwise. As
-    ``(x-y)**2 == (y-x)**2`` exactly, d(b, a) is bitwise d(a, b), so each
-    pair is computed once. A distance too large for a double raises a
-    ``DistanceError`` naming both objects."""
-    points = [f.coords for f in facts]
+    to ``euclidean``'s bit for bit on every Python: each square is an IEEE
+    product, and a pair's squares are added as ``sum`` adds them, by ``+``
+    in 2-D, a row in one comprehension, where the compensation of ``sum``
+    (3.12 on) is the exact error of one add of non-negative terms and
+    changes nothing, and by ``sum`` of one list of squares per dimension
+    otherwise. As ``x-y == -(y-x)`` exactly, d(b, a) is bitwise d(a, b), so
+    each pair is computed once. A product never raises: a distance too
+    large for a double is ``inf``, and raises a ``DistanceError`` naming
+    both objects."""
+    points, sqrt = [f.coords for f in facts], math.sqrt
     for b in points:  # a dimension mismatch raises as in ``euclidean``
         if len(b) != len(points[0]):
             euclidean(points[0], b)
     columns = list(zip(*points)) or [(0,) * len(points)]  # 0-D: all at 0
-    for i, a in enumerate(zip(*columns)):
-        try:
-            squares = [[(x - y) ** 2 for y in column[i + 1:]]
-                       for x, column in zip(a, columns)]
-            sums = map(add, *squares) if len(a) == 2 \
-                else map(sum, zip(*squares))
-            row = list(map(math.sqrt, sums))
-        except OverflowError:
-            row = [math.inf]
+    if len(columns) == 2:
+        c0, c1 = columns
+        rows = ([sqrt((d := x0 - y0) * d + (e := x1 - y1) * e)
+                 for y0, y1 in zip(c0[i + 1:], c1[i + 1:])]
+                for i, (x0, x1) in enumerate(zip(c0, c1)))
+    else:
+        rows = (list(map(sqrt, map(sum, zip(*[
+            [(x - y) * (x - y) for y in column[i + 1:]]
+            for x, column in zip(a, columns)]))))
+            for i, a in enumerate(zip(*columns)))
+    for i, row in enumerate(rows):
         if math.inf in row:
             raise _overflow(facts[i], facts[i + 1:])
         yield row
@@ -211,12 +214,7 @@ def _distance_rows(facts: Sequence[LocationFact]) -> Iterator[list[float]]:
 def _overflow(a: LocationFact, rest: Sequence[LocationFact]) -> DistanceError:
     """The error naming ``a`` and the first fact in ``rest`` whose distance
     from it is not a finite double."""
-    for b in rest:
-        try:
-            if euclidean(a.coords, b.coords) == math.inf:
-                break
-        except OverflowError:
-            break
+    b = next(b for b in rest if euclidean(a.coords, b.coords) == math.inf)
     return DistanceError(
         f"distance between {excerpt(repr(a.object_name))} and "
         f"{excerpt(repr(b.object_name))} is too large for a double")

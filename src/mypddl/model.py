@@ -64,8 +64,6 @@ PROBLEM_BLOCKS = {
     ":metric": ("optimization", "fexp"),
     ":constraints": ("constraint",),
 }
-DOMAIN_BLOCK_KEYS = frozenset(DOMAIN_BLOCKS)
-PROBLEM_BLOCK_KEYS = frozenset(PROBLEM_BLOCKS)
 # Blocks a domain may hold more than once; a repeat of any other is reported.
 REPEATABLE_BLOCKS = frozenset({":action", ":durative-action", ":derived"})
 ACTION_KEYS = {
@@ -541,10 +539,14 @@ class _Walk:
         finally:
             self.depth -= 1
 
-    def warn(self, k: int, message: str, code: str) -> None:
+    def warn(self, k: int, message: str, code: str,
+             quoted: bool = False) -> None:
         """Report a finding of the model at the value at k; none without
-        one."""
+        one. A ``quoted`` message is formatted only then: its ``{}`` is the
+        value's source, quoted as ``excerpt(repr(...))``."""
         if self.model is not None:
+            if quoted:
+                message = message.format(excerpt(repr(self.tape.source(k))))
             self.diagnostics.append(finding(self.tape.span(k), message, code))
 
     # -- formulas -----------------------------------------------------------
@@ -753,15 +755,15 @@ class _Walk:
                 scopes[j] = _PUNCTUATION
                 dash = j
             elif items is None:
-                self.warn(j, f"unexpected {excerpt(repr(piece))} in "
-                          "(:functions ...)", "bad-function")
+                self.warn(j, "unexpected {} in (:functions ...)",
+                          "bad-function", quoted=True)
             elif terms[piece] is items:
                 scopes[j] = items
                 run.append(j)
             else:
-                self.warn(j, f"{excerpt(repr(piece))} where a "
-                          f"{items.name.lower()} was expected in typed list",
-                          "bad-typed-list-item")
+                self.warn(j, "{} where a " + items.name.lower()
+                          + " was expected in typed list",
+                          "bad-typed-list-item", quoted=True)
             j = last[j] + 1
         self.parens(k)
         if dash is not None:
@@ -824,14 +826,13 @@ class _Walk:
     def bad_type(self, k: int) -> None:
         """Report the type at k as no type name: an (either ...) as
         ``either-type``, anything else as ``bad-type``."""
-        text = excerpt(repr(self.tape.source(k)))
         if self.pieces[k] != "(":
-            self.warn(k, f"{text} in type position is not a type name",
-                      "bad-type")
+            self.warn(k, "{} in type position is not a type name",
+                      "bad-type", quoted=True)
         else:
-            self.warn(k, f"compound type {text} in type position",
+            self.warn(k, "compound type {} in type position",
                       "either-type" if self.head_key(k) == "either"
-                      else "bad-type")
+                      else "bad-type", quoted=True)
 
     def typed_block(self, k: int, head: int) -> None:
         """(:types ...), (:constants ...) or (:objects ...): a typed list of
@@ -850,8 +851,8 @@ class _Walk:
     def predicate(self, k: int) -> None:
         """A declaration in (:predicates ...), which a model records."""
         if self.pieces[k] != "(" and self.model is not None:
-            self.warn(k, f"stray {excerpt(repr(self.pieces[k]))} in "
-                      "(:predicates ...)", "stray-atom")
+            self.warn(k, "stray {} in (:predicates ...)", "stray-atom",
+                      quoted=True)
         elif signature := self.declaration(k):
             self.model.predicates.append(PredicateDecl(
                 *signature, self.tape.source(k), span=self.tape.span(k)))
@@ -860,8 +861,8 @@ class _Walk:
         """Typed variables; for a model, its ``TypedList`` as a `Deferred`
         call of ``_parameters`` on ``recorder``, the findings reported now."""
         if self.pieces[k] != "(":
-            self.warn(k, f"{excerpt(repr(self.pieces[k]))} where a list of "
-                      "parameters was expected", "bad-parameters")
+            self.warn(k, "{} where a list of parameters was expected",
+                      "bad-parameters", quoted=True)
             return None
         self.typed_list(k, None, _VARIABLE, record=False)
         if self.model is None:
@@ -986,8 +987,8 @@ class _Walk:
             return
         key = self.head_key(k)
         if pieces[k] != "(":
-            self.warn(k, f"stray {excerpt(repr(pieces[k]))} at "
-                      f"{self.kind} level", "stray-atom")
+            self.warn(k, "stray {} at " + self.kind + " level",
+                      "stray-atom", quoted=True)
             return
         if key not in self.blocks:
             self.warn(k, f"unrecognized block {excerpt(key or '(...)')} "
@@ -1007,8 +1008,8 @@ class _Walk:
             model.init = Deferred(_facts, self.tape, self.inits[:])
             for v in self.values(k)[1:]:
                 if pieces[v] != "(":
-                    self.warn(v, f"stray {excerpt(repr(pieces[v]))} "
-                              "in (:init ...)", "stray-atom")
+                    self.warn(v, "stray {} in (:init ...)", "stray-atom",
+                              quoted=True)
         elif key == ":goal":
             self.goal = after
             model.goal = None if after is None \
@@ -1094,7 +1095,8 @@ class _Walk:
 class _Recorder(_Walk):
     """The walk of ``_parameters``, silent: the model's walk has warned."""
 
-    def warn(self, k: int, message: str, code: str) -> None:
+    def warn(self, k: int, message: str, code: str,
+             quoted: bool = False) -> None:
         pass
 
 

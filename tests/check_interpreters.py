@@ -14,13 +14,13 @@ read both as a domain and as a problem (``parse_domain`` and
 ``parse_problem``, of each define form), and compares them with the
 digests recorded below, which Python 3.11.7 produced. It also checks that a
 parsed forest survives a pickle round trip, and that the distance rows,
-computed column by column, equal ``euclidean`` bit for bit on seeded 1-D to
-4-D points of magnitudes 1e-3 to 1e8: in 2-D the rows add by ``+``, not
-``sum``, and of the 3-D and 4-D pairs, some a compensated float ``sum``
-(Python 3.12 and later) and a plain left fold add to different values. It
-prints one line per mismatch and exits 1 if there is any, else 0.
-``--record`` prints the digests of the running interpreter in the form of
-``EXPECTED``.
+which square by products, equal ``euclidean`` bit for bit on seeded 1-D to
+4-D points of magnitudes 1e-3 to 1e8: in 2-D a row is one comprehension
+that adds by ``+``, not ``sum``, and some of the 3-D and 4-D pairs have
+squares that a compensated float ``sum`` (Python 3.12 and later) and a
+plain left fold add to different values. It prints one line per mismatch
+and exits 1 if there is any, else 0. ``--record`` prints the digests of the
+running interpreter in the form of ``EXPECTED``.
 """
 
 import hashlib
@@ -380,7 +380,7 @@ def distance_mismatches() -> tuple[int, list[str]]:
                  for k, p in enumerate(points)]
         for i, row in enumerate(_distance_rows(facts)):
             for b, value in zip(points[i + 1:], row):
-                squares = [(x - y) ** 2 for x, y in zip(points[i], b)]
+                squares = [(x - y) * (x - y) for x, y in zip(points[i], b)]
                 pairs += 1
                 apart += math.sqrt(compensated_sum(squares)) \
                     != math.sqrt(reduce(add, squares, 0.0))

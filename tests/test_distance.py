@@ -270,8 +270,10 @@ def test_triangle_inequality(data):
 # -- distances too large for a double ----------------------------------------
 
 @pytest.mark.parametrize("facts, first, second", [
-    # (x-y)**2 overflows
+    # (x-y)*(x-y) overflows to inf; a product never raises
     ("(location a 0 0) (location b 1e200 0)", "a", "b"),
+    # x-y itself overflows to inf
+    ("(location a -1e308 0) (location b 1e308 0)", "a", "b"),
     # the sum of two finite squares overflows
     ("(location a 0 0) (location b 1e154 1e154)", "a", "b"),
     ("(location a 0 0 0) (location b 1e200 0 0)", "a", "b"),
@@ -486,6 +488,22 @@ def point_sets(draw):
 @settings(max_examples=300, deadline=None)
 def test_augment_matches_naive_n_squared(points):
     text, expected = naive_augmented(points)
+    updated, _ = augment_with_distances(text)
+    assert updated == expected
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda dim: st.lists(st.lists(st.integers(min_value=-2 ** 19,
+                                              max_value=2 ** 19).map(str),
+                                  min_size=dim, max_size=dim),
+                         min_size=1, max_size=9)))
+@settings(max_examples=300, deadline=None)
+def test_augment_of_integral_points_matches_squares_by_pow(points):
+    """Integral coordinates up to 2**19 have exact squares, so squaring by
+    ``**`` (libm ``pow``, not correctly rounded in general) and by the
+    program's products must give the same bytes."""
+    text, expected = naive_augmented(
+        [(f"p{k}", coords) for k, coords in enumerate(points)])
     updated, _ = augment_with_distances(text)
     assert updated == expected
 

@@ -841,3 +841,25 @@ def test_reading_parameters_asks_one_offset_and_reports_nothing(
     assert [(e.name, e.type_name) for e in action.parameters.entries] == [
         ("?x", "(t)"), ("?y", "(t)")]
     assert len(asked) == 1 and recorder.diagnostics == []
+
+
+def test_a_finding_message_is_made_only_where_it_is_kept(monkeypatch):
+    """The token walk and the walk that reads an action's parameters keep
+    no finding, so neither quotes source for one: only the model's walk
+    calls ``excerpt``, once per finding that quotes its value."""
+    text = ("(define (domain d) (:types a - (t) b) (:functions (f) 3)\n"
+            "  (:action a :parameters (?x k ?y - (t)) :effect (p ?x))\n"
+            "  (:action b :parameters x :effect (p x)))")
+    calls, excerpt = [], pddl_model.excerpt
+    monkeypatch.setattr(pddl_model, "excerpt",
+                        lambda text: calls.append(text) or excerpt(text))
+    tokenize(text)
+    assert calls == []
+    domain, diagnostics = parse_domain(text)
+    assert [d.code for d in diagnostics] == [
+        "bad-type", "bad-function", "bad-typed-list-item", "bad-type",
+        "bad-parameters"]
+    assert calls == ["'(t)'", "'3'", "'k'", "'(t)'", "'x'"]
+    del calls[:]
+    assert domain.actions[0].parameters.names() == ["?x", "?y"]
+    assert calls == []

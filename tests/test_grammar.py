@@ -26,12 +26,12 @@ from mypddl.model import (
     ACTION_KEYS,
     CONDITION_RULES,
     CONSTRAINT_RULES,
-    DOMAIN_BLOCK_KEYS,
+    DOMAIN_BLOCKS,
     EFFECT_RULES,
     INIT_RULES,
     NUMERIC_RULES,
     PREDICATE_KEYWORDS,
-    PROBLEM_BLOCK_KEYS,
+    PROBLEM_BLOCKS,
     TIMED_CONDITION_RULES,
     TIMED_EFFECT_RULES,
     PddlDomain,
@@ -162,8 +162,8 @@ def _codes(diagnostics) -> set:
     return {d.code for d in diagnostics}
 
 
-BLOCK_CASES = [("domain", key) for key in sorted(DOMAIN_BLOCK_KEYS)] + \
-    [("problem", key) for key in sorted(PROBLEM_BLOCK_KEYS)]
+BLOCK_CASES = [("domain", key) for key in sorted(DOMAIN_BLOCKS)] + \
+    [("problem", key) for key in sorted(PROBLEM_BLOCKS)]
 ACTION_CASES = [(block, key) for block in sorted(ACTION_KEYS)
                 for key in sorted(ACTION_KEYS[block])]
 
@@ -217,8 +217,8 @@ FORMULA_RULES = [CONDITION_RULES, EFFECT_RULES, INIT_RULES,
 
 
 def test_the_walk_dispatches_exactly_the_block_keys():
-    assert set(_Walk.DOMAIN_BLOCKS) == DOMAIN_BLOCK_KEYS
-    assert set(_Walk.PROBLEM_BLOCKS) == PROBLEM_BLOCK_KEYS
+    assert _Walk.DOMAIN_BLOCKS.keys() == DOMAIN_BLOCKS.keys()
+    assert _Walk.PROBLEM_BLOCKS.keys() == PROBLEM_BLOCKS.keys()
     assert set(_Walk.ACTION_VALUES) == {
         context for keys in ACTION_KEYS.values() for _, context in keys.values()}
     # Every formula keyword is looked up lowercased, and every context a
